@@ -33,6 +33,63 @@ fn bench_engine(h: &mut Harness) {
         eng.run_until(&mut w, SimTime(u64::MAX - 1));
         black_box(w)
     });
+
+    bench_engine_hold(h, "engine/hold 50k pending", 50_000);
+    bench_engine_hold(h, "engine/hold 300k pending", 300_000);
+}
+
+/// Events per iteration of the hold benches.
+const HOLD_BATCH: u64 = 1_000;
+
+struct Hold {
+    rng: u64,
+    ran: u64,
+}
+
+/// One hold-model event: schedule exactly one successor, so the queue
+/// depth stays where the pre-fill put it. Delays are log-uniform from
+/// 1 ms to ~100 days (message deliveries to inter-poll timers), and two
+/// in five events carry a message-sized capture (the boxed fallback), as
+/// on the 10k-peer world. Every `HOLD_BATCH`-th event stops the run loop.
+fn hold(w: &mut Hold, e: &mut Engine<Hold>) {
+    w.ran += 1;
+    if w.ran.is_multiple_of(HOLD_BATCH) {
+        e.request_stop();
+    }
+    w.rng = w
+        .rng
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    let bits = (w.rng >> 58) % 34;
+    let delay = Duration((1 << bits) | (w.rng >> 20) & ((1 << bits) - 1));
+    if w.ran % 5 < 2 {
+        let pad = [w.rng; 12];
+        e.schedule_in(delay, move |w: &mut Hold, e: &mut Engine<Hold>| {
+            black_box(&pad);
+            hold(w, e)
+        });
+    } else {
+        e.schedule_in(delay, hold);
+    }
+}
+
+/// The classic hold model at a fixed queue depth; one iteration is
+/// `HOLD_BATCH` (1,000) pop + dispatch + schedule steps. 50k pending is
+/// the paper world's depth (100 peers × 20 AUs), 300k the 10k-peer world's.
+fn bench_engine_hold(h: &mut Harness, name: &str, pending: u64) {
+    let mut w = Hold {
+        rng: 0x9E37_79B9_7F4A_7C15,
+        ran: 0,
+    };
+    let mut eng: Engine<Hold> = Engine::with_capacity(pending as usize);
+    for i in 0..pending {
+        eng.schedule_at(SimTime(i), hold);
+    }
+    // Reach the steady-state spread of pending times before timing.
+    while w.ran < 4 * pending {
+        eng.run_to_exhaustion(&mut w);
+    }
+    h.bench(name, move || eng.run_to_exhaustion(&mut w));
 }
 
 fn bench_rng(h: &mut Harness) {

@@ -1050,6 +1050,7 @@ fn mem_report(scenario: &lockss_experiments::Scenario, seed: u64) {
         arena_total,
         events_executed,
         events_queued,
+        queue_buffer_bytes,
         table,
     } = run_once_with_stats(scenario, seed);
     println!("\nmemory report (seed {seed}):");
@@ -1062,6 +1063,10 @@ fn mem_report(scenario: &lockss_experiments::Scenario, seed: u64) {
     println!("  event arena               {arena_live} live / {arena_total} high-water slots");
     println!(
         "  events                    {events_executed} executed, {events_queued} queued at horizon"
+    );
+    println!(
+        "  event queue               {} KiB of slot buffers holding those",
+        queue_buffer_bytes / 1024
     );
     println!(
         "  peer table                {} peers x {} AU(s)",
@@ -1145,7 +1150,8 @@ fn replay(registry: &ScenarioRegistry, path: &str, seed_override: Option<u64>) {
             meta.scenario
         ))
     });
-    let scenario = entry.build(Scale::parse(&meta.scale));
+    let scale = Scale::parse(&meta.scale).unwrap_or_else(|e| fail(&format!("trace header: {e}")));
+    let scenario = entry.build(scale);
     let seed = seed_override.unwrap_or(meta.seed);
     println!(
         "replaying {path}: {meta}{}",

@@ -17,7 +17,8 @@ use crate::scenario::Scenario;
 /// schedules (peers × AUs) first-poll events plus per-peer damage timers
 /// before the first event runs, and the in-flight message population
 /// scales the same way. Sizing up front replaces the doubling cascade on
-/// the heap and the event arena with one allocation each.
+/// the event arena with one allocation (the queue's slot buffers grow on
+/// demand and are released as they drain).
 fn engine_for(cfg: &WorldConfig) -> Engine<World> {
     let outstanding = cfg.n_peers * (cfg.n_aus + 1) * 4;
     Engine::with_capacity(outstanding.clamp(1024, 1 << 22))
@@ -242,6 +243,8 @@ pub struct RunStats {
     pub events_executed: u64,
     /// Events still queued at the horizon.
     pub events_queued: usize,
+    /// Bytes of slot buffer the event queue holds at the horizon.
+    pub queue_buffer_bytes: usize,
     /// Peer-table heap occupancy at end of run.
     pub table: TableOccupancy,
 }
@@ -267,6 +270,7 @@ pub fn run_once_with_stats(scenario: &Scenario, seed: u64) -> RunStats {
         arena_total,
         events_executed: eng.executed(),
         events_queued: eng.queued(),
+        queue_buffer_bytes: eng.queue_buffer_bytes(),
         table: world.peers.occupancy(),
     }
 }

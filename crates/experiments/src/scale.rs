@@ -22,26 +22,38 @@ pub enum Scale {
 
 impl Scale {
     /// Reads the scale from `--scale <s>` argv or the `LOCKSS_SCALE`
-    /// environment variable; defaults to `Default`.
+    /// environment variable; defaults to `Default` when neither is given.
+    /// A name [`Scale::parse`] rejects ends the process with exit code 2
+    /// and the accepted names: a typo must not silently run the
+    /// minutes-long default scale.
     pub fn from_env_and_args() -> Scale {
         let args: Vec<String> = std::env::args().collect();
-        for i in 0..args.len() {
-            if args[i] == "--scale" && i + 1 < args.len() {
-                return Scale::parse(&args[i + 1]);
-            }
-        }
-        match std::env::var("LOCKSS_SCALE") {
-            Ok(v) => Scale::parse(&v),
-            Err(_) => Scale::Default,
+        let named = match args.iter().position(|a| a == "--scale") {
+            Some(i) => Some(("--scale", args.get(i + 1).cloned().unwrap_or_default())),
+            None => std::env::var("LOCKSS_SCALE")
+                .ok()
+                .map(|v| ("LOCKSS_SCALE", v)),
+        };
+        match named {
+            None => Scale::Default,
+            Some((source, name)) => Scale::parse(&name).unwrap_or_else(|e| {
+                eprintln!("{source}: {e}");
+                std::process::exit(2);
+            }),
         }
     }
 
-    /// Parses a scale name (unknown names fall back to `Default`).
-    pub fn parse(s: &str) -> Scale {
+    /// Parses a scale name, case-insensitively: `quick` (or `smoke`, `ci`),
+    /// `default`, `paper` (or `full`). Anything else is an error naming
+    /// the accepted spellings.
+    pub fn parse(s: &str) -> Result<Scale, String> {
         match s.to_ascii_lowercase().as_str() {
-            "quick" | "smoke" | "ci" => Scale::Quick,
-            "paper" | "full" => Scale::Paper,
-            _ => Scale::Default,
+            "quick" | "smoke" | "ci" => Ok(Scale::Quick),
+            "default" => Ok(Scale::Default),
+            "paper" | "full" => Ok(Scale::Paper),
+            _ => Err(format!(
+                "unknown scale '{s}' (expected quick|smoke|ci, default, or paper|full)"
+            )),
         }
     }
 
@@ -145,10 +157,16 @@ mod tests {
 
     #[test]
     fn parse_names() {
-        assert_eq!(Scale::parse("quick"), Scale::Quick);
-        assert_eq!(Scale::parse("PAPER"), Scale::Paper);
-        assert_eq!(Scale::parse("default"), Scale::Default);
-        assert_eq!(Scale::parse("garbage"), Scale::Default);
+        assert_eq!(Scale::parse("quick"), Ok(Scale::Quick));
+        assert_eq!(Scale::parse("PAPER"), Ok(Scale::Paper));
+        assert_eq!(Scale::parse("default"), Ok(Scale::Default));
+        for typo in ["garbage", "qick", "", "defaults"] {
+            let err = Scale::parse(typo).expect_err("typos are errors, not `default`");
+            assert!(err.contains("quick") && err.contains("paper"), "{err}");
+        }
+        for s in [Scale::Quick, Scale::Default, Scale::Paper] {
+            assert_eq!(Scale::parse(s.label()), Ok(s), "labels parse back");
+        }
     }
 
     #[test]

@@ -7,19 +7,60 @@
 //!
 //! # Storage
 //!
-//! The priority queue itself holds only plain `(time, seq, slot)` keys; the
-//! closures live in a slab-backed arena (`EventArena`) whose slots are
+//! Closures live in a slab-backed arena (`EventArena`) whose slots are
 //! recycled through a free list as events execute. Closures at most
 //! `INLINE_BYTES` (32) bytes — the protocol's common captures — are stored
-//! *inline* in their slot, so the steady state allocates nothing per
-//! event: no `Box` per closure, and no heap churn in the `BinaryHeap`
-//! beyond its amortized growth. Oversized closures transparently fall back
-//! to a boxed representation. The `(time, seq)` total order is bitwise
-//! identical to the boxed implementation this replaced, which is what keeps
-//! recorded traces replayable across the change.
+//! *inline* in their slot; oversized ones transparently fall back to a
+//! boxed representation. The queue proper holds only 16-byte
+//! `(time, arena slot)` keys.
+//!
+//! # The queue: a monotone hierarchical timing wheel
+//!
+//! The queue (`Wheel`) reads a time in milliseconds as eleven base-64
+//! digits (6 bits each; 11 × 6 ≥ 64, so every `u64` fits) and keeps one
+//! row of 64 slots per digit position — *level* 0 is the least significant
+//! digit — with one `u64` occupancy mask per level. It remembers `last`,
+//! the time of the last key it released.
+//!
+//! - **Push.** A key for time `at ≥ last` goes to level `l` = the highest
+//!   digit position in which `at` differs from `last` (0 if none), slot =
+//!   that digit of `at`: a `leading_zeros`, a `Vec::push` and a mask `|=`.
+//!   So level 0 holds keys that share all higher digits with `last` — each
+//!   of its slots is *one instant* — and an occupied slot of level `l`
+//!   always has a digit above `last`'s digit `l`.
+//! - **Pop.** The level-0 slot of `last` is consumed through a read cursor.
+//!   When it is drained, the next set bit of the level-0 mask is the next
+//!   instant. When level 0 is empty, the first set bit of the lowest
+//!   non-empty level names the slot holding the overall minimum: scan it
+//!   for its minimum time, make that `last`, and redistribute the slot's
+//!   keys — each now agrees with `last` in digit `l` and above, so each
+//!   lands on a strictly lower level. A key moves at most once per level
+//!   (a slot holding a single key, the common case when events are seconds
+//!   apart, hands it out directly).
+//!
+//! **Why the order is exactly `(time, seq)` although no `seq` is stored.**
+//! Every slot is, at all times, in schedule order. A push appends, and every
+//! key already in the slot was scheduled earlier. A cascade only fills
+//! slots of lower levels, all of which are empty at that moment (it runs
+//! only when everything below the cascading level has drained), and copies
+//! the source slot front to back, so relative order survives the move. A
+//! level-0 slot holds a single instant, so its FIFO order *is* `seq` order
+//! within that instant; an event scheduled for the instant being drained
+//! appends behind the cursor and runs in the same drain, after everything
+//! queued before it. Times are released in increasing order because the
+//! slot chosen at each step holds the minimum. The resulting execution
+//! order is bitwise identical to that of the binary heap of `(time, seq)`
+//! keys this replaced, which is what keeps recorded traces replayable
+//! across the change (`tests/engine_oracle.rs` checks it against a sorted
+//! `Vec`).
+//!
+//! **Invariant: `last ≤ now`.** Placement is relative to `last`, and
+//! `schedule_at` clamps to the clock, so a key is always pushed at or after
+//! `last` provided `last` never runs ahead of the clock. `pop` therefore
+//! takes the run loop's limit and, when the next candidate instant is past
+//! it, returns *without* advancing `last` or cascading: between two
+//! `run_until` slices the caller may schedule at any `at ≥ until`.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::mem::{self, MaybeUninit};
 
 use lockss_obs::{Counter, Gauge, RegistryBuilder};
@@ -228,32 +269,140 @@ impl<W> EventArena<W> {
     }
 }
 
-/// Heap key for one scheduled event; the closure lives in the arena.
-struct HeapKey {
-    at: SimTime,
-    seq: u64,
+/// Bits per wheel digit.
+const DIGIT_BITS: u32 = 6;
+/// Slots per level: one per digit value.
+const SLOTS: usize = 1 << DIGIT_BITS;
+/// Digits in a `u64` time (the top one is partial).
+const LEVELS: usize = (u64::BITS as usize).div_ceil(DIGIT_BITS as usize);
+/// A drained slot keeps its buffer only up to this many keys (1 KiB);
+/// larger ones are released, so a slot that once held a burst does not
+/// pin its high-water capacity for the rest of the run.
+const KEEP_KEYS: usize = 64;
+
+/// Queue entry for one scheduled event; the closure lives in the arena.
+#[derive(Clone, Copy)]
+struct Key {
+    at: u64,
     slot: u32,
 }
 
-impl PartialEq for HeapKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+/// Empties a drained slot buffer, releasing it if it grew large.
+fn recycle(keys: &mut Vec<Key>) {
+    if keys.capacity() > KEEP_KEYS {
+        *keys = Vec::new();
+    } else {
+        keys.clear();
     }
 }
-impl Eq for HeapKey {}
-impl PartialOrd for HeapKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// The event queue: a monotone hierarchical timing wheel releasing keys
+/// in exact `(time, schedule order)` order. See the module docs for the
+/// layout and the ordering argument.
+struct Wheel {
+    /// Time of the last key released; placement is relative to it. Never
+    /// ahead of the engine clock.
+    last: u64,
+    len: usize,
+    /// Read position in the level-0 slot of `last`.
+    cursor: usize,
+    /// Per level, bit `d` is set iff slot `d` is non-empty.
+    masks: [u64; LEVELS],
+    /// `LEVELS × SLOTS` buffers, level-major; each in schedule order.
+    slots: Box<[Vec<Key>]>,
 }
-impl Ord for HeapKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+
+impl Wheel {
+    fn new() -> Wheel {
+        Wheel {
+            last: 0,
+            len: 0,
+            cursor: 0,
+            masks: [0; LEVELS],
+            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    /// Files `key` under the highest digit in which its time differs from
+    /// `last`. Requires `key.at >= self.last`.
+    #[inline]
+    fn place(&mut self, key: Key) {
+        debug_assert!(key.at >= self.last, "wheel time must be monotone");
+        let level =
+            ((u64::BITS - 1 - ((key.at ^ self.last) | 1).leading_zeros()) / DIGIT_BITS) as usize;
+        let digit = (key.at >> (level as u32 * DIGIT_BITS)) as usize & (SLOTS - 1);
+        self.slots[level * SLOTS + digit].push(key);
+        self.masks[level] |= 1 << digit;
+    }
+
+    #[inline]
+    fn push(&mut self, key: Key) {
+        self.place(key);
+        self.len += 1;
+    }
+
+    /// Releases the next key in `(time, schedule order)` if its time is at
+    /// most `limit`. Otherwise returns `None` and leaves `last` where it
+    /// is, so the caller may still push any time after `limit`.
+    fn pop(&mut self, limit: u64) -> Option<Key> {
+        loop {
+            let cur = self.last as usize & (SLOTS - 1);
+            if let Some(&key) = self.slots[cur].get(self.cursor) {
+                // Only when a run loop is asked to stop in the past.
+                if self.last > limit {
+                    return None;
+                }
+                self.cursor += 1;
+                self.len -= 1;
+                return Some(key);
+            }
+            if self.cursor > 0 {
+                recycle(&mut self.slots[cur]);
+                self.cursor = 0;
+                self.masks[0] &= !(1 << cur);
+            }
+            if self.masks[0] != 0 {
+                // Occupied level-0 slots all lie after `cur`.
+                let digit = u64::from(self.masks[0].trailing_zeros());
+                let at = self.last & !(SLOTS as u64 - 1) | digit;
+                if at > limit {
+                    return None;
+                }
+                self.last = at;
+                continue;
+            }
+            // The first occupied slot of the lowest occupied level holds
+            // the minimum: every other key has a larger digit there, or
+            // differs from `last` in a higher one.
+            let level = (1..LEVELS).find(|&l| self.masks[l] != 0)?;
+            let digit = self.masks[level].trailing_zeros() as usize;
+            let idx = level * SLOTS + digit;
+            let min = self.slots[idx]
+                .iter()
+                .map(|k| k.at)
+                .min()
+                .expect("a set mask bit marks a non-empty slot");
+            if min > limit {
+                return None;
+            }
+            // Cascade: relative to the new `last` every key of the slot
+            // belongs on a lower level, all of which are empty.
+            self.last = min;
+            self.masks[level] &= !(1 << digit);
+            // A lone key (most cascades, on a queue sparse in time) is
+            // released directly rather than via level 0.
+            if let [key] = self.slots[idx][..] {
+                self.slots[idx].clear();
+                self.len -= 1;
+                return Some(key);
+            }
+            let mut keys = mem::take(&mut self.slots[idx]);
+            for &key in &keys {
+                self.place(key);
+            }
+            recycle(&mut keys);
+            self.slots[idx] = keys;
+        }
     }
 }
 
@@ -274,9 +423,8 @@ impl Ord for HeapKey {
 /// ```
 pub struct Engine<W> {
     now: SimTime,
-    seq: u64,
     executed: u64,
-    queue: BinaryHeap<HeapKey>,
+    queue: Wheel,
     arena: EventArena<W>,
     /// Hard stop; events scheduled past this instant are silently dropped at
     /// pop time (they stay queued but never run).
@@ -301,20 +449,20 @@ impl<W> Engine<W> {
         Self::with_capacity(0)
     }
 
-    /// Creates an engine whose queue and event arena are pre-sized for
-    /// roughly `events` simultaneously outstanding events.
+    /// Creates an engine whose event arena is pre-sized for roughly
+    /// `events` simultaneously outstanding events.
     ///
     /// Purely a performance knob for large-population worlds: a 10k+-peer
     /// world schedules tens of thousands of first-poll and damage events
     /// before the run starts, and pre-sizing avoids the doubling cascade on
-    /// both the binary heap and the slot slab. Behaviour is identical to
-    /// [`Engine::new`].
+    /// the slot slab. The queue itself is not pre-sized: its keys spread
+    /// over the wheel's slots by time, which no count predicts. Behaviour
+    /// is identical to [`Engine::new`].
     pub fn with_capacity(events: usize) -> Self {
         Engine {
             now: SimTime::ZERO,
-            seq: 0,
             executed: 0,
-            queue: BinaryHeap::with_capacity(events),
+            queue: Wheel::new(),
             arena: EventArena::with_capacity(events),
             horizon: None,
             stop_requested: false,
@@ -332,7 +480,7 @@ impl<W> Engine<W> {
     fn publish_obs(&self, ran: u64) {
         if let Some(o) = &self.obs {
             o.events_executed.add(ran);
-            o.events_queued.set(self.queue.len() as u64);
+            o.events_queued.set(self.queue.len as u64);
             let (live, total) = self.arena_occupancy();
             o.arena_live.set(live as u64);
             o.arena_total.raise(total as u64);
@@ -359,7 +507,15 @@ impl<W> Engine<W> {
 
     /// Number of events currently queued.
     pub fn queued(&self) -> usize {
-        self.queue.len()
+        self.queue.len
+    }
+
+    /// Bytes of buffer the queue's slots currently hold. Within a small
+    /// factor of 16 × [`Engine::queued`] in a healthy run: drained slots
+    /// release large buffers, so a burst does not stay allocated.
+    pub fn queue_buffer_bytes(&self) -> usize {
+        let keys: usize = self.queue.slots.iter().map(Vec::capacity).sum();
+        keys * mem::size_of::<Key>()
     }
 
     /// The stop horizon, if one was set by `run_until`.
@@ -392,11 +548,9 @@ impl<W> Engine<W> {
     where
         F: FnOnce(&mut W, &mut Engine<W>) + 'static,
     {
-        let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
+        let at = at.max(self.now).0;
         let slot = self.arena.insert(EventCell::new(f));
-        self.queue.push(HeapKey { at, seq, slot });
+        self.queue.push(Key { at, slot });
     }
 
     /// Schedules `f` to run `delay` after the current instant.
@@ -414,38 +568,28 @@ impl<W> Engine<W> {
     /// clock finishes at `until`.
     pub fn run_until(&mut self, world: &mut W, until: SimTime) -> u64 {
         self.horizon = Some(until);
-        self.stop_requested = false;
-        let before = self.executed;
-        while let Some(head) = self.queue.peek() {
-            if head.at >= until {
-                break;
-            }
-            let key = self.queue.pop().expect("peeked head exists");
-            debug_assert!(key.at >= self.now, "time must be monotone");
-            self.now = key.at;
-            self.executed += 1;
-            let cell = self.arena.take(key.slot);
-            cell.invoke(world, self);
-            if self.stop_requested {
-                let ran = self.executed - before;
-                self.publish_obs(ran);
-                return ran;
-            }
+        let ran = self.run_through(world, until.0.checked_sub(1));
+        if !self.stop_requested {
+            self.now = self.now.max(until);
         }
-        self.now = self.now.max(until);
-        let ran = self.executed - before;
-        self.publish_obs(ran);
         ran
     }
 
     /// Runs all queued events to exhaustion (use with care: self-rescheduling
     /// periodic events make this diverge; prefer `run_until`).
     pub fn run_to_exhaustion(&mut self, world: &mut W) -> u64 {
-        let before = self.executed;
+        self.run_through(world, Some(u64::MAX))
+    }
+
+    /// The run loop: executes events timestamped up to and including
+    /// `limit` (`None`: nothing is due) until the queue has no more of
+    /// them or an event requests a stop.
+    fn run_through(&mut self, world: &mut W, limit: Option<u64>) -> u64 {
         self.stop_requested = false;
-        while let Some(key) = self.queue.pop() {
-            debug_assert!(key.at >= self.now, "time must be monotone");
-            self.now = key.at;
+        let before = self.executed;
+        while let Some(key) = limit.and_then(|limit| self.queue.pop(limit)) {
+            debug_assert!(key.at >= self.now.0, "time must be monotone");
+            self.now = SimTime(key.at);
             self.executed += 1;
             let cell = self.arena.take(key.slot);
             cell.invoke(world, self);
@@ -580,6 +724,84 @@ mod tests {
         let mut w = W { ticks: 0 };
         eng.run_until(&mut w, SimTime(100));
         assert_eq!(w.ticks, 10); // t = 0, 10, ..., 90
+    }
+
+    /// Same-instant events keep schedule order through every cascade: the
+    /// instant sits six digits away from the clock, its events are
+    /// scheduled interleaved with events for nearby instants, and an event
+    /// scheduled for the instant while it drains runs last.
+    #[test]
+    fn ties_survive_cascades_across_levels() {
+        let far = SimTime(64u64.pow(6) + 64u64.pow(3) + 5);
+        let mut eng: Engine<Vec<u32>> = Engine::new();
+        for i in 0..100u32 {
+            eng.schedule_at(far, move |w: &mut Vec<u32>, e| {
+                w.push(i);
+                if i == 0 {
+                    e.schedule_in(Duration::ZERO, |w: &mut Vec<u32>, _| w.push(1_000));
+                }
+            });
+            eng.schedule_at(SimTime(far.0 - 1 - u64::from(i)), |_, _| {});
+            eng.schedule_at(SimTime(far.0 + 1 + u64::from(i)), |_, _| {});
+        }
+        let mut w = Vec::new();
+        assert_eq!(eng.run_to_exhaustion(&mut w), 301);
+        let want: Vec<u32> = (0..100).chain([1_000]).collect();
+        assert_eq!(w, want);
+    }
+
+    /// A `run_until` that stops short of the next queued event must leave
+    /// the queue able to take any time at or after `until`, however far
+    /// that event is: the wheel may not run ahead of the clock.
+    #[test]
+    fn scheduling_between_slices_orders_against_far_events() {
+        let mut eng: Engine<Vec<u64>> = Engine::new();
+        let log = |w: &mut Vec<u64>, e: &mut Engine<Vec<u64>>| w.push(e.now().0);
+        eng.schedule_at(SimTime(1 << 40), log);
+        let mut w = Vec::new();
+        for until in [10u64, 64, 65, 4_096, 1 << 30] {
+            eng.run_until(&mut w, SimTime(until));
+            assert_eq!(eng.now(), SimTime(until));
+            eng.schedule_at(SimTime(until), log);
+            eng.schedule_at(SimTime(until + 1), log);
+        }
+        eng.run_until(&mut w, SimTime(u64::MAX));
+        let want = [10, 11, 64, 65, 65, 66, 4_096, 4_097, 1 << 30, (1 << 30) + 1];
+        assert_eq!(w[..10], want);
+        assert_eq!(w[10], 1 << 40);
+    }
+
+    /// `run_until` can never run an event at `SimTime(u64::MAX)` (its
+    /// bound is exclusive); `run_to_exhaustion` must.
+    #[test]
+    fn the_last_instant_runs_under_exhaustion() {
+        let mut eng: Engine<u32> = Engine::new();
+        eng.schedule_at(SimTime(u64::MAX), |w: &mut u32, e| {
+            *w += 1;
+            e.schedule_in(Duration::ZERO, |w: &mut u32, _| *w += 1);
+        });
+        let mut w = 0;
+        assert_eq!(eng.run_until(&mut w, SimTime(u64::MAX)), 0);
+        assert_eq!(eng.queued(), 1);
+        assert_eq!(eng.run_to_exhaustion(&mut w), 2);
+        assert_eq!((w, eng.now(), eng.queued()), (2, SimTime(u64::MAX), 0));
+    }
+
+    /// A slot that held a burst releases its buffer once drained; small
+    /// buffers are kept for reuse.
+    #[test]
+    fn drained_burst_slots_release_their_buffers() {
+        let mut eng: Engine<u32> = Engine::new();
+        for _ in 0..10 * KEEP_KEYS {
+            eng.schedule_at(SimTime(7), |w: &mut u32, _| *w += 1);
+            eng.schedule_at(SimTime(1 << 20), |w: &mut u32, _| *w += 1);
+        }
+        eng.schedule_at(SimTime(9), |w: &mut u32, _| *w += 1);
+        let mut w = 0;
+        eng.run_to_exhaustion(&mut w);
+        assert_eq!(w as usize, 20 * KEEP_KEYS + 1);
+        let held = eng.queue_buffer_bytes() / mem::size_of::<Key>();
+        assert!(held <= 4 * KEEP_KEYS, "{held} keys of capacity retained");
     }
 
     /// Interleaved scheduling and draining: slots freed by executed events

@@ -113,7 +113,7 @@ impl World {
             3..=5 => {
                 let shift = 6 * (1 + rng.below(7)) as u32;
                 let multiple = (t >> shift).saturating_add(1 + rng.u64() % 3);
-                let boundary = multiple.checked_mul(1 << shift).unwrap_or(u64::MAX);
+                let boundary = multiple.saturating_mul(1 << shift);
                 (boundary - 1).saturating_add(rng.u64() % 3)
             }
             // The end of time.

@@ -494,6 +494,31 @@ mod tests {
         }
     }
 
+    /// A column header is covered by the seal only until someone re-seals
+    /// the file: a frame claiming 2⁶⁰ raw bytes must come back as
+    /// `BadColumn`, not as an aborting allocation.
+    #[test]
+    fn hostile_raw_length_reports_the_column() {
+        let stored = lz::compress(&[0u8; 512]);
+        for enc in [ENC_LZ, ENC_DELTA_LZ] {
+            let mut frame = vec![enc];
+            put_varint(&mut frame, 1 << 60);
+            put_varint(&mut frame, stored.len() as u64);
+            frame.extend_from_slice(&stored);
+            let got = get_column(&mut Cursor::new(&frame), 3, "kinds");
+            assert!(
+                matches!(
+                    got,
+                    Err(TraceError::BadColumn {
+                        block: 3,
+                        column: "kinds"
+                    })
+                ),
+                "{got:?}"
+            );
+        }
+    }
+
     #[test]
     fn trailing_garbage_is_rejected() {
         let records = sample_records();

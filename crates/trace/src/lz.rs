@@ -113,10 +113,21 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
+/// No stream expands by more than this factor: the densest op, a far
+/// copy, turns 3 stream bytes into 67 output bytes.
+const MAX_EXPANSION: usize = 23;
+
 /// Decompresses a stream produced by [`compress`] into exactly
 /// `raw_len` bytes. Any malformed op, overrun, or length mismatch is an
 /// error (reported as a plain message; the column framing attributes it).
+///
+/// `raw_len` comes from the file, so it is checked against what `stream`
+/// can legally expand to *before* it sizes the output buffer: a header
+/// claiming 2⁶⁰ bytes is an error, not an allocation.
 pub fn decompress(stream: &[u8], raw_len: usize) -> Result<Vec<u8>, &'static str> {
+    if raw_len > stream.len().saturating_mul(MAX_EXPANSION) {
+        return Err("declared length exceeds what the stream can expand to");
+    }
     let mut out: Vec<u8> = Vec::with_capacity(raw_len);
     let mut pos = 0usize;
     while pos < stream.len() {
@@ -243,6 +254,25 @@ mod tests {
         let comp = compress(b"hello world hello world");
         assert!(decompress(&comp, 5).is_err(), "overrun");
         assert!(decompress(&comp, 500).is_err(), "underrun");
+    }
+
+    /// The declared length is untrusted: one the stream cannot reach is
+    /// rejected before anything is reserved for it (reserving 2⁶⁰ bytes
+    /// aborts the process), and the densest legal stream still decodes.
+    #[test]
+    fn hostile_declared_lengths_are_errors_not_allocations() {
+        let comp = compress(&[7u8; 4096]);
+        for claimed in [1usize << 60, usize::MAX, comp.len() * MAX_EXPANSION + 1] {
+            assert!(decompress(&comp, claimed).is_err(), "claimed {claimed}");
+        }
+        assert!(decompress(&[], 1 << 60).is_err(), "empty stream");
+        // One literal byte, then maximal far copies of it: 3 bytes -> 67.
+        let mut dense = vec![0x00, 0xAB];
+        for _ in 0..1_000 {
+            dense.extend_from_slice(&[0x02 | (63 << 2), 0x01, 0x00]);
+        }
+        let out = decompress(&dense, 1 + 67 * 1_000).expect("within the bound");
+        assert!(out.iter().all(|&b| b == 0xAB));
     }
 
     #[test]
