@@ -1,8 +1,8 @@
 //! Figure-regeneration benchmarks: one benchmark per paper table/figure,
 //! each running a single smoke-scale instance of the corresponding
-//! experiment point (the full sweeps live in the `lockss-experiments`
-//! binaries; these benches keep the per-point cost visible and the
-//! regeneration paths exercised by `cargo bench`).
+//! experiment point (the full sweeps are `lockss-sim figure <id>`; these
+//! benches keep the per-point cost visible and the regeneration paths
+//! exercised by `cargo bench`).
 
 use std::hint::black_box;
 

@@ -15,7 +15,7 @@ use std::hint::black_box;
 
 use lockss_bench::Harness;
 use lockss_experiments::obs::ObsSession;
-use lockss_experiments::runner::{run_once, run_once_observed};
+use lockss_experiments::runner::{run, run_once, RunOptions};
 use lockss_experiments::scenario::{AttackSpec, Scenario};
 use lockss_experiments::Scale;
 use lockss_obs::{Profiler, RegistryBuilder, Span};
@@ -39,12 +39,15 @@ fn main() {
     {
         let sa = s.clone();
         let sb = s.clone();
-        let ins = session.instruments(None);
+        let observed = RunOptions {
+            sink: None,
+            instruments: session.instruments(None),
+        };
         h.bench_pair(
             "run/instruments-off",
             move || black_box(run_once(&sa, 1)),
             "run/instruments-on",
-            move || black_box(run_once_observed(&sb, 1, &ins)),
+            move || black_box(run(&sb, 1, &observed).summary),
         );
     }
 

@@ -14,7 +14,7 @@ use lockss_bench::Harness;
 use lockss_core::trace::{TraceEventKind, TraceSink};
 use lockss_core::World;
 use lockss_crypto::sha256::sha256;
-use lockss_experiments::runner::{replay_once, run_once, run_once_recorded};
+use lockss_experiments::runner::{replay_once, run, run_once, RunOptions};
 use lockss_experiments::scenario::{AttackSpec, Scenario};
 use lockss_experiments::Scale;
 use lockss_sim::{Duration, Engine, SimTime};
@@ -82,12 +82,14 @@ fn main() {
         let s = s.clone();
         let m = m.clone();
         h.bench("run/record-and-seal", move || {
-            black_box(run_once_recorded(&s, 1, &m))
+            black_box(run(&s, 1, &RunOptions::record(&m)).trace)
         });
     }
 
     // Replay verification cost (decodes + compares every event).
-    let (_, _, trace) = run_once_recorded(&s, 1, &m);
+    let trace = run(&s, 1, &RunOptions::record(&m))
+        .trace
+        .expect("a recorded run seals a trace");
     {
         let s = s.clone();
         let trace = trace.clone();

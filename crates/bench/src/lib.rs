@@ -5,7 +5,7 @@
 //! - `protocol`: SHA-256, MBF prove/verify, sessions, the real-mode
 //!   exchange, and whole-world simulation steps;
 //! - `figures`: one smoke-scale benchmark per paper table/figure (the full
-//!   sweeps are the `lockss-experiments` binaries).
+//!   sweeps are `lockss-sim figure <id>`).
 //!
 //! Each bench binary (`cargo bench --bench substrates`) prints a table and
 //! writes `results/BENCH_<group>.json`:

@@ -19,6 +19,7 @@
 //! cargo run --release --bin lockss-sim -- trace convert old-v1.bin new-v2.bin
 //! cargo run --release --bin lockss-sim -- trace export t.bin --csv timeline.csv
 //! cargo run --release --bin lockss-sim -- sweep baseline --record traces/
+//! cargo run --release --bin lockss-sim -- figure fig3 fig4 fig5 --scale quick
 //! ```
 //!
 //! `run` executes the scenario (plus its matched no-attack baseline when an
@@ -36,20 +37,26 @@
 //! wire, and `trace export` renders a CSV timeline. The analytics decode
 //! blocks on a worker pool and render byte-identical output at any
 //! `--threads` count.
+//!
+//! `figure <id>... | all` regenerates the paper's figures and tables from
+//! the declarative table in `lockss_experiments::figures`: each prints its
+//! table and writes `results/<id>.{txt,csv}`; figures that share a sweep
+//! (3–5, 6–8) share one in-memory computation of it per invocation.
 
+use lockss_experiments::figures::{self, Sweeps};
 use lockss_experiments::fuzz::run_fuzz;
 use lockss_experiments::obs::{ObsSession, SweepObs, Telemetry};
 use lockss_experiments::runner::{
-    default_threads, replay_once, run_batch_observed, run_once_observed,
-    run_once_recorded_observed, run_once_with_stats, RunStats,
+    default_threads, peak_rss_kb, replay_once, run, run_batch, Occupancy, RunOptions,
 };
 use lockss_experiments::sweep::{
     self, campaign_status, dispatch, jobfile, load_checkpoint, merge_files, parse_seed_range,
-    parse_shard_arg, render_status, run_sweep_observed, run_sweep_shard_observed, DispatchPlan,
-    ShardTag,
+    parse_shard_arg, render_status, run_sweep_plan, DispatchPlan, ShardTag, SweepOptions,
+    SweepReport,
 };
 use lockss_experiments::{
-    run_recovery_study, RecoveryStudy, Scale, ScenarioEntry, ScenarioRegistry, ScenarioSpec,
+    run_recovery_study, save_results, RecoveryStudy, Scale, ScenarioEntry, ScenarioRegistry,
+    ScenarioSpec,
 };
 use lockss_metrics::table::{ratio, sci};
 use lockss_metrics::{PhaseSummary, Summary, Table};
@@ -99,6 +106,10 @@ fn usage() -> ! {
          \x20                          --attack-days / --heal-window reshape the\n\
          \x20                          campaign; report lands at --out (default\n\
          \x20                          results/recovery-threshold.txt)\n\
+         \x20 figure <id>... | all     regenerate the paper's figures and tables\n\
+         \x20                          (fig2..fig8, table1, ablations, churn,\n\
+         \x20                          effort_report) into results/<id>.{{txt,csv}};\n\
+         \x20                          figures sharing a sweep compute it once\n\
          \x20 replay <trace>           re-run a recorded trace's scenario and verify\n\
          \x20                          event-for-event equivalence\n\
          \x20 trace diff <a> <b>       align two traces (either wire) and summarize\n\
@@ -177,6 +188,29 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// The parsed value of a numeric flag, if given. A value that does not
+/// parse is CLI misuse: exit 2 naming the flag and the offending value.
+fn parsed_flag<T: std::str::FromStr>(args: &[String], flag: &str, wants: &str) -> Option<T> {
+    flag_value(args, flag).map(|s| {
+        s.parse()
+            .unwrap_or_else(|_| fail(&format!("{flag} wants {wants}, got '{s}'")))
+    })
+}
+
+/// The positional operand at `args[i]`; a missing one, or a flag in its
+/// place, is misuse.
+fn operand(args: &[String], i: usize) -> &str {
+    match args.get(i) {
+        Some(arg) if !arg.starts_with("--") => arg,
+        _ => usage(),
+    }
+}
+
+/// Worker threads (`--threads N`, default: all cores).
+fn threads_flag(args: &[String]) -> usize {
+    parsed_flag(args, "--threads", "a positive integer").unwrap_or_else(default_threads)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let registry = ScenarioRegistry::standard();
@@ -192,52 +226,17 @@ fn main() {
             }
         }
         Some("describe") => {
-            let name = args.get(1).cloned().unwrap_or_else(|| usage());
-            describe(&registry, &name, scale);
+            describe(&registry, operand(&args, 1), scale);
         }
         Some("run") => {
             let entry = if let Some(path) = flag_value(&args, "--file") {
                 load_entry(&path)
             } else {
-                let name = args.get(1).cloned().unwrap_or_else(|| usage());
-                if name.starts_with("--") {
-                    usage();
-                }
-                resolve(&registry, &name).clone()
+                resolve(&registry, operand(&args, 1)).clone()
             };
-            let seeds: Vec<u64> = if let Some(s) = flag_value(&args, "--seed") {
-                vec![s.parse().expect("--seed N")]
-            } else {
-                let k: u64 = flag_value(&args, "--seeds")
-                    .map(|s| s.parse().expect("--seeds K"))
-                    .unwrap_or_else(|| scale.seeds());
-                (1..=k).collect()
-            };
-            if seeds.is_empty() {
-                eprintln!("--seeds must be at least 1");
-                std::process::exit(2);
-            }
-            let json = args.iter().any(|a| a == "--json");
-            let record = flag_value(&args, "--record");
-            if record.is_some() && seeds.len() != 1 {
-                eprintln!("--record captures exactly one run; pass --seed N (or --seeds 1)");
-                std::process::exit(2);
-            }
-            let profile = args.iter().any(|a| a == "--profile");
-            let metrics_out = flag_value(&args, "--metrics-out");
-            run(
-                &entry,
-                scale,
-                &seeds,
-                json,
-                record.as_deref(),
-                profile,
-                metrics_out.as_deref(),
-            );
-            if args.iter().any(|a| a == "--mem-report") {
-                mem_report(&entry.build(scale), seeds[0]);
-            }
+            run_cmd(&entry, scale, &args);
         }
+        Some("figure") => figure(&args[1..], scale),
         Some("validate") => {
             let paths: Vec<&String> = args[1..].iter().filter(|a| !a.starts_with("--")).collect();
             if paths.is_empty() {
@@ -267,68 +266,19 @@ fn main() {
                 let json = args.iter().any(|a| a == "--json");
                 sweep_merge(&files, out.as_deref(), json);
             }
-            Some("dispatch") => {
-                let name = args.get(2).cloned().unwrap_or_else(|| usage());
-                if name.starts_with("--") {
-                    usage();
-                }
-                sweep_dispatch(&registry, &name, scale, &args);
-            }
+            Some("dispatch") => sweep_dispatch(&registry, operand(&args, 2), scale, &args),
             Some("status") => {
-                let dir = args.get(2).cloned().unwrap_or_else(|| usage());
-                if dir.starts_with("--") {
-                    usage();
-                }
-                let telemetry = flag_value(&args, "--telemetry").unwrap_or_else(|| dir.clone());
-                sweep_status(Path::new(&dir), Path::new(&telemetry));
+                let dir = operand(&args, 2);
+                let telemetry = flag_value(&args, "--telemetry").unwrap_or_else(|| dir.into());
+                sweep_status(Path::new(dir), Path::new(&telemetry));
             }
-            Some("recovery") => {
-                sweep_recovery(&args);
-            }
-            Some(name) if !name.starts_with("--") => {
-                let name = name.to_string();
-                let seeds = match flag_value(&args, "--seeds") {
-                    Some(arg) => parse_seed_range(&arg).unwrap_or_else(|e| fail(&e)),
-                    None => (1..=scale.seeds()).collect(),
-                };
-                let shard = flag_value(&args, "--shard").map(|arg| {
-                    let (index, count) = parse_shard_arg(&arg).unwrap_or_else(|e| fail(&e));
-                    ShardTag::new(index, count, seeds.clone()).unwrap_or_else(|e| fail(&e))
-                });
-                let threads: usize = flag_value(&args, "--threads")
-                    .map(|s| s.parse().expect("--threads N"))
-                    .unwrap_or_else(default_threads);
-                let checkpoint = flag_value(&args, "--checkpoint");
-                let fresh = args.iter().any(|a| a == "--fresh");
-                let json = args.iter().any(|a| a == "--json");
-                let mem = args.iter().any(|a| a == "--mem-report");
-                let obs = SweepObsFlags {
-                    profile: args.iter().any(|a| a == "--profile"),
-                    metrics_out: flag_value(&args, "--metrics-out"),
-                    telemetry: flag_value(&args, "--telemetry"),
-                };
-                let record = flag_value(&args, "--record").map(PathBuf::from);
-                sweep_cmd(
-                    &registry,
-                    &name,
-                    scale,
-                    &seeds,
-                    shard,
-                    threads,
-                    checkpoint.as_deref(),
-                    fresh,
-                    json,
-                    mem,
-                    &obs,
-                    record.as_deref(),
-                );
-            }
+            Some("recovery") => sweep_recovery(&args),
+            Some(name) if !name.starts_with("--") => sweep_cmd(&registry, name, scale, &args),
             _ => usage(),
         },
         Some("replay") => {
-            let path = args.get(1).cloned().unwrap_or_else(|| usage());
-            let seed = flag_value(&args, "--seed").map(|s| s.parse().expect("--seed N"));
-            replay(&registry, &path, seed);
+            let seed = parsed_flag(&args, "--seed", "a seed number");
+            replay(&registry, operand(&args, 1), seed);
         }
         Some("bench") => match args.get(1).map(String::as_str) {
             Some("diff") => {
@@ -379,9 +329,9 @@ fn main() {
             Some("diff") => {
                 let paths = operands(&args[2..], &["--threads"]);
                 let [a, b] = paths.as_slice() else { usage() };
-                let diff =
-                    diff_traces_threaded(&load_trace(a), &load_trace(b), trace_threads(&args))
-                        .unwrap_or_else(|e| fail(&format!("diffing: {e}")));
+                let threads = threads_flag(&args);
+                let diff = diff_traces_threaded(&load_trace(a), &load_trace(b), threads)
+                    .unwrap_or_else(|e| fail(&format!("diffing: {e}")));
                 print!("{diff}");
             }
             Some("stats") => {
@@ -389,30 +339,24 @@ fn main() {
                 if paths.is_empty() {
                     usage();
                 }
-                let threads = trace_threads(&args);
+                let threads = threads_flag(&args);
                 let json = args.iter().any(|a| a == "--json");
-                if let [path] = paths.as_slice() {
-                    let stats = trace_stats_threaded(&load_trace(path), threads)
-                        .unwrap_or_else(|e| fail(&format!("stats: {e}")));
-                    if json {
-                        print!("{}", stats.to_json());
-                    } else {
-                        print!("{stats}");
-                    }
-                } else {
-                    let per_trace = paths
-                        .iter()
-                        .map(|path| {
-                            let stats = trace_stats_threaded(&load_trace(path), threads)
-                                .unwrap_or_else(|e| fail(&format!("stats: {path}: {e}")));
-                            (path.clone(), stats)
-                        })
-                        .collect();
-                    let agg = AggregateStats::new(per_trace);
-                    if json {
-                        print!("{}", agg.to_json());
-                    } else {
-                        print!("{agg}");
+                let stats_of = |path: &String| {
+                    trace_stats_threaded(&load_trace(path), threads)
+                        .unwrap_or_else(|e| fail(&format!("stats: {path}: {e}")))
+                };
+                // One trace prints its own timelines, several an aggregate.
+                match (paths.as_slice(), json) {
+                    ([path], true) => print!("{}", stats_of(path).to_json()),
+                    ([path], false) => print!("{}", stats_of(path)),
+                    (many, json) => {
+                        let per_trace = many.iter().map(|p| (p.clone(), stats_of(p)));
+                        let agg = AggregateStats::new(per_trace.collect());
+                        if json {
+                            print!("{}", agg.to_json());
+                        } else {
+                            print!("{agg}");
+                        }
                     }
                 }
             }
@@ -426,21 +370,14 @@ fn main() {
             Some("export") => {
                 let paths = operands(&args[2..], &["--threads", "--csv", "--bucket-days"]);
                 let [path] = paths.as_slice() else { usage() };
-                let bucket_days: u64 = flag_value(&args, "--bucket-days")
-                    .map(|s| {
-                        s.parse()
-                            .unwrap_or_else(|_| fail("--bucket-days wants a day count"))
-                    })
-                    .unwrap_or(1);
-                let csv = export_csv(&load_trace(path), trace_threads(&args), bucket_days)
+                let bucket_days: u64 =
+                    parsed_flag(&args, "--bucket-days", "a day count").unwrap_or(1);
+                let threads = threads_flag(&args);
+                let csv = export_csv(&load_trace(path), threads, bucket_days)
                     .unwrap_or_else(|e| fail(&format!("exporting: {e}")));
                 match flag_value(&args, "--csv") {
                     Some(out) => {
-                        if let Some(dir) = Path::new(&out).parent() {
-                            let _ = std::fs::create_dir_all(dir);
-                        }
-                        std::fs::write(&out, &csv)
-                            .unwrap_or_else(|e| fail(&format!("writing {out}: {e}")));
+                        write_file(&out, &csv);
                         println!("wrote {out} ({} rows)", csv.lines().count() - 1);
                     }
                     None => print!("{csv}"),
@@ -457,30 +394,34 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Loads a declarative scenario file as a runnable entry, exiting with
-/// the spec error (line/field context included) on a bad file.
-fn load_entry(path: &str) -> ScenarioEntry {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")));
-    let spec = ScenarioSpec::from_json(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-    spec.validate()
-        .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-    ScenarioEntry::new(spec)
+/// A `verb` that failed on its *inputs or outputs* — files, shard
+/// topology, worker processes — exits 1, distinct from exit 2 (CLI misuse).
+fn die(verb: &str, msg: &str) -> ! {
+    eprintln!("lockss-sim: {verb}: {msg}");
+    std::process::exit(1);
 }
 
-/// Checks each scenario file against the spec grammar and semantic
-/// validation, printing one line per file. Exits 1 if any file fails.
+/// Reads a scenario file and checks it against the spec grammar and the
+/// semantic validation; errors carry line/field context.
+fn read_spec(path: &str) -> Result<ScenarioSpec, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+    let spec = ScenarioSpec::from_json(&text).map_err(|e| e.to_string())?;
+    spec.validate().map_err(|e| e.to_string())?;
+    Ok(spec)
+}
+
+/// Loads a declarative scenario file as a runnable entry, exiting with
+/// the spec error on a bad file.
+fn load_entry(path: &str) -> ScenarioEntry {
+    ScenarioEntry::new(read_spec(path).unwrap_or_else(|e| fail(&format!("{path}: {e}"))))
+}
+
+/// Checks each scenario file, printing one line per file. Exits 1 if any
+/// file fails.
 fn validate(paths: &[&String]) {
     let mut bad = 0usize;
     for path in paths {
-        let verdict = std::fs::read_to_string(path.as_str())
-            .map_err(|e| format!("{e}"))
-            .and_then(|text| {
-                let spec = ScenarioSpec::from_json(&text).map_err(|e| format!("{e}"))?;
-                spec.validate().map_err(|e| e.to_string())?;
-                Ok(spec)
-            });
-        match verdict {
+        match read_spec(path) {
             Ok(spec) => println!("{path}: ok ({})", spec.name),
             Err(e) => {
                 println!("{path}: {e}");
@@ -520,19 +461,14 @@ fn fuzz(seeds: &[u64], out_dir: &str) {
     if outcome.failures.is_empty() {
         return;
     }
-    if std::fs::create_dir_all(out_dir).is_err() {
-        fail(&format!("cannot create {out_dir}"));
-    }
     for f in &outcome.failures {
         let path = format!("{out_dir}/fuzz-{}-{}.json", f.gen_seed, f.violation.oracle);
-        match std::fs::write(&path, f.minimized.to_json()) {
-            Ok(()) => println!(
-                "seed {}: {} -> reproducer {path} (re-run with `lockss-sim run --file {path} \
-                 --scale quick --seed {}`)",
-                f.gen_seed, f.violation, f.run_seed
-            ),
-            Err(e) => fail(&format!("writing {path}: {e}")),
-        }
+        write_file(&path, &f.minimized.to_json());
+        println!(
+            "seed {}: {} -> reproducer {path} (re-run with `lockss-sim run --file {path} \
+             --scale quick --seed {}`)",
+            f.gen_seed, f.violation, f.run_seed
+        );
     }
     std::process::exit(1);
 }
@@ -631,48 +567,76 @@ fn bench_diff(
     }
 }
 
-/// The observability switches a `run` or `sweep` invocation carries:
-/// span profiling, a registry snapshot destination, and (sweeps only)
-/// the heartbeat telemetry directory.
-struct SweepObsFlags {
-    profile: bool,
+/// The observability a `run` or `sweep` invocation asked for: span
+/// profiling, a registry snapshot destination, and (sweeps only) the
+/// heartbeat telemetry directory. Strictly out-of-band — instruments never
+/// change a summary, a checkpoint or a trace.
+struct Obs {
     metrics_out: Option<String>,
     telemetry: Option<String>,
+    /// The metric handles every run shares; present when any switch is on.
+    session: Option<ObsSession>,
+    /// With `--profile`: the tree every worker's spans are merged into.
+    profile: Option<Mutex<Profiler>>,
 }
 
-impl SweepObsFlags {
-    fn any(&self) -> bool {
-        self.profile || self.metrics_out.is_some() || self.telemetry.is_some()
+impl Obs {
+    fn parse(args: &[String]) -> Obs {
+        let profile = args.iter().any(|a| a == "--profile");
+        let metrics_out = flag_value(args, "--metrics-out");
+        let telemetry = flag_value(args, "--telemetry");
+        Obs {
+            session: (profile || metrics_out.is_some() || telemetry.is_some())
+                .then(ObsSession::new),
+            profile: profile.then(|| Mutex::new(Profiler::new())),
+            metrics_out,
+            telemetry,
+        }
+    }
+
+    /// The hooks batch and sweep workers run under.
+    fn sweep_obs(&self) -> Option<SweepObs<'_>> {
+        self.session.as_ref().map(|session| SweepObs {
+            session,
+            profiler: self.profile.as_ref(),
+            telemetry: self
+                .telemetry
+                .as_deref()
+                .map(|d| Telemetry::new(Path::new(d))),
+        })
+    }
+
+    /// Writes what was asked for: the merged span tree to
+    /// `results/profile-<name>.json`, the registry as JSON at
+    /// `--metrics-out` plus Prometheus text beside it.
+    fn finish(&self, name: &str) {
+        if let Some(merged) = &self.profile {
+            let path = format!("results/profile-{name}.json");
+            write_file(&path, &merged.lock().unwrap().to_json(name));
+            println!("wrote {path}");
+        }
+        if let (Some(session), Some(out)) = (&self.session, &self.metrics_out) {
+            match session.write_metrics(Path::new(out)) {
+                Ok(prom) => println!("wrote {out} and {}", prom.display()),
+                Err(e) => fail(&format!("writing {out}: {e}")),
+            }
+        }
     }
 }
 
-/// Writes the merged span tree to `results/profile-<name>.json`.
-fn write_profile(prof: &Profiler, name: &str) {
-    let path = format!("results/profile-{name}.json");
-    if std::fs::create_dir_all("results").is_err()
-        || std::fs::write(&path, prof.to_json(name)).is_err()
-    {
-        fail(&format!("writing {path}"));
+/// Writes `content` to `path`, creating its directory first; a failure is
+/// fatal and names the path.
+fn write_file(path: &str, content: &str) {
+    if let Some(dir) = Path::new(path).parent() {
+        let _ = std::fs::create_dir_all(dir);
     }
-    println!("wrote {path}");
-}
-
-/// Snapshots `session`'s registry as JSON at `out` plus Prometheus text
-/// beside it.
-fn write_metrics(session: &ObsSession, out: &str) {
-    match session.write_metrics(Path::new(out)) {
-        Ok(prom) => println!("wrote {out} and {}", prom.display()),
-        Err(e) => fail(&format!("writing {out}: {e}")),
-    }
+    std::fs::write(path, content).unwrap_or_else(|e| fail(&format!("writing {path}: {e}")));
 }
 
 /// Renders campaign progress from the checkpoints under `dir`, pairing
 /// each with its heartbeat file under `telemetry`.
 fn sweep_status(dir: &Path, telemetry: &Path) {
-    let statuses = campaign_status(dir, telemetry).unwrap_or_else(|e| {
-        eprintln!("lockss-sim: sweep status: {e}");
-        std::process::exit(1);
-    });
+    let statuses = campaign_status(dir, telemetry).unwrap_or_else(|e| die("sweep status", &e));
     print!("{}", render_status(&statuses, unix_ms_now()));
 }
 
@@ -692,9 +656,6 @@ fn sweep_recovery(args: &[String]) {
                     .unwrap_or_else(|| fail("--budgets wants positive integers, e.g. 1,2,4,8"))
             })
             .collect();
-        if study.budgets.is_empty() {
-            fail("--budgets wants at least one budget");
-        }
     }
     if let Some(arg) = flag_value(args, "--seeds") {
         study.seeds = parse_seed_range(&arg).unwrap_or_else(|e| fail(&e));
@@ -712,18 +673,10 @@ fn sweep_recovery(args: &[String]) {
                 .unwrap_or_else(|| fail(&format!("{flag} wants a positive day count")));
         }
     }
-    let threads: usize = flag_value(args, "--threads")
-        .map(|s| s.parse().expect("--threads N"))
-        .unwrap_or_else(default_threads);
     let out = flag_value(args, "--out").unwrap_or_else(|| "results/recovery-threshold.txt".into());
-    let rendered = run_recovery_study(&study, threads).render();
+    let rendered = run_recovery_study(&study, threads_flag(args)).render();
     print!("{rendered}");
-    if let Some(dir) = Path::new(&out).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    if std::fs::write(&out, &rendered).is_err() {
-        fail(&format!("writing {out}"));
-    }
+    write_file(&out, &rendered);
     println!("wrote {out}");
 }
 
@@ -735,21 +688,20 @@ fn sweep_recovery(args: &[String]) {
 /// resumes from its `--checkpoint` file, producing the same final bytes
 /// as an uninterrupted run. Observability (`--profile`, `--metrics-out`,
 /// `--telemetry`) is strictly out-of-band: it never changes those bytes.
-#[allow(clippy::too_many_arguments)]
-fn sweep_cmd(
-    registry: &ScenarioRegistry,
-    name: &str,
-    scale: Scale,
-    seeds: &[u64],
-    shard: Option<ShardTag>,
-    threads: usize,
-    checkpoint: Option<&str>,
-    fresh: bool,
-    json_out: bool,
-    mem: bool,
-    obs: &SweepObsFlags,
-    record: Option<&Path>,
-) {
+fn sweep_cmd(registry: &ScenarioRegistry, name: &str, scale: Scale, args: &[String]) {
+    let seeds = match flag_value(args, "--seeds") {
+        Some(arg) => parse_seed_range(&arg).unwrap_or_else(|e| fail(&e)),
+        None => (1..=scale.seeds()).collect(),
+    };
+    let shard = flag_value(args, "--shard").map(|arg| {
+        let (index, count) = parse_shard_arg(&arg).unwrap_or_else(|e| fail(&e));
+        ShardTag::new(index, count, seeds.clone()).unwrap_or_else(|e| fail(&e))
+    });
+    let threads = threads_flag(args);
+    let checkpoint = flag_value(args, "--checkpoint");
+    let obs = Obs::parse(args);
+    let record = flag_value(args, "--record").map(PathBuf::from);
+    let record = record.as_deref();
     let entry = resolve(registry, name);
     let scenario = entry.build(scale);
     let default_path = match &shard {
@@ -761,17 +713,17 @@ fn sweep_cmd(
         ),
         None => format!("results/sweep-{}.json", entry.name()),
     };
-    let path = PathBuf::from(checkpoint.unwrap_or(&default_path));
+    let path = PathBuf::from(checkpoint.unwrap_or(default_path));
     // --fresh ignores any existing checkpoint: without it, a rerun after a
     // code change would replay the stale per-seed summaries verbatim.
-    let resume = if fresh {
+    let resume = if args.iter().any(|a| a == "--fresh") {
         None
     } else {
         load_checkpoint(&path, entry.name(), scale.label(), shard.as_ref())
     };
     let done_before = resume.as_ref().map(|r| r.completed.len()).unwrap_or(0);
     let shard_seeds = shard.as_ref().map(ShardTag::seeds);
-    let my_seeds: &[u64] = shard_seeds.as_deref().unwrap_or(seeds);
+    let my_seeds: &[u64] = shard_seeds.as_deref().unwrap_or(&seeds);
     println!(
         "sweeping '{}' at scale '{}': {} seed(s){} on {} thread(s){}",
         entry.name(),
@@ -792,46 +744,25 @@ fn sweep_cmd(
             String::new()
         }
     );
-    let session = obs.any().then(ObsSession::new);
-    let merged_prof = obs.profile.then(|| Mutex::new(Profiler::new()));
-    let sweep_obs = session.as_ref().map(|s| SweepObs {
-        session: s,
-        profiler: merged_prof.as_ref(),
-        telemetry: obs
-            .telemetry
-            .as_deref()
-            .map(|d| Telemetry::new(Path::new(d))),
-    });
+    let sweep_obs = obs.sweep_obs();
     if let Some(dir) = record {
         println!(
             "recording per-seed traces under {} (resumed seeds are not re-recorded)",
             dir.display()
         );
     }
-    let report = match shard {
-        Some(tag) => run_sweep_shard_observed(
-            &scenario,
-            entry.name(),
-            scale.label(),
-            tag,
-            threads,
-            Some(&path),
-            resume,
-            sweep_obs.as_ref(),
-            record,
-        ),
-        None => run_sweep_observed(
-            &scenario,
-            entry.name(),
-            scale.label(),
-            seeds,
-            threads,
-            Some(&path),
-            resume,
-            sweep_obs.as_ref(),
-            record,
-        ),
+    let plan = match shard {
+        Some(tag) => SweepReport::new_shard(entry.name(), scale.label(), tag),
+        None => SweepReport::new(entry.name(), scale.label(), seeds),
     };
+    let opts = SweepOptions {
+        threads,
+        checkpoint: Some(&path),
+        resume,
+        obs: sweep_obs.as_ref(),
+        record,
+    };
+    let report = run_sweep_plan(&scenario, plan, &opts);
 
     let mut table = Table::new(vec![
         "seed",
@@ -887,25 +818,18 @@ fn sweep_cmd(
             tag.count
         );
     }
-    if let Some(m) = &merged_prof {
-        write_profile(&m.lock().unwrap(), entry.name());
-    }
-    if let (Some(s), Some(out)) = (&session, obs.metrics_out.as_deref()) {
-        write_metrics(s, out);
-    }
-    if json_out {
+    obs.finish(entry.name());
+    if args.iter().any(|a| a == "--json") {
         print!("{}", report.to_json());
     }
-    if mem {
-        mem_report(&scenario, report.seeds.first().copied().unwrap_or(1));
+    if args.iter().any(|a| a == "--mem-report") {
+        // One representative run: a sweep keeps no world around.
+        let seed = report.seeds.first().copied().unwrap_or(1);
+        mem_report(
+            seed,
+            &run(&scenario, seed, &RunOptions::default()).occupancy,
+        );
     }
-}
-
-/// `sweep merge`-style failures exit 1 — a diagnostic about the *input
-/// files*, distinct from exit 2 (CLI misuse).
-fn fail_merge(msg: &str) -> ! {
-    eprintln!("lockss-sim: sweep merge: {msg}");
-    std::process::exit(1);
 }
 
 /// Validates and reassembles shard checkpoints into the campaign report.
@@ -915,19 +839,22 @@ fn fail_merge(msg: &str) -> ! {
 /// exit 1. On success the merged report is byte-identical to what a
 /// single-process sweep of the whole seed range writes.
 fn sweep_merge(files: &[PathBuf], out: Option<&str>, json_out: bool) {
-    let report = merge_files(files).unwrap_or_else(|e| fail_merge(&e));
+    let report = merge_files(files).unwrap_or_else(|e| die("sweep merge", &e));
     let default_path = format!("results/sweep-{}.json", report.scenario);
     let path = PathBuf::from(out.unwrap_or(&default_path));
     let rendered = report.to_json();
     if let Err(e) = sweep::write_checkpoint(&path, &rendered) {
-        fail_merge(&format!("writing {}: {e}", path.display()));
+        die("sweep merge", &format!("writing {}: {e}", path.display()));
     }
     match std::fs::read_to_string(&path) {
         Ok(on_disk) if on_disk == rendered => {}
-        _ => fail_merge(&format!(
-            "merged report at {} is missing or stale after writing it",
-            path.display()
-        )),
+        _ => die(
+            "sweep merge",
+            &format!(
+                "merged report at {} is missing or stale after writing it",
+                path.display()
+            ),
+        ),
     }
     let merged = report.merged().expect("a valid merge has completed seeds");
     println!(
@@ -955,14 +882,8 @@ fn sweep_dispatch(registry: &ScenarioRegistry, name: &str, scale: Scale, args: &
     let entry = resolve(registry, name);
     let seeds_arg = flag_value(args, "--seeds").unwrap_or_else(|| scale.seeds().to_string());
     let campaign = parse_seed_range(&seeds_arg).unwrap_or_else(|e| fail(&e));
-    let parse_num = |flag: &str, default: u64| -> u64 {
-        flag_value(args, flag)
-            .map(|s| {
-                s.parse()
-                    .unwrap_or_else(|_| fail(&format!("{flag} wants a number, got '{s}'")))
-            })
-            .unwrap_or(default)
-    };
+    let parse_num =
+        |flag: &str, default: u64| parsed_flag(args, flag, "a number").unwrap_or(default);
     let plan = DispatchPlan {
         scenario: entry.name().to_string(),
         scale: scale.label().to_string(),
@@ -972,10 +893,7 @@ fn sweep_dispatch(registry: &ScenarioRegistry, name: &str, scale: Scale, args: &
         threads_per_shard: parse_num("--threads", 1) as usize,
         retries: parse_num("--retries", 3) as u32,
         backoff_ms: parse_num("--backoff-ms", 250),
-        stall_secs: flag_value(args, "--stall-secs").map(|s| {
-            s.parse()
-                .unwrap_or_else(|_| fail("--stall-secs wants a number"))
-        }),
+        stall_secs: parsed_flag(args, "--stall-secs", "a number"),
         dir: PathBuf::from(flag_value(args, "--dir").unwrap_or_else(|| "results".into())),
         out: PathBuf::from(
             flag_value(args, "--out")
@@ -988,8 +906,7 @@ fn sweep_dispatch(registry: &ScenarioRegistry, name: &str, scale: Scale, args: &
 
     if let Some(jobfile_path) = flag_value(args, "--jobfile") {
         let text = jobfile(&plan, &bin).unwrap_or_else(|e| fail(&e));
-        std::fs::write(&jobfile_path, &text)
-            .unwrap_or_else(|e| fail(&format!("writing {jobfile_path}: {e}")));
+        write_file(&jobfile_path, &text);
         println!(
             "wrote {jobfile_path}: {} shard command(s) + 1 merge for '{}' \
              ({} seed(s), scale '{}')",
@@ -1019,10 +936,8 @@ fn sweep_dispatch(registry: &ScenarioRegistry, name: &str, scale: Scale, args: &
             .map(|d| format!(", heartbeats under {}", d.display()))
             .unwrap_or_default()
     );
-    let report = dispatch(&bin, &plan, &mut |line| println!("  {line}")).unwrap_or_else(|e| {
-        eprintln!("lockss-sim: sweep dispatch: {e}");
-        std::process::exit(1);
-    });
+    let report = dispatch(&bin, &plan, &mut |line| println!("  {line}"))
+        .unwrap_or_else(|e| die("sweep dispatch", &e));
     let merged = report.merged().expect("a dispatched campaign has results");
     println!(
         "campaign complete: {} seed(s), access failure {}, {} ok / {} failed, \
@@ -1039,24 +954,21 @@ fn sweep_dispatch(registry: &ScenarioRegistry, name: &str, scale: Scale, args: &
     }
 }
 
-/// Prints peak RSS plus event-arena and peer-table occupancy for one
-/// representative seed of `scenario` (the run is repeated with the
-/// instrumented path; its metrics are identical to the plain run).
-fn mem_report(scenario: &lockss_experiments::Scenario, seed: u64) {
-    let RunStats {
-        summary: _,
-        peak_rss_kb,
+/// Prints the process's peak RSS plus the event-arena and peer-table
+/// occupancy one run of `seed` ended with.
+fn mem_report(seed: u64, occupancy: &Occupancy) {
+    let Occupancy {
         arena_live,
         arena_total,
         events_executed,
         events_queued,
         queue_buffer_bytes,
         table,
-    } = run_once_with_stats(scenario, seed);
+    } = occupancy;
     println!("\nmemory report (seed {seed}):");
     println!(
         "  peak RSS                  {}",
-        peak_rss_kb
+        peak_rss_kb()
             .map(|kb| format!("{:.1} MiB", kb as f64 / 1024.0))
             .unwrap_or_else(|| "unavailable on this platform".into())
     );
@@ -1103,14 +1015,6 @@ fn operands(args: &[String], value_flags: &[&str]) -> Vec<String> {
         i += 1;
     }
     out
-}
-
-/// Worker threads for the trace analytics (`--threads N`, default: all
-/// cores). The rendered output is byte-identical at any count.
-fn trace_threads(args: &[String]) -> usize {
-    flag_value(args, "--threads")
-        .map(|s| s.parse().expect("--threads N"))
-        .unwrap_or_else(default_threads)
 }
 
 /// Rewrites a trace in the block-columnar `LTRC2` wire (a v2 input is
@@ -1169,10 +1073,7 @@ fn replay(registry: &ScenarioRegistry, path: &str, seed_override: Option<u64>) {
     }
 }
 
-fn resolve<'r>(
-    registry: &'r ScenarioRegistry,
-    name: &str,
-) -> &'r lockss_experiments::ScenarioEntry {
+fn resolve<'r>(registry: &'r ScenarioRegistry, name: &str) -> &'r ScenarioEntry {
     registry.get(name).unwrap_or_else(|| {
         eprintln!("unknown scenario '{name}'; `lockss-sim list` shows the registry");
         std::process::exit(2);
@@ -1211,16 +1112,27 @@ fn describe(registry: &ScenarioRegistry, name: &str, scale: Scale) {
     );
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run(
-    entry: &ScenarioEntry,
-    scale: Scale,
-    seeds: &[u64],
-    json_out: bool,
-    record: Option<&str>,
-    profile: bool,
-    metrics_out: Option<&str>,
-) {
+/// Runs one scenario (plus its matched baseline) over `--seed N` or
+/// seeds `1..=K`, prints the metric report and writes the JSON summary.
+fn run_cmd(entry: &ScenarioEntry, scale: Scale, args: &[String]) {
+    let seeds: Vec<u64> = match parsed_flag(args, "--seed", "a seed number") {
+        Some(seed) => vec![seed],
+        None => {
+            let k = parsed_flag(args, "--seeds", "a seed count").unwrap_or_else(|| scale.seeds());
+            (1..=k).collect()
+        }
+    };
+    let seeds = seeds.as_slice();
+    if seeds.is_empty() {
+        fail("--seeds must be at least 1");
+    }
+    let record = flag_value(args, "--record");
+    let record = record.as_deref();
+    if record.is_some() && seeds.len() != 1 {
+        fail("--record captures exactly one run; pass --seed N (or --seeds 1)");
+    }
+    let obs = Obs::parse(args);
+    let mem = args.iter().any(|a| a == "--mem-report");
     let scenario = entry.build(scale);
     let attacked_label = scenario.attack.label();
     println!(
@@ -1232,16 +1144,18 @@ fn run(
         attacked_label,
     );
 
-    // Observability is out-of-band: the observed run variants produce
-    // byte-identical summaries, so they are used unconditionally (with
-    // empty instruments when nothing was requested).
-    let session = (profile || metrics_out.is_some()).then(ObsSession::new);
-    let merged_prof = profile.then(|| Mutex::new(Profiler::new()));
-    let sp = profile.then(Profiler::shared);
-    let ins = session
-        .as_ref()
-        .map(|s| s.instruments(sp.clone()))
-        .unwrap_or_default();
+    // Observability is out-of-band: instruments never change a summary, so
+    // every run below carries them (all-off when nothing was requested).
+    // This thread's runs profile into `sp`; batch workers into their own.
+    let sp = obs.profile.is_some().then(Profiler::shared);
+    let plain = RunOptions {
+        sink: None,
+        instruments: obs
+            .session
+            .as_ref()
+            .map(|s| s.instruments(sp.clone()))
+            .unwrap_or_default(),
+    };
 
     // Matched baseline for the ratio metrics, skipped for baselines.
     let jobs = if scenario.attack.is_none() {
@@ -1249,51 +1163,53 @@ fn run(
     } else {
         vec![scenario.clone(), scenario.matched_baseline()]
     };
-    // run_batch means over a contiguous 1..=K seed range; an explicit
-    // --seed N runs that single seed directly. The per-phase breakdown is
-    // per-seed, reported for the first seed: free in the single-seed path,
-    // one extra (composite-only) run in the batch path.
-    let (attacked, baseline, phases) = if let Some(path) = record {
-        // Recording is single-seed (enforced by the caller): the recorded
+    // The per-phase breakdown and the memory report describe one run, the
+    // first seed's. A single `--seed N` is that run; `run_batch` means
+    // over a contiguous 1..=K seed range and keeps no world, so there the
+    // first seed runs once more — only when one of the two is wanted.
+    let (attacked, baseline, report_run) = if let [seed] = *seeds {
+        // `--record` is single-seed (enforced above): the recorded
         // run doubles as the report run, since the sink never perturbs it.
-        let meta = TraceMeta {
-            scenario: entry.name().to_string(),
-            scale: scale.label().to_string(),
-            seed: seeds[0],
-            run_length_ms: scenario.run_length.as_millis(),
+        let opts = match record {
+            Some(_) => RunOptions {
+                instruments: plain.instruments.clone(),
+                ..RunOptions::record(&TraceMeta {
+                    scenario: entry.name().to_string(),
+                    scale: scale.label().to_string(),
+                    seed,
+                    run_length_ms: scenario.run_length.as_millis(),
+                })
+            },
+            None => plain.clone(),
         };
-        let (a, phases, trace) = run_once_recorded_observed(&jobs[0], seeds[0], &meta, &ins);
-        match trace.write_to(Path::new(path)) {
-            Ok(()) => println!(
-                "recorded {} event(s) to {path} (content hash {})",
-                trace.events(),
-                trace.content_hash()
-            ),
-            Err(e) => fail(&format!("writing {path}: {e}")),
+        let mut out = run(&jobs[0], seed, &opts);
+        if let (Some(path), Some(trace)) = (record, out.trace.take()) {
+            match trace.write_to(Path::new(path)) {
+                Ok(()) => println!(
+                    "recorded {} event(s) to {path} (content hash {})",
+                    trace.events(),
+                    trace.content_hash()
+                ),
+                Err(e) => fail(&format!("writing {path}: {e}")),
+            }
         }
-        let b = jobs.get(1).map(|j| run_once_observed(j, seeds[0], &ins).0);
-        (a, b, phases)
-    } else if seeds.len() == 1 {
-        let (a, phases) = run_once_observed(&jobs[0], seeds[0], &ins);
-        let b = jobs.get(1).map(|j| run_once_observed(j, seeds[0], &ins).0);
-        (a, b, phases)
+        let b = jobs.get(1).map(|j| run(j, seed, &plain).summary);
+        (out.summary.clone(), b, Some(out))
     } else {
-        let out = run_batch_observed(
+        let workers = obs.sweep_obs();
+        let out = run_batch(
             &jobs,
             seeds.len() as u64,
             default_threads(),
-            session.as_ref(),
-            merged_prof.as_ref(),
+            workers.as_ref(),
         );
         let mut it = out.into_iter();
         let a = it.next().expect("attacked summary");
-        let phases = if scenario.attack.is_composite() {
-            run_once_observed(&scenario, seeds[0], &ins).1
-        } else {
-            Vec::new()
-        };
-        (a, it.next(), phases)
+        let first =
+            (scenario.attack.is_composite() || mem).then(|| run(&scenario, seeds[0], &plain));
+        (a, it.next(), first)
     };
+    let phases = report_run.as_ref().map_or(&[][..], |r| &r.phases);
     let base = baseline.as_ref().unwrap_or(&attacked);
 
     println!();
@@ -1343,7 +1259,7 @@ fn run(
             "loyal CPU-s",
             "adv CPU-s",
         ]);
-        for p in &phases {
+        for p in phases {
             table.row(vec![
                 p.label.clone(),
                 format!("{:.0}d", p.start.as_days_f64()),
@@ -1367,25 +1283,46 @@ fn run(
         &attacked_label,
         &attacked,
         baseline.as_ref(),
-        &phases,
+        phases,
     );
     let path = format!("results/scenario-{}.json", entry.name());
     if std::fs::create_dir_all("results").is_ok() && std::fs::write(&path, &json).is_ok() {
         println!("\nwrote {path}");
     }
-    if let Some(m) = &merged_prof {
-        // The single-seed paths profiled into `sp`; batch workers have
-        // already absorbed theirs into the merge target.
-        if let Some(sp) = &sp {
-            m.lock().unwrap().absorb(&sp.borrow());
-        }
-        write_profile(&m.lock().unwrap(), entry.name());
+    if let (Some(merged), Some(sp)) = (&obs.profile, &sp) {
+        // Batch workers have already absorbed theirs into the merge target.
+        merged.lock().unwrap().absorb(&sp.borrow());
     }
-    if let (Some(s), Some(out)) = (&session, metrics_out) {
-        write_metrics(s, out);
-    }
-    if json_out {
+    obs.finish(entry.name());
+    if args.iter().any(|a| a == "--json") {
         println!("{json}");
+    }
+    if let (true, Some(r)) = (mem, &report_run) {
+        mem_report(seeds[0], &r.occupancy);
+    }
+}
+
+/// Regenerates the selected figures: banner, table and closing line on
+/// stdout, `results/<id>.{txt,csv}` on disk. Operands other than
+/// `--scale <s>` must be figure ids (or `all`); a failed write exits 1
+/// naming the path.
+fn figure(args: &[String], scale: Scale) {
+    let mut ids = args.to_vec();
+    if let Some(i) = ids.iter().position(|a| a == "--scale") {
+        ids.drain(i..(i + 2).min(ids.len()));
+    }
+    let selected = figures::select(&ids).unwrap_or_else(|e| fail(&e));
+    let sweeps = Sweeps::new(scale);
+    for figure in selected {
+        println!("{}", figure.banner(scale));
+        let rendered = figure.render(&sweeps);
+        println!("{}", rendered.table);
+        if let Err(e) = save_results(figure.id, &rendered.table, &rendered.csv) {
+            die(&format!("figure {}", figure.id), &format!("writing {e}"));
+        }
+        if let Some(footer) = rendered.footer {
+            println!("{footer}");
+        }
     }
 }
 
@@ -1399,11 +1336,6 @@ fn json_f64(v: f64) -> String {
 
 fn json_opt(v: Option<f64>) -> String {
     v.map(json_f64).unwrap_or_else(|| "null".to_string())
-}
-
-fn summary_json(s: &Summary) -> String {
-    // The canonical field order shared with the sweep reports.
-    sweep::summary_to_json(s)
 }
 
 fn phase_json(p: &PhaseSummary) -> String {
@@ -1437,8 +1369,9 @@ fn render_json(
 ) -> String {
     let seed_list: Vec<String> = seeds.iter().map(u64::to_string).collect();
     let phase_list: Vec<String> = phases.iter().map(phase_json).collect();
+    // Summaries use the canonical field order shared with the sweep reports.
     let base_json = baseline
-        .map(summary_json)
+        .map(sweep::summary_to_json)
         .unwrap_or_else(|| "null".to_string());
     let ratios = match baseline {
         Some(b) => format!(
@@ -1456,7 +1389,7 @@ fn render_json(
          \"phases\": [{}]\n}}\n",
         scale.label(),
         seed_list.join(", "),
-        summary_json(attacked),
+        sweep::summary_to_json(attacked),
         phase_list.join(", "),
     )
 }

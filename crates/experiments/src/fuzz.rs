@@ -32,12 +32,12 @@ use std::collections::BTreeSet;
 use lockss_adversary::Defection;
 use lockss_core::World;
 use lockss_metrics::{PhaseSummary, RunMetrics, Summary};
-use lockss_sim::{Engine, SimRng, SimTime};
+use lockss_sim::SimRng;
 use lockss_trace::TraceMeta;
 
-use crate::runner::{replay_once, run_once_recorded};
+use crate::runner::{replay_once, run, RunOptions};
 use crate::scale::Scale;
-use crate::scenario::{phased, AttackSpec, PhasedAttack, Scenario};
+use crate::scenario::{phased, AttackSpec, PhasedAttack};
 use crate::spec::{AusSpec, PeersSpec, RunSpec, ScenarioSpec, WorldSpec};
 
 /// One oracle violation: which oracle fired and why.
@@ -233,26 +233,6 @@ pub fn mutate_spec(base: &ScenarioSpec, rng: &mut SimRng, gen_seed: u64) -> Scen
 
 fn violation(oracle: &'static str, detail: String) -> Violation {
     Violation { oracle, detail }
-}
-
-/// Runs one seed of a scenario and hands back the world alongside the
-/// summary, so oracles can cross-check the summary against the raw
-/// metric surface (mirrors `runner::run_once_with_phases`, which drops
-/// the world).
-fn run_instrumented(scenario: &Scenario, seed: u64) -> (Summary, Vec<PhaseSummary>, World) {
-    let mut cfg = scenario.cfg.clone();
-    cfg.seed = seed;
-    let mut world = World::new(cfg);
-    if let Some(adv) = scenario.attack.build() {
-        world.install_adversary(adv);
-    }
-    let mut eng: Engine<World> = Engine::new();
-    world.start(&mut eng);
-    let end = SimTime::ZERO + scenario.run_length;
-    eng.run_until(&mut world, end);
-    let summary = world.metrics.summarize(end);
-    let phases = world.metrics.phase_summaries(end);
-    (summary, phases, world)
 }
 
 fn close(a: f64, b: f64) -> bool {
@@ -462,8 +442,9 @@ pub fn check_campaign(spec: &ScenarioSpec, run_seed: u64) -> Result<CampaignStat
 
     // Oracle 2: the untraced run's accounting is internally consistent.
     let scenario = spec.build(Scale::Quick);
-    let (summary, phases, world) = run_instrumented(&scenario, run_seed);
-    check_accounting(spec, &summary, &phases, &world)?;
+    let plain = run(&scenario, run_seed, &RunOptions::default());
+    let (summary, phases) = (plain.summary, plain.phases);
+    check_accounting(spec, &summary, &phases, &plain.world)?;
 
     // Oracle 3: recording must not perturb the run, and the trace must
     // replay without divergence.
@@ -473,8 +454,9 @@ pub fn check_campaign(spec: &ScenarioSpec, run_seed: u64) -> Result<CampaignStat
         seed: run_seed,
         run_length_ms: scenario.run_length.as_millis(),
     };
-    let (recorded_summary, _, trace) = run_once_recorded(&scenario, run_seed, &meta);
-    if recorded_summary != summary {
+    let recorded = run(&scenario, run_seed, &RunOptions::record(&meta));
+    let trace = recorded.trace.expect("a recorded run seals a trace");
+    if recorded.summary != summary {
         return Err(violation(
             "replay",
             "recording the run perturbed its summary".into(),

@@ -8,10 +8,15 @@
 //! and runs them (`list` / `describe <name>` / `run <name> --json`),
 //! writing per-scenario JSON summaries under `results/`.
 //!
-//! Each figure binary (`fig2` … `fig8`, `table1`) derives its sweep grid
+//! `lockss-sim figure <id>...` regenerates the paper's figures and tables
+//! from the declarative table in [`figures`]: each derives its sweep grid
 //! from the registered baseline, installs the relevant adversary, runs
 //! several seeds in parallel, and prints the same rows/series the paper
 //! reports, plus a CSV copy under `results/`.
+//!
+//! Everything that turns a [`Scenario`] into a driven world — one run, a
+//! batch, a sweep, a replay, a fuzz campaign, a figure point — goes
+//! through the single [`runner::run`].
 //!
 //! Scale is controlled by `LOCKSS_SCALE` (or a `--scale` argument):
 //! `quick` for CI smoke runs, `default` for laptop-scale shape
@@ -19,7 +24,7 @@
 //! criterion is *shape* (orderings, approximate factors, crossovers), not
 //! the absolute numbers of the authors' 2004 testbed — see EXPERIMENTS.md.
 
-pub mod cache;
+pub mod figures;
 pub mod fuzz;
 pub mod layering;
 pub mod obs;
@@ -30,33 +35,32 @@ pub mod scale;
 pub mod scenario;
 pub mod spec;
 pub mod sweep;
-pub mod sweeps;
 
 pub use obs::{heartbeat_path, ObsSession, SweepObs, Telemetry};
 pub use recovery::{run_recovery_study, RecoveryReport, RecoveryStudy};
 pub use registry::{ScenarioEntry, ScenarioRegistry};
-pub use runner::{run_scenario, Instruments, MeasuredPoint};
+pub use runner::{Instruments, RunOptions, RunOutput};
 pub use scale::Scale;
 pub use scenario::{phased, AttackSpec, PhasedAttack, Scenario};
 pub use spec::{ScenarioSpec, SpecError, WorldSpec};
 pub use sweep::{
-    dispatch, jobfile, merge_files, run_sweep, run_sweep_shard, DispatchPlan, ShardTag, SweepReport,
+    dispatch, jobfile, merge_files, run_sweep, run_sweep_plan, DispatchPlan, ShardTag,
+    SweepOptions, SweepReport,
 };
 
-use std::io::Write as _;
+use std::io;
 use std::path::Path;
 
-/// Writes a rendered table and its CSV twin under `results/`.
-pub fn save_results(name: &str, rendered: &str, csv: &str) {
+/// Writes a rendered table and its CSV twin under `results/`. An error
+/// names the path that could not be written.
+pub fn save_results(name: &str, rendered: &str, csv: &str) -> io::Result<()> {
     let dir = Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
+    let at =
+        |path: &Path, e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
+    std::fs::create_dir_all(dir).map_err(|e| at(dir, e))?;
+    for (ext, content) in [("txt", rendered), ("csv", csv)] {
+        let path = dir.join(format!("{name}.{ext}"));
+        std::fs::write(&path, content).map_err(|e| at(&path, e))?;
     }
-    let write = |path: &Path, content: &str| {
-        if let Ok(mut f) = std::fs::File::create(path) {
-            let _ = f.write_all(content.as_bytes());
-        }
-    };
-    write(&dir.join(format!("{name}.txt")), rendered);
-    write(&dir.join(format!("{name}.csv")), csv);
+    Ok(())
 }

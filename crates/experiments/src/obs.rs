@@ -10,13 +10,13 @@
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use lockss_core::CoreObs;
-use lockss_obs::{Counter, Profiler, Registry, RegistryBuilder, SharedProfiler};
+use lockss_obs::{Counter, Profiler, Registry, RegistryBuilder, SharedProfiler, Span};
 use lockss_sim::EngineObs;
 
-use crate::runner::Instruments;
+use crate::runner::{Instruments, RunOptions};
 
 /// One observability session: a sealed metrics registry with every
 /// handle the harness knows about pre-registered, shared by all worlds,
@@ -36,8 +36,6 @@ pub struct ObsSession {
     pub sweep_seeds: Counter,
     /// Worker chunks started (one per worker thread per sweep).
     pub sweep_chunks: Counter,
-    /// When the session was created; heartbeat rates are relative to it.
-    pub started: Instant,
 }
 
 impl ObsSession {
@@ -60,7 +58,6 @@ impl ObsSession {
             engine,
             sweep_seeds,
             sweep_chunks,
-            started: Instant::now(),
         }
     }
 
@@ -138,6 +135,50 @@ pub struct SweepObs<'a> {
     pub profiler: Option<&'a Mutex<Profiler>>,
     /// Heartbeat emission, when `--telemetry` is on.
     pub telemetry: Option<Telemetry>,
+}
+
+/// One worker thread's view of a [`SweepObs`]: run options whose
+/// instruments are backed by the shared session, profiling into the
+/// worker's own tree (profilers are single-threaded `Rc`s) under a
+/// `worker-chunk` root. Dropping it closes that span and absorbs the tree
+/// into the shared profiler.
+pub(crate) struct WorkerObs<'a> {
+    /// Plain-run options (no sink) carrying this worker's instruments;
+    /// all-off when the batch or sweep is unobserved.
+    pub options: RunOptions,
+    chunk: Option<Span>,
+    merge: Option<(SharedProfiler, &'a Mutex<Profiler>)>,
+}
+
+impl<'a> WorkerObs<'a> {
+    /// Call on the worker thread, before its first item.
+    pub fn enter(obs: Option<&SweepObs<'a>>) -> WorkerObs<'a> {
+        let merge = obs.and_then(|o| o.profiler.map(|merged| (Profiler::shared(), merged)));
+        let wprof = merge.as_ref().map(|(wp, _)| wp.clone());
+        let chunk = Span::enter(&wprof, "worker-chunk");
+        WorkerObs {
+            options: RunOptions {
+                sink: None,
+                instruments: obs
+                    .map(|o| o.session.instruments(wprof))
+                    .unwrap_or_default(),
+            },
+            chunk,
+            merge,
+        }
+    }
+}
+
+impl Drop for WorkerObs<'_> {
+    fn drop(&mut self) {
+        drop(self.chunk.take());
+        if let Some((wp, merged)) = &self.merge {
+            merged
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .absorb(&wp.borrow());
+        }
+    }
 }
 
 #[cfg(test)]

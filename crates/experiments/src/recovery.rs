@@ -16,13 +16,10 @@
 //!
 //! Determinism: each `(budget, seed)` run is a pure function of its
 //! inputs (watching the world at day granularity just continues the same
-//! discrete-event run), workers claim `(budget, seed)` items off one
-//! atomic cursor and write into seed-indexed slots, and the reduction
-//! walks the slots in order — so the rendered report is byte-identical
-//! for any thread count.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! discrete-event run), the worker pool returns outcomes in
+//! `(budget, seed)` item order whatever the thread count, and the
+//! reduction walks them in that order — so the rendered report is
+//! byte-identical for any thread count.
 
 use lockss_adversary::MobileTakeover;
 use lockss_core::{World, WorldConfig};
@@ -30,6 +27,8 @@ use lockss_effort::CostModel;
 use lockss_metrics::streaming::Reservoir;
 use lockss_sim::{Duration, Engine, SimTime};
 use lockss_storage::AuSpec;
+
+use crate::runner::par_map;
 
 /// Study shape: which budgets, how many seeds, the campaign and the
 /// patience after it.
@@ -158,39 +157,31 @@ fn run_point(study: &RecoveryStudy, budget: u32, seed: u64) -> PointOutcome {
 /// Runs the study on `threads` workers. Byte-deterministic: the report
 /// depends only on the study shape, never on the thread count.
 pub fn run_recovery_study(study: &RecoveryStudy, threads: usize) -> RecoveryReport {
-    let work: Vec<(usize, usize)> = (0..study.budgets.len())
-        .flat_map(|b| (0..study.seeds.len()).map(move |s| (b, s)))
+    let work: Vec<(u32, u64)> = study
+        .budgets
+        .iter()
+        .flat_map(|&b| study.seeds.iter().map(move |&s| (b, s)))
         .collect();
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Vec<Option<PointOutcome>>>> = (0..study.budgets.len())
-        .map(|_| Mutex::new(vec![None; study.seeds.len()]))
-        .collect();
-    let threads = threads.max(1).min(work.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let item = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(b, s)) = work.get(item) else {
-                    break;
-                };
-                let outcome = run_point(study, study.budgets[b], study.seeds[s]);
-                slots[b].lock().unwrap_or_else(|e| e.into_inner())[s] = Some(outcome);
-            });
-        }
-    });
+    let outcomes = par_map(
+        &work,
+        threads,
+        || (),
+        |_, &(budget, seed)| run_point(study, budget, seed),
+    );
 
+    let n_seeds = study.seeds.len();
     let rows = study
         .budgets
         .iter()
-        .zip(&slots)
-        .map(|(&budget, slot)| {
-            let outcomes = slot.lock().unwrap_or_else(|e| e.into_inner());
+        .enumerate()
+        .map(|(b, &budget)| {
+            let outcomes = &outcomes[b * n_seeds..(b + 1) * n_seeds];
             // Seed-order reduction into a seeded reservoir: quantiles are
             // a pure function of the outcomes.
             let mut heal_days = Reservoir::with_seed(study.seeds.len().max(1), 0x5eed);
             let mut healed = 0;
             let mut max_residual = 0;
-            for outcome in outcomes.iter().map(|o| o.expect("every slot filled")) {
+            for outcome in outcomes {
                 if let Some(days) = outcome.healed_after {
                     heal_days.add(days as f64);
                     healed += 1;

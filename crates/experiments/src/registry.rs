@@ -56,91 +56,39 @@ impl ScenarioEntry {
     }
 }
 
+/// `(name, contents of scenarios/<name>.json)` for each name, so a name is
+/// written once.
+macro_rules! corpus {
+    ($($name:literal),* $(,)?) => {
+        [$(($name, include_str!(concat!("../../../scenarios/", $name, ".json")))),*]
+    };
+}
+
 /// The standard corpus, in catalog order. Each file is the canonical
 /// encoding of its spec (`ScenarioSpec::to_json`); the registry tests
 /// reject a file that drifts from it.
-pub const STANDARD_SCENARIOS: [(&str, &str); 21] = [
-    ("baseline", include_str!("../../../scenarios/baseline.json")),
-    (
-        "baseline-large",
-        include_str!("../../../scenarios/baseline-large.json"),
-    ),
-    (
-        "pipe-stoppage",
-        include_str!("../../../scenarios/pipe-stoppage.json"),
-    ),
-    (
-        "pipe-stoppage-partial",
-        include_str!("../../../scenarios/pipe-stoppage-partial.json"),
-    ),
-    (
-        "admission-flood",
-        include_str!("../../../scenarios/admission-flood.json"),
-    ),
-    (
-        "admission-flood-partial",
-        include_str!("../../../scenarios/admission-flood-partial.json"),
-    ),
-    (
-        "brute-force-intro",
-        include_str!("../../../scenarios/brute-force-intro.json"),
-    ),
-    (
-        "brute-force-remaining",
-        include_str!("../../../scenarios/brute-force-remaining.json"),
-    ),
-    (
-        "brute-force-none",
-        include_str!("../../../scenarios/brute-force-none.json"),
-    ),
-    (
-        "vote-flood",
-        include_str!("../../../scenarios/vote-flood.json"),
-    ),
-    (
-        "churn-storm",
-        include_str!("../../../scenarios/churn-storm.json"),
-    ),
-    (
-        "sybil-ramp",
-        include_str!("../../../scenarios/sybil-ramp.json"),
-    ),
-    (
-        "mobile-takeover-light",
-        include_str!("../../../scenarios/mobile-takeover-light.json"),
-    ),
-    (
-        "mobile-takeover-heavy",
-        include_str!("../../../scenarios/mobile-takeover-heavy.json"),
-    ),
-    (
-        "stoppage-then-flood",
-        include_str!("../../../scenarios/stoppage-then-flood.json"),
-    ),
-    (
-        "storm-over-ramp",
-        include_str!("../../../scenarios/storm-over-ramp.json"),
-    ),
-    (
-        "stoppage-escalation",
-        include_str!("../../../scenarios/stoppage-escalation.json"),
-    ),
-    (
-        "mobile-recovery-race",
-        include_str!("../../../scenarios/mobile-recovery-race.json"),
-    ),
-    (
-        "scale-10k-baseline",
-        include_str!("../../../scenarios/scale-10k-baseline.json"),
-    ),
-    (
-        "scale-10k-churn-storm",
-        include_str!("../../../scenarios/scale-10k-churn-storm.json"),
-    ),
-    (
-        "scale-50k-attrition",
-        include_str!("../../../scenarios/scale-50k-attrition.json"),
-    ),
+pub const STANDARD_SCENARIOS: [(&str, &str); 21] = corpus![
+    "baseline",
+    "baseline-large",
+    "pipe-stoppage",
+    "pipe-stoppage-partial",
+    "admission-flood",
+    "admission-flood-partial",
+    "brute-force-intro",
+    "brute-force-remaining",
+    "brute-force-none",
+    "vote-flood",
+    "churn-storm",
+    "sybil-ramp",
+    "mobile-takeover-light",
+    "mobile-takeover-heavy",
+    "stoppage-then-flood",
+    "storm-over-ramp",
+    "stoppage-escalation",
+    "mobile-recovery-race",
+    "scale-10k-baseline",
+    "scale-10k-churn-storm",
+    "scale-50k-attrition",
 ];
 
 /// The registry: an ordered collection of named scenarios.

@@ -1,16 +1,18 @@
-//! Runs scenarios across seeds, in parallel, and condenses the metrics —
-//! plus the traced variants: record a run's full event stream, or replay
-//! one against a recorded trace and verify event-for-event equivalence.
+//! The one run path: [`run`] turns a `(scenario, seed)` into a driven
+//! world, optionally with a trace sink (record, or replay-verify) and
+//! out-of-band instruments installed. Batches, sweeps, replay, fuzzing and
+//! the figure reports are all callers of it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 use lockss_core::{CoreObs, TableOccupancy, World, WorldConfig};
 use lockss_metrics::{PhaseSummary, Summary};
-use lockss_obs::{Profiler, SharedProfiler, Span};
+use lockss_obs::{SharedProfiler, Span};
 use lockss_sim::{Engine, EngineObs, SimTime};
 use lockss_trace::{Recorder, ReplayReport, Trace, TraceError, TraceMeta, Verifier};
 
+use crate::obs::{SweepObs, WorkerObs};
 use crate::scenario::Scenario;
 
 /// An engine pre-sized for the scenario's population: a 10k+-peer world
@@ -22,45 +24,6 @@ use crate::scenario::Scenario;
 fn engine_for(cfg: &WorldConfig) -> Engine<World> {
     let outstanding = cfg.n_peers * (cfg.n_aus + 1) * 4;
     Engine::with_capacity(outstanding.clamp(1024, 1 << 22))
-}
-
-/// Locks a mutex, recovering from poisoning: if a worker panicked while
-/// holding the lock, the queue/result state it protects is still valid (a
-/// pop or a push completed or didn't), so the surviving workers keep
-/// draining instead of cascading panics and wedging `run_batch`.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// The measured result of one scenario (mean over seeds), with its matched
-/// baseline for the ratio metrics.
-#[derive(Clone, Debug)]
-pub struct MeasuredPoint {
-    pub label: String,
-    pub attacked: Summary,
-    pub baseline: Summary,
-}
-
-impl MeasuredPoint {
-    /// Access failure probability under attack.
-    pub fn access_failure(&self) -> f64 {
-        self.attacked.access_failure_probability
-    }
-
-    /// Delay ratio vs the matched baseline (§6.1).
-    pub fn delay_ratio(&self) -> Option<f64> {
-        self.attacked.delay_ratio(&self.baseline)
-    }
-
-    /// Coefficient of friction vs the matched baseline (§6.1).
-    pub fn friction(&self) -> Option<f64> {
-        self.attacked.coefficient_of_friction(&self.baseline)
-    }
-
-    /// Cost ratio (§6.1); meaningful only for effortful attacks.
-    pub fn cost_ratio(&self) -> Option<f64> {
-        self.attacked.cost_ratio()
-    }
 }
 
 /// Out-of-band instruments for one run: metric handles cloned into the
@@ -81,94 +44,95 @@ pub struct Instruments {
     pub profiler: Option<SharedProfiler>,
 }
 
-impl Instruments {
-    /// True when nothing is being observed.
-    pub fn is_off(&self) -> bool {
-        self.core.is_none() && self.engine.is_none() && self.profiler.is_none()
-    }
-}
-
-/// Runs one seed of a scenario to completion.
-pub fn run_once(scenario: &Scenario, seed: u64) -> Summary {
-    run_once_with_phases(scenario, seed).0
-}
-
-/// Runs one seed and also returns the per-phase metric breakdown (empty
-/// unless the attack is a phased composite, which records a mark as each
-/// member starts).
-pub fn run_once_with_phases(scenario: &Scenario, seed: u64) -> (Summary, Vec<PhaseSummary>) {
-    run_once_observed(scenario, seed, &Instruments::default())
-}
-
-/// [`run_once_with_phases`] with instruments installed: spans around
-/// world build and the simulation loop, metric handles wired into the
-/// world and engine.
-pub fn run_once_observed(
-    scenario: &Scenario,
-    seed: u64,
-    ins: &Instruments,
-) -> (Summary, Vec<PhaseSummary>) {
-    let mut cfg = scenario.cfg.clone();
-    cfg.seed = seed;
-    let mut world = {
-        let _span = Span::enter(&ins.profiler, "world-build");
-        let mut world = World::new(cfg);
-        if let Some(adv) = scenario.attack.build() {
-            world.install_adversary(adv);
-        }
-        world
-    };
-    if let Some(core) = &ins.core {
-        world.set_obs(core.clone());
-    }
-    if let Some(prof) = &ins.profiler {
-        world.set_profiler(prof.clone());
-    }
-    let mut eng: Engine<World> = engine_for(&scenario.cfg);
-    if let Some(engine) = &ins.engine {
-        eng.set_obs(engine.clone());
-    }
-    let end = SimTime::ZERO + scenario.run_length;
-    {
-        let _span = Span::enter(&ins.profiler, "simulate");
-        world.start(&mut eng);
-        eng.run_until(&mut world, end);
-    }
-    (
-        world.metrics.summarize(end),
-        world.metrics.phase_summaries(end),
-    )
-}
-
-/// Runs one seed with a trace recorder installed; returns the summary, the
-/// per-phase breakdown, and the sealed trace.
+/// The trace sink a run installs. Recording and replay are the same
+/// execution with a different sink, not forks of the run loop.
 ///
-/// Recording does not perturb the run: emission never touches the RNG or
-/// the event queue, so the summary is byte-identical to an untraced
-/// [`run_once`] of the same `(scenario, seed)`.
-pub fn run_once_recorded(
-    scenario: &Scenario,
-    seed: u64,
-    meta: &TraceMeta,
-) -> (Summary, Vec<PhaseSummary>, Trace) {
-    run_once_recorded_observed(scenario, seed, meta, &Instruments::default())
+/// Both handles are shared (`Rc`) clones: keep one, hand the other to
+/// [`run`] — [`run`] seals a recorder itself ([`RunOutput::trace`]); a
+/// verifier's owner calls `Verifier::finish` afterwards, as
+/// [`replay_once`] does.
+#[derive(Clone)]
+pub enum Sink {
+    /// Capture the run's full causal event stream.
+    Record(Recorder),
+    /// Check the run event-for-event against a recorded trace, aborting
+    /// at the first divergence.
+    Verify(Verifier),
 }
 
-/// [`run_once_recorded`] with instruments installed; adds a
-/// `trace-seal` span around sealing the recorded stream.
-pub fn run_once_recorded_observed(
-    scenario: &Scenario,
-    seed: u64,
-    meta: &TraceMeta,
-    ins: &Instruments,
-) -> (Summary, Vec<PhaseSummary>, Trace) {
-    let recorder = Recorder::new(meta);
+/// What one [`run`] installs besides the scenario itself. `Default` is a
+/// plain run: no sink, instruments off.
+#[derive(Clone, Default)]
+pub struct RunOptions {
+    /// The trace sink, if any.
+    pub sink: Option<Sink>,
+    /// Out-of-band metric handles and profiler.
+    pub instruments: Instruments,
+}
+
+impl RunOptions {
+    /// Options that record the run into a fresh [`Recorder`] for `meta`.
+    pub fn record(meta: &TraceMeta) -> RunOptions {
+        RunOptions {
+            sink: Some(Sink::Record(Recorder::new(meta))),
+            instruments: Instruments::default(),
+        }
+    }
+}
+
+/// Engine and peer-table occupancy at the horizon, for `--mem-report`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Occupancy {
+    /// Event-arena occupancy at end of run: live slots.
+    pub arena_live: usize,
+    /// Event-arena high-water mark: total slots ever in use at once.
+    pub arena_total: usize,
+    /// Events executed by the run.
+    pub events_executed: u64,
+    /// Events still queued at the horizon.
+    pub events_queued: usize,
+    /// Bytes of slot buffer the event queue holds at the horizon.
+    pub queue_buffer_bytes: usize,
+    /// Peer-table heap occupancy at end of run.
+    pub table: TableOccupancy,
+}
+
+/// Everything one [`run`] produced.
+pub struct RunOutput {
+    /// The run's metric summary.
+    pub summary: Summary,
+    /// The per-phase breakdown (empty unless the attack is a phased
+    /// composite, which records a mark as each member starts).
+    pub phases: Vec<PhaseSummary>,
+    /// The sealed trace, when the run had a [`Sink::Record`] installed.
+    pub trace: Option<Trace>,
+    /// Engine and peer-table occupancy at the horizon.
+    pub occupancy: Occupancy,
+    /// The finished world, for callers that inspect more than the
+    /// summary (fuzz oracles, the effort report).
+    pub world: World,
+}
+
+/// Runs one seed of a scenario to its horizon — the only place a
+/// [`Scenario`] becomes a driven [`World`]. Everything else (batches,
+/// sweeps, replay, fuzzing, the figure reports) goes through here.
+///
+/// Neither a sink nor instruments perturb the run: trace emission never
+/// touches the RNG or the event queue, and counters and spans only read
+/// protocol state, so `summary` and `phases` are byte-identical for any
+/// `opts` at the same `(scenario, seed)`.
+pub fn run(scenario: &Scenario, seed: u64, opts: &RunOptions) -> RunOutput {
+    let ins = &opts.instruments;
     let mut cfg = scenario.cfg.clone();
     cfg.seed = seed;
     let mut world = {
         let _span = Span::enter(&ins.profiler, "world-build");
         let mut world = World::new(cfg);
-        world.set_trace_sink(Box::new(recorder.clone()));
+        match &opts.sink {
+            Some(Sink::Record(r)) => world.set_trace_sink(Box::new(r.clone())),
+            Some(Sink::Verify(v)) => world.set_trace_sink(Box::new(v.clone())),
+            None => {}
+        }
         if let Some(adv) = scenario.attack.build() {
             world.install_adversary(adv);
         }
@@ -192,11 +156,35 @@ pub fn run_once_recorded_observed(
     }
     let summary = world.metrics.summarize(end);
     let phases = world.metrics.phase_summaries(end);
-    let trace = {
-        let _span = Span::enter(&ins.profiler, "trace-seal");
-        recorder.finish()
+    drop(world.take_trace_sink());
+    let trace = match &opts.sink {
+        Some(Sink::Record(r)) => {
+            let _span = Span::enter(&ins.profiler, "trace-seal");
+            Some(r.clone().finish())
+        }
+        _ => None,
     };
-    (summary, phases, trace)
+    let (arena_live, arena_total) = eng.arena_occupancy();
+    RunOutput {
+        summary,
+        phases,
+        trace,
+        occupancy: Occupancy {
+            arena_live,
+            arena_total,
+            events_executed: eng.executed(),
+            events_queued: eng.queued(),
+            queue_buffer_bytes: eng.queue_buffer_bytes(),
+            table: world.peers.occupancy(),
+        },
+        world,
+    }
+}
+
+/// Runs one seed of a scenario to completion: [`run`] with no sink and no
+/// instruments, keeping only the summary.
+pub fn run_once(scenario: &Scenario, seed: u64) -> Summary {
+    run(scenario, seed, &RunOptions::default()).summary
 }
 
 /// Replays a scenario at `seed` against a recorded trace, verifying
@@ -212,67 +200,12 @@ pub fn replay_once(
 ) -> Result<ReplayReport, TraceError> {
     let verifier = Verifier::new(trace);
     let meta = trace.meta()?;
-    let mut cfg = scenario.cfg.clone();
-    cfg.seed = seed;
-    let mut world = World::new(cfg);
-    world.set_trace_sink(Box::new(verifier.clone()));
-    if let Some(adv) = scenario.attack.build() {
-        world.install_adversary(adv);
-    }
-    let mut eng: Engine<World> = engine_for(&scenario.cfg);
-    world.start(&mut eng);
-    let end = SimTime::ZERO + scenario.run_length;
-    eng.run_until(&mut world, end);
+    let opts = RunOptions {
+        sink: Some(Sink::Verify(verifier.clone())),
+        instruments: Instruments::default(),
+    };
+    run(scenario, seed, &opts);
     verifier.finish(meta)
-}
-
-/// Resource accounting of one run, for `--mem-report`.
-#[derive(Clone, Debug)]
-pub struct RunStats {
-    /// The run's metric summary.
-    pub summary: Summary,
-    /// Process peak RSS in kilobytes (`VmHWM`), where the platform exposes
-    /// it. Note: a process-wide high-water mark, so it reflects the
-    /// heaviest world this process ever built, not necessarily this run.
-    pub peak_rss_kb: Option<u64>,
-    /// Event-arena occupancy at end of run: live slots.
-    pub arena_live: usize,
-    /// Event-arena high-water mark: total slots ever in use at once.
-    pub arena_total: usize,
-    /// Events executed by the run.
-    pub events_executed: u64,
-    /// Events still queued at the horizon.
-    pub events_queued: usize,
-    /// Bytes of slot buffer the event queue holds at the horizon.
-    pub queue_buffer_bytes: usize,
-    /// Peer-table heap occupancy at end of run.
-    pub table: TableOccupancy,
-}
-
-/// Runs one seed and collects the memory/occupancy report alongside the
-/// summary (the run itself is identical to [`run_once`]).
-pub fn run_once_with_stats(scenario: &Scenario, seed: u64) -> RunStats {
-    let mut cfg = scenario.cfg.clone();
-    cfg.seed = seed;
-    let mut world = World::new(cfg);
-    if let Some(adv) = scenario.attack.build() {
-        world.install_adversary(adv);
-    }
-    let mut eng: Engine<World> = engine_for(&scenario.cfg);
-    world.start(&mut eng);
-    let end = SimTime::ZERO + scenario.run_length;
-    eng.run_until(&mut world, end);
-    let (arena_live, arena_total) = eng.arena_occupancy();
-    RunStats {
-        summary: world.metrics.summarize(end),
-        peak_rss_kb: peak_rss_kb(),
-        arena_live,
-        arena_total,
-        events_executed: eng.executed(),
-        events_queued: eng.queued(),
-        queue_buffer_bytes: eng.queue_buffer_bytes(),
-        table: world.peers.occupancy(),
-    }
 }
 
 /// The process's peak resident set size in kilobytes, read from
@@ -283,83 +216,78 @@ pub fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Runs `seeds` seeds of a scenario and returns the mean summary.
-pub fn run_scenario(scenario: &Scenario, seeds: u64) -> Summary {
-    let runs: Vec<Summary> = (0..seeds).map(|s| run_once(scenario, s + 1)).collect();
-    Summary::mean_of(&runs)
-}
-
-/// Runs a batch of (key, scenario) jobs × seeds across worker threads;
-/// returns mean summaries in input order.
+/// Maps `f` over `items` on up to `threads` workers; results come back in
+/// item order.
 ///
-/// Workers claim work items by bumping one atomic cursor — no queue lock
-/// to contend on or poison. Results are slotted by seed index, not
-/// completion order, so the mean (a float reduction, hence
-/// order-sensitive) is byte-identical no matter how many threads raced —
-/// `threads = 1` and `threads = 4` agree exactly.
-pub fn run_batch(jobs: &[Scenario], seeds: u64, threads: usize) -> Vec<Summary> {
-    run_batch_observed(jobs, seeds, threads, None, None)
-}
-
-/// [`run_batch`] with instruments: workers share the session's metric
-/// handles, and each worker profiles into its own tree (under a
-/// `worker-chunk` root) that is merged into `profiler` as it exits.
-pub fn run_batch_observed(
-    jobs: &[Scenario],
-    seeds: u64,
+/// Workers claim items by bumping one atomic cursor — no queue lock to
+/// contend on or poison — and write into item-indexed slots, so the output
+/// never depends on which worker ran what, or on how many there were.
+/// Each worker builds its own state with `worker_init` (instruments and
+/// profilers are `!Send`) and drops it on the way out.
+pub(crate) fn par_map<I: Sync, W, T: Send>(
+    items: &[I],
     threads: usize,
-    session: Option<&crate::obs::ObsSession>,
-    profiler: Option<&Mutex<Profiler>>,
-) -> Vec<Summary> {
-    // Expand into (job index, seed) work items, claimed by atomic index.
-    let work: Vec<(usize, u64)> = (0..jobs.len())
-        .flat_map(|j| (0..seeds).map(move |s| (j, s + 1)))
-        .collect();
+    worker_init: impl Fn() -> W + Sync,
+    f: impl Fn(&mut W, &I) -> T + Sync,
+) -> Vec<T> {
     let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Vec<Option<Summary>>>> = (0..jobs.len())
-        .map(|_| Mutex::new(vec![None; seeds as usize]))
-        .collect();
-
-    let threads = threads.max(1).min(work.len().max(1));
+    let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let threads = threads.max(1).min(items.len().max(1));
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| {
-                // Profilers are single-threaded (`Rc`); each worker grows
-                // its own tree and merges it on the way out.
-                let wprof = profiler.map(|_| Profiler::shared());
-                let ins = match session {
-                    Some(s) => s.instruments(wprof.clone()),
-                    None => Instruments::default(),
-                };
-                let chunk = Span::enter(&wprof, "worker-chunk");
+                let mut worker = worker_init();
                 loop {
-                    let item = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(j, seed)) = work.get(item) else {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i) else {
                         break;
                     };
-                    let summary = if ins.is_off() {
-                        run_once(&jobs[j], seed)
-                    } else {
-                        run_once_observed(&jobs[j], seed, &ins).0
-                    };
-                    lock(&results[j])[(seed - 1) as usize] = Some(summary);
-                }
-                drop(chunk);
-                if let (Some(wp), Some(merged)) = (wprof, profiler) {
-                    lock(merged).absorb(&wp.borrow());
+                    let out = f(&mut worker, item);
+                    *slots[i]
+                        .lock()
+                        .expect("a slot lock is never held across a panic") = Some(out);
                 }
             });
         }
     });
-
-    results
+    slots
         .into_iter()
-        .map(|m| {
-            let slots = lock(&m);
-            let runs: Vec<Summary> = slots.iter().flatten().cloned().collect();
-            Summary::mean_of(&runs)
+        .map(|slot| {
+            slot.into_inner()
+                .expect("a slot lock is never held across a panic")
+                .expect("the scope joined every worker, so every item ran")
         })
         .collect()
+}
+
+/// Runs a batch of scenarios × seeds `1..=seeds` across worker threads;
+/// returns the mean summary of each scenario, in input order.
+///
+/// Per-seed results are slotted by `(scenario, seed)`, not completion
+/// order, so the mean (a float reduction, hence order-sensitive) is
+/// byte-identical no matter how many threads raced — `threads = 1` and
+/// `threads = 4` agree exactly.
+///
+/// With `obs`, workers share the session's metric handles and each
+/// profiles into its own tree (under a `worker-chunk` root) that is
+/// merged into `obs.profiler` as it exits; `obs.telemetry` is a sweep
+/// feature and is not used here.
+pub fn run_batch(
+    jobs: &[Scenario],
+    seeds: u64,
+    threads: usize,
+    obs: Option<&SweepObs<'_>>,
+) -> Vec<Summary> {
+    let work: Vec<(usize, u64)> = (0..jobs.len())
+        .flat_map(|j| (0..seeds).map(move |s| (j, s + 1)))
+        .collect();
+    let runs = par_map(
+        &work,
+        threads,
+        || WorkerObs::enter(obs),
+        |worker, &(j, seed)| run(&jobs[j], seed, &worker.options).summary,
+    );
+    runs.chunks(seeds as usize).map(Summary::mean_of).collect()
 }
 
 /// Default worker-thread count: the machine's parallelism.
@@ -372,7 +300,9 @@ pub fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::ObsSession;
     use crate::scale::Scale;
+    use lockss_obs::Profiler;
     use lockss_sim::Duration;
 
     fn tiny() -> Scenario {
@@ -399,11 +329,19 @@ mod tests {
         }
     }
 
+    fn record(s: &Scenario, seed: u64) -> (Summary, Trace) {
+        let out = run(s, seed, &RunOptions::record(&tiny_meta(seed)));
+        (
+            out.summary,
+            out.trace.expect("a recorded run seals a trace"),
+        )
+    }
+
     #[test]
     fn recording_does_not_perturb_the_run() {
         let s = tiny();
         let plain = run_once(&s, 5);
-        let (recorded, _phases, trace) = run_once_recorded(&s, 5, &tiny_meta(5));
+        let (recorded, trace) = record(&s, 5);
         assert_eq!(plain, recorded, "recording must be invisible to the run");
         assert!(trace.decode_all().unwrap().len() > 100, "stream captured");
     }
@@ -411,7 +349,7 @@ mod tests {
     #[test]
     fn faithful_replay_is_equivalent() {
         let s = tiny();
-        let (_, _, trace) = run_once_recorded(&s, 5, &tiny_meta(5));
+        let (_, trace) = record(&s, 5);
         let report = replay_once(&s, 5, &trace).unwrap();
         assert!(report.is_equivalent(), "{report}");
         assert!(report.events_matched > 100);
@@ -420,7 +358,7 @@ mod tests {
     #[test]
     fn perturbed_replay_reports_the_first_divergence() {
         let s = tiny();
-        let (_, _, trace) = run_once_recorded(&s, 5, &tiny_meta(5));
+        let (_, trace) = record(&s, 5);
         let report = replay_once(&s, 6, &trace).unwrap();
         assert!(!report.is_equivalent(), "different seed must fork");
         let d = report.divergence.clone().expect("divergence");
@@ -430,13 +368,44 @@ mod tests {
         assert!(text.contains("day"), "{text}");
     }
 
+    /// A recorder *and* full instruments in one run — a combination no
+    /// entry point could express before [`run`] — changes nothing the
+    /// plain run reports, and its trace replays.
+    #[test]
+    fn recorder_plus_instruments_equals_the_plain_run() {
+        let s = tiny();
+        let plain = run(&s, 5, &RunOptions::default());
+        assert!(plain.trace.is_none(), "no sink, no trace");
+
+        let session = ObsSession::new();
+        let profiler = Profiler::shared();
+        let opts = RunOptions {
+            instruments: session.instruments(Some(profiler.clone())),
+            ..RunOptions::record(&tiny_meta(5))
+        };
+        let both = run(&s, 5, &opts);
+        assert_eq!(both.summary, plain.summary);
+        assert_eq!(both.phases, plain.phases);
+        assert_eq!(both.occupancy, plain.occupancy);
+        assert_eq!(
+            session.engine.events_executed.get(),
+            plain.occupancy.events_executed,
+            "the instruments were live, not ignored"
+        );
+        let spans = profiler.borrow().to_json("tiny");
+        for name in ["world-build", "simulate", "trace-seal"] {
+            assert!(spans.contains(name), "no '{name}' span in {spans}");
+        }
+        let trace = both.trace.expect("a recorded run seals a trace");
+        let report = replay_once(&s, 5, &trace).unwrap();
+        assert!(report.is_equivalent(), "{report}");
+    }
+
     #[test]
     fn batch_matches_sequential() {
         let s = tiny();
-        let seq = run_scenario(&s, 2);
-        let batch = run_batch(std::slice::from_ref(&s), 2, 4);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].successful_polls, seq.successful_polls);
-        assert!((batch[0].loyal_effort_secs - seq.loyal_effort_secs).abs() < 1e-6);
+        let seq = Summary::mean_of(&[run_once(&s, 1), run_once(&s, 2)]);
+        let batch = run_batch(std::slice::from_ref(&s), 2, 4, None);
+        assert_eq!(batch, vec![seq]);
     }
 }

@@ -51,9 +51,8 @@ pub mod status;
 pub use dispatch::{dispatch, jobfile, DispatchPlan};
 pub use merge::{merge_files, merge_reports};
 pub use plan::{
-    load_checkpoint, parse_seed_range, run_sweep, run_sweep_observed, run_sweep_shard,
-    run_sweep_shard_observed, summary_from_json, summary_to_json, write_checkpoint, SweepReport,
-    FORMAT,
+    load_checkpoint, parse_seed_range, run_sweep, run_sweep_plan, summary_from_json,
+    summary_to_json, write_checkpoint, SweepOptions, SweepReport, FORMAT,
 };
 pub use shard::{parse_shard_arg, partition, CrashHook, ShardTag};
 pub use status::{campaign_status, last_heartbeat, render_status, HeartbeatRecord, ShardStatus};

@@ -20,20 +20,20 @@
 //!   world costs one world at a time per worker, not a buffered history.
 
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use lockss_metrics::Summary;
-use lockss_obs::{current_rss_kb, unix_ms_now, Heartbeat, Profiler, Span};
+use lockss_obs::{current_rss_kb, unix_ms_now, Heartbeat};
 use lockss_sim::json;
 use lockss_sim::Duration;
 
 use lockss_trace::TraceMeta;
 
 use super::shard::{CrashHook, ShardTag};
-use crate::obs::{heartbeat_path, SweepObs};
-use crate::runner::{run_once, run_once_observed, run_once_recorded_observed, Instruments};
+use crate::obs::{heartbeat_path, SweepObs, WorkerObs};
+use crate::runner::{run, RunOptions};
 use crate::scenario::Scenario;
 
 /// The checkpoint/report format tag. Any file carrying a different tag
@@ -79,14 +79,9 @@ impl SweepReport {
     /// An empty report for one shard of a campaign: the seed list is the
     /// shard's own slice, computed from the topology tag.
     pub fn new_shard(scenario: &str, scale: &str, shard: ShardTag) -> SweepReport {
-        let seeds = shard.seeds();
-        SweepReport {
-            scenario: scenario.to_string(),
-            scale: scale.to_string(),
-            shard: Some(shard),
-            seeds,
-            completed: Vec::new(),
-        }
+        let mut report = SweepReport::new(scenario, scale, shard.seeds());
+        report.shard = Some(shard);
+        report
     }
 
     /// True once every requested seed has a summary.
@@ -112,14 +107,6 @@ impl SweepReport {
             Ok(i) => self.completed[i].1 = summary,
             Err(i) => self.completed.insert(i, (seed, summary)),
         }
-    }
-
-    /// The summaries already completed, for resuming: seeds outside the
-    /// requested set are dropped (the checkpoint belonged to a different
-    /// seed range).
-    fn restrict_to(&mut self, seeds: &[u64]) {
-        self.completed.retain(|(s, _)| seeds.contains(s));
-        self.seeds = seeds.to_vec();
     }
 
     // -- serialization ------------------------------------------------
@@ -331,13 +318,33 @@ pub fn write_checkpoint(path: &Path, content: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Runs a single-process (unsharded) sweep: seeds already present in
-/// `resume` are reused verbatim, the rest are executed across `threads`
-/// workers, and the returned report is identical no matter the thread
-/// count or how the work was split across interruptions.
-///
-/// With `checkpoint`, the partial report is persisted after every
-/// finished seed and the final report overwrites it at the end.
+/// How a sweep plan is executed. None of it changes the report's bytes.
+#[derive(Default)]
+pub struct SweepOptions<'a> {
+    /// Worker threads (at least one is used).
+    pub threads: usize,
+    /// Where the partial report is persisted after every finished seed
+    /// and the final report at the end.
+    pub checkpoint: Option<&'a Path>,
+    /// A prior (partial) report of the same plan: its finished seeds are
+    /// reused verbatim, the rest are executed.
+    pub resume: Option<SweepReport>,
+    /// Observability hooks: workers bump the session's counters and
+    /// profile into per-worker trees, and a monitor thread appends
+    /// heartbeats while they run.
+    pub obs: Option<&'a SweepObs<'a>>,
+    /// A directory for per-seed traces: each *freshly executed* seed also
+    /// writes its sealed event trace to
+    /// `<record>/trace-<scenario>-s<seed>.bin` (recording never perturbs
+    /// the summary, so resume invariance holds). Seeds already present in
+    /// `resume` are **not** re-recorded — rerun with `--fresh` to capture
+    /// a complete trace set.
+    pub record: Option<&'a Path>,
+}
+
+/// Runs a single-process (unsharded) sweep of `seeds`, resuming from
+/// `resume` and persisting to `checkpoint` when given: [`run_sweep_plan`]
+/// over [`SweepReport::new`], unobserved and unrecorded.
 pub fn run_sweep(
     scenario: &Scenario,
     name: &str,
@@ -347,138 +354,46 @@ pub fn run_sweep(
     checkpoint: Option<&Path>,
     resume: Option<SweepReport>,
 ) -> SweepReport {
-    run_sweep_observed(
-        scenario, name, scale, seeds, threads, checkpoint, resume, None, None,
+    let opts = SweepOptions {
+        threads,
+        checkpoint,
+        resume,
+        ..SweepOptions::default()
+    };
+    run_sweep_plan(
+        scenario,
+        SweepReport::new(name, scale, seeds.to_vec()),
+        &opts,
     )
 }
 
-/// [`run_sweep`] with observability hooks: workers bump the session's
-/// counters and profile into per-worker trees, and a monitor thread
-/// appends heartbeats while they run.
-///
-/// With `record`, each *freshly executed* seed also writes its sealed
-/// event trace to `<record>/trace-<scenario>-s<seed>.bin` (recording
-/// never perturbs the summary, so resume invariance holds). Seeds
-/// already present in `resume` are reused verbatim and are **not**
-/// re-recorded — rerun with `--fresh` to capture a complete trace set.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sweep_observed(
-    scenario: &Scenario,
-    name: &str,
-    scale: &str,
-    seeds: &[u64],
-    threads: usize,
-    checkpoint: Option<&Path>,
-    resume: Option<SweepReport>,
-    obs: Option<&SweepObs<'_>>,
-    record: Option<&Path>,
-) -> SweepReport {
-    let plan = SweepReport::new(name, scale, seeds.to_vec());
-    run_sweep_plan(scenario, plan, threads, checkpoint, resume, obs, record)
-}
-
-/// Runs one shard of a campaign: the seed slice is computed from the
-/// topology tag, and the checkpoint carries the tag so `sweep merge` can
-/// validate the reassembled campaign.
-pub fn run_sweep_shard(
-    scenario: &Scenario,
-    name: &str,
-    scale: &str,
-    shard: ShardTag,
-    threads: usize,
-    checkpoint: Option<&Path>,
-    resume: Option<SweepReport>,
-) -> SweepReport {
-    run_sweep_shard_observed(
-        scenario, name, scale, shard, threads, checkpoint, resume, None, None,
-    )
-}
-
-/// [`run_sweep_shard`] with observability hooks and optional per-seed
-/// trace recording (see [`run_sweep_observed`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_sweep_shard_observed(
-    scenario: &Scenario,
-    name: &str,
-    scale: &str,
-    shard: ShardTag,
-    threads: usize,
-    checkpoint: Option<&Path>,
-    resume: Option<SweepReport>,
-    obs: Option<&SweepObs<'_>>,
-    record: Option<&Path>,
-) -> SweepReport {
-    let plan = SweepReport::new_shard(name, scale, shard);
-    run_sweep_plan(scenario, plan, threads, checkpoint, resume, obs, record)
-}
-
-/// Everything a heartbeat needs that doesn't change while the sweep
-/// runs: destination path and the identity/topology fields.
-struct HeartbeatCtx {
-    path: PathBuf,
-    scenario: String,
-    scale: String,
-    shard: u32,
-    shards: u32,
-    seeds_total: u64,
-}
-
-impl HeartbeatCtx {
-    /// Snapshots the live counters into one heartbeat record and appends
-    /// it. Best-effort: telemetry failures never fail the sweep.
-    fn emit(
-        &self,
-        obs: &SweepObs<'_>,
-        shared: &Mutex<SweepReport>,
-        last_seed: &AtomicU64,
-        polls_at_start: u64,
-        started: std::time::Instant,
-    ) {
-        let seeds_done = shared
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .completed
-            .len() as u64;
-        let polls = obs.session.core.polls_started.get();
-        let elapsed = started.elapsed().as_secs_f64();
-        let hb = Heartbeat {
-            unix_ms: unix_ms_now(),
-            scenario: self.scenario.clone(),
-            scale: self.scale.clone(),
-            shard: self.shard,
-            shards: self.shards,
-            seeds_done,
-            seeds_total: self.seeds_total,
-            last_seed: last_seed.load(Ordering::Relaxed),
-            polls,
-            events: obs.session.engine.events_executed.get(),
-            polls_per_sec: if elapsed > 0.0 {
-                (polls - polls_at_start) as f64 / elapsed
-            } else {
-                0.0
-            },
-            vm_rss_kb: current_rss_kb(),
-            arena_live: obs.session.engine.arena_live.get(),
-            arena_total: obs.session.engine.arena_total.get(),
-        };
-        let _ = hb.append_to(&self.path);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_sweep_plan(
+/// Runs `plan` — a whole campaign ([`SweepReport::new`]) or one shard of
+/// it ([`SweepReport::new_shard`], whose checkpoint carries the topology
+/// tag `sweep merge` validates): seeds already finished in `opts.resume`
+/// are reused verbatim, the rest are executed across `opts.threads`
+/// workers, and the returned report is identical no matter the thread
+/// count or how the work was split across interruptions.
+pub fn run_sweep_plan(
     scenario: &Scenario,
     mut plan: SweepReport,
-    threads: usize,
-    checkpoint: Option<&Path>,
-    resume: Option<SweepReport>,
-    obs: Option<&SweepObs<'_>>,
-    record: Option<&Path>,
+    opts: &SweepOptions<'_>,
 ) -> SweepReport {
-    if let Some(mut prior) = resume {
-        let seeds = plan.seeds.clone();
-        prior.restrict_to(&seeds);
-        plan.completed = prior.completed;
+    let SweepOptions {
+        threads,
+        checkpoint,
+        obs,
+        record,
+        ..
+    } = *opts;
+    if let Some(prior) = &opts.resume {
+        // Seeds outside the plan are dropped: the checkpoint belonged to
+        // a different seed range.
+        plan.completed = prior
+            .completed
+            .iter()
+            .filter(|(seed, _)| plan.seeds.contains(seed))
+            .cloned()
+            .collect();
     }
     let todo: Vec<u64> = plan
         .seeds
@@ -487,24 +402,6 @@ fn run_sweep_plan(
         .filter(|s| !plan.completed.iter().any(|(done, _)| done == s))
         .collect();
     let crash_hook = CrashHook::from_env(plan.shard.as_ref().map(|t| t.index));
-
-    // Heartbeat context is frozen before the plan moves into the lock.
-    let hb_ctx = obs.and_then(|o| o.telemetry.as_ref()).map(|tele| {
-        let _ = std::fs::create_dir_all(&tele.dir);
-        let shard = plan.shard.as_ref().map(|t| (t.index, t.count));
-        HeartbeatCtx {
-            path: heartbeat_path(&tele.dir, &plan.scenario, shard),
-            scenario: plan.scenario.clone(),
-            scale: plan.scale.clone(),
-            shard: shard.map_or(1, |(i, _)| i as u32),
-            shards: shard.map_or(1, |(_, n)| n as u32),
-            seeds_total: plan.seeds.len() as u64,
-        }
-    });
-    let hb_interval = obs
-        .and_then(|o| o.telemetry.as_ref())
-        .map(|t| t.interval)
-        .unwrap_or_default();
 
     // Trace identity is frozen before the plan moves into the lock; the
     // directory is created up front so a bad path warns once, not per seed.
@@ -529,41 +426,66 @@ fn run_sweep_plan(
         // The heartbeat monitor runs beside the workers, not among them:
         // protocol counters advance *during* a seed, so its records show
         // progress even while every worker is deep inside a long run.
-        if let (Some(ctx), Some(o)) = (&hb_ctx, obs) {
+        if let Some((o, tele)) = obs.and_then(|o| Some((o, o.telemetry.as_ref()?))) {
+            let _ = std::fs::create_dir_all(&tele.dir);
             let (shared, stop, last_seed) = (&shared, &stop_monitor, &last_seed);
             let polls_at_start = o.session.core.polls_started.get();
             let started = std::time::Instant::now();
+            // Snapshots the live counters into one heartbeat record and
+            // appends it. Best-effort: telemetry never fails the sweep.
+            let emit = move || {
+                let plan = shared
+                    .lock()
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+                let shard = plan.shard.as_ref().map(|t| (t.index, t.count));
+                let polls = o.session.core.polls_started.get();
+                let elapsed = started.elapsed().as_secs_f64();
+                let hb = Heartbeat {
+                    unix_ms: unix_ms_now(),
+                    scenario: plan.scenario.clone(),
+                    scale: plan.scale.clone(),
+                    shard: shard.map_or(1, |(i, _)| i as u32),
+                    shards: shard.map_or(1, |(_, n)| n as u32),
+                    seeds_done: plan.completed.len() as u64,
+                    seeds_total: plan.seeds.len() as u64,
+                    last_seed: last_seed.load(Ordering::Relaxed),
+                    polls,
+                    events: o.session.engine.events_executed.get(),
+                    polls_per_sec: if elapsed > 0.0 {
+                        (polls - polls_at_start) as f64 / elapsed
+                    } else {
+                        0.0
+                    },
+                    vm_rss_kb: current_rss_kb(),
+                    arena_live: o.session.engine.arena_live.get(),
+                    arena_total: o.session.engine.arena_total.get(),
+                };
+                drop(plan);
+                let _ = hb.append_to(&heartbeat_path(&tele.dir, &hb.scenario, shard));
+            };
             outer.spawn(move || {
-                ctx.emit(o, shared, last_seed, polls_at_start, started);
+                emit();
                 while !stop.load(Ordering::Relaxed) {
                     let mut slept = std::time::Duration::ZERO;
-                    while slept < hb_interval && !stop.load(Ordering::Relaxed) {
+                    while slept < tele.interval && !stop.load(Ordering::Relaxed) {
                         let step = std::time::Duration::from_millis(25);
                         std::thread::sleep(step);
                         slept += step;
                     }
-                    ctx.emit(o, shared, last_seed, polls_at_start, started);
+                    emit();
                 }
                 // One closing record so the file always ends with the
                 // sweep's final state.
-                ctx.emit(o, shared, last_seed, polls_at_start, started);
+                emit();
             });
         }
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
-                    // Profilers are single-threaded (`Rc`): each worker
-                    // grows its own tree under a `worker-chunk` root and
-                    // merges it into the shared one on the way out.
-                    let wprof = obs.and_then(|o| o.profiler.map(|_| Profiler::shared()));
-                    let ins = match obs {
-                        Some(o) => o.session.instruments(wprof.clone()),
-                        None => Instruments::default(),
-                    };
+                    let worker = WorkerObs::enter(obs);
                     if let Some(o) = obs {
                         o.session.sweep_chunks.inc();
                     }
-                    let chunk = Span::enter(&wprof, "worker-chunk");
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(&seed) = todo.get(i) else {
@@ -571,17 +493,18 @@ fn run_sweep_plan(
                         };
                         let summary = match &record_ctx {
                             Some((dir, name, scale)) => {
-                                // Recording never perturbs the run, so the
-                                // summary stays byte-identical to the
-                                // untraced path (resume invariance holds).
                                 let meta = TraceMeta {
                                     scenario: name.clone(),
                                     scale: scale.clone(),
                                     seed,
                                     run_length_ms,
                                 };
-                                let (summary, _, trace) =
-                                    run_once_recorded_observed(scenario, seed, &meta, &ins);
+                                let recorded = RunOptions {
+                                    instruments: worker.options.instruments.clone(),
+                                    ..RunOptions::record(&meta)
+                                };
+                                let out = run(scenario, seed, &recorded);
+                                let trace = out.trace.expect("a recorded run seals a trace");
                                 let path = dir.join(format!("trace-{name}-s{seed}.bin"));
                                 // Best-effort like checkpoints: a failing
                                 // disk must not kill the sweep.
@@ -591,10 +514,9 @@ fn run_sweep_plan(
                                         path.display()
                                     );
                                 }
-                                summary
+                                out.summary
                             }
-                            None if ins.is_off() => run_once(scenario, seed),
-                            None => run_once_observed(scenario, seed, &ins).0,
+                            None => run(scenario, seed, &worker.options).summary,
                         };
                         let mut plan = shared
                             .lock()
@@ -622,13 +544,6 @@ fn run_sweep_plan(
                                 );
                             }
                         }
-                    }
-                    drop(chunk);
-                    if let (Some(wp), Some(merged)) = (wprof, obs.and_then(|o| o.profiler)) {
-                        merged
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .absorb(&wp.borrow());
                     }
                 });
             }

@@ -17,7 +17,7 @@
 //! cargo run --release --example composite_campaign
 //! ```
 
-use lockss::experiments::runner::run_once_with_phases;
+use lockss::experiments::runner::{run, run_once, RunOptions};
 use lockss::experiments::{Scale, ScenarioRegistry};
 
 fn main() {
@@ -35,8 +35,9 @@ fn main() {
         scenario.attack.label()
     );
 
-    let (summary, phases) = run_once_with_phases(&scenario, 1);
-    let (base, _) = run_once_with_phases(&scenario.matched_baseline(), 1);
+    let out = run(&scenario, 1, &RunOptions::default());
+    let (summary, phases) = (out.summary, out.phases);
+    let base = run_once(&scenario.matched_baseline(), 1);
 
     println!("whole run ({}):", scenario.run_length);
     println!(

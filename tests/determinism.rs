@@ -9,7 +9,7 @@
 
 use lockss::core::{World, WorldConfig};
 use lockss::crypto::sha256::{sha256, to_hex};
-use lockss::experiments::runner::{run_batch, run_once, run_once_recorded};
+use lockss::experiments::runner::{run, run_batch, run_once, RunOptions};
 use lockss::experiments::scenario::{AttackSpec, Scenario};
 use lockss::experiments::sweep::{load_checkpoint, run_sweep, summary_to_json};
 use lockss::experiments::{Scale, ScenarioRegistry};
@@ -88,8 +88,8 @@ fn every_registered_scenario_is_thread_count_invariant() {
         .into_iter()
         .map(|(_, s)| s)
         .collect();
-    let single = run_batch(&jobs, 2, 1);
-    let parallel = run_batch(&jobs, 2, 4);
+    let single = run_batch(&jobs, 2, 1, None);
+    let parallel = run_batch(&jobs, 2, 4, None);
     for (i, (name, _)) in shrunken_registry_jobs().iter().enumerate() {
         assert_eq!(
             single[i], parallel[i],
@@ -107,8 +107,9 @@ fn record_digests(name: &str, scenario: &Scenario, seed: u64) -> (String, String
         seed,
         run_length_ms: scenario.run_length.as_millis(),
     };
-    let (summary, _, trace) = run_once_recorded(scenario, seed, &meta);
-    let digest = to_hex(&sha256(summary_to_json(&summary).as_bytes()));
+    let out = run(scenario, seed, &RunOptions::record(&meta));
+    let digest = to_hex(&sha256(summary_to_json(&out.summary).as_bytes()));
+    let trace = out.trace.expect("a recorded run seals a trace");
     (trace.content_hash(), digest)
 }
 
@@ -400,10 +401,10 @@ fn run_batch_is_thread_count_invariant() {
             days: 120,
         }),
     ];
-    let single = run_batch(&jobs, 3, 1);
-    let parallel = run_batch(&jobs, 3, 4);
+    let single = run_batch(&jobs, 3, 1, None);
+    let parallel = run_batch(&jobs, 3, 4, None);
     assert_eq!(single, parallel);
     // And the batch path agrees with the sequential per-seed path.
-    let repeat = run_batch(&jobs, 3, 4);
+    let repeat = run_batch(&jobs, 3, 4, None);
     assert_eq!(parallel, repeat);
 }

@@ -1,29 +1,60 @@
-//! Keeps the README's scenario catalog in sync with the registry: the
-//! table between the `scenario-catalog` markers must be exactly what
-//! `ScenarioRegistry::catalog_markdown()` generates today.
+//! Keeps the README's catalogs in sync with the code: the table between
+//! the `scenario-catalog` markers must be exactly what
+//! `ScenarioRegistry::catalog_markdown()` generates today, and the
+//! command list between the `figure-catalog` markers must name exactly
+//! the figures of `figures::FIGURES`, each with its title.
 
+use lockss::experiments::figures::FIGURES;
 use lockss::experiments::ScenarioRegistry;
+
+/// The README text between `<!-- {name}:begin -->` and `<!-- {name}:end -->`.
+fn readme_block(name: &str) -> String {
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
+        .expect("README.md is readable");
+    let (begin, end) = (
+        format!("<!-- {name}:begin -->"),
+        format!("<!-- {name}:end -->"),
+    );
+    let start = readme
+        .find(&begin)
+        .unwrap_or_else(|| panic!("README carries the {name} begin marker"))
+        + begin.len();
+    let stop = readme
+        .find(&end)
+        .unwrap_or_else(|| panic!("README carries the {name} end marker"));
+    readme[start..stop].trim().to_string()
+}
 
 #[test]
 fn readme_catalog_matches_registry() {
-    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
-        .expect("README.md is readable");
-    let begin = "<!-- scenario-catalog:begin -->";
-    let end = "<!-- scenario-catalog:end -->";
-    let start = readme
-        .find(begin)
-        .expect("README carries the scenario-catalog begin marker")
-        + begin.len();
-    let stop = readme
-        .find(end)
-        .expect("README carries the scenario-catalog end marker");
-    let in_readme = readme[start..stop].trim();
     let generated = ScenarioRegistry::standard().catalog_markdown();
     assert_eq!(
-        in_readme,
+        readme_block("scenario-catalog"),
         generated.trim(),
         "README scenario catalog is stale — replace the table between the \
          markers with ScenarioRegistry::catalog_markdown()"
+    );
+}
+
+/// The README once listed `fig6` as friction and `fig8` as access failure
+/// — the reverse of the code and the paper. The list is now checked
+/// against the table the CLI renders from.
+#[test]
+fn readme_figure_list_matches_the_figure_table() {
+    let commands: Vec<String> = FIGURES
+        .iter()
+        .map(|f| {
+            format!(
+                "cargo run --release --bin lockss-sim -- figure {:<14}# {}",
+                f.id,
+                f.title()
+            )
+        })
+        .collect();
+    assert_eq!(
+        readme_block("figure-catalog"),
+        format!("```sh\n{}\n```", commands.join("\n")),
+        "README figure list is stale — one line per entry of figures::FIGURES"
     );
 }
 

@@ -7,11 +7,12 @@
 //! shrunk the same way `tests/determinism.rs` shrinks them so the whole
 //! registry round-trips in CI time.
 
-use lockss::experiments::runner::{replay_once, run_once, run_once_recorded};
+use lockss::experiments::runner::{replay_once, run, run_once, RunOptions};
 use lockss::experiments::scenario::Scenario;
 use lockss::experiments::{Scale, ScenarioRegistry};
+use lockss::metrics::Summary;
 use lockss::sim::Duration;
-use lockss::trace::{trace_stats, TraceMeta};
+use lockss::trace::{trace_stats, Trace, TraceMeta};
 
 fn shrunken_registry_jobs() -> Vec<(String, Scenario)> {
     ScenarioRegistry::standard()
@@ -36,10 +37,19 @@ fn meta_for(name: &str, seed: u64, s: &Scenario) -> TraceMeta {
     }
 }
 
+/// Records seed 7 of `s` under `name`; the summary and the sealed trace.
+fn record(name: &str, s: &Scenario) -> (Summary, Trace) {
+    let out = run(s, 7, &RunOptions::record(&meta_for(name, 7, s)));
+    (
+        out.summary,
+        out.trace.expect("a recorded run seals a trace"),
+    )
+}
+
 #[test]
 fn every_registered_scenario_replays_with_zero_divergence() {
     for (name, s) in shrunken_registry_jobs() {
-        let (summary, _phases, trace) = run_once_recorded(&s, 7, &meta_for(&name, 7, &s));
+        let (summary, trace) = record(&name, &s);
         let report = replay_once(&s, 7, &trace)
             .unwrap_or_else(|e| panic!("scenario '{name}' replay failed to decode: {e}"));
         assert!(
@@ -62,7 +72,7 @@ fn every_registered_scenario_replays_with_zero_divergence() {
 #[test]
 fn perturbed_replay_reports_time_and_kind_of_the_fork() {
     let (name, s) = shrunken_registry_jobs().remove(0);
-    let (_, _, trace) = run_once_recorded(&s, 7, &meta_for(&name, 7, &s));
+    let (_, trace) = record(&name, &s);
     let report = replay_once(&s, 8, &trace).expect("decodes");
     assert!(!report.is_equivalent(), "a different seed must diverge");
     let divergence = report.divergence.as_ref().expect("has a divergence");
@@ -100,7 +110,7 @@ fn attacked_traces_carry_adversary_provenance() {
             .into_iter()
             .find(|(n, _)| *n == name)
             .expect("registered");
-        let (_, _, trace) = run_once_recorded(&s, 7, &meta_for(name, 7, &s));
+        let (_, trace) = record(name, &s);
         let stats = trace_stats(&trace).expect("stats decode");
         assert!(
             stats.count(lockss::core::TraceEventKind::AdversaryAction) > 0,
@@ -129,7 +139,7 @@ fn mobile_takeover_traces_carry_the_compromise_lifecycle() {
         .into_iter()
         .find(|(n, _)| *n == "mobile-takeover-heavy")
         .expect("registered");
-    let (_, _, trace) = run_once_recorded(&s, 7, &meta_for("mobile-takeover-heavy", 7, &s));
+    let (_, trace) = record("mobile-takeover-heavy", &s);
     let stats = trace_stats(&trace).expect("stats decode");
     assert!(
         stats.count(TraceEventKind::Compromise) > 0,
@@ -155,7 +165,7 @@ fn suppression_verdicts_land_in_the_trace() {
         .into_iter()
         .find(|(n, _)| *n == "pipe-stoppage")
         .expect("registered");
-    let (_, _, trace) = run_once_recorded(&s, 7, &meta_for("pipe-stoppage", 7, &s));
+    let (_, trace) = record("pipe-stoppage", &s);
     let stats = trace_stats(&trace).expect("stats");
     assert!(
         stats.suppressed_sends > 0,

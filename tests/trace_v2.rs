@@ -11,7 +11,7 @@
 
 use lockss::core::trace::{AdmissionVerdict, MsgKind, PollConclusion, TraceEvent, TraceSink};
 use lockss::crypto::sha256;
-use lockss::experiments::runner::run_once_recorded;
+use lockss::experiments::runner::{run, RunOptions};
 use lockss::experiments::scenario::Scenario;
 use lockss::experiments::{Scale, ScenarioRegistry};
 use lockss::sim::{Duration, SimTime};
@@ -293,7 +293,9 @@ fn scenario_trace(name: &str, seed: u64) -> Trace {
         seed,
         run_length_ms: s.run_length.as_millis(),
     };
-    run_once_recorded(&s, seed, &meta).2
+    run(&s, seed, &RunOptions::record(&meta))
+        .trace
+        .expect("a recorded run seals a trace")
 }
 
 #[test]
@@ -380,7 +382,7 @@ fn analytics_are_thread_invariant_on_real_traces() {
 
 #[test]
 fn sweep_record_retains_per_seed_traces_that_aggregate() {
-    use lockss::experiments::sweep::run_sweep_observed;
+    use lockss::experiments::sweep::{run_sweep_plan, SweepOptions, SweepReport};
 
     let entry = ScenarioRegistry::standard();
     let entry = entry.get("baseline").expect("registered");
@@ -392,16 +394,14 @@ fn sweep_record_retains_per_seed_traces_that_aggregate() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let seeds = [1u64, 2, 3];
-    let report = run_sweep_observed(
+    let report = run_sweep_plan(
         &s,
-        "baseline",
-        "quick",
-        &seeds,
-        2,
-        None,
-        None,
-        None,
-        Some(&dir),
+        SweepReport::new("baseline", "quick", seeds.to_vec()),
+        &SweepOptions {
+            threads: 2,
+            record: Some(&dir),
+            ..SweepOptions::default()
+        },
     );
     assert_eq!(report.completed.len(), 3);
 
