@@ -17,7 +17,6 @@
 
 use lockss_sim::SimRng;
 use lockss_sim::SimTime;
-use std::collections::BTreeMap;
 
 use crate::config::ProtocolConfig;
 use crate::reputation::{Grade, KnownPeers, Standing};
@@ -39,16 +38,37 @@ pub enum AdmissionOutcome {
     RateLimited,
 }
 
+/// `last_admission` grows this many stamps at a time. A cell's table ends
+/// up a little under the population it talks to and there are thousands of
+/// cells, so doubling would leave up to half of the largest table in the
+/// world unused; at 256 bytes a step the copying stays negligible for any
+/// table a cell can fill at one first admission per refractory period.
+const STAMP_CHUNK: usize = 16;
+
+/// One outstanding introduction (§5.1).
+#[derive(Clone, Copy, Debug)]
+struct Introduction {
+    introducee: Identity,
+    introducer: Identity,
+    when: SimTime,
+}
+
 /// Per-AU admission state of one peer.
+///
+/// Both tables are flat arrays sorted by identity: an invitation probes
+/// them once or twice and there are thousands of cells, so what a lookup
+/// costs is the cache lines it touches, not its comparison count.
 #[derive(Clone, Debug, Default)]
 pub struct AdmissionControl {
     /// End of the current refractory period, if one is running.
     refractory_until: Option<SimTime>,
-    /// Last admission instant per known identity (the per-peer liability
-    /// cap).
-    last_admission: BTreeMap<Identity, SimTime>,
-    /// Outstanding introductions: introducee -> (introducer, when).
-    introductions: BTreeMap<Identity, (Identity, SimTime)>,
+    /// Last admission instant per identity (the per-peer liability cap),
+    /// sorted by identity. Holds only identities actually admitted here,
+    /// so it grows with this cell's interactions, not the population.
+    last_admission: Vec<(Identity, SimTime)>,
+    /// Outstanding introductions, sorted by introducee and never longer
+    /// than `max_introductions` (one when the cap is zero).
+    introductions: Vec<Introduction>,
     /// Counters for diagnostics.
     pub admitted_unknown_or_debt: u64,
     pub admitted_known: u64,
@@ -72,20 +92,67 @@ impl AdmissionControl {
         now: SimTime,
         cfg: &ProtocolConfig,
     ) {
-        if self.introductions.len() >= cfg.max_introductions
-            && !self.introductions.contains_key(&introducee)
-        {
-            if let Some((&oldest, _)) = self.introductions.iter().min_by_key(|(_, (_, when))| *when)
-            {
-                self.introductions.remove(&oldest);
+        let fresh = Introduction {
+            introducee,
+            introducer,
+            when: now,
+        };
+        match self.introduction_slot(introducee) {
+            Ok(at) => self.introductions[at] = fresh,
+            Err(mut at) => {
+                if self.introductions.len() >= cfg.max_introductions {
+                    // Among equally old introductions the lowest introducee
+                    // goes: `min_by_key` keeps the first minimum.
+                    let oldest =
+                        (0..self.introductions.len()).min_by_key(|&i| self.introductions[i].when);
+                    if let Some(oldest) = oldest {
+                        self.introductions.remove(oldest);
+                        at -= usize::from(oldest < at);
+                    }
+                }
+                self.introductions.insert(at, fresh);
             }
         }
-        self.introductions.insert(introducee, (introducer, now));
+    }
+
+    /// Where `introducee`'s introduction is (`Ok`) or would be inserted
+    /// (`Err`).
+    fn introduction_slot(&self, introducee: Identity) -> Result<usize, usize> {
+        self.introductions
+            .binary_search_by_key(&introducee, |i| i.introducee)
     }
 
     /// Number of outstanding introductions.
     pub fn outstanding_introductions(&self) -> usize {
         self.introductions.len()
+    }
+
+    /// Number of identities with a recorded last admission (memory
+    /// reports).
+    pub fn last_admission_entries(&self) -> usize {
+        self.last_admission.len()
+    }
+
+    /// Where `id`'s last-admission stamp is (`Ok`) or would be inserted
+    /// (`Err`).
+    fn stamp_slot(&self, id: Identity) -> Result<usize, usize> {
+        self.last_admission.binary_search_by_key(&id, |e| e.0)
+    }
+
+    /// Files `id`'s first stamp at `at`, as [`Self::stamp_slot`] placed it.
+    fn insert_stamp(&mut self, at: usize, id: Identity, now: SimTime) {
+        if self.last_admission.len() == self.last_admission.capacity() {
+            self.last_admission.reserve_exact(STAMP_CHUNK);
+        }
+        self.last_admission.insert(at, (id, now));
+    }
+
+    /// Records `now` as `id`'s last admission.
+    fn stamp_admission(&mut self, id: Identity, now: SimTime) {
+        match self.stamp_slot(id) {
+            Ok(at) => self.last_admission[at].1 = now,
+            Err(at) => self.insert_stamp(at, id, now),
+        }
     }
 
     /// True if a refractory period is active at `now`.
@@ -104,10 +171,11 @@ impl AdmissionControl {
     /// forgetting rules: all other introductions by the same introducer are
     /// forgotten, as are all introductions of this introducee by others.
     fn consume_introduction(&mut self, introducee: Identity) -> bool {
-        let Some((introducer, _)) = self.introductions.remove(&introducee) else {
+        let Ok(at) = self.introduction_slot(introducee) else {
             return false;
         };
-        self.introductions.retain(|_, (by, _)| *by != introducer);
+        let introducer = self.introductions.remove(at).introducer;
+        self.introductions.retain(|i| i.introducer != introducer);
         true
     }
 
@@ -124,12 +192,11 @@ impl AdmissionControl {
         rng: &mut SimRng,
     ) -> AdmissionOutcome {
         // 1. Introductions bypass random drops and refractory periods.
-        if !cfg.ablation.no_introductions && self.introductions.contains_key(&poller) {
-            self.consume_introduction(poller);
+        if !cfg.ablation.no_introductions && self.consume_introduction(poller) {
             self.admitted_introduced += 1;
             // The introduced admission still counts against the identity's
             // own rate limit going forward.
-            self.last_admission.insert(poller, now);
+            self.stamp_admission(poller, now);
             return AdmissionOutcome::Admitted {
                 via_introduction: true,
             };
@@ -151,12 +218,16 @@ impl AdmissionControl {
 
         if privileged {
             // 5. Per-peer rate limit: one admission per refractory period.
-            if let Some(&last) = self.last_admission.get(&poller) {
-                if now.since(last) < cfg.refractory {
-                    return AdmissionOutcome::RateLimited;
+            match self.stamp_slot(poller) {
+                Ok(at) => {
+                    let last = &mut self.last_admission[at].1;
+                    if now.since(*last) < cfg.refractory {
+                        return AdmissionOutcome::RateLimited;
+                    }
+                    *last = now;
                 }
+                Err(at) => self.insert_stamp(at, poller, now),
             }
-            self.last_admission.insert(poller, now);
             self.admitted_known += 1;
             return AdmissionOutcome::Admitted {
                 via_introduction: false,
@@ -182,18 +253,11 @@ impl AdmissionControl {
         if !cfg.ablation.no_refractory {
             self.refractory_until = Some(now + cfg.refractory);
         }
-        self.last_admission.insert(poller, now);
+        self.stamp_admission(poller, now);
         self.admitted_unknown_or_debt += 1;
         AdmissionOutcome::Admitted {
             via_introduction: false,
         }
-    }
-
-    /// Drops bookkeeping for identities not seen since `cutoff` (bounds
-    /// memory on long runs).
-    pub fn compact(&mut self, cutoff: SimTime) {
-        self.last_admission.retain(|_, &mut t| t >= cutoff);
-        self.introductions.retain(|_, (_, t)| *t >= cutoff);
     }
 }
 
@@ -379,21 +443,8 @@ mod tests {
         ac.introduce(Identity::loyal(3), Identity::loyal(12), t(2), &c);
         assert_eq!(ac.outstanding_introductions(), 2);
         assert!(
-            !ac.introductions.contains_key(&Identity::loyal(1)),
+            ac.introduction_slot(Identity::loyal(1)).is_err(),
             "oldest evicted"
         );
-    }
-
-    #[test]
-    fn compact_bounds_memory() {
-        let mut ac = AdmissionControl::new();
-        let c = cfg();
-        let kp = seeded_known(Grade::Even);
-        let mut rng = SimRng::seed_from_u64(8);
-        let _ = ac.filter(Identity::loyal(1), &kp, t(0), &c, &mut rng);
-        ac.introduce(Identity::loyal(2), Identity::loyal(3), t(0), &c);
-        ac.compact(t(100));
-        assert_eq!(ac.outstanding_introductions(), 0);
-        assert!(ac.last_admission.is_empty());
     }
 }

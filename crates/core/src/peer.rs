@@ -7,14 +7,15 @@
 //! peer, keeps the fields a code path actually touches adjacent in memory,
 //! and — because the columns are separate borrows — replaces the
 //! `&mut peer.x / &mut peer.y` split-borrow gymnastics of the poll path
-//! with plain method calls. Nothing on the poll path is boxed per peer;
-//! 10k–100k-peer worlds are a handful of large flat allocations.
-
-use std::collections::BTreeMap;
+//! with plain method calls. The columns themselves are a handful of large
+//! flat allocations; what hangs off them per peer or per cell is also flat
+//! (one hash table of open voter sessions per peer, sorted arrays in each
+//! cell's admission state, a hash table in its known-peers list), never a
+//! tree of heap nodes.
 
 use lockss_effort::EffortLedger;
 use lockss_net::NodeId;
-use lockss_sim::SimRng;
+use lockss_sim::{FxHashMap, SimRng};
 use lockss_storage::Replica;
 
 use crate::admission::AdmissionControl;
@@ -23,7 +24,7 @@ use crate::reflist::RefList;
 use crate::reputation::KnownPeers;
 use crate::schedule::TaskSchedule;
 use crate::types::Identity;
-use crate::voter::{VoterKey, VoterSession};
+use crate::voter::{VoterKey, VoterSession, VoterStage};
 
 /// Per-AU state of one peer.
 #[derive(Clone, Debug)]
@@ -70,6 +71,11 @@ pub struct TableOccupancy {
     pub live_polls: usize,
     /// Voter-side commitments currently open.
     pub voter_sessions: usize,
+    /// Last-admission stamps across all cells (the admission filter's
+    /// per-identity rate limit; one per identity ever admitted by a cell).
+    pub last_admission_entries: usize,
+    /// Outstanding introductions across all cells (capped per cell).
+    pub introductions: usize,
 }
 
 /// All loyal peers, struct-of-arrays.
@@ -84,9 +90,10 @@ pub struct PeerTable {
     /// resource contention between concurrently preserved AUs).
     schedule: Vec<TaskSchedule>,
     ledger: Vec<EffortLedger>,
-    /// Active voter commitments, keyed by poll. A `BTreeMap` keyed by
-    /// `PollId` so any future iteration is deterministic by construction.
-    voting: Vec<BTreeMap<VoterKey, VoterSession>>,
+    /// Active voter commitments, keyed by poll. Looked up, inserted and
+    /// removed by key only — never iterated, so the table's order cannot
+    /// reach a run.
+    voting: Vec<FxHashMap<VoterKey, VoterSession>>,
     /// Each peer's private randomness stream.
     rng: Vec<SimRng>,
     /// True while the mobile adversary occupies this peer: it votes from
@@ -138,7 +145,7 @@ impl PeerTable {
         self.identity.push(identity);
         self.schedule.push(TaskSchedule::new());
         self.ledger.push(EffortLedger::new());
-        self.voting.push(BTreeMap::new());
+        self.voting.push(FxHashMap::default());
         self.rng.push(rng);
         self.compromised.push(false);
         self.au.extend(per_au);
@@ -247,13 +254,30 @@ impl PeerTable {
     }
 
     /// The peer's open voter commitments.
-    pub fn voting(&self, p: usize) -> &BTreeMap<VoterKey, VoterSession> {
+    pub fn voting(&self, p: usize) -> &FxHashMap<VoterKey, VoterSession> {
         &self.voting[p]
     }
 
     /// Mutable voter commitments.
-    pub fn voting_mut(&mut self, p: usize) -> &mut BTreeMap<VoterKey, VoterSession> {
+    pub fn voting_mut(&mut self, p: usize) -> &mut FxHashMap<VoterKey, VoterSession> {
         &mut self.voting[p]
+    }
+
+    /// Closes the peer's commitment to `poll` if it has reached `stage`,
+    /// returning the session; anything else is left as it is.
+    pub fn close_voter_session(
+        &mut self,
+        p: usize,
+        poll: VoterKey,
+        stage: VoterStage,
+    ) -> Option<VoterSession> {
+        // Most timers find their session already closed; a plain lookup,
+        // unlike `entry`, never grows the table on a miss.
+        let voting = &mut self.voting[p];
+        if voting.get(&poll)?.stage != stage {
+            return None;
+        }
+        voting.remove(&poll)
     }
 
     /// The peer's private randomness stream.
@@ -302,8 +326,10 @@ impl PeerTable {
             occ.known_entries += cell.known.len();
             occ.reflist_entries += cell.reflist.len();
             occ.live_polls += usize::from(cell.poll.is_some());
+            occ.last_admission_entries += cell.admission.last_admission_entries();
+            occ.introductions += cell.admission.outstanding_introductions();
         }
-        occ.voter_sessions = self.voting.iter().map(BTreeMap::len).sum();
+        occ.voter_sessions = self.voting.iter().map(FxHashMap::len).sum();
         occ
     }
 }

@@ -125,6 +125,17 @@ impl PollState {
         self.invitees.len() - 1
     }
 
+    /// Adds `id` to the nominated pool unless it is already there, so the
+    /// pool lists each candidate once, in first-seen order — the order
+    /// `launch_outer` samples from. Returns whether it was added.
+    pub fn nominate(&mut self, id: Identity) -> bool {
+        let fresh = !self.nominated_pool.contains(&id);
+        if fresh {
+            self.nominated_pool.push(id);
+        }
+        fresh
+    }
+
     /// Records a vote for an invitee, marking it `Voted`.
     pub fn record_vote(&mut self, voter: Identity, damage: Vec<u64>) -> bool {
         let Some(idx) = self.invitee_index(voter) else {

@@ -8,6 +8,8 @@
 //! evaluation receipt) drops straight to debt. Grades decay toward debt
 //! over time.
 
+use std::collections::hash_map::Entry as Slot;
+
 use lockss_sim::{Duration, FxHashMap, SimTime};
 
 use crate::types::Identity;
@@ -144,21 +146,60 @@ impl KnownPeers {
         grade.decayed(steps)
     }
 
+    /// What the founding-population rule says about an identity with no
+    /// entry of its own.
+    fn default_standing(
+        rule: Option<PopulationDefault>,
+        id: Identity,
+        now: SimTime,
+        decay: Duration,
+    ) -> Standing {
+        match rule {
+            Some(d)
+                if id
+                    .loyal_index()
+                    .is_some_and(|i| i < d.bound && i != d.except) =>
+            {
+                Standing::Known(Self::decayed_at(d.grade, d.since, now, decay))
+            }
+            _ => Standing::Unknown,
+        }
+    }
+
     /// The identity's standing at `now`, with decay applied (§5.1:
     /// "entries decay with time toward the debt grade").
     pub fn standing(&self, id: Identity, now: SimTime, decay: Duration) -> Standing {
         match self.entries.get(&id) {
             Some(e) => Standing::Known(Self::decayed_at(e.grade, e.updated, now, decay)),
-            None => match self.population_default {
-                Some(d)
-                    if id
-                        .loyal_index()
-                        .is_some_and(|i| i < d.bound && i != d.except) =>
-                {
-                    Standing::Known(Self::decayed_at(d.grade, d.since, now, decay))
-                }
-                _ => Standing::Unknown,
-            },
+            None => Self::default_standing(self.population_default, id, now, decay),
+        }
+    }
+
+    /// Replaces the identity's standing at `now` with `step` of it, finding
+    /// its entry once for the read and the write.
+    fn update(
+        &mut self,
+        id: Identity,
+        now: SimTime,
+        decay: Duration,
+        step: impl FnOnce(Standing) -> Grade,
+    ) {
+        match self.entries.entry(id) {
+            Slot::Occupied(mut slot) => {
+                let e = slot.get_mut();
+                let current = Self::decayed_at(e.grade, e.updated, now, decay);
+                *e = Entry {
+                    grade: step(Standing::Known(current)),
+                    updated: now,
+                };
+            }
+            Slot::Vacant(slot) => {
+                let current = Self::default_standing(self.population_default, id, now, decay);
+                slot.insert(Entry {
+                    grade: step(current),
+                    updated: now,
+                });
+            }
         }
     }
 
@@ -166,33 +207,19 @@ impl KnownPeers {
     /// valid vote, §5.1). Unknown identities enter at `even` (first
     /// supplied vote raises from the implicit debt of a stranger).
     pub fn raise(&mut self, id: Identity, now: SimTime, decay: Duration) {
-        let current = match self.standing(id, now, decay) {
-            Standing::Unknown => Grade::Debt,
-            Standing::Known(g) => g,
-        };
-        self.entries.insert(
-            id,
-            Entry {
-                grade: current.raised(),
-                updated: now,
-            },
-        );
+        self.update(id, now, decay, |standing| match standing {
+            Standing::Unknown => Grade::Even,
+            Standing::Known(g) => g.raised(),
+        });
     }
 
     /// Applies decay and then lowers the identity's grade (it consumed a
     /// vote we supplied).
     pub fn lower(&mut self, id: Identity, now: SimTime, decay: Duration) {
-        let current = match self.standing(id, now, decay) {
-            Standing::Unknown => Grade::Even,
-            Standing::Known(g) => g,
-        };
-        self.entries.insert(
-            id,
-            Entry {
-                grade: current.lowered(),
-                updated: now,
-            },
-        );
+        self.update(id, now, decay, |standing| match standing {
+            Standing::Unknown => Grade::Debt,
+            Standing::Known(g) => g.lowered(),
+        });
     }
 
     /// Drops the identity straight to debt (misbehaviour, §5.1).

@@ -706,7 +706,9 @@ impl World {
                 return;
             }
             let Some(to) = w.node_of(invitee) else { return };
-            let sent = w.send_message(
+            // Whether or not the send succeeded (pipe stoppage) or the
+            // voter silently drops it, an ack timeout drives the retry.
+            w.send_message(
                 e,
                 from,
                 to,
@@ -718,13 +720,10 @@ impl World {
                     vote_deadline,
                 },
             );
-            // Whether or not the send succeeded (pipe stoppage) or the
-            // voter silently drops it, an ack timeout drives the retry.
             let timeout = w.cfg.protocol.invite_timeout;
             e.schedule_in(timeout, move |w: &mut World, e| {
                 w.invite_timeout(e, p, au, id, idx, attempt);
             });
-            let _ = sent;
         });
     }
 
@@ -959,8 +958,8 @@ impl World {
             }
             if rng.chance(cfg.introduction_frac) {
                 au_state.admission.introduce(nominee, voter, now, cfg);
-            } else if !poll.nominated_pool.contains(&nominee) {
-                poll.nominated_pool.push(nominee);
+            } else {
+                poll.nominate(nominee);
             }
         }
     }
@@ -1008,10 +1007,8 @@ impl World {
         if !self.poll_is_current(p, au, id) {
             return;
         }
-        let now = eng.now();
         let cost = self.costs.repair_apply;
         self.charge_loyal(p, Purpose::ApplyRepair, cost);
-        let _ = now;
         self.compromise.repairs_served += 1;
         let server = self.loyal_peer_of_node(from);
         let poisoned = server
@@ -1162,13 +1159,9 @@ impl World {
             poll.phase = PollPhase::Evaluating;
             poll.committed_non_voters()
         };
-        {
-            let decay = self.cfg.protocol.grade_decay;
-            let _ = decay;
-            let au_state = self.peers.au_mut(p, au.index());
-            for d in deserters {
-                au_state.known.penalize(d, now);
-            }
+        let au_state = self.peers.au_mut(p, au.index());
+        for d in deserters {
+            au_state.known.penalize(d, now);
         }
         let n_votes = {
             let poll = self.peers.au(p, au.index()).poll.as_ref().expect("current");
@@ -1197,7 +1190,6 @@ impl World {
         let quorum = self.cfg.protocol.quorum;
         let frivolous_p = self.cfg.protocol.frivolous_repair_prob;
         let blocks = self.cfg.au_spec.blocks();
-        let now = eng.now();
 
         let (inner_votes, my_damage) = {
             let au_state = self.peers.au(p, au.index());
@@ -1241,7 +1233,6 @@ impl World {
             poll.unrepairable = unrepairable;
         }
         let from = self.peers.node(p);
-        let _ = now;
         if repair_plan.is_empty() {
             self.finalize_poll(eng, p, au, id);
             return;
@@ -1571,20 +1562,17 @@ impl World {
     }
 
     fn voter_proof_timeout(&mut self, eng: &mut Eng, p: usize, id: PollId) {
-        let now = eng.now();
-        let (cancel, au, poller) = {
-            let Some(s) = self.peers.voting(p).get(&id) else {
-                return;
-            };
-            if s.stage != VoterStage::AwaitingProof {
-                return;
-            }
-            (s.reservation, s.au, s.poller)
+        let Some(s) = self
+            .peers
+            .close_voter_session(p, id, VoterStage::AwaitingProof)
+        else {
+            return;
         };
-        self.peers.schedule_mut(p).cancel(cancel);
-        self.peers.voting_mut(p).remove(&id);
-        self.peers.au_mut(p, au.index()).known.penalize(poller, now);
-        let _ = eng;
+        self.peers.schedule_mut(p).cancel(s.reservation);
+        self.peers
+            .au_mut(p, s.au.index())
+            .known
+            .penalize(s.poller, eng.now());
     }
 
     /// The PollProof arrived: the vote computation occupies the reserved
@@ -1623,7 +1611,6 @@ impl World {
     }
 
     fn voter_vote_computed(&mut self, eng: &mut Eng, p: usize, id: PollId) {
-        let now = eng.now();
         let (au, poller_node, vote_deadline) = {
             let Some(s) = self.peers.voting_mut(p).get_mut(&id) else {
                 return;
@@ -1673,47 +1660,42 @@ impl World {
         // Expect the receipt within the poll's remaining lifetime.
         let slack = self.cfg.protocol.receipt_slack + self.cfg.protocol.poll_interval.mul_f64(0.35);
         let deadline = vote_deadline + slack;
-        let _ = now;
         eng.schedule_at(deadline, move |w: &mut World, e| {
             w.voter_receipt_deadline(e, p, id);
         });
     }
 
     fn voter_receipt_deadline(&mut self, eng: &mut Eng, p: usize, id: PollId) {
-        let now = eng.now();
-        let Some(s) = self.peers.voting(p).get(&id) else {
+        let Some(s) = self
+            .peers
+            .close_voter_session(p, id, VoterStage::AwaitingReceipt)
+        else {
             return;
         };
-        if s.stage != VoterStage::AwaitingReceipt {
-            return;
-        }
-        let (au, poller) = (s.au, s.poller);
-        self.peers.voting_mut(p).remove(&id);
         // Wasteful-strategy defense (§5.1): no receipt, straight to debt.
-        self.peers.au_mut(p, au.index()).known.penalize(poller, now);
-        let _ = eng;
+        self.peers
+            .au_mut(p, s.au.index())
+            .known
+            .penalize(s.poller, eng.now());
     }
 
     fn voter_on_receipt(&mut self, eng: &mut Eng, p: usize, id: PollId, valid: bool) {
         let now = eng.now();
-        let Some(s) = self.peers.voting(p).get(&id) else {
+        let Some(s) = self
+            .peers
+            .close_voter_session(p, id, VoterStage::AwaitingReceipt)
+        else {
             return;
         };
-        if s.stage != VoterStage::AwaitingReceipt {
-            return;
-        }
-        let (au, poller) = (s.au, s.poller);
-        self.peers.voting_mut(p).remove(&id);
         let decay = self.cfg.protocol.grade_decay;
-        let au_state = self.peers.au_mut(p, au.index());
+        let au_state = self.peers.au_mut(p, s.au.index());
         if valid {
             // Completed exchange: we supplied a vote, the poller consumed
             // it — its grade at us drops one step (§5.1 reciprocity).
-            au_state.known.lower(poller, now, decay);
+            au_state.known.lower(s.poller, now, decay);
         } else {
-            au_state.known.penalize(poller, now);
+            au_state.known.penalize(s.poller, now);
         }
-        let _ = eng;
     }
 }
 

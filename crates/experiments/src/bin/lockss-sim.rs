@@ -993,6 +993,11 @@ fn mem_report(seed: u64, occupancy: &Occupancy) {
         "  live polls / voter sessions  {} / {}",
         table.live_polls, table.voter_sessions
     );
+    println!(
+        "  last-admission stamps     {}",
+        table.last_admission_entries
+    );
+    println!("  introductions outstanding {}", table.introductions);
 }
 
 fn load_trace(path: &str) -> Trace {

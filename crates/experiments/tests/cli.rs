@@ -162,5 +162,14 @@ fn mem_report_comes_from_the_report_run() {
         metrics.contains(&format!("\"engine_events_executed_total\": {executed}")),
         "report says {executed} event(s); registry: {metrics}"
     );
+    // The admission tables are on the report, and a baseline run fills them.
+    for label in ["last-admission stamps", "introductions outstanding"] {
+        let count: u64 = stdout
+            .lines()
+            .find_map(|l| l.trim().strip_prefix(label))
+            .and_then(|l| l.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no {label:?} line in: {stdout}"));
+        assert!(count > 0, "{label}: {count}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
