@@ -124,75 +124,45 @@ fn main() {
         });
     }
 
-    // The wire pairs: the same record stream encoded and decoded in both
-    // wires, interleaved so the v2-vs-v1 ratios are clock-drift-free.
+    // The wire substrate: the recorded stream re-encoded, decoded, and
+    // seek/skip-decoded. `v1_len` is the same stream as an LTRC1 file,
+    // for the size line below.
     let records = trace.decode_all().expect("decodes");
-    let v1_trace = {
+    let v1_len = {
         let mut rec = RecorderV1::new(&m);
         for r in &records {
             rec.record(r.at, r.seq, &r.event);
         }
-        rec.finish()
+        rec.finish().len()
     };
     {
-        let (ra, rb) = (records.clone(), records.clone());
-        let (ma, mb) = (m.clone(), m.clone());
-        h.bench_pair(
-            "trace/encode-v2",
-            move || {
-                let mut rec = Recorder::new(&ma);
-                for r in &ra {
-                    rec.record(r.at, r.seq, &r.event);
-                }
-                black_box(rec.finish())
-            },
-            "trace/encode-v1",
-            move || {
-                let mut rec = RecorderV1::new(&mb);
-                for r in &rb {
-                    rec.record(r.at, r.seq, &r.event);
-                }
-                black_box(rec.finish())
-            },
-        );
+        let m = m.clone();
+        h.bench("trace/encode-v2", move || {
+            let mut rec = Recorder::new(&m);
+            for r in &records {
+                rec.record(r.at, r.seq, &r.event);
+            }
+            black_box(rec.finish())
+        });
     }
     {
-        let v2 = trace.clone();
-        let v1 = v1_trace.clone();
-        h.bench_pair(
-            "trace/decode-v2",
-            move || black_box(v2.decode_all().expect("decodes")),
-            "trace/decode-v1",
-            move || black_box(v1.decode_all().expect("decodes")),
-        );
+        let trace = trace.clone();
+        h.bench("trace/decode-v2", move || {
+            black_box(trace.decode_all().expect("decodes"))
+        });
     }
-    // Seek/skip: materialize only the poll events. The v2 index skips
-    // whole payload columns without decompressing them; v1 has no index
-    // and must decode every record to filter.
+    // Seek/skip: materialize only the poll events. The index skips whole
+    // payload columns without decompressing them.
     {
         let mask = TraceEventKind::PollStart.bit() | TraceEventKind::PollOutcome.bit();
-        let v2 = trace.clone();
-        let v1 = v1_trace.clone();
-        h.bench_pair(
-            "trace/seek-skip-v2",
-            move || {
-                let mut polls = Vec::new();
-                for b in 0..v2.blocks().len() {
-                    polls.extend(v2.decode_block_masked(b, mask).expect("decodes"));
-                }
-                black_box(polls)
-            },
-            "trace/filter-scan-v1",
-            move || {
-                let polls: Vec<_> = v1
-                    .decode_all()
-                    .expect("decodes")
-                    .into_iter()
-                    .filter(|r| mask & r.event.kind().bit() != 0)
-                    .collect();
-                black_box(polls)
-            },
-        );
+        let trace = trace.clone();
+        h.bench("trace/seek-skip-v2", move || {
+            let mut polls = Vec::new();
+            for b in 0..trace.blocks().len() {
+                polls.extend(trace.decode_block_masked(b, mask).expect("decodes"));
+            }
+            black_box(polls)
+        });
     }
 
     let results = h.finish();
@@ -220,8 +190,8 @@ fn main() {
     println!(
         "trace/size: LTRC1 {} bytes -> LTRC2 {} bytes ({:.2}x smaller on \
          this stream; the ratio grows with run length as columns fill)",
-        v1_trace.as_bytes().len(),
+        v1_len,
         trace.as_bytes().len(),
-        v1_trace.as_bytes().len() as f64 / trace.as_bytes().len() as f64,
+        v1_len as f64 / trace.as_bytes().len() as f64,
     );
 }

@@ -1022,26 +1022,25 @@ fn operands(args: &[String], value_flags: &[&str]) -> Vec<String> {
     out
 }
 
-/// Rewrites a trace in the block-columnar `LTRC2` wire (a v2 input is
-/// copied verbatim) and reports the size change.
+/// Rewrites a trace file in the block-columnar `LTRC2` wire and reports
+/// the size change. Reading is the conversion: an `LTRC1` input is
+/// imported by `Trace::from_bytes`, an `LTRC2` one is copied verbatim.
 fn trace_convert(input: &str, output: &str) {
-    let trace = load_trace(input);
-    let from_wire = trace.wire();
-    let from_len = trace.as_bytes().len();
-    let converted = trace
-        .to_v2()
-        .unwrap_or_else(|e| fail(&format!("converting {input}: {e}")));
-    converted
+    let file = std::fs::read(input).unwrap_or_else(|e| fail(&format!("reading {input}: {e}")));
+    let from_len = file.len();
+    let trace =
+        Trace::from_bytes(file).unwrap_or_else(|e| fail(&format!("converting {input}: {e}")));
+    trace
         .write_to(Path::new(output))
         .unwrap_or_else(|e| fail(&format!("writing {output}: {e}")));
-    let to_len = converted.as_bytes().len();
+    let to_len = trace.as_bytes().len();
     println!(
-        "converted {input} ({} event(s)): {from_wire} {from_len} bytes -> {} {to_len} bytes \
+        "converted {input} ({} event(s)): {} {from_len} bytes -> LTRC2 {to_len} bytes \
          ({:.2}x), content hash {}",
-        converted.events(),
-        converted.wire(),
+        trace.events(),
+        trace.wire(),
         from_len as f64 / to_len.max(1) as f64,
-        converted.content_hash()
+        trace.content_hash()
     );
     println!("wrote {output}");
 }

@@ -52,8 +52,7 @@ use lockss_sim::SimTime;
 use crate::format::TraceRecord;
 use crate::lz;
 use crate::wire::{
-    field_count, field_is_varint, get_event_fields, put_event_fields, put_varint, Cursor,
-    TraceError,
+    field_count, field_is_varint, get_event, put_event, put_varint, Cursor, TraceError,
 };
 
 /// Column encoding byte: bytes stored verbatim.
@@ -231,7 +230,7 @@ pub fn encode_block_body(records: &[TraceRecord]) -> Vec<u8> {
         put_varint(&mut d_seq, record.seq - prev_seq);
         prev_at = record.at.as_millis();
         prev_seq = record.seq;
-        put_event_fields(&mut payloads[kind.code() as usize - 1], &record.event);
+        put_event(&mut payloads[kind.code() as usize - 1], &record.event);
     }
 
     let mut body = Vec::with_capacity(records.len() * 4 + 64);
@@ -340,15 +339,17 @@ pub fn decode_block_body_masked(
     let mut out = Vec::with_capacity(if kind_mask == u64::MAX { n } else { 0 });
     let mut at = base_at;
     let mut seq = base_seq;
+    // The deltas are the file's claim: their running sums may not wrap.
+    let next = |cur: &mut Cursor<'_>, sum: u64| cur.varint().ok()?.checked_add(sum);
     for &code in &kinds {
         let kind = TraceEventKind::from_code(code).ok_or(TraceError::UnknownKind(code))?;
         if bitmap & kind.bit() == 0 {
             return Err(bad("kinds"));
         }
-        at += at_cur.varint().map_err(|_| bad("time-delta"))?;
-        seq += seq_cur.varint().map_err(|_| bad("ordinal-delta"))?;
+        at = next(&mut at_cur, at).ok_or(bad("time-delta"))?;
+        seq = next(&mut seq_cur, seq).ok_or(bad("ordinal-delta"))?;
         if let Some(pcurs) = payload_curs[code as usize - 1].as_mut() {
-            let event = get_event_fields(pcurs, kind)?;
+            let event = get_event(pcurs, kind)?;
             out.push(TraceRecord {
                 at: SimTime(at),
                 seq,
@@ -389,7 +390,9 @@ pub fn parse_index(cur: &mut Cursor<'_>) -> Result<Vec<BlockEntry>, TraceError> 
     let n = cur
         .varint()
         .map_err(|_| TraceError::BadIndex("block count"))?;
-    let mut blocks = Vec::with_capacity(n.min(1 << 20) as usize);
+    // 38 bytes is the smallest entry (six one-byte varints + the digest),
+    // so the bytes left bound how many entries `n` can honestly promise.
+    let mut blocks = Vec::with_capacity(n.min(cur.remaining() as u64 / 38) as usize);
     for _ in 0..n {
         let offset = cur.varint().map_err(|_| TraceError::BadIndex("offset"))?;
         let body_len = cur
@@ -426,7 +429,6 @@ pub fn parse_index(cur: &mut Cursor<'_>) -> Result<Vec<BlockEntry>, TraceError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::put_event;
     use lockss_core::trace::{MsgKind, TraceEvent};
 
     fn sample_records() -> Vec<TraceRecord> {
@@ -651,7 +653,6 @@ mod tests {
     fn delta_encoding_never_applies_to_string_columns() {
         // A length-prefixed string column can hold non-canonical varint
         // byte shapes; the encoder must stick to raw/LZ there.
-        use crate::wire::field_is_varint;
         assert!(!field_is_varint(TraceEventKind::AdversaryAction, 1));
         assert!(!field_is_varint(TraceEventKind::PhaseMark, 0));
         assert!(field_is_varint(TraceEventKind::MessageSend, 4));

@@ -13,18 +13,18 @@
 //!    activity differs the most, which localizes *when* behavior forked
 //!    even after the streams have long stopped aligning record-by-record.
 //!
-//! When both traces are block-columnar (v2), fork-finding skips the
-//! identical prefix without decoding a byte of it: the block encoder is
-//! deterministic and canonical, so two blocks with equal index digests
-//! hold equal records. Only the first differing block pair (and the
-//! tail past it) is decoded and compared record-by-record. The stats
+//! Fork-finding skips the identical prefix without decoding a byte of
+//! it: the block encoder is deterministic and canonical, so two blocks
+//! with equal index digests hold equal records. Only the first
+//! differing block pair (and the tail past it) is decoded and compared
+//! record-by-record. The stats
 //! passes on both sides run block-parallel; the fold order is fixed, so
 //! the rendered diff is byte-identical at any thread count.
 
 use lockss_core::trace::TraceEventKind;
 use lockss_metrics::timeline::TimelineSummary;
 
-use crate::format::{Trace, TraceMeta, TraceRecord, TraceWire};
+use crate::format::{Trace, TraceMeta, TraceRecord};
 use crate::stats::{trace_stats_threaded, TraceStats};
 use crate::wire::TraceError;
 
@@ -86,24 +86,18 @@ pub fn diff_traces_threaded(a: &Trace, b: &Trace, threads: usize) -> Result<Trac
     Ok(summarize(sa, sb, first_fork))
 }
 
-/// Finds the first differing record. For a pair of v2 traces this
-/// first skips every leading block pair whose index digests match —
-/// equal digests mean equal bodies mean equal records — and only
-/// decodes from the first differing pair on. Mixed wires (or a v1
-/// pair) compare from the top.
+/// Finds the first differing record. First skips every leading block
+/// pair whose index digests match — equal digests mean equal bodies
+/// mean equal records — and only decodes from the first differing pair
+/// on.
 fn find_fork(a: &Trace, b: &Trace) -> Result<Option<Fork>, TraceError> {
-    let (skip, mut index) = if a.wire() == TraceWire::V2 && b.wire() == TraceWire::V2 {
-        let (ba, bb) = (a.blocks(), b.blocks());
-        let mut i = 0usize;
-        let mut base = 0u64;
-        while i < ba.len() && i < bb.len() && ba[i].digest == bb[i].digest {
-            base += ba[i].n_events;
-            i += 1;
-        }
-        (i, base)
-    } else {
-        (0, 0)
-    };
+    let (ba, bb) = (a.blocks(), b.blocks());
+    let mut skip = 0usize;
+    let mut index = 0u64;
+    while skip < ba.len() && skip < bb.len() && ba[skip].digest == bb[skip].digest {
+        index += ba[skip].n_events;
+        skip += 1;
+    }
     let mut ra = a.records_from_block(skip);
     let mut rb = b.records_from_block(skip);
     loop {
@@ -367,8 +361,10 @@ mod tests {
         let v2 = trace_with(&polls, 1);
         let v1_rec = RecorderV1::new(&meta_for(1));
         emit_polls(&mut v1_rec.clone(), &polls);
-        let v1 = v1_rec.finish();
-        assert_ne!(v1.content_hash(), v2.content_hash());
+        let v1_bytes = v1_rec.finish();
+        assert_ne!(v1_bytes, v2.as_bytes());
+        let v1 = Trace::from_bytes(v1_bytes).unwrap();
+        assert_ne!(v1, v2, "the source wire differs");
         let d = diff_traces(&v1, &v2).unwrap();
         assert!(d.is_identical(), "same records, different wires");
     }

@@ -20,16 +20,18 @@
 //! blocks independently addressable: readers seek, skip whole blocks by
 //! kind bitmap or time range, and decode blocks in parallel.
 //!
-//! The flat predecessor format (`LTRC1`, written by
-//! [`crate::legacy::RecorderV1`]) remains fully readable: [`Trace`]
-//! sniffs the magic and every reader path dispatches on the wire.
-//! `trace convert` migrates old files via [`Trace::to_v2`].
+//! A [`Trace`] in memory is always this wire. A file in the flat
+//! predecessor format (`LTRC1`, [`crate::legacy`]) is still accepted:
+//! [`Trace::from_bytes`] sniffs the magic and re-records the old file's
+//! events through [`Recorder`] on the way in, so nothing past that door
+//! knows a second wire exists.
 
 use std::cell::RefCell;
 use std::path::Path;
 use std::rc::Rc;
+use std::sync::Arc;
 
-use lockss_core::trace::{TraceEvent, TraceEventKind, TraceSink};
+use lockss_core::trace::{TraceEvent, TraceSink};
 use lockss_crypto::sha256::sha256;
 use lockss_sim::SimTime;
 
@@ -37,7 +39,8 @@ use crate::columnar::{
     block_entry, decode_block_body, decode_block_body_masked, encode_block_body, parse_index,
     put_index, BlockEntry,
 };
-use crate::wire::{get_event, put_str, put_varint, Cursor, TraceError};
+use crate::legacy;
+use crate::wire::{put_str, put_varint, Cursor, TraceError};
 
 /// The file magic of the flat v1 format.
 pub const MAGIC_V1: &[u8; 6] = b"LTRC1\n";
@@ -56,12 +59,7 @@ const BLOCK: u8 = 1;
 /// records) bounds a reader's memory.
 pub const DEFAULT_BLOCK_EVENTS: usize = 65_536;
 
-/// Fixed trailer width shared by both wires: 8 bytes of u64-le (index
-/// offset in v2, end marker + low count bytes in v1 — see `events()`),
-/// then the u64-le event count, then the 32-byte seal.
-const COUNT_OFFSET_FROM_END: usize = 8 + 32;
-
-/// Which wire format a trace is encoded in.
+/// Which wire format a trace file was written in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceWire {
     /// Flat delta-coded records (`LTRC1`).
@@ -97,6 +95,26 @@ pub struct TraceMeta {
     pub seed: u64,
     /// Simulated run length in milliseconds.
     pub run_length_ms: u64,
+}
+
+impl TraceMeta {
+    /// Appends the file header (the same four fields in both wires).
+    pub(crate) fn put(&self, buf: &mut Vec<u8>) {
+        put_str(buf, &self.scenario);
+        put_str(buf, &self.scale);
+        put_varint(buf, self.seed);
+        put_varint(buf, self.run_length_ms);
+    }
+
+    /// Reads a header written by [`TraceMeta::put`].
+    pub(crate) fn get(cur: &mut Cursor<'_>) -> Result<TraceMeta, TraceError> {
+        Ok(TraceMeta {
+            scenario: cur.str()?,
+            scale: cur.str()?,
+            seed: cur.varint()?,
+            run_length_ms: cur.varint()?,
+        })
+    }
 }
 
 impl std::fmt::Display for TraceMeta {
@@ -183,10 +201,7 @@ impl Recorder {
     pub fn with_block_events(meta: &TraceMeta, block_events: usize) -> Recorder {
         let mut buf = Vec::with_capacity(64 * 1024);
         buf.extend_from_slice(MAGIC_V2);
-        put_str(&mut buf, &meta.scenario);
-        put_str(&mut buf, &meta.scale);
-        put_varint(&mut buf, meta.seed);
-        put_varint(&mut buf, meta.run_length_ms);
+        meta.put(&mut buf);
         Recorder {
             inner: Rc::new(RefCell::new(RecorderInner {
                 buf,
@@ -221,9 +236,8 @@ impl Recorder {
         let digest = sha256(&bytes);
         bytes.extend_from_slice(&digest);
         Trace {
-            bytes,
+            sealed: Arc::new(Sealed { bytes, blocks }),
             wire: TraceWire::V2,
-            blocks,
         }
     }
 }
@@ -243,69 +257,72 @@ impl TraceSink for Recorder {
     }
 }
 
-/// A sealed, hash-verified trace (either wire).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Trace {
+/// The LTRC2 bytes of a sealed trace and the block index parsed from
+/// their trailer.
+#[derive(Debug, PartialEq, Eq)]
+struct Sealed {
     bytes: Vec<u8>,
-    wire: TraceWire,
     blocks: Vec<BlockEntry>,
 }
 
+/// A sealed, hash-verified trace. Cloning shares the bytes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Trace {
+    sealed: Arc<Sealed>,
+    /// The wire of the file the trace was read from; the bytes held are
+    /// LTRC2 either way.
+    pub(crate) wire: TraceWire,
+}
+
 impl Trace {
-    /// Bytes of v1 trailer past the records: end marker + count + hash.
-    const TAIL_V1: usize = 1 + 8 + 32;
+    /// Bytes of trailer past the index: index offset + count + hash.
+    const TAIL: usize = 8 + 8 + 32;
 
-    /// Bytes of v2 trailer past the index: index offset + count + hash.
-    const TAIL_V2: usize = 8 + 8 + 32;
-
-    /// Validates raw bytes (magic, trailer hash, decodable header and —
-    /// for v2 — a structurally sound block index) into a trace.
+    /// Validates raw file bytes (magic, trailer hash, decodable header
+    /// and a structurally sound block index) into a trace. An `LTRC1`
+    /// file is imported: seal and record count verified, its records
+    /// re-recorded as LTRC2 — exactly the bytes a direct recording of
+    /// the same run holds.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Trace, TraceError> {
-        if bytes.len() < MAGIC_V1.len() {
-            return Err(TraceError::BadMagic);
-        }
-        let wire = match &bytes[..MAGIC_V1.len()] {
-            m if m == MAGIC_V1 => TraceWire::V1,
-            m if m == MAGIC_V2 => TraceWire::V2,
+        let (wire, tail) = match bytes.get(..MAGIC_V2.len()) {
+            Some(m) if m == MAGIC_V1 => (TraceWire::V1, 32),
+            Some(m) if m == MAGIC_V2 => (TraceWire::V2, Trace::TAIL),
             _ => return Err(TraceError::BadMagic),
         };
-        let min_len = MAGIC_V1.len()
-            + match wire {
-                TraceWire::V1 => Trace::TAIL_V1,
-                TraceWire::V2 => Trace::TAIL_V2,
-            };
-        if bytes.len() < min_len {
+        if bytes.len() < MAGIC_V2.len() + tail {
             return Err(TraceError::Truncated);
         }
         let body_len = bytes.len() - 32;
-        let digest = sha256(&bytes[..body_len]);
-        if digest != bytes[body_len..] {
+        if sha256(&bytes[..body_len]) != bytes[body_len..] {
             return Err(TraceError::HashMismatch);
         }
-        let blocks = match wire {
-            TraceWire::V1 => Vec::new(),
-            TraceWire::V2 => Trace::validate_v2(&bytes)?,
-        };
+        if wire == TraceWire::V1 {
+            return legacy::import(&bytes[MAGIC_V1.len()..body_len]);
+        }
+        let blocks = Trace::validate_index(&bytes)?;
         let trace = Trace {
-            bytes,
+            sealed: Arc::new(Sealed { bytes, blocks }),
             wire,
-            blocks,
         };
         trace.meta()?; // header must decode
         Ok(trace)
     }
 
-    /// Parses and structurally validates a v2 trailer index: every block
+    /// Parses and structurally validates the trailer index: every block
     /// frame must sit inside the record region with a matching length,
     /// and the per-block event counts must sum to the trailer count.
-    fn validate_v2(bytes: &[u8]) -> Result<Vec<BlockEntry>, TraceError> {
-        let tail = bytes.len() - Trace::TAIL_V2;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&bytes[tail..tail + 8]);
-        let index_offset = u64::from_le_bytes(raw) as usize;
-        if index_offset < MAGIC_V2.len() || index_offset >= tail {
-            return Err(TraceError::BadIndex("index offset out of range"));
-        }
+    /// Every number in it is the file's claim, so all sums are checked.
+    fn validate_index(bytes: &[u8]) -> Result<Vec<BlockEntry>, TraceError> {
+        let tail = bytes.len() - Trace::TAIL;
+        let u64_at = |at: usize| {
+            let mut raw = [0u8; 8];
+            raw.copy_from_slice(&bytes[at..at + 8]);
+            u64::from_le_bytes(raw)
+        };
+        let index_offset = usize::try_from(u64_at(tail))
+            .ok()
+            .filter(|o| (MAGIC_V2.len()..tail).contains(o))
+            .ok_or(TraceError::BadIndex("index offset out of range"))?;
         if bytes[index_offset] != END {
             return Err(TraceError::BadIndex("missing end marker"));
         }
@@ -316,57 +333,61 @@ impl Trace {
         }
         let mut total = 0u64;
         for (i, b) in blocks.iter().enumerate() {
-            let offset = b.offset as usize;
-            if offset >= index_offset || bytes[offset] != BLOCK {
-                return Err(TraceError::BadIndex("block offset"));
-            }
+            let offset = usize::try_from(b.offset)
+                .ok()
+                .filter(|&o| o < index_offset && bytes[o] == BLOCK)
+                .ok_or(TraceError::BadIndex("block offset"))?;
             let mut frame = Cursor::new(&bytes[offset + 1..index_offset]);
-            let framed_len = frame
-                .varint()
-                .map_err(|_| TraceError::BadIndex("block frame"))?;
-            if framed_len != b.body_len {
+            if frame.varint().ok() != Some(b.body_len) {
                 return Err(TraceError::BadIndex("block frame"));
             }
-            let end = offset + 1 + frame.pos() + b.body_len as usize;
+            let end = usize::try_from(b.body_len)
+                .ok()
+                .and_then(|len| len.checked_add(offset + 1 + frame.pos()))
+                .ok_or(TraceError::BadIndex("block frame"))?;
             if end > index_offset {
                 return Err(TraceError::TruncatedBlock { block: i as u64 });
             }
-            total += b.n_events;
+            total = total
+                .checked_add(b.n_events)
+                .ok_or(TraceError::BadIndex("event count"))?;
         }
-        raw.copy_from_slice(&bytes[tail + 8..tail + 16]);
-        if total != u64::from_le_bytes(raw) {
+        if total != u64_at(tail + 8) {
             return Err(TraceError::BadIndex("event count"));
         }
         Ok(blocks)
     }
 
-    /// Number of records, read from the trailer in O(1). Both wires keep
-    /// the u64-le count at the same distance from the end.
+    /// Number of records, read from the trailer in O(1).
     pub fn events(&self) -> u64 {
-        let start = self.bytes.len() - COUNT_OFFSET_FROM_END;
+        let bytes = self.as_bytes();
+        let start = bytes.len() - (8 + 32);
         let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.bytes[start..start + 8]);
+        raw.copy_from_slice(&bytes[start..start + 8]);
         u64::from_le_bytes(raw)
     }
 
-    /// Which wire format the trace is encoded in.
+    /// Which wire format the trace's file was written in. The trace
+    /// itself — [`Trace::as_bytes`], [`Trace::content_hash`] — is LTRC2
+    /// whichever this says.
     pub fn wire(&self) -> TraceWire {
         self.wire
     }
 
-    /// The block index (empty for a v1 trace, which has no blocks).
+    /// The block index.
     pub fn blocks(&self) -> &[BlockEntry] {
-        &self.blocks
+        &self.sealed.blocks
     }
 
-    /// The raw encoded bytes (header + records + trailer).
+    /// The raw encoded bytes (header + blocks + index + trailer).
     pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
+        &self.sealed.bytes
     }
 
     /// The trailing SHA-256 content hash, hex-encoded.
     pub fn content_hash(&self) -> String {
-        self.bytes[self.bytes.len() - 32..]
+        let bytes = self.as_bytes();
+        bytes[bytes.len() - 32..]
             .iter()
             .map(|b| format!("{b:02x}"))
             .collect()
@@ -374,47 +395,34 @@ impl Trace {
 
     /// Decodes the header.
     pub fn meta(&self) -> Result<TraceMeta, TraceError> {
-        let mut cur = Cursor::new(&self.bytes[MAGIC_V1.len()..self.bytes.len() - 32]);
-        Ok(TraceMeta {
-            scenario: cur.str()?,
-            scale: cur.str()?,
-            seed: cur.varint()?,
-            run_length_ms: cur.varint()?,
-        })
+        TraceMeta::get(&mut Cursor::new(&self.as_bytes()[MAGIC_V2.len()..]))
     }
 
     /// The framed body bytes of block `block`, digest-verified against
     /// the index.
     fn block_body(&self, block: usize) -> Result<&[u8], TraceError> {
         let entry = self
-            .blocks
+            .blocks()
             .get(block)
             .ok_or(TraceError::BadIndex("block out of range"))?;
-        let block_u64 = block as u64;
-        let offset = entry.offset as usize;
-        let mut cur = Cursor::new(&self.bytes[offset..]);
-        let marker = cur
-            .u8()
-            .map_err(|_| TraceError::TruncatedBlock { block: block_u64 })?;
-        if marker != BLOCK {
-            return Err(TraceError::BadIndex("block offset"));
-        }
-        let len =
-            cur.varint()
-                .map_err(|_| TraceError::TruncatedBlock { block: block_u64 })? as usize;
-        let body = cur
-            .bytes(len)
-            .map_err(|_| TraceError::TruncatedBlock { block: block_u64 })?;
+        let truncated = |_| TraceError::TruncatedBlock {
+            block: block as u64,
+        };
+        // Offset and frame were validated against the index on load.
+        let mut cur = Cursor::new(&self.as_bytes()[entry.offset as usize + 1..]);
+        let len = cur.varint().map_err(truncated)? as usize;
+        let body = cur.bytes(len).map_err(truncated)?;
         if sha256(body) != entry.digest {
-            return Err(TraceError::BadBlockChecksum { block: block_u64 });
+            return Err(TraceError::BadBlockChecksum {
+                block: block as u64,
+            });
         }
         Ok(body)
     }
 
-    /// Decodes one block into records (v2 only; a v1 trace has no
-    /// blocks). The block body is digest-verified first, so a corrupt
-    /// block under a re-sealed file still diagnoses as
-    /// [`TraceError::BadBlockChecksum`].
+    /// Decodes one block into records. The block body is digest-verified
+    /// first, so a corrupt block under a re-sealed file still diagnoses
+    /// as [`TraceError::BadBlockChecksum`].
     pub fn decode_block(&self, block: usize) -> Result<Vec<TraceRecord>, TraceError> {
         decode_block_body(self.block_body(block)?, block as u64)
     }
@@ -430,37 +438,26 @@ impl Trace {
         decode_block_body_masked(self.block_body(block)?, block as u64, kind_mask)
     }
 
-    /// An iterator over the decoded records (either wire).
-    pub fn records(&self) -> TraceReader<'_> {
-        TraceReader::new(self, 0)
+    /// An iterator over the decoded records.
+    pub fn records(&self) -> TraceReader {
+        self.records_from_block(0)
     }
 
     /// An iterator starting at the first record of block `from_block`
-    /// (v2 only; callers index into [`Trace::blocks`]). The diff fast
-    /// path uses this to resume a stream after skipping an identical
+    /// (callers index into [`Trace::blocks`]). The diff fast path uses
+    /// this to resume a stream after skipping an identical
     /// digest-verified prefix.
-    pub fn records_from_block(&self, from_block: usize) -> TraceReader<'_> {
-        debug_assert!(self.wire == TraceWire::V2 || from_block == 0);
-        TraceReader::new(self, from_block)
+    pub fn records_from_block(&self, from_block: usize) -> TraceReader {
+        TraceReader {
+            trace: self.clone(),
+            next_block: from_block,
+            buf: Vec::new().into_iter(),
+        }
     }
 
     /// Decodes every record into memory.
     pub fn decode_all(&self) -> Result<Vec<TraceRecord>, TraceError> {
         self.records().collect()
-    }
-
-    /// Re-encodes the trace in the current v2 wire — migrating a v1
-    /// file, or re-blocking/re-coding a v2 one written by an older
-    /// encoder. The records, metadata, and O(1) event count are
-    /// preserved; the content hash changes if the bytes do.
-    pub fn to_v2(&self) -> Result<Trace, TraceError> {
-        let meta = self.meta()?;
-        let mut recorder = Recorder::new(&meta);
-        for rec in self.records() {
-            let r = rec?;
-            recorder.record(r.at, r.seq, &r.event);
-        }
-        Ok(recorder.finish())
     }
 
     /// Writes the trace to `path`, creating parent directories on demand.
@@ -470,7 +467,7 @@ impl Trace {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        std::fs::write(path, &self.bytes)?;
+        std::fs::write(path, self.as_bytes())?;
         Ok(())
     }
 
@@ -480,235 +477,42 @@ impl Trace {
     }
 }
 
-/// Decodes one flat v1 record (or the end marker) at the cursor,
-/// delta-accumulating against `prev_at`/`prev_seq`.
-pub(crate) fn decode_next_v1(
-    cur: &mut Cursor<'_>,
-    prev_at: &mut u64,
-    prev_seq: &mut u64,
-) -> Result<Option<TraceRecord>, TraceError> {
-    let code = cur.u8()?;
-    if code == END {
-        return Ok(None);
-    }
-    let kind = TraceEventKind::from_code(code).ok_or(TraceError::UnknownKind(code))?;
-    *prev_at += cur.varint()?;
-    *prev_seq += cur.varint()?;
-    let event = get_event(cur, kind)?;
-    Ok(Some(TraceRecord {
-        at: SimTime(*prev_at),
-        seq: *prev_seq,
-        event,
-    }))
+/// Streaming decoder over a trace's records, one block at a time, so
+/// memory stays bounded by one decoded block however large the trace —
+/// where [`Trace::decode_all`] materializes millions of records for a
+/// default-scale run. Holds its own (shared) handle on the trace, so it
+/// can outlive the borrow it was made from (the replay `Verifier` is
+/// installed as a boxed, `'static` `TraceSink`). After an error the
+/// iterator is finished.
+pub struct TraceReader {
+    trace: Trace,
+    next_block: usize,
+    buf: std::vec::IntoIter<TraceRecord>,
 }
 
-enum ReaderState<'a> {
-    V1 {
-        cur: Cursor<'a>,
-        prev_at: u64,
-        prev_seq: u64,
-    },
-    V2 {
-        trace: &'a Trace,
-        next_block: usize,
-        buf: std::vec::IntoIter<TraceRecord>,
-    },
-}
-
-/// Streaming decoder over a trace's records, dispatching on the wire:
-/// flat scan for v1, block-at-a-time decode for v2 (memory bounded by
-/// one block either way).
-pub struct TraceReader<'a> {
-    state: ReaderState<'a>,
-    done: bool,
-}
-
-impl<'a> TraceReader<'a> {
-    fn new(trace: &'a Trace, from_block: usize) -> TraceReader<'a> {
-        let state = match trace.wire {
-            TraceWire::V1 => {
-                let body = &trace.bytes[..trace.bytes.len() - 32];
-                let mut cur = Cursor::new(body);
-                // Skip the magic + header (validated at construction).
-                cur.skip_header();
-                ReaderState::V1 {
-                    cur,
-                    prev_at: 0,
-                    prev_seq: 0,
-                }
-            }
-            TraceWire::V2 => ReaderState::V2 {
-                trace,
-                next_block: from_block,
-                buf: Vec::new().into_iter(),
-            },
-        };
-        TraceReader { state, done: false }
-    }
-
-    fn next_record(&mut self) -> Result<Option<TraceRecord>, TraceError> {
-        if self.done {
-            return Ok(None);
-        }
-        match &mut self.state {
-            ReaderState::V1 {
-                cur,
-                prev_at,
-                prev_seq,
-            } => {
-                let rec = decode_next_v1(cur, prev_at, prev_seq)?;
-                if rec.is_none() {
-                    self.done = true;
-                }
-                Ok(rec)
-            }
-            ReaderState::V2 {
-                trace,
-                next_block,
-                buf,
-            } => loop {
-                if let Some(rec) = buf.next() {
-                    return Ok(Some(rec));
-                }
-                if *next_block >= trace.blocks.len() {
-                    self.done = true;
-                    return Ok(None);
-                }
-                *buf = trace.decode_block(*next_block)?.into_iter();
-                *next_block += 1;
-            },
-        }
-    }
-}
-
-impl Iterator for TraceReader<'_> {
+impl Iterator for TraceReader {
     type Item = Result<TraceRecord, TraceError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match self.next_record() {
-            Ok(Some(rec)) => Some(Ok(rec)),
-            Ok(None) => None,
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
+        loop {
+            if let Some(rec) = self.buf.next() {
+                return Some(Ok(rec));
             }
-        }
-    }
-}
-
-enum OwnedState {
-    V1 {
-        pos: usize,
-        prev_at: u64,
-        prev_seq: u64,
-    },
-    V2 {
-        next_block: usize,
-        buf: std::vec::IntoIter<TraceRecord>,
-    },
-}
-
-/// A streaming decoder that *owns* its trace, for consumers that must be
-/// `'static` (the replay `Verifier` is installed as a boxed `TraceSink`
-/// and cannot borrow). Decodes incrementally — one flat record (v1) or
-/// one block (v2) at a time, so memory stays bounded no matter how large
-/// the trace — where [`Trace::decode_all`] materializes millions of
-/// records for a default-scale run.
-pub struct OwnedTraceReader {
-    trace: Trace,
-    state: OwnedState,
-    done: bool,
-    decoded: u64,
-}
-
-impl OwnedTraceReader {
-    /// A reader positioned at the first record.
-    pub fn new(trace: Trace) -> OwnedTraceReader {
-        let state = match trace.wire {
-            TraceWire::V1 => {
-                let mut cur = Cursor::new(&trace.bytes);
-                cur.skip_header();
-                OwnedState::V1 {
-                    pos: cur.pos(),
-                    prev_at: 0,
-                    prev_seq: 0,
+            let n_blocks = self.trace.blocks().len();
+            if self.next_block >= n_blocks {
+                return None;
+            }
+            match self.trace.decode_block(self.next_block) {
+                Ok(records) => {
+                    self.buf = records.into_iter();
+                    self.next_block += 1;
+                }
+                Err(e) => {
+                    self.next_block = n_blocks;
+                    return Some(Err(e));
                 }
             }
-            TraceWire::V2 => OwnedState::V2 {
-                next_block: 0,
-                buf: Vec::new().into_iter(),
-            },
-        };
-        OwnedTraceReader {
-            trace,
-            state,
-            done: false,
-            decoded: 0,
         }
-    }
-
-    /// Total records in the trace (from the trailer, O(1)).
-    pub fn total(&self) -> u64 {
-        self.trace.events()
-    }
-
-    /// Records decoded so far.
-    pub fn decoded(&self) -> u64 {
-        self.decoded
-    }
-
-    /// Decodes the next record, or `None` at the end of the trace.
-    pub fn next_record(&mut self) -> Result<Option<TraceRecord>, TraceError> {
-        if self.done {
-            return Ok(None);
-        }
-        let rec = match &mut self.state {
-            OwnedState::V1 {
-                pos,
-                prev_at,
-                prev_seq,
-            } => {
-                let body_end = self.trace.bytes.len() - 32;
-                let mut cur = Cursor::new(&self.trace.bytes[*pos..body_end]);
-                let rec = decode_next_v1(&mut cur, prev_at, prev_seq)?;
-                *pos += cur.pos();
-                rec
-            }
-            OwnedState::V2 { next_block, buf } => loop {
-                if let Some(rec) = buf.next() {
-                    break Some(rec);
-                }
-                if *next_block >= self.trace.blocks.len() {
-                    break None;
-                }
-                *buf = self.trace.decode_block(*next_block)?.into_iter();
-                *next_block += 1;
-            },
-        };
-        match rec {
-            Some(r) => {
-                self.decoded += 1;
-                Ok(Some(r))
-            }
-            None => {
-                self.done = true;
-                Ok(None)
-            }
-        }
-    }
-}
-
-impl Cursor<'_> {
-    /// Skips the magic and the four header fields (only valid at offset 0
-    /// of a validated trace body).
-    pub(crate) fn skip_header(&mut self) {
-        for _ in 0..MAGIC_V1.len() {
-            let _ = self.u8();
-        }
-        let _ = self.str();
-        let _ = self.str();
-        let _ = self.varint();
-        let _ = self.varint();
     }
 }
 
@@ -716,7 +520,7 @@ impl Cursor<'_> {
 mod tests {
     use super::*;
     use crate::legacy::RecorderV1;
-    use lockss_core::trace::{MsgKind, PollConclusion};
+    use lockss_core::trace::{MsgKind, PollConclusion, TraceEventKind};
     use lockss_sim::Duration;
 
     fn meta() -> TraceMeta {
@@ -827,15 +631,13 @@ mod tests {
         let records = sample_records();
         let trace = record_all(&records);
         assert_eq!(trace.events(), records.len() as u64);
-        let mut owned = OwnedTraceReader::new(trace.clone());
-        assert_eq!(owned.total(), records.len() as u64);
-        let mut streamed = Vec::new();
-        while let Some(rec) = owned.next_record().unwrap() {
-            streamed.push(rec);
-        }
-        assert_eq!(streamed, trace.decode_all().unwrap());
-        assert_eq!(owned.decoded(), records.len() as u64);
-        assert!(owned.next_record().unwrap().is_none(), "stays done");
+        // The reader holds its own handle: it outlives the trace binding.
+        let mut reader = trace.records();
+        let decoded = trace.decode_all().unwrap();
+        drop(trace);
+        let streamed: Vec<_> = reader.by_ref().map(Result::unwrap).collect();
+        assert_eq!(streamed, decoded);
+        assert!(reader.next().is_none(), "stays done");
     }
 
     #[test]
@@ -875,24 +677,72 @@ mod tests {
         for r in &records {
             sink.record(r.at, r.seq, &r.event);
         }
-        let v1 = recorder.finish();
+        let v1_bytes = recorder.finish();
+        let v1 = Trace::from_bytes(v1_bytes.clone()).unwrap();
         assert_eq!(v1.wire(), TraceWire::V1);
-        assert!(v1.blocks().is_empty());
         assert_eq!(v1.events(), records.len() as u64);
+        assert_eq!(v1.meta().unwrap(), meta());
         assert_eq!(v1.decode_all().unwrap(), records);
-        let mut owned = OwnedTraceReader::new(v1.clone());
-        let mut streamed = Vec::new();
-        while let Some(rec) = owned.next_record().unwrap() {
-            streamed.push(rec);
-        }
+        let streamed: Vec<_> = v1.records().map(Result::unwrap).collect();
         assert_eq!(streamed, records);
 
-        let v2 = v1.to_v2().unwrap();
+        // The import is the direct recording, byte for byte; only the
+        // source-wire tag remembers the file was v1.
+        let v2 = record_all(&records);
         assert_eq!(v2.wire(), TraceWire::V2);
-        assert_eq!(v2.events(), v1.events());
-        assert_eq!(v2.meta().unwrap(), v1.meta().unwrap());
-        assert_eq!(v2.decode_all().unwrap(), records);
-        assert_ne!(v2.content_hash(), v1.content_hash());
+        assert_eq!(v1.as_bytes(), v2.as_bytes());
+        assert_eq!(v1.content_hash(), v2.content_hash());
+        assert_eq!(v1.blocks(), v2.blocks());
+        assert_ne!(v1.as_bytes(), v1_bytes);
+        let reread = Trace::from_bytes(v1.as_bytes().to_vec()).unwrap();
+        assert_eq!(reread, v2);
+    }
+
+    #[test]
+    fn damaged_v1_files_are_rejected_at_the_door() {
+        let recorder = RecorderV1::new(&meta());
+        let mut sink = recorder.clone();
+        for r in &sample_records() {
+            sink.record(r.at, r.seq, &r.event);
+        }
+        let good = recorder.finish();
+        let reseal = |bytes: &mut Vec<u8>| {
+            let body = bytes.len() - 32;
+            let digest = sha256(&bytes[..body]);
+            bytes[body..].copy_from_slice(&digest);
+        };
+
+        let mut flipped = good.clone();
+        flipped[20] ^= 1;
+        assert!(matches!(
+            Trace::from_bytes(flipped),
+            Err(TraceError::HashMismatch)
+        ));
+
+        // A trailer count that disagrees with the records present.
+        let mut miscounted = good.clone();
+        let count_at = miscounted.len() - 40;
+        miscounted[count_at] += 1;
+        reseal(&mut miscounted);
+        assert!(matches!(
+            Trace::from_bytes(miscounted),
+            Err(TraceError::BadIndex("event count"))
+        ));
+
+        // Bytes between the count and the seal.
+        let mut padded = good[..good.len() - 32].to_vec();
+        padded.extend_from_slice(&[0; 33]);
+        reseal(&mut padded);
+        assert!(matches!(
+            Trace::from_bytes(padded),
+            Err(TraceError::BadIndex("event count"))
+        ));
+
+        // The records cut off before the end marker.
+        let mut cut = good[..good.len() - 45].to_vec();
+        cut.extend_from_slice(&[0; 32]);
+        reseal(&mut cut);
+        assert!(Trace::from_bytes(cut).is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The legacy flat v1 writer (`LTRC1`).
+//! The legacy flat v1 wire (`LTRC1`): everything that knows its layout.
 //!
 //! ```text
 //! magic    "LTRC1\n"
@@ -8,21 +8,53 @@
 //! trailer  32-byte SHA-256 over everything above
 //! ```
 //!
-//! New recordings use the block-columnar [`crate::Recorder`]; this
-//! writer survives so tests and benches can produce v1 fixtures, keep
-//! the read path honest, and measure the v2 size and speed wins against
-//! the real predecessor rather than a synthetic one. The read side
-//! lives in [`crate::format`], which accepts both wires.
+//! LTRC1 is a file format only. `import` is the read side:
+//! [`Trace::from_bytes`] calls it on an `LTRC1\n` magic and gets back
+//! the LTRC2 trace a direct recording of the same events would have
+//! sealed, so no reader, analytic or replay path ever sees a flat
+//! record. [`RecorderV1`] is the write side, kept as the reference
+//! tests hold the importer to (and the bench suite sizes LTRC2
+//! against); no tool writes LTRC1.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use lockss_core::trace::{TraceEvent, TraceSink};
+use lockss_core::trace::{TraceEvent, TraceEventKind, TraceSink};
 use lockss_crypto::sha256::sha256;
 use lockss_sim::SimTime;
 
-use crate::format::{Trace, TraceMeta, MAGIC_V1};
-use crate::wire::{put_event, put_str, put_varint};
+use crate::format::{Recorder, Trace, TraceMeta, TraceWire, END, MAGIC_V1};
+use crate::wire::{get_event, put_event, put_varint, Cursor, TraceError};
+
+/// Re-records an LTRC1 file as an LTRC2 trace. `body` is the file
+/// between the magic and the seal, which the caller has verified; the
+/// record count is verified here, against the records actually present.
+pub(crate) fn import(body: &[u8]) -> Result<Trace, TraceError> {
+    let mut cur = Cursor::new(body);
+    let mut recorder = Recorder::new(&TraceMeta::get(&mut cur)?);
+    let (mut at, mut seq) = (0u64, 0u64);
+    loop {
+        let code = cur.u8()?;
+        if code == END {
+            break;
+        }
+        let kind = TraceEventKind::from_code(code).ok_or(TraceError::UnknownKind(code))?;
+        // The deltas are the file's claim: their running sums may not wrap.
+        at = at.checked_add(cur.varint()?).ok_or(TraceError::BadVarint)?;
+        seq = seq
+            .checked_add(cur.varint()?)
+            .ok_or(TraceError::BadVarint)?;
+        recorder.record(SimTime(at), seq, &get_event(&mut cur, kind)?);
+    }
+    let mut count = [0u8; 8];
+    count.copy_from_slice(cur.bytes(8)?);
+    if !cur.at_end() || u64::from_le_bytes(count) != recorder.events() {
+        return Err(TraceError::BadIndex("event count"));
+    }
+    let mut trace = recorder.finish();
+    trace.wire = TraceWire::V1;
+    Ok(trace)
+}
 
 struct RecorderV1Inner {
     buf: Vec<u8>,
@@ -45,10 +77,7 @@ impl RecorderV1 {
     pub fn new(meta: &TraceMeta) -> RecorderV1 {
         let mut buf = Vec::with_capacity(64 * 1024);
         buf.extend_from_slice(MAGIC_V1);
-        put_str(&mut buf, &meta.scenario);
-        put_str(&mut buf, &meta.scale);
-        put_varint(&mut buf, meta.seed);
-        put_varint(&mut buf, meta.run_length_ms);
+        meta.put(&mut buf);
         RecorderV1 {
             inner: Rc::new(RefCell::new(RecorderV1Inner {
                 buf,
@@ -64,18 +93,17 @@ impl RecorderV1 {
         self.inner.borrow().events
     }
 
-    /// Seals the trace: appends the end marker, the record count, and
-    /// the content hash.
-    pub fn finish(self) -> Trace {
+    /// Seals the recording — end marker, record count, content hash —
+    /// and returns the LTRC1 file's bytes ([`Trace::from_bytes`] reads
+    /// them back).
+    pub fn finish(self) -> Vec<u8> {
         let mut inner = self.inner.borrow_mut();
         let mut bytes = std::mem::take(&mut inner.buf);
-        let events = inner.events;
-        drop(inner);
-        bytes.push(0); // END marker
-        bytes.extend_from_slice(&events.to_le_bytes());
+        bytes.push(END);
+        bytes.extend_from_slice(&inner.events.to_le_bytes());
         let digest = sha256(&bytes);
         bytes.extend_from_slice(&digest);
-        Trace::from_bytes(bytes).expect("a freshly sealed v1 trace validates")
+        bytes
     }
 }
 
@@ -97,8 +125,6 @@ impl TraceSink for RecorderV1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::TraceWire;
-    use lockss_core::trace::TraceEvent;
 
     #[test]
     fn v1_writer_produces_a_valid_v1_trace() {
@@ -111,7 +137,14 @@ mod tests {
         let recorder = RecorderV1::new(&meta);
         let mut sink = recorder.clone();
         sink.record(SimTime(5), 1, &TraceEvent::PeerJoin { peer: 9 });
-        let trace = recorder.finish();
+        let bytes = recorder.finish();
+        // magic · header · one record (kind 9, Δt 5, Δseq 1, peer 9) ·
+        // end marker · count · seal.
+        assert_eq!(&bytes[..6], MAGIC_V1);
+        let tail = bytes.len() - (1 + 8 + 32);
+        assert_eq!(bytes[tail - 4..tail], [9, 5, 1, 9]);
+        assert_eq!(bytes[tail..tail + 9], [0, 1, 0, 0, 0, 0, 0, 0, 0]);
+        let trace = Trace::from_bytes(bytes).unwrap();
         assert_eq!(trace.wire(), TraceWire::V1);
         assert_eq!(trace.events(), 1);
         assert_eq!(trace.meta().unwrap(), meta);

@@ -10,9 +10,10 @@
 //!   block-columnar `LTRC2` format — events grouped into fixed-budget
 //!   blocks, transposed into per-kind columns, delta-coded and
 //!   LZ-compressed, with a seekable block index and a SHA-256 content
-//!   hash in the trailer, no external dependencies. The flat `LTRC1`
-//!   predecessor stays readable ([`legacy::RecorderV1`] still writes it
-//!   for fixtures and benches; [`Trace::to_v2`] migrates);
+//!   hash in the trailer, no external dependencies. Files in the flat
+//!   `LTRC1` predecessor stay readable: [`Trace::from_bytes`] imports
+//!   them to LTRC2 at the door ([`legacy`]), so every tool below has
+//!   one wire to know;
 //! - **replay** ([`Verifier`]): re-drive the same scenario and verify
 //!   event-for-event equivalence against a recorded trace, aborting the run
 //!   at the first divergence and reporting it with full context (time,
@@ -49,8 +50,7 @@ pub use columnar::BlockEntry;
 pub use diff::{diff_traces, diff_traces_threaded, Fork, TraceDiff};
 pub use export::export_csv;
 pub use format::{
-    OwnedTraceReader, Recorder, Trace, TraceMeta, TraceReader, TraceRecord, TraceWire,
-    DEFAULT_BLOCK_EVENTS,
+    Recorder, Trace, TraceMeta, TraceReader, TraceRecord, TraceWire, DEFAULT_BLOCK_EVENTS,
 };
 pub use legacy::RecorderV1;
 pub use parallel::for_each_block;

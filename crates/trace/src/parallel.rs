@@ -12,15 +12,12 @@
 //! output ordering is ordering-trivial by construction.
 //!
 //! Memory stays bounded: blocks are decoded in chunks of `2 × threads`
-//! and folded before the next chunk starts. A v1 trace has no blocks,
-//! so it degrades to a sequential stream chopped into
-//! [`DEFAULT_BLOCK_EVENTS`]-record pseudo-blocks — same fold, no
-//! parallelism, identical output.
+//! and folded before the next chunk starts.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crate::format::{Trace, TraceRecord, TraceWire, DEFAULT_BLOCK_EVENTS};
+use crate::format::{Trace, TraceRecord};
 use crate::wire::TraceError;
 
 /// A parked decode result: workers fill slots, the fold drains them in
@@ -30,25 +27,11 @@ type DecodedSlot = Mutex<Option<Result<Vec<TraceRecord>, TraceError>>>;
 /// Runs `fold` over every record chunk of `trace` in block order,
 /// decoding blocks on up to `threads` worker threads. The fold sees
 /// chunks exactly in block order regardless of thread count; with one
-/// thread (or a v1 trace) no threads are spawned at all.
+/// thread (or one block) no threads are spawned at all.
 pub fn for_each_block<F>(trace: &Trace, threads: usize, mut fold: F) -> Result<(), TraceError>
 where
     F: FnMut(Vec<TraceRecord>),
 {
-    if trace.wire() == TraceWire::V1 {
-        let mut chunk = Vec::with_capacity(DEFAULT_BLOCK_EVENTS.min(1 << 16));
-        for rec in trace.records() {
-            chunk.push(rec?);
-            if chunk.len() >= DEFAULT_BLOCK_EVENTS {
-                fold(std::mem::take(&mut chunk));
-            }
-        }
-        if !chunk.is_empty() {
-            fold(chunk);
-        }
-        return Ok(());
-    }
-
     let n = trace.blocks().len();
     if threads <= 1 || n <= 1 {
         for i in 0..n {
@@ -130,12 +113,19 @@ mod tests {
     }
 
     #[test]
-    fn v1_traces_fold_sequentially() {
+    fn imported_v1_traces_fold_like_any_other() {
+        // More than one block's worth, so the import has real blocks for
+        // the workers to claim.
+        let n = crate::format::DEFAULT_BLOCK_EVENTS as u64 + 50;
         let recorder = RecorderV1::new(&meta());
-        emit(&mut recorder.clone(), 50);
-        let trace = recorder.finish();
-        let mut all = Vec::new();
-        for_each_block(&trace, 8, |chunk| all.extend(chunk)).unwrap();
+        emit(&mut recorder.clone(), n);
+        let trace = Trace::from_bytes(recorder.finish()).unwrap();
+        assert_eq!(trace.blocks().len(), 2);
+        let mut chunks = Vec::new();
+        for_each_block(&trace, 8, |chunk| chunks.push(chunk)).unwrap();
+        assert_eq!(chunks.len(), 2, "one fold call per block, in block order");
+        let all = chunks.concat();
+        assert_eq!(all.len() as u64, n);
         assert_eq!(all, trace.decode_all().unwrap());
     }
 }

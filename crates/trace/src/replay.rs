@@ -15,7 +15,7 @@ use std::rc::Rc;
 use lockss_core::trace::{TraceEvent, TraceSink};
 use lockss_sim::SimTime;
 
-use crate::format::{OwnedTraceReader, Trace, TraceMeta, TraceRecord};
+use crate::format::{Trace, TraceMeta, TraceReader, TraceRecord};
 use crate::wire::TraceError;
 
 /// The first point where a replay departed from the recorded trace.
@@ -119,7 +119,9 @@ impl std::fmt::Display for ReplayReport {
 }
 
 struct VerifierInner {
-    reader: OwnedTraceReader,
+    reader: TraceReader,
+    /// Records in the recorded trace.
+    total: u64,
     matched: u64,
     divergence: Option<Divergence>,
     /// A record failed to decode mid-stream (surfaced by `finish`).
@@ -130,9 +132,9 @@ struct VerifierInner {
 ///
 /// Like [`crate::Recorder`], a shared handle: install one clone as the
 /// world's sink, then call [`Verifier::finish`] on the other after the
-/// run. Comparison streams record-by-record through an
-/// [`OwnedTraceReader`], so memory stays O(1) even for multi-million-event
-/// default-scale traces.
+/// run. Comparison streams record-by-record through a [`TraceReader`]
+/// sharing the trace's bytes, so memory stays bounded by one decoded
+/// block even for multi-million-event default-scale traces.
 #[derive(Clone)]
 pub struct Verifier {
     inner: Rc<RefCell<VerifierInner>>,
@@ -143,7 +145,8 @@ impl Verifier {
     pub fn new(trace: &Trace) -> Verifier {
         Verifier {
             inner: Rc::new(RefCell::new(VerifierInner {
-                reader: OwnedTraceReader::new(trace.clone()),
+                reader: trace.records(),
+                total: trace.events(),
                 matched: 0,
                 divergence: None,
                 error: None,
@@ -165,7 +168,7 @@ impl Verifier {
         let matched = inner.matched;
         let mut divergence = inner.divergence.clone();
         if divergence.is_none() {
-            if let Some(expected) = inner.reader.next_record()? {
+            if let Some(expected) = inner.reader.next().transpose()? {
                 divergence = Some(Divergence {
                     index: matched,
                     expected: Some(expected),
@@ -176,7 +179,7 @@ impl Verifier {
         Ok(ReplayReport {
             meta,
             events_matched: matched,
-            events_unreached: inner.reader.total() - matched,
+            events_unreached: inner.total - matched,
             divergence,
         })
     }
@@ -194,7 +197,7 @@ impl TraceSink for Verifier {
             event: event.clone(),
         };
         let index = inner.matched;
-        match inner.reader.next_record() {
+        match inner.reader.next().transpose() {
             Err(e) => inner.error = Some(e),
             Ok(Some(expected)) if expected == actual => inner.matched += 1,
             Ok(expected) => {

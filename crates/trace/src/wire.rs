@@ -1,11 +1,17 @@
 //! The varint wire layer: LEB128 integers, length-prefixed strings, and
-//! the per-event payload codecs.
+//! the event payload schema.
 //!
 //! Everything in a trace file above the magic bytes is built from three
 //! primitives — unsigned LEB128 varints, `varint length + UTF-8 bytes`
-//! strings, and single bytes for enum codes — so the format needs no
-//! external serialization dependency and stays byte-stable across
-//! platforms.
+//! strings, and single bytes for enum codes and flags — so the format
+//! needs no external serialization dependency and stays byte-stable
+//! across platforms.
+//!
+//! Which fields each event kind carries, in which order and encoding,
+//! is declared once, in the `payload_schema!` table below. The flat
+//! LTRC1 record and the LTRC2 per-field columns hold the same field
+//! bytes in different places, so one generated write traversal and one
+//! generated read constructor serve both.
 
 use lockss_core::trace::{AdmissionVerdict, MsgKind, PollConclusion, TraceEvent, TraceEventKind};
 
@@ -132,6 +138,11 @@ impl<'a> Cursor<'a> {
         self.pos >= self.bytes.len()
     }
 
+    /// Bytes not yet consumed.
+    pub(crate) fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, TraceError> {
         let b = *self.bytes.get(self.pos).ok_or(TraceError::Truncated)?;
@@ -170,9 +181,17 @@ impl<'a> Cursor<'a> {
         String::from_utf8(slice.to_vec()).map_err(|_| TraceError::BadUtf8)
     }
 
-    /// Reads a bool byte (0 or 1; anything nonzero reads as true).
+    /// Reads a flag byte: 0 or 1, nothing else, so that decoding and
+    /// re-encoding an accepted trace reproduces its bytes.
     pub fn bool(&mut self) -> Result<bool, TraceError> {
-        Ok(self.u8()? != 0)
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            code => Err(TraceError::UnknownCode {
+                field: "flag",
+                code,
+            }),
+        }
     }
 
     /// Reads `n` raw bytes.
@@ -184,454 +203,187 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Encodes one event payload (the kind byte is framed by the caller).
-pub fn put_event(buf: &mut Vec<u8>, event: &TraceEvent) {
-    match event {
-        TraceEvent::PollStart { peer, au, poll } => {
-            put_varint(buf, u64::from(*peer));
-            put_varint(buf, u64::from(*au));
-            put_varint(buf, *poll);
-        }
-        TraceEvent::PollOutcome {
-            peer,
-            au,
-            poll,
-            conclusion,
-            votes,
-        } => {
-            put_varint(buf, u64::from(*peer));
-            put_varint(buf, u64::from(*au));
-            put_varint(buf, *poll);
-            buf.push(conclusion.code());
-            put_varint(buf, u64::from(*votes));
-        }
-        TraceEvent::MessageSend {
-            from,
-            to,
-            kind,
-            au,
-            poll,
-            suppressed,
-        } => {
-            put_varint(buf, u64::from(*from));
-            put_varint(buf, u64::from(*to));
-            buf.push(kind.code());
-            put_varint(buf, u64::from(*au));
-            put_varint(buf, *poll);
-            buf.push(u8::from(*suppressed));
-        }
-        TraceEvent::Admission {
-            peer,
-            poller,
-            verdict,
-        } => {
-            put_varint(buf, u64::from(*peer));
-            put_varint(buf, *poller);
-            buf.push(verdict.code());
-        }
-        TraceEvent::Damage {
-            peer,
-            au,
-            block,
-            was_intact,
-        } => {
-            put_varint(buf, u64::from(*peer));
-            put_varint(buf, u64::from(*au));
-            put_varint(buf, *block);
-            buf.push(u8::from(*was_intact));
-        }
-        TraceEvent::Repair {
-            peer,
-            au,
-            poll,
-            block,
-            intact_after,
-        } => {
-            put_varint(buf, u64::from(*peer));
-            put_varint(buf, u64::from(*au));
-            put_varint(buf, *poll);
-            put_varint(buf, *block);
-            buf.push(u8::from(*intact_after));
-        }
-        TraceEvent::AdversaryTimer { channel, tag } => {
-            put_varint(buf, *channel);
-            put_varint(buf, *tag);
-        }
-        TraceEvent::AdversaryAction {
-            channel,
-            label,
-            magnitude,
-        } => {
-            put_varint(buf, *channel);
-            put_str(buf, label);
-            put_varint(buf, *magnitude);
-        }
-        TraceEvent::PeerJoin { peer } => {
-            put_varint(buf, u64::from(*peer));
-        }
-        TraceEvent::PhaseMark { label } => {
-            put_str(buf, label);
-        }
-        TraceEvent::Compromise { peer, corrupted } => {
-            put_varint(buf, u64::from(*peer));
-            put_varint(buf, *corrupted);
-        }
-        TraceEvent::Cure { peer, residual } => {
-            put_varint(buf, u64::from(*peer));
-            put_varint(buf, *residual);
-        }
-        TraceEvent::PoisonedRepair {
-            peer,
-            au,
-            poll,
-            block,
-            server,
-        } => {
-            put_varint(buf, u64::from(*peer));
-            put_varint(buf, u64::from(*au));
-            put_varint(buf, *poll);
-            put_varint(buf, *block);
-            put_varint(buf, u64::from(*server));
-        }
+/// How one payload field type lies on the wire. The five encodings of
+/// the format: `varint` (u32, and u64), a `u8` enum code, a `u8` flag,
+/// and a length-prefixed `str`.
+trait Field: Sized {
+    /// True when the encoding is a canonical varint, which makes the
+    /// zigzag-delta column re-code lossless for a column of them. Enum
+    /// codes and flags are single bytes < 0x80, so they are canonical
+    /// one-byte varints; only `str` is not.
+    const VARINT: bool = true;
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, TraceError>;
+}
+
+impl Field for u32 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_varint(buf, u64::from(*self));
+    }
+    fn get(cur: &mut Cursor<'_>) -> Result<u32, TraceError> {
+        cur.varint_u32()
     }
 }
 
-/// Decodes one event payload of the given kind.
-pub fn get_event(cur: &mut Cursor<'_>, kind: TraceEventKind) -> Result<TraceEvent, TraceError> {
-    Ok(match kind {
-        TraceEventKind::PollStart => TraceEvent::PollStart {
-            peer: cur.varint_u32()?,
-            au: cur.varint_u32()?,
-            poll: cur.varint()?,
-        },
-        TraceEventKind::PollOutcome => TraceEvent::PollOutcome {
-            peer: cur.varint_u32()?,
-            au: cur.varint_u32()?,
-            poll: cur.varint()?,
-            conclusion: {
-                let code = cur.u8()?;
-                PollConclusion::from_code(code).ok_or(TraceError::UnknownCode {
-                    field: "poll conclusion",
-                    code,
-                })?
-            },
-            votes: cur.varint_u32()?,
-        },
-        TraceEventKind::MessageSend => TraceEvent::MessageSend {
-            from: cur.varint_u32()?,
-            to: cur.varint_u32()?,
-            kind: {
-                let code = cur.u8()?;
-                MsgKind::from_code(code).ok_or(TraceError::UnknownCode {
-                    field: "message kind",
-                    code,
-                })?
-            },
-            au: cur.varint_u32()?,
-            poll: cur.varint()?,
-            suppressed: cur.bool()?,
-        },
-        TraceEventKind::Admission => TraceEvent::Admission {
-            peer: cur.varint_u32()?,
-            poller: cur.varint()?,
-            verdict: {
-                let code = cur.u8()?;
-                AdmissionVerdict::from_code(code).ok_or(TraceError::UnknownCode {
-                    field: "admission verdict",
-                    code,
-                })?
-            },
-        },
-        TraceEventKind::Damage => TraceEvent::Damage {
-            peer: cur.varint_u32()?,
-            au: cur.varint_u32()?,
-            block: cur.varint()?,
-            was_intact: cur.bool()?,
-        },
-        TraceEventKind::Repair => TraceEvent::Repair {
-            peer: cur.varint_u32()?,
-            au: cur.varint_u32()?,
-            poll: cur.varint()?,
-            block: cur.varint()?,
-            intact_after: cur.bool()?,
-        },
-        TraceEventKind::AdversaryTimer => TraceEvent::AdversaryTimer {
-            channel: cur.varint()?,
-            tag: cur.varint()?,
-        },
-        TraceEventKind::AdversaryAction => TraceEvent::AdversaryAction {
-            channel: cur.varint()?,
-            label: cur.str()?,
-            magnitude: cur.varint()?,
-        },
-        TraceEventKind::PeerJoin => TraceEvent::PeerJoin {
-            peer: cur.varint_u32()?,
-        },
-        TraceEventKind::PhaseMark => TraceEvent::PhaseMark { label: cur.str()? },
-        TraceEventKind::Compromise => TraceEvent::Compromise {
-            peer: cur.varint_u32()?,
-            corrupted: cur.varint()?,
-        },
-        TraceEventKind::Cure => TraceEvent::Cure {
-            peer: cur.varint_u32()?,
-            residual: cur.varint()?,
-        },
-        TraceEventKind::PoisonedRepair => TraceEvent::PoisonedRepair {
-            peer: cur.varint_u32()?,
-            au: cur.varint_u32()?,
-            poll: cur.varint()?,
-            block: cur.varint()?,
-            server: cur.varint_u32()?,
-        },
-    })
-}
-
-/// Upper bound on [`field_count`] across every event kind.
-#[cfg(test)]
-pub(crate) const MAX_FIELDS: usize = 6;
-
-/// Number of payload field columns `kind` occupies in the v2 block
-/// layout. Each field of a kind's payload lives in its own column so
-/// repetitive fields (poll ids, AU ids, enum codes, flags) compress
-/// independently of high-entropy ones (peer ids).
-pub(crate) fn field_count(kind: TraceEventKind) -> usize {
-    match kind {
-        TraceEventKind::PollStart => 3,
-        TraceEventKind::PollOutcome => 5,
-        TraceEventKind::MessageSend => 6,
-        TraceEventKind::Admission => 3,
-        TraceEventKind::Damage => 4,
-        TraceEventKind::Repair => 5,
-        TraceEventKind::AdversaryTimer => 2,
-        TraceEventKind::AdversaryAction => 3,
-        TraceEventKind::PeerJoin => 1,
-        TraceEventKind::PhaseMark => 1,
-        TraceEventKind::Compromise => 2,
-        TraceEventKind::Cure => 2,
-        TraceEventKind::PoisonedRepair => 5,
+impl Field for u64 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_varint(buf, *self);
+    }
+    fn get(cur: &mut Cursor<'_>) -> Result<u64, TraceError> {
+        cur.varint()
     }
 }
 
-/// True when field `field` of `kind`'s payload is a canonical varint
-/// stream in the column layout (every field except the two
-/// length-prefixed strings), making the zigzag-delta column re-code
-/// lossless for it. Enum codes and flags are single bytes < 0x80, so
-/// they are canonical one-byte varints.
-pub(crate) fn field_is_varint(kind: TraceEventKind, field: usize) -> bool {
-    !matches!(
-        (kind, field),
-        (TraceEventKind::AdversaryAction, 1) | (TraceEventKind::PhaseMark, 0)
-    )
-}
-
-/// Appends each payload field of `event` to its own column buffer
-/// (`cols.len() == field_count(kind)`). Field order and per-field
-/// encodings match [`put_event`] exactly; only the destination differs.
-pub(crate) fn put_event_fields(cols: &mut [Vec<u8>], event: &TraceEvent) {
-    match event {
-        TraceEvent::PollStart { peer, au, poll } => {
-            put_varint(&mut cols[0], u64::from(*peer));
-            put_varint(&mut cols[1], u64::from(*au));
-            put_varint(&mut cols[2], *poll);
-        }
-        TraceEvent::PollOutcome {
-            peer,
-            au,
-            poll,
-            conclusion,
-            votes,
-        } => {
-            put_varint(&mut cols[0], u64::from(*peer));
-            put_varint(&mut cols[1], u64::from(*au));
-            put_varint(&mut cols[2], *poll);
-            cols[3].push(conclusion.code());
-            put_varint(&mut cols[4], u64::from(*votes));
-        }
-        TraceEvent::MessageSend {
-            from,
-            to,
-            kind,
-            au,
-            poll,
-            suppressed,
-        } => {
-            put_varint(&mut cols[0], u64::from(*from));
-            put_varint(&mut cols[1], u64::from(*to));
-            cols[2].push(kind.code());
-            put_varint(&mut cols[3], u64::from(*au));
-            put_varint(&mut cols[4], *poll);
-            cols[5].push(u8::from(*suppressed));
-        }
-        TraceEvent::Admission {
-            peer,
-            poller,
-            verdict,
-        } => {
-            put_varint(&mut cols[0], u64::from(*peer));
-            put_varint(&mut cols[1], *poller);
-            cols[2].push(verdict.code());
-        }
-        TraceEvent::Damage {
-            peer,
-            au,
-            block,
-            was_intact,
-        } => {
-            put_varint(&mut cols[0], u64::from(*peer));
-            put_varint(&mut cols[1], u64::from(*au));
-            put_varint(&mut cols[2], *block);
-            cols[3].push(u8::from(*was_intact));
-        }
-        TraceEvent::Repair {
-            peer,
-            au,
-            poll,
-            block,
-            intact_after,
-        } => {
-            put_varint(&mut cols[0], u64::from(*peer));
-            put_varint(&mut cols[1], u64::from(*au));
-            put_varint(&mut cols[2], *poll);
-            put_varint(&mut cols[3], *block);
-            cols[4].push(u8::from(*intact_after));
-        }
-        TraceEvent::AdversaryTimer { channel, tag } => {
-            put_varint(&mut cols[0], *channel);
-            put_varint(&mut cols[1], *tag);
-        }
-        TraceEvent::AdversaryAction {
-            channel,
-            label,
-            magnitude,
-        } => {
-            put_varint(&mut cols[0], *channel);
-            put_str(&mut cols[1], label);
-            put_varint(&mut cols[2], *magnitude);
-        }
-        TraceEvent::PeerJoin { peer } => {
-            put_varint(&mut cols[0], u64::from(*peer));
-        }
-        TraceEvent::PhaseMark { label } => {
-            put_str(&mut cols[0], label);
-        }
-        TraceEvent::Compromise { peer, corrupted } => {
-            put_varint(&mut cols[0], u64::from(*peer));
-            put_varint(&mut cols[1], *corrupted);
-        }
-        TraceEvent::Cure { peer, residual } => {
-            put_varint(&mut cols[0], u64::from(*peer));
-            put_varint(&mut cols[1], *residual);
-        }
-        TraceEvent::PoisonedRepair {
-            peer,
-            au,
-            poll,
-            block,
-            server,
-        } => {
-            put_varint(&mut cols[0], u64::from(*peer));
-            put_varint(&mut cols[1], u64::from(*au));
-            put_varint(&mut cols[2], *poll);
-            put_varint(&mut cols[3], *block);
-            put_varint(&mut cols[4], u64::from(*server));
-        }
+impl Field for bool {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(u8::from(*self));
+    }
+    fn get(cur: &mut Cursor<'_>) -> Result<bool, TraceError> {
+        cur.bool()
     }
 }
 
-/// Reassembles one event of `kind` by pulling the next value off each
-/// per-field column cursor (the decode mirror of [`put_event_fields`]).
-pub(crate) fn get_event_fields(
-    cols: &mut [Cursor<'_>],
-    kind: TraceEventKind,
-) -> Result<TraceEvent, TraceError> {
-    Ok(match kind {
-        TraceEventKind::PollStart => TraceEvent::PollStart {
-            peer: cols[0].varint_u32()?,
-            au: cols[1].varint_u32()?,
-            poll: cols[2].varint()?,
-        },
-        TraceEventKind::PollOutcome => TraceEvent::PollOutcome {
-            peer: cols[0].varint_u32()?,
-            au: cols[1].varint_u32()?,
-            poll: cols[2].varint()?,
-            conclusion: {
-                let code = cols[3].u8()?;
-                PollConclusion::from_code(code).ok_or(TraceError::UnknownCode {
-                    field: "poll conclusion",
+impl Field for String {
+    const VARINT: bool = false;
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_str(buf, self);
+    }
+    fn get(cur: &mut Cursor<'_>) -> Result<String, TraceError> {
+        cur.str()
+    }
+}
+
+/// A `u8` enum code field; `$label` names it in [`TraceError::UnknownCode`].
+macro_rules! code_field {
+    ($ty:ty, $label:literal) => {
+        impl Field for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.push(self.code());
+            }
+            fn get(cur: &mut Cursor<'_>) -> Result<$ty, TraceError> {
+                let code = cur.u8()?;
+                <$ty>::from_code(code).ok_or(TraceError::UnknownCode {
+                    field: $label,
                     code,
-                })?
-            },
-            votes: cols[4].varint_u32()?,
-        },
-        TraceEventKind::MessageSend => TraceEvent::MessageSend {
-            from: cols[0].varint_u32()?,
-            to: cols[1].varint_u32()?,
-            kind: {
-                let code = cols[2].u8()?;
-                MsgKind::from_code(code).ok_or(TraceError::UnknownCode {
-                    field: "message kind",
-                    code,
-                })?
-            },
-            au: cols[3].varint_u32()?,
-            poll: cols[4].varint()?,
-            suppressed: cols[5].bool()?,
-        },
-        TraceEventKind::Admission => TraceEvent::Admission {
-            peer: cols[0].varint_u32()?,
-            poller: cols[1].varint()?,
-            verdict: {
-                let code = cols[2].u8()?;
-                AdmissionVerdict::from_code(code).ok_or(TraceError::UnknownCode {
-                    field: "admission verdict",
-                    code,
-                })?
-            },
-        },
-        TraceEventKind::Damage => TraceEvent::Damage {
-            peer: cols[0].varint_u32()?,
-            au: cols[1].varint_u32()?,
-            block: cols[2].varint()?,
-            was_intact: cols[3].bool()?,
-        },
-        TraceEventKind::Repair => TraceEvent::Repair {
-            peer: cols[0].varint_u32()?,
-            au: cols[1].varint_u32()?,
-            poll: cols[2].varint()?,
-            block: cols[3].varint()?,
-            intact_after: cols[4].bool()?,
-        },
-        TraceEventKind::AdversaryTimer => TraceEvent::AdversaryTimer {
-            channel: cols[0].varint()?,
-            tag: cols[1].varint()?,
-        },
-        TraceEventKind::AdversaryAction => TraceEvent::AdversaryAction {
-            channel: cols[0].varint()?,
-            label: cols[1].str()?,
-            magnitude: cols[2].varint()?,
-        },
-        TraceEventKind::PeerJoin => TraceEvent::PeerJoin {
-            peer: cols[0].varint_u32()?,
-        },
-        TraceEventKind::PhaseMark => TraceEvent::PhaseMark {
-            label: cols[0].str()?,
-        },
-        TraceEventKind::Compromise => TraceEvent::Compromise {
-            peer: cols[0].varint_u32()?,
-            corrupted: cols[1].varint()?,
-        },
-        TraceEventKind::Cure => TraceEvent::Cure {
-            peer: cols[0].varint_u32()?,
-            residual: cols[1].varint()?,
-        },
-        TraceEventKind::PoisonedRepair => TraceEvent::PoisonedRepair {
-            peer: cols[0].varint_u32()?,
-            au: cols[1].varint_u32()?,
-            poll: cols[2].varint()?,
-            block: cols[3].varint()?,
-            server: cols[4].varint_u32()?,
-        },
-    })
+                })
+            }
+        }
+    };
+}
+
+code_field!(PollConclusion, "poll conclusion");
+code_field!(MsgKind, "message kind");
+code_field!(AdmissionVerdict, "admission verdict");
+
+/// Where field `i` of a payload is written: the one record buffer of the
+/// flat LTRC1 layout, or column `i` of an LTRC2 block's per-kind group.
+pub(crate) trait FieldBufs {
+    fn buf(&mut self, i: usize) -> &mut Vec<u8>;
+}
+
+impl FieldBufs for Vec<u8> {
+    fn buf(&mut self, _: usize) -> &mut Vec<u8> {
+        self
+    }
+}
+
+impl FieldBufs for Vec<Vec<u8>> {
+    fn buf(&mut self, i: usize) -> &mut Vec<u8> {
+        &mut self[i]
+    }
+}
+
+/// Where field `i` of a payload is read from (the mirror of [`FieldBufs`]).
+pub(crate) trait FieldCursors<'a> {
+    fn cur(&mut self, i: usize) -> &mut Cursor<'a>;
+}
+
+impl<'a> FieldCursors<'a> for Cursor<'a> {
+    fn cur(&mut self, _: usize) -> &mut Cursor<'a> {
+        self
+    }
+}
+
+impl<'a> FieldCursors<'a> for Vec<Cursor<'a>> {
+    fn cur(&mut self, i: usize) -> &mut Cursor<'a> {
+        &mut self[i]
+    }
+}
+
+/// Expands the payload schema — each kind's fields in encoding order,
+/// each field's type fixing its encoding through [`Field`] — into the
+/// one write traversal, the one read constructor, and the two facts the
+/// column layout needs about a kind. The running `i` is a constant
+/// after inlining.
+macro_rules! payload_schema {
+    ($($kind:ident { $($field:ident: $ty:ty),+ })+) => {
+        /// Encodes one event payload into `out` (the kind byte is framed
+        /// by the caller).
+        pub(crate) fn put_event<B: FieldBufs>(out: &mut B, event: &TraceEvent) {
+            let mut i = 0;
+            match event {
+                $(TraceEvent::$kind { $($field),+ } => {
+                    $(
+                        i += 1;
+                        $field.put(out.buf(i - 1));
+                    )+
+                })+
+            }
+        }
+
+        /// Decodes one event payload of the given kind from `src`.
+        pub(crate) fn get_event<'a, C: FieldCursors<'a>>(
+            src: &mut C,
+            kind: TraceEventKind,
+        ) -> Result<TraceEvent, TraceError> {
+            let mut i = 0;
+            Ok(match kind {
+                $(TraceEventKind::$kind => TraceEvent::$kind {
+                    $($field: {
+                        i += 1;
+                        <$ty as Field>::get(src.cur(i - 1))?
+                    }),+
+                },)+
+            })
+        }
+
+        /// Number of payload fields of `kind` — the columns it occupies
+        /// in the v2 block layout, where each field lives in its own
+        /// column so repetitive fields (poll ids, AU ids, enum codes,
+        /// flags) compress independently of high-entropy ones (peer ids).
+        pub(crate) fn field_count(kind: TraceEventKind) -> usize {
+            match kind {
+                $(TraceEventKind::$kind => [$(stringify!($field)),+].len(),)+
+            }
+        }
+
+        /// True when field `field` of `kind`'s payload is a canonical
+        /// varint stream in the column layout (see [`Field::VARINT`]).
+        pub(crate) fn field_is_varint(kind: TraceEventKind, field: usize) -> bool {
+            match kind {
+                $(TraceEventKind::$kind => [$(<$ty as Field>::VARINT),+][field],)+
+            }
+        }
+    };
+}
+
+// The payload schema, in kind-code order. This is the table in
+// docs/FORMATS.md ("Event kinds and payload schema"); a unit test below
+// holds the two to each other row by row.
+payload_schema! {
+    PollStart { peer: u32, au: u32, poll: u64 }
+    PollOutcome { peer: u32, au: u32, poll: u64, conclusion: PollConclusion, votes: u32 }
+    MessageSend { from: u32, to: u32, kind: MsgKind, au: u32, poll: u64, suppressed: bool }
+    Admission { peer: u32, poller: u64, verdict: AdmissionVerdict }
+    Damage { peer: u32, au: u32, block: u64, was_intact: bool }
+    Repair { peer: u32, au: u32, poll: u64, block: u64, intact_after: bool }
+    AdversaryTimer { channel: u64, tag: u64 }
+    AdversaryAction { channel: u64, label: String, magnitude: u64 }
+    PeerJoin { peer: u32 }
+    PhaseMark { label: String }
+    Compromise { peer: u32, corrupted: u64 }
+    Cure { peer: u32, residual: u64 }
+    PoisonedRepair { peer: u32, au: u32, poll: u64, block: u64, server: u32 }
 }
 
 #[cfg(test)]
@@ -774,48 +526,81 @@ mod tests {
 
     #[test]
     fn every_event_payload_roundtrips() {
-        for event in sample_events() {
-            let mut buf = Vec::new();
-            put_event(&mut buf, &event);
-            let mut cur = Cursor::new(&buf);
-            let back = get_event(&mut cur, event.kind()).unwrap();
-            assert_eq!(back, event);
-            assert!(cur.at_end(), "trailing bytes after {event}");
-        }
-    }
-
-    #[test]
-    fn field_codec_roundtrips_and_agrees_with_the_flat_codec() {
         // The sample list covers all 13 kinds; assert so a new kind can't
         // silently skip this test.
-        assert_eq!(
-            sample_events().len(),
-            TraceEventKind::COUNT,
-            "sample must cover every kind"
-        );
+        assert_eq!(sample_events().len(), TraceEventKind::COUNT);
         for event in sample_events() {
             let kind = event.kind();
-            let n = field_count(kind);
-            assert!(n <= MAX_FIELDS, "{kind:?}");
-            let mut cols: Vec<Vec<u8>> = vec![Vec::new(); n];
-            put_event_fields(&mut cols, &event);
+            let mut flat = Vec::new();
+            put_event(&mut flat, &event);
+            let mut cur = Cursor::new(&flat);
+            assert_eq!(get_event(&mut cur, kind).unwrap(), event);
+            assert!(cur.at_end(), "trailing bytes after {event}");
+
+            let mut cols: Vec<Vec<u8>> = vec![Vec::new(); field_count(kind)];
+            put_event(&mut cols, &event);
             assert!(
                 cols.iter().all(|c| !c.is_empty()),
                 "{kind:?}: every declared field column must be written"
             );
-            // The columns hold exactly the flat encoding's bytes,
-            // redistributed: same total, and the same decoded event.
-            let mut flat = Vec::new();
-            put_event(&mut flat, &event);
-            let total: usize = cols.iter().map(Vec::len).sum();
-            assert_eq!(total, flat.len(), "{kind:?}");
+            assert_eq!(cols.concat(), flat, "{kind:?}: same bytes, redistributed");
             let mut cursors: Vec<Cursor<'_>> = cols.iter().map(|c| Cursor::new(c)).collect();
-            let back = get_event_fields(&mut cursors, kind).unwrap();
-            assert_eq!(back, event);
-            assert!(
-                cursors.iter().all(Cursor::at_end),
-                "{kind:?}: trailing bytes in a field column"
-            );
+            assert_eq!(get_event(&mut cursors, kind).unwrap(), event);
+            assert!(cursors.iter().all(Cursor::at_end), "{kind:?}");
+        }
+    }
+
+    /// The payload table in docs/FORMATS.md is the schema above, row by
+    /// row: kinds in code order, one `varint`/`u8`/`str` entry per field.
+    #[test]
+    fn formats_doc_payload_table_matches_the_schema() {
+        let doc = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../docs/FORMATS.md"
+        ))
+        .expect("docs/FORMATS.md exists");
+        let rows: Vec<Vec<&str>> = doc
+            .lines()
+            .skip_while(|l| !l.starts_with("| Code | Kind |"))
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .map(|l| l.trim_matches('|').split('|').map(str::trim).collect())
+            .collect();
+        assert_eq!(rows.len(), TraceEventKind::COUNT);
+        for (row, kind) in rows.iter().zip(TraceEventKind::ALL) {
+            assert_eq!(row[0], kind.code().to_string());
+            assert_eq!(row[1], format!("`{kind:?}`"));
+            let fields: Vec<&str> = row[2].split(" · ").collect();
+            assert_eq!(fields.len(), field_count(kind), "{kind:?}");
+            for (i, field) in fields.iter().enumerate() {
+                let encoding = field.split(' ').next().unwrap();
+                assert!(["varint", "u8", "str"].contains(&encoding), "{field}");
+                assert_eq!(
+                    encoding != "str",
+                    field_is_varint(kind, i),
+                    "{kind:?}: {field}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn flag_bytes_other_than_0_and_1_are_rejected() {
+        for (byte, want) in [(0u8, Some(false)), (1, Some(true)), (2, None), (255, None)] {
+            let buf = [byte];
+            match (Cursor::new(&buf).bool(), want) {
+                (Ok(got), Some(want)) => assert_eq!(got, want),
+                (
+                    Err(TraceError::UnknownCode {
+                        field: "flag",
+                        code,
+                    }),
+                    None,
+                ) => {
+                    assert_eq!(code, byte)
+                }
+                other => panic!("flag byte {byte}: {other:?}"),
+            }
         }
     }
 

@@ -6,10 +6,19 @@
 //! the spec names must be backed by a declaration in source. The same
 //! contract runs as greps in the CI docs job; this test is the local,
 //! `cargo test`-visible form of it.
+//!
+//! The spec's two worked trace examples are executed as well: the hex
+//! dumps are parsed out of the document and loaded, so "LTRC1 stays
+//! readable forever" is pinned by literal bytes no writer in this tree
+//! produced.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
+
+use lockss::core::trace::{MsgKind, PollConclusion, TraceEvent};
+use lockss::sim::SimTime;
+use lockss::trace::{Trace, TraceMeta, TraceRecord, TraceWire};
 
 /// Extracts every `lockss-…-vN` version tag from `text`.
 fn version_tags(text: &str) -> BTreeSet<String> {
@@ -153,4 +162,108 @@ fn the_doc_covers_all_seven_formats() {
             "docs/FORMATS.md is missing required format {required:?}"
         );
     }
+}
+
+/// The bytes of every `offset  hex…  ascii` dump in `doc`, one `Vec` per
+/// fenced block. The hex field is a fixed 47 columns after the 4-digit
+/// offset and two spaces.
+fn hex_dumps(doc: &str) -> Vec<Vec<u8>> {
+    let mut dumps: Vec<Vec<u8>> = Vec::new();
+    let mut in_dump = false;
+    for line in doc.lines() {
+        let is_row = line.len() > 6
+            && line.as_bytes()[..4].iter().all(u8::is_ascii_hexdigit)
+            && &line[4..6] == "  ";
+        if !is_row {
+            in_dump = false;
+            continue;
+        }
+        if !in_dump {
+            dumps.push(Vec::new());
+            in_dump = true;
+        }
+        let dump = dumps.last_mut().expect("just pushed");
+        assert_eq!(
+            usize::from_str_radix(&line[..4], 16).expect("hex offset"),
+            dump.len(),
+            "dump row offset out of step: {line}"
+        );
+        let hex = &line[6..line.len().min(6 + 47)];
+        for pair in hex.split_whitespace() {
+            dump.push(u8::from_str_radix(pair, 16).expect("hex byte pair"));
+        }
+    }
+    dumps
+}
+
+#[test]
+fn the_worked_trace_examples_load_and_the_ltrc1_one_imports_to_the_ltrc2_one() {
+    let doc = fs::read_to_string("docs/FORMATS.md").expect("docs/FORMATS.md exists");
+    let dumps = hex_dumps(&doc);
+    let [v2_file, v1_file] = dumps.as_slice() else {
+        panic!(
+            "expected the LTRC2 and the LTRC1 dump, found {}",
+            dumps.len()
+        );
+    };
+    assert_eq!((v2_file.len(), v1_file.len()), (198, 89));
+    assert_eq!(
+        (&v2_file[..6], &v1_file[..6]),
+        (&b"LTRC2\n"[..], &b"LTRC1\n"[..])
+    );
+
+    let documented = vec![
+        TraceRecord {
+            at: SimTime(1000),
+            seq: 10,
+            event: TraceEvent::PollStart {
+                peer: 3,
+                au: 1,
+                poll: 7,
+            },
+        },
+        TraceRecord {
+            at: SimTime(1250),
+            seq: 11,
+            event: TraceEvent::MessageSend {
+                from: 3,
+                to: 12,
+                kind: MsgKind::Poll,
+                au: 1,
+                poll: 7,
+                suppressed: false,
+            },
+        },
+        TraceRecord {
+            at: SimTime(2000),
+            seq: 12,
+            event: TraceEvent::PollOutcome {
+                peer: 3,
+                au: 1,
+                poll: 7,
+                conclusion: PollConclusion::Win,
+                votes: 10,
+            },
+        },
+    ];
+    let meta = TraceMeta {
+        scenario: "demo".into(),
+        scale: "quick".into(),
+        seed: 9,
+        run_length_ms: 86_400_000,
+    };
+    let v2 = Trace::from_bytes(v2_file.clone()).expect("the LTRC2 example is a valid trace");
+    let v1 = Trace::from_bytes(v1_file.clone()).expect("the LTRC1 example is a valid trace");
+    assert_eq!((v2.wire(), v1.wire()), (TraceWire::V2, TraceWire::V1));
+    for trace in [&v2, &v1] {
+        assert_eq!(trace.meta().expect("header"), meta);
+        assert_eq!(trace.events(), 3);
+        assert_eq!(trace.decode_all().expect("decodes"), documented);
+    }
+    assert_eq!(v2.as_bytes(), v2_file.as_slice());
+    assert_eq!(
+        v1.as_bytes(),
+        v2_file.as_slice(),
+        "importing the LTRC1 example must yield the LTRC2 example, byte for byte"
+    );
 }

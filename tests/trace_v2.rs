@@ -1,13 +1,19 @@
 //! Acceptance tests for the block-columnar `LTRC2` trace wire.
 //!
-//! Four properties pin the format swap: (1) seeded-random event streams
+//! Five properties pin the format: (1) seeded-random event streams
 //! round-trip byte-exactly through the columnar codec at any block
 //! budget; (2) tampering — a corrupted block body, a lying frame
 //! length, a flipped byte, a chopped tail — yields *distinct* accurate
-//! diagnostics; (3) migrating a legacy `LTRC1` recording with
-//! `to_v2`/`trace convert` preserves every statistic and shrinks the
-//! file; (4) the parallel analytics (stats, diff, export) render
+//! diagnostics; (3) a re-sealed file whose numbers lie (overflowing
+//! counts, lengths and deltas, a promised million-block index) is an
+//! `Err`, never a panic or an allocation sized by the lie; (4) reading
+//! a legacy `LTRC1` file imports it to exactly the directly recorded
+//! LTRC2 bytes, preserving every statistic and shrinking the file;
+//! (5) the parallel analytics (stats, diff, export) render
 //! byte-identical output at any thread count, on real scenario traces.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use lockss::core::trace::{AdmissionVerdict, MsgKind, PollConclusion, TraceEvent, TraceSink};
 use lockss::crypto::sha256;
@@ -15,9 +21,11 @@ use lockss::experiments::runner::{run, RunOptions};
 use lockss::experiments::scenario::Scenario;
 use lockss::experiments::{Scale, ScenarioRegistry};
 use lockss::sim::{Duration, SimTime};
+use lockss::trace::columnar::put_index;
+use lockss::trace::wire::put_varint;
 use lockss::trace::{
-    diff_traces_threaded, export_csv, trace_stats, trace_stats_threaded, AggregateStats, Recorder,
-    RecorderV1, Trace, TraceError, TraceMeta, TraceRecord, TraceWire,
+    diff_traces_threaded, export_csv, trace_stats, trace_stats_threaded, AggregateStats,
+    BlockEntry, Recorder, RecorderV1, Trace, TraceError, TraceMeta, TraceRecord, TraceWire,
 };
 
 fn meta() -> TraceMeta {
@@ -160,6 +168,16 @@ fn record_v2(records: &[TraceRecord], budget: usize) -> Trace {
     rec.finish()
 }
 
+/// The same stream through the legacy flat writer: an LTRC1 file's bytes.
+fn record_v1(meta: &TraceMeta, records: &[TraceRecord]) -> Vec<u8> {
+    let rec = RecorderV1::new(meta);
+    let mut sink: Box<dyn TraceSink> = Box::new(rec.clone());
+    for r in records {
+        sink.record(r.at, r.seq, &r.event);
+    }
+    rec.finish()
+}
+
 #[test]
 fn random_event_streams_roundtrip_across_block_budgets() {
     for seed in [1, 2, 3] {
@@ -184,14 +202,7 @@ fn random_event_streams_roundtrip_across_block_budgets() {
             "stats differ across block budgets (seed {seed})"
         );
         // The legacy writer agrees record-for-record.
-        let v1 = {
-            let rec = RecorderV1::new(&meta());
-            let mut sink: Box<dyn TraceSink> = Box::new(rec.clone());
-            for r in &records {
-                sink.record(r.at, r.seq, &r.event);
-            }
-            rec.finish()
-        };
+        let v1 = Trace::from_bytes(record_v1(&meta(), &records)).expect("v1 imports");
         assert_eq!(v1.wire(), TraceWire::V1);
         assert_eq!(v1.decode_all().expect("v1 decodes"), records);
     }
@@ -279,6 +290,229 @@ fn tampered_traces_yield_distinct_diagnostics() {
     }
 }
 
+/// Forwards to the system allocator, remembering the largest single
+/// request each thread has made, so a test can assert that rejecting a
+/// hostile file never reserved memory on the strength of a number in it.
+struct LargestRequest;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_request(size: usize) {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract. The only state touched is a
+// const-initialised thread-local `Cell<usize>`: no allocation, no
+// destructor, no reentrancy into the allocator.
+unsafe impl GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_request(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_request(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestRequest = LargestRequest;
+
+/// Loads and fully decodes `file`, which must fail — by returning an
+/// error, not by panicking — without a single allocation request above
+/// 1 MiB (every forged file here is under a kilobyte).
+fn rejected(file: Vec<u8>) -> TraceError {
+    assert!(file.len() < 1024);
+    LARGEST.with(|l| l.set(0));
+    let err = Trace::from_bytes(file)
+        .and_then(|t| t.decode_all())
+        .expect_err("a file whose numbers lie must be rejected");
+    let largest = LARGEST.with(Cell::get);
+    assert!(largest < 1 << 20, "{err}: one request of {largest} bytes");
+    err
+}
+
+/// A trace file's bytes up to its end marker: magic, header, block frames.
+fn block_region(trace: &Trace) -> &[u8] {
+    let bytes = trace.as_bytes();
+    let tail = bytes.len() - (8 + 8 + 32);
+    let mut raw = [0u8; 8];
+    raw.copy_from_slice(&bytes[tail..tail + 8]);
+    &bytes[..u64::from_le_bytes(raw) as usize]
+}
+
+/// Seals a block region under a forged index and trailer count.
+fn seal_with_index(block_region: &[u8], index: &[BlockEntry], count: u64) -> Vec<u8> {
+    let mut encoded = Vec::new();
+    put_index(&mut encoded, index);
+    seal_with_index_bytes(block_region, &encoded, count)
+}
+
+/// [`seal_with_index`] for an index that is not even well-formed.
+fn seal_with_index_bytes(block_region: &[u8], index: &[u8], count: u64) -> Vec<u8> {
+    let mut bytes = block_region.to_vec();
+    let index_offset = bytes.len() as u64;
+    bytes.push(0);
+    bytes.extend_from_slice(index);
+    bytes.extend_from_slice(&index_offset.to_le_bytes());
+    bytes.extend_from_slice(&count.to_le_bytes());
+    bytes.extend_from_slice(&[0; 32]);
+    reseal(&mut bytes);
+    bytes
+}
+
+/// Overwrites `body[at..]` with `patch`, then seals the one-block trace
+/// again with the block's index digest brought up to date: the forgery
+/// passes every integrity check and reaches the column decoder.
+fn with_patched_body(trace: &Trace, at: usize, patch: &[u8]) -> Vec<u8> {
+    let mut entry = trace.blocks()[0].clone();
+    assert!(entry.body_len < 128, "one-byte frame length");
+    let body_start = entry.offset as usize + 2;
+    let mut region = block_region(trace).to_vec();
+    assert_eq!(region.len(), body_start + entry.body_len as usize);
+    region[body_start + at..body_start + at + patch.len()].copy_from_slice(patch);
+    entry.digest = sha256(&region[body_start..]);
+    seal_with_index(&region, &[entry], trace.events())
+}
+
+#[test]
+fn files_whose_numbers_lie_are_errors_not_panics_or_allocations() {
+    let records = random_stream(9, 3);
+    let trace = record_v2(&records, 100);
+    let entry = trace.blocks()[0].clone();
+    let region = block_region(&trace);
+    // The forging helper is faithful: the honest index seals to the
+    // honest file.
+    assert_eq!(
+        seal_with_index(region, trace.blocks(), 3),
+        trace.as_bytes(),
+        "seal_with_index must reproduce the recorder's layout"
+    );
+
+    // (1) The same block frame listed three times; the two extra entries
+    // claim 2^63 events each, so a wrapping sum lands back on the trailer
+    // count of 3.
+    let big = BlockEntry {
+        n_events: 1 << 63,
+        ..entry.clone()
+    };
+    let e = rejected(seal_with_index(
+        region,
+        &[entry.clone(), big.clone(), big],
+        3,
+    ));
+    assert!(matches!(e, TraceError::BadIndex("event count")), "{e}");
+
+    // (2) A frame (and its index entry) claiming a body of u64::MAX
+    // bytes: offset + length wraps to a small, plausible end.
+    let at = entry.offset as usize;
+    let mut forged = region[..at + 1].to_vec();
+    put_varint(&mut forged, u64::MAX);
+    forged.extend_from_slice(&region[at + 2..]);
+    let huge = BlockEntry {
+        body_len: u64::MAX,
+        ..entry.clone()
+    };
+    let e = rejected(seal_with_index(&forged, &[huge], 3));
+    assert!(matches!(e, TraceError::BadIndex("block frame")), "{e}");
+
+    // (3) An index promising 2^40 blocks and delivering one.
+    let mut one = Vec::new();
+    put_index(&mut one, &[entry]);
+    let mut lying = Vec::new();
+    put_varint(&mut lying, 1 << 40);
+    lying.extend_from_slice(&one[1..]); // past put_index's own count byte
+    let e = rejected(seal_with_index_bytes(region, &lying, 3));
+    assert!(matches!(e, TraceError::BadIndex(_)), "{e}");
+
+    // (4) A time-delta column whose running sum overflows: three events
+    // past 2^63 ms, so `base_at` is a ten-byte varint that u64::MAX
+    // overwrites in place; the first non-zero delta then wraps.
+    let late: Vec<TraceRecord> = (0..3)
+        .map(|i| TraceRecord {
+            at: SimTime((1 << 63) + i * 1000),
+            seq: i,
+            event: TraceEvent::PeerJoin { peer: i as u32 },
+        })
+        .collect();
+    let trace = record_v2(&late, 100);
+    assert_eq!(trace.decode_all().expect("honest"), late);
+    let mut max = Vec::new();
+    put_varint(&mut max, u64::MAX);
+    assert_eq!(max.len(), 10);
+    let e = rejected(with_patched_body(&trace, 1, &max)); // after n_events
+    assert!(
+        matches!(
+            e,
+            TraceError::BadColumn {
+                block: 0,
+                column: "time-delta"
+            }
+        ),
+        "{e}"
+    );
+
+    // (5) A flag byte of 2. One MessageSend: its `suppressed` column is
+    // the body's last, stored raw as `enc 0 · raw_len 1 · stored_len 1 ·
+    // value`.
+    let send = TraceRecord {
+        at: SimTime(5),
+        seq: 1,
+        event: TraceEvent::MessageSend {
+            from: 1,
+            to: 2,
+            kind: MsgKind::Vote,
+            au: 0,
+            poll: 3,
+            suppressed: false,
+        },
+    };
+    let trace = record_v2(&[send], 100);
+    let body_len = trace.blocks()[0].body_len as usize;
+    assert_eq!(
+        block_region(&trace)[block_region(&trace).len() - 4..],
+        [0, 1, 1, 0]
+    );
+    let e = rejected(with_patched_body(&trace, body_len - 1, &[2]));
+    assert!(
+        matches!(
+            e,
+            TraceError::UnknownCode {
+                field: "flag",
+                code: 2
+            }
+        ),
+        "{e}"
+    );
+
+    // (6) The same overflow through the LTRC1 door: two records at
+    // u64::MAX ms (deltas MAX, 0), the second delta bumped to 1.
+    let at_max: Vec<TraceRecord> = (0..2)
+        .map(|i| TraceRecord {
+            at: SimTime(u64::MAX),
+            seq: i,
+            event: TraceEvent::PeerJoin { peer: 7 },
+        })
+        .collect();
+    let mut v1 = record_v1(&meta(), &at_max);
+    // Tail: kind · Δt · Δseq · peer | end marker · count · seal.
+    let dt = v1.len() - (1 + 8 + 32) - 3;
+    assert_eq!(v1[dt - 1..dt + 3], [9, 0, 1, 7]);
+    v1[dt] = 1;
+    reseal(&mut v1);
+    let e = rejected(v1);
+    assert!(matches!(e, TraceError::BadVarint), "{e}");
+}
+
 /// A real (shrunken) scenario run for the migration and analytics tests.
 fn scenario_trace(name: &str, seed: u64) -> Trace {
     let entry = ScenarioRegistry::standard();
@@ -305,19 +539,17 @@ fn converting_v1_preserves_stats_and_shrinks() {
     assert!(records.len() > 1000, "need a substantial stream");
 
     // The same stream through the legacy flat writer.
-    let v1 = {
-        let rec = RecorderV1::new(&v2.meta().expect("meta"));
-        let mut sink: Box<dyn TraceSink> = Box::new(rec.clone());
-        for r in &records {
-            sink.record(r.at, r.seq, &r.event);
-        }
-        rec.finish()
-    };
+    let v1_bytes = record_v1(&v2.meta().expect("meta"), &records);
+    let v1 = Trace::from_bytes(v1_bytes.clone()).expect("v1 imports");
 
-    // Migration is canonical: converting the v1 recording reproduces the
-    // directly-recorded v2 bytes exactly (same content hash, same blocks).
-    let converted = v1.to_v2().expect("converts");
-    assert_eq!(converted.as_bytes(), v2.as_bytes());
+    // Migration is canonical: importing the v1 recording reproduces the
+    // directly-recorded v2 bytes exactly (same content hash, same blocks),
+    // and what `trace convert` writes reads back as that recording.
+    assert_eq!(v1.as_bytes(), v2.as_bytes());
+    assert_eq!(v1.content_hash(), v2.content_hash());
+    assert_eq!(v1.blocks(), v2.blocks());
+    let converted = Trace::from_bytes(v1.as_bytes().to_vec()).expect("rereads");
+    assert_eq!(converted, v2);
 
     // Every statistic survives the wire change; only the wire tag moves.
     let mut sv1 = trace_stats(&v1).expect("v1 stats");
@@ -330,12 +562,12 @@ fn converting_v1_preserves_stats_and_shrinks() {
     // The columnar wire carries its seek index *and* still shrinks the
     // file substantially (the ≥4x target is asserted at campaign scale in
     // the bench suite; real quick-scale streams must manage ≥2x).
-    let ratio = v1.as_bytes().len() as f64 / v2.as_bytes().len() as f64;
+    let ratio = v1_bytes.len() as f64 / v2.as_bytes().len() as f64;
     assert!(
         ratio >= 2.0,
         "LTRC2 must be at least 2x smaller than LTRC1, got {ratio:.2}x \
          ({} -> {} bytes)",
-        v1.as_bytes().len(),
+        v1_bytes.len(),
         v2.as_bytes().len()
     );
 }
@@ -367,15 +599,11 @@ fn analytics_are_thread_invariant_on_real_traces() {
     }
     // The JSON stats carry the wire tag (regression: it used to be absent).
     assert!(json1.contains("\"wire\": \"LTRC2\""), "{json1}");
-    // Self-diff across wires: identical records, different bytes.
-    let a1 = {
-        let rec = RecorderV1::new(&a.meta().expect("meta"));
-        let mut sink: Box<dyn TraceSink> = Box::new(rec.clone());
-        for r in a.decode_all().expect("decodes") {
-            sink.record(r.at, r.seq, &r.event);
-        }
-        rec.finish()
-    };
+    // Self-diff across wires: identical records, different files.
+    let a1_bytes = record_v1(&a.meta().expect("meta"), &a.decode_all().expect("decodes"));
+    assert_ne!(a1_bytes, a.as_bytes());
+    let a1 = Trace::from_bytes(a1_bytes).expect("v1 imports");
+    assert_eq!(a1.wire(), TraceWire::V1);
     let self_diff = diff_traces_threaded(&a, &a1, 4).expect("mixed-wire diff");
     assert!(self_diff.is_identical(), "{self_diff}");
 }
