@@ -18,7 +18,9 @@ use lockss_experiments::runner::{replay_once, run, run_once, RunOptions};
 use lockss_experiments::scenario::{AttackSpec, Scenario};
 use lockss_experiments::Scale;
 use lockss_sim::{Duration, Engine, SimTime};
-use lockss_trace::{trace_stats, Recorder, RecorderV1, TraceMeta};
+use lockss_trace::{
+    trace_stats, trace_stats_threaded, Recorder, RecorderV1, TraceMeta, DEFAULT_BLOCK_EVENTS,
+};
 
 fn smoke(attack: AttackSpec) -> Scenario {
     let mut s = Scenario::attacked(Scale::Quick, 2, attack);
@@ -124,9 +126,8 @@ fn main() {
         });
     }
 
-    // The wire substrate: the recorded stream re-encoded, decoded, and
-    // seek/skip-decoded. `v1_len` is the same stream as an LTRC1 file,
-    // for the size line below.
+    // The recorded stream, for the wire-substrate lines below. `v1_len` is
+    // the same stream as an LTRC1 file, for the size line at the end.
     let records = trace.decode_all().expect("decodes");
     let v1_len = {
         let mut rec = RecorderV1::new(&m);
@@ -135,6 +136,36 @@ fn main() {
         }
         rec.finish().len()
     };
+
+    // The block-parallel pass, where it has blocks to hand out: the
+    // recorded stream laid end to end until it fills eight default
+    // blocks, folded at 1 and at 2 threads. The pair is the scaling of
+    // every threaded verb (stats, diff and export share the pass); it
+    // read 1.0x for as long as each decoded block was a fresh
+    // multi-megabyte allocation.
+    let long_trace = {
+        let last = records.last().expect("a recorded run emits events");
+        let (span_ms, span_seq) = (last.at.as_millis() + 1, last.seq + 1);
+        let laps = (8 * DEFAULT_BLOCK_EVENTS).div_ceil(records.len()) as u64;
+        let mut rec = Recorder::new(&m);
+        for lap in 0..laps {
+            for r in &records {
+                let at = SimTime(r.at.as_millis() + lap * span_ms);
+                rec.record(at, r.seq + lap * span_seq, &r.event);
+            }
+        }
+        rec.finish()
+    };
+    for threads in [1, 2] {
+        let long_trace = long_trace.clone();
+        h.bench(
+            &format!("trace/stats-pass 8 blocks @{threads}"),
+            move || black_box(trace_stats_threaded(&long_trace, threads).expect("stats")),
+        );
+    }
+
+    // The wire substrate: the recorded stream re-encoded, decoded, and
+    // seek/skip-decoded.
     {
         let m = m.clone();
         h.bench("trace/encode-v2", move || {
@@ -186,6 +217,12 @@ fn main() {
         trace.as_bytes().len(),
         (sealed - recording) / untraced * 100.0,
         untraced / 1e6,
+    );
+    println!(
+        "trace/stats-pass scaling: {:.2}x at 2 threads over 1 ({} blocks, {} events)",
+        mean("trace/stats-pass 8 blocks @1") / mean("trace/stats-pass 8 blocks @2"),
+        long_trace.blocks().len(),
+        long_trace.events(),
     );
     println!(
         "trace/size: LTRC1 {} bytes -> LTRC2 {} bytes ({:.2}x smaller on \

@@ -407,7 +407,7 @@ impl World {
     /// votes from while compromised, hiding the takeover from pollers) and
     /// `blocks_per_au` of its real blocks are then corrupted. While
     /// compromised the peer also serves poisoned repairs — see
-    /// [`World::poller_on_repair`]'s poison branch.
+    /// `World::poller_on_repair`'s poison branch.
     ///
     /// Returns false (and changes nothing) if the peer is already
     /// compromised; budget accounting stays exact either way.

@@ -47,7 +47,7 @@ use lockss_experiments::figures::{self, Sweeps};
 use lockss_experiments::fuzz::run_fuzz;
 use lockss_experiments::obs::{ObsSession, SweepObs, Telemetry};
 use lockss_experiments::runner::{
-    default_threads, peak_rss_kb, replay_once, run, run_batch, Occupancy, RunOptions,
+    default_threads, peak_rss_kb, replay_once, run, run_batch, Occupancy, RunOptions, Sink,
 };
 use lockss_experiments::sweep::{
     self, campaign_status, dispatch, jobfile, load_checkpoint, merge_files, parse_seed_range,
@@ -1187,12 +1187,20 @@ fn run_cmd(entry: &ScenarioEntry, scale: Scale, args: &[String]) {
             None => plain.clone(),
         };
         let mut out = run(&jobs[0], seed, &opts);
-        if let (Some(path), Some(trace)) = (record, out.trace.take()) {
+        if let (Some(path), Some(trace), Some(Sink::Record(recorder))) =
+            (record, out.trace.take(), &opts.sink)
+        {
+            // The sink's own row for the run's time budget: how much of
+            // the simulation thread's wall the sealer's back-pressure took.
+            let seal = recorder.seal_stats();
             match trace.write_to(Path::new(path)) {
                 Ok(()) => println!(
-                    "recorded {} event(s) to {path} (content hash {})",
+                    "recorded {} event(s) to {path} (content hash {}; {} block(s) sealed, \
+                     simulation blocked {:.3} ms on the sealer)",
                     trace.events(),
-                    trace.content_hash()
+                    trace.content_hash(),
+                    seal.blocks_sealed,
+                    seal.blocked_ns as f64 / 1e6
                 ),
                 Err(e) => fail(&format!("writing {path}: {e}")),
             }

@@ -24,7 +24,7 @@
 //!   version, duplicate or missing shards, overlapping or uncovered seed
 //!   ranges, an unfinished shard) and otherwise emits a report
 //!   byte-identical to a single-process run of the whole campaign.
-//! - [`dispatch`] — the driver: `sweep dispatch --shards N` fans the
+//! - [`mod@dispatch`] — the driver: `sweep dispatch --shards N` fans the
 //!   shards out over subprocesses with per-shard retry-with-backoff,
 //!   preemption detection via checkpoint freshness (a worker whose
 //!   checkpoint stops advancing is presumed preempted), straggler

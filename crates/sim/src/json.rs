@@ -371,7 +371,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
 }
 
 /// Escapes a string for embedding in a JSON document written by one of
-/// the fixed-schema writers (the counterpart of [`parse_string`]).
+/// the fixed-schema writers (the counterpart of `parse_string`).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

@@ -45,11 +45,11 @@
 //! whole-file seal, so per-block integrity rolls up into the one
 //! content hash.
 
-use lockss_core::trace::TraceEventKind;
+use lockss_core::trace::{TraceEvent, TraceEventKind};
 use lockss_crypto::sha256::sha256;
 use lockss_sim::SimTime;
 
-use crate::format::TraceRecord;
+use crate::format::{TraceRecord, BLOCK};
 use crate::lz;
 use crate::wire::{
     field_count, field_is_varint, get_event, put_event, put_varint, Cursor, TraceError,
@@ -83,33 +83,124 @@ pub struct BlockEntry {
     pub digest: [u8; 32],
 }
 
+/// One empty byte column per payload field of every kind, indexed
+/// `[kind code - 1][field]`.
+fn payload_columns() -> Vec<Vec<Vec<u8>>> {
+    TraceEventKind::ALL
+        .iter()
+        .map(|k| vec![Vec::new(); field_count(*k)])
+        .collect()
+}
+
+/// One open block: the raw columns events are pushed straight into.
+///
+/// Recording writes each field of each event into its column as the
+/// event arrives, so a full block is already transposed when it reaches
+/// [`BlockSealer::seal_block`]. Emptied with [`BlockBuf::clear`] and
+/// filled again, a buffer keeps its column capacity: a recorder in
+/// steady state allocates nothing per event or per block.
+pub(crate) struct BlockBuf {
+    kinds: Vec<u8>,
+    d_at: Vec<u8>,
+    d_seq: Vec<u8>,
+    payloads: Vec<Vec<Vec<u8>>>,
+    bitmap: u64,
+    base_at: u64,
+    base_seq: u64,
+    last_at: u64,
+    last_seq: u64,
+}
+
+impl Default for BlockBuf {
+    /// An empty block.
+    fn default() -> BlockBuf {
+        BlockBuf {
+            kinds: Vec::new(),
+            d_at: Vec::new(),
+            d_seq: Vec::new(),
+            payloads: payload_columns(),
+            bitmap: 0,
+            base_at: 0,
+            base_seq: 0,
+            last_at: 0,
+            last_seq: 0,
+        }
+    }
+}
+
+impl BlockBuf {
+    /// Events pushed since the block was new or cleared.
+    pub(crate) fn len(&self) -> usize {
+        self.kinds.len()
+    }
+
+    /// True when no event has been pushed.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.kinds.is_empty()
+    }
+
+    /// Appends one event. Events arrive in emission order: time and
+    /// engine ordinal never step back inside a block.
+    pub(crate) fn push(&mut self, at: SimTime, seq: u64, event: &TraceEvent) {
+        let at = at.as_millis();
+        if self.kinds.is_empty() {
+            (self.base_at, self.base_seq) = (at, seq);
+            (self.last_at, self.last_seq) = (at, seq);
+        }
+        let kind = event.kind();
+        self.bitmap |= kind.bit();
+        self.kinds.push(kind.code());
+        put_varint(&mut self.d_at, at - self.last_at);
+        put_varint(&mut self.d_seq, seq - self.last_seq);
+        (self.last_at, self.last_seq) = (at, seq);
+        put_event(&mut self.payloads[kind.code() as usize - 1], event);
+    }
+
+    /// Empties the block, keeping every column's capacity.
+    pub(crate) fn clear(&mut self) {
+        self.kinds.clear();
+        self.d_at.clear();
+        self.d_seq.clear();
+        for col in self.payloads.iter_mut().flatten() {
+            col.clear();
+        }
+        self.bitmap = 0;
+        (self.base_at, self.base_seq) = (0, 0);
+        (self.last_at, self.last_seq) = (0, 0);
+    }
+}
+
 /// Re-codes a canonical varint stream as `varint v0 · zigzag varint
 /// (v[i] - v[i-1])…` (wrapping subtraction, so the full u64 range is
-/// lossless). Returns `None` if `raw` is not a canonical varint stream,
-/// in which case the transform must not be used.
-fn zigzag_delta(raw: &[u8]) -> Option<Vec<u8>> {
+/// lossless) into `out`, replacing its contents. Returns `false` if
+/// `raw` is not a canonical varint stream, in which case the transform
+/// must not be used.
+fn zigzag_delta(raw: &[u8], out: &mut Vec<u8>) -> bool {
+    out.clear();
     let mut cur = Cursor::new(raw);
-    let mut out = Vec::with_capacity(raw.len());
     let mut prev = 0u64;
     let mut first = true;
     while !cur.at_end() {
-        let v = cur.varint().ok()?;
+        let Ok(v) = cur.varint() else {
+            return false;
+        };
         if first {
-            put_varint(&mut out, v);
+            put_varint(out, v);
             first = false;
         } else {
             let d = v.wrapping_sub(prev) as i64;
-            put_varint(&mut out, ((d << 1) ^ (d >> 63)) as u64);
+            put_varint(out, ((d << 1) ^ (d >> 63)) as u64);
         }
         prev = v;
     }
-    Some(out)
+    true
 }
 
-/// Inverts [`zigzag_delta`], rebuilding the original varint stream.
-fn undo_zigzag_delta(bytes: &[u8]) -> Result<Vec<u8>, ()> {
+/// Inverts [`zigzag_delta`], rebuilding the original varint stream in
+/// `out` (contents replaced).
+fn undo_zigzag_delta(bytes: &[u8], out: &mut Vec<u8>) -> Result<(), ()> {
+    out.clear();
     let mut cur = Cursor::new(bytes);
-    let mut out = Vec::with_capacity(bytes.len());
     let mut prev = 0u64;
     let mut first = true;
     while !cur.at_end() {
@@ -121,48 +212,159 @@ fn undo_zigzag_delta(bytes: &[u8]) -> Result<Vec<u8>, ()> {
             let d = ((z >> 1) as i64) ^ -((z & 1) as i64);
             prev.wrapping_add(d as u64)
         };
-        put_varint(&mut out, v);
+        put_varint(out, v);
         prev = v;
     }
-    Ok(out)
+    Ok(())
 }
 
-/// Appends one column with the `encoding · raw_len · stored_len · bytes`
-/// framing. `delta_ok` marks the column as a canonical varint stream,
-/// letting the encoder also try the zigzag-delta re-code; whichever of
-/// the four encodings stores fewest bytes wins (ties to the lower
-/// encoding code, so the choice is deterministic).
-fn put_column_opts(out: &mut Vec<u8>, raw: &[u8], delta_ok: bool) {
-    let packed = lz::compress(raw);
-    let (mut enc, mut basis_len, mut stored) = if packed.len() < raw.len() {
-        (ENC_LZ, raw.len(), packed)
-    } else {
-        (ENC_RAW, raw.len(), raw.to_vec())
-    };
-    if delta_ok {
-        if let Some(delta) = zigzag_delta(raw) {
-            debug_assert_eq!(undo_zigzag_delta(&delta).as_deref(), Ok(raw));
-            let dpacked = lz::compress(&delta);
-            if dpacked.len() < delta.len() && dpacked.len() < stored.len() {
-                (enc, basis_len, stored) = (ENC_DELTA_LZ, delta.len(), dpacked);
-            } else if delta.len() < stored.len() {
-                (enc, basis_len, stored) = (ENC_DELTA, delta.len(), delta);
+/// The per-column encoding trial and the buffers it reuses from column
+/// to column: one LZ table, and one buffer per candidate encoding.
+#[derive(Default)]
+struct ColumnEncoder {
+    lz: lz::Compressor,
+    packed: Vec<u8>,
+    delta: Vec<u8>,
+    delta_packed: Vec<u8>,
+}
+
+impl ColumnEncoder {
+    /// Appends one column with the `encoding · raw_len · stored_len ·
+    /// bytes` framing. `delta_ok` marks the column as a canonical varint
+    /// stream, letting the encoder also try the zigzag-delta re-code;
+    /// whichever of the four encodings stores fewest bytes wins (ties to
+    /// the lower encoding code, so the choice is deterministic).
+    fn put_column(&mut self, out: &mut Vec<u8>, raw: &[u8], delta_ok: bool) {
+        self.packed.clear();
+        self.lz.compress_into(raw, &mut self.packed);
+        let (mut enc, mut basis_len, mut stored) = if self.packed.len() < raw.len() {
+            (ENC_LZ, raw.len(), self.packed.as_slice())
+        } else {
+            (ENC_RAW, raw.len(), raw)
+        };
+        if delta_ok && zigzag_delta(raw, &mut self.delta) {
+            debug_assert!({
+                let mut back = Vec::new();
+                undo_zigzag_delta(&self.delta, &mut back).is_ok() && back == raw
+            });
+            self.delta_packed.clear();
+            self.lz.compress_into(&self.delta, &mut self.delta_packed);
+            if self.delta_packed.len() < self.delta.len() && self.delta_packed.len() < stored.len()
+            {
+                (enc, basis_len, stored) = (ENC_DELTA_LZ, self.delta.len(), &self.delta_packed);
+            } else if self.delta.len() < stored.len() {
+                (enc, basis_len, stored) = (ENC_DELTA, self.delta.len(), &self.delta);
             }
         }
+        out.push(enc);
+        put_varint(out, basis_len as u64);
+        put_varint(out, stored.len() as u64);
+        out.extend_from_slice(stored);
     }
-    out.push(enc);
-    put_varint(out, basis_len as u64);
-    put_varint(out, stored.len() as u64);
-    out.extend_from_slice(&stored);
 }
 
-/// Reads one framed column, attributing any failure to `column` in
-/// `block` for the diagnostic.
+/// Seals open blocks onto the block region of a file under construction.
+///
+/// Owns the file's bytes so far (magic, header, the frames of every
+/// block sealed) and their index entries, plus the encoder state reused
+/// from block to block. The one place a block's bytes are made: a pure
+/// function of the events pushed into the [`BlockBuf`], whichever thread
+/// runs it — which both the content hash and the digest-based diff fast
+/// path rely on.
+pub(crate) struct BlockSealer {
+    bytes: Vec<u8>,
+    index: Vec<BlockEntry>,
+    body: Vec<u8>,
+    encoder: ColumnEncoder,
+}
+
+impl BlockSealer {
+    /// A sealer appending to `bytes` (the file's magic and header).
+    pub(crate) fn new(bytes: Vec<u8>) -> BlockSealer {
+        BlockSealer {
+            bytes,
+            index: Vec::new(),
+            body: Vec::new(),
+            encoder: ColumnEncoder::default(),
+        }
+    }
+
+    /// Encodes `block` into a block body — the four-way encoding trial
+    /// per column — and appends its frame (`0x01 · varint body_len ·
+    /// body`) to the file bytes and its digest entry to the index.
+    pub(crate) fn seal_block(&mut self, block: &BlockBuf) {
+        let body = &mut self.body;
+        body.clear();
+        put_varint(body, block.len() as u64);
+        put_varint(body, block.base_at);
+        put_varint(body, block.base_seq);
+        put_varint(body, block.bitmap);
+        self.encoder.put_column(body, &block.kinds, true);
+        self.encoder.put_column(body, &block.d_at, true);
+        self.encoder.put_column(body, &block.d_seq, true);
+        for kind in TraceEventKind::ALL {
+            if block.bitmap & kind.bit() != 0 {
+                let cols = &block.payloads[kind.code() as usize - 1];
+                put_varint(body, cols.len() as u64);
+                for (i, col) in cols.iter().enumerate() {
+                    self.encoder.put_column(body, col, field_is_varint(kind, i));
+                }
+            }
+        }
+        self.index.push(BlockEntry {
+            offset: self.bytes.len() as u64,
+            body_len: body.len() as u64,
+            n_events: block.len() as u64,
+            kind_bitmap: block.bitmap,
+            first_at_ms: block.base_at,
+            last_at_ms: block.last_at,
+            digest: sha256(body),
+        });
+        self.bytes.push(BLOCK);
+        put_varint(&mut self.bytes, body.len() as u64);
+        self.bytes.extend_from_slice(body);
+    }
+
+    /// The file bytes so far and the index of the blocks in them.
+    pub(crate) fn into_parts(self) -> (Vec<u8>, Vec<BlockEntry>) {
+        (self.bytes, self.index)
+    }
+}
+
+/// A reader's decode state: the decompressed columns of the block in
+/// hand. Cleared, not freed, between blocks, so a reader that keeps one
+/// makes no large allocation per block once the first few have sized it.
+pub struct ColumnScratch {
+    kinds: Vec<u8>,
+    d_at: Vec<u8>,
+    d_seq: Vec<u8>,
+    payloads: Vec<Vec<Vec<u8>>>,
+    /// The LZ output of a delta+LZ column, before the delta is undone.
+    delta: Vec<u8>,
+}
+
+impl Default for ColumnScratch {
+    fn default() -> ColumnScratch {
+        ColumnScratch {
+            kinds: Vec::new(),
+            d_at: Vec::new(),
+            d_seq: Vec::new(),
+            payloads: payload_columns(),
+            delta: Vec::new(),
+        }
+    }
+}
+
+/// Reads one framed column into `out` (contents replaced), attributing
+/// any failure to `column` in `block` for the diagnostic. `delta` is
+/// scratch for the two-step delta+LZ encoding.
 fn get_column(
     cur: &mut Cursor<'_>,
     block: u64,
     column: &'static str,
-) -> Result<Vec<u8>, TraceError> {
+    delta: &mut Vec<u8>,
+    out: &mut Vec<u8>,
+) -> Result<(), TraceError> {
     let bad = || TraceError::BadColumn { block, column };
     let enc = cur.u8().map_err(|_| bad())?;
     let raw_len = cur.varint().map_err(|_| bad())? as usize;
@@ -174,15 +376,17 @@ fn get_column(
                 return Err(bad());
             }
             if enc == ENC_RAW {
-                Ok(stored.to_vec())
+                out.clear();
+                out.extend_from_slice(stored);
+                Ok(())
             } else {
-                undo_zigzag_delta(stored).map_err(|_| bad())
+                undo_zigzag_delta(stored, out).map_err(|_| bad())
             }
         }
-        ENC_LZ => lz::decompress(stored, raw_len).map_err(|_| bad()),
+        ENC_LZ => lz::decompress_into(stored, raw_len, out).map_err(|_| bad()),
         ENC_DELTA_LZ => {
-            let delta = lz::decompress(stored, raw_len).map_err(|_| bad())?;
-            undo_zigzag_delta(&delta).map_err(|_| bad())
+            lz::decompress_into(stored, raw_len, delta).map_err(|_| bad())?;
+            undo_zigzag_delta(delta, out).map_err(|_| bad())
         }
         _ => Err(bad()),
     }
@@ -202,89 +406,34 @@ fn skip_column(cur: &mut Cursor<'_>, block: u64, column: &'static str) -> Result
     Ok(())
 }
 
-/// Encodes a run of records (one block's worth) into a block body.
-///
-/// The records must be in emission order; the encoder transposes them
-/// into columns. Deterministic: the same records always produce the
-/// same bytes, which both the content hash and the digest-based diff
-/// fast path rely on.
-pub fn encode_block_body(records: &[TraceRecord]) -> Vec<u8> {
-    let mut kinds = Vec::with_capacity(records.len());
-    let mut d_at = Vec::with_capacity(records.len());
-    let mut d_seq = Vec::with_capacity(records.len());
-    let mut payloads: Vec<Vec<Vec<u8>>> = TraceEventKind::ALL
-        .iter()
-        .map(|k| vec![Vec::new(); field_count(*k)])
-        .collect();
-    let mut bitmap = 0u64;
-
-    let base_at = records.first().map_or(0, |r| r.at.as_millis());
-    let base_seq = records.first().map_or(0, |r| r.seq);
-    let mut prev_at = base_at;
-    let mut prev_seq = base_seq;
-    for record in records {
-        let kind = record.event.kind();
-        bitmap |= kind.bit();
-        kinds.push(kind.code());
-        put_varint(&mut d_at, record.at.as_millis() - prev_at);
-        put_varint(&mut d_seq, record.seq - prev_seq);
-        prev_at = record.at.as_millis();
-        prev_seq = record.seq;
-        put_event(&mut payloads[kind.code() as usize - 1], &record.event);
-    }
-
-    let mut body = Vec::with_capacity(records.len() * 4 + 64);
-    put_varint(&mut body, records.len() as u64);
-    put_varint(&mut body, base_at);
-    put_varint(&mut body, base_seq);
-    put_varint(&mut body, bitmap);
-    put_column_opts(&mut body, &kinds, true);
-    put_column_opts(&mut body, &d_at, true);
-    put_column_opts(&mut body, &d_seq, true);
-    for kind in TraceEventKind::ALL {
-        if bitmap & kind.bit() != 0 {
-            let cols = &payloads[kind.code() as usize - 1];
-            put_varint(&mut body, cols.len() as u64);
-            for (i, col) in cols.iter().enumerate() {
-                put_column_opts(&mut body, col, field_is_varint(kind, i));
-            }
-        }
-    }
-    body
-}
-
-/// Builds the index entry for a block body placed at `offset`.
-pub fn block_entry(offset: u64, body: &[u8], records: &[TraceRecord]) -> BlockEntry {
-    let mut bitmap = 0u64;
-    for record in records {
-        bitmap |= record.event.kind().bit();
-    }
-    BlockEntry {
-        offset,
-        body_len: body.len() as u64,
-        n_events: records.len() as u64,
-        kind_bitmap: bitmap,
-        first_at_ms: records.first().map_or(0, |r| r.at.as_millis()),
-        last_at_ms: records.last().map_or(0, |r| r.at.as_millis()),
-        digest: sha256(body),
-    }
-}
-
-/// Decodes a full block body back into records. `block` is the block's
-/// index, used only to attribute errors.
-pub fn decode_block_body(body: &[u8], block: u64) -> Result<Vec<TraceRecord>, TraceError> {
-    decode_block_body_masked(body, block, u64::MAX)
-}
-
-/// Decodes a block body, materialising only events whose kind bit is in
-/// `kind_mask`. Payload columns of excluded kinds are skipped without
-/// decompression; the structural columns are always read so positions
-/// stay exact.
+/// Decodes a block body, appending to `out` the events whose kind bit is
+/// in `kind_mask` (`u64::MAX` for all of them). Payload columns of
+/// excluded kinds are skipped without decompression; the structural
+/// columns are always read so positions stay exact. `block` is the
+/// block's index, used only to attribute errors; on an error `out` is
+/// left as it came in.
 pub fn decode_block_body_masked(
     body: &[u8],
     block: u64,
     kind_mask: u64,
-) -> Result<Vec<TraceRecord>, TraceError> {
+    scratch: &mut ColumnScratch,
+    out: &mut Vec<TraceRecord>,
+) -> Result<(), TraceError> {
+    let len_before = out.len();
+    let decoded = decode_body(body, block, kind_mask, scratch, out);
+    if decoded.is_err() {
+        out.truncate(len_before);
+    }
+    decoded
+}
+
+fn decode_body(
+    body: &[u8],
+    block: u64,
+    kind_mask: u64,
+    scratch: &mut ColumnScratch,
+    out: &mut Vec<TraceRecord>,
+) -> Result<(), TraceError> {
     let bad = |column: &'static str| TraceError::BadColumn { block, column };
     let mut cur = Cursor::new(body);
     let n = cur.varint().map_err(|_| bad("header"))? as usize;
@@ -292,17 +441,23 @@ pub fn decode_block_body_masked(
     let base_seq = cur.varint().map_err(|_| bad("header"))?;
     let bitmap = cur.varint().map_err(|_| bad("header"))?;
 
-    let kinds = get_column(&mut cur, block, "kinds")?;
+    let ColumnScratch {
+        kinds,
+        d_at,
+        d_seq,
+        payloads,
+        delta,
+    } = scratch;
+    get_column(&mut cur, block, "kinds", delta, kinds)?;
     if kinds.len() != n {
         return Err(bad("kinds"));
     }
-    let d_at = get_column(&mut cur, block, "time-delta")?;
-    let d_seq = get_column(&mut cur, block, "ordinal-delta")?;
+    get_column(&mut cur, block, "time-delta", delta, d_at)?;
+    get_column(&mut cur, block, "ordinal-delta", delta, d_seq)?;
 
     // One column per payload field per kind present, ascending code
     // order, each kind's group prefixed by its field count.
-    let mut payloads: Vec<Option<Vec<Vec<u8>>>> =
-        (0..TraceEventKind::COUNT).map(|_| None).collect();
+    let mut wanted = 0u64;
     for kind in TraceEventKind::ALL {
         if bitmap & kind.bit() == 0 {
             continue;
@@ -312,10 +467,10 @@ pub fn decode_block_body_masked(
             return Err(bad("payload"));
         }
         if kind_mask & kind.bit() != 0 {
-            let cols = (0..n_cols)
-                .map(|_| get_column(&mut cur, block, "payload"))
-                .collect::<Result<Vec<_>, _>>()?;
-            payloads[kind.code() as usize - 1] = Some(cols);
+            wanted |= kind.bit();
+            for col in &mut payloads[kind.code() as usize - 1] {
+                get_column(&mut cur, block, "payload", delta, col)?;
+            }
         } else {
             for _ in 0..n_cols {
                 skip_column(&mut cur, block, "payload")?;
@@ -326,30 +481,42 @@ pub fn decode_block_body_masked(
         return Err(bad("trailing bytes"));
     }
 
-    let mut at_cur = Cursor::new(&d_at);
-    let mut seq_cur = Cursor::new(&d_seq);
-    let mut payload_curs: Vec<Option<Vec<Cursor<'_>>>> = payloads
+    let mut at_cur = Cursor::new(d_at);
+    let mut seq_cur = Cursor::new(d_seq);
+    // Cursors over the decompressed columns of the kinds being
+    // materialised; the other kinds' columns hold an earlier block's
+    // bytes and are never read.
+    let mut payload_curs: Vec<Vec<Cursor<'_>>> = TraceEventKind::ALL
         .iter()
-        .map(|p| {
-            p.as_ref()
-                .map(|cols| cols.iter().map(|c| Cursor::new(c)).collect())
+        .zip(payloads.iter())
+        .map(|(kind, cols)| {
+            let cols = if wanted & kind.bit() != 0 {
+                &cols[..]
+            } else {
+                &[]
+            };
+            cols.iter().map(|c| Cursor::new(c)).collect()
         })
         .collect();
 
-    let mut out = Vec::with_capacity(if kind_mask == u64::MAX { n } else { 0 });
+    // `n` is backed by `n` decompressed kind bytes, so it is safe to
+    // reserve for.
+    if kind_mask == u64::MAX {
+        out.reserve(n);
+    }
     let mut at = base_at;
     let mut seq = base_seq;
     // The deltas are the file's claim: their running sums may not wrap.
     let next = |cur: &mut Cursor<'_>, sum: u64| cur.varint().ok()?.checked_add(sum);
-    for &code in &kinds {
+    for &code in kinds.iter() {
         let kind = TraceEventKind::from_code(code).ok_or(TraceError::UnknownKind(code))?;
         if bitmap & kind.bit() == 0 {
             return Err(bad("kinds"));
         }
         at = next(&mut at_cur, at).ok_or(bad("time-delta"))?;
         seq = next(&mut seq_cur, seq).ok_or(bad("ordinal-delta"))?;
-        if let Some(pcurs) = payload_curs[code as usize - 1].as_mut() {
-            let event = get_event(pcurs, kind)?;
+        if wanted & kind.bit() != 0 {
+            let event = get_event(&mut payload_curs[code as usize - 1], kind)?;
             out.push(TraceRecord {
                 at: SimTime(at),
                 seq,
@@ -360,15 +527,10 @@ pub fn decode_block_body_masked(
     if !at_cur.at_end() || !seq_cur.at_end() {
         return Err(bad("time-delta"));
     }
-    for pcurs in payload_curs.iter().flatten() {
-        if pcurs.iter().any(|c| !c.at_end()) {
-            return Err(TraceError::BadColumn {
-                block,
-                column: "payload",
-            });
-        }
+    if payload_curs.iter().flatten().any(|c| !c.at_end()) {
+        return Err(bad("payload"));
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Appends the trailer index for `blocks`.
@@ -429,7 +591,50 @@ pub fn parse_index(cur: &mut Cursor<'_>) -> Result<Vec<BlockEntry>, TraceError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lockss_core::trace::{MsgKind, TraceEvent};
+    use lockss_core::trace::MsgKind;
+
+    /// Seals `records` as one block and returns its index entry and body.
+    fn seal(records: &[TraceRecord]) -> (BlockEntry, Vec<u8>) {
+        let mut block = BlockBuf::default();
+        for r in records {
+            block.push(r.at, r.seq, &r.event);
+        }
+        let mut sealer = BlockSealer::new(vec![0xAB; 46]);
+        sealer.seal_block(&block);
+        let (bytes, mut index) = sealer.into_parts();
+        let entry = index.pop().expect("one block sealed");
+        assert_eq!((entry.offset, bytes[46]), (46, BLOCK));
+        let body = bytes[bytes.len() - entry.body_len as usize..].to_vec();
+        (entry, body)
+    }
+
+    fn encode_block_body(records: &[TraceRecord]) -> Vec<u8> {
+        seal(records).1
+    }
+
+    fn decode_block_body(body: &[u8], block: u64) -> Result<Vec<TraceRecord>, TraceError> {
+        decode_masked(body, block, u64::MAX)
+    }
+
+    fn decode_masked(body: &[u8], block: u64, mask: u64) -> Result<Vec<TraceRecord>, TraceError> {
+        let mut out = Vec::new();
+        decode_block_body_masked(body, block, mask, &mut ColumnScratch::default(), &mut out)?;
+        Ok(out)
+    }
+
+    fn get_column(
+        cur: &mut Cursor<'_>,
+        block: u64,
+        column: &'static str,
+    ) -> Result<Vec<u8>, TraceError> {
+        let mut out = vec![0xEE; 5];
+        super::get_column(cur, block, column, &mut Vec::new(), &mut out)?;
+        Ok(out)
+    }
+
+    fn put_column_opts(out: &mut Vec<u8>, raw: &[u8], delta_ok: bool) {
+        ColumnEncoder::default().put_column(out, raw, delta_ok);
+    }
 
     fn sample_records() -> Vec<TraceRecord> {
         (0..200u64)
@@ -475,7 +680,7 @@ mod tests {
         let records = sample_records();
         let body = encode_block_body(&records);
         let mask = TraceEventKind::PollStart.bit();
-        let only_polls = decode_block_body_masked(&body, 0, mask).expect("decodes");
+        let only_polls = decode_masked(&body, 0, mask).expect("decodes");
         let expected: Vec<TraceRecord> = records
             .iter()
             .filter(|r| r.event.kind() == TraceEventKind::PollStart)
@@ -538,9 +743,10 @@ mod tests {
     #[test]
     fn index_roundtrips() {
         let records = sample_records();
-        let body = encode_block_body(&records);
+        let (entry, body) = seal(&records);
+        assert_eq!(entry.digest, sha256(&body));
         let entries = vec![
-            block_entry(46, &body, &records),
+            entry,
             BlockEntry {
                 offset: 9_000,
                 body_len: 17,
@@ -562,9 +768,7 @@ mod tests {
 
     #[test]
     fn truncated_index_is_diagnosed() {
-        let records = sample_records();
-        let body = encode_block_body(&records);
-        let entries = vec![block_entry(46, &body, &records)];
+        let entries = vec![seal(&sample_records()).0];
         let mut buf = Vec::new();
         put_index(&mut buf, &entries);
         let cut = &buf[..buf.len() - 10];
@@ -612,12 +816,15 @@ mod tests {
             for &v in &values {
                 put_varint(&mut raw, v);
             }
-            let delta = zigzag_delta(&raw).expect("canonical stream");
-            assert_eq!(undo_zigzag_delta(&delta).as_deref(), Ok(raw.as_slice()));
+            let (mut delta, mut back) = (vec![9; 3], vec![9; 3]);
+            assert!(zigzag_delta(&raw, &mut delta), "canonical stream");
+            assert_eq!(undo_zigzag_delta(&delta, &mut back), Ok(()));
+            assert_eq!(back, raw);
         }
-        assert_eq!(zigzag_delta(&[]), Some(Vec::new()));
+        let mut delta = vec![9; 3];
+        assert!(zigzag_delta(&[], &mut delta) && delta.is_empty());
         // A truncated varint is not a canonical stream.
-        assert_eq!(zigzag_delta(&[0x80]), None);
+        assert!(!zigzag_delta(&[0x80], &mut delta));
     }
 
     #[test]

@@ -101,12 +101,13 @@ fn find_fork(a: &Trace, b: &Trace) -> Result<Option<Fork>, TraceError> {
     let mut ra = a.records_from_block(skip);
     let mut rb = b.records_from_block(skip);
     loop {
-        let na = ra.next().transpose()?;
-        let nb = rb.next().transpose()?;
-        match (na, nb) {
+        match (ra.next_record()?, rb.next_record()?) {
             (None, None) => return Ok(None),
             (a, b) if a == b => index += 1,
-            (a, b) => return Ok(Some(Fork { index, a, b })),
+            (a, b) => {
+                let (a, b) = (a.cloned(), b.cloned());
+                return Ok(Some(Fork { index, a, b }));
+            }
         }
     }
 }

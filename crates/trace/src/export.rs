@@ -42,7 +42,7 @@ pub fn export_csv(trace: &Trace, threads: usize, bucket_days: u64) -> Result<Str
     let bucket_ms = bucket_days * MS_PER_DAY;
     let mut rows: Vec<Row> = Vec::new();
     for_each_block(trace, threads, |chunk| {
-        for rec in &chunk {
+        for rec in chunk {
             let idx = (rec.at.as_millis() / bucket_ms) as usize;
             if rows.len() <= idx {
                 rows.resize(idx + 1, Row::zero());

@@ -29,15 +29,18 @@
 use std::cell::RefCell;
 use std::path::Path;
 use std::rc::Rc;
+use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Instant;
 
 use lockss_core::trace::{TraceEvent, TraceSink};
 use lockss_crypto::sha256::sha256;
 use lockss_sim::SimTime;
 
 use crate::columnar::{
-    block_entry, decode_block_body, decode_block_body_masked, encode_block_body, parse_index,
-    put_index, BlockEntry,
+    decode_block_body_masked, parse_index, put_index, BlockBuf, BlockEntry, BlockSealer,
+    ColumnScratch,
 };
 use crate::legacy;
 use crate::wire::{put_str, put_varint, Cursor, TraceError};
@@ -52,7 +55,7 @@ pub const MAGIC_V2: &[u8; 6] = b"LTRC2\n";
 pub(crate) const END: u8 = 0;
 
 /// The start-of-block marker in a v2 stream.
-const BLOCK: u8 = 1;
+pub(crate) const BLOCK: u8 = 1;
 
 /// Default events per block: big enough to amortize column framing and
 /// feed the compressor, small enough that one decoded block (~65k
@@ -153,26 +156,123 @@ impl std::fmt::Display for TraceRecord {
     }
 }
 
+/// The thread a recorder seals full blocks on, and its two channels.
+///
+/// Full blocks go out over a channel bounded at one, so at most four
+/// block buffers ever exist — one filling, one queued, one being sealed,
+/// one on its way back — and a simulation that outruns the sealer waits
+/// instead of buffering the run. The worker seals in arrival order and
+/// returns each emptied buffer for reuse.
+struct SealWorker {
+    /// `None` once the channel is closed, which is what ends the worker.
+    full: Option<SyncSender<BlockBuf>>,
+    emptied: Receiver<BlockBuf>,
+    handle: Option<JoinHandle<BlockSealer>>,
+}
+
+impl SealWorker {
+    fn spawn(mut sealer: BlockSealer) -> SealWorker {
+        let (full, queue) = sync_channel::<BlockBuf>(1);
+        let (back, emptied) = channel::<BlockBuf>();
+        let handle = std::thread::Builder::new()
+            .name("ltrc2-seal".into())
+            .spawn(move || {
+                for mut block in queue {
+                    sealer.seal_block(&block);
+                    block.clear();
+                    // The recorder may have been dropped mid-run.
+                    let _ = back.send(block);
+                }
+                sealer
+            })
+            .expect("spawning the seal worker");
+        SealWorker {
+            full: Some(full),
+            emptied,
+            handle: Some(handle),
+        }
+    }
+
+    /// Hands `block` to the worker; returns the nanoseconds spent waiting
+    /// for room in the channel.
+    fn send(&self, block: BlockBuf) -> u64 {
+        let full = self.full.as_ref().expect("open until joined");
+        let gone = "the seal worker exits only when its channel closes";
+        match full.try_send(block) {
+            Ok(()) => 0,
+            Err(TrySendError::Full(block)) => {
+                let waiting = Instant::now();
+                full.send(block).expect(gone);
+                waiting.elapsed().as_nanos() as u64
+            }
+            Err(TrySendError::Disconnected(_)) => panic!("{gone}"),
+        }
+    }
+
+    /// Closes the channel and waits for the worker to seal what is
+    /// queued. `None` if it was joined before, or panicked.
+    fn join(&mut self) -> Option<BlockSealer> {
+        self.full = None;
+        self.handle.take()?.join().ok()
+    }
+}
+
+impl Drop for SealWorker {
+    /// A recorder dropped unfinished (an aborted replay, an unwinding
+    /// run) still stops its thread.
+    fn drop(&mut self) {
+        self.join();
+    }
+}
+
+/// Where a recorder's blocks are sealed: on the recording thread until
+/// the first block fills — a short recording never spawns a thread —
+/// then on a [`SealWorker`].
+enum Sealing {
+    Here(BlockSealer),
+    Worker(SealWorker),
+}
+
+impl Sealing {
+    /// Moves the state out, leaving an empty sealer behind.
+    fn take(&mut self) -> Sealing {
+        std::mem::replace(self, Sealing::Here(BlockSealer::new(Vec::new())))
+    }
+}
+
+/// Out-of-band counters of a recording's sealing pipeline (never part of
+/// the trace bytes).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SealStats {
+    /// Blocks handed to the sealer so far, the last partial one included
+    /// once the trace is finished.
+    pub blocks_sealed: u64,
+    /// Nanoseconds the recording thread spent waiting for room in the
+    /// seal worker's channel.
+    pub blocked_ns: u64,
+}
+
 struct RecorderInner {
-    buf: Vec<u8>,
-    pending: Vec<TraceRecord>,
-    blocks: Vec<BlockEntry>,
-    events: u64,
+    open: BlockBuf,
     block_events: usize,
+    events: u64,
+    sealing: Sealing,
+    stats: SealStats,
 }
 
 impl RecorderInner {
-    fn flush_block(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let body = encode_block_body(&self.pending);
-        let offset = self.buf.len() as u64;
-        self.buf.push(BLOCK);
-        put_varint(&mut self.buf, body.len() as u64);
-        self.buf.extend_from_slice(&body);
-        self.blocks.push(block_entry(offset, &body, &self.pending));
-        self.pending.clear();
+    /// Swaps the full open block for an empty one and queues it for the
+    /// worker, which the first full block spawns.
+    fn hand_over(&mut self) {
+        let worker = match self.sealing.take() {
+            Sealing::Here(sealer) => SealWorker::spawn(sealer),
+            Sealing::Worker(worker) => worker,
+        };
+        let next = worker.emptied.try_recv().unwrap_or_default();
+        let full = std::mem::replace(&mut self.open, next);
+        self.stats.blocked_ns += worker.send(full);
+        self.stats.blocks_sealed += 1;
+        self.sealing = Sealing::Worker(worker);
     }
 }
 
@@ -180,9 +280,12 @@ impl RecorderInner {
 ///
 /// The recorder is a shared handle (`Clone`): install one clone as the
 /// world's sink and keep the other to [`Recorder::finish`] the trace after
-/// the run. Events buffer in emission order until the block budget fills,
-/// then transpose into one compressed block. Single-threaded by design,
-/// like the runs it records.
+/// the run. Each event is written field by field into the open block's
+/// columns as it arrives; a full block is handed to a worker thread that
+/// picks the column encodings, digests the body and appends it to the
+/// file bytes, in block order, so the bytes are the same function of the
+/// events they always were. The handle itself is single-threaded by
+/// design, like the runs it records.
 #[derive(Clone)]
 pub struct Recorder {
     inner: Rc<RefCell<RecorderInner>>,
@@ -204,11 +307,11 @@ impl Recorder {
         meta.put(&mut buf);
         Recorder {
             inner: Rc::new(RefCell::new(RecorderInner {
-                buf,
-                pending: Vec::new(),
-                blocks: Vec::new(),
-                events: 0,
+                open: BlockBuf::default(),
                 block_events: block_events.max(1),
+                events: 0,
+                sealing: Sealing::Here(BlockSealer::new(buf)),
+                stats: SealStats::default(),
             })),
         }
     }
@@ -218,21 +321,41 @@ impl Recorder {
         self.inner.borrow().events
     }
 
-    /// Seals the trace: flushes the last partial block, then appends the
-    /// end marker, block index, index offset, event count, and the
-    /// content hash.
+    /// The sealing pipeline's counters so far. They outlive
+    /// [`Recorder::finish`]: a clone kept past it reads the final values.
+    pub fn seal_stats(&self) -> SealStats {
+        self.inner.borrow().stats
+    }
+
+    /// Seals the trace: seals the last partial block behind the ones
+    /// already queued, then appends the end marker, block index, index
+    /// offset, event count, and the content hash.
     pub fn finish(self) -> Trace {
         let mut inner = self.inner.borrow_mut();
-        inner.flush_block();
-        let events = inner.events;
-        let blocks = std::mem::take(&mut inner.blocks);
-        let mut bytes = std::mem::take(&mut inner.buf);
-        drop(inner);
+        let inner = &mut *inner;
+        let partial = !inner.open.is_empty();
+        inner.stats.blocks_sealed += u64::from(partial);
+        let sealer = match inner.sealing.take() {
+            Sealing::Here(mut sealer) => {
+                if partial {
+                    sealer.seal_block(&inner.open);
+                    inner.open.clear();
+                }
+                sealer
+            }
+            Sealing::Worker(mut worker) => {
+                if partial {
+                    inner.stats.blocked_ns += worker.send(std::mem::take(&mut inner.open));
+                }
+                worker.join().expect("the seal worker panicked")
+            }
+        };
+        let (mut bytes, blocks) = sealer.into_parts();
         let index_offset = bytes.len() as u64;
         bytes.push(END);
         put_index(&mut bytes, &blocks);
         bytes.extend_from_slice(&index_offset.to_le_bytes());
-        bytes.extend_from_slice(&events.to_le_bytes());
+        bytes.extend_from_slice(&inner.events.to_le_bytes());
         let digest = sha256(&bytes);
         bytes.extend_from_slice(&digest);
         Trace {
@@ -245,14 +368,10 @@ impl Recorder {
 impl TraceSink for Recorder {
     fn record(&mut self, at: SimTime, seq: u64, event: &TraceEvent) {
         let mut inner = self.inner.borrow_mut();
-        inner.pending.push(TraceRecord {
-            at,
-            seq,
-            event: event.clone(),
-        });
+        inner.open.push(at, seq, event);
         inner.events += 1;
-        if inner.pending.len() >= inner.block_events {
-            inner.flush_block();
+        if inner.open.len() >= inner.block_events {
+            inner.hand_over();
         }
     }
 }
@@ -398,8 +517,8 @@ impl Trace {
         TraceMeta::get(&mut Cursor::new(&self.as_bytes()[MAGIC_V2.len()..]))
     }
 
-    /// The framed body bytes of block `block`, digest-verified against
-    /// the index.
+    /// The framed body bytes of block `block`, digest and event count
+    /// verified against the index.
     fn block_body(&self, block: usize) -> Result<&[u8], TraceError> {
         let entry = self
             .blocks()
@@ -417,33 +536,57 @@ impl Trace {
                 block: block as u64,
             });
         }
+        // Readers count records off the index (the diff's skipped prefix,
+        // a caller sizing a buffer); hold its claim to the body's own.
+        if Cursor::new(body).varint().ok() != Some(entry.n_events) {
+            return Err(TraceError::BadIndex("event count"));
+        }
         Ok(body)
     }
 
-    /// Decodes one block into records. The block body is digest-verified
-    /// first, so a corrupt block under a re-sealed file still diagnoses
-    /// as [`TraceError::BadBlockChecksum`].
+    /// Decodes block `block`, appending to `out` its records of the kinds
+    /// in `kind_mask` (`u64::MAX`: all of them; payload columns of the
+    /// other kinds are skipped without decompression). The block body is
+    /// digest-verified first, so a corrupt block under a re-sealed file
+    /// still diagnoses as [`TraceError::BadBlockChecksum`]. `scratch` is
+    /// the caller's to keep between blocks; on an error `out` is left as
+    /// it came in.
+    pub fn decode_block_into(
+        &self,
+        block: usize,
+        kind_mask: u64,
+        scratch: &mut ColumnScratch,
+        out: &mut Vec<TraceRecord>,
+    ) -> Result<(), TraceError> {
+        let body = self.block_body(block)?;
+        decode_block_body_masked(body, block as u64, kind_mask, scratch, out)
+    }
+
+    /// Decodes one block into records of its own (a one-off look at a
+    /// block; passes over a trace reuse buffers through
+    /// [`Trace::decode_block_into`]).
     pub fn decode_block(&self, block: usize) -> Result<Vec<TraceRecord>, TraceError> {
-        decode_block_body(self.block_body(block)?, block as u64)
+        self.decode_block_masked(block, u64::MAX)
     }
 
     /// Decodes one block keeping only events whose kind bit is in
-    /// `kind_mask`; payload columns of excluded kinds are skipped
-    /// without decompression.
+    /// `kind_mask`.
     pub fn decode_block_masked(
         &self,
         block: usize,
         kind_mask: u64,
     ) -> Result<Vec<TraceRecord>, TraceError> {
-        decode_block_body_masked(self.block_body(block)?, block as u64, kind_mask)
+        let mut out = Vec::new();
+        self.decode_block_into(block, kind_mask, &mut ColumnScratch::default(), &mut out)?;
+        Ok(out)
     }
 
-    /// An iterator over the decoded records.
+    /// A streaming reader over the decoded records.
     pub fn records(&self) -> TraceReader {
         self.records_from_block(0)
     }
 
-    /// An iterator starting at the first record of block `from_block`
+    /// A reader starting at the first record of block `from_block`
     /// (callers index into [`Trace::blocks`]). The diff fast path uses
     /// this to resume a stream after skipping an identical
     /// digest-verified prefix.
@@ -451,13 +594,22 @@ impl Trace {
         TraceReader {
             trace: self.clone(),
             next_block: from_block,
-            buf: Vec::new().into_iter(),
+            scratch: ColumnScratch::default(),
+            records: Vec::new(),
+            next_record: 0,
         }
     }
 
     /// Decodes every record into memory.
     pub fn decode_all(&self) -> Result<Vec<TraceRecord>, TraceError> {
-        self.records().collect()
+        // Grown block by block, by counts the decoder has checked against
+        // the bytes: the index's and the trailer's are the file's claim.
+        let mut out = Vec::new();
+        let mut scratch = ColumnScratch::default();
+        for block in 0..self.blocks().len() {
+            self.decode_block_into(block, u64::MAX, &mut scratch, &mut out)?;
+        }
+        Ok(out)
     }
 
     /// Writes the trace to `path`, creating parent directories on demand.
@@ -480,39 +632,51 @@ impl Trace {
 /// Streaming decoder over a trace's records, one block at a time, so
 /// memory stays bounded by one decoded block however large the trace —
 /// where [`Trace::decode_all`] materializes millions of records for a
-/// default-scale run. Holds its own (shared) handle on the trace, so it
-/// can outlive the borrow it was made from (the replay `Verifier` is
+/// default-scale run. Each block is decoded into the same buffers as the
+/// one before it. Holds its own (shared) handle on the trace, so it can
+/// outlive the borrow it was made from (the replay `Verifier` is
 /// installed as a boxed, `'static` `TraceSink`). After an error the
-/// iterator is finished.
+/// reader is finished.
 pub struct TraceReader {
     trace: Trace,
     next_block: usize,
-    buf: std::vec::IntoIter<TraceRecord>,
+    scratch: ColumnScratch,
+    /// The decoded records of the block in hand.
+    records: Vec<TraceRecord>,
+    next_record: usize,
+}
+
+impl TraceReader {
+    /// The next record, borrowed from the reader's decoded block: what
+    /// [`Iterator::next`] clones. `Ok(None)` at the end of the trace.
+    pub fn next_record(&mut self) -> Result<Option<&TraceRecord>, TraceError> {
+        while self.next_record >= self.records.len() {
+            let n_blocks = self.trace.blocks().len();
+            if self.next_block >= n_blocks {
+                return Ok(None);
+            }
+            self.records.clear();
+            self.next_record = 0;
+            let block = self.next_block;
+            self.next_block += 1;
+            let decoded =
+                self.trace
+                    .decode_block_into(block, u64::MAX, &mut self.scratch, &mut self.records);
+            if let Err(e) = decoded {
+                self.next_block = n_blocks;
+                return Err(e);
+            }
+        }
+        self.next_record += 1;
+        Ok(Some(&self.records[self.next_record - 1]))
+    }
 }
 
 impl Iterator for TraceReader {
     type Item = Result<TraceRecord, TraceError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(rec) = self.buf.next() {
-                return Some(Ok(rec));
-            }
-            let n_blocks = self.trace.blocks().len();
-            if self.next_block >= n_blocks {
-                return None;
-            }
-            match self.trace.decode_block(self.next_block) {
-                Ok(records) => {
-                    self.buf = records.into_iter();
-                    self.next_block += 1;
-                }
-                Err(e) => {
-                    self.next_block = n_blocks;
-                    return Some(Err(e));
-                }
-            }
-        }
+        self.next_record().map(|r| r.cloned()).transpose()
     }
 }
 

@@ -46,11 +46,12 @@ pub mod replay;
 pub mod stats;
 pub mod wire;
 
-pub use columnar::BlockEntry;
+pub use columnar::{BlockEntry, ColumnScratch};
 pub use diff::{diff_traces, diff_traces_threaded, Fork, TraceDiff};
 pub use export::export_csv;
 pub use format::{
-    Recorder, Trace, TraceMeta, TraceReader, TraceRecord, TraceWire, DEFAULT_BLOCK_EVENTS,
+    Recorder, SealStats, Trace, TraceMeta, TraceReader, TraceRecord, TraceWire,
+    DEFAULT_BLOCK_EVENTS,
 };
 pub use legacy::RecorderV1;
 pub use parallel::for_each_block;

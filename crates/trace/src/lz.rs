@@ -30,10 +30,31 @@ const MAX_OFFSET: usize = 65_535;
 /// Hash-table size (power of two) for 4-byte match candidates.
 const HASH_BITS: u32 = 14;
 
+/// Hashes four input bytes, read as a little-endian word.
 #[inline]
-fn hash4(bytes: &[u8]) -> usize {
-    let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+fn hash4(word: u32) -> usize {
+    (word.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+}
+
+/// Length of the longest common prefix of `a` and `b` (`b` is the
+/// shorter: a suffix of the input `a` starts earlier in), compared eight
+/// bytes at a time.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut len = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let x = u64::from_le_bytes(x.try_into().expect("8 bytes"));
+        let y = u64::from_le_bytes(y.try_into().expect("8 bytes"));
+        if x != y {
+            return len + ((x ^ y).trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    len + a[len..]
+        .iter()
+        .zip(&b[len..])
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 /// Flushes `lit` pending literal bytes ending at `pos` into `out`.
@@ -60,56 +81,98 @@ fn emit_copy(out: &mut Vec<u8>, offset: usize, len: usize) {
     }
 }
 
-/// Compresses `input`. The output carries no length header; callers frame
-/// both the raw and stored lengths (the column framing does).
-pub fn compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    let n = input.len();
-    if n < MIN_MATCH {
-        emit_literals(&mut out, input, n, n);
-        return out;
-    }
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
-    let mut pos = 0usize;
-    let mut lit = 0usize;
-    // The last 3 bytes can never start a match.
-    let limit = n - (MIN_MATCH - 1);
-    while pos < limit {
-        let h = hash4(&input[pos..]);
-        let cand = table[h];
-        table[h] = pos;
-        let matched = cand != usize::MAX
-            && pos - cand <= MAX_OFFSET
-            && input[cand..cand + MIN_MATCH] == input[pos..pos + MIN_MATCH];
-        if !matched {
-            lit += 1;
-            pos += 1;
-            continue;
+/// The reusable half of the compressor: the 4-byte-match hash table.
+///
+/// A fresh table is 128 KiB to allocate and fill, and a recording
+/// compresses thousands of columns, many a few bytes long, so the block
+/// sealer keeps one `Compressor` and every column goes through it. Table
+/// entries are stamped with a base that moves past each input, so
+/// entries left by an earlier call read as empty without a refill: the
+/// matcher sees exactly the candidates a fresh table would give it, and
+/// the output is the same bytes.
+#[derive(Default)]
+pub struct Compressor {
+    /// `base + position + 1` of the last occurrence of each hash; entries
+    /// at or below `base` (a zeroed table's included) belong to no
+    /// position of this input. Allocated by the first input long enough
+    /// to need it.
+    table: Vec<usize>,
+    base: usize,
+}
+
+impl Compressor {
+    /// Compresses `input`, appending the stream to `out`. The stream
+    /// carries no length header; callers frame both the raw and stored
+    /// lengths (the column framing does).
+    pub fn compress_into(&mut self, input: &[u8], out: &mut Vec<u8>) {
+        let n = input.len();
+        if n < MIN_MATCH {
+            emit_literals(out, input, n, n);
+            return;
         }
-        emit_literals(&mut out, input, pos, lit);
-        // Extend the match as far as it goes, emitting ≤67-byte ops.
-        let offset = pos - cand;
-        let mut len = MIN_MATCH;
-        while pos + len < n && input[cand + len] == input[pos + len] {
-            len += 1;
+        if self.table.is_empty() {
+            self.table = vec![0; 1 << HASH_BITS];
         }
-        let mut rest = len;
-        while rest >= MIN_MATCH {
-            let chunk = rest.min(67);
-            // Never leave a sub-MIN_MATCH tail that can't be emitted.
-            let chunk = if rest - chunk > 0 && rest - chunk < MIN_MATCH {
-                rest - MIN_MATCH
-            } else {
-                chunk
+        let base = self.base;
+        self.base += n;
+        let table: &mut [usize; 1 << HASH_BITS] = self
+            .table
+            .as_mut_slice()
+            .try_into()
+            .expect("the table is allocated at its one size");
+        let word = |at: usize| {
+            let bytes: [u8; 4] = input[at..at + 4].try_into().expect("4 bytes");
+            u32::from_le_bytes(bytes)
+        };
+        let mut pos = 0usize;
+        let mut lit = 0usize;
+        // The last 3 bytes can never start a match.
+        let limit = n - (MIN_MATCH - 1);
+        while pos < limit {
+            let here = word(pos);
+            let h = hash4(here);
+            let stamped = table[h];
+            table[h] = base + pos + 1;
+            let matched = stamped > base && {
+                let cand = stamped - base - 1;
+                pos - cand <= MAX_OFFSET && word(cand) == here
             };
-            emit_copy(&mut out, offset, chunk);
-            rest -= chunk;
+            if !matched {
+                lit += 1;
+                pos += 1;
+                continue;
+            }
+            let cand = stamped - base - 1;
+            emit_literals(out, input, pos, lit);
+            // Extend the match as far as it goes, emitting ≤67-byte ops.
+            let offset = pos - cand;
+            let len =
+                MIN_MATCH + common_prefix(&input[cand + MIN_MATCH..], &input[pos + MIN_MATCH..]);
+            let mut rest = len;
+            while rest >= MIN_MATCH {
+                let chunk = rest.min(67);
+                // Never leave a sub-MIN_MATCH tail that can't be emitted.
+                let chunk = if rest - chunk > 0 && rest - chunk < MIN_MATCH {
+                    rest - MIN_MATCH
+                } else {
+                    chunk
+                };
+                emit_copy(out, offset, chunk);
+                rest -= chunk;
+            }
+            lit = rest; // 0..=3 uncopied bytes become literals
+            pos += len - rest;
         }
-        lit = rest; // 0..=3 uncopied bytes become literals
-        pos += len - rest;
+        lit += n - pos;
+        emit_literals(out, input, n, lit);
     }
-    lit += n - pos;
-    emit_literals(&mut out, input, n, lit);
+}
+
+/// Compresses `input` through a one-shot [`Compressor`].
+#[cfg(test)]
+pub(crate) fn compress(input: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    Compressor::default().compress_into(input, &mut out);
     out
 }
 
@@ -117,18 +180,25 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 /// copy, turns 3 stream bytes into 67 output bytes.
 const MAX_EXPANSION: usize = 23;
 
-/// Decompresses a stream produced by [`compress`] into exactly
-/// `raw_len` bytes. Any malformed op, overrun, or length mismatch is an
-/// error (reported as a plain message; the column framing attributes it).
+/// Decompresses a stream produced by [`Compressor::compress_into`]
+/// into exactly `raw_len` bytes, replacing the contents of `out` (whose
+/// capacity is what a reader reuses from column to column). Any
+/// malformed op, overrun, or length mismatch is an error (reported as a
+/// plain message; the column framing attributes it).
 ///
 /// `raw_len` comes from the file, so it is checked against what `stream`
 /// can legally expand to *before* it sizes the output buffer: a header
 /// claiming 2⁶⁰ bytes is an error, not an allocation.
-pub fn decompress(stream: &[u8], raw_len: usize) -> Result<Vec<u8>, &'static str> {
+pub fn decompress_into(
+    stream: &[u8],
+    raw_len: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), &'static str> {
+    out.clear();
     if raw_len > stream.len().saturating_mul(MAX_EXPANSION) {
         return Err("declared length exceeds what the stream can expand to");
     }
-    let mut out: Vec<u8> = Vec::with_capacity(raw_len);
+    out.reserve(raw_len);
     let mut pos = 0usize;
     while pos < stream.len() {
         let tag = stream[pos];
@@ -146,14 +216,14 @@ pub fn decompress(stream: &[u8], raw_len: usize) -> Result<Vec<u8>, &'static str
                 let lo = *stream.get(pos).ok_or("truncated near copy")?;
                 pos += 1;
                 let offset = (((tag >> 5) as usize) << 8) | lo as usize;
-                copy_back(&mut out, offset, len)?;
+                copy_back(out, offset, len)?;
             }
             2 => {
                 let len = ((tag >> 2) as usize) + 4;
                 let raw = stream.get(pos..pos + 2).ok_or("truncated far copy")?;
                 pos += 2;
                 let offset = u16::from_le_bytes([raw[0], raw[1]]) as usize;
-                copy_back(&mut out, offset, len)?;
+                copy_back(out, offset, len)?;
             }
             _ => return Err("reserved op tag"),
         }
@@ -164,18 +234,22 @@ pub fn decompress(stream: &[u8], raw_len: usize) -> Result<Vec<u8>, &'static str
     if out.len() != raw_len {
         return Err("output shorter than declared length");
     }
-    Ok(out)
+    Ok(())
 }
 
-/// Appends `len` bytes copied from `offset` back (overlap-safe).
+/// Appends `len` bytes copied from `offset` back. A copy that overlaps
+/// its own output (offset < len: a run) repeats the `offset`-byte
+/// period, so it goes in chunks that double as the written part grows.
 fn copy_back(out: &mut Vec<u8>, offset: usize, len: usize) -> Result<(), &'static str> {
     if offset == 0 || offset > out.len() {
         return Err("copy offset out of range");
     }
     let start = out.len() - offset;
-    for i in 0..len {
-        let b = out[start + i];
-        out.push(b);
+    let mut done = 0;
+    while done < len {
+        let chunk = (len - done).min(offset + done);
+        out.extend_from_within(start..start + chunk);
+        done += chunk;
     }
     Ok(())
 }
@@ -183,6 +257,12 @@ fn copy_back(out: &mut Vec<u8>, offset: usize, len: usize) -> Result<(), &'stati
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decompress(stream: &[u8], raw_len: usize) -> Result<Vec<u8>, &'static str> {
+        // Stale contents must never leak into a decode.
+        let mut out = vec![0xEE; 7];
+        decompress_into(stream, raw_len, &mut out).map(|()| out)
+    }
 
     fn roundtrip(data: &[u8]) -> usize {
         let comp = compress(data);
@@ -273,6 +353,74 @@ mod tests {
         }
         let out = decompress(&dense, 1 + 67 * 1_000).expect("within the bound");
         assert!(out.iter().all(|&b| b == 0xAB));
+    }
+
+    /// One `Compressor` fed many inputs emits, for each, the bytes a
+    /// fresh one would: entries left in the table by earlier inputs
+    /// (here deliberately similar ones, so stale candidates would match
+    /// if they were visible) never reach the matcher.
+    #[test]
+    fn a_reused_compressor_emits_the_bytes_of_a_fresh_one() {
+        let mut x = 7u64;
+        let mut noise = |n: usize, modulus: u64| -> Vec<u8> {
+            (0..n)
+                .map(|_| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    ((x >> 33) % modulus) as u8
+                })
+                .collect()
+        };
+        let mut inputs: Vec<Vec<u8>> = vec![
+            Vec::new(),
+            b"abc".to_vec(),
+            b"abcdabcdabcd".to_vec(),
+            b"abcdabcdabcd".to_vec(),
+            vec![0; 70_000],
+        ];
+        for n in [5, 64, 4_000, 200_000] {
+            inputs.push(noise(n, 3));
+            inputs.push(noise(n, 251));
+        }
+        let mut shared = Compressor::default();
+        for round in 0..2 {
+            for input in &inputs {
+                let mut out = vec![0xEE; 3];
+                shared.compress_into(input, &mut out);
+                assert_eq!(out[..3], [0xEE; 3], "appends, never overwrites");
+                assert_eq!(
+                    out[3..],
+                    compress(input),
+                    "round {round}, input of {} bytes",
+                    input.len()
+                );
+            }
+        }
+    }
+
+    /// Overlapping copies repeat the `offset`-byte period whatever the
+    /// offset/length pair: held to the byte-at-a-time definition.
+    #[test]
+    fn overlapping_copies_repeat_their_period() {
+        for offset in 1..=9usize {
+            for len in [4usize, 5, 11, 12, 33, 67] {
+                let seed: Vec<u8> = (1..=9u8).collect();
+                let mut stream = vec![((seed.len() - 1) as u8) << 2];
+                stream.extend_from_slice(&seed);
+                stream.push(0x02 | (((len - 4) as u8) << 2));
+                stream.extend_from_slice(&(offset as u16).to_le_bytes());
+                let mut want = seed.clone();
+                for i in 0..len {
+                    want.push(want[seed.len() - offset + i]);
+                }
+                assert_eq!(
+                    decompress(&stream, want.len()).expect("decodes"),
+                    want,
+                    "offset {offset} len {len}"
+                );
+            }
+        }
     }
 
     #[test]

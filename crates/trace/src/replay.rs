@@ -191,20 +191,19 @@ impl TraceSink for Verifier {
         if inner.divergence.is_some() || inner.error.is_some() {
             return; // already forked; the engine is being stopped
         }
-        let actual = TraceRecord {
-            at,
-            seq,
-            event: event.clone(),
-        };
-        let index = inner.matched;
-        match inner.reader.next().transpose() {
+        let inner = &mut *inner;
+        match inner.reader.next_record() {
             Err(e) => inner.error = Some(e),
-            Ok(Some(expected)) if expected == actual => inner.matched += 1,
+            Ok(Some(r)) if (r.at, r.seq) == (at, seq) && r.event == *event => inner.matched += 1,
             Ok(expected) => {
                 inner.divergence = Some(Divergence {
-                    index,
-                    expected,
-                    actual: Some(actual),
+                    index: inner.matched,
+                    expected: expected.cloned(),
+                    actual: Some(TraceRecord {
+                        at,
+                        seq,
+                        event: event.clone(),
+                    }),
                 });
             }
         }

@@ -213,7 +213,7 @@ pub fn trace_stats(trace: &Trace) -> Result<TraceStats, TraceError> {
 pub fn trace_stats_threaded(trace: &Trace, threads: usize) -> Result<TraceStats, TraceError> {
     let mut builder = StatsBuilder::new(trace.meta()?, trace.wire());
     for_each_block(trace, threads, |chunk| {
-        for rec in &chunk {
+        for rec in chunk {
             builder.push(rec);
         }
     })?;

@@ -98,16 +98,13 @@ impl From<std::io::Error> for TraceError {
 }
 
 /// Appends `v` as an unsigned LEB128 varint.
+#[inline]
 pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
         v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
     }
+    buf.push(v as u8);
 }
 
 /// Appends a length-prefixed UTF-8 string.
@@ -152,6 +149,13 @@ impl<'a> Cursor<'a> {
 
     /// Reads an unsigned LEB128 varint.
     pub fn varint(&mut self) -> Result<u64, TraceError> {
+        // Most values in every column fit one byte.
+        if let Some(&byte) = self.bytes.get(self.pos) {
+            if byte < 0x80 {
+                self.pos += 1;
+                return Ok(u64::from(byte));
+            }
+        }
         let mut v: u64 = 0;
         for shift in 0..10 {
             let byte = self.u8()?;

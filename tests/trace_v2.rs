@@ -10,10 +10,15 @@
 //! a legacy `LTRC1` file imports it to exactly the directly recorded
 //! LTRC2 bytes, preserving every statistic and shrinking the file;
 //! (5) the parallel analytics (stats, diff, export) render
-//! byte-identical output at any thread count, on real scenario traces.
+//! byte-identical output at any thread count, on real scenario traces;
+//! (6) in steady state the recorder allocates per block, not per event,
+//! and a pass over a trace makes no large allocation once its buffers
+//! are sized.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::RwLock;
 
 use lockss::core::trace::{AdmissionVerdict, MsgKind, PollConclusion, TraceEvent, TraceSink};
 use lockss::crypto::sha256;
@@ -24,8 +29,9 @@ use lockss::sim::{Duration, SimTime};
 use lockss::trace::columnar::put_index;
 use lockss::trace::wire::put_varint;
 use lockss::trace::{
-    diff_traces_threaded, export_csv, trace_stats, trace_stats_threaded, AggregateStats,
-    BlockEntry, Recorder, RecorderV1, Trace, TraceError, TraceMeta, TraceRecord, TraceWire,
+    diff_traces_threaded, export_csv, for_each_block, trace_stats, trace_stats_threaded,
+    AggregateStats, BlockEntry, Recorder, RecorderV1, Trace, TraceError, TraceMeta, TraceRecord,
+    TraceWire,
 };
 
 fn meta() -> TraceMeta {
@@ -180,6 +186,7 @@ fn record_v1(meta: &TraceMeta, records: &[TraceRecord]) -> Vec<u8> {
 
 #[test]
 fn random_event_streams_roundtrip_across_block_budgets() {
+    let _shared = WHOLE_PROCESS.read().expect("no writer panics holding it");
     for seed in [1, 2, 3] {
         let records = random_stream(seed, 2000);
         let mut rendered = Vec::new();
@@ -218,6 +225,7 @@ fn reseal(bytes: &mut [u8]) {
 
 #[test]
 fn tampered_traces_yield_distinct_diagnostics() {
+    let _shared = WHOLE_PROCESS.read().expect("no writer panics holding it");
     // Small single-block trace: all varints under test are one byte.
     let records = random_stream(9, 3);
     let trace = record_v2(&records, 100);
@@ -292,22 +300,38 @@ fn tampered_traces_yield_distinct_diagnostics() {
 
 /// Forwards to the system allocator, remembering the largest single
 /// request each thread has made, so a test can assert that rejecting a
-/// hostile file never reserved memory on the strength of a number in it.
+/// hostile file never reserved memory on the strength of a number in it;
+/// and counting every thread's requests, and those of 1 MiB or more, for
+/// the one test that measures code with worker threads of its own.
 struct LargestRequest;
 
 thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
+// Relaxed everywhere: statistics, publishing no other data.
+static REQUESTS: AtomicU64 = AtomicU64::new(0);
+static LARGE_REQUESTS: AtomicU64 = AtomicU64::new(0);
+
+const LARGE: usize = 1 << 20;
+
+/// The process-wide counters mean something only while one test runs:
+/// that test takes this for writing, every other test for reading.
+static WHOLE_PROCESS: RwLock<()> = RwLock::new(());
+
 fn note_request(size: usize) {
     // `try_with`: the allocator also runs while a thread is torn down.
     let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+    REQUESTS.fetch_add(1, Ordering::Relaxed);
+    if size >= LARGE {
+        LARGE_REQUESTS.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract. The only state touched is a
-// const-initialised thread-local `Cell<usize>`: no allocation, no
-// destructor, no reentrancy into the allocator.
+// const-initialised thread-local `Cell<usize>` and two atomics: no
+// allocation, no destructor, no reentrancy into the allocator.
 unsafe impl GlobalAlloc for LargestRequest {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_request(layout.size());
@@ -386,6 +410,7 @@ fn with_patched_body(trace: &Trace, at: usize, patch: &[u8]) -> Vec<u8> {
 
 #[test]
 fn files_whose_numbers_lie_are_errors_not_panics_or_allocations() {
+    let _shared = WHOLE_PROCESS.read().expect("no writer panics holding it");
     let records = random_stream(9, 3);
     let trace = record_v2(&records, 100);
     let entry = trace.blocks()[0].clone();
@@ -433,6 +458,15 @@ fn files_whose_numbers_lie_are_errors_not_panics_or_allocations() {
     lying.extend_from_slice(&one[1..]); // past put_index's own count byte
     let e = rejected(seal_with_index_bytes(region, &lying, 3));
     assert!(matches!(e, TraceError::BadIndex(_)), "{e}");
+
+    // (3b) One block of three events under an index entry — and a
+    // trailer — claiming 2^40: the sums agree, the body does not.
+    let inflated = BlockEntry {
+        n_events: 1 << 40,
+        ..trace.blocks()[0].clone()
+    };
+    let e = rejected(seal_with_index(region, &[inflated], 1 << 40));
+    assert!(matches!(e, TraceError::BadIndex("event count")), "{e}");
 
     // (4) A time-delta column whose running sum overflows: three events
     // past 2^63 ms, so `base_at` is a ten-byte varint that u64::MAX
@@ -513,6 +547,126 @@ fn files_whose_numbers_lie_are_errors_not_panics_or_allocations() {
     assert!(matches!(e, TraceError::BadVarint), "{e}");
 }
 
+/// Event `i` of a stream whose every third event owns a string.
+fn steady_event(i: u64) -> TraceEvent {
+    if i.is_multiple_of(3) {
+        TraceEvent::AdversaryAction {
+            channel: i % 4,
+            label: format!("flood/round-{}", i % 10),
+            magnitude: i,
+        }
+    } else {
+        TraceEvent::MessageSend {
+            from: (i % 97) as u32,
+            to: (i % 89) as u32,
+            kind: MsgKind::Vote,
+            au: 0,
+            poll: i / 500,
+            suppressed: false,
+        }
+    }
+}
+
+fn requests() -> u64 {
+    REQUESTS.load(Ordering::Relaxed)
+}
+
+fn large_requests() -> u64 {
+    LARGE_REQUESTS.load(Ordering::Relaxed)
+}
+
+/// The recorder seals on a worker thread and the block passes decode on
+/// theirs, so these two count every thread's requests — alone in the
+/// process while they do.
+#[test]
+fn recorder_and_block_passes_reuse_their_buffers() {
+    let _alone = WHOLE_PROCESS.write().expect("no writer panics holding it");
+    steady_state_recording_allocates_per_block_not_per_event();
+    block_passes_make_no_large_allocation_once_warm();
+}
+
+/// Eight blocks of 4,096 events, a third of them owning a string: after
+/// the first block the recorder's allocations are those of a handful of
+/// block buffers and the file's growth, nowhere near one per event.
+fn steady_state_recording_allocates_per_block_not_per_event() {
+    const BLOCK: u64 = 4_096;
+    const BLOCKS: u64 = 8;
+    // Built up front: the stream's own strings are not the recorder's.
+    let events: Vec<TraceEvent> = (0..BLOCK * BLOCKS).map(steady_event).collect();
+    let recorder = Recorder::with_block_events(&meta(), BLOCK as usize);
+    let mut sink = recorder.clone();
+    let mut after_first = 0;
+    for (i, event) in (0u64..).zip(&events) {
+        if i == BLOCK {
+            after_first = requests();
+        }
+        sink.record(SimTime(i * 10), i, event);
+    }
+    let trace = recorder.finish();
+    let made = requests() - after_first;
+    assert_eq!(trace.blocks().len() as u64, BLOCKS);
+    // A few hundred a block at most: up to four block buffers growing a
+    // dozen columns each by doubling, the sealer's scratch, and (debug
+    // builds only) the encoder's round-trip assertion. The parent's
+    // `event.clone()` alone made one per string-owning event, 9,557 here.
+    let bound = 256 * BLOCKS;
+    assert!(
+        made <= bound,
+        "{made} allocation(s) after the first block for {} more events (bound {bound})",
+        BLOCK * (BLOCKS - 1)
+    );
+}
+
+/// Blocks wide enough that one decoded block is a multi-MiB buffer: a
+/// pass makes its large allocations while the first `2 × threads` blocks
+/// size the ring, and none after.
+fn block_passes_make_no_large_allocation_once_warm() {
+    const BLOCK: u64 = 32_768;
+    const BLOCKS: u64 = 14;
+    let recorder = Recorder::with_block_events(&meta(), BLOCK as usize);
+    let mut sink = recorder.clone();
+    for i in 0..BLOCK * BLOCKS - 5 {
+        sink.record(SimTime(i * 10), i, &steady_event(i));
+    }
+    let trace = recorder.finish();
+    assert_eq!(trace.blocks().len() as u64, BLOCKS);
+    assert!(
+        BLOCK as usize * std::mem::size_of::<TraceRecord>() >= LARGE,
+        "one decoded block is a large allocation"
+    );
+
+    for threads in [1usize, 4] {
+        let (mut folded, mut events) = (0usize, 0u64);
+        let mut large_when_warm = None;
+        for_each_block(&trace, threads, |block| {
+            folded += 1;
+            events += block.len() as u64;
+            if folded == 2 * threads {
+                large_when_warm = Some(large_requests());
+            }
+        })
+        .expect("decodes");
+        assert_eq!(events, trace.events());
+        assert_eq!(
+            Some(large_requests()),
+            large_when_warm,
+            "{threads} thread(s): a large allocation after the first {} blocks",
+            2 * threads
+        );
+    }
+
+    // The streaming reader likewise: everything large is the first block's.
+    let mut reader = trace.records();
+    assert!(reader.next_record().expect("decodes").is_some());
+    let after_first_block = large_requests();
+    let mut rest = 1u64;
+    while reader.next_record().expect("decodes").is_some() {
+        rest += 1;
+    }
+    assert_eq!(rest, trace.events());
+    assert_eq!(large_requests(), after_first_block);
+}
+
 /// A real (shrunken) scenario run for the migration and analytics tests.
 fn scenario_trace(name: &str, seed: u64) -> Trace {
     let entry = ScenarioRegistry::standard();
@@ -534,6 +688,7 @@ fn scenario_trace(name: &str, seed: u64) -> Trace {
 
 #[test]
 fn converting_v1_preserves_stats_and_shrinks() {
+    let _shared = WHOLE_PROCESS.read().expect("no writer panics holding it");
     let v2 = scenario_trace("baseline", 7);
     let records = v2.decode_all().expect("decodes");
     assert!(records.len() > 1000, "need a substantial stream");
@@ -574,6 +729,7 @@ fn converting_v1_preserves_stats_and_shrinks() {
 
 #[test]
 fn analytics_are_thread_invariant_on_real_traces() {
+    let _shared = WHOLE_PROCESS.read().expect("no writer panics holding it");
     let a = scenario_trace("pipe-stoppage", 7);
     let b = scenario_trace("pipe-stoppage", 8);
     let stats1 = format!("{}", trace_stats_threaded(&a, 1).expect("stats"));
@@ -610,6 +766,7 @@ fn analytics_are_thread_invariant_on_real_traces() {
 
 #[test]
 fn sweep_record_retains_per_seed_traces_that_aggregate() {
+    let _shared = WHOLE_PROCESS.read().expect("no writer panics holding it");
     use lockss::experiments::sweep::{run_sweep_plan, SweepOptions, SweepReport};
 
     let entry = ScenarioRegistry::standard();
