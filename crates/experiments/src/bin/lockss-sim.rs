@@ -22,27 +22,12 @@
 //! cargo run --release --bin lockss-sim -- figure fig3 fig4 fig5 --scale quick
 //! ```
 //!
-//! `run` executes the scenario (plus its matched no-attack baseline when an
-//! attack is installed, for the §6.1 ratio metrics), prints the metric
-//! report, and writes a JSON summary to `results/scenario-<name>.json`.
-//! Output is a pure function of `(name, scale, seeds)` — the same
-//! invocation reproduces the same bytes, which is what makes the trace
-//! verbs sound: `--record` captures the full causal event stream (one
-//! file per `run`, a directory of per-seed traces per `sweep`), `replay`
-//! re-drives the recorded scenario and verifies event-for-event
-//! equivalence (a perturbed `--seed` shows the first divergence instead),
-//! `trace diff` aligns two recordings, `trace stats` rebuilds
-//! per-poll/per-phase timelines (aggregating across many traces), `trace
-//! convert` migrates `LTRC1` recordings to the block-columnar `LTRC2`
-//! wire, and `trace export` renders a CSV timeline. The analytics decode
-//! blocks on a worker pool and render byte-identical output at any
-//! `--threads` count.
-//!
-//! `figure <id>... | all` regenerates the paper's figures and tables from
-//! the declarative table in `lockss_experiments::figures`: each prints its
-//! table and writes `results/<id>.{txt,csv}`; figures that share a sweep
-//! (3–5, 6–8) share one in-memory computation of it per invocation.
+//! What each verb does, its operands and its flags are declared once, in
+//! `lockss_experiments::cli`: that table parses and checks argv before
+//! anything runs and renders `lockss-sim --help`. This binary dispatches
+//! the parsed `Invocation` to the verb's function.
 
+use lockss_experiments::cli::{self, Invocation};
 use lockss_experiments::figures::{self, Sweeps};
 use lockss_experiments::fuzz::run_fuzz;
 use lockss_experiments::obs::{ObsSession, SweepObs, Telemetry};
@@ -50,9 +35,8 @@ use lockss_experiments::runner::{
     default_threads, peak_rss_kb, replay_once, run, run_batch, Occupancy, RunOptions, Sink,
 };
 use lockss_experiments::sweep::{
-    self, campaign_status, dispatch, jobfile, load_checkpoint, merge_files, parse_seed_range,
-    parse_shard_arg, render_status, run_sweep_plan, DispatchPlan, ShardTag, SweepOptions,
-    SweepReport,
+    self, campaign_status, dispatch, jobfile, load_checkpoint, merge_files, render_status,
+    run_sweep_plan, DispatchPlan, ShardTag, SweepOptions, SweepReport,
 };
 use lockss_experiments::{
     run_recovery_study, save_results, RecoveryStudy, Scale, ScenarioEntry, ScenarioRegistry,
@@ -61,331 +45,106 @@ use lockss_experiments::{
 use lockss_metrics::table::{ratio, sci};
 use lockss_metrics::{PhaseSummary, Summary, Table};
 use lockss_obs::{unix_ms_now, Profiler};
+use lockss_sim::json;
 use lockss_trace::{
     diff_traces_threaded, export_csv, trace_stats_threaded, AggregateStats, Trace, TraceMeta,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: lockss-sim <command> [options]\n\
-         \n\
-         commands:\n\
-         \x20 list [--names]           all registered scenarios (--names: bare names)\n\
-         \x20 describe <name>          one scenario in detail\n\
-         \x20 run <name>               run a scenario and report the metrics\n\
-         \x20 run --file <path>        run a declarative scenario file instead of a\n\
-         \x20                          registered name\n\
-         \x20 validate <path>...       check scenario files against the spec grammar;\n\
-         \x20                          errors carry line/field context, exits 1 on any\n\
-         \x20 fuzz                     generate + run random campaigns under the three\n\
-         \x20                          oracles (round-trip, accounting, replay); shrunk\n\
-         \x20                          reproducers land in --out on violation\n\
-         \x20 sweep <name>             run a seed sweep on a worker pool; the merged\n\
-         \x20                          report is byte-identical for any --threads and\n\
-         \x20                          resumes from --checkpoint after interruption;\n\
-         \x20                          --shard i/N runs only the i-th disjoint slice\n\
-         \x20                          of the seed range and tags the checkpoint with\n\
-         \x20                          the topology\n\
-         \x20 sweep merge <files>...   validate a set of shard checkpoints (disjoint,\n\
-         \x20                          complete, same campaign) and write the merged\n\
-         \x20                          report — byte-identical to a single-process\n\
-         \x20                          run; any topology violation exits 1\n\
-         \x20 sweep dispatch <name>    fan --shards N worker subprocesses out over\n\
-         \x20                          the seed range with retry + backoff, straggler\n\
-         \x20                          re-dispatch via heartbeat/checkpoint freshness,\n\
-         \x20                          and a final validated merge; --jobfile writes\n\
-         \x20                          the per-shard command lines instead of running\n\
-         \x20 sweep status <dir>       render campaign progress from the checkpoints\n\
-         \x20                          (and heartbeat telemetry) under <dir>\n\
-         \x20 sweep recovery           mobile-takeover recovery threshold study: one\n\
-         \x20                          row per --budgets entry with time-to-heal\n\
-         \x20                          p50/p90 and a heals/data-loss verdict over\n\
-         \x20                          --seeds; byte-identical for any --threads;\n\
-         \x20                          --attack-days / --heal-window reshape the\n\
-         \x20                          campaign; report lands at --out (default\n\
-         \x20                          results/recovery-threshold.txt)\n\
-         \x20 figure <id>... | all     regenerate the paper's figures and tables\n\
-         \x20                          (fig2..fig8, table1, ablations, churn,\n\
-         \x20                          effort_report) into results/<id>.{{txt,csv}};\n\
-         \x20                          figures sharing a sweep compute it once\n\
-         \x20 replay <trace>           re-run a recorded trace's scenario and verify\n\
-         \x20                          event-for-event equivalence\n\
-         \x20 trace diff <a> <b>       align two traces (either wire) and summarize\n\
-         \x20                          where they fork; blocks decode in parallel\n\
-         \x20 trace stats <trace>...   per-poll/per-phase timelines from one trace, or\n\
-         \x20                          an aggregate table over many (e.g. a recorded\n\
-         \x20                          sweep directory); --json: machine-readable\n\
-         \x20 trace convert <in> <out> rewrite a trace in the block-columnar LTRC2\n\
-         \x20                          wire (LTRC1 stays readable everywhere)\n\
-         \x20 trace export <trace>     dense CSV timeline of the event stream\n\
-         \x20                          (--csv <path>: write instead of stdout;\n\
-         \x20                          --bucket-days <N>: row width, default 1)\n\
-         \x20 bench diff <base> <new>..  compare bench reports mean-vs-mean with a\n\
-         \x20                          noise band; --gate exits 1 on a >25%\n\
-         \x20                          regression of the named hot benches;\n\
-         \x20                          --gate-pct N tightens the limit to N%, and\n\
-         \x20                          --gate-bench <glob> (repeatable) gates only\n\
-         \x20                          the named benches\n\
-         \n\
-         options:\n\
-         \x20 --scale <quick|default|paper>   experiment scale (or LOCKSS_SCALE)\n\
-         \x20 --seed <N>                      run exactly one seed (replay: perturb\n\
-         \x20                                 the recorded seed to find the fork)\n\
-         \x20 --seeds <K>                     run seeds 1..=K (default: the scale's);\n\
-         \x20                                 sweep also accepts a range A..B\n\
-         \x20 --threads <N>                   sweep worker threads (default: all cores)\n\
-         \x20 --checkpoint <path>             sweep: resumable checkpoint/report path\n\
-         \x20                                 (default results/sweep-<name>.json, or\n\
-         \x20                                 ...-shard-<i>of<N>.json with --shard)\n\
-         \x20 --fresh                         sweep: ignore an existing checkpoint\n\
-         \x20                                 and recompute every seed\n\
-         \x20 --shard <i/N>                   sweep: run the i-th of N disjoint seed\n\
-         \x20                                 slices (1-based)\n\
-         \x20 --shards <N>                    dispatch: shard count (default: cores)\n\
-         \x20 --out <path>                    merge/dispatch: merged report path\n\
-         \x20                                 (default results/sweep-<name>.json)\n\
-         \x20 --dir <path>                    dispatch: shard checkpoint/log directory\n\
-         \x20                                 (default results)\n\
-         \x20 --jobfile <path>                dispatch: write per-shard command lines\n\
-         \x20                                 to <path> instead of running them\n\
-         \x20 --retries <N>                   dispatch: re-dispatches per shard\n\
-         \x20                                 (default 3)\n\
-         \x20 --backoff-ms <N>                dispatch: base retry backoff, doubling\n\
-         \x20                                 per attempt (default 250)\n\
-         \x20 --stall-secs <N>                dispatch: kill + re-dispatch a worker\n\
-         \x20                                 making no heartbeat/checkpoint progress\n\
-         \x20                                 this long (default: off)\n\
-         \x20 --profile                       run/sweep: time span trees (world build,\n\
-         \x20                                 simulate, trace seal, worker chunks) and\n\
-         \x20                                 write results/profile-<name>.json\n\
-         \x20 --metrics-out <path>            run/sweep: snapshot the metrics registry\n\
-         \x20                                 as JSON at <path> plus Prometheus text\n\
-         \x20                                 at <path stem>.prom\n\
-         \x20 --telemetry <dir>               sweep: append heartbeat JSONL records\n\
-         \x20                                 under <dir> every ~2s; dispatch: pass\n\
-         \x20                                 through to workers and prefer heartbeat\n\
-         \x20                                 freshness for stall detection; status:\n\
-         \x20                                 heartbeat directory when it differs from\n\
-         \x20                                 the checkpoint directory\n\
-         \x20 --mem-report                    print peak RSS and arena/table occupancy\n\
-         \x20 --record <path>                 run: record the run's event trace (one\n\
-         \x20                                 seed); sweep: directory for per-seed\n\
-         \x20                                 traces (trace-<name>-s<seed>.bin)\n\
-         \x20 --threads <N>                   trace stats/diff/export: decoder threads\n\
-         \x20                                 (output is identical at any count)\n\
-         \x20 --out <dir>                     fuzz: reproducer directory (default\n\
-         \x20                                 results/fuzz)\n\
-         \x20 --json                          print the JSON summary to stdout"
-    );
-    std::process::exit(2);
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// The parsed value of a numeric flag, if given. A value that does not
-/// parse is CLI misuse: exit 2 naming the flag and the offending value.
-fn parsed_flag<T: std::str::FromStr>(args: &[String], flag: &str, wants: &str) -> Option<T> {
-    flag_value(args, flag).map(|s| {
-        s.parse()
-            .unwrap_or_else(|_| fail(&format!("{flag} wants {wants}, got '{s}'")))
-    })
-}
-
-/// The positional operand at `args[i]`; a missing one, or a flag in its
-/// place, is misuse.
-fn operand(args: &[String], i: usize) -> &str {
-    match args.get(i) {
-        Some(arg) if !arg.starts_with("--") => arg,
-        _ => usage(),
-    }
-}
-
-/// Worker threads (`--threads N`, default: all cores).
-fn threads_flag(args: &[String]) -> usize {
-    parsed_flag(args, "--threads", "a positive integer").unwrap_or_else(default_threads)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let inv = cli::parse(&argv).unwrap_or_else(|misuse| match misuse.problem {
+        None => {
+            print!("{}", misuse.usage);
+            std::process::exit(0)
+        }
+        Some(problem) => {
+            eprint!("lockss-sim: {problem}\n\n{}", misuse.usage);
+            std::process::exit(2)
+        }
+    });
     let registry = ScenarioRegistry::standard();
-    let scale = Scale::from_env_and_args();
-    match args.first().map(String::as_str) {
-        Some("list") => {
-            if args.iter().any(|a| a == "--names") {
-                for name in registry.names() {
-                    println!("{name}");
-                }
-            } else {
-                list(&registry, scale);
+    let (ops, scale) = (&inv.operands, inv.scale);
+    let threads = inv
+        .num("--threads")
+        .map_or_else(default_threads, |n| n as usize);
+    match inv.verb.path {
+        "list" if inv.switch("--names") => {
+            for name in registry.names() {
+                println!("{name}");
             }
         }
-        Some("describe") => {
-            describe(&registry, operand(&args, 1), scale);
-        }
-        Some("run") => {
-            let entry = if let Some(path) = flag_value(&args, "--file") {
-                load_entry(&path)
-            } else {
-                resolve(&registry, operand(&args, 1)).clone()
+        "list" => list(&registry, scale),
+        "describe" => describe(&registry, &ops[0], scale),
+        "run" => {
+            let entry = match inv.text("--file") {
+                Some(path) => load_entry(path),
+                None => resolve(&registry, &ops[0]).clone(),
             };
-            run_cmd(&entry, scale, &args);
+            run_cmd(&entry, &inv);
         }
-        Some("figure") => figure(&args[1..], scale),
-        Some("validate") => {
-            let paths: Vec<&String> = args[1..].iter().filter(|a| !a.starts_with("--")).collect();
-            if paths.is_empty() {
-                usage();
-            }
-            validate(&paths);
+        "figure" => figure(ops, scale),
+        "validate" => validate(ops),
+        "fuzz" => {
+            let seeds = inv
+                .nums("--seeds")
+                .map_or((1..=50).collect(), <[u64]>::to_vec);
+            fuzz(&seeds, inv.text("--out").unwrap_or("results/fuzz"));
         }
-        Some("fuzz") => {
-            let seeds = match flag_value(&args, "--seeds") {
-                Some(arg) => parse_seed_range(&arg).unwrap_or_else(|e| fail(&e)),
-                None => (1..=50).collect(),
+        "sweep" => sweep_cmd(&registry, &ops[0], &inv, threads),
+        "sweep merge" => sweep_merge(&inv),
+        "sweep dispatch" => sweep_dispatch(&registry, &ops[0], &inv),
+        "sweep status" => {
+            let dir = Path::new(&ops[0]);
+            let telemetry = inv.text("--telemetry").map_or(dir, Path::new);
+            let statuses =
+                campaign_status(dir, telemetry).unwrap_or_else(|e| die("sweep status", &e));
+            print!("{}", render_status(&statuses, unix_ms_now()));
+        }
+        "sweep recovery" => sweep_recovery(&inv, threads),
+        "replay" => replay(&registry, &ops[0], inv.num("--seed")),
+        "bench diff" => bench_diff(&inv),
+        "trace diff" => {
+            let diff = diff_traces_threaded(&load_trace(&ops[0]), &load_trace(&ops[1]), threads)
+                .unwrap_or_else(|e| fail(&format!("diffing: {e}")));
+            print!("{diff}");
+        }
+        "trace stats" => {
+            let json = inv.switch("--json");
+            let stats_of = |path: &String| {
+                trace_stats_threaded(&load_trace(path), threads)
+                    .unwrap_or_else(|e| fail(&format!("stats: {path}: {e}")))
             };
-            let out = flag_value(&args, "--out").unwrap_or_else(|| "results/fuzz".to_string());
-            fuzz(&seeds, &out);
+            // One trace prints its own timelines, several an aggregate.
+            match (ops.as_slice(), json) {
+                ([path], true) => print!("{}", stats_of(path).to_json()),
+                ([path], false) => print!("{}", stats_of(path)),
+                (many, json) => {
+                    let per_trace = many.iter().map(|p| (p.clone(), stats_of(p)));
+                    let agg = AggregateStats::new(per_trace.collect());
+                    if json {
+                        print!("{}", agg.to_json());
+                    } else {
+                        print!("{agg}");
+                    }
+                }
+            }
         }
-        Some("sweep") => match args.get(1).map(String::as_str) {
-            Some("merge") => {
-                let files: Vec<PathBuf> = args[2..]
-                    .iter()
-                    .take_while(|a| !a.starts_with("--"))
-                    .map(PathBuf::from)
-                    .collect();
-                if files.is_empty() {
-                    usage();
+        "trace convert" => trace_convert(&ops[0], &ops[1]),
+        "trace export" => {
+            let bucket_days = inv.num("--bucket-days").unwrap_or(1);
+            let csv = export_csv(&load_trace(&ops[0]), threads, bucket_days)
+                .unwrap_or_else(|e| fail(&format!("exporting: {e}")));
+            match inv.text("--csv") {
+                Some(out) => {
+                    write_file(out, &csv);
+                    println!("wrote {out} ({} rows)", csv.lines().count() - 1);
                 }
-                let out = flag_value(&args, "--out");
-                let json = args.iter().any(|a| a == "--json");
-                sweep_merge(&files, out.as_deref(), json);
+                None => print!("{csv}"),
             }
-            Some("dispatch") => sweep_dispatch(&registry, operand(&args, 2), scale, &args),
-            Some("status") => {
-                let dir = operand(&args, 2);
-                let telemetry = flag_value(&args, "--telemetry").unwrap_or_else(|| dir.into());
-                sweep_status(Path::new(dir), Path::new(&telemetry));
-            }
-            Some("recovery") => sweep_recovery(&args),
-            Some(name) if !name.starts_with("--") => sweep_cmd(&registry, name, scale, &args),
-            _ => usage(),
-        },
-        Some("replay") => {
-            let seed = parsed_flag(&args, "--seed", "a seed number");
-            replay(&registry, operand(&args, 1), seed);
         }
-        Some("bench") => match args.get(1).map(String::as_str) {
-            Some("diff") => {
-                // Flag values ("2", "world/simulate*") must not be
-                // mistaken for report files, so walk the args by hand.
-                let mut files: Vec<String> = Vec::new();
-                let mut gate = false;
-                let mut gate_pct: Option<f64> = None;
-                let mut gate_benches: Vec<String> = Vec::new();
-                let mut i = 2;
-                while i < args.len() {
-                    match args[i].as_str() {
-                        "--gate" => gate = true,
-                        "--gate-pct" => {
-                            i += 1;
-                            let v = args
-                                .get(i)
-                                .and_then(|s| s.parse::<f64>().ok())
-                                .filter(|p| p.is_finite() && *p > 0.0)
-                                .unwrap_or_else(|| fail("--gate-pct wants a percentage > 0"));
-                            gate_pct = Some(v);
-                        }
-                        "--gate-bench" => {
-                            i += 1;
-                            let v = args
-                                .get(i)
-                                .cloned()
-                                .unwrap_or_else(|| fail("--gate-bench wants a bench name or glob"));
-                            gate_benches.push(v);
-                        }
-                        a if a.starts_with("--") => usage(),
-                        a => files.push(a.to_string()),
-                    }
-                    i += 1;
-                }
-                let (base, news) = match files.split_first() {
-                    Some((base, news)) if !news.is_empty() => (base, news),
-                    _ => usage(),
-                };
-                // A tightened limit or an explicit bench list implies gating.
-                let gate = gate || gate_pct.is_some() || !gate_benches.is_empty();
-                let threshold = gate_pct.map(|p| p / 100.0).unwrap_or(0.25);
-                bench_diff(base, news, gate, threshold, &gate_benches);
-            }
-            _ => usage(),
-        },
-        Some("trace") => match args.get(1).map(String::as_str) {
-            Some("diff") => {
-                let paths = operands(&args[2..], &["--threads"]);
-                let [a, b] = paths.as_slice() else { usage() };
-                let threads = threads_flag(&args);
-                let diff = diff_traces_threaded(&load_trace(a), &load_trace(b), threads)
-                    .unwrap_or_else(|e| fail(&format!("diffing: {e}")));
-                print!("{diff}");
-            }
-            Some("stats") => {
-                let paths = operands(&args[2..], &["--threads"]);
-                if paths.is_empty() {
-                    usage();
-                }
-                let threads = threads_flag(&args);
-                let json = args.iter().any(|a| a == "--json");
-                let stats_of = |path: &String| {
-                    trace_stats_threaded(&load_trace(path), threads)
-                        .unwrap_or_else(|e| fail(&format!("stats: {path}: {e}")))
-                };
-                // One trace prints its own timelines, several an aggregate.
-                match (paths.as_slice(), json) {
-                    ([path], true) => print!("{}", stats_of(path).to_json()),
-                    ([path], false) => print!("{}", stats_of(path)),
-                    (many, json) => {
-                        let per_trace = many.iter().map(|p| (p.clone(), stats_of(p)));
-                        let agg = AggregateStats::new(per_trace.collect());
-                        if json {
-                            print!("{}", agg.to_json());
-                        } else {
-                            print!("{agg}");
-                        }
-                    }
-                }
-            }
-            Some("convert") => {
-                let paths = operands(&args[2..], &[]);
-                let [input, output] = paths.as_slice() else {
-                    usage()
-                };
-                trace_convert(input, output);
-            }
-            Some("export") => {
-                let paths = operands(&args[2..], &["--threads", "--csv", "--bucket-days"]);
-                let [path] = paths.as_slice() else { usage() };
-                let bucket_days: u64 =
-                    parsed_flag(&args, "--bucket-days", "a day count").unwrap_or(1);
-                let threads = threads_flag(&args);
-                let csv = export_csv(&load_trace(path), threads, bucket_days)
-                    .unwrap_or_else(|e| fail(&format!("exporting: {e}")));
-                match flag_value(&args, "--csv") {
-                    Some(out) => {
-                        write_file(&out, &csv);
-                        println!("wrote {out} ({} rows)", csv.lines().count() - 1);
-                    }
-                    None => print!("{csv}"),
-                }
-            }
-            _ => usage(),
-        },
-        _ => usage(),
+        path => unreachable!("cli::VERBS names '{path}', which main does not dispatch"),
     }
 }
 
@@ -418,7 +177,7 @@ fn load_entry(path: &str) -> ScenarioEntry {
 
 /// Checks each scenario file, printing one line per file. Exits 1 if any
 /// file fails.
-fn validate(paths: &[&String]) {
+fn validate(paths: &[String]) {
     let mut bad = 0usize;
     for path in paths {
         match read_spec(path) {
@@ -475,18 +234,12 @@ fn fuzz(seeds: &[u64], out_dir: &str) {
 
 /// Compares a baseline bench report against one or more new reports
 /// (merged in argument order) and prints the per-bench deltas. With
-/// `gate`, exits 1 if any gated bench regressed beyond `threshold`
-/// (a ratio; `--gate-pct N` sets N/100, default 0.25), or if a gated
-/// baseline bench is missing from the new reports. `patterns` overrides
-/// the default [`lockss_bench::diff::GATED_BENCHES`] list when
-/// non-empty.
-fn bench_diff(
-    base_path: &str,
-    new_paths: &[String],
-    gate: bool,
-    threshold: f64,
-    patterns: &[String],
-) {
+/// `--gate`, exits 1 if any gated bench regressed beyond the limit (25%,
+/// or `--gate-pct N`), or if a gated baseline bench is missing from the
+/// new reports. `--gate-bench` globs replace the default
+/// [`lockss_bench::diff::GATED_BENCHES`] list; like `--gate-pct`, they
+/// imply `--gate`.
+fn bench_diff(inv: &Invocation) {
     use lockss_bench::diff::{self, GATED_BENCHES};
 
     let read = |path: &str| -> Vec<diff::ParsedBench> {
@@ -494,15 +247,18 @@ fn bench_diff(
             std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")));
         diff::parse_report(&text).unwrap_or_else(|e| fail(&format!("parsing {path}: {e}")))
     };
-    let base = read(base_path);
+    let base = read(&inv.operands[0]);
     let mut new = Vec::new();
-    for p in new_paths {
+    for p in &inv.operands[1..] {
         new.extend(read(p));
     }
-    let pats: Vec<&str> = if patterns.is_empty() {
-        GATED_BENCHES.to_vec()
+    let (gate_pct, patterns) = (inv.float("--gate-pct"), inv.all("--gate-bench"));
+    let gate = inv.switch("--gate") || gate_pct.is_some() || !patterns.is_empty();
+    let threshold = gate_pct.map_or(0.25, |p| p / 100.0);
+    let pats = if patterns.is_empty() {
+        &GATED_BENCHES[..]
     } else {
-        patterns.iter().map(String::as_str).collect()
+        &patterns
     };
 
     fn fmt_ns(ns: f64) -> String {
@@ -540,7 +296,7 @@ fn bench_diff(
     }
 
     if gate {
-        let offenders = diff::gate(&report, &pats, threshold);
+        let offenders = diff::gate(&report, pats, threshold);
         let missing_gated: Vec<&String> = report
             .missing
             .iter()
@@ -571,26 +327,22 @@ fn bench_diff(
 /// profiling, a registry snapshot destination, and (sweeps only) the
 /// heartbeat telemetry directory. Strictly out-of-band — instruments never
 /// change a summary, a checkpoint or a trace.
-struct Obs {
-    metrics_out: Option<String>,
-    telemetry: Option<String>,
-    /// The metric handles every run shares; present when any switch is on.
+struct Obs<'a> {
+    inv: &'a Invocation,
+    /// The metric handles every run shares; present when any flag is on.
     session: Option<ObsSession>,
     /// With `--profile`: the tree every worker's spans are merged into.
     profile: Option<Mutex<Profiler>>,
 }
 
-impl Obs {
-    fn parse(args: &[String]) -> Obs {
-        let profile = args.iter().any(|a| a == "--profile");
-        let metrics_out = flag_value(args, "--metrics-out");
-        let telemetry = flag_value(args, "--telemetry");
+impl Obs<'_> {
+    fn new(inv: &Invocation) -> Obs<'_> {
+        let profile = inv.switch("--profile");
+        let any = profile || inv.switch("--metrics-out") || inv.switch("--telemetry");
         Obs {
-            session: (profile || metrics_out.is_some() || telemetry.is_some())
-                .then(ObsSession::new),
+            inv,
+            session: any.then(ObsSession::new),
             profile: profile.then(|| Mutex::new(Profiler::new())),
-            metrics_out,
-            telemetry,
         }
     }
 
@@ -600,8 +352,8 @@ impl Obs {
             session,
             profiler: self.profile.as_ref(),
             telemetry: self
-                .telemetry
-                .as_deref()
+                .inv
+                .text("--telemetry")
                 .map(|d| Telemetry::new(Path::new(d))),
         })
     }
@@ -615,7 +367,7 @@ impl Obs {
             write_file(&path, &merged.lock().unwrap().to_json(name));
             println!("wrote {path}");
         }
-        if let (Some(session), Some(out)) = (&self.session, &self.metrics_out) {
+        if let (Some(session), Some(out)) = (&self.session, self.inv.text("--metrics-out")) {
             match session.write_metrics(Path::new(out)) {
                 Ok(prom) => println!("wrote {out} and {}", prom.display()),
                 Err(e) => fail(&format!("writing {out}: {e}")),
@@ -633,50 +385,33 @@ fn write_file(path: &str, content: &str) {
     std::fs::write(path, content).unwrap_or_else(|e| fail(&format!("writing {path}: {e}")));
 }
 
-/// Renders campaign progress from the checkpoints under `dir`, pairing
-/// each with its heartbeat file under `telemetry`.
-fn sweep_status(dir: &Path, telemetry: &Path) {
-    let statuses = campaign_status(dir, telemetry).unwrap_or_else(|e| die("sweep status", &e));
-    print!("{}", render_status(&statuses, unix_ms_now()));
-}
-
 /// Runs the post-compromise recovery threshold study: one row per
 /// mobile-takeover concurrency budget, reporting time-to-heal quantiles
 /// and a heals/data-loss verdict. Byte-deterministic for any --threads.
-fn sweep_recovery(args: &[String]) {
+fn sweep_recovery(inv: &Invocation, threads: usize) {
     let mut study = RecoveryStudy::default();
-    if let Some(arg) = flag_value(args, "--budgets") {
-        study.budgets = arg
-            .split(',')
-            .map(|b| {
-                b.trim()
-                    .parse::<u32>()
-                    .ok()
-                    .filter(|b| *b > 0)
-                    .unwrap_or_else(|| fail("--budgets wants positive integers, e.g. 1,2,4,8"))
-            })
-            .collect();
+    if let Some(budgets) = inv.nums("--budgets") {
+        let budget = |&b: &u64| u32::try_from(b).expect("cli checks budgets fit a u32");
+        study.budgets = budgets.iter().map(budget).collect();
     }
-    if let Some(arg) = flag_value(args, "--seeds") {
-        study.seeds = parse_seed_range(&arg).unwrap_or_else(|e| fail(&e));
+    if let Some(seeds) = inv.nums("--seeds") {
+        study.seeds = seeds.to_vec();
     }
     for (flag, slot) in [
         ("--attack-days", &mut study.attack_days),
         ("--heal-window", &mut study.heal_window_days),
         ("--period", &mut study.period_days),
     ] {
-        if let Some(arg) = flag_value(args, flag) {
-            *slot = arg
-                .parse::<u64>()
-                .ok()
-                .filter(|d| *d > 0)
-                .unwrap_or_else(|| fail(&format!("{flag} wants a positive day count")));
+        if let Some(days) = inv.num(flag) {
+            *slot = days;
         }
     }
-    let out = flag_value(args, "--out").unwrap_or_else(|| "results/recovery-threshold.txt".into());
-    let rendered = run_recovery_study(&study, threads_flag(args)).render();
+    let out = inv
+        .text("--out")
+        .unwrap_or("results/recovery-threshold.txt");
+    let rendered = run_recovery_study(&study, threads).render();
     print!("{rendered}");
-    write_file(&out, &rendered);
+    write_file(out, &rendered);
     println!("wrote {out}");
 }
 
@@ -688,20 +423,14 @@ fn sweep_recovery(args: &[String]) {
 /// resumes from its `--checkpoint` file, producing the same final bytes
 /// as an uninterrupted run. Observability (`--profile`, `--metrics-out`,
 /// `--telemetry`) is strictly out-of-band: it never changes those bytes.
-fn sweep_cmd(registry: &ScenarioRegistry, name: &str, scale: Scale, args: &[String]) {
-    let seeds = match flag_value(args, "--seeds") {
-        Some(arg) => parse_seed_range(&arg).unwrap_or_else(|e| fail(&e)),
-        None => (1..=scale.seeds()).collect(),
-    };
-    let shard = flag_value(args, "--shard").map(|arg| {
-        let (index, count) = parse_shard_arg(&arg).unwrap_or_else(|e| fail(&e));
-        ShardTag::new(index, count, seeds.clone()).unwrap_or_else(|e| fail(&e))
-    });
-    let threads = threads_flag(args);
-    let checkpoint = flag_value(args, "--checkpoint");
-    let obs = Obs::parse(args);
-    let record = flag_value(args, "--record").map(PathBuf::from);
-    let record = record.as_deref();
+fn sweep_cmd(registry: &ScenarioRegistry, name: &str, inv: &Invocation, threads: usize) {
+    let scale = inv.scale;
+    let seeds = campaign_seeds(inv);
+    let shard = inv
+        .nums("--shard")
+        .map(|shard| ShardTag::new(shard[0], shard[1], seeds.clone()).unwrap_or_else(|e| fail(&e)));
+    let obs = Obs::new(inv);
+    let record = inv.text("--record").map(Path::new);
     let entry = resolve(registry, name);
     let scenario = entry.build(scale);
     let default_path = match &shard {
@@ -713,10 +442,10 @@ fn sweep_cmd(registry: &ScenarioRegistry, name: &str, scale: Scale, args: &[Stri
         ),
         None => format!("results/sweep-{}.json", entry.name()),
     };
-    let path = PathBuf::from(checkpoint.unwrap_or(default_path));
+    let path = PathBuf::from(inv.text("--checkpoint").unwrap_or(&default_path));
     // --fresh ignores any existing checkpoint: without it, a rerun after a
     // code change would replay the stale per-seed summaries verbatim.
-    let resume = if args.iter().any(|a| a == "--fresh") {
+    let resume = if inv.switch("--fresh") {
         None
     } else {
         load_checkpoint(&path, entry.name(), scale.label(), shard.as_ref())
@@ -819,10 +548,10 @@ fn sweep_cmd(registry: &ScenarioRegistry, name: &str, scale: Scale, args: &[Stri
         );
     }
     obs.finish(entry.name());
-    if args.iter().any(|a| a == "--json") {
+    if inv.switch("--json") {
         print!("{}", report.to_json());
     }
-    if args.iter().any(|a| a == "--mem-report") {
+    if inv.switch("--mem-report") {
         // One representative run: a sweep keeps no world around.
         let seed = report.seeds.first().copied().unwrap_or(1);
         mem_report(
@@ -832,16 +561,24 @@ fn sweep_cmd(registry: &ScenarioRegistry, name: &str, scale: Scale, args: &[Stri
     }
 }
 
+/// The `--seeds` campaign; without one, the scale's seed count.
+fn campaign_seeds(inv: &Invocation) -> Vec<u64> {
+    let scale_seeds = || (1..=inv.scale.seeds()).collect();
+    inv.nums("--seeds")
+        .map_or_else(scale_seeds, <[u64]>::to_vec)
+}
+
 /// Validates and reassembles shard checkpoints into the campaign report.
 /// Every topology violation — overlapping or missing seed ranges,
 /// mismatched scenario/scale tags, truncated files, a foreign format
 /// version, duplicate shard submissions — is a distinct diagnostic and
 /// exit 1. On success the merged report is byte-identical to what a
 /// single-process sweep of the whole seed range writes.
-fn sweep_merge(files: &[PathBuf], out: Option<&str>, json_out: bool) {
-    let report = merge_files(files).unwrap_or_else(|e| die("sweep merge", &e));
+fn sweep_merge(inv: &Invocation) {
+    let files: Vec<PathBuf> = inv.operands.iter().map(PathBuf::from).collect();
+    let report = merge_files(&files).unwrap_or_else(|e| die("sweep merge", &e));
     let default_path = format!("results/sweep-{}.json", report.scenario);
-    let path = PathBuf::from(out.unwrap_or(&default_path));
+    let path = PathBuf::from(inv.text("--out").unwrap_or(&default_path));
     let rendered = report.to_json();
     if let Err(e) = sweep::write_checkpoint(&path, &rendered) {
         die("sweep merge", &format!("writing {}: {e}", path.display()));
@@ -869,7 +606,7 @@ fn sweep_merge(files: &[PathBuf], out: Option<&str>, json_out: bool) {
         merged.failed_polls,
     );
     println!("wrote {}", path.display());
-    if json_out {
+    if inv.switch("--json") {
         print!("{rendered}");
     }
 }
@@ -878,35 +615,34 @@ fn sweep_merge(files: &[PathBuf], out: Option<&str>, json_out: bool) {
 /// `--jobfile`, writes their command lines for host-level fan-out),
 /// survives worker deaths via retry-with-backoff and checkpoint-freshness
 /// straggler re-dispatch, then merges and writes the campaign report.
-fn sweep_dispatch(registry: &ScenarioRegistry, name: &str, scale: Scale, args: &[String]) {
+fn sweep_dispatch(registry: &ScenarioRegistry, name: &str, inv: &Invocation) {
     let entry = resolve(registry, name);
-    let seeds_arg = flag_value(args, "--seeds").unwrap_or_else(|| scale.seeds().to_string());
-    let campaign = parse_seed_range(&seeds_arg).unwrap_or_else(|e| fail(&e));
-    let parse_num =
-        |flag: &str, default: u64| parsed_flag(args, flag, "a number").unwrap_or(default);
+    let num = |flag: &str, default: u64| inv.num(flag).unwrap_or(default);
     let plan = DispatchPlan {
         scenario: entry.name().to_string(),
-        scale: scale.label().to_string(),
-        seeds_arg,
-        campaign,
-        shards: parse_num("--shards", default_threads() as u64),
-        threads_per_shard: parse_num("--threads", 1) as usize,
-        retries: parse_num("--retries", 3) as u32,
-        backoff_ms: parse_num("--backoff-ms", 250),
-        stall_secs: parsed_flag(args, "--stall-secs", "a number"),
-        dir: PathBuf::from(flag_value(args, "--dir").unwrap_or_else(|| "results".into())),
-        out: PathBuf::from(
-            flag_value(args, "--out")
-                .unwrap_or_else(|| format!("results/sweep-{}.json", entry.name())),
-        ),
-        fresh: args.iter().any(|a| a == "--fresh"),
-        telemetry: flag_value(args, "--telemetry").map(PathBuf::from),
+        scale: inv.scale.label().to_string(),
+        seeds_arg: inv
+            .text("--seeds")
+            .map_or_else(|| inv.scale.seeds().to_string(), String::from),
+        campaign: campaign_seeds(inv),
+        shards: num("--shards", default_threads() as u64),
+        threads_per_shard: num("--threads", 1) as usize,
+        retries: num("--retries", 3) as u32,
+        backoff_ms: num("--backoff-ms", 250),
+        stall_secs: inv.num("--stall-secs"),
+        dir: PathBuf::from(inv.text("--dir").unwrap_or("results")),
+        out: PathBuf::from(inv.text("--out").map_or_else(
+            || format!("results/sweep-{}.json", entry.name()),
+            String::from,
+        )),
+        fresh: inv.switch("--fresh"),
+        telemetry: inv.text("--telemetry").map(PathBuf::from),
     };
     let bin = std::env::current_exe().unwrap_or_else(|e| fail(&format!("current_exe: {e}")));
 
-    if let Some(jobfile_path) = flag_value(args, "--jobfile") {
+    if let Some(jobfile_path) = inv.text("--jobfile") {
         let text = jobfile(&plan, &bin).unwrap_or_else(|e| fail(&e));
-        write_file(&jobfile_path, &text);
+        write_file(jobfile_path, &text);
         println!(
             "wrote {jobfile_path}: {} shard command(s) + 1 merge for '{}' \
              ({} seed(s), scale '{}')",
@@ -949,7 +685,7 @@ fn sweep_dispatch(registry: &ScenarioRegistry, name: &str, scale: Scale, args: &
         merged.loyal_effort_secs
     );
     println!("wrote {}", plan.out.display());
-    if args.iter().any(|a| a == "--json") {
+    if inv.switch("--json") {
         print!("{}", report.to_json());
     }
 }
@@ -1002,24 +738,6 @@ fn mem_report(seed: u64, occupancy: &Occupancy) {
 
 fn load_trace(path: &str) -> Trace {
     Trace::read_from(Path::new(path)).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")))
-}
-
-/// Collects the bare (non-flag) operands from `args`, skipping the value
-/// token after any flag listed in `value_flags`.
-fn operands(args: &[String], value_flags: &[&str]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if value_flags.contains(&args[i].as_str()) {
-            i += 2;
-            continue;
-        }
-        if !args[i].starts_with("--") {
-            out.push(args[i].clone());
-        }
-        i += 1;
-    }
-    out
 }
 
 /// Rewrites a trace file in the block-columnar `LTRC2` wire and reports
@@ -1078,10 +796,12 @@ fn replay(registry: &ScenarioRegistry, path: &str, seed_override: Option<u64>) {
 }
 
 fn resolve<'r>(registry: &'r ScenarioRegistry, name: &str) -> &'r ScenarioEntry {
-    registry.get(name).unwrap_or_else(|| {
-        eprintln!("unknown scenario '{name}'; `lockss-sim list` shows the registry");
-        std::process::exit(2);
-    })
+    let unknown = || {
+        fail(&format!(
+            "unknown scenario '{name}'; `lockss-sim list` shows the registry"
+        ))
+    };
+    registry.get(name).unwrap_or_else(unknown)
 }
 
 fn list(registry: &ScenarioRegistry, scale: Scale) {
@@ -1118,25 +838,19 @@ fn describe(registry: &ScenarioRegistry, name: &str, scale: Scale) {
 
 /// Runs one scenario (plus its matched baseline) over `--seed N` or
 /// seeds `1..=K`, prints the metric report and writes the JSON summary.
-fn run_cmd(entry: &ScenarioEntry, scale: Scale, args: &[String]) {
-    let seeds: Vec<u64> = match parsed_flag(args, "--seed", "a seed number") {
+fn run_cmd(entry: &ScenarioEntry, inv: &Invocation) {
+    let scale = inv.scale;
+    let seeds: Vec<u64> = match inv.num("--seed") {
         Some(seed) => vec![seed],
-        None => {
-            let k = parsed_flag(args, "--seeds", "a seed count").unwrap_or_else(|| scale.seeds());
-            (1..=k).collect()
-        }
+        None => (1..=inv.num("--seeds").unwrap_or_else(|| scale.seeds())).collect(),
     };
     let seeds = seeds.as_slice();
-    if seeds.is_empty() {
-        fail("--seeds must be at least 1");
-    }
-    let record = flag_value(args, "--record");
-    let record = record.as_deref();
+    let record = inv.text("--record");
     if record.is_some() && seeds.len() != 1 {
         fail("--record captures exactly one run; pass --seed N (or --seeds 1)");
     }
-    let obs = Obs::parse(args);
-    let mem = args.iter().any(|a| a == "--mem-report");
+    let obs = Obs::new(inv);
+    let mem = inv.switch("--mem-report");
     let scenario = entry.build(scale);
     let attacked_label = scenario.attack.label();
     println!(
@@ -1288,8 +1002,7 @@ fn run_cmd(entry: &ScenarioEntry, scale: Scale, args: &[String]) {
     }
 
     let json = render_json(
-        entry.name(),
-        entry.paper_ref(),
+        entry,
         scale,
         seeds,
         &attacked_label,
@@ -1306,7 +1019,7 @@ fn run_cmd(entry: &ScenarioEntry, scale: Scale, args: &[String]) {
         merged.lock().unwrap().absorb(&sp.borrow());
     }
     obs.finish(entry.name());
-    if args.iter().any(|a| a == "--json") {
+    if inv.switch("--json") {
         println!("{json}");
     }
     if let (true, Some(r)) = (mem, &report_run) {
@@ -1315,15 +1028,10 @@ fn run_cmd(entry: &ScenarioEntry, scale: Scale, args: &[String]) {
 }
 
 /// Regenerates the selected figures: banner, table and closing line on
-/// stdout, `results/<id>.{txt,csv}` on disk. Operands other than
-/// `--scale <s>` must be figure ids (or `all`); a failed write exits 1
-/// naming the path.
-fn figure(args: &[String], scale: Scale) {
-    let mut ids = args.to_vec();
-    if let Some(i) = ids.iter().position(|a| a == "--scale") {
-        ids.drain(i..(i + 2).min(ids.len()));
-    }
-    let selected = figures::select(&ids).unwrap_or_else(|e| fail(&e));
+/// stdout, `results/<id>.{txt,csv}` on disk. Operands must be figure ids
+/// (or `all`); a failed write exits 1 naming the path.
+fn figure(ids: &[String], scale: Scale) {
+    let selected = figures::select(ids).unwrap_or_else(|e| fail(&e));
     let sweeps = Sweeps::new(scale);
     for figure in selected {
         println!("{}", figure.banner(scale));
@@ -1338,40 +1046,26 @@ fn figure(args: &[String], scale: Scale) {
     }
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_opt(v: Option<f64>) -> String {
-    v.map(json_f64).unwrap_or_else(|| "null".to_string())
-}
-
 fn phase_json(p: &PhaseSummary) -> String {
     format!(
         "{{\"label\": \"{}\", \"start_ms\": {}, \"end_ms\": {}, \
          \"access_failure_probability\": {}, \"successful_polls\": {}, \
          \"failed_polls\": {}, \"alarms\": {}, \"loyal_effort_secs\": {}, \
          \"adversary_effort_secs\": {}}}",
-        p.label,
+        json::escape(&p.label),
         p.start.as_millis(),
         p.end.as_millis(),
-        json_f64(p.access_failure_probability),
+        json::num(p.access_failure_probability),
         p.successful_polls,
         p.failed_polls,
         p.alarms,
-        json_f64(p.loyal_effort_secs),
-        json_f64(p.adversary_effort_secs),
+        json::num(p.loyal_effort_secs),
+        json::num(p.adversary_effort_secs),
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render_json(
-    name: &str,
-    paper_ref: &str,
+    entry: &ScenarioEntry,
     scale: Scale,
     seeds: &[u64],
     attack_label: &str,
@@ -1379,28 +1073,31 @@ fn render_json(
     baseline: Option<&Summary>,
     phases: &[PhaseSummary],
 ) -> String {
-    let seed_list: Vec<String> = seeds.iter().map(u64::to_string).collect();
     let phase_list: Vec<String> = phases.iter().map(phase_json).collect();
     // Summaries use the canonical field order shared with the sweep reports.
     let base_json = baseline
         .map(sweep::summary_to_json)
         .unwrap_or_else(|| "null".to_string());
+    let opt = |v: Option<f64>| v.map_or_else(|| "null".to_string(), json::num);
     let ratios = match baseline {
         Some(b) => format!(
             "{{\"delay_ratio\": {}, \"coefficient_of_friction\": {}, \"cost_ratio\": {}}}",
-            json_opt(attacked.delay_ratio(b)),
-            json_opt(attacked.coefficient_of_friction(b)),
-            json_opt(attacked.cost_ratio()),
+            opt(attacked.delay_ratio(b)),
+            opt(attacked.coefficient_of_friction(b)),
+            opt(attacked.cost_ratio()),
         ),
         None => "null".to_string(),
     };
     format!(
-        "{{\n  \"scenario\": \"{name}\",\n  \"paper_ref\": \"{paper_ref}\",\n  \
-         \"scale\": \"{}\",\n  \"seeds\": [{}],\n  \"attack\": \"{attack_label}\",\n  \
+        "{{\n  \"scenario\": \"{}\",\n  \"paper_ref\": \"{}\",\n  \
+         \"scale\": \"{}\",\n  \"seeds\": [{}],\n  \"attack\": \"{}\",\n  \
          \"summary\": {},\n  \"baseline\": {base_json},\n  \"ratios\": {ratios},\n  \
          \"phases\": [{}]\n}}\n",
+        json::escape(entry.name()),
+        json::escape(entry.paper_ref()),
         scale.label(),
-        seed_list.join(", "),
+        json::u64_list(seeds),
+        json::escape(attack_label),
         sweep::summary_to_json(attacked),
         phase_list.join(", "),
     )

@@ -566,17 +566,20 @@ impl Figure {
     }
 }
 
+/// The figure ids and what each shows, one per line — the tail of
+/// `lockss-sim figure --help` and of every figure-selection error.
+pub fn catalog() -> String {
+    FIGURES
+        .iter()
+        .fold("figure ids (or 'all'):".to_string(), |text, f| {
+            format!("{text}\n  {:<14} {}", f.id, f.title())
+        })
+}
+
 /// Resolves `lockss-sim figure` operands to figures, in the order given;
 /// `all` stands for the whole table. No operand, or one that is not an
 /// id, is an error listing the ids and what each shows.
 pub fn select(ids: &[String]) -> Result<Vec<&'static Figure>, String> {
-    let catalog = || {
-        FIGURES
-            .iter()
-            .fold("figure ids (or 'all'):".to_string(), |text, f| {
-                format!("{text}\n  {:<14} {}", f.id, f.title())
-            })
-    };
     if ids.is_empty() {
         return Err(format!("figure wants at least one id\n{}", catalog()));
     }

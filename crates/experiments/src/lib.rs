@@ -18,12 +18,13 @@
 //! batch, a sweep, a replay, a fuzz campaign, a figure point — goes
 //! through the single [`runner::run`].
 //!
-//! Scale is controlled by `LOCKSS_SCALE` (or a `--scale` argument):
+//! Scale is controlled by a `--scale` argument (or `LOCKSS_SCALE`):
 //! `quick` for CI smoke runs, `default` for laptop-scale shape
 //! reproduction, `paper` for the full §6.3 parameters. The reproduction
 //! criterion is *shape* (orderings, approximate factors, crossovers), not
 //! the absolute numbers of the authors' 2004 testbed — see EXPERIMENTS.md.
 
+pub mod cli;
 pub mod figures;
 pub mod fuzz;
 pub mod layering;

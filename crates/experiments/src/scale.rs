@@ -21,28 +21,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from `--scale <s>` argv or the `LOCKSS_SCALE`
-    /// environment variable; defaults to `Default` when neither is given.
-    /// A name [`Scale::parse`] rejects ends the process with exit code 2
-    /// and the accepted names: a typo must not silently run the
-    /// minutes-long default scale.
-    pub fn from_env_and_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        let named = match args.iter().position(|a| a == "--scale") {
-            Some(i) => Some(("--scale", args.get(i + 1).cloned().unwrap_or_default())),
-            None => std::env::var("LOCKSS_SCALE")
-                .ok()
-                .map(|v| ("LOCKSS_SCALE", v)),
-        };
-        match named {
-            None => Scale::Default,
-            Some((source, name)) => Scale::parse(&name).unwrap_or_else(|e| {
-                eprintln!("{source}: {e}");
-                std::process::exit(2);
-            }),
-        }
-    }
-
     /// Parses a scale name, case-insensitively: `quick` (or `smoke`, `ci`),
     /// `default`, `paper` (or `full`). Anything else is an error naming
     /// the accepted spellings.

@@ -160,13 +160,6 @@ pub struct ScenarioSpec {
 // Encoding: canonical, pretty-printed, shortest-repr floats.
 // ---------------------------------------------------------------------
 
-/// Shortest round-trip representation of a finite float (`5` for `5.0`,
-/// `0.30000000000000004` stays exact).
-fn fmt_f64(x: f64) -> String {
-    debug_assert!(x.is_finite(), "scenario floats must be finite");
-    format!("{x}")
-}
-
 fn push_attack(out: &mut String, attack: &AttackSpec, indent: usize) {
     let pad = "  ".repeat(indent);
     let inner = "  ".repeat(indent + 1);
@@ -174,11 +167,11 @@ fn push_attack(out: &mut String, attack: &AttackSpec, indent: usize) {
         AttackSpec::None => out.push_str("{\"kind\": \"none\"}"),
         AttackSpec::PipeStoppage { coverage, days } => out.push_str(&format!(
             "{{\"kind\": \"pipe-stoppage\", \"coverage\": {}, \"days\": {days}}}",
-            fmt_f64(*coverage)
+            json::num(*coverage)
         )),
         AttackSpec::AdmissionFlood { coverage, days } => out.push_str(&format!(
             "{{\"kind\": \"admission-flood\", \"coverage\": {}, \"days\": {days}}}",
-            fmt_f64(*coverage)
+            json::num(*coverage)
         )),
         AttackSpec::BruteForce { defection } => out.push_str(&format!(
             "{{\"kind\": \"brute-force\", \"defection\": \"{}\"}}",
@@ -193,12 +186,12 @@ fn push_attack(out: &mut String, attack: &AttackSpec, indent: usize) {
         )),
         AttackSpec::ChurnStorm { coverage, duty } => out.push_str(&format!(
             "{{\"kind\": \"churn-storm\", \"coverage\": {}, \"duty\": {}}}",
-            fmt_f64(*coverage),
-            fmt_f64(*duty)
+            json::num(*coverage),
+            json::num(*duty)
         )),
         AttackSpec::SybilRamp { step, step_days } => out.push_str(&format!(
             "{{\"kind\": \"sybil-ramp\", \"step\": {}, \"step_days\": {step_days}}}",
-            fmt_f64(*step)
+            json::num(*step)
         )),
         AttackSpec::MobileTakeover {
             budget,
@@ -266,14 +259,17 @@ impl ScenarioSpec {
             AusSpec::Large => "    \"aus\": \"large\",\n".to_string(),
             AusSpec::Fixed(n) => format!("    \"aus\": {n},\n"),
         });
-        out.push_str(&format!("    \"mtbf_years\": {},\n", fmt_f64(w.mtbf_years)));
+        out.push_str(&format!(
+            "    \"mtbf_years\": {},\n",
+            json::num(w.mtbf_years)
+        ));
         out.push_str(&match w.link_mix {
             None => "    \"link_mix\": null,\n".to_string(),
             Some(mix) => format!(
                 "    \"link_mix\": [{}, {}, {}],\n",
-                fmt_f64(mix[0]),
-                fmt_f64(mix[1]),
-                fmt_f64(mix[2])
+                json::num(mix[0]),
+                json::num(mix[1]),
+                json::num(mix[2])
             ),
         });
         out.push_str(&match w.poll_months {

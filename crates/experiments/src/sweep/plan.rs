@@ -191,13 +191,6 @@ impl SweepReport {
 /// One summary in the canonical JSON field order shared with the
 /// `lockss-sim` scenario reports.
 pub fn summary_to_json(s: &Summary) -> String {
-    fn f(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v}")
-        } else {
-            "null".to_string()
-        }
-    }
     fn ms(d: Option<Duration>) -> String {
         d.map(|d| d.as_millis().to_string())
             .unwrap_or_else(|| "null".to_string())
@@ -207,15 +200,15 @@ pub fn summary_to_json(s: &Summary) -> String {
          \"gap_p50_ms\": {}, \"gap_p90_ms\": {}, \
          \"successful_polls\": {}, \"failed_polls\": {}, \"alarms\": {}, \
          \"loyal_effort_secs\": {}, \"adversary_effort_secs\": {}}}",
-        f(s.access_failure_probability),
+        json::num(s.access_failure_probability),
         ms(s.mean_time_between_successes),
         ms(s.gap_p50),
         ms(s.gap_p90),
         s.successful_polls,
         s.failed_polls,
         s.alarms,
-        f(s.loyal_effort_secs),
-        f(s.adversary_effort_secs),
+        json::num(s.loyal_effort_secs),
+        json::num(s.adversary_effort_secs),
     )
 }
 

@@ -173,3 +173,107 @@ fn mem_report_comes_from_the_report_run() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Each of these used to run a different experiment than the one asked
+/// for, or nothing, and exit 0 — a typo'd flag was ignored, a flag with
+/// no value was skipped, a second value overwrote the first. Each is now
+/// misuse: exit 2, nothing run, the offending token named, and the help
+/// of the verb (or verb family) that was meant, with all of its flags.
+#[test]
+fn misuse_exits_2_naming_the_token_and_listing_the_verbs_flags() {
+    let cases: [(&[&str], &str, &str); 9] = [
+        (
+            &["describe", "baseline", "--sclae", "quick"],
+            "--sclae",
+            "describe",
+        ),
+        (
+            &["run", "baseline", "--scale", "quick", "--sed", "3", "--jsn"],
+            "--sed",
+            "run",
+        ),
+        (
+            &["sweep", "recovery", "--budget", "2"],
+            "--budget",
+            "sweep recovery",
+        ),
+        (
+            &["run", "baseline", "--seed", "1", "--record"],
+            "--record",
+            "run",
+        ),
+        (
+            &["trace", "stats", "t.bin", "--shards", "3"],
+            "--shards",
+            "trace stats",
+        ),
+        (
+            &["sweep", "baseline", "--checkpoint", "--fresh"],
+            "--fresh",
+            "sweep",
+        ),
+        (
+            &["run", "baseline", "--seed", "1", "--seed", "2"],
+            "--seed",
+            "run",
+        ),
+        (&["trace", "dif", "a", "b"], "dif", "trace"),
+        (&["sweep"], "sweep", "sweep"),
+    ];
+    for (args, token, verb) in cases {
+        let out = lockss_sim(args).output().expect("spawn");
+        let stderr = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
+        let problem = stderr.lines().next().unwrap_or_default();
+        assert!(problem.contains(token), "{args:?}: {problem}");
+        let meant = lockss_experiments::cli::VERBS
+            .iter()
+            .filter(|v| v.path == verb || (verb == "trace" && v.path.starts_with("trace ")));
+        for flag in meant.flat_map(|v| v.flags) {
+            assert!(
+                stderr.contains(flag.name),
+                "{args:?}: {} not listed in: {stderr}",
+                flag.name
+            );
+        }
+    }
+}
+
+/// A scenario's strings reach `results/scenario-<name>.json` escaped: a
+/// quote in `paper_ref` used to be written raw, leaving a file no JSON
+/// reader accepts.
+#[test]
+fn run_file_escapes_the_scenario_strings_in_its_json_report() {
+    let dir = temp_dir("quoted-paper-ref");
+    let spec = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/campaign.json"
+    ))
+    .unwrap()
+    .replace(
+        r#""paper_ref": "user-defined""#,
+        r#""paper_ref": "see \"Fig. 3\"""#,
+    );
+    std::fs::write(dir.join("quoted.json"), spec).unwrap();
+    let out = lockss_sim(&[
+        "run",
+        "--file",
+        "quoted.json",
+        "--scale",
+        "quick",
+        "--seed",
+        "1",
+    ])
+    .current_dir(&dir)
+    .output()
+    .expect("spawn");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let report =
+        std::fs::read_to_string(dir.join("results/scenario-example-campaign.json")).unwrap();
+    let report = lockss_sim::json::parse(&report).expect("the report is JSON");
+    let fields = report.as_object("report").unwrap();
+    let paper_ref = lockss_sim::json::get(fields, "paper_ref").unwrap();
+    assert_eq!(paper_ref.as_str("paper_ref").unwrap(), r#"see "Fig. 3""#);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

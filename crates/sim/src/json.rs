@@ -371,7 +371,8 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
 }
 
 /// Escapes a string for embedding in a JSON document written by one of
-/// the fixed-schema writers (the counterpart of `parse_string`).
+/// the fixed-schema writers (the counterpart of `parse_string`). Control
+/// characters without a short escape are written `\u00XX`.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -381,10 +382,22 @@ pub fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
     out
+}
+
+/// A float as the fixed-schema writers write it: the shortest text that
+/// parses back to the same bits, or `null` for NaN and the infinities,
+/// which JSON cannot represent.
+pub fn num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
+    }
 }
 
 #[cfg(test)]
@@ -442,6 +455,17 @@ mod tests {
         let s = "a \"quoted\" line\nwith\ttabs and \\slashes";
         let doc = format!("\"{}\"", escape(s));
         assert_eq!(parse(&doc).unwrap().as_str("s").unwrap(), s);
+        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(parse("\"\\u0001\"").unwrap().as_str("s").unwrap(), "\u{1}");
+    }
+
+    #[test]
+    fn num_writes_null_for_what_json_cannot_hold() {
+        assert_eq!(num(0.30000000000000004), "0.30000000000000004");
+        assert_eq!(num(5.0), "5");
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(num(v), "null");
+        }
     }
 
     #[test]
