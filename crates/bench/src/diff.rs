@@ -3,7 +3,7 @@
 //! `results/BENCH_<group>.json` files (written by [`crate::Harness`]) and
 //! the merged trajectory anchors (`results/BENCH_baseline.json`,
 //! `results/BENCH_opt2.json`, which wrap per-group reports in a `groups`
-//! array) are parsed by the workspace's shared fixed-schema JSON reader
+//! array) are parsed by the workspace's one JSON grammar
 //! (`lockss_sim::json`; offline dependency policy: no `serde`), then
 //! compared mean-vs-mean with a noise band derived from each side's
 //! min/max spread:

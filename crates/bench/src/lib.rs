@@ -26,7 +26,7 @@
 
 pub mod diff;
 
-use std::fmt::Write as _;
+use lockss_sim::json::{Layout::Inline, Writer};
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -219,31 +219,28 @@ impl Harness {
         self.results.push(result);
     }
 
-    /// Writes `results/BENCH_<group>.json` and returns the results.
+    /// Writes `results/BENCH_<group>.json` — one line, timings to a tenth
+    /// of a nanosecond (finer than five samples resolve) — and returns
+    /// the results.
     pub fn finish(self) -> Vec<BenchResult> {
-        let mut json = String::new();
-        let _ = write!(json, "{{\"group\": {:?}, \"results\": [", self.group);
-        for (i, r) in self.results.iter().enumerate() {
-            if i > 0 {
-                json.push_str(", ");
-            }
-            let _ = write!(
-                json,
-                "{{\"name\": {:?}, \"iters\": {}, \"samples\": {}, \
-                 \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}, \
-                 \"throughput_bytes\": {}}}",
-                r.name,
-                r.iters,
-                r.samples,
-                r.mean_ns,
-                r.min_ns,
-                r.max_ns,
-                r.throughput_bytes
-                    .map_or("null".to_string(), |b| b.to_string()),
-            );
+        let tenths = |ns: f64| (ns * 10.0).round() / 10.0;
+        let mut w = Writer::new();
+        w.object(Inline)
+            .field("group", &self.group)
+            .key("results")
+            .array(Inline);
+        for r in &self.results {
+            w.object(Inline)
+                .field("name", &r.name)
+                .field("iters", r.iters)
+                .field("samples", r.samples)
+                .field("mean_ns", tenths(r.mean_ns))
+                .field("min_ns", tenths(r.min_ns))
+                .field("max_ns", tenths(r.max_ns))
+                .field("throughput_bytes", r.throughput_bytes)
+                .end();
         }
-        json.push_str("]}\n");
-
+        let json = w.end().end().finish() + "\n";
         let dir = results_dir();
         let path = dir.join(format!("BENCH_{}.json", self.group));
         let write = fs::create_dir_all(dir)

@@ -45,7 +45,10 @@ use lockss_experiments::{
 use lockss_metrics::table::{ratio, sci};
 use lockss_metrics::{PhaseSummary, Summary, Table};
 use lockss_obs::{unix_ms_now, Profiler};
-use lockss_sim::json;
+use lockss_sim::json::{
+    Layout::{Inline, Lines},
+    Writer,
+};
 use lockss_trace::{
     diff_traces_threaded, export_csv, trace_stats_threaded, AggregateStats, Trace, TraceMeta,
 };
@@ -1046,24 +1049,6 @@ fn figure(ids: &[String], scale: Scale) {
     }
 }
 
-fn phase_json(p: &PhaseSummary) -> String {
-    format!(
-        "{{\"label\": \"{}\", \"start_ms\": {}, \"end_ms\": {}, \
-         \"access_failure_probability\": {}, \"successful_polls\": {}, \
-         \"failed_polls\": {}, \"alarms\": {}, \"loyal_effort_secs\": {}, \
-         \"adversary_effort_secs\": {}}}",
-        json::escape(&p.label),
-        p.start.as_millis(),
-        p.end.as_millis(),
-        json::num(p.access_failure_probability),
-        p.successful_polls,
-        p.failed_polls,
-        p.alarms,
-        json::num(p.loyal_effort_secs),
-        json::num(p.adversary_effort_secs),
-    )
-}
-
 fn render_json(
     entry: &ScenarioEntry,
     scale: Scale,
@@ -1073,32 +1058,42 @@ fn render_json(
     baseline: Option<&Summary>,
     phases: &[PhaseSummary],
 ) -> String {
-    let phase_list: Vec<String> = phases.iter().map(phase_json).collect();
     // Summaries use the canonical field order shared with the sweep reports.
-    let base_json = baseline
-        .map(sweep::summary_to_json)
-        .unwrap_or_else(|| "null".to_string());
-    let opt = |v: Option<f64>| v.map_or_else(|| "null".to_string(), json::num);
-    let ratios = match baseline {
-        Some(b) => format!(
-            "{{\"delay_ratio\": {}, \"coefficient_of_friction\": {}, \"cost_ratio\": {}}}",
-            opt(attacked.delay_ratio(b)),
-            opt(attacked.coefficient_of_friction(b)),
-            opt(attacked.cost_ratio()),
-        ),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\n  \"scenario\": \"{}\",\n  \"paper_ref\": \"{}\",\n  \
-         \"scale\": \"{}\",\n  \"seeds\": [{}],\n  \"attack\": \"{}\",\n  \
-         \"summary\": {},\n  \"baseline\": {base_json},\n  \"ratios\": {ratios},\n  \
-         \"phases\": [{}]\n}}\n",
-        json::escape(entry.name()),
-        json::escape(entry.paper_ref()),
-        scale.label(),
-        json::u64_list(seeds),
-        json::escape(attack_label),
-        sweep::summary_to_json(attacked),
-        phase_list.join(", "),
-    )
+    let mut w = Writer::new();
+    w.object(Lines)
+        .field("scenario", entry.name())
+        .field("paper_ref", entry.paper_ref())
+        .field("scale", scale.label())
+        .key("seeds")
+        .list(seeds)
+        .field("attack", attack_label)
+        .key("summary");
+    sweep::write_summary(attacked, &mut w);
+    w.field_opt("baseline", baseline, sweep::write_summary)
+        .field_opt("ratios", baseline, |b, w| {
+            w.object(Inline)
+                .field("delay_ratio", attacked.delay_ratio(b))
+                .field(
+                    "coefficient_of_friction",
+                    attacked.coefficient_of_friction(b),
+                )
+                .field("cost_ratio", attacked.cost_ratio())
+                .end();
+        })
+        .key("phases")
+        .array(Inline);
+    for p in phases {
+        w.object(Inline)
+            .field("label", &p.label)
+            .field("start_ms", p.start.as_millis())
+            .field("end_ms", p.end.as_millis())
+            .field("access_failure_probability", p.access_failure_probability)
+            .field("successful_polls", p.successful_polls)
+            .field("failed_polls", p.failed_polls)
+            .field("alarms", p.alarms)
+            .field("loyal_effort_secs", p.loyal_effort_secs)
+            .field("adversary_effort_secs", p.adversary_effort_secs)
+            .end();
+    }
+    w.end().end().finish() + "\n"
 }

@@ -13,9 +13,9 @@
 //!
 //! The standard corpus is embedded with `include_str!` so
 //! [`ScenarioRegistry::standard`] stays infallible and independent of the
-//! working directory; `tests/golden_scenarios.rs` proves the corpus
-//! reproduces the pre-refactor hand-coded builders exactly, and the tests
-//! below pin the files to their canonical encoding.
+//! working directory; `tests/golden_scenarios.rs` pins every entry's built
+//! world to a digest carried over from the pre-refactor hand-coded
+//! builders, and the tests below pin the files to their canonical encoding.
 
 use crate::scale::Scale;
 use crate::scenario::Scenario;

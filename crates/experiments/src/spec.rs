@@ -3,13 +3,13 @@
 //!
 //! A [`ScenarioSpec`] is the data form of one registry entry: world
 //! knobs, an [`AttackSpec`] tree (including phased composites), and the
-//! catalog metadata, all round-tripping through the workspace's
-//! fixed-schema JSON reader ([`lockss_sim::json`]). Three guarantees make
-//! the files first-class citizens:
+//! catalog metadata, all round-tripping through the workspace's JSON
+//! grammar ([`lockss_sim::json`]). Three guarantees make the files
+//! first-class citizens:
 //!
 //! - **exact float round-trip** — floats are written in shortest-repr
 //!   form and parsed back to the same bits, so
-//!   `encode(decode(encode(s))) == encode(s)` byte-for-byte;
+//!   `to_json(from_json(to_json(s))) == to_json(s)` byte-for-byte;
 //! - **schema errors with context** — syntax errors carry `line:column`
 //!   (via [`json::line_col`]), field errors carry the dotted field path
 //!   (`attack.members[1].coverage`), and unknown fields are rejected;
@@ -17,7 +17,7 @@
 //!   knobs over [`Scenario::attacked`] exactly as the pre-refactor
 //!   builder closures did, so a spec-loaded scenario is structurally
 //!   identical to its hand-coded ancestor (`tests/golden_scenarios.rs`
-//!   proves this for every checked-in file).
+//!   pins every registry entry's built world by digest).
 //!
 //! The checked-in corpus lives in `scenarios/*.json`; the CLI loads
 //! further files at runtime (`lockss-sim run --file`, `validate`), and
@@ -25,7 +25,11 @@
 //! this grammar.
 
 use lockss_adversary::Defection;
-use lockss_sim::json::{self, Value};
+use lockss_sim::json::{
+    self,
+    Layout::{Inline, Lines},
+    Value, Writer,
+};
 use lockss_sim::Duration;
 
 use crate::scale::Scale;
@@ -160,75 +164,64 @@ pub struct ScenarioSpec {
 // Encoding: canonical, pretty-printed, shortest-repr floats.
 // ---------------------------------------------------------------------
 
-fn push_attack(out: &mut String, attack: &AttackSpec, indent: usize) {
-    let pad = "  ".repeat(indent);
-    let inner = "  ".repeat(indent + 1);
+/// Writes one attack: an inline object, except that a `compose` lays its
+/// members out one per line.
+fn push_attack(w: &mut Writer, attack: &AttackSpec) {
+    fn kind<'w>(w: &'w mut Writer, kind: &str) -> &'w mut Writer {
+        w.object(Inline).field("kind", kind)
+    }
     match attack {
-        AttackSpec::None => out.push_str("{\"kind\": \"none\"}"),
-        AttackSpec::PipeStoppage { coverage, days } => out.push_str(&format!(
-            "{{\"kind\": \"pipe-stoppage\", \"coverage\": {}, \"days\": {days}}}",
-            json::num(*coverage)
-        )),
-        AttackSpec::AdmissionFlood { coverage, days } => out.push_str(&format!(
-            "{{\"kind\": \"admission-flood\", \"coverage\": {}, \"days\": {days}}}",
-            json::num(*coverage)
-        )),
-        AttackSpec::BruteForce { defection } => out.push_str(&format!(
-            "{{\"kind\": \"brute-force\", \"defection\": \"{}\"}}",
-            defection.label()
-        )),
+        AttackSpec::None => kind(w, "none"),
+        AttackSpec::PipeStoppage { coverage, days } => kind(w, "pipe-stoppage")
+            .field("coverage", coverage)
+            .field("days", days),
+        AttackSpec::AdmissionFlood { coverage, days } => kind(w, "admission-flood")
+            .field("coverage", coverage)
+            .field("days", days),
+        AttackSpec::BruteForce { defection } => {
+            kind(w, "brute-force").field("defection", defection.label())
+        }
         AttackSpec::VoteFlood {
             votes_per_wave,
             wave_hours,
-        } => out.push_str(&format!(
-            "{{\"kind\": \"vote-flood\", \"votes_per_wave\": {votes_per_wave}, \
-             \"wave_hours\": {wave_hours}}}"
-        )),
-        AttackSpec::ChurnStorm { coverage, duty } => out.push_str(&format!(
-            "{{\"kind\": \"churn-storm\", \"coverage\": {}, \"duty\": {}}}",
-            json::num(*coverage),
-            json::num(*duty)
-        )),
-        AttackSpec::SybilRamp { step, step_days } => out.push_str(&format!(
-            "{{\"kind\": \"sybil-ramp\", \"step\": {}, \"step_days\": {step_days}}}",
-            json::num(*step)
-        )),
+        } => kind(w, "vote-flood")
+            .field("votes_per_wave", votes_per_wave)
+            .field("wave_hours", wave_hours),
+        AttackSpec::ChurnStorm { coverage, duty } => kind(w, "churn-storm")
+            .field("coverage", coverage)
+            .field("duty", duty),
+        AttackSpec::SybilRamp { step, step_days } => kind(w, "sybil-ramp")
+            .field("step", step)
+            .field("step_days", step_days),
         AttackSpec::MobileTakeover {
             budget,
-            period_days,
-        } => out.push_str(&match period_days {
-            None => format!(
-                "{{\"kind\": \"mobile-takeover\", \"budget\": {budget}, \
-                 \"cadence\": \"synced\"}}"
-            ),
-            Some(days) => format!(
-                "{{\"kind\": \"mobile-takeover\", \"budget\": {budget}, \
-                 \"cadence\": \"fixed\", \"period_days\": {days}}}"
-            ),
-        }),
+            period_days: None,
+        } => kind(w, "mobile-takeover")
+            .field("budget", budget)
+            .field("cadence", "synced"),
+        AttackSpec::MobileTakeover {
+            budget,
+            period_days: Some(days),
+        } => kind(w, "mobile-takeover")
+            .field("budget", budget)
+            .field("cadence", "fixed")
+            .field("period_days", days),
         AttackSpec::Compose(members) => {
-            out.push_str("{\n");
-            out.push_str(&format!("{inner}\"kind\": \"compose\",\n"));
-            out.push_str(&format!("{inner}\"members\": ["));
-            if members.is_empty() {
-                out.push_str("]\n");
-            } else {
-                out.push('\n');
-                let member_pad = "  ".repeat(indent + 2);
-                for (i, m) in members.iter().enumerate() {
-                    out.push_str(&format!(
-                        "{member_pad}{{\"start_days\": {}, \"attack\": ",
-                        m.start_days
-                    ));
-                    push_attack(out, &m.attack, indent + 2);
-                    out.push('}');
-                    out.push_str(if i + 1 < members.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&format!("{inner}]\n"));
+            w.object(Lines)
+                .field("kind", "compose")
+                .key("members")
+                .array(Lines);
+            for m in members {
+                w.object(Inline)
+                    .field("start_days", m.start_days)
+                    .key("attack");
+                push_attack(w, &m.attack);
+                w.end();
             }
-            out.push_str(&format!("{pad}}}"));
+            w.end()
         }
     }
+    .end();
 }
 
 impl ScenarioSpec {
@@ -236,63 +229,46 @@ impl ScenarioSpec {
     /// indent, shortest-repr floats, trailing newline. Every checked-in
     /// `scenarios/*.json` file is exactly this function's output.
     pub fn to_json(&self) -> String {
-        let w = &self.world;
-        let mut out = String::with_capacity(512);
-        out.push_str("{\n");
-        out.push_str(&format!("  \"format\": \"{FORMAT}\",\n"));
-        out.push_str(&format!("  \"name\": \"{}\",\n", json::escape(&self.name)));
-        out.push_str(&format!(
-            "  \"description\": \"{}\",\n",
-            json::escape(&self.description)
-        ));
-        out.push_str(&format!(
-            "  \"paper_ref\": \"{}\",\n",
-            json::escape(&self.paper_ref)
-        ));
-        out.push_str("  \"world\": {\n");
-        out.push_str(&match w.peers {
-            PeersSpec::Scale => "    \"peers\": \"scale\",\n".to_string(),
-            PeersSpec::Fixed(n) => format!("    \"peers\": {n},\n"),
-        });
-        out.push_str(&match w.aus {
-            AusSpec::Small => "    \"aus\": \"small\",\n".to_string(),
-            AusSpec::Large => "    \"aus\": \"large\",\n".to_string(),
-            AusSpec::Fixed(n) => format!("    \"aus\": {n},\n"),
-        });
-        out.push_str(&format!(
-            "    \"mtbf_years\": {},\n",
-            json::num(w.mtbf_years)
-        ));
-        out.push_str(&match w.link_mix {
-            None => "    \"link_mix\": null,\n".to_string(),
-            Some(mix) => format!(
-                "    \"link_mix\": [{}, {}, {}],\n",
-                json::num(mix[0]),
-                json::num(mix[1]),
-                json::num(mix[2])
-            ),
-        });
-        out.push_str(&match w.poll_months {
-            None => "    \"poll_months\": null,\n".to_string(),
-            Some(m) => format!("    \"poll_months\": {m},\n"),
-        });
-        out.push_str(&match w.run {
-            RunSpec::Scale => "    \"run_days\": \"scale\"\n".to_string(),
-            RunSpec::Days(d) => format!("    \"run_days\": {d}\n"),
+        let (mut w, world) = (Writer::new(), &self.world);
+        w.object(Lines)
+            .field("format", FORMAT)
+            .field("name", &self.name)
+            .field("description", &self.description)
+            .field("paper_ref", &self.paper_ref)
+            .key("world")
+            .object(Lines);
+        match world.peers {
+            PeersSpec::Scale => w.field("peers", "scale"),
+            PeersSpec::Fixed(n) => w.field("peers", n),
+        };
+        match world.aus {
+            AusSpec::Small => w.field("aus", "small"),
+            AusSpec::Large => w.field("aus", "large"),
+            AusSpec::Fixed(n) => w.field("aus", n),
+        };
+        w.field("mtbf_years", world.mtbf_years)
+            .field_opt("link_mix", world.link_mix, |mix, w| {
+                w.list(mix);
+            })
+            .field("poll_months", world.poll_months);
+        match world.run {
+            RunSpec::Scale => w.field("run_days", "scale"),
+            RunSpec::Days(d) => w.field("run_days", d),
             RunSpec::PerScale {
                 quick,
                 default,
                 paper,
-            } => format!(
-                "    \"run_days\": {{\"quick\": {quick}, \"default\": {default}, \
-                 \"paper\": {paper}}}\n"
-            ),
-        });
-        out.push_str("  },\n");
-        out.push_str("  \"attack\": ");
-        push_attack(&mut out, &self.attack, 1);
-        out.push_str("\n}\n");
-        out
+            } => w
+                .key("run_days")
+                .object(Inline)
+                .field("quick", quick)
+                .field("default", default)
+                .field("paper", paper)
+                .end(),
+        };
+        w.end().key("attack");
+        push_attack(&mut w, &self.attack);
+        w.end().finish() + "\n"
     }
 
     /// Parses one scenario file. Unknown fields, wrong types, missing

@@ -37,10 +37,9 @@
 //! behind is exactly what a real `kill -9` can produce.
 //!
 //! The checkpoint/report format is a small fixed-schema JSON document
-//! (format tag [`plan::FORMAT`]), parsed by the workspace's one
-//! self-hosted recursive-descent reader ([`lockss_sim::json`],
-//! re-exported here as [`json`]; the offline dependency policy bans
-//! serde).
+//! (format tag [`plan::FORMAT`]), written and parsed by the workspace's
+//! one self-hosted JSON grammar ([`lockss_sim::json`], re-exported here
+//! as [`json`]; the offline dependency policy bans serde).
 
 pub mod dispatch;
 pub mod merge;
@@ -52,7 +51,7 @@ pub use dispatch::{dispatch, jobfile, DispatchPlan};
 pub use merge::{merge_files, merge_reports};
 pub use plan::{
     load_checkpoint, parse_seed_range, run_sweep, run_sweep_plan, summary_from_json,
-    summary_to_json, write_checkpoint, SweepOptions, SweepReport, FORMAT,
+    summary_to_json, write_checkpoint, write_summary, SweepOptions, SweepReport, FORMAT,
 };
 pub use shard::{parse_shard_arg, partition, CrashHook, ShardTag};
 pub use status::{campaign_status, last_heartbeat, render_status, HeartbeatRecord, ShardStatus};

@@ -26,7 +26,11 @@ use std::sync::Mutex;
 
 use lockss_metrics::Summary;
 use lockss_obs::{current_rss_kb, unix_ms_now, Heartbeat};
-use lockss_sim::json;
+use lockss_sim::json::{
+    self,
+    Layout::{Inline, Lines},
+    Writer,
+};
 use lockss_sim::Duration;
 
 use lockss_trace::TraceMeta;
@@ -116,34 +120,26 @@ impl SweepReport {
     /// logical content — which is what lets `sweep merge` promise a
     /// merged report byte-identical to a single-process run.
     pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .completed
-            .iter()
-            .map(|(seed, s)| {
-                format!(
-                    "    {{\"seed\": {seed}, \"summary\": {}}}",
-                    summary_to_json(s)
-                )
-            })
-            .collect();
-        let merged = self
-            .merged()
-            .map(|m| summary_to_json(&m))
-            .unwrap_or_else(|| "null".to_string());
-        let shard = self
-            .shard
-            .as_ref()
-            .map(ShardTag::to_json)
-            .unwrap_or_else(|| "null".to_string());
-        format!(
-            "{{\n  \"format\": \"{FORMAT}\",\n  \"sweep\": \"{}\",\n  \"scale\": \"{}\",\n  \
-             \"shard\": {shard},\n  \"seeds\": [{}],\n  \"completed\": [\n{}\n  ],\n  \
-             \"merged\": {merged}\n}}\n",
-            self.scenario,
-            self.scale,
-            json::u64_list(&self.seeds),
-            rows.join(",\n"),
-        )
+        let mut w = Writer::new();
+        w.object(Lines)
+            .field("format", FORMAT)
+            .field("sweep", &self.scenario)
+            .field("scale", &self.scale)
+            .field_opt("shard", self.shard.as_ref(), ShardTag::write_json)
+            .key("seeds")
+            .list(&self.seeds)
+            .key("completed")
+            .array(Lines);
+        for (seed, s) in &self.completed {
+            w.object(Inline).field("seed", seed).key("summary");
+            write_summary(s, &mut w);
+            w.end();
+        }
+        w.end()
+            .field_opt("merged", self.merged().as_ref(), write_summary)
+            .end()
+            .finish()
+            + "\n"
     }
 
     /// Parses a report previously written by [`SweepReport::to_json`].
@@ -188,28 +184,28 @@ impl SweepReport {
     }
 }
 
-/// One summary in the canonical JSON field order shared with the
-/// `lockss-sim` scenario reports.
+/// One summary as an inline object, in the canonical JSON field order
+/// shared with the `lockss-sim` scenario reports.
 pub fn summary_to_json(s: &Summary) -> String {
-    fn ms(d: Option<Duration>) -> String {
-        d.map(|d| d.as_millis().to_string())
-            .unwrap_or_else(|| "null".to_string())
-    }
-    format!(
-        "{{\"access_failure_probability\": {}, \"mean_gap_ms\": {}, \
-         \"gap_p50_ms\": {}, \"gap_p90_ms\": {}, \
-         \"successful_polls\": {}, \"failed_polls\": {}, \"alarms\": {}, \
-         \"loyal_effort_secs\": {}, \"adversary_effort_secs\": {}}}",
-        json::num(s.access_failure_probability),
-        ms(s.mean_time_between_successes),
-        ms(s.gap_p50),
-        ms(s.gap_p90),
-        s.successful_polls,
-        s.failed_polls,
-        s.alarms,
-        json::num(s.loyal_effort_secs),
-        json::num(s.adversary_effort_secs),
-    )
+    let mut w = Writer::new();
+    write_summary(s, &mut w);
+    w.finish()
+}
+
+/// Writes [`summary_to_json`]'s object as the next value of `w`.
+pub fn write_summary(s: &Summary, w: &mut Writer) {
+    let ms = |d: Option<Duration>| d.map(Duration::as_millis);
+    w.object(Inline)
+        .field("access_failure_probability", s.access_failure_probability)
+        .field("mean_gap_ms", ms(s.mean_time_between_successes))
+        .field("gap_p50_ms", ms(s.gap_p50))
+        .field("gap_p90_ms", ms(s.gap_p90))
+        .field("successful_polls", s.successful_polls)
+        .field("failed_polls", s.failed_polls)
+        .field("alarms", s.alarms)
+        .field("loyal_effort_secs", s.loyal_effort_secs)
+        .field("adversary_effort_secs", s.adversary_effort_secs)
+        .end();
 }
 
 /// Parses a summary written by [`summary_to_json`]. Floats round-trip

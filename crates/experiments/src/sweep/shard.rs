@@ -12,7 +12,7 @@
 
 use std::path::Path;
 
-use lockss_sim::json;
+use lockss_sim::json::{self, Layout, Writer};
 
 /// The topology tag a shard checkpoint carries: which slice this is
 /// (`index` of `count`, 1-based) and the *full* campaign seed list, so
@@ -67,17 +67,18 @@ impl ShardTag {
         format!("{}/{}", self.index, self.count)
     }
 
-    /// Renders the tag in the checkpoint's canonical field order.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"index\": {}, \"count\": {}, \"campaign\": [{}]}}",
-            self.index,
-            self.count,
-            json::u64_list(&self.campaign)
-        )
+    /// Writes the tag as the next value of `w`: an inline object in the
+    /// checkpoint's canonical field order.
+    pub fn write_json(&self, w: &mut Writer) {
+        w.object(Layout::Inline)
+            .field("index", self.index)
+            .field("count", self.count)
+            .key("campaign")
+            .list(&self.campaign)
+            .end();
     }
 
-    /// Parses a tag written by [`ShardTag::to_json`], re-validating the
+    /// Parses a tag written by [`ShardTag::write_json`], re-validating the
     /// topology (a hand-edited index outside `1..=count` is rejected
     /// here, before merge logic ever sees it).
     pub fn from_json(v: &json::Value) -> Result<ShardTag, String> {
@@ -229,10 +230,13 @@ mod tests {
     #[test]
     fn shard_tag_roundtrips() {
         let tag = ShardTag::new(3, 4, (1..=10).collect()).unwrap();
-        let v = json::parse(&tag.to_json()).expect("valid json");
+        let mut w = Writer::new();
+        tag.write_json(&mut w);
+        let text = w.finish();
+        let v = json::parse(&text).expect("valid json");
         assert_eq!(ShardTag::from_json(&v).expect("parses"), tag);
         // A hand-edited out-of-range index fails at parse time.
-        let doctored = tag.to_json().replace("\"index\": 3", "\"index\": 9");
+        let doctored = text.replace("\"index\": 3", "\"index\": 9");
         let v = json::parse(&doctored).unwrap();
         assert!(ShardTag::from_json(&v).is_err());
     }

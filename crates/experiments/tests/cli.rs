@@ -277,3 +277,25 @@ fn run_file_escapes_the_scenario_strings_in_its_json_report() {
     assert_eq!(paper_ref.as_str("paper_ref").unwrap(), r#"see "Fig. 3""#);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A file nested 50,000 brackets deep used to overflow the reader's stack
+/// and abort the process. It is a bad file like any other: exit 1, the
+/// file named, the nesting limit the reason.
+#[test]
+fn validate_reports_a_pathologically_nested_file_instead_of_overflowing() {
+    let dir = temp_dir("deep-nesting");
+    for (name, open) in [("arrays.json", "["), ("objects.json", "{\"a\":")] {
+        std::fs::write(dir.join(name), open.repeat(50_000)).unwrap();
+        let out = lockss_sim(&["validate", name])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{name}: {}", stderr(&out));
+        assert!(
+            stdout.contains(name) && stdout.contains("nesting too deep"),
+            "{name}: {stdout}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -7,10 +7,11 @@
 //! best-effort: a lost heartbeat costs liveness information, never
 //! results, so there is no fsync here.
 
-use std::fmt::Write as _;
 use std::fs::OpenOptions;
 use std::io::{self, Write as _};
 use std::path::Path;
+
+use crate::json::{Layout, Writer};
 
 /// Format tag stamped on every heartbeat line. Consumers parse by key
 /// and must ignore keys they do not know, so adding fields is a
@@ -52,55 +53,28 @@ pub struct Heartbeat {
     pub arena_total: u64,
 }
 
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl Heartbeat {
     /// Renders the record as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(256);
-        let _ = write!(
-            out,
-            "{{\"format\": \"{FORMAT}\", \"unix_ms\": {}, \"scenario\": ",
-            self.unix_ms
-        );
-        push_escaped(&mut out, &self.scenario);
-        out.push_str(", \"scale\": ");
-        push_escaped(&mut out, &self.scale);
-        let _ = write!(
-            out,
-            ", \"shard\": {}, \"shards\": {}, \"seeds_done\": {}, \
-             \"seeds_total\": {}, \"last_seed\": {}, \"polls\": {}, \"events\": {}, \
-             \"polls_per_sec\": {}, \"vm_rss_kb\": {}, \"arena_live\": {}, \
-             \"arena_total\": {}}}",
-            self.shard,
-            self.shards,
-            self.seeds_done,
-            self.seeds_total,
-            self.last_seed,
-            self.polls,
-            self.events,
-            self.polls_per_sec,
-            self.vm_rss_kb,
-            self.arena_live,
-            self.arena_total,
-        );
-        out
+        let mut w = Writer::new();
+        w.object(Layout::Inline)
+            .field("format", FORMAT)
+            .field("unix_ms", self.unix_ms)
+            .field("scenario", &self.scenario)
+            .field("scale", &self.scale)
+            .field("shard", self.shard)
+            .field("shards", self.shards)
+            .field("seeds_done", self.seeds_done)
+            .field("seeds_total", self.seeds_total)
+            .field("last_seed", self.last_seed)
+            .field("polls", self.polls)
+            .field("events", self.events)
+            .field("polls_per_sec", self.polls_per_sec)
+            .field("vm_rss_kb", self.vm_rss_kb)
+            .field("arena_live", self.arena_live)
+            .field("arena_total", self.arena_total)
+            .end()
+            .finish()
     }
 
     /// Appends the record (plus newline) to `path`, creating the file

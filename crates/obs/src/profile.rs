@@ -12,9 +12,13 @@
 //! out-of-band and never feeds back into simulation results.
 
 use std::cell::RefCell;
-use std::fmt::Write as _;
 use std::rc::Rc;
 use std::time::Instant;
+
+use crate::json::{
+    Layout::{Inline, Lines},
+    Writer,
+};
 
 /// Format tag stamped on every [`Profiler::to_json`] document. Span
 /// names are not part of the contract; the document shape is.
@@ -150,46 +154,31 @@ impl Profiler {
 
     /// Renders the tree as a `lockss-profile-v1` JSON document.
     pub fn to_json(&self, name: &str) -> String {
-        let mut out = format!("{{\n  \"format\": \"{FORMAT}\",\n");
-        let _ = write!(out, "  \"name\": {:?},\n  \"spans\": [", name);
-        for (i, &r) in self.roots.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            self.render_node(&mut out, r, 2);
-        }
-        if !self.roots.is_empty() {
-            out.push('\n');
-            out.push_str("  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        let mut w = Writer::new();
+        w.object(Lines)
+            .field("format", FORMAT)
+            .field("name", name)
+            .key("spans");
+        self.render_nodes(&mut w, &self.roots);
+        w.end().finish() + "\n"
     }
 
-    fn render_node(&self, out: &mut String, idx: usize, depth: usize) {
-        let pad = "  ".repeat(depth);
-        let n = &self.nodes[idx];
-        let _ = write!(
-            out,
-            "{pad}{{\"name\": {:?}, \"calls\": {}, \"total_ns\": {}, \"self_ns\": {}, \"children\": [",
-            n.name,
-            n.calls,
-            n.total_ns,
-            self.self_ns(idx)
-        );
-        for (i, &c) in n.children.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            self.render_node(out, c, depth + 1);
+    /// Writes `nodes` as an array, one node per line, each an inline
+    /// object whose `children` nest one line-level deeper.
+    fn render_nodes(&self, w: &mut Writer, nodes: &[usize]) {
+        w.array(Lines);
+        for &idx in nodes {
+            let n = &self.nodes[idx];
+            w.object(Inline)
+                .field("name", n.name)
+                .field("calls", n.calls)
+                .field("total_ns", n.total_ns)
+                .field("self_ns", self.self_ns(idx))
+                .key("children");
+            self.render_nodes(w, &n.children);
+            w.end();
         }
-        if !n.children.is_empty() {
-            out.push('\n');
-            out.push_str(&pad);
-        }
-        out.push_str("]}");
+        w.end();
     }
 }
 

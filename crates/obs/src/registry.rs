@@ -12,6 +12,11 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::json::{
+    Layout::{Inline, Lines},
+    Writer,
+};
+
 /// Format tag stamped on every [`Registry::to_json`] document. New
 /// metrics may appear under the same version; renaming or re-typing an
 /// existing metric bumps it.
@@ -250,36 +255,35 @@ impl Registry {
     /// `{"buckets": [[le, count], ...], "count": n, "sum": s}` with the
     /// overflow bucket keyed `"+Inf"`.
     pub fn to_json(&self) -> String {
-        let mut out = format!("{{\n  \"format\": \"{FORMAT}\",\n  \"metrics\": {{");
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            let _ = write!(out, "{:?}: ", m.name);
+        let mut w = Writer::new();
+        w.object(Lines)
+            .field("format", FORMAT)
+            .key("metrics")
+            .object(Lines);
+        for m in self.metrics.iter() {
+            w.key(&m.name);
             match &m.slots {
                 Slots::Scalar(s) => {
-                    let _ = write!(out, "{}", s.load(Ordering::Relaxed));
+                    w.value(s.load(Ordering::Relaxed));
                 }
                 Slots::Histogram(h) => {
-                    out.push_str("{\"buckets\": [");
-                    let counts = h.bucket_counts();
-                    for (j, c) in counts.iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        if j < h.bounds.len() {
-                            let _ = write!(out, "[{}, {}]", h.bounds[j], c);
-                        } else {
-                            let _ = write!(out, "[\"+Inf\", {c}]");
-                        }
+                    w.object(Inline).key("buckets").array(Inline);
+                    for (j, c) in h.bucket_counts().into_iter().enumerate() {
+                        w.array(Inline);
+                        match h.bounds.get(j) {
+                            Some(le) => w.value(le),
+                            None => w.value("+Inf"),
+                        };
+                        w.value(c).end();
                     }
-                    let _ = write!(out, "], \"count\": {}, \"sum\": {}}}", h.count(), h.sum());
+                    w.end()
+                        .field("count", h.count())
+                        .field("sum", h.sum())
+                        .end();
                 }
             }
         }
-        out.push_str("\n  }\n}\n");
-        out
+        w.end().end().finish() + "\n"
     }
 
     /// Renders the registry in the Prometheus text exposition format

@@ -13,10 +13,13 @@
 
 pub mod engine;
 pub mod fxmap;
-pub mod json;
 pub mod rng;
 pub mod time;
 pub mod weighted;
+
+/// The workspace's JSON grammar, hosted by the std-only `lockss-obs` leaf
+/// so its own documents can use it too.
+pub use lockss_obs::json;
 
 pub use engine::{Engine, EngineObs, EventFn};
 pub use fxmap::{FxBuildHasher, FxHashMap, FxHasher};

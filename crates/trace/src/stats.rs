@@ -14,6 +14,10 @@
 
 use lockss_core::trace::{AdmissionVerdict, MsgKind, TraceEvent, TraceEventKind};
 use lockss_metrics::timeline::{PollTimeline, TimeBuckets, TimelineSummary};
+use lockss_sim::json::{
+    Layout::{Inline, Lines},
+    Writer,
+};
 use lockss_sim::{Duration, SimTime};
 
 use crate::format::{Trace, TraceMeta, TraceRecord, TraceWire};
@@ -236,88 +240,69 @@ impl TraceStats {
     /// same one that parses it back). Field order is fixed, so the same
     /// trace always renders the same bytes.
     pub fn to_json(&self) -> String {
-        use lockss_sim::json::escape;
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(1024);
-        let _ = writeln!(out, "{{\n  \"format\": \"{FORMAT}\",");
-        let _ = writeln!(out, "  \"wire\": \"{}\",", self.wire.label());
-        let _ = writeln!(
-            out,
-            "  \"meta\": {{\"scenario\": \"{}\", \"scale\": \"{}\", \"seed\": {}, \
-             \"run_length_ms\": {}}},",
-            escape(&self.meta.scenario),
-            escape(&self.meta.scale),
-            self.meta.seed,
-            self.meta.run_length_ms
-        );
-        let _ = writeln!(out, "  \"events\": {},", self.events);
-        let _ = writeln!(
-            out,
-            "  \"last_event_day\": {},",
-            self.last_event_at.as_days_f64()
-        );
-        out.push_str("  \"kinds\": {");
-        for (i, (kind, count)) in self.kind_counts.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\": {count}", kind.label());
+        let (mut w, s) = (Writer::new(), &self.summary);
+        w.object(Lines)
+            .field("format", FORMAT)
+            .field("wire", self.wire.label())
+            .key("meta")
+            .object(Inline)
+            .field("scenario", &self.meta.scenario)
+            .field("scale", &self.meta.scale)
+            .field("seed", self.meta.seed)
+            .field("run_length_ms", self.meta.run_length_ms)
+            .end()
+            .field("events", self.events)
+            .field("last_event_day", self.last_event_at.as_days_f64());
+        write_kinds(&mut w, &self.kind_counts);
+        w.key("polls")
+            .object(Inline)
+            .field("started", s.polls_started)
+            .field("concluded", s.polls_concluded)
+            .field("wins", s.wins)
+            .field("losses", s.losses)
+            .field("inconclusive", s.inconclusive)
+            .field("inquorate", s.inquorate)
+            .field(
+                "mean_duration_days",
+                s.mean_poll_duration.map(|d| d.as_days_f64()),
+            )
+            .field("mean_votes", s.mean_votes)
+            .field("mean_invites", s.mean_invites)
+            .field("repairs", s.repairs)
+            .end();
+        write_admissions(&mut w, &self.admissions);
+        w.field("suppressed_sends", self.suppressed_sends)
+            .key("phases")
+            .array(Lines);
+        for seg in &self.phases {
+            w.object(Inline)
+                .field("label", &seg.label)
+                .field("start_day", seg.start.as_days_f64())
+                .field("events", seg.events)
+                .field("polls_concluded", seg.polls_concluded)
+                .end();
         }
-        out.push_str("},\n");
-        let s = &self.summary;
-        let _ = writeln!(
-            out,
-            "  \"polls\": {{\"started\": {}, \"concluded\": {}, \"wins\": {}, \"losses\": {}, \
-             \"inconclusive\": {}, \"inquorate\": {}, \"mean_duration_days\": {}, \
-             \"mean_votes\": {}, \"mean_invites\": {}, \"repairs\": {}}},",
-            s.polls_started,
-            s.polls_concluded,
-            s.wins,
-            s.losses,
-            s.inconclusive,
-            s.inquorate,
-            s.mean_poll_duration
-                .map_or("null".to_string(), |d| d.as_days_f64().to_string()),
-            s.mean_votes,
-            s.mean_invites,
-            s.repairs
-        );
-        out.push_str("  \"admissions\": {");
-        for code in 0..5u8 {
-            if code > 0 {
-                out.push_str(", ");
-            }
-            let verdict = AdmissionVerdict::from_code(code).expect("code in range");
-            let _ = write!(
-                out,
-                "\"{}\": {}",
-                verdict.label(),
-                self.admissions[code as usize]
-            );
-        }
-        out.push_str("},\n");
-        let _ = writeln!(out, "  \"suppressed_sends\": {},", self.suppressed_sends);
-        out.push_str("  \"phases\": [");
-        for (i, seg) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"label\": \"{}\", \"start_day\": {}, \"events\": {}, \
-                 \"polls_concluded\": {}}}",
-                escape(&seg.label),
-                seg.start.as_days_f64(),
-                seg.events,
-                seg.polls_concluded
-            );
-        }
-        if !self.phases.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        w.end().end().finish() + "\n"
     }
+}
+
+/// Writes the `kinds` count object, in kind-code order.
+fn write_kinds(w: &mut Writer, kinds: &[(TraceEventKind, u64)]) {
+    w.key("kinds").object(Inline);
+    for (kind, count) in kinds {
+        w.field(kind.label(), count);
+    }
+    w.end();
+}
+
+/// Writes the `admissions` count object, in verdict-code order.
+fn write_admissions(w: &mut Writer, admissions: &[u64; 5]) {
+    w.key("admissions").object(Inline);
+    for (code, count) in (0..5u8).zip(admissions) {
+        let verdict = AdmissionVerdict::from_code(code).expect("code in range");
+        w.field(verdict.label(), count);
+    }
+    w.end();
 }
 
 impl std::fmt::Display for TraceStats {
@@ -439,71 +424,38 @@ impl AggregateStats {
     /// format with `"aggregate": true`, per-trace rows, and totals.
     /// Deterministic for a fixed input order.
     pub fn to_json(&self) -> String {
-        use lockss_sim::json::escape;
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(1024);
-        let _ = writeln!(out, "{{\n  \"format\": \"{FORMAT}\",");
-        out.push_str("  \"aggregate\": true,\n");
-        out.push_str("  \"traces\": [");
-        for (i, (label, s)) in self.traces.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"path\": \"{}\", \"wire\": \"{}\", \"scenario\": \"{}\", \
-                 \"seed\": {}, \"events\": {}, \"polls_started\": {}, \
-                 \"polls_concluded\": {}, \"wins\": {}, \"losses\": {}, \
-                 \"suppressed_sends\": {}}}",
-                escape(label),
-                s.wire.label(),
-                escape(&s.meta.scenario),
-                s.meta.seed,
-                s.events,
-                s.summary.polls_started,
-                s.summary.polls_concluded,
-                s.summary.wins,
-                s.summary.losses,
-                s.suppressed_sends
-            );
+        let mut w = Writer::new();
+        w.object(Lines)
+            .field("format", FORMAT)
+            .field("aggregate", true)
+            .key("traces")
+            .array(Lines);
+        for (label, s) in &self.traces {
+            w.object(Inline)
+                .field("path", label)
+                .field("wire", s.wire.label())
+                .field("scenario", &s.meta.scenario)
+                .field("seed", s.meta.seed)
+                .field("events", s.events)
+                .field("polls_started", s.summary.polls_started)
+                .field("polls_concluded", s.summary.polls_concluded)
+                .field("wins", s.summary.wins)
+                .field("losses", s.summary.losses)
+                .field("suppressed_sends", s.suppressed_sends)
+                .end();
         }
-        if !self.traces.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n");
-        out.push_str("  \"totals\": {\n");
-        let _ = writeln!(out, "    \"traces\": {},", self.traces.len());
-        let _ = writeln!(out, "    \"events\": {},", self.total_events());
-        out.push_str("    \"kinds\": {");
-        for (i, (kind, count)) in self.total_kind_counts().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{}\": {count}", kind.label());
-        }
-        out.push_str("},\n");
-        out.push_str("    \"admissions\": {");
-        let admissions = self.total_admissions();
-        for code in 0..5u8 {
-            if code > 0 {
-                out.push_str(", ");
-            }
-            let verdict = AdmissionVerdict::from_code(code).expect("code in range");
-            let _ = write!(
-                out,
-                "\"{}\": {}",
-                verdict.label(),
-                admissions[code as usize]
-            );
-        }
-        out.push_str("},\n");
-        let _ = writeln!(
-            out,
-            "    \"suppressed_sends\": {}",
-            self.total_suppressed_sends()
-        );
-        out.push_str("  }\n}\n");
-        out
+        w.end()
+            .key("totals")
+            .object(Lines)
+            .field("traces", self.traces.len())
+            .field("events", self.total_events());
+        write_kinds(&mut w, &self.total_kind_counts());
+        write_admissions(&mut w, &self.total_admissions());
+        w.field("suppressed_sends", self.total_suppressed_sends())
+            .end()
+            .end()
+            .finish()
+            + "\n"
     }
 }
 

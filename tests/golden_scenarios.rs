@@ -1,274 +1,15 @@
-//! Golden equivalence: the declarative scenario corpus reproduces the
-//! pre-refactor registry exactly.
+//! Golden scenarios: every registry entry builds to a pinned world.
 //!
-//! The `legacy` module below is the verbatim builder code that
-//! `ScenarioRegistry::standard()` used before the registry became
-//! spec-backed (PR 6). For every checked-in `scenarios/*.json` file, the
-//! spec-built scenario must equal the legacy-built one by structural
-//! equality at every scale. Because a run is a pure function of
-//! `(scenario, seed)` (see `tests/determinism.rs`), equal scenarios
-//! produce byte-identical `results/scenario-*.json` — the quick-scale
-//! summary spot-checks at the bottom pin that implication directly.
+//! The registry became spec-backed in PR 6; until then its scenarios were
+//! Rust builder code. The digests below were taken while a verbatim copy
+//! of those builders still proved every spec-built scenario structurally
+//! equal to its hand-coded ancestor at every scale, so they carry that
+//! proof forward. Because a run is a pure function of `(scenario, seed)`
+//! (see `tests/determinism.rs`), a scenario that builds to its pinned
+//! world produces the same `results/scenario-*.json` as it always has.
 
 use lockss::crypto::sha256::{sha256, to_hex};
-use lockss::experiments::runner::run_once;
 use lockss::experiments::{Scale, ScenarioRegistry};
-
-/// The pre-refactor builders, copied verbatim from `registry.rs` as it
-/// stood before the declarative-scenario refactor. Do not "improve" this
-/// module: it is a fixture.
-mod legacy {
-    use lockss::adversary::Defection;
-    use lockss::experiments::scenario::{phased, AttackSpec, Scenario};
-    use lockss::experiments::Scale;
-    use lockss::sim::Duration;
-
-    fn scale_world(scale: Scale, n_peers: usize, attack: AttackSpec) -> Scenario {
-        let mut s = Scenario::attacked(scale, 1, attack);
-        s.cfg.n_peers = n_peers;
-        s.cfg.link_mix = Some([0.6, 0.3, 0.1]);
-        s.run_length = match scale {
-            Scale::Quick => Duration::from_days(200),
-            Scale::Default | Scale::Paper => Duration::from_days(540),
-        };
-        s
-    }
-
-    /// `(name, builder)` for every pre-refactor registry entry, in
-    /// registration order.
-    #[allow(clippy::type_complexity)]
-    pub fn builders() -> Vec<(&'static str, fn(Scale) -> Scenario)> {
-        vec![
-            ("baseline", |scale| {
-                Scenario::baseline(scale, scale.small_collection())
-            }),
-            ("baseline-large", |scale| {
-                Scenario::baseline(scale, scale.large_collection())
-            }),
-            ("pipe-stoppage", |scale| {
-                Scenario::attacked(
-                    scale,
-                    scale.small_collection(),
-                    AttackSpec::PipeStoppage {
-                        coverage: 1.0,
-                        days: 90,
-                    },
-                )
-            }),
-            ("pipe-stoppage-partial", |scale| {
-                Scenario::attacked(
-                    scale,
-                    scale.small_collection(),
-                    AttackSpec::PipeStoppage {
-                        coverage: 0.4,
-                        days: 30,
-                    },
-                )
-            }),
-            ("admission-flood", |scale| {
-                Scenario::attacked(
-                    scale,
-                    scale.small_collection(),
-                    AttackSpec::AdmissionFlood {
-                        coverage: 1.0,
-                        days: 720,
-                    },
-                )
-            }),
-            ("admission-flood-partial", |scale| {
-                Scenario::attacked(
-                    scale,
-                    scale.small_collection(),
-                    AttackSpec::AdmissionFlood {
-                        coverage: 0.4,
-                        days: 90,
-                    },
-                )
-            }),
-            ("brute-force-intro", |scale| {
-                Scenario::attacked(
-                    scale,
-                    scale.small_collection(),
-                    AttackSpec::BruteForce {
-                        defection: Defection::Intro,
-                    },
-                )
-            }),
-            ("brute-force-remaining", |scale| {
-                Scenario::attacked(
-                    scale,
-                    scale.small_collection(),
-                    AttackSpec::BruteForce {
-                        defection: Defection::Remaining,
-                    },
-                )
-            }),
-            ("brute-force-none", |scale| {
-                Scenario::attacked(
-                    scale,
-                    scale.small_collection(),
-                    AttackSpec::BruteForce {
-                        defection: Defection::None_,
-                    },
-                )
-            }),
-            ("vote-flood", |scale| {
-                Scenario::attacked(
-                    scale,
-                    scale.small_collection(),
-                    AttackSpec::VoteFlood {
-                        votes_per_wave: 4,
-                        wave_hours: 6,
-                    },
-                )
-            }),
-            ("churn-storm", |scale| {
-                Scenario::attacked(
-                    scale,
-                    scale.small_collection(),
-                    AttackSpec::ChurnStorm {
-                        coverage: 0.5,
-                        duty: 0.7,
-                    },
-                )
-            }),
-            ("sybil-ramp", |scale| {
-                Scenario::attacked(
-                    scale,
-                    scale.small_collection(),
-                    AttackSpec::SybilRamp {
-                        step: 0.25,
-                        step_days: 45,
-                    },
-                )
-            }),
-            ("stoppage-then-flood", |scale| {
-                Scenario::attacked(
-                    scale,
-                    scale.small_collection(),
-                    AttackSpec::Compose(vec![
-                        phased(
-                            0,
-                            AttackSpec::PipeStoppage {
-                                coverage: 1.0,
-                                days: 60,
-                            },
-                        ),
-                        phased(
-                            90,
-                            AttackSpec::AdmissionFlood {
-                                coverage: 1.0,
-                                days: 360,
-                            },
-                        ),
-                    ]),
-                )
-            }),
-            ("storm-over-ramp", |scale| {
-                Scenario::attacked(
-                    scale,
-                    scale.small_collection(),
-                    AttackSpec::Compose(vec![
-                        phased(
-                            0,
-                            AttackSpec::ChurnStorm {
-                                coverage: 0.5,
-                                duty: 0.7,
-                            },
-                        ),
-                        phased(
-                            0,
-                            AttackSpec::SybilRamp {
-                                step: 0.25,
-                                step_days: 45,
-                            },
-                        ),
-                    ]),
-                )
-            }),
-            ("stoppage-escalation", |scale| {
-                Scenario::attacked(
-                    scale,
-                    scale.small_collection(),
-                    AttackSpec::Compose(vec![
-                        phased(
-                            0,
-                            AttackSpec::PipeStoppage {
-                                coverage: 0.4,
-                                days: 30,
-                            },
-                        ),
-                        phased(
-                            120,
-                            AttackSpec::PipeStoppage {
-                                coverage: 1.0,
-                                days: 60,
-                            },
-                        ),
-                    ]),
-                )
-            }),
-            ("scale-10k-baseline", |scale| {
-                scale_world(scale, 10_000, AttackSpec::None)
-            }),
-            ("scale-10k-churn-storm", |scale| {
-                scale_world(
-                    scale,
-                    10_000,
-                    AttackSpec::ChurnStorm {
-                        coverage: 0.3,
-                        duty: 0.5,
-                    },
-                )
-            }),
-            ("scale-50k-attrition", |scale| {
-                scale_world(
-                    scale,
-                    50_000,
-                    AttackSpec::AdmissionFlood {
-                        coverage: 0.4,
-                        days: 90,
-                    },
-                )
-            }),
-        ]
-    }
-}
-
-#[test]
-fn spec_corpus_covers_exactly_the_legacy_registry() {
-    // Scenarios added after the refactor (the mobile-takeover family) may
-    // interleave, but every pre-refactor scenario must still be present,
-    // in the legacy registration order.
-    let registry = ScenarioRegistry::standard();
-    let names = registry.names();
-    let mut cursor = names.iter();
-    for (legacy_name, _) in legacy::builders() {
-        assert!(
-            cursor.any(|n| *n == legacy_name),
-            "corpus must list pre-refactor scenario '{legacy_name}' in the legacy order \
-             (registry: {names:?})"
-        );
-    }
-}
-
-#[test]
-fn every_spec_scenario_equals_its_legacy_builder() {
-    let registry = ScenarioRegistry::standard();
-    for (name, builder) in legacy::builders() {
-        for scale in [Scale::Quick, Scale::Default, Scale::Paper] {
-            let from_spec = registry
-                .build(name, scale)
-                .unwrap_or_else(|| panic!("'{name}' missing from the spec corpus"));
-            let from_code = builder(scale);
-            assert_eq!(
-                from_spec, from_code,
-                "'{name}' at {scale:?}: spec-built scenario diverges from the \
-                 pre-refactor builder"
-            );
-        }
-    }
-}
 
 const SCALES: [Scale; 3] = [Scale::Quick, Scale::Default, Scale::Paper];
 
@@ -476,33 +217,4 @@ fn every_registry_scenario_matches_its_pinned_digest() {
         "built scenarios moved:\n{}",
         drift.join("\n")
     );
-}
-
-/// Structural equality plus determinism implies byte-identical result
-/// files; pin the implication by comparing quick-scale summaries for a
-/// representative slice (a baseline, a primitive attack, a composite).
-#[test]
-fn spec_and_legacy_summaries_are_byte_identical_at_quick_scale() {
-    let registry = ScenarioRegistry::standard();
-    for (name, builder) in legacy::builders() {
-        if !matches!(
-            name,
-            "baseline" | "pipe-stoppage-partial" | "stoppage-then-flood"
-        ) {
-            continue;
-        }
-        let mut from_spec = registry.build(name, Scale::Quick).expect("registered");
-        let mut from_code = builder(Scale::Quick);
-        // Shrink like tests/determinism.rs so the slice stays CI-fast.
-        for s in [&mut from_spec, &mut from_code] {
-            s.cfg.n_peers = 30;
-            s.cfg.n_aus = 2;
-            s.run_length = lockss::sim::Duration::from_days(150);
-        }
-        assert_eq!(
-            run_once(&from_spec, 7),
-            run_once(&from_code, 7),
-            "'{name}': summaries diverge"
-        );
-    }
 }
