@@ -1,18 +1,21 @@
 //! Bench-report parsing and comparison: the perf-trajectory gate.
 //!
 //! `results/BENCH_<group>.json` files (written by [`crate::Harness`]) and
-//! the merged trajectory anchors (`results/BENCH_baseline.json`,
-//! `results/BENCH_opt2.json`, which wrap per-group reports in a `groups`
-//! array) are parsed by the workspace's one JSON grammar
-//! (`lockss_sim::json`; offline dependency policy: no `serde`), then
-//! compared mean-vs-mean with a noise band derived from each side's
-//! min/max spread:
+//! the merged trajectory anchors (`results/BENCH_opt7.json`, which wraps
+//! per-group reports in a `groups` array) are parsed by the workspace's
+//! one JSON grammar (`lockss_sim::json`; offline dependency policy: no
+//! `serde`), then compared median against median. Each line gets one
+//! noise band — the larger side's interquartile range over its median,
+//! never below [`FLOOR`] — and the band does both jobs:
 //!
-//! - a benchmark is *flagged* when its mean moved by more than the band in
-//!   either direction;
-//! - the CI gate [`gate`] fails only on *regressions* beyond a threshold
-//!   (25% in CI) on the named hot benches, so the trajectory can only
-//!   ratchet forward.
+//! - a line is *marked* faster or SLOWER when its median moved beyond it;
+//! - the CI gate ([`DiffReport::gate_failures`]) fails when one of the
+//!   [`GATED_BENCHES`] slowed beyond it, or went missing, so the
+//!   trajectory can only ratchet forward.
+//!
+//! Anchors recorded before `BENCH_opt7.json` carry mean/min/max, not
+//! quartiles; they are refused with an error naming `median_ns`, not
+//! converted.
 
 use std::fmt;
 
@@ -20,18 +23,18 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParsedBench {
     pub name: String,
-    pub mean_ns: f64,
-    pub min_ns: f64,
-    pub max_ns: f64,
+    pub median_ns: f64,
+    pub q1_ns: f64,
+    pub q3_ns: f64,
 }
 
 impl ParsedBench {
-    /// Relative spread of the sample means, `(max - min) / mean`.
-    fn rel_spread(&self) -> f64 {
-        if self.mean_ns <= 0.0 {
+    /// Relative spread of the samples, `(q3 - q1) / median`.
+    fn spread(&self) -> f64 {
+        if self.median_ns <= 0.0 {
             return 0.0;
         }
-        (self.max_ns - self.min_ns).max(0.0) / self.mean_ns
+        (self.q3_ns - self.q1_ns).max(0.0) / self.median_ns
     }
 }
 
@@ -67,10 +70,6 @@ fn field<'v>(v: &'v Value, key: &str) -> Option<&'v Value> {
     }
 }
 
-fn field_f64(v: &Value, key: &str) -> Option<f64> {
-    field(v, key).and_then(|f| f.as_f64(key).ok())
-}
-
 /// Parses one report file's benchmarks, in file order.
 ///
 /// Accepts both shapes in the trajectory: a flat per-group report
@@ -93,30 +92,26 @@ pub fn parse_report(text: &str) -> Result<Vec<ParsedBench>, ParseError> {
 }
 
 fn extract_group(group: &Value, out: &mut Vec<ParsedBench>) -> Result<(), ParseError> {
+    let error = |message: String| ParseError { message, at: 0 };
     let results = field(group, "results")
         .and_then(|r| r.as_array("results").ok())
-        .ok_or(ParseError {
-            message: "report has no 'results' array".to_string(),
-            at: 0,
-        })?;
+        .ok_or_else(|| error("report has no 'results' array".to_string()))?;
     for r in results {
-        match (
-            field(r, "name").and_then(|n| n.as_str("name").ok()),
-            field_f64(r, "mean_ns"),
-            field_f64(r, "min_ns"),
-            field_f64(r, "max_ns"),
-        ) {
-            (Some(name), Some(mean_ns), Some(min_ns), Some(max_ns)) => out.push(ParsedBench {
+        let name = field(r, "name").and_then(|n| n.as_str("name").ok());
+        let stat = |key: &str| field(r, key).and_then(|f| f.as_f64(key).ok());
+        match (name, stat("median_ns"), stat("q1_ns"), stat("q3_ns")) {
+            (Some(name), Some(median_ns), Some(q1_ns), Some(q3_ns)) => out.push(ParsedBench {
                 name: name.to_string(),
-                mean_ns,
-                min_ns,
-                max_ns,
+                median_ns,
+                q1_ns,
+                q3_ns,
             }),
-            _ => {
-                return Err(ParseError {
-                    message: "result entry missing name/mean_ns/min_ns/max_ns".to_string(),
-                    at: 0,
-                })
+            (name, ..) => {
+                return Err(error(format!(
+                    "result '{}' lacks name/median_ns/q1_ns/q3_ns (anchors before \
+                     BENCH_opt7.json carry mean/min/max; compare against BENCH_opt7.json)",
+                    name.unwrap_or("?")
+                )))
             }
         }
     }
@@ -127,36 +122,44 @@ fn extract_group(group: &Value, out: &mut Vec<ParsedBench>) -> Result<(), ParseE
 // Comparison.
 // ---------------------------------------------------------------------
 
-/// The noise floor: deltas within ±5% are never flagged, whatever the
-/// measured spreads claim (five samples understate tail noise).
-pub const NOISE_FLOOR: f64 = 0.05;
+/// The narrowest band: a median move within ±30% is never marked or
+/// gated, whatever the quartiles claim. Sized from measurement — the
+/// largest gated-line move across three fresh full runs against the
+/// anchor, rounded up to the next 5% (ARCHITECTURE.md, "Measuring").
+pub const FLOOR: f64 = 0.30;
 
 /// One benchmark's baseline-vs-new comparison.
 #[derive(Clone, Debug)]
 pub struct BenchDelta {
     /// Benchmark name (exact match between the two reports).
     pub name: String,
-    /// Baseline mean, nanoseconds.
-    pub base_mean_ns: f64,
-    /// New mean, nanoseconds.
-    pub new_mean_ns: f64,
+    /// Baseline median, nanoseconds.
+    pub base_ns: f64,
+    /// New median, nanoseconds.
+    pub new_ns: f64,
     /// `new / base`: below 1 is a speedup.
     pub ratio: f64,
-    /// Relative noise band: the larger of the two runs' min–max spreads,
-    /// floored at [`NOISE_FLOOR`].
-    pub noise_band: f64,
+    /// Relative noise band: the larger side's `(q3 - q1) / median`,
+    /// floored at [`FLOOR`].
+    pub band: f64,
 }
 
 impl BenchDelta {
-    /// True if the mean moved beyond the noise band (either direction).
-    pub fn significant(&self) -> bool {
-        (self.ratio - 1.0).abs() > self.noise_band
+    /// True if the median slowed beyond the band.
+    pub fn slower(&self) -> bool {
+        self.ratio > 1.0 + self.band
     }
 
-    /// True if this is a slowdown beyond `threshold` (e.g. `0.25` for
-    /// +25%) *and* beyond the noise band.
-    pub fn regressed_beyond(&self, threshold: f64) -> bool {
-        self.ratio > 1.0 + threshold.max(self.noise_band)
+    /// The table's mark: `faster` or `SLOWER` beyond the band, nothing
+    /// inside it.
+    pub fn mark(&self) -> &'static str {
+        if self.slower() {
+            "SLOWER"
+        } else if self.ratio < 1.0 - self.band {
+            "faster"
+        } else {
+            ""
+        }
     }
 }
 
@@ -172,26 +175,45 @@ pub struct DiffReport {
     pub added: Vec<String>,
 }
 
+impl DiffReport {
+    /// Why `--gate` fails, one line per reason: each gated benchmark that
+    /// slowed beyond its band, and each gated baseline benchmark the new
+    /// reports lack. Empty means the gate passes.
+    pub fn gate_failures(&self) -> Vec<String> {
+        let gated = |name: &str| GATED_BENCHES.iter().any(|p| name_matches(p, name));
+        let slowed = self.deltas.iter().filter(|d| gated(&d.name) && d.slower());
+        let slowed = slowed.map(|d| {
+            let pct = |x: f64| x * 100.0;
+            format!(
+                "{} slowed {:+.1}% (band ±{:.1}%)",
+                d.name,
+                pct(d.ratio - 1.0),
+                pct(d.band)
+            )
+        });
+        let missing = self.missing.iter().filter(|n| gated(n));
+        let missing = missing.map(|n| format!("gated benchmark '{n}' missing from the new report"));
+        slowed.chain(missing).collect()
+    }
+}
+
 /// Compares baseline and new benchmark lists by exact name.
 pub fn diff_benches(base: &[ParsedBench], new: &[ParsedBench]) -> DiffReport {
     let mut report = DiffReport::default();
     for b in base {
         match new.iter().find(|n| n.name == b.name) {
             None => report.missing.push(b.name.clone()),
-            Some(n) => {
-                let ratio = if b.mean_ns > 0.0 {
-                    n.mean_ns / b.mean_ns
+            Some(n) => report.deltas.push(BenchDelta {
+                name: b.name.clone(),
+                base_ns: b.median_ns,
+                new_ns: n.median_ns,
+                ratio: if b.median_ns > 0.0 {
+                    n.median_ns / b.median_ns
                 } else {
                     1.0
-                };
-                report.deltas.push(BenchDelta {
-                    name: b.name.clone(),
-                    base_mean_ns: b.mean_ns,
-                    new_mean_ns: n.mean_ns,
-                    ratio,
-                    noise_band: b.rel_spread().max(n.rel_spread()).max(NOISE_FLOOR),
-                });
-            }
+                },
+                band: b.spread().max(n.spread()).max(FLOOR),
+            }),
         }
     }
     for n in new {
@@ -204,7 +226,7 @@ pub fn diff_benches(base: &[ParsedBench], new: &[ParsedBench]) -> DiffReport {
 
 /// True if `name` matches `pattern`: exact, or prefix when the pattern
 /// ends with `*` (`"realproto/*"`, `"fig*"`).
-pub fn name_matches(pattern: &str, name: &str) -> bool {
+fn name_matches(pattern: &str, name: &str) -> bool {
     match pattern.strip_suffix('*') {
         Some(prefix) => name.starts_with(prefix),
         None => name == pattern,
@@ -220,47 +242,35 @@ pub const GATED_BENCHES: [&str; 5] = [
     "run/untraced",
 ];
 
-/// Returns the gated benches that regressed beyond `threshold`
-/// (new/base > 1 + threshold, and beyond noise). An empty result means the
-/// gate passes; a gated baseline bench *disappearing* is the caller's
-/// problem (reported via [`DiffReport::missing`]).
-pub fn gate<'r>(report: &'r DiffReport, patterns: &[&str], threshold: f64) -> Vec<&'r BenchDelta> {
-    report
-        .deltas
-        .iter()
-        .filter(|d| patterns.iter().any(|p| name_matches(p, &d.name)))
-        .filter(|d| d.regressed_beyond(threshold))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn bench(name: &str, mean: f64, min: f64, max: f64) -> ParsedBench {
+    /// A line with median `m` and quartiles 1% either side.
+    fn bench(name: &str, m: f64) -> ParsedBench {
         ParsedBench {
             name: name.to_string(),
-            mean_ns: mean,
-            min_ns: min,
-            max_ns: max,
+            median_ns: m,
+            q1_ns: m * 0.99,
+            q3_ns: m * 1.01,
         }
     }
 
     #[test]
     fn parses_flat_report() {
         let text = r#"{"group": "protocol", "results": [
-            {"name": "a/b", "iters": 10, "samples": 5,
-             "mean_ns": 100.0, "min_ns": 95.0, "max_ns": 105.0,
+            {"name": "a/b", "iters": 10, "samples": 15,
+             "median_ns": 100.0, "q1_ns": 99.0, "q3_ns": 101.0,
              "throughput_bytes": null}]}"#;
         let parsed = parse_report(text).unwrap();
-        assert_eq!(parsed, vec![bench("a/b", 100.0, 95.0, 105.0)]);
+        assert_eq!(parsed, vec![bench("a/b", 100.0)]);
     }
 
     #[test]
     fn parses_merged_anchor() {
-        let text = r#"{"note": "x", "recorded": "2026-07-28", "groups": [
-            {"group": "g1", "results": [{"name": "a", "mean_ns": 1.0, "min_ns": 1.0, "max_ns": 1.0}]},
-            {"group": "g2", "results": [{"name": "b", "mean_ns": 2.0, "min_ns": 2.0, "max_ns": 2.0}]}]}"#;
+        let text = r#"{"note": "x", "recorded": "2026-10-15", "groups": [
+            {"group": "g1", "results": [{"name": "a", "median_ns": 1.0, "q1_ns": 1.0, "q3_ns": 1.0}]},
+            {"group": "g2", "results": [{"name": "b", "median_ns": 2.0, "q1_ns": 2.0, "q3_ns": 2.0}]}]}"#;
         let parsed = parse_report(text).unwrap();
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[1].name, "b");
@@ -273,37 +283,47 @@ mod tests {
         assert!(parse_report("[1, 2]").is_err(), "no results array");
     }
 
+    /// The anchor CI gates against parses whole, with all six groups.
     #[test]
     fn parses_the_checked_in_baseline() {
-        let text = include_str!("../../../results/BENCH_baseline.json");
+        let text = include_str!("../../../results/BENCH_opt7.json");
         let parsed = parse_report(text).unwrap();
-        assert!(parsed.len() >= 20, "got {}", parsed.len());
-        assert!(parsed.iter().any(|b| b.name == "crypto/sha256/1048576B"));
+        assert!(parsed.len() >= 40, "got {}", parsed.len());
+        for name in [
+            "crypto/sha256/1048576B",
+            "run/untraced",
+            "run/instruments-on",
+        ] {
+            assert!(parsed.iter().any(|b| b.name == name), "{name}");
+        }
         assert!(parsed
             .iter()
-            .all(|b| b.mean_ns > 0.0 && b.min_ns <= b.mean_ns && b.mean_ns <= b.max_ns));
+            .all(|b| b.q1_ns > 0.0 && b.q1_ns <= b.median_ns && b.median_ns <= b.q3_ns));
     }
 
     #[test]
     fn diff_flags_only_beyond_noise() {
-        let base = vec![
-            bench("x", 100.0, 98.0, 102.0),
-            bench("y", 100.0, 98.0, 102.0),
-        ];
-        let new = vec![
-            bench("x", 103.0, 101.0, 105.0),
-            bench("y", 150.0, 148.0, 152.0),
-        ];
+        let base = vec![bench("x", 100.0), bench("y", 100.0)];
+        let new = vec![bench("x", 103.0), bench("y", 150.0)];
         let report = diff_benches(&base, &new);
-        assert!(!report.deltas[0].significant(), "3% is inside the floor");
-        assert!(report.deltas[1].significant(), "50% is a real move");
+        assert_eq!(report.deltas[0].mark(), "", "3% is inside the floor");
+        assert_eq!(report.deltas[1].mark(), "SLOWER", "50% is a real move");
         assert!((report.deltas[1].ratio - 1.5).abs() < 1e-9);
+        // A wide interquartile range widens the band past the floor.
+        let wide = ParsedBench {
+            q1_ns: 70.0,
+            q3_ns: 130.0,
+            ..bench("y", 100.0)
+        };
+        let report = diff_benches(&[wide], &new[1..]);
+        assert!((report.deltas[0].band - 0.6).abs() < 1e-9);
+        assert_eq!(report.deltas[0].mark(), "", "+50% inside a ±60% band");
     }
 
     #[test]
     fn missing_and_added_are_reported() {
-        let base = vec![bench("gone", 1.0, 1.0, 1.0), bench("kept", 1.0, 1.0, 1.0)];
-        let new = vec![bench("kept", 1.0, 1.0, 1.0), bench("fresh", 1.0, 1.0, 1.0)];
+        let base = vec![bench("gone", 1.0), bench("kept", 1.0)];
+        let new = vec![bench("kept", 1.0), bench("fresh", 1.0)];
         let report = diff_benches(&base, &new);
         assert_eq!(report.missing, vec!["gone"]);
         assert_eq!(report.added, vec!["fresh"]);
@@ -313,29 +333,62 @@ mod tests {
     #[test]
     fn gate_matches_patterns_and_threshold() {
         let base = vec![
-            bench("realproto/full exchange (intact)", 100.0, 99.0, 101.0),
-            bench("world/simulate 30 days", 100.0, 99.0, 101.0),
-            bench("engine/schedule+run", 100.0, 99.0, 101.0),
+            bench("realproto/full exchange (intact)", 100.0),
+            bench("world/simulate 30 days", 100.0),
+            bench("engine/schedule+run", 100.0),
         ];
         let new = vec![
-            bench("realproto/full exchange (intact)", 140.0, 139.0, 141.0),
-            bench("world/simulate 30 days", 110.0, 109.0, 111.0),
-            bench("engine/schedule+run", 300.0, 299.0, 301.0),
+            bench("realproto/full exchange (intact)", 140.0),
+            bench("world/simulate 30 days", 100.0 * (1.0 + FLOOR * 0.9)),
+            bench("engine/schedule+run", 300.0),
         ];
-        let report = diff_benches(&base, &new);
-        let offenders = gate(&report, &GATED_BENCHES, 0.25);
-        // realproto +40% trips; world/simulate +10% is under 25%; the
+        let failures = diff_benches(&base, &new).gate_failures();
+        // realproto +40% trips; world/simulate is inside the floor; the
         // engine bench is not gated at all.
-        assert_eq!(offenders.len(), 1);
-        assert_eq!(offenders[0].name, "realproto/full exchange (intact)");
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with("realproto/full exchange (intact) slowed +40.0%"));
     }
 
     #[test]
     fn speedups_never_trip_the_gate() {
-        let base = vec![bench("fig2/baseline point", 100.0, 99.0, 101.0)];
-        let new = vec![bench("fig2/baseline point", 20.0, 19.0, 21.0)];
+        let base = vec![bench("fig2/baseline point", 100.0)];
+        let new = vec![bench("fig2/baseline point", 20.0)];
         let report = diff_benches(&base, &new);
-        assert!(gate(&report, &GATED_BENCHES, 0.25).is_empty());
-        assert!(report.deltas[0].significant());
+        assert!(report.gate_failures().is_empty());
+        assert_eq!(report.deltas[0].mark(), "faster");
+    }
+
+    /// The one band both marks a line and gates it: identical reports
+    /// pass, a gated line beyond its band fails, an ungated line beyond
+    /// its band is marked but passes, a gated line that vanished fails,
+    /// and a pre-opt7 anchor is refused naming the field it lacks.
+    #[test]
+    fn one_band_marks_and_gates() {
+        let base = vec![
+            bench("fig2/baseline point", 100.0),
+            bench("rng/exponential", 100.0),
+        ];
+        assert!(diff_benches(&base, &base).gate_failures().is_empty());
+
+        let gated_slower = vec![bench("fig2/baseline point", 150.0), base[1].clone()];
+        let report = diff_benches(&base, &gated_slower);
+        assert_eq!(report.deltas[0].mark(), "SLOWER");
+        let failures = report.gate_failures();
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("fig2/baseline point"), "{failures:?}");
+
+        let ungated_slower = vec![base[0].clone(), bench("rng/exponential", 200.0)];
+        let report = diff_benches(&base, &ungated_slower);
+        assert_eq!(report.deltas[1].mark(), "SLOWER");
+        assert!(report.gate_failures().is_empty());
+
+        let failures = diff_benches(&base, &base[1..]).gate_failures();
+        assert_eq!(
+            failures,
+            ["gated benchmark 'fig2/baseline point' missing from the new report"]
+        );
+
+        let err = parse_report(include_str!("../../../results/BENCH_opt6.json")).unwrap_err();
+        assert!(err.message.contains("median_ns"), "{err}");
     }
 }

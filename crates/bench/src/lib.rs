@@ -5,75 +5,89 @@
 //! - `protocol`: SHA-256, MBF prove/verify, sessions, the real-mode
 //!   exchange, and whole-world simulation steps;
 //! - `figures`: one smoke-scale benchmark per paper table/figure (the full
-//!   sweeps are `lockss-sim figure <id>`).
+//!   sweeps are `lockss-sim figure <id>`);
+//! - `trace`, `scale`, `obs`: the trace layer, 10k-peer worlds, and the
+//!   metric handles.
 //!
 //! Each bench binary (`cargo bench --bench substrates`) prints a table and
 //! writes `results/BENCH_<group>.json`:
 //!
 //! ```json
 //! {"group": "substrates", "results": [
-//!   {"name": "rng/exponential", "iters": 52000, "samples": 5,
-//!    "mean_ns": 19.3, "min_ns": 18.9, "max_ns": 20.1,
+//!   {"name": "rng/exponential", "iters": 52000, "samples": 15,
+//!    "median_ns": 19.3, "q1_ns": 19.1, "q3_ns": 19.8,
 //!    "throughput_bytes": null}
 //! ]}
 //! ```
 //!
-//! Timing model: one calibration call sizes the per-sample iteration count
-//! to roughly `SAMPLE_BUDGET`, then `SAMPLES` samples run back to back;
-//! the statistics are over per-iteration sample means. This is deliberately
-//! simpler than criterion — no outlier rejection, no bootstrap — because
-//! the benches exist to keep regressions visible, not to publish numbers.
+//! Timing model: `bench*` only registers a line. [`Harness::finish`]
+//! calibrates each line once — one call sizes its iteration count so a
+//! sample lasts about `SAMPLE_BUDGET` — then runs [`ROUNDS`] rounds, each
+//! taking one sample of every line in registration order. Slow clock
+//! drift (frequency scaling, a noisy neighbour) so lands on every line
+//! alike instead of on whichever line ran last, and two lines meant to be
+//! compared (traced vs. untraced) are measured side by side. A line
+//! reports the [`median`] and exclusive [`quartiles`] of its per-iteration
+//! sample means; [`diff`] turns the interquartile range into the line's
+//! noise band. No outlier rejection, no bootstrap: the benches exist to
+//! keep regressions visible, not to publish numbers.
 
 pub mod diff;
 
 use lockss_sim::json::{Layout::Inline, Writer};
 use std::fs;
+use std::hint::black_box;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+/// Rounds per group, and so samples per line.
+pub const ROUNDS: u32 = 15;
+
 /// Wall-clock budget per sample; the calibration call picks an iteration
 /// count so one sample lasts about this long.
-const SAMPLE_BUDGET: Duration = Duration::from_millis(50);
-
-/// Samples per benchmark.
-const SAMPLES: u32 = 5;
+const SAMPLE_BUDGET: Duration = Duration::from_millis(20);
 
 /// Iteration-count ceiling per sample (guards against sub-nanosecond
 /// routines spinning forever).
 const MAX_ITERS: u64 = 10_000_000;
 
-/// One benchmark's measured statistics.
+/// One line's measured statistics.
 #[derive(Clone, Debug)]
 pub struct BenchResult {
     pub name: String,
     /// Iterations per sample.
     pub iters: u64,
     pub samples: u32,
-    /// Mean/min/max of the per-sample mean iteration times, nanoseconds.
-    pub mean_ns: f64,
-    pub min_ns: f64,
-    pub max_ns: f64,
+    /// Median and first/third quartiles of the per-sample mean iteration
+    /// times, nanoseconds.
+    pub median_ns: f64,
+    pub q1_ns: f64,
+    pub q3_ns: f64,
     /// Bytes processed per iteration, when the bench declares throughput.
     pub throughput_bytes: Option<u64>,
 }
 
 impl BenchResult {
-    /// Throughput in MiB/s, when declared.
+    /// Throughput in MiB/s at the median, when declared.
     pub fn mib_per_sec(&self) -> Option<f64> {
         let bytes = self.throughput_bytes?;
-        if self.mean_ns <= 0.0 {
-            return None;
-        }
-        Some(bytes as f64 / (1 << 20) as f64 / (self.mean_ns * 1e-9))
+        (self.median_ns > 0.0).then(|| bytes as f64 / (1 << 20) as f64 / (self.median_ns * 1e-9))
     }
 }
 
-/// A named group of benchmarks; collects results and writes the JSON
-/// report on [`Harness::finish`].
+/// A registered line: its sampler times `iters` iterations of the routine.
+struct Line {
+    name: String,
+    bytes: Option<u64>,
+    sample: Box<dyn FnMut(u64) -> Duration>,
+}
+
+/// A named group of lines; [`Harness::finish`] measures them and writes
+/// the JSON report.
 pub struct Harness {
     group: String,
-    results: Vec<BenchResult>,
+    lines: Vec<Line>,
 }
 
 impl Harness {
@@ -81,63 +95,21 @@ impl Harness {
         println!("benchmark group: {group}");
         Harness {
             group: group.to_string(),
-            results: Vec::new(),
+            lines: Vec::new(),
         }
     }
 
-    /// Benchmarks `f`, timing `iters` calls per sample.
-    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
-        self.run(name, None, &mut f);
+    /// Registers `f` as a line.
+    pub fn bench<R>(&mut self, name: &str, f: impl FnMut() -> R + 'static) {
+        self.register(name, None, f);
     }
 
-    /// Benchmarks `f`, reporting bytes-per-iteration throughput.
-    pub fn bench_bytes<R>(&mut self, name: &str, bytes: u64, mut f: impl FnMut() -> R) {
-        self.run(name, Some(bytes), &mut f);
+    /// Registers `f` as a line reporting bytes-per-iteration throughput.
+    pub fn bench_bytes<R>(&mut self, name: &str, bytes: u64, f: impl FnMut() -> R + 'static) {
+        self.register(name, Some(bytes), f);
     }
 
-    /// Benchmarks two routines interleaved — `a, b, a, b, …` with
-    /// per-call timing — so slow clock drift (thermal throttling,
-    /// frequency scaling) affects both equally and cancels out of their
-    /// *difference*. This is the right tool when the quantity of interest
-    /// is an overhead ratio between two variants of the same work (e.g.
-    /// traced vs. untraced runs); sequential `bench` calls can easily show
-    /// a 10% phantom delta from drift alone. Per-call `Instant` overhead
-    /// is tens of nanoseconds, so keep the routines at ≥ ~100µs per call.
-    pub fn bench_pair<RA, RB>(
-        &mut self,
-        name_a: &str,
-        mut a: impl FnMut() -> RA,
-        name_b: &str,
-        mut b: impl FnMut() -> RB,
-    ) {
-        let one = {
-            let t = Instant::now();
-            std::hint::black_box(a());
-            t.elapsed()
-        };
-        // Each interleaved iteration runs both routines; halve the budget.
-        let iters = calibrate(one + one).max(1);
-        let mut means_a = Vec::with_capacity(SAMPLES as usize);
-        let mut means_b = Vec::with_capacity(SAMPLES as usize);
-        for _ in 0..SAMPLES {
-            let mut elapsed_a: u128 = 0;
-            let mut elapsed_b: u128 = 0;
-            for _ in 0..iters {
-                let t = Instant::now();
-                std::hint::black_box(a());
-                elapsed_a += t.elapsed().as_nanos();
-                let t = Instant::now();
-                std::hint::black_box(b());
-                elapsed_b += t.elapsed().as_nanos();
-            }
-            means_a.push(elapsed_a as f64 / iters as f64);
-            means_b.push(elapsed_b as f64 / iters as f64);
-        }
-        self.record(name_a, iters, None, &means_a);
-        self.record(name_b, iters, None, &means_b);
-    }
-
-    /// Benchmarks `routine` on a fresh `setup()` value each iteration
+    /// Registers `routine` run on a fresh `setup()` value each iteration
     /// (criterion's `iter_batched`); setup time is excluded by building
     /// inputs before the clock starts, in bounded batches so a cheap
     /// routine's calibrated iteration count never materializes millions
@@ -145,98 +117,113 @@ impl Harness {
     pub fn bench_with_setup<T, R>(
         &mut self,
         name: &str,
-        mut setup: impl FnMut() -> T,
-        mut routine: impl FnMut(T) -> R,
+        mut setup: impl FnMut() -> T + 'static,
+        mut routine: impl FnMut(T) -> R + 'static,
     ) {
         const SETUP_BATCH: u64 = 1_024;
-        // Calibrate on one input.
-        let one = {
-            let input = setup();
-            let t = Instant::now();
-            std::hint::black_box(routine(input));
-            t.elapsed()
-        };
-        let iters = calibrate(one);
-        let mut sample_means = Vec::with_capacity(SAMPLES as usize);
-        for _ in 0..SAMPLES {
-            let mut elapsed_ns: u128 = 0;
+        self.push(name, None, move |iters| {
+            let mut elapsed = Duration::ZERO;
             let mut remaining = iters;
             while remaining > 0 {
                 let n = remaining.min(SETUP_BATCH);
                 let inputs: Vec<T> = (0..n).map(|_| setup()).collect();
                 let t = Instant::now();
                 for input in inputs {
-                    std::hint::black_box(routine(input));
+                    black_box(routine(input));
                 }
-                elapsed_ns += t.elapsed().as_nanos();
+                elapsed += t.elapsed();
                 remaining -= n;
             }
-            sample_means.push(elapsed_ns as f64 / iters as f64);
-        }
-        self.record(name, iters, None, &sample_means);
+            elapsed
+        });
     }
 
-    fn run<R>(&mut self, name: &str, bytes: Option<u64>, f: &mut impl FnMut() -> R) {
-        let one = {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            t.elapsed()
-        };
-        let iters = calibrate(one);
-        let mut sample_means = Vec::with_capacity(SAMPLES as usize);
-        for _ in 0..SAMPLES {
+    fn register<R>(&mut self, name: &str, bytes: Option<u64>, mut f: impl FnMut() -> R + 'static) {
+        self.push(name, bytes, move |iters| {
             let t = Instant::now();
             for _ in 0..iters {
-                std::hint::black_box(f());
+                black_box(f());
             }
-            sample_means.push(t.elapsed().as_nanos() as f64 / iters as f64);
-        }
-        self.record(name, iters, bytes, &sample_means);
+            t.elapsed()
+        });
     }
 
-    fn record(&mut self, name: &str, iters: u64, bytes: Option<u64>, sample_means: &[f64]) {
-        let mean = sample_means.iter().sum::<f64>() / sample_means.len() as f64;
-        let min = sample_means.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = sample_means.iter().cloned().fold(0.0f64, f64::max);
-        let result = BenchResult {
+    fn push(
+        &mut self,
+        name: &str,
+        bytes: Option<u64>,
+        sample: impl FnMut(u64) -> Duration + 'static,
+    ) {
+        self.lines.push(Line {
             name: name.to_string(),
-            iters,
-            samples: SAMPLES,
-            mean_ns: mean,
-            min_ns: min,
-            max_ns: max,
-            throughput_bytes: bytes,
-        };
-        match result.mib_per_sec() {
-            Some(rate) => println!("  {name:<44} {:>12}/iter  {rate:>9.1} MiB/s", fmt_ns(mean)),
-            None => println!(
-                "  {name:<44} {:>12}/iter  [{} .. {}]",
-                fmt_ns(mean),
-                fmt_ns(min),
-                fmt_ns(max)
-            ),
-        }
-        self.results.push(result);
+            bytes,
+            sample: Box::new(sample),
+        });
     }
 
-    /// Writes `results/BENCH_<group>.json` — one line, timings to a tenth
-    /// of a nanosecond (finer than five samples resolve) — and returns
-    /// the results.
-    pub fn finish(self) -> Vec<BenchResult> {
+    /// Measures every line — calibration, then [`ROUNDS`] interleaved
+    /// rounds — prints the table, writes `results/BENCH_<group>.json` (one
+    /// line, timings to a tenth of a nanosecond) and returns the results
+    /// in registration order.
+    pub fn finish(mut self) -> Vec<BenchResult> {
+        println!(
+            "  {} line(s) x {ROUNDS} interleaved rounds",
+            self.lines.len()
+        );
+        let iters: Vec<u64> = self
+            .lines
+            .iter_mut()
+            .map(|line| calibrate((line.sample)(1)))
+            .collect();
+        let mut samples = vec![Vec::with_capacity(ROUNDS as usize); self.lines.len()];
+        for _ in 0..ROUNDS {
+            for ((line, &n), out) in self.lines.iter_mut().zip(&iters).zip(&mut samples) {
+                out.push((line.sample)(n).as_nanos() as f64 / n as f64);
+            }
+        }
+        let results: Vec<BenchResult> = self
+            .lines
+            .iter()
+            .zip(iters)
+            .zip(&samples)
+            .map(|((line, iters), xs)| {
+                let (q1_ns, q3_ns) = quartiles(xs);
+                let r = BenchResult {
+                    name: line.name.clone(),
+                    iters,
+                    samples: xs.len() as u32,
+                    median_ns: median(xs),
+                    q1_ns,
+                    q3_ns,
+                    throughput_bytes: line.bytes,
+                };
+                let rate = r.mib_per_sec().map(|mib| format!("  {mib:>9.1} MiB/s"));
+                println!(
+                    "  {:<44} {:>12}/iter  [{} .. {}]{}",
+                    r.name,
+                    fmt_ns(r.median_ns),
+                    fmt_ns(q1_ns),
+                    fmt_ns(q3_ns),
+                    rate.unwrap_or_default()
+                );
+                r
+            })
+            .collect();
+
         let tenths = |ns: f64| (ns * 10.0).round() / 10.0;
         let mut w = Writer::new();
         w.object(Inline)
             .field("group", &self.group)
             .key("results")
             .array(Inline);
-        for r in &self.results {
+        for r in &results {
             w.object(Inline)
                 .field("name", &r.name)
                 .field("iters", r.iters)
                 .field("samples", r.samples)
-                .field("mean_ns", tenths(r.mean_ns))
-                .field("min_ns", tenths(r.min_ns))
-                .field("max_ns", tenths(r.max_ns))
+                .field("median_ns", tenths(r.median_ns))
+                .field("q1_ns", tenths(r.q1_ns))
+                .field("q3_ns", tenths(r.q3_ns))
                 .field("throughput_bytes", r.throughput_bytes)
                 .end();
         }
@@ -250,7 +237,7 @@ impl Harness {
             Ok(()) => println!("wrote {}", path.display()),
             Err(e) => eprintln!("could not write {}: {e}", path.display()),
         }
-        self.results
+        results
     }
 }
 
@@ -269,7 +256,53 @@ fn calibrate(one: Duration) -> u64 {
     (SAMPLE_BUDGET.as_nanos() as u64 / one_ns).clamp(1, MAX_ITERS)
 }
 
-fn fmt_ns(ns: f64) -> String {
+/// `xs` sorted ascending.
+fn sorted(xs: &[f64]) -> Vec<f64> {
+    assert!(!xs.is_empty(), "statistics of no samples");
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    v
+}
+
+/// Median of `xs` (mean of the two middle values for an even count).
+///
+/// # Panics
+///
+/// Panics on an empty slice: every line has [`ROUNDS`] samples.
+pub fn median(xs: &[f64]) -> f64 {
+    let v = sorted(xs);
+    let mid = v.len() / 2;
+    if v.len() % 2 == 1 {
+        v[mid]
+    } else {
+        (v[mid - 1] + v[mid]) / 2.0
+    }
+}
+
+/// First and third quartile by the exclusive method, the one Python's
+/// `statistics.quantiles(xs, n=4)` uses. A single sample is its own
+/// quartiles.
+///
+/// # Panics
+///
+/// Panics on an empty slice.
+pub fn quartiles(xs: &[f64]) -> (f64, f64) {
+    let v = sorted(xs);
+    let n = v.len();
+    if n == 1 {
+        return (v[0], v[0]);
+    }
+    let cut = |i: usize| {
+        let j = (i * (n + 1) / 4).clamp(1, n - 1);
+        let delta = (i * (n + 1)) as f64 - (j * 4) as f64;
+        (v[j - 1] * (4.0 - delta) + v[j] * delta) / 4.0
+    };
+    (cut(1), cut(3))
+}
+
+/// A duration in nanoseconds at a readable unit: `842ns`, `19.30µs`,
+/// `1.54ms`, `2.10s`.
+pub fn fmt_ns(ns: f64) -> String {
     if ns >= 1e9 {
         format!("{:.2}s", ns / 1e9)
     } else if ns >= 1e6 {
@@ -284,6 +317,8 @@ fn fmt_ns(ns: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn calibrate_bounds() {
@@ -295,17 +330,33 @@ mod tests {
     }
 
     #[test]
+    fn median_and_quartiles_match_python_statistics() {
+        assert_eq!(median(&[3.0]), 3.0);
+        assert_eq!(median(&[5.0, 1.0, 3.0]), 3.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
+        // statistics.quantiles([1,2,3,4,5,6,7,8,9,10], n=4) == [2.75, 5.5, 8.25]
+        let xs: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(quartiles(&xs), (2.75, 8.25));
+        // statistics.quantiles([1, 2], n=4) == [0.75, 1.5, 2.25]
+        assert_eq!(quartiles(&[2.0, 1.0]), (0.75, 2.25));
+        // statistics.quantiles([1,2,3,4,5,6,7], n=4) == [2.0, 4.0, 6.0]
+        let xs: Vec<f64> = (1..=7).map(f64::from).collect();
+        assert_eq!(quartiles(&xs), (2.0, 6.0));
+        assert_eq!(quartiles(&[9.0]), (9.0, 9.0));
+    }
+
+    #[test]
     fn bench_produces_sane_stats_and_json() {
         let mut h = Harness::new("selftest");
-        h.bench("noop-ish", || std::hint::black_box(3u64.wrapping_mul(7)));
+        h.bench("noop-ish", || black_box(3u64.wrapping_mul(7)));
         h.bench_bytes("hash-ish", 1024, || {
-            std::hint::black_box([0u8; 1024].iter().map(|&b| b as u64).sum::<u64>())
+            black_box([0u8; 1024].iter().map(|&b| b as u64).sum::<u64>())
         });
         let results = h.finish();
         assert_eq!(results.len(), 2);
         for r in &results {
-            assert!(r.mean_ns >= r.min_ns && r.mean_ns <= r.max_ns);
-            assert!(r.min_ns > 0.0);
+            assert!(r.q1_ns <= r.median_ns && r.median_ns <= r.q3_ns, "{r:?}");
+            assert!(r.q1_ns > 0.0);
         }
         assert!(results[1].mib_per_sec().unwrap() > 0.0);
         let path = results_dir().join("BENCH_selftest.json");
@@ -313,5 +364,28 @@ mod tests {
         assert!(json.contains("\"group\": \"selftest\""));
         assert!(json.contains("\"throughput_bytes\": 1024"));
         let _ = fs::remove_file(&path);
+    }
+
+    /// Every round samples every line once, in registration order: the
+    /// call log, with consecutive calls of one line collapsed, alternates
+    /// `a, b` once for calibration and once per round.
+    #[test]
+    fn rounds_interleave_the_lines() {
+        let log: Rc<RefCell<Vec<&str>>> = Rc::default();
+        let mut h = Harness::new("interleave");
+        for name in ["a", "b"] {
+            let log = log.clone();
+            h.bench(name, move || {
+                let mut log = log.borrow_mut();
+                if log.last() != Some(&name) {
+                    log.push(name);
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            });
+        }
+        let results = h.finish();
+        let _ = fs::remove_file(results_dir().join("BENCH_interleave.json"));
+        assert_eq!(*log.borrow(), ["a", "b"].repeat(ROUNDS as usize + 1));
+        assert!(results.iter().all(|r| r.samples == ROUNDS));
     }
 }

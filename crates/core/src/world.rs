@@ -386,9 +386,6 @@ impl World {
         });
         if was_intact {
             self.metrics.damage.on_damaged(eng.now());
-            self.metrics
-                .timeline
-                .add(eng.now(), RunMetrics::KIND_DAMAGE);
         }
         self.schedule_next_damage(eng, peer);
     }
@@ -441,7 +438,6 @@ impl World {
             }
             if was_intact && !au_state.replica.is_intact() {
                 self.metrics.damage.on_damaged(now);
-                self.metrics.timeline.add(now, RunMetrics::KIND_DAMAGE);
             }
         }
         if let Some(o) = self.obs() {
@@ -1035,9 +1031,6 @@ impl World {
             });
             if newly_damaged {
                 self.metrics.damage.on_damaged(eng.now());
-                self.metrics
-                    .timeline
-                    .add(eng.now(), RunMetrics::KIND_DAMAGE);
             }
         } else {
             let became_intact = {
@@ -1058,9 +1051,6 @@ impl World {
             });
             if became_intact {
                 self.metrics.damage.on_repaired(eng.now());
-                self.metrics
-                    .timeline
-                    .add(eng.now(), RunMetrics::KIND_REPAIR);
             }
         }
         let done = {
@@ -1386,10 +1376,8 @@ impl World {
         // Metrics.
         if landslide_win {
             self.metrics.polls.on_success(p as u32, au.0, now);
-            self.metrics.timeline.add(now, RunMetrics::KIND_SUCCESS);
         } else {
             self.metrics.polls.on_failure();
-            self.metrics.timeline.add(now, RunMetrics::KIND_FAILURE);
             if inconclusive || landslide_loss {
                 // A loss should have been repaired away; both raise alarms.
                 self.metrics.polls.on_alarm();

@@ -236,58 +236,30 @@ fn fuzz(seeds: &[u64], out_dir: &str) {
 }
 
 /// Compares a baseline bench report against one or more new reports
-/// (merged in argument order) and prints the per-bench deltas. With
-/// `--gate`, exits 1 if any gated bench regressed beyond the limit (25%,
-/// or `--gate-pct N`), or if a gated baseline bench is missing from the
-/// new reports. `--gate-bench` globs replace the default
-/// [`lockss_bench::diff::GATED_BENCHES`] list; like `--gate-pct`, they
-/// imply `--gate`.
+/// (merged in argument order) and prints each line's median move and
+/// noise band. With `--gate`, exits 1 if a gated line slowed beyond its
+/// band or is missing from the new reports
+/// ([`lockss_bench::diff::DiffReport::gate_failures`]).
 fn bench_diff(inv: &Invocation) {
-    use lockss_bench::diff::{self, GATED_BENCHES};
+    use lockss_bench::{diff, fmt_ns};
 
-    let read = |path: &str| -> Vec<diff::ParsedBench> {
+    let read = |path: &String| {
         let text =
             std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")));
         diff::parse_report(&text).unwrap_or_else(|e| fail(&format!("parsing {path}: {e}")))
     };
     let base = read(&inv.operands[0]);
-    let mut new = Vec::new();
-    for p in &inv.operands[1..] {
-        new.extend(read(p));
-    }
-    let (gate_pct, patterns) = (inv.float("--gate-pct"), inv.all("--gate-bench"));
-    let gate = inv.switch("--gate") || gate_pct.is_some() || !patterns.is_empty();
-    let threshold = gate_pct.map_or(0.25, |p| p / 100.0);
-    let pats = if patterns.is_empty() {
-        &GATED_BENCHES[..]
-    } else {
-        &patterns
-    };
-
-    fn fmt_ns(ns: f64) -> String {
-        if ns >= 1e6 {
-            format!("{:.2}ms", ns / 1e6)
-        } else if ns >= 1e3 {
-            format!("{:.1}µs", ns / 1e3)
-        } else {
-            format!("{ns:.0}ns")
-        }
-    }
-
+    let new: Vec<_> = inv.operands[1..].iter().flat_map(read).collect();
     let report = diff::diff_benches(&base, &new);
     let mut table = Table::new(vec!["benchmark", "baseline", "new", "delta", "band", ""]);
     for d in &report.deltas {
         table.row(vec![
             d.name.clone(),
-            fmt_ns(d.base_mean_ns),
-            fmt_ns(d.new_mean_ns),
+            fmt_ns(d.base_ns),
+            fmt_ns(d.new_ns),
             format!("{:+.1}%", (d.ratio - 1.0) * 100.0),
-            format!("±{:.0}%", d.noise_band * 100.0),
-            match (d.significant(), d.ratio > 1.0) {
-                (false, _) => String::new(),
-                (true, false) => "faster".to_string(),
-                (true, true) => "SLOWER".to_string(),
-            },
+            format!("±{:.0}%", d.band * 100.0),
+            d.mark().to_string(),
         ]);
     }
     print!("{}", table.render());
@@ -297,32 +269,15 @@ fn bench_diff(inv: &Invocation) {
     for name in &report.added {
         println!("new benchmark (no baseline): {name}");
     }
-
-    if gate {
-        let offenders = diff::gate(&report, pats, threshold);
-        let missing_gated: Vec<&String> = report
-            .missing
-            .iter()
-            .filter(|n| pats.iter().any(|p| diff::name_matches(p, n)))
-            .collect();
-        for d in &offenders {
-            eprintln!(
-                "GATE: {} regressed {:+.1}% (limit +{:.1}%)",
-                d.name,
-                (d.ratio - 1.0) * 100.0,
-                threshold * 100.0
-            );
+    if inv.switch("--gate") {
+        let failures = report.gate_failures();
+        for failure in &failures {
+            eprintln!("GATE: {failure}");
         }
-        for n in &missing_gated {
-            eprintln!("GATE: gated benchmark '{n}' missing from the new report");
-        }
-        if !offenders.is_empty() || !missing_gated.is_empty() {
+        if !failures.is_empty() {
             std::process::exit(1);
         }
-        println!(
-            "gate passed: no gated bench regressed more than {:.1}%",
-            threshold * 100.0
-        );
+        println!("gate passed: no gated bench slowed beyond its noise band");
     }
 }
 

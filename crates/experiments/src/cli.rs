@@ -11,7 +11,7 @@
 
 use crate::figures;
 use crate::scale::Scale;
-use crate::sweep::{parse_seed_range, parse_shard_arg};
+use crate::sweep::{parse_seed_range, parse_shard_arg, MAX_SEEDS};
 
 /// What a flag takes.
 #[derive(Clone, Copy, Debug)]
@@ -24,9 +24,10 @@ pub enum Ty {
     Num(&'static str),
     /// An integer ≥ 1, described by the text in diagnostics.
     Positive(&'static str),
-    /// A finite percentage > 0.
-    Percent,
-    /// Seeds: a count `K` (seeds `1..=K`) or an inclusive range `A..B`.
+    /// A seed count `K` (seeds `1..=K`), at most [`MAX_SEEDS`].
+    SeedCount,
+    /// Seeds: a count `K` (seeds `1..=K`) or an inclusive range `A..B`,
+    /// at most [`MAX_SEEDS`] of them.
     Seeds,
     /// Comma-separated positive integers.
     Budgets,
@@ -43,8 +44,6 @@ pub struct Flag {
     /// The value's placeholder in the help text; empty for a switch.
     pub arg: &'static str,
     pub ty: Ty,
-    /// May be given more than once; every value is kept.
-    pub repeats: bool,
     pub help: &'static str,
 }
 
@@ -70,7 +69,7 @@ mod table {
     use super::*;
 
     const fn flag(name: &'static str, arg: &'static str, ty: Ty, help: &'static str) -> Flag {
-        Flag { name, arg, ty, repeats: false, help }
+        Flag { name, arg, ty, help }
     }
     const fn switch(name: &'static str, help: &'static str) -> Flag { flag(name, "", Ty::Switch, help) }
     const VERB: Verb = Verb { path: "", operands: "", count: (0, 0), instead: None, about: "", flags: &[], more: None };
@@ -97,7 +96,7 @@ mod table {
             flag("--file", "<path>", Ty::Text, "run a declarative scenario file instead of a registered <name>"),
             SCALE,
             flag("--seed", "<N>", Ty::Num("a seed number"), "run exactly this one seed"),
-            flag("--seeds", "<K>", Ty::Positive("a seed count"), "run seeds 1..=K (default: the scale's)"),
+            flag("--seeds", "<K>", Ty::SeedCount, "run seeds 1..=K (default: the scale's)"),
             flag("--record", "<path>", Ty::Text, "record the run's event trace (one seed only)"),
             PROFILE, METRICS_OUT, MEM_REPORT, JSON,
         ], ..VERB },
@@ -166,10 +165,8 @@ mod table {
             flag("--bucket-days", "<N>", Ty::Num("a day count"), "row width in days (default 1)"),
         ], ..VERB },
         Verb { path: "bench diff", operands: "<base> <new>...", count: (2, ANY),
-            about: "compare bench reports mean-vs-mean with a noise band", flags: &[
-            switch("--gate", "exit 1 if a hot bench regressed more than 25%"),
-            flag("--gate-pct", "<N>", Ty::Percent, "gate at N% instead (implies --gate)"),
-            Flag { repeats: true, ..flag("--gate-bench", "<glob>", Ty::Text, "gate only benches matching <glob>; repeatable (implies --gate)") },
+            about: "compare bench reports median-vs-median, each line against its own noise band", flags: &[
+            switch("--gate", "exit 1 if a hot bench slowed beyond its band or is missing"),
         ], ..VERB },
     ];
 }
@@ -219,7 +216,6 @@ pub struct Misuse {
 enum Value {
     Text,
     Nums(Vec<u64>),
-    Float(f64),
     Scale(Scale),
 }
 
@@ -236,11 +232,11 @@ impl Ty {
                 Ok(n) if n > 0 => Value::Nums(vec![n]),
                 _ => return Err(wants(what)),
             },
-            Ty::Percent => match raw.parse::<f64>() {
-                Ok(p) if p.is_finite() && p > 0.0 => Value::Float(p),
-                _ => return Err(wants("a percentage > 0")),
+            Ty::SeedCount => match raw.parse() {
+                Ok(k) if (1..=MAX_SEEDS).contains(&k) => Value::Nums(vec![k]),
+                _ => return Err(wants(&format!("a seed count from 1 to {MAX_SEEDS}"))),
             },
-            Ty::Seeds => Value::Nums(parse_seed_range(raw).map_err(named)?),
+            Ty::Seeds => Value::Nums(parse_seed_range(raw).map_err(|e| wants(&e))?),
             Ty::Budgets => match raw.split(',').map(|b| budget(b).map(u64::from)).collect() {
                 Some(budgets) => Value::Nums(budgets),
                 None => return Err(wants("positive integers, e.g. 1,2,4,8")),
@@ -275,16 +271,10 @@ impl Invocation {
         self.value(flag).is_some()
     }
 
-    /// Every value of `flag` as written, in order (at most one unless it
-    /// repeats).
-    pub fn all(&self, flag: &str) -> Vec<&str> {
-        let given = self.given.iter().filter(|(name, ..)| *name == flag);
-        given.map(|(_, raw, _)| raw.as_str()).collect()
-    }
-
     /// `flag`'s value as written.
     pub fn text(&self, flag: &str) -> Option<&str> {
-        self.all(flag).first().copied()
+        let mut given = self.given.iter().filter(|(name, ..)| *name == flag);
+        given.next().map(|(_, raw, _)| raw.as_str())
     }
 
     /// The numbers of a numeric, seeds, budgets or shard `flag`.
@@ -298,14 +288,6 @@ impl Invocation {
     /// A numeric `flag`'s value.
     pub fn num(&self, flag: &str) -> Option<u64> {
         self.nums(flag).map(|nums| nums[0])
-    }
-
-    /// A percentage `flag`'s value.
-    pub fn float(&self, flag: &str) -> Option<f64> {
-        match self.value(flag)? {
-            Value::Float(x) => Some(*x),
-            _ => unreachable!("{flag} is not a percentage in cli::VERBS"),
-        }
     }
 }
 
@@ -360,7 +342,7 @@ fn invocation(verb: &'static Verb, args: &[String]) -> Result<Invocation, String
         let Some(flag) = verb.flags.iter().find(|f| f.name == arg) else {
             return Err(format!("unknown flag '{arg}'"));
         };
-        if !flag.repeats && inv.switch(flag.name) {
+        if inv.switch(flag.name) {
             return Err(format!("{arg} given twice"));
         }
         let raw = match (flag.ty, args.next_if(|_| !matches!(flag.ty, Ty::Switch))) {
@@ -447,13 +429,9 @@ mod tests {
         assert_eq!((inv.num("--shards"), inv.num("--retries")), (Some(2), None));
         assert!(inv.switch("--fresh") && !inv.switch("--json"));
         assert_eq!(inv.scale, Scale::Quick);
-        let bench = parse(&argv(
-            "bench diff a b c --gate-bench x* --gate-pct 2.5 --gate-bench y",
-        ));
-        let bench = bench.unwrap();
+        let bench = parse(&argv("bench diff a b c --gate")).unwrap();
         assert_eq!(bench.operands, argv("a b c"));
-        assert_eq!(bench.all("--gate-bench"), ["x*", "y"]);
-        assert_eq!(bench.float("--gate-pct"), Some(2.5));
+        assert!(bench.switch("--gate"));
         let recovery = parse(&argv("sweep recovery --budgets 2,30")).unwrap();
         assert_eq!(recovery.nums("--budgets"), Some(&[2, 30][..]));
         let shard = parse(&argv("sweep x --shard 2/8")).unwrap();
@@ -474,8 +452,18 @@ mod tests {
             ("run --file c.json x", "unexpected operand 'x'"),
             ("trace convert a", "missing <in> <out>"),
             ("run x --json --json", "--json given twice"),
-            ("fuzz --seeds 5..1", "--seeds: empty seed range"),
-            ("run x --seeds 0", "--seeds wants a seed count, got '0'"),
+            (
+                "fuzz --seeds 5..1",
+                "--seeds wants A..B with A <= B, got '5..1'",
+            ),
+            (
+                "sweep x --seeds 0",
+                "--seeds wants at least one seed, got '0'",
+            ),
+            (
+                "run x --seeds 0",
+                "--seeds wants a seed count from 1 to 1000000, got '0'",
+            ),
             (
                 "sweep recovery --period 0",
                 "--period wants a positive day count, got '0'",
@@ -484,10 +472,7 @@ mod tests {
                 "sweep recovery --budgets 2,x",
                 "--budgets wants positive integers",
             ),
-            (
-                "bench diff a b --gate-pct inf",
-                "--gate-pct wants a percentage > 0",
-            ),
+            ("bench diff a", "missing <base> <new>..."),
             ("sweep x --shard 3", "--shard: '3' is not of the form i/N"),
             ("frob", "unknown command 'frob'"),
             ("bench", "bench wants a subcommand"),

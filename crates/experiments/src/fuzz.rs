@@ -7,14 +7,15 @@
 //! 1. **round-trip** — the spec survives `encode → decode` structurally
 //!    and `encode → decode → encode` byte-for-byte, and validates;
 //! 2. **accounting** — the run's metric surface is internally consistent:
-//!    poll counts match the event timeline, alarms never exceed failed
-//!    polls, repairs never exceed damage events, the access-failure
-//!    probability is a probability, per-phase summaries telescope back to
-//!    the run totals, the per-peer effort ledgers conserve the run's
-//!    loyal CPU total, and the mobile-adversary compromise ledger stays
-//!    within the campaign's declared budgets (concurrent compromises
-//!    never exceed the budget sum, cures never exceed compromises,
-//!    poisoned repairs never exceed repairs served);
+//!    poll counts match the recorded trace's poll outcomes, alarms never
+//!    exceed failed polls, the trace never heals more replicas than it
+//!    damaged, the access-failure probability is a probability,
+//!    per-phase summaries telescope back to the run totals, the per-peer
+//!    effort ledgers conserve the run's loyal CPU total, and the
+//!    mobile-adversary compromise ledger stays within the campaign's
+//!    declared budgets (concurrent compromises never exceed the budget
+//!    sum, cures never exceed compromises, poisoned repairs never exceed
+//!    repairs served);
 //! 3. **replay** — recording the run must not perturb it (recorded
 //!    summary byte-equal to the untraced run's) and replaying the trace
 //!    must report zero divergence.
@@ -30,10 +31,11 @@
 use std::collections::BTreeSet;
 
 use lockss_adversary::Defection;
+use lockss_core::trace::{PollConclusion, TraceEvent};
 use lockss_core::World;
-use lockss_metrics::{PhaseSummary, RunMetrics, Summary};
+use lockss_metrics::{PhaseSummary, Summary};
 use lockss_sim::SimRng;
-use lockss_trace::TraceMeta;
+use lockss_trace::{Trace, TraceMeta};
 
 use crate::runner::{replay_once, run, RunOptions};
 use crate::scale::Scale;
@@ -256,22 +258,44 @@ fn check_accounting(
     summary: &Summary,
     phases: &[PhaseSummary],
     world: &World,
+    trace: &Trace,
 ) -> Result<(), Violation> {
     let acct = |detail: String| violation("accounting", detail);
-    let m = &world.metrics;
-    let successes = m.timeline.total(RunMetrics::KIND_SUCCESS);
-    let failures = m.timeline.total(RunMetrics::KIND_FAILURE);
-    let damages = m.timeline.total(RunMetrics::KIND_DAMAGE);
-    let repairs = m.timeline.total(RunMetrics::KIND_REPAIR);
+    // The recorded run's events, counted: poll conclusions by outcome,
+    // replicas healed, and every way a replica can turn damaged (a block
+    // of bit rot on an intact replica, a poisoned repair, a compromise's
+    // corrupted blocks).
+    let records = trace
+        .decode_all()
+        .map_err(|e| violation("replay", format!("trace failed to decode: {e}")))?;
+    let (mut successes, mut failures, mut repairs, mut damages) = (0, 0, 0, 0);
+    for r in &records {
+        match r.event {
+            TraceEvent::PollOutcome {
+                conclusion: PollConclusion::Win,
+                ..
+            } => successes += 1,
+            TraceEvent::PollOutcome { .. } => failures += 1,
+            TraceEvent::Repair {
+                intact_after: true, ..
+            } => repairs += 1,
+            TraceEvent::Damage {
+                was_intact: true, ..
+            }
+            | TraceEvent::PoisonedRepair { .. } => damages += 1,
+            TraceEvent::Compromise { corrupted, .. } => damages += corrupted,
+            _ => {}
+        }
+    }
     if summary.successful_polls != successes {
         return Err(acct(format!(
-            "successful_polls {} != timeline successes {successes}",
+            "successful_polls {} != {successes} winning poll outcomes in the trace",
             summary.successful_polls
         )));
     }
     if summary.failed_polls != failures {
         return Err(acct(format!(
-            "failed_polls {} != timeline failures {failures}",
+            "failed_polls {} != {failures} other poll outcomes in the trace",
             summary.failed_polls
         )));
     }
@@ -283,7 +307,7 @@ fn check_accounting(
     }
     if repairs > damages {
         return Err(acct(format!(
-            "repairs {repairs} exceed damage events {damages}"
+            "{repairs} replicas healed but only {damages} damage events could have broken one"
         )));
     }
     let afp = summary.access_failure_probability;
@@ -440,14 +464,12 @@ pub fn check_campaign(spec: &ScenarioSpec, run_seed: u64) -> Result<CampaignStat
         )
     })?;
 
-    // Oracle 2: the untraced run's accounting is internally consistent.
+    // Oracles 2 and 3: the untraced run's accounting agrees with itself
+    // and with the recorded run's trace; recording must not perturb the
+    // run, and the trace must replay without divergence.
     let scenario = spec.build(Scale::Quick);
     let plain = run(&scenario, run_seed, &RunOptions::default());
     let (summary, phases) = (plain.summary, plain.phases);
-    check_accounting(spec, &summary, &phases, &plain.world)?;
-
-    // Oracle 3: recording must not perturb the run, and the trace must
-    // replay without divergence.
     let meta = TraceMeta {
         scenario: spec.name.clone(),
         scale: Scale::Quick.label().to_string(),
@@ -462,6 +484,7 @@ pub fn check_campaign(spec: &ScenarioSpec, run_seed: u64) -> Result<CampaignStat
             "recording the run perturbed its summary".into(),
         ));
     }
+    check_accounting(spec, &summary, &phases, &plain.world, &trace)?;
     let report = replay_once(&scenario, run_seed, &trace)
         .map_err(|e| violation("replay", format!("trace failed to decode: {e}")))?;
     if !report.is_equivalent() {

@@ -51,7 +51,7 @@ pub use dispatch::{dispatch, jobfile, DispatchPlan};
 pub use merge::{merge_files, merge_reports};
 pub use plan::{
     load_checkpoint, parse_seed_range, run_sweep, run_sweep_plan, summary_from_json,
-    summary_to_json, write_checkpoint, write_summary, SweepOptions, SweepReport, FORMAT,
+    summary_to_json, write_checkpoint, write_summary, SweepOptions, SweepReport, FORMAT, MAX_SEEDS,
 };
 pub use shard::{parse_shard_arg, partition, CrashHook, ShardTag};
 pub use status::{campaign_status, last_heartbeat, render_status, HeartbeatRecord, ShardStatus};

@@ -4,10 +4,11 @@
 //! Three properties make sweeps safe to parallelize and interrupt at
 //! production scale:
 //!
-//! - **thread-count invariance** — workers claim seeds off an atomic
-//!   cursor but slot results by seed index, and the merge reduces in seed
-//!   order, so the rendered report is byte-identical for `--threads 1`
-//!   and `--threads 8`;
+//! - **thread-count invariance** — seeds run on `runner::par_map`'s
+//!   worker pool in whatever order the workers claim them, but the report
+//!   keeps results by seed and the merge reduces in seed order, so the
+//!   rendered report is byte-identical for `--threads 1` and
+//!   `--threads 8`;
 //! - **resumable checkpoints** — with a checkpoint path, the partial
 //!   report is rewritten (atomically and durably, see
 //!   [`write_checkpoint`]) as each seed completes; rerunning the same
@@ -37,7 +38,7 @@ use lockss_trace::TraceMeta;
 
 use super::shard::{CrashHook, ShardTag};
 use crate::obs::{heartbeat_path, SweepObs, WorkerObs};
-use crate::runner::{run, RunOptions};
+use crate::runner::{par_map, run, RunOptions};
 use crate::scenario::Scenario;
 
 /// The checkpoint/report format tag. Any file carrying a different tag
@@ -240,31 +241,30 @@ pub fn summary_from_json(v: &json::Value) -> Result<Summary, String> {
 // Orchestration.
 // ---------------------------------------------------------------------
 
+/// The most seeds one campaign may name. Seed lists are materialised
+/// (checkpoints, shard tags and the CLI's values all hold every seed), so
+/// the bound is checked before a range is expanded.
+pub const MAX_SEEDS: u64 = 1_000_000;
+
 /// Parses a `--seeds` argument: either `A..B` (inclusive) or a bare count
-/// `K` meaning `1..=K`.
+/// `K` meaning `1..=K`, naming at most [`MAX_SEEDS`] seeds. An error says
+/// what the argument should have been.
 pub fn parse_seed_range(arg: &str) -> Result<Vec<u64>, String> {
     let parse = |s: &str| {
         s.trim()
             .parse::<u64>()
-            .map_err(|_| format!("'{s}' is not a seed number"))
+            .map_err(|_| "seed numbers".to_string())
     };
-    let seeds = match arg.split_once("..") {
-        Some((a, b)) => {
-            let (a, b) = (parse(a)?, parse(b)?);
-            if a > b {
-                return Err(format!("empty seed range {a}..{b}"));
-            }
-            (a..=b).collect()
-        }
-        None => {
-            let k = parse(arg)?;
-            if k == 0 {
-                return Err("need at least one seed".into());
-            }
-            (1..=k).collect()
-        }
+    let (a, b) = match arg.split_once("..") {
+        Some((a, b)) => (parse(a)?, parse(b)?),
+        None => (1, parse(arg)?),
     };
-    Ok(seeds)
+    match b.checked_sub(a) {
+        None if arg.contains("..") => Err("A..B with A <= B".into()),
+        None => Err("at least one seed".into()),
+        Some(span) if span >= MAX_SEEDS => Err(format!("at most {MAX_SEEDS} seeds")),
+        Some(_) => Ok((a..=b).collect()),
+    }
 }
 
 /// Loads the resumable state from `checkpoint`, if it exists and matches
@@ -408,9 +408,7 @@ pub fn run_sweep_plan(
     let shared = Mutex::new(plan);
     let done_here = AtomicUsize::new(0);
     let last_seed = AtomicU64::new(0);
-    let cursor = AtomicUsize::new(0);
     let stop_monitor = AtomicBool::new(false);
-    let threads = threads.max(1).min(todo.len().max(1));
     std::thread::scope(|outer| {
         // The heartbeat monitor runs beside the workers, not among them:
         // protocol counters advance *during* a seed, so its records show
@@ -468,75 +466,70 @@ pub fn run_sweep_plan(
                 emit();
             });
         }
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let worker = WorkerObs::enter(obs);
-                    if let Some(o) = obs {
-                        o.session.sweep_chunks.inc();
-                    }
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&seed) = todo.get(i) else {
-                            break;
-                        };
-                        let summary = match &record_ctx {
-                            Some((dir, name, scale)) => {
-                                let meta = TraceMeta {
-                                    scenario: name.clone(),
-                                    scale: scale.clone(),
-                                    seed,
-                                    run_length_ms,
-                                };
-                                let recorded = RunOptions {
-                                    instruments: worker.options.instruments.clone(),
-                                    ..RunOptions::record(&meta)
-                                };
-                                let out = run(scenario, seed, &recorded);
-                                let trace = out.trace.expect("a recorded run seals a trace");
-                                let path = dir.join(format!("trace-{name}-s{seed}.bin"));
-                                // Best-effort like checkpoints: a failing
-                                // disk must not kill the sweep.
-                                if let Err(e) = trace.write_to(&path) {
-                                    eprintln!(
-                                        "warning: trace write to {} failed: {e}",
-                                        path.display()
-                                    );
-                                }
-                                out.summary
-                            }
-                            None => run(scenario, seed, &worker.options).summary,
-                        };
-                        let mut plan = shared
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner());
-                        plan.record(seed, summary);
-                        last_seed.store(seed, Ordering::Relaxed);
-                        if let Some(o) = obs {
-                            o.session.sweep_seeds.inc();
-                        }
-                        let done = done_here.fetch_add(1, Ordering::Relaxed) + 1;
-                        if let Some(hook) = &crash_hook {
-                            // Test-only fault injection: dies here, holding the
-                            // lock, leaving a torn temp file — the worst-case
-                            // `kill -9` mid-checkpoint-write.
-                            hook.maybe_crash(done, checkpoint, &plan.to_json());
-                        }
-                        if let Some(path) = checkpoint {
-                            // Best-effort mid-run persistence; a failing disk must
-                            // not kill the sweep, but it must not be silent either
-                            // (the caller re-verifies the final file).
-                            if let Err(e) = write_checkpoint(path, &plan.to_json()) {
-                                eprintln!(
-                                    "warning: checkpoint write to {} failed: {e}",
-                                    path.display()
-                                );
-                            }
-                        }
-                    }
-                });
+        let worker_init = || {
+            let worker = WorkerObs::enter(obs);
+            if let Some(o) = obs {
+                o.session.sweep_chunks.inc();
             }
-        });
+            worker
+        };
+        par_map(
+            &todo,
+            threads,
+            worker_init,
+            |worker: &mut WorkerObs, &seed| {
+                let summary = match &record_ctx {
+                    Some((dir, name, scale)) => {
+                        let meta = TraceMeta {
+                            scenario: name.clone(),
+                            scale: scale.clone(),
+                            seed,
+                            run_length_ms,
+                        };
+                        let recorded = RunOptions {
+                            instruments: worker.options.instruments.clone(),
+                            ..RunOptions::record(&meta)
+                        };
+                        let out = run(scenario, seed, &recorded);
+                        let trace = out.trace.expect("a recorded run seals a trace");
+                        let path = dir.join(format!("trace-{name}-s{seed}.bin"));
+                        // Best-effort like checkpoints: a failing disk must
+                        // not kill the sweep.
+                        if let Err(e) = trace.write_to(&path) {
+                            eprintln!("warning: trace write to {} failed: {e}", path.display());
+                        }
+                        out.summary
+                    }
+                    None => run(scenario, seed, &worker.options).summary,
+                };
+                let mut plan = shared
+                    .lock()
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+                plan.record(seed, summary);
+                last_seed.store(seed, Ordering::Relaxed);
+                if let Some(o) = obs {
+                    o.session.sweep_seeds.inc();
+                }
+                let done = done_here.fetch_add(1, Ordering::Relaxed) + 1;
+                if let Some(hook) = &crash_hook {
+                    // Test-only fault injection: dies here, holding the lock,
+                    // leaving a torn temp file — the worst-case `kill -9`
+                    // mid-checkpoint-write.
+                    hook.maybe_crash(done, checkpoint, &plan.to_json());
+                }
+                if let Some(path) = checkpoint {
+                    // Best-effort mid-run persistence; a failing disk must not
+                    // kill the sweep, but it must not be silent either (the
+                    // caller re-verifies the final file).
+                    if let Err(e) = write_checkpoint(path, &plan.to_json()) {
+                        eprintln!(
+                            "warning: checkpoint write to {} failed: {e}",
+                            path.display()
+                        );
+                    }
+                }
+            },
+        );
         stop_monitor.store(true, Ordering::Relaxed);
     });
 
@@ -590,6 +583,19 @@ mod tests {
         assert!(parse_seed_range("4..1").is_err());
         assert!(parse_seed_range("0").is_err());
         assert!(parse_seed_range("x..y").is_err());
+        assert_eq!(parse_seed_range("1000000").unwrap().len(), 1_000_000);
+        for huge in [
+            "1000001",
+            "5..2000000000000",
+            "18446744073709551615",
+            "0..18446744073709551615",
+        ] {
+            assert_eq!(
+                parse_seed_range(huge),
+                Err("at most 1000000 seeds".into()),
+                "{huge}"
+            );
+        }
     }
 
     #[test]

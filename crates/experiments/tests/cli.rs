@@ -47,14 +47,37 @@ fn unknown_scale_names_exit_2_with_the_accepted_names() {
     }
 }
 
-/// A numeric flag that does not parse used to panic (exit 101 and a
-/// backtrace). Each is CLI misuse: exit 2, nothing run, and a diagnostic
-/// naming the flag and the offending value.
+/// A numeric flag that does not parse, or names more seeds than
+/// `MAX_SEEDS`, used to panic (exit 101 and a backtrace) or abort. Each is
+/// CLI misuse: exit 2, nothing run, and a diagnostic naming the flag and
+/// the offending value.
 #[test]
 fn numeric_flag_typos_exit_2_naming_the_flag_and_the_value() {
-    let cases: [(&[&str], &str, &str); 7] = [
+    let cases: [(&[&str], &str, &str); 11] = [
         (&["run", "baseline", "--seed", "banana"], "--seed", "banana"),
         (&["run", "baseline", "--seeds", "x"], "--seeds", "x"),
+        // Seed lists are materialised: a huge count or range used to abort
+        // allocating it (exit 134) or overflow its capacity (exit 101).
+        (
+            &["sweep", "baseline", "--seeds", "1000000000000"],
+            "--seeds",
+            "1000000000000",
+        ),
+        (
+            &["fuzz", "--seeds", "5..2000000000000"],
+            "--seeds",
+            "5..2000000000000",
+        ),
+        (
+            &["sweep", "baseline", "--seeds", "18446744073709551615"],
+            "--seeds",
+            "18446744073709551615",
+        ),
+        (
+            &["run", "baseline", "--seeds", "1000000000000"],
+            "--seeds",
+            "1000000000000",
+        ),
         (
             &["sweep", "baseline", "--threads", "banana"],
             "--threads",

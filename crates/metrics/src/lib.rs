@@ -27,7 +27,7 @@ pub mod timeline;
 
 pub use damage_clock::DamageClock;
 pub use poll_stats::PollStats;
-pub use streaming::{EventBuckets, Reservoir};
+pub use streaming::Reservoir;
 pub use summary::{PhaseSummary, RunMetrics, Summary};
 pub use table::Table;
 pub use timeline::{PollTimeline, TimeBuckets, TimelineSummary};

@@ -2,17 +2,12 @@
 //!
 //! Production-scale runs (10k–100k peers, hundreds of thousands of poll
 //! conclusions) cannot afford to buffer per-event vectors the way a
-//! figure-scale run could; these collectors keep fixed-size state no
-//! matter how long the run:
-//!
-//! - [`Reservoir`] — a uniform fixed-capacity sample (Vitter's
-//!   Algorithm R) with quantile readout, driven by its own embedded
-//!   deterministic RNG so runs stay byte-reproducible;
-//! - [`EventBuckets`] — time-bucketed counters over `K` event kinds whose
-//!   bucket width doubles (adjacent buckets merging) whenever the run
-//!   outgrows the fixed bucket budget.
+//! figure-scale run could; [`Reservoir`] keeps fixed-size state no matter
+//! how long the run: a uniform fixed-capacity sample (Vitter's Algorithm
+//! R) with quantile readout, driven by its own embedded deterministic RNG
+//! so runs stay byte-reproducible.
 
-use lockss_sim::{Duration, SimRng, SimTime};
+use lockss_sim::SimRng;
 
 /// A uniform reservoir sample of a stream of `f64` observations.
 ///
@@ -100,98 +95,9 @@ impl Reservoir {
     }
 }
 
-/// Time-bucketed counters over `K` event kinds with a fixed bucket budget.
-///
-/// Events land in the bucket `time / width`. When an event falls past the
-/// last budgeted bucket, adjacent buckets merge pairwise and the width
-/// doubles until it fits — so an arbitrarily long run is always summarized
-/// by at most `max_buckets` rows, at whatever resolution the run length
-/// affords. Counts are never dropped, only coarsened.
-#[derive(Clone, Debug)]
-pub struct EventBuckets<const K: usize> {
-    width: Duration,
-    max_buckets: usize,
-    counts: Vec<[u64; K]>,
-}
-
-impl<const K: usize> EventBuckets<K> {
-    /// Empty buckets starting at `width` resolution, capped at
-    /// `max_buckets` rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero or `max_buckets < 2`.
-    pub fn new(width: Duration, max_buckets: usize) -> EventBuckets<K> {
-        assert!(!width.is_zero(), "bucket width must be positive");
-        assert!(max_buckets >= 2, "need at least two buckets to compact");
-        EventBuckets {
-            width,
-            max_buckets,
-            counts: Vec::new(),
-        }
-    }
-
-    /// Counts one event of `kind` at `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kind >= K`.
-    pub fn add(&mut self, at: SimTime, kind: usize) {
-        assert!(kind < K, "kind {kind} out of range");
-        let mut idx = (at.since(SimTime::ZERO).as_millis() / self.width.as_millis()) as usize;
-        while idx >= self.max_buckets {
-            self.compact();
-            idx = (at.since(SimTime::ZERO).as_millis() / self.width.as_millis()) as usize;
-        }
-        if idx >= self.counts.len() {
-            self.counts.resize(idx + 1, [0; K]);
-        }
-        self.counts[idx][kind] += 1;
-    }
-
-    /// Merges adjacent bucket pairs and doubles the width.
-    fn compact(&mut self) {
-        let merged: Vec<[u64; K]> = self
-            .counts
-            .chunks(2)
-            .map(|pair| {
-                let mut row = pair[0];
-                if let Some(second) = pair.get(1) {
-                    for (a, b) in row.iter_mut().zip(second.iter()) {
-                        *a += b;
-                    }
-                }
-                row
-            })
-            .collect();
-        self.counts = merged;
-        self.width = self.width * 2;
-    }
-
-    /// Current bucket width.
-    pub fn width(&self) -> Duration {
-        self.width
-    }
-
-    /// The counter rows, oldest first; row `i` covers
-    /// `[i * width, (i+1) * width)`.
-    pub fn rows(&self) -> &[[u64; K]] {
-        &self.counts
-    }
-
-    /// Total events of `kind` across all buckets.
-    pub fn total(&self, kind: usize) -> u64 {
-        self.counts.iter().map(|row| row[kind]).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn t(days: u64) -> SimTime {
-        SimTime::ZERO + Duration::from_days(days)
-    }
 
     #[test]
     fn reservoir_keeps_everything_under_capacity() {
@@ -240,45 +146,5 @@ mod tests {
         let r = Reservoir::new(8);
         assert!(r.is_empty());
         assert_eq!(r.quantile(0.5), None);
-    }
-
-    #[test]
-    fn buckets_count_and_compact() {
-        let mut b: EventBuckets<2> = EventBuckets::new(Duration::DAY, 4);
-        b.add(t(0), 0);
-        b.add(t(1), 0);
-        b.add(t(2), 1);
-        b.add(t(3), 0);
-        assert_eq!(b.rows().len(), 4);
-        assert_eq!(b.width(), Duration::DAY);
-        // Day 8 forces two compactions: width 1d -> 2d -> 4d.
-        b.add(t(8), 1);
-        assert_eq!(b.width(), Duration::DAY * 4);
-        assert!(b.rows().len() <= 4);
-        // Nothing was lost, only coarsened.
-        assert_eq!(b.total(0), 3);
-        assert_eq!(b.total(1), 2);
-        // Rows 0..4d hold days 0-3; day 8 sits in row 2.
-        assert_eq!(b.rows()[0], [3, 1]);
-        assert_eq!(b.rows()[2], [0, 1]);
-    }
-
-    #[test]
-    fn buckets_handle_long_runs_within_budget() {
-        let mut b: EventBuckets<1> = EventBuckets::new(Duration::DAY, 64);
-        for d in 0..3650 {
-            b.add(t(d), 0);
-        }
-        assert!(b.rows().len() <= 64);
-        assert_eq!(b.total(0), 3650);
-        // Ten years at 64 buckets: width became a power-of-two of days.
-        assert!(b.width() >= Duration::from_days(57));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bucket_kind_bound_is_enforced() {
-        let mut b: EventBuckets<1> = EventBuckets::new(Duration::DAY, 4);
-        b.add(t(0), 1);
     }
 }

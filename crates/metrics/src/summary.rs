@@ -4,10 +4,6 @@ use lockss_sim::{Duration, SimTime};
 
 use crate::damage_clock::DamageClock;
 use crate::poll_stats::PollStats;
-use crate::streaming::EventBuckets;
-
-/// Event kinds tracked by the run timeline buckets.
-const TIMELINE_KINDS: usize = 4;
 
 /// Everything a run records as it executes.
 #[derive(Clone, Debug)]
@@ -16,10 +12,6 @@ pub struct RunMetrics {
     pub damage: DamageClock,
     /// Poll outcome counts and success-gap tracking.
     pub polls: PollStats,
-    /// Time-bucketed success/failure/damage/repair counters (kinds indexed
-    /// by the `KIND_*` constants). Fixed bucket budget: arbitrarily long
-    /// runs coarsen instead of growing.
-    pub timeline: EventBuckets<TIMELINE_KINDS>,
     /// Total CPU-seconds spent by loyal peers.
     pub loyal_effort_secs: f64,
     /// Total CPU-seconds spent by the adversary.
@@ -70,22 +62,12 @@ pub struct PhaseSummary {
 }
 
 impl RunMetrics {
-    /// Timeline kind: a poll concluded in a landslide win.
-    pub const KIND_SUCCESS: usize = 0;
-    /// Timeline kind: a poll concluded without a landslide win.
-    pub const KIND_FAILURE: usize = 1;
-    /// Timeline kind: an intact replica became damaged.
-    pub const KIND_DAMAGE: usize = 2;
-    /// Timeline kind: a damaged replica became fully intact again.
-    pub const KIND_REPAIR: usize = 3;
-
     /// Initializes collection for `total_replicas` replicas starting at
     /// `start`.
     pub fn new(total_replicas: u64, start: SimTime) -> RunMetrics {
         RunMetrics {
             damage: DamageClock::new(total_replicas, start),
             polls: PollStats::new(),
-            timeline: EventBuckets::new(Duration::from_days(7), 64),
             loyal_effort_secs: 0.0,
             adversary_effort_secs: 0.0,
             phases: Vec::new(),

@@ -479,9 +479,9 @@ fn every_json_emitter_parses_rereads_and_covers_its_documented_example() {
                 for (b, r) in back.iter().zip(&benched) {
                     assert_eq!(b.name, r.name);
                     for (read, measured) in [
-                        (b.mean_ns, r.mean_ns),
-                        (b.min_ns, r.min_ns),
-                        (b.max_ns, r.max_ns),
+                        (b.median_ns, r.median_ns),
+                        (b.q1_ns, r.q1_ns),
+                        (b.q3_ns, r.q3_ns),
                     ] {
                         assert!((read - measured).abs() < 0.051, "{read} vs {measured}");
                     }
