@@ -168,7 +168,6 @@ mod tests {
         for _ in 0..5 {
             adv.migrate(&mut world, &mut eng);
             assert_eq!(world.peers.compromised_count(), 4);
-            assert!(world.compromise_stats().max_concurrent <= 4);
         }
         assert_eq!(adv.takeovers, 24);
         assert_eq!(adv.cures, 20);

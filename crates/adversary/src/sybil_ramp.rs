@@ -131,16 +131,13 @@ impl SybilRamp {
         for _ in 0..1_000 {
             self.invitations_sent += 1;
             let id = self.fresh_identity();
-            let outcome = {
+            let verdict = {
                 let (au_state, rng) = world.peers.au_and_rng_mut(victim, au as usize);
                 au_state
                     .admission
                     .filter(id, &au_state.known, now, &cfg, rng)
             };
-            if matches!(
-                outcome,
-                lockss_core::admission::AdmissionOutcome::Admitted { .. }
-            ) {
+            if verdict.is_admitted() {
                 self.admissions += 1;
                 world.charge_loyal(victim, Purpose::Consider, consider);
                 world.charge_loyal(victim, Purpose::VerifyIntro, detect);

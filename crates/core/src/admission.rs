@@ -20,23 +20,8 @@ use lockss_sim::SimTime;
 
 use crate::config::ProtocolConfig;
 use crate::reputation::{Grade, KnownPeers, Standing};
+use crate::trace::AdmissionVerdict;
 use crate::types::Identity;
-
-/// Outcome of the admission filter for one invitation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AdmissionOutcome {
-    /// Proceed to consideration (session, effort verification, schedule).
-    Admitted {
-        /// The invitation was admitted by consuming an introduction.
-        via_introduction: bool,
-    },
-    /// Silently dropped by the random-drop filter.
-    RandomDrop,
-    /// Auto-rejected: refractory period active for unknown/in-debt.
-    Refractory,
-    /// Rate-limited: this known peer already used its admission slot.
-    RateLimited,
-}
 
 /// `last_admission` grows this many stamps at a time. A cell's table ends
 /// up a little under the population it talks to and there are thousands of
@@ -69,12 +54,6 @@ pub struct AdmissionControl {
     /// Outstanding introductions, sorted by introducee and never longer
     /// than `max_introductions` (one when the cap is zero).
     introductions: Vec<Introduction>,
-    /// Counters for diagnostics.
-    pub admitted_unknown_or_debt: u64,
-    pub admitted_known: u64,
-    pub admitted_introduced: u64,
-    pub dropped: u64,
-    pub rejected_refractory: u64,
 }
 
 impl AdmissionControl {
@@ -190,16 +169,13 @@ impl AdmissionControl {
         now: SimTime,
         cfg: &ProtocolConfig,
         rng: &mut SimRng,
-    ) -> AdmissionOutcome {
+    ) -> AdmissionVerdict {
         // 1. Introductions bypass random drops and refractory periods.
         if !cfg.ablation.no_introductions && self.consume_introduction(poller) {
-            self.admitted_introduced += 1;
             // The introduced admission still counts against the identity's
             // own rate limit going forward.
             self.stamp_admission(poller, now);
-            return AdmissionOutcome::Admitted {
-                via_introduction: true,
-            };
+            return AdmissionVerdict::AdmittedIntroduced;
         }
 
         let standing = if cfg.ablation.no_reputation {
@@ -222,23 +198,19 @@ impl AdmissionControl {
                 Ok(at) => {
                     let last = &mut self.last_admission[at].1;
                     if now.since(*last) < cfg.refractory {
-                        return AdmissionOutcome::RateLimited;
+                        return AdmissionVerdict::RateLimited;
                     }
                     *last = now;
                 }
                 Err(at) => self.insert_stamp(at, poller, now),
             }
-            self.admitted_known += 1;
-            return AdmissionOutcome::Admitted {
-                via_introduction: false,
-            };
+            return AdmissionVerdict::Admitted;
         }
 
         // Unknown or in-debt path.
         // 2. Refractory auto-reject.
         if !cfg.ablation.no_refractory && self.in_refractory(now) {
-            self.rejected_refractory += 1;
-            return AdmissionOutcome::Refractory;
+            return AdmissionVerdict::Refractory;
         }
         // 3. Random drops.
         let drop_p = match standing {
@@ -246,18 +218,14 @@ impl AdmissionControl {
             Standing::Known(_) => cfg.drop_debt,
         };
         if rng.chance(drop_p) {
-            self.dropped += 1;
-            return AdmissionOutcome::RandomDrop;
+            return AdmissionVerdict::RandomDrop;
         }
         // 4. Admit and start the refractory period.
         if !cfg.ablation.no_refractory {
             self.refractory_until = Some(now + cfg.refractory);
         }
         self.stamp_admission(poller, now);
-        self.admitted_unknown_or_debt += 1;
-        AdmissionOutcome::Admitted {
-            via_introduction: false,
-        }
+        AdmissionVerdict::Admitted
     }
 }
 
@@ -288,21 +256,17 @@ mod tests {
         let id = Identity::loyal(1);
         assert_eq!(
             ac.filter(id, &kp, t(1), &cfg(), &mut rng),
-            AdmissionOutcome::Admitted {
-                via_introduction: false
-            }
+            AdmissionVerdict::Admitted
         );
         assert_eq!(
             ac.filter(id, &kp, t(2), &cfg(), &mut rng),
-            AdmissionOutcome::RateLimited,
+            AdmissionVerdict::RateLimited,
             "second admission within the refractory period"
         );
         // After the refractory period the peer is admissible again.
         assert_eq!(
             ac.filter(id, &kp, t(26), &cfg(), &mut rng),
-            AdmissionOutcome::Admitted {
-                via_introduction: false
-            }
+            AdmissionVerdict::Admitted
         );
     }
 
@@ -323,10 +287,10 @@ mod tests {
                 &cfg(),
                 &mut rng,
             ) {
-                AdmissionOutcome::Admitted { .. } => admitted += 1,
-                AdmissionOutcome::RandomDrop => drops += 1,
-                AdmissionOutcome::Refractory => {}
-                AdmissionOutcome::RateLimited => panic!("unknowns are not rate-limited"),
+                AdmissionVerdict::Admitted | AdmissionVerdict::AdmittedIntroduced => admitted += 1,
+                AdmissionVerdict::RandomDrop => drops += 1,
+                AdmissionVerdict::Refractory => {}
+                AdmissionVerdict::RateLimited => panic!("unknowns are not rate-limited"),
             }
         }
         assert_eq!(admitted, 1, "refractory allows exactly one admission");
@@ -345,16 +309,16 @@ mod tests {
         for i in 0..trials {
             // Fresh admission control each time so refractory never blocks.
             let mut ac = AdmissionControl::new();
-            if matches!(
-                ac.filter(
+            if ac
+                .filter(
                     Identity(Identity::MINION_BASE + i),
                     &kp,
                     t(0),
                     &cfg,
-                    &mut rng
-                ),
-                AdmissionOutcome::Admitted { .. }
-            ) {
+                    &mut rng,
+                )
+                .is_admitted()
+            {
                 admitted += 1;
             }
         }
@@ -373,10 +337,7 @@ mod tests {
         let trials = 20_000;
         for _ in 0..trials {
             let mut ac = AdmissionControl::new();
-            if matches!(
-                ac.filter(id, &kp, t(0), &cfg, &mut rng),
-                AdmissionOutcome::Admitted { .. }
-            ) {
+            if ac.filter(id, &kp, t(0), &cfg, &mut rng).is_admitted() {
                 admitted += 1;
             }
         }
@@ -393,7 +354,7 @@ mod tests {
         // Exhaust the unknown slot to start a refractory period.
         loop {
             let out = ac.filter(Identity(Identity::MINION_BASE), &kp, t(0), &c, &mut rng);
-            if matches!(out, AdmissionOutcome::Admitted { .. }) {
+            if out.is_admitted() {
                 break;
             }
         }
@@ -402,9 +363,7 @@ mod tests {
         ac.introduce(introducee, Identity::loyal(2), t(1), &c);
         assert_eq!(
             ac.filter(introducee, &kp, t(1), &c, &mut rng),
-            AdmissionOutcome::Admitted {
-                via_introduction: true
-            }
+            AdmissionVerdict::AdmittedIntroduced
         );
         // The introduction is consumed.
         assert_eq!(ac.outstanding_introductions(), 0);

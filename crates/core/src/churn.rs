@@ -67,9 +67,6 @@ impl World {
         let rng = self.rng.fork();
         self.peers.push(node, me, per_au, rng);
         self.bump_loyal_count();
-        if let Some(o) = self.obs() {
-            o.peer_joins.inc();
-        }
         self.trace(eng, || crate::trace::TraceEvent::PeerJoin {
             peer: index as u32,
         });

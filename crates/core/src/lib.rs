@@ -55,4 +55,4 @@ pub use obs::CoreObs;
 pub use peer::{AuState, PeerTable, TableOccupancy};
 pub use trace::{AdmissionVerdict, MsgKind, PollConclusion, TraceEvent, TraceEventKind, TraceSink};
 pub use types::{Identity, PollId};
-pub use world::{CompromiseStats, World};
+pub use world::World;

@@ -10,6 +10,7 @@ use lockss_effort::CostModel;
 use lockss_sim::SimTime;
 use lockss_storage::AuId;
 
+use crate::trace::MsgKind;
 use crate::types::{Identity, PollId};
 
 /// A protocol message body.
@@ -108,16 +109,16 @@ impl Message {
         }
     }
 
-    /// Short human-readable tag for tracing.
-    pub fn kind(&self) -> &'static str {
+    /// This message's kind (its code and label on the trace).
+    pub fn kind(&self) -> MsgKind {
         match self {
-            Message::Poll { .. } => "Poll",
-            Message::PollAck { .. } => "PollAck",
-            Message::PollProof { .. } => "PollProof",
-            Message::Vote { .. } => "Vote",
-            Message::RepairRequest { .. } => "RepairRequest",
-            Message::Repair { .. } => "Repair",
-            Message::EvaluationReceipt { .. } => "EvaluationReceipt",
+            Message::Poll { .. } => MsgKind::Poll,
+            Message::PollAck { .. } => MsgKind::PollAck,
+            Message::PollProof { .. } => MsgKind::PollProof,
+            Message::Vote { .. } => MsgKind::Vote,
+            Message::RepairRequest { .. } => MsgKind::RepairRequest,
+            Message::Repair { .. } => MsgKind::Repair,
+            Message::EvaluationReceipt { .. } => MsgKind::EvaluationReceipt,
         }
     }
 }
@@ -141,7 +142,8 @@ mod tests {
         let m = poll_msg();
         assert_eq!(m.au(), AuId(1));
         assert_eq!(m.poll(), PollId(9));
-        assert_eq!(m.kind(), "Poll");
+        assert_eq!(m.kind(), MsgKind::Poll);
+        assert_eq!(m.kind().label(), "Poll");
     }
 
     #[test]

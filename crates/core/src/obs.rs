@@ -1,12 +1,16 @@
 //! Pre-registered metric handles for the protocol layer (see `lockss-obs`).
 //!
-//! The same discipline as [`crate::trace::TraceSink`]: the world holds
-//! `Option<Box<CoreObs>>`, each instrumented site pays one null check
-//! when observability is off, and everything recorded here is strictly
-//! out-of-band — counters never feed back into protocol decisions, so a
-//! run's results are byte-identical with or without them.
+//! The handles count the event vocabulary ([`crate::trace`]): the world's
+//! one emission point hands every [`TraceEvent`] to [`CoreObs::observe`],
+//! whose one `match` picks the handle the fact bumps. Only
+//! `repairs_requested` is fed elsewhere — no event carries that fact. As
+//! with [`crate::trace::TraceSink`], the world builds events only while
+//! handles or a sink are installed, and nothing counted here feeds back
+//! into the protocol, so results are byte-identical with or without them.
 
 use lockss_obs::{Counter, Histogram, RegistryBuilder};
+
+use crate::trace::{AdmissionVerdict, PollConclusion, TraceEvent};
 
 /// Counter and histogram handles for the poll lifecycle, admission
 /// (suppression) verdicts, and repair traffic.
@@ -129,5 +133,44 @@ impl CoreObs {
                 "Repair blocks applied from compromised servers",
             ),
         }
+    }
+
+    /// Counts one emitted event: the handle (or handles) its fact bumps.
+    pub fn observe(&self, event: &TraceEvent) {
+        let counter = match event {
+            TraceEvent::PollStart { .. } => &self.polls_started,
+            TraceEvent::PollOutcome {
+                conclusion, votes, ..
+            } => {
+                self.poll_votes.observe(u64::from(*votes));
+                match conclusion {
+                    PollConclusion::Win => &self.polls_win,
+                    PollConclusion::Loss => &self.polls_loss,
+                    PollConclusion::Inconclusive => &self.polls_inconclusive,
+                    PollConclusion::Inquorate => &self.polls_inquorate,
+                }
+            }
+            TraceEvent::MessageSend {
+                suppressed: true, ..
+            } => &self.msgs_suppressed,
+            TraceEvent::MessageSend { .. } => &self.msgs_sent,
+            TraceEvent::Admission { verdict, .. } => match verdict {
+                AdmissionVerdict::Admitted => &self.admission_admitted,
+                AdmissionVerdict::AdmittedIntroduced => &self.admission_introduced,
+                AdmissionVerdict::RandomDrop => &self.admission_random_drop,
+                AdmissionVerdict::Refractory => &self.admission_refractory,
+                AdmissionVerdict::RateLimited => &self.admission_rate_limited,
+            },
+            TraceEvent::Damage { .. } => &self.damage_events,
+            TraceEvent::Repair { .. } => &self.repairs_applied,
+            TraceEvent::AdversaryAction { .. } => &self.adversary_actions,
+            TraceEvent::PeerJoin { .. } => &self.peer_joins,
+            TraceEvent::Compromise { .. } => &self.compromises,
+            TraceEvent::Cure { .. } => &self.cures,
+            TraceEvent::PoisonedRepair { .. } => &self.poisoned_repairs,
+            // Adversary timers and phase marks are not counted.
+            _ => return,
+        };
+        counter.inc();
     }
 }

@@ -1,91 +1,256 @@
-//! The structured event-trace layer: the causal event taxonomy and the
-//! zero-cost sink trait the world emits through.
+//! The event vocabulary: every fact a run reports, and the sink trait the
+//! world emits it through.
 //!
-//! Every consequential state transition of a run — poll lifecycle, every
-//! message send with its suppression verdict, admission-control verdicts,
-//! storage damage and repair, adversary timers and provenance-tagged
-//! actions, churn arrivals, and phase marks — is describable as a
-//! [`TraceEvent`]. A run that has a [`TraceSink`] installed (see
-//! [`crate::world::World::set_trace_sink`]) receives the full causal
-//! stream; a run without one pays only an `Option` null check per emission
-//! point, because event payloads are built inside closures that never run
-//! untraced.
+//! Each kind of [`TraceEvent`] — poll lifecycle, message sends, admission
+//! verdicts, damage and repair, adversary timers and actions, churn,
+//! phase marks, the compromise lifecycle — is one row of
+//! [`trace_event_table!`](crate::trace_event_table): code, label, typed
+//! fields. This module expands the table into [`TraceEventKind`] and
+//! [`TraceEvent`]; `lockss-trace` expands it into its wire codecs. The
+//! world states each fact at one emission point, which builds the event
+//! only while a [`TraceSink`] or [`crate::obs::CoreObs`] is installed.
 //!
-//! The sink is deliberately defined here, next to the types it describes,
-//! while everything *about* traces — the varint binary format, the
-//! recorder, replay verification, diffing, and statistics — lives in the
-//! `lockss-trace` crate, which depends on this one.
+//! Everything *about* traces — the binary format, the recorder, replay
+//! verification, diffing, and statistics — lives in `lockss-trace`, which
+//! depends on this crate.
 
 use lockss_sim::SimTime;
 
-use crate::msg::Message;
+/// Declares a `u8`-coded enum from one variant list — each variant's code
+/// and label written once — with `ALL` (in code order), `code`,
+/// `from_code` and `label` generated from it. Codes are append-only: new
+/// variants take fresh numbers and existing numbers are never reused, so
+/// traces recorded by older builds stay decodable.
+macro_rules! coded_enum {
+    ($(#[$attr:meta])* $name:ident {
+        $($(#[$doc:meta])* $variant:ident = $code:literal => $label:literal,)+
+    }) => {
+        $(#[$attr])*
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        #[repr(u8)]
+        pub enum $name {
+            $($(#[$doc])* $variant = $code,)+
+        }
 
-/// The stable event kind codes (also the wire codes in `lockss-trace`).
-///
-/// Codes are append-only: new kinds take fresh numbers, existing numbers
-/// are never reused, so traces recorded by older builds stay decodable.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[repr(u8)]
-pub enum TraceEventKind {
-    /// A poll opened at a loyal poller.
-    PollStart = 1,
-    /// A poll concluded, with its outcome.
-    PollOutcome = 2,
-    /// A message was handed to the network (or suppressed at the source).
-    MessageSend = 3,
-    /// An admission-control verdict on an incoming invitation.
-    Admission = 4,
-    /// A storage-damage arrival hit a replica block.
-    Damage = 5,
-    /// A repair block was applied at a poller.
-    Repair = 6,
-    /// An adversary timer fired (channel + strategy-private tag).
-    AdversaryTimer = 7,
-    /// A provenance-tagged adversary action (strategy-declared).
-    AdversaryAction = 8,
-    /// A loyal peer joined the population after the start of the run.
-    PeerJoin = 9,
-    /// A named phase boundary was recorded in the run metrics.
-    PhaseMark = 10,
-    /// The mobile adversary took over a loyal peer.
-    Compromise = 11,
-    /// A compromised peer was cured: loyal again, replica still damaged.
-    Cure = 12,
-    /// A repair block served by a compromised peer was applied: the target
-    /// block stays (or becomes) damaged instead of healing.
-    PoisonedRepair = 13,
+        impl $name {
+            /// Every variant, in code order.
+            pub const ALL: [$name; [$($code),+].len()] = [$($name::$variant),+];
+
+            /// The wire code.
+            pub fn code(self) -> u8 {
+                self as u8
+            }
+
+            /// Decodes a wire code.
+            pub fn from_code(code: u8) -> Option<$name> {
+                match code {
+                    $($code => Some($name::$variant),)+
+                    _ => None,
+                }
+            }
+
+            /// Short label for reports.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $($name::$variant => $label,)+
+                }
+            }
+        }
+    };
 }
 
-impl TraceEventKind {
-    /// All kinds, in code order.
-    pub const ALL: [TraceEventKind; 13] = [
-        TraceEventKind::PollStart,
-        TraceEventKind::PollOutcome,
-        TraceEventKind::MessageSend,
-        TraceEventKind::Admission,
-        TraceEventKind::Damage,
-        TraceEventKind::Repair,
-        TraceEventKind::AdversaryTimer,
-        TraceEventKind::AdversaryAction,
-        TraceEventKind::PeerJoin,
-        TraceEventKind::PhaseMark,
-        TraceEventKind::Compromise,
-        TraceEventKind::Cure,
-        TraceEventKind::PoisonedRepair,
-    ];
+/// The event table: one row per kind — its doc, `Kind = code => "label"`,
+/// and its payload fields in encoding order, each with its type and doc.
+///
+/// Every consumer expands the same rows by naming a callback macro:
+/// `trace_event_table!(cb)` expands to `cb! { rows }`. This crate
+/// generates [`TraceEventKind`](crate::TraceEventKind) and
+/// [`TraceEvent`](crate::TraceEvent) from it; `lockss-trace` generates
+/// its payload codecs. A new kind is one row here, one arm in
+/// `TraceEvent`'s `Display`, one row in docs/FORMATS.md and, if it is
+/// counted, one arm in [`CoreObs::observe`](crate::CoreObs::observe).
+/// Kind codes are append-only and capped at 64 (the per-block kind
+/// bitmap assigns bit `code - 1`).
+#[macro_export]
+macro_rules! trace_event_table {
+    ($callback:ident) => {
+        $callback! {
+            /// A poll opened at loyal peer `peer` on `au`.
+            PollStart = 1 => "poll-start" {
+                /// Poller peer index.
+                peer: u32,
+                /// Archival unit index.
+                au: u32,
+                /// The globally unique poll id.
+                poll: u64,
+            }
+            /// A poll concluded, with its outcome.
+            PollOutcome = 2 => "poll-outcome" {
+                /// Poller peer index.
+                peer: u32,
+                /// Archival unit index.
+                au: u32,
+                /// The poll id.
+                poll: u64,
+                /// How it concluded.
+                conclusion: $crate::trace::PollConclusion,
+                /// Valid votes recorded when it concluded.
+                votes: u32,
+            }
+            /// A message was handed to the network (or suppressed at the
+            /// source).
+            MessageSend = 3 => "message-send" {
+                /// Source network node index.
+                from: u32,
+                /// Destination network node index.
+                to: u32,
+                /// Message kind.
+                kind: $crate::trace::MsgKind,
+                /// The AU the message concerns.
+                au: u32,
+                /// The poll the message belongs to.
+                poll: u64,
+                /// True if the network suppressed the send at the source
+                /// (pipe stoppage): the suppression verdict.
+                suppressed: bool,
+            }
+            /// An invitation hit the admission filter at a voter.
+            Admission = 4 => "admission" {
+                /// The filtering peer index.
+                peer: u32,
+                /// The raw identity the poller presented.
+                poller: u64,
+                /// The verdict.
+                verdict: $crate::trace::AdmissionVerdict,
+            }
+            /// A storage-damage arrival hit a replica block.
+            Damage = 5 => "damage" {
+                /// The hit peer index.
+                peer: u32,
+                /// Archival unit index.
+                au: u32,
+                /// Damaged block index.
+                block: u64,
+                /// True if the replica was intact before this hit.
+                was_intact: bool,
+            }
+            /// A repair block was applied at a poller.
+            Repair = 6 => "repair" {
+                /// The repairing poller's peer index.
+                peer: u32,
+                /// Archival unit index.
+                au: u32,
+                /// The poll that planned the repair.
+                poll: u64,
+                /// The repaired block index.
+                block: u64,
+                /// True if the replica became fully intact with this repair.
+                intact_after: bool,
+            }
+            /// An adversary timer fired and is about to dispatch.
+            AdversaryTimer = 7 => "adversary-timer" {
+                /// The adversary channel the timer was scheduled on.
+                channel: u64,
+                /// The strategy-private tag.
+                tag: u64,
+            }
+            /// A strategy-declared adversary action (provenance tag).
+            AdversaryAction = 8 => "adversary-action" {
+                /// The adversary channel active when the action was declared.
+                channel: u64,
+                /// Strategy-chosen label, e.g. `"churn-storm/depart"`.
+                label: String,
+                /// Strategy-chosen magnitude (victims this wave, sybils
+                /// minted...).
+                magnitude: u64,
+            }
+            /// A loyal peer joined the population after the start of the run.
+            PeerJoin = 9 => "peer-join" {
+                /// The new peer's index.
+                peer: u32,
+            }
+            /// A named phase boundary was recorded in the run metrics.
+            PhaseMark = 10 => "phase-mark" {
+                /// The phase label.
+                label: String,
+            }
+            /// The mobile adversary took over a loyal peer: shadow replicas
+            /// were snapshotted and the real replicas corrupted.
+            Compromise = 11 => "compromise" {
+                /// The victim's peer index.
+                peer: u32,
+                /// Blocks newly corrupted across the victim's replicas.
+                corrupted: u64,
+            }
+            /// A compromised peer returned to loyal behavior (cure ≠ heal:
+            /// the replica damage persists until the repair machinery
+            /// removes it).
+            Cure = 12 => "cure" {
+                /// The cured peer's index.
+                peer: u32,
+                /// Damaged blocks left behind across the peer's replicas.
+                residual: u64,
+            }
+            /// A repair block served by a compromised peer was applied: the
+            /// target block stays (or becomes) damaged instead of healing.
+            PoisonedRepair = 13 => "poisoned-repair" {
+                /// The repairing poller's peer index.
+                peer: u32,
+                /// Archival unit index.
+                au: u32,
+                /// The poll that planned the repair.
+                poll: u64,
+                /// The poisoned block index.
+                block: u64,
+                /// The compromised serving peer's index.
+                server: u32,
+            }
+        }
+    };
+}
 
+/// Expands the event table into the kind enum and the event enum.
+macro_rules! declare_events {
+    ($($(#[$doc:meta])* $kind:ident = $code:literal => $label:literal {
+        $($(#[$field_doc:meta])* $field:ident: $ty:ty,)+
+    })+) => {
+        coded_enum! {
+            /// The kind of a [`TraceEvent`]; its code is the wire code in
+            /// `lockss-trace`.
+            #[derive(PartialOrd, Ord, Hash)]
+            TraceEventKind {
+                $($(#[$doc])* $kind = $code => $label,)+
+            }
+        }
+
+        /// One fact of a run.
+        ///
+        /// Identities, nodes, and polls are carried as their raw integer
+        /// forms so the vocabulary encodes compactly and compares exactly;
+        /// the semantic wrappers ([`crate::types::Identity`],
+        /// [`crate::types::PollId`], `lockss_net::NodeId`) all expose these
+        /// integers losslessly.
+        #[derive(Clone, PartialEq, Debug)]
+        pub enum TraceEvent {
+            $($(#[$doc])* $kind { $($(#[$field_doc])* $field: $ty,)+ },)+
+        }
+
+        impl TraceEvent {
+            /// This event's kind.
+            pub fn kind(&self) -> TraceEventKind {
+                match self {
+                    $(TraceEvent::$kind { .. } => TraceEventKind::$kind,)+
+                }
+            }
+        }
+    };
+}
+
+trace_event_table!(declare_events);
+
+impl TraceEventKind {
     /// Number of registered kinds (codes run `1..=COUNT`).
     pub const COUNT: usize = Self::ALL.len();
-
-    /// The wire code.
-    pub fn code(self) -> u8 {
-        self as u8
-    }
-
-    /// Decodes a wire code.
-    pub fn from_code(code: u8) -> Option<TraceEventKind> {
-        Self::ALL.iter().copied().find(|k| k.code() == code)
-    }
 
     /// This kind's bit in a kind bitmap (bit `code - 1`), the presence
     /// mask the block-columnar trace format keeps per block so readers
@@ -93,25 +258,6 @@ impl TraceEventKind {
     /// Kind codes are append-only and capped at 64 by this encoding.
     pub fn bit(self) -> u64 {
         1u64 << (self.code() - 1)
-    }
-
-    /// Short human-readable label.
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceEventKind::PollStart => "poll-start",
-            TraceEventKind::PollOutcome => "poll-outcome",
-            TraceEventKind::MessageSend => "message-send",
-            TraceEventKind::Admission => "admission",
-            TraceEventKind::Damage => "damage",
-            TraceEventKind::Repair => "repair",
-            TraceEventKind::AdversaryTimer => "adversary-timer",
-            TraceEventKind::AdversaryAction => "adversary-action",
-            TraceEventKind::PeerJoin => "peer-join",
-            TraceEventKind::PhaseMark => "phase-mark",
-            TraceEventKind::Compromise => "compromise",
-            TraceEventKind::Cure => "cure",
-            TraceEventKind::PoisonedRepair => "poisoned-repair",
-        }
     }
 }
 
@@ -121,84 +267,39 @@ impl std::fmt::Display for TraceEventKind {
     }
 }
 
-/// How a poll concluded (the [`TraceEvent::PollOutcome`] payload).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(u8)]
-pub enum PollConclusion {
-    /// Landslide agreement: the replica was audited clean (§4.3).
-    Win = 0,
-    /// Landslide disagreement: repairs were needed (alarm raised).
-    Loss = 1,
-    /// Quorate but no landslide either way (alarm raised).
-    Inconclusive = 2,
-    /// Fewer votes than the quorum: the poll failed silently.
-    Inquorate = 3,
-}
-
-impl PollConclusion {
-    /// The wire code.
-    pub fn code(self) -> u8 {
-        self as u8
-    }
-
-    /// Decodes a wire code.
-    pub fn from_code(code: u8) -> Option<PollConclusion> {
-        match code {
-            0 => Some(PollConclusion::Win),
-            1 => Some(PollConclusion::Loss),
-            2 => Some(PollConclusion::Inconclusive),
-            3 => Some(PollConclusion::Inquorate),
-            _ => None,
-        }
-    }
-
-    /// Short label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            PollConclusion::Win => "win",
-            PollConclusion::Loss => "loss",
-            PollConclusion::Inconclusive => "inconclusive",
-            PollConclusion::Inquorate => "inquorate",
-        }
+coded_enum! {
+    /// How a poll concluded (the [`TraceEvent::PollOutcome`] payload).
+    PollConclusion {
+        /// Landslide agreement: the replica was audited clean (§4.3).
+        Win = 0 => "win",
+        /// Landslide disagreement: repairs were needed (alarm raised).
+        Loss = 1 => "loss",
+        /// Quorate but no landslide either way (alarm raised).
+        Inconclusive = 2 => "inconclusive",
+        /// Fewer votes than the quorum: the poll failed silently.
+        Inquorate = 3 => "inquorate",
     }
 }
 
-/// An admission-control verdict (the [`TraceEvent::Admission`] payload),
-/// mirroring [`crate::admission::AdmissionOutcome`] plus the introduction
-/// bypass distinction.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(u8)]
-pub enum AdmissionVerdict {
-    /// Admitted through the ordinary reputation path.
-    Admitted = 0,
-    /// Admitted by consuming an introduction.
-    AdmittedIntroduced = 1,
-    /// Silently dropped by the random-drop filter.
-    RandomDrop = 2,
-    /// Auto-rejected by an active refractory period.
-    Refractory = 3,
-    /// Rate-limited: the identity already used its admission slot.
-    RateLimited = 4,
+coded_enum! {
+    /// An admission-control verdict on one invitation (§5.1): what
+    /// [`crate::admission::AdmissionControl::filter`] returns and the
+    /// [`TraceEvent::Admission`] payload.
+    AdmissionVerdict {
+        /// Admitted through the ordinary reputation path.
+        Admitted = 0 => "admitted",
+        /// Admitted by consuming an introduction.
+        AdmittedIntroduced = 1 => "admitted-introduced",
+        /// Silently dropped by the random-drop filter.
+        RandomDrop = 2 => "random-drop",
+        /// Auto-rejected by an active refractory period.
+        Refractory = 3 => "refractory",
+        /// Rate-limited: the identity already used its admission slot.
+        RateLimited = 4 => "rate-limited",
+    }
 }
 
 impl AdmissionVerdict {
-    /// The wire code.
-    pub fn code(self) -> u8 {
-        self as u8
-    }
-
-    /// Decodes a wire code.
-    pub fn from_code(code: u8) -> Option<AdmissionVerdict> {
-        match code {
-            0 => Some(AdmissionVerdict::Admitted),
-            1 => Some(AdmissionVerdict::AdmittedIntroduced),
-            2 => Some(AdmissionVerdict::RandomDrop),
-            3 => Some(AdmissionVerdict::Refractory),
-            4 => Some(AdmissionVerdict::RateLimited),
-            _ => None,
-        }
-    }
-
     /// True for either admitted variant.
     pub fn is_admitted(self) -> bool {
         matches!(
@@ -206,243 +307,26 @@ impl AdmissionVerdict {
             AdmissionVerdict::Admitted | AdmissionVerdict::AdmittedIntroduced
         )
     }
-
-    /// Short label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            AdmissionVerdict::Admitted => "admitted",
-            AdmissionVerdict::AdmittedIntroduced => "admitted-introduced",
-            AdmissionVerdict::RandomDrop => "random-drop",
-            AdmissionVerdict::Refractory => "refractory",
-            AdmissionVerdict::RateLimited => "rate-limited",
-        }
-    }
 }
 
-/// A protocol-message kind code (the compact form of
-/// [`Message::kind`] used in [`TraceEvent::MessageSend`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(u8)]
-pub enum MsgKind {
-    /// A poll invitation.
-    Poll = 0,
-    /// Acceptance/refusal of an invitation.
-    PollAck = 1,
-    /// The remaining effort proof.
-    PollProof = 2,
-    /// A vote.
-    Vote = 3,
-    /// A repair-block request.
-    RepairRequest = 4,
-    /// A repair block.
-    Repair = 5,
-    /// An evaluation receipt.
-    EvaluationReceipt = 6,
-}
-
-impl MsgKind {
-    /// The wire code.
-    pub fn code(self) -> u8 {
-        self as u8
-    }
-
-    /// Decodes a wire code.
-    pub fn from_code(code: u8) -> Option<MsgKind> {
-        match code {
-            0 => Some(MsgKind::Poll),
-            1 => Some(MsgKind::PollAck),
-            2 => Some(MsgKind::PollProof),
-            3 => Some(MsgKind::Vote),
-            4 => Some(MsgKind::RepairRequest),
-            5 => Some(MsgKind::Repair),
-            6 => Some(MsgKind::EvaluationReceipt),
-            _ => None,
-        }
-    }
-
-    /// Short label (matches [`Message::kind`]).
-    pub fn label(self) -> &'static str {
-        match self {
-            MsgKind::Poll => "Poll",
-            MsgKind::PollAck => "PollAck",
-            MsgKind::PollProof => "PollProof",
-            MsgKind::Vote => "Vote",
-            MsgKind::RepairRequest => "RepairRequest",
-            MsgKind::Repair => "Repair",
-            MsgKind::EvaluationReceipt => "EvaluationReceipt",
-        }
-    }
-}
-
-impl From<&Message> for MsgKind {
-    fn from(msg: &Message) -> MsgKind {
-        match msg {
-            Message::Poll { .. } => MsgKind::Poll,
-            Message::PollAck { .. } => MsgKind::PollAck,
-            Message::PollProof { .. } => MsgKind::PollProof,
-            Message::Vote { .. } => MsgKind::Vote,
-            Message::RepairRequest { .. } => MsgKind::RepairRequest,
-            Message::Repair { .. } => MsgKind::Repair,
-            Message::EvaluationReceipt { .. } => MsgKind::EvaluationReceipt,
-        }
-    }
-}
-
-/// One causal event of a run.
-///
-/// Identities, nodes, and polls are carried as their raw integer forms so
-/// the taxonomy encodes compactly and compares exactly; the semantic
-/// wrappers ([`crate::types::Identity`], [`crate::types::PollId`],
-/// `lockss_net::NodeId`) all expose these integers losslessly.
-#[derive(Clone, PartialEq, Debug)]
-pub enum TraceEvent {
-    /// A poll opened at loyal peer `peer` on `au`.
-    PollStart {
-        /// Poller peer index.
-        peer: u32,
-        /// Archival unit index.
-        au: u32,
-        /// The globally unique poll id.
-        poll: u64,
-    },
-    /// The poll concluded.
-    PollOutcome {
-        /// Poller peer index.
-        peer: u32,
-        /// Archival unit index.
-        au: u32,
-        /// The poll id.
-        poll: u64,
-        /// How it concluded.
-        conclusion: PollConclusion,
-        /// Valid votes recorded when it concluded.
-        votes: u32,
-    },
-    /// `World::send_message` was invoked.
-    MessageSend {
-        /// Source network node index.
-        from: u32,
-        /// Destination network node index.
-        to: u32,
-        /// Message kind.
-        kind: MsgKind,
-        /// The AU the message concerns.
-        au: u32,
-        /// The poll the message belongs to.
-        poll: u64,
-        /// True if the network suppressed the send at the source (pipe
-        /// stoppage): the suppression verdict.
-        suppressed: bool,
-    },
-    /// An invitation hit the admission filter at a voter.
-    Admission {
-        /// The filtering peer index.
-        peer: u32,
-        /// The raw identity the poller presented.
-        poller: u64,
-        /// The verdict.
-        verdict: AdmissionVerdict,
-    },
-    /// A storage-damage arrival.
-    Damage {
-        /// The hit peer index.
-        peer: u32,
-        /// Archival unit index.
-        au: u32,
-        /// Damaged block index.
-        block: u64,
-        /// True if the replica was intact before this hit.
-        was_intact: bool,
-    },
-    /// A repair block was applied.
-    Repair {
-        /// The repairing poller's peer index.
-        peer: u32,
-        /// Archival unit index.
-        au: u32,
-        /// The poll that planned the repair.
-        poll: u64,
-        /// The repaired block index.
-        block: u64,
-        /// True if the replica became fully intact with this repair.
-        intact_after: bool,
-    },
-    /// An adversary timer fired and is about to dispatch.
-    AdversaryTimer {
-        /// The adversary channel the timer was scheduled on.
-        channel: u64,
-        /// The strategy-private tag.
-        tag: u64,
-    },
-    /// A strategy-declared adversary action (provenance tag).
-    AdversaryAction {
-        /// The adversary channel active when the action was declared.
-        channel: u64,
-        /// Strategy-chosen label, e.g. `"churn-storm/depart"`.
-        label: String,
-        /// Strategy-chosen magnitude (victims this wave, sybils minted...).
-        magnitude: u64,
-    },
-    /// A loyal peer joined mid-run (churn arrival).
-    PeerJoin {
-        /// The new peer's index.
-        peer: u32,
-    },
-    /// A metrics phase boundary.
-    PhaseMark {
-        /// The phase label.
-        label: String,
-    },
-    /// The mobile adversary took over a loyal peer: shadow replicas were
-    /// snapshotted and the real replicas corrupted.
-    Compromise {
-        /// The victim's peer index.
-        peer: u32,
-        /// Blocks newly corrupted across the victim's replicas.
-        corrupted: u64,
-    },
-    /// A compromised peer returned to loyal behavior (cure ≠ heal: the
-    /// replica damage persists until the repair machinery removes it).
-    Cure {
-        /// The cured peer's index.
-        peer: u32,
-        /// Damaged blocks left behind across the peer's replicas.
-        residual: u64,
-    },
-    /// A repair block served by a compromised peer landed at a poller: the
-    /// block stays (or becomes) damaged instead of healing.
-    PoisonedRepair {
-        /// The repairing poller's peer index.
-        peer: u32,
-        /// Archival unit index.
-        au: u32,
-        /// The poll that planned the repair.
-        poll: u64,
-        /// The poisoned block index.
-        block: u64,
-        /// The compromised serving peer's index.
-        server: u32,
-    },
-}
-
-impl TraceEvent {
-    /// This event's kind code.
-    pub fn kind(&self) -> TraceEventKind {
-        match self {
-            TraceEvent::PollStart { .. } => TraceEventKind::PollStart,
-            TraceEvent::PollOutcome { .. } => TraceEventKind::PollOutcome,
-            TraceEvent::MessageSend { .. } => TraceEventKind::MessageSend,
-            TraceEvent::Admission { .. } => TraceEventKind::Admission,
-            TraceEvent::Damage { .. } => TraceEventKind::Damage,
-            TraceEvent::Repair { .. } => TraceEventKind::Repair,
-            TraceEvent::AdversaryTimer { .. } => TraceEventKind::AdversaryTimer,
-            TraceEvent::AdversaryAction { .. } => TraceEventKind::AdversaryAction,
-            TraceEvent::PeerJoin { .. } => TraceEventKind::PeerJoin,
-            TraceEvent::PhaseMark { .. } => TraceEventKind::PhaseMark,
-            TraceEvent::Compromise { .. } => TraceEventKind::Compromise,
-            TraceEvent::Cure { .. } => TraceEventKind::Cure,
-            TraceEvent::PoisonedRepair { .. } => TraceEventKind::PoisonedRepair,
-        }
+coded_enum! {
+    /// A protocol-message kind ([`crate::msg::Message::kind`], the
+    /// [`TraceEvent::MessageSend`] payload).
+    MsgKind {
+        /// A poll invitation.
+        Poll = 0 => "Poll",
+        /// Acceptance/refusal of an invitation.
+        PollAck = 1 => "PollAck",
+        /// The remaining effort proof.
+        PollProof = 2 => "PollProof",
+        /// A vote.
+        Vote = 3 => "Vote",
+        /// A repair-block request.
+        RepairRequest = 4 => "RepairRequest",
+        /// A repair block.
+        Repair = 5 => "Repair",
+        /// An evaluation receipt.
+        EvaluationReceipt = 6 => "EvaluationReceipt",
     }
 }
 
@@ -566,6 +450,7 @@ mod tests {
         }
         assert_eq!(TraceEventKind::from_code(0), None);
         assert_eq!(TraceEventKind::from_code(200), None);
+        assert_eq!(TraceEventKind::PoisonedRepair.label(), "poisoned-repair");
     }
 
     #[test]
@@ -576,63 +461,33 @@ mod tests {
             mask |= kind.bit();
         }
         assert_eq!(mask, (1u64 << TraceEventKind::COUNT) - 1);
-        assert_eq!(TraceEventKind::COUNT, TraceEventKind::ALL.len());
+        // Rows are appended in code order: readers index by `code - 1`.
+        let codes = TraceEventKind::ALL.map(TraceEventKind::code);
+        assert!(codes.windows(2).all(|w| w[0] + 1 == w[1]), "{codes:?}");
     }
 
     #[test]
     fn payload_codes_roundtrip() {
-        for c in [
-            PollConclusion::Win,
-            PollConclusion::Loss,
-            PollConclusion::Inconclusive,
-            PollConclusion::Inquorate,
-        ] {
+        for c in PollConclusion::ALL {
             assert_eq!(PollConclusion::from_code(c.code()), Some(c));
         }
         assert_eq!(PollConclusion::from_code(9), None);
-        for v in [
-            AdmissionVerdict::Admitted,
-            AdmissionVerdict::AdmittedIntroduced,
-            AdmissionVerdict::RandomDrop,
-            AdmissionVerdict::Refractory,
-            AdmissionVerdict::RateLimited,
-        ] {
+        for v in AdmissionVerdict::ALL {
             assert_eq!(AdmissionVerdict::from_code(v.code()), Some(v));
         }
+        // The verdict codes are pinned: recorded traces and the benchmark
+        // index counts by them.
+        assert_eq!(
+            AdmissionVerdict::ALL.map(AdmissionVerdict::code),
+            [0, 1, 2, 3, 4]
+        );
         assert!(AdmissionVerdict::AdmittedIntroduced.is_admitted());
         assert!(!AdmissionVerdict::Refractory.is_admitted());
-        for k in [
-            MsgKind::Poll,
-            MsgKind::PollAck,
-            MsgKind::PollProof,
-            MsgKind::Vote,
-            MsgKind::RepairRequest,
-            MsgKind::Repair,
-            MsgKind::EvaluationReceipt,
-        ] {
+        for k in MsgKind::ALL {
             assert_eq!(MsgKind::from_code(k.code()), Some(k));
         }
-    }
-
-    #[test]
-    fn msg_kind_matches_message_kind_labels() {
-        use crate::types::{Identity, PollId};
-        use lockss_storage::AuId;
-        let msg = Message::PollAck {
-            au: AuId(0),
-            poll: PollId(1),
-            accept: true,
-        };
-        assert_eq!(MsgKind::from(&msg).label(), msg.kind());
-        let msg = Message::Vote {
-            au: AuId(0),
-            poll: PollId(1),
-            voter: Identity::loyal(3),
-            damage: vec![],
-            nominations: vec![],
-            proof_valid: true,
-        };
-        assert_eq!(MsgKind::from(&msg).label(), msg.kind());
+        assert_eq!(MsgKind::ALL.len(), 7);
+        assert_eq!(MsgKind::from_code(7), None);
     }
 
     #[test]

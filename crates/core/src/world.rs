@@ -21,7 +21,6 @@ use lockss_storage::{AuId, DamageProcess};
 
 use lockss_obs::{SharedProfiler, Span};
 
-use crate::admission::AdmissionOutcome;
 use crate::adversary::Adversary;
 use crate::config::WorldConfig;
 use crate::msg::Message;
@@ -30,36 +29,12 @@ use crate::peer::{AuState, PeerTable};
 use crate::poller::{InviteeStatus, PollPhase, PollState};
 use crate::reflist::RefList;
 use crate::reputation::Grade;
-use crate::trace::{AdmissionVerdict, MsgKind, PollConclusion, TraceEvent, TraceSink};
+use crate::trace::{AdmissionVerdict, PollConclusion, TraceEvent, TraceSink};
 use crate::types::{Identity, PollId};
 use crate::voter::{VoterSession, VoterStage};
 
 /// Engine alias: all events run against the world.
 pub type Eng = Engine<World>;
-
-/// Deterministic counters for the mobile-adversary compromise machinery.
-///
-/// Plain protocol state, not observability: the fuzzer's accounting oracle
-/// reads these off the world after untraced runs (concurrent compromises
-/// never exceed the budget, cures never exceed compromises, poisoned
-/// repairs never exceed repairs served), so they must exist whether or not
-/// a trace sink or metric registry is installed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CompromiseStats {
-    /// Takeover transitions performed ([`World::compromise_peer`]).
-    pub compromises: u64,
-    /// Cure transitions performed ([`World::cure_peer`]).
-    pub cures: u64,
-    /// Poisoned repair blocks applied at pollers.
-    pub poisoned_repairs: u64,
-    /// All repair blocks applied at pollers, poisoned or clean — the
-    /// denominator for `poisoned_repairs`.
-    pub repairs_served: u64,
-    /// Peers compromised right now.
-    pub concurrent: usize,
-    /// High-water mark of concurrently compromised peers.
-    pub max_concurrent: usize,
-}
 
 /// The complete simulation state.
 pub struct World {
@@ -83,18 +58,18 @@ pub struct World {
     /// belongs to (see [`crate::adversary::schedule_adversary_timer`]).
     /// Always 0 for simple adversaries.
     adversary_channel: u64,
-    /// The installed trace sink, if this run is being traced. Untraced runs
-    /// pay one `Option` null check per emission point and never construct
-    /// event payloads (see [`World::trace`]).
+    /// The installed trace sink, if this run is being traced.
     trace_sink: Option<Box<dyn TraceSink>>,
-    /// Metric handles (see [`crate::obs`]); unobserved runs pay one null
-    /// check per recording site, the same discipline as the trace sink.
+    /// Metric handles (see [`crate::obs`]), counted from the emitted
+    /// events.
     obs: Option<Box<CoreObs>>,
+    /// True while a sink or metric handles are installed. Events are built
+    /// only then, so a run with neither pays one branch per emission site
+    /// (see [`World::trace`]).
+    observed: bool,
     /// Profiler shared with the runner, for spans around poll evaluation.
     /// Strictly out-of-band: wall-clock only, never read by the protocol.
     profiler: Option<SharedProfiler>,
-    /// Mobile-adversary transition counters (see [`CompromiseStats`]).
-    compromise: CompromiseStats,
     next_poll_id: u64,
     n_loyal: usize,
     /// Network node → loyal peer index (nodes absent here belong to the
@@ -162,8 +137,8 @@ impl World {
             adversary_channel: 0,
             trace_sink: None,
             obs: None,
+            observed: false,
             profiler: None,
-            compromise: CompromiseStats::default(),
             next_poll_id: 0,
             n_loyal: nodes.len(),
             node_to_peer,
@@ -224,16 +199,13 @@ impl World {
     /// [`World::start`] to capture the complete stream.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.trace_sink = Some(sink);
+        self.observed = true;
     }
 
     /// Removes and returns the installed trace sink, if any.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
+        self.observed = self.obs.is_some();
         self.trace_sink.take()
-    }
-
-    /// True if a trace sink is installed.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace_sink.is_some()
     }
 
     /// Installs metric handles: the poll lifecycle, admission verdicts,
@@ -241,13 +213,7 @@ impl World {
     /// [`World::start`] for complete totals.
     pub fn set_obs(&mut self, obs: CoreObs) {
         self.obs = Some(Box::new(obs));
-    }
-
-    /// The installed metric handles, if any. Recording sites do
-    /// `if let Some(o) = world.obs() { ... }` — one null check when off.
-    #[inline]
-    pub fn obs(&self) -> Option<&CoreObs> {
-        self.obs.as_deref()
+        self.observed = true;
     }
 
     /// Shares a profiler with the world; poll evaluation opens spans on
@@ -257,13 +223,25 @@ impl World {
         self.profiler = Some(profiler);
     }
 
-    /// Emits one trace event. The payload closure only runs when a sink is
-    /// installed, so untraced runs pay exactly one null check here; a sink
-    /// that asks to stop (replay divergence) aborts the engine's run loop.
+    /// States one fact of the run: the only emission point of the event
+    /// vocabulary. The event is built only while a sink or metric handles
+    /// are installed, so a run with neither pays one branch here; the
+    /// handles count it ([`CoreObs::observe`]), then the sink records it,
+    /// and a sink that asks to stop (replay divergence) aborts the engine's
+    /// run loop.
     #[inline]
     pub(crate) fn trace(&mut self, eng: &mut Eng, make: impl FnOnce() -> TraceEvent) {
+        if self.observed {
+            self.emit(eng, &make());
+        }
+    }
+
+    fn emit(&mut self, eng: &mut Eng, event: &TraceEvent) {
+        if let Some(obs) = self.obs.as_deref() {
+            obs.observe(event);
+        }
         if let Some(sink) = self.trace_sink.as_deref_mut() {
-            sink.record(eng.now(), eng.executed(), &make());
+            sink.record(eng.now(), eng.executed(), event);
             if sink.wants_stop() {
                 eng.request_stop();
             }
@@ -275,9 +253,6 @@ impl World {
     /// stoppage cycle starting, a flood wave launching, a sybil escalation
     /// step — so a trace names *which* adversary move caused what follows.
     pub fn note_adversary_action(&mut self, eng: &mut Eng, label: &'static str, magnitude: u64) {
-        if let Some(o) = self.obs() {
-            o.adversary_actions.inc();
-        }
         let channel = self.adversary_channel;
         self.trace(eng, || TraceEvent::AdversaryAction {
             channel,
@@ -375,9 +350,6 @@ impl World {
         let replica = &mut self.peers.au_mut(peer, au as usize).replica;
         let was_intact = replica.is_intact();
         replica.damage(block);
-        if let Some(o) = self.obs() {
-            o.damage_events.inc();
-        }
         self.trace(eng, || TraceEvent::Damage {
             peer: peer as u32,
             au,
@@ -394,11 +366,6 @@ impl World {
     // Mobile-adversary compromise state (takeover / cure).
     // ------------------------------------------------------------------
 
-    /// The mobile-adversary transition counters.
-    pub fn compromise_stats(&self) -> &CompromiseStats {
-        &self.compromise
-    }
-
     /// The mobile adversary takes over loyal peer `p`: each replica is
     /// snapshotted into a lying shadow (the pre-corruption view the peer
     /// votes from while compromised, hiding the takeover from pollers) and
@@ -413,12 +380,6 @@ impl World {
             return false;
         }
         self.peers.set_compromised(p, true);
-        self.compromise.compromises += 1;
-        self.compromise.concurrent += 1;
-        self.compromise.max_concurrent = self
-            .compromise
-            .max_concurrent
-            .max(self.compromise.concurrent);
         let blocks = self.cfg.au_spec.blocks() as usize;
         let now = eng.now();
         let mut corrupted = 0u64;
@@ -440,9 +401,6 @@ impl World {
                 self.metrics.damage.on_damaged(now);
             }
         }
-        if let Some(o) = self.obs() {
-            o.compromises.inc();
-        }
         self.trace(eng, || TraceEvent::Compromise {
             peer: p as u32,
             corrupted,
@@ -461,16 +419,11 @@ impl World {
             return false;
         }
         self.peers.set_compromised(p, false);
-        self.compromise.cures += 1;
-        self.compromise.concurrent -= 1;
         let mut residual = 0u64;
         for au in 0..self.cfg.n_aus {
             let au_state = self.peers.au_mut(p, au);
             au_state.shadow = None;
             residual += au_state.replica.damaged_count() as u64;
-        }
-        if let Some(o) = self.obs() {
-            o.cures.inc();
         }
         self.trace(eng, || TraceEvent::Cure {
             peer: p as u32,
@@ -489,17 +442,10 @@ impl World {
     pub fn send_message(&mut self, eng: &mut Eng, from: NodeId, to: NodeId, msg: Message) -> bool {
         let bytes = msg.wire_bytes(&self.cfg.cost);
         let delay = self.net.send(from, to, bytes);
-        if let Some(o) = self.obs() {
-            if delay.is_none() {
-                o.msgs_suppressed.inc();
-            } else {
-                o.msgs_sent.inc();
-            }
-        }
         self.trace(eng, || TraceEvent::MessageSend {
             from: from.0,
             to: to.0,
-            kind: MsgKind::from(&msg),
+            kind: msg.kind(),
             au: msg.au().0,
             poll: msg.poll().0,
             suppressed: delay.is_none(),
@@ -583,9 +529,6 @@ impl World {
         let synchronous = self.cfg.protocol.ablation.synchronous_solicitation;
         let now = eng.now();
         self.metrics.polls.register(p as u32, au.0, now);
-        if let Some(o) = self.obs() {
-            o.polls_started.inc();
-        }
         let id = self.alloc_poll_id();
         self.trace(eng, || TraceEvent::PollStart {
             peer: p as u32,
@@ -1005,7 +948,6 @@ impl World {
         }
         let cost = self.costs.repair_apply;
         self.charge_loyal(p, Purpose::ApplyRepair, cost);
-        self.compromise.repairs_served += 1;
         let server = self.loyal_peer_of_node(from);
         let poisoned = server
             .map(|s| self.peers.is_compromised(s))
@@ -1018,10 +960,6 @@ impl World {
                 au_state.replica.damage(block);
                 was_intact && !au_state.replica.is_intact()
             };
-            self.compromise.poisoned_repairs += 1;
-            if let Some(o) = self.obs() {
-                o.poisoned_repairs.inc();
-            }
             self.trace(eng, || TraceEvent::PoisonedRepair {
                 peer: p as u32,
                 au: au.0,
@@ -1039,9 +977,6 @@ impl World {
                 au_state.replica.repair(block);
                 !was_intact && au_state.replica.is_intact()
             };
-            if let Some(o) = self.obs() {
-                o.repairs_applied.inc();
-            }
             self.trace(eng, || TraceEvent::Repair {
                 peer: p as u32,
                 au: au.0,
@@ -1228,7 +1163,9 @@ impl World {
             return;
         }
         for (block, voter) in repair_plan {
-            if let Some(o) = self.obs() {
+            // The one counted fact no event carries: a request planned from
+            // a voter with no loyal node is never sent.
+            if let Some(o) = self.obs.as_deref() {
                 o.repairs_requested.inc();
             }
             let Some(to) = self.node_of(voter) else {
@@ -1302,37 +1239,22 @@ impl World {
         let my_damage = self.peers.au(p, au.index()).replica.snapshot();
         let inner_votes = poll.inner_votes();
         let disagreeing = poll.inner_disagreements(&my_damage);
-        let quorate = inner_votes >= quorum;
-        let landslide_win = quorate && disagreeing <= max_disagree;
-        let landslide_loss = quorate && disagreeing >= inner_votes.saturating_sub(max_disagree);
-        let inconclusive = quorate && !landslide_win && !landslide_loss;
-        let n_votes = poll.votes.len() as u32;
-        if let Some(o) = self.obs() {
-            if landslide_win {
-                o.polls_win.inc();
-            } else if landslide_loss {
-                o.polls_loss.inc();
-            } else if inconclusive {
-                o.polls_inconclusive.inc();
-            } else {
-                o.polls_inquorate.inc();
-            }
-            o.poll_votes.observe(n_votes as u64);
-        }
+        let conclusion = if inner_votes < quorum {
+            PollConclusion::Inquorate
+        } else if disagreeing <= max_disagree {
+            PollConclusion::Win
+        } else if disagreeing >= inner_votes.saturating_sub(max_disagree) {
+            PollConclusion::Loss
+        } else {
+            PollConclusion::Inconclusive
+        };
+        let votes = poll.votes.len() as u32;
         self.trace(eng, || TraceEvent::PollOutcome {
             peer: p as u32,
             au: au.0,
             poll: id.0,
-            conclusion: if landslide_win {
-                PollConclusion::Win
-            } else if landslide_loss {
-                PollConclusion::Loss
-            } else if inconclusive {
-                PollConclusion::Inconclusive
-            } else {
-                PollConclusion::Inquorate
-            },
-            votes: n_votes,
+            conclusion,
+            votes,
         });
 
         // Grades: every voter that supplied a valid vote is raised (§5.1).
@@ -1363,7 +1285,7 @@ impl World {
         }
 
         // Reference-list update only on a decisive outcome (§4.3).
-        if landslide_win {
+        if conclusion == PollConclusion::Win {
             let agreeing_outer = poll.agreeing_outer(&my_damage);
             let decisive = poll.decisive_voters();
             let World { cfg, peers, .. } = self;
@@ -1374,12 +1296,12 @@ impl World {
         }
 
         // Metrics.
-        if landslide_win {
-            self.metrics.polls.on_success(p as u32, au.0, now);
-        } else {
-            self.metrics.polls.on_failure();
-            if inconclusive || landslide_loss {
+        match conclusion {
+            PollConclusion::Win => self.metrics.polls.on_success(p as u32, au.0, now),
+            PollConclusion::Inquorate => self.metrics.polls.on_failure(),
+            PollConclusion::Loss | PollConclusion::Inconclusive => {
                 // A loss should have been repaired away; both raise alarms.
+                self.metrics.polls.on_failure();
                 self.metrics.polls.on_alarm();
             }
         }
@@ -1416,48 +1338,21 @@ impl World {
         }
         // Admission filter. The split borrow passes the config by reference
         // alongside the mutable peer columns — no per-invitation clone.
-        let outcome = {
+        let verdict = {
             let World { cfg, peers, .. } = self;
             let (au_state, rng) = peers.au_and_rng_mut(p, au.index());
             au_state
                 .admission
                 .filter(poller, &au_state.known, now, &cfg.protocol, rng)
         };
-        if let Some(o) = self.obs() {
-            match outcome {
-                AdmissionOutcome::Admitted {
-                    via_introduction: true,
-                } => o.admission_introduced.inc(),
-                AdmissionOutcome::Admitted {
-                    via_introduction: false,
-                } => o.admission_admitted.inc(),
-                AdmissionOutcome::RandomDrop => o.admission_random_drop.inc(),
-                AdmissionOutcome::Refractory => o.admission_refractory.inc(),
-                AdmissionOutcome::RateLimited => o.admission_rate_limited.inc(),
-            }
-        }
         self.trace(eng, || TraceEvent::Admission {
             peer: p as u32,
             poller: poller.0,
-            verdict: match outcome {
-                AdmissionOutcome::Admitted {
-                    via_introduction: true,
-                } => AdmissionVerdict::AdmittedIntroduced,
-                AdmissionOutcome::Admitted {
-                    via_introduction: false,
-                } => AdmissionVerdict::Admitted,
-                AdmissionOutcome::RandomDrop => AdmissionVerdict::RandomDrop,
-                AdmissionOutcome::Refractory => AdmissionVerdict::Refractory,
-                AdmissionOutcome::RateLimited => AdmissionVerdict::RateLimited,
-            },
+            verdict,
         });
-        let via_introduction = match outcome {
-            AdmissionOutcome::Admitted { via_introduction } => via_introduction,
-            // Silent for the sender; free for us.
-            AdmissionOutcome::RandomDrop
-            | AdmissionOutcome::Refractory
-            | AdmissionOutcome::RateLimited => return,
-        };
+        if !verdict.is_admitted() {
+            return; // silent for the sender; free for us
+        }
 
         // §9 adaptive acceptance (off by default): the busier we already
         // are, the likelier we refuse — raising the attacker's marginal
@@ -1528,7 +1423,7 @@ impl World {
             from,
             reservation,
             vote_deadline,
-            via_introduction,
+            verdict == AdmissionVerdict::AdmittedIntroduced,
         );
         self.peers.voting_mut(p).insert(id, session);
         self.send_message(
@@ -1831,14 +1726,13 @@ mod tests {
     fn compromise_and_cure_transitions() {
         let mut world = World::new(small_config(21));
         let mut eng = Eng::new();
-        assert_eq!(world.compromise_stats(), &CompromiseStats::default());
+        assert_eq!(world.peers.compromised_count(), 0);
 
         assert!(world.compromise_peer(&mut eng, 3, 2));
         assert!(world.peers.is_compromised(3));
         // Double takeover is a no-op: budget accounting stays exact.
         assert!(!world.compromise_peer(&mut eng, 3, 2));
-        let s = *world.compromise_stats();
-        assert_eq!((s.compromises, s.concurrent, s.max_concurrent), (1, 1, 1));
+        assert_eq!(world.peers.compromised_count(), 1);
         // Shadows snapshot the pre-corruption view; the real replicas are
         // corrupted underneath them.
         assert!(world.peers.aus(3).iter().all(|a| a.shadow.is_some()));
@@ -1855,8 +1749,7 @@ mod tests {
         assert!(world.cure_peer(&mut eng, 3));
         assert!(!world.peers.is_compromised(3));
         assert!(!world.cure_peer(&mut eng, 3));
-        let s = *world.compromise_stats();
-        assert_eq!((s.cures, s.concurrent, s.max_concurrent), (1, 0, 1));
+        assert_eq!(world.peers.compromised_count(), 0);
         // Cure ≠ heal: shadows are gone but the damage persists.
         assert!(world.peers.aus(3).iter().all(|a| a.shadow.is_none()));
         assert!(world.peers.damaged_replicas(3) > 0);
@@ -1865,21 +1758,23 @@ mod tests {
     #[test]
     fn compromised_votes_lie_and_repairs_poison() {
         // Drive a full run with a statically compromised peer set and
-        // check the poison plumbing end to end via the world counters.
+        // check the poison plumbing end to end via the metric handles.
         let cfg = small_config(23);
         let mut world = World::new(cfg);
+        let obs = CoreObs::register(&mut lockss_obs::RegistryBuilder::new());
+        world.set_obs(obs.clone());
         let mut eng = Eng::new();
         world.start(&mut eng);
-        for p in 0..6 {
-            world.compromise_peer(&mut eng, p, 2);
-        }
+        let taken = (0..6)
+            .filter(|&p| world.compromise_peer(&mut eng, p, 2))
+            .count();
+        assert_eq!(taken, 6);
         let end = SimTime::ZERO + Duration::from_days(240);
         eng.run_until(&mut world, end);
-        let s = *world.compromise_stats();
-        assert_eq!(s.compromises, 6);
-        assert_eq!(s.max_concurrent, 6);
+        assert_eq!(world.peers.compromised_count(), 6);
+        assert_eq!(obs.compromises.get(), 6);
         assert!(
-            s.poisoned_repairs > 0,
+            obs.poisoned_repairs.get() > 0,
             "compromised repair candidates must have poisoned at least one block"
         );
         // Poison keeps the compromised peers' corruption in place: damage

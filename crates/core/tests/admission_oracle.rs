@@ -5,11 +5,11 @@
 //! of `BTreeMap`s those arrays replaced, with the filter's decision
 //! sequence written out over them. A seeded random program of `introduce`
 //! and `filter` calls runs against both, and after every step the verdict,
-//! the outstanding introductions, the stamp count, the refractory deadline
-//! and the five diagnostic counters must be equal. Each side draws from its
-//! own [`SimRng`] started at the same seed, and the two streams must still
-//! agree when the program ends: a filter that drew once more or once less
-//! would move every later draw of a real run.
+//! the outstanding introductions, the stamp count and the refractory
+//! deadline must be equal. Each side draws from its own [`SimRng`] started
+//! at the same seed, and the two streams must still agree when the program
+//! ends: a filter that drew once more or once less would move every later
+//! draw of a real run.
 //!
 //! What the program is built to reach:
 //!
@@ -33,10 +33,10 @@
 
 use std::collections::BTreeMap;
 
-use lockss_core::admission::{AdmissionControl, AdmissionOutcome};
+use lockss_core::admission::AdmissionControl;
 use lockss_core::poller::PollState;
 use lockss_core::reputation::{Grade, KnownPeers, Standing};
-use lockss_core::{Identity, PollId, ProtocolConfig};
+use lockss_core::{AdmissionVerdict, Identity, PollId, ProtocolConfig};
 use lockss_sim::{Duration, SimRng, SimTime};
 use lockss_storage::AuId;
 
@@ -59,8 +59,6 @@ struct RefAdmission {
     last_admission: BTreeMap<Identity, SimTime>,
     /// introducee -> (introducer, when)
     introductions: BTreeMap<Identity, (Identity, SimTime)>,
-    /// In [`counters`] order.
-    counters: [u64; 5],
     /// Cap evictions that had to choose among equally old introductions.
     tied_evictions: u64,
     /// Introductions forgotten because a sibling was consumed.
@@ -99,17 +97,14 @@ impl RefAdmission {
         now: SimTime,
         cfg: &ProtocolConfig,
         rng: &mut SimRng,
-    ) -> AdmissionOutcome {
+    ) -> AdmissionVerdict {
         if !cfg.ablation.no_introductions {
             if let Some((introducer, _)) = self.introductions.remove(&poller) {
                 let before = self.introductions.len();
                 self.introductions.retain(|_, (by, _)| *by != introducer);
                 self.siblings_forgotten += (before - self.introductions.len()) as u64;
-                self.counters[2] += 1;
                 self.last_admission.insert(poller, now);
-                return AdmissionOutcome::Admitted {
-                    via_introduction: true,
-                };
+                return AdmissionVerdict::AdmittedIntroduced;
             }
         }
         let standing = match known.standing(poller, now, cfg.grade_decay) {
@@ -119,47 +114,29 @@ impl RefAdmission {
         if matches!(standing, Standing::Known(Grade::Even | Grade::Credit)) {
             if let Some(&last) = self.last_admission.get(&poller) {
                 if now.since(last) < cfg.refractory {
-                    return AdmissionOutcome::RateLimited;
+                    return AdmissionVerdict::RateLimited;
                 }
             }
             self.last_admission.insert(poller, now);
-            self.counters[1] += 1;
-            return AdmissionOutcome::Admitted {
-                via_introduction: false,
-            };
+            return AdmissionVerdict::Admitted;
         }
         let in_refractory = matches!(self.refractory_until, Some(until) if now < until);
         if !cfg.ablation.no_refractory && in_refractory {
-            self.counters[4] += 1;
-            return AdmissionOutcome::Refractory;
+            return AdmissionVerdict::Refractory;
         }
         let drop_p = match standing {
             Standing::Unknown => cfg.drop_unknown,
             Standing::Known(_) => cfg.drop_debt,
         };
         if rng.chance(drop_p) {
-            self.counters[3] += 1;
-            return AdmissionOutcome::RandomDrop;
+            return AdmissionVerdict::RandomDrop;
         }
         if !cfg.ablation.no_refractory {
             self.refractory_until = Some(now + cfg.refractory);
         }
         self.last_admission.insert(poller, now);
-        self.counters[0] += 1;
-        AdmissionOutcome::Admitted {
-            via_introduction: false,
-        }
+        AdmissionVerdict::Admitted
     }
-}
-
-fn counters(ac: &AdmissionControl) -> [u64; 5] {
-    [
-        ac.admitted_unknown_or_debt,
-        ac.admitted_known,
-        ac.admitted_introduced,
-        ac.dropped,
-        ac.rejected_refractory,
-    ]
 }
 
 /// Founding-population identities are loyal 1..FOUNDERS (loyal 0 owns the
@@ -196,7 +173,7 @@ fn random_config(gen: &mut SimRng) -> ProtocolConfig {
 /// What one seed's program reached, summed over seeds by the test.
 #[derive(Default)]
 struct Reached {
-    /// Indexed introduced, admitted, dropped, refractory, rate-limited.
+    /// Indexed by verdict code.
     verdicts: [u64; 5],
     tied_evictions: u64,
     siblings_forgotten: u64,
@@ -242,16 +219,8 @@ fn drive(seed: u64, reached: &mut Reached) {
                 let got = fast.filter(poller, &known, now, &cfg, &mut fast_rng);
                 let want = slow.filter(poller, &known, now, &cfg, &mut slow_rng);
                 assert_eq!(got, want, "{at}: verdict on {poller}");
-                reached.verdicts[match got {
-                    AdmissionOutcome::Admitted {
-                        via_introduction: true,
-                    } => 0,
-                    AdmissionOutcome::Admitted { .. } => 1,
-                    AdmissionOutcome::RandomDrop => 2,
-                    AdmissionOutcome::Refractory => 3,
-                    AdmissionOutcome::RateLimited => 4,
-                }] += 1;
-                if matches!(got, AdmissionOutcome::Admitted { .. }) {
+                reached.verdicts[got.code() as usize] += 1;
+                if got.is_admitted() {
                     last_admitted = poller;
                 }
             }
@@ -279,7 +248,6 @@ fn drive(seed: u64, reached: &mut Reached) {
             slow.refractory_until,
             "{at}: refractory deadline"
         );
-        assert_eq!(counters(&fast), slow.counters, "{at}: counters");
     }
     assert_eq!(
         fast_rng.u64(),
@@ -299,7 +267,7 @@ fn admission_matches_the_tree_map_reference() {
     // The sweep must actually reach what it claims to cover.
     assert!(
         reached.verdicts.iter().all(|&n| n >= seeds()),
-        "verdicts reached (introduced, admitted, dropped, refractory, rate-limited): {:?}",
+        "verdicts reached (admitted, introduced, dropped, refractory, rate-limited): {:?}",
         reached.verdicts
     );
     assert!(

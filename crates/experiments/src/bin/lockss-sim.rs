@@ -39,8 +39,7 @@ use lockss_experiments::sweep::{
     run_sweep_plan, DispatchPlan, ShardTag, SweepOptions, SweepReport,
 };
 use lockss_experiments::{
-    run_recovery_study, save_results, RecoveryStudy, Scale, ScenarioEntry, ScenarioRegistry,
-    ScenarioSpec,
+    run_recovery_study, RecoveryStudy, Scale, ScenarioEntry, ScenarioRegistry, ScenarioSpec,
 };
 use lockss_metrics::table::{ratio, sci};
 use lockss_metrics::{PhaseSummary, Summary, Table};
@@ -163,6 +162,24 @@ fn die(verb: &str, msg: &str) -> ! {
     std::process::exit(1);
 }
 
+/// Unwraps the outcome of writing `path`. An output that cannot be written
+/// is an I/O failure: exit 1, naming the path.
+fn written<T>(path: impl std::fmt::Display, outcome: Result<T, impl std::fmt::Display>) -> T {
+    outcome.unwrap_or_else(|e| {
+        eprintln!("lockss-sim: writing {path}: {e}");
+        std::process::exit(1)
+    })
+}
+
+/// Writes `content` to `path`, creating its directory first; a failure
+/// exits 1 naming the path (see [`written`]).
+fn write_file(path: &str, content: impl AsRef<[u8]>) {
+    if let Some(dir) = Path::new(path).parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    written(path, std::fs::write(path, content));
+}
+
 /// Reads a scenario file and checks it against the spec grammar and the
 /// semantic validation; errors carry line/field context.
 fn read_spec(path: &str) -> Result<ScenarioSpec, String> {
@@ -225,7 +242,7 @@ fn fuzz(seeds: &[u64], out_dir: &str) {
     }
     for f in &outcome.failures {
         let path = format!("{out_dir}/fuzz-{}-{}.json", f.gen_seed, f.violation.oracle);
-        write_file(&path, &f.minimized.to_json());
+        write_file(&path, f.minimized.to_json());
         println!(
             "seed {}: {} -> reproducer {path} (re-run with `lockss-sim run --file {path} \
              --scale quick --seed {}`)",
@@ -322,25 +339,14 @@ impl Obs<'_> {
     fn finish(&self, name: &str) {
         if let Some(merged) = &self.profile {
             let path = format!("results/profile-{name}.json");
-            write_file(&path, &merged.lock().unwrap().to_json(name));
+            write_file(&path, merged.lock().unwrap().to_json(name));
             println!("wrote {path}");
         }
         if let (Some(session), Some(out)) = (&self.session, self.inv.text("--metrics-out")) {
-            match session.write_metrics(Path::new(out)) {
-                Ok(prom) => println!("wrote {out} and {}", prom.display()),
-                Err(e) => fail(&format!("writing {out}: {e}")),
-            }
+            let prom = written(out, session.write_metrics(Path::new(out)));
+            println!("wrote {out} and {}", prom.display());
         }
     }
-}
-
-/// Writes `content` to `path`, creating its directory first; a failure is
-/// fatal and names the path.
-fn write_file(path: &str, content: &str) {
-    if let Some(dir) = Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(path, content).unwrap_or_else(|e| fail(&format!("writing {path}: {e}")));
 }
 
 /// Runs the post-compromise recovery threshold study: one row per
@@ -492,10 +498,13 @@ fn sweep_cmd(registry: &ScenarioRegistry, name: &str, inv: &Invocation, threads:
     // sweep silently.
     match std::fs::read_to_string(&path) {
         Ok(on_disk) if on_disk == report.to_json() => println!("wrote {}", path.display()),
-        _ => fail(&format!(
-            "sweep finished but the report at {} is missing or stale (checkpoint writes failed?)",
-            path.display()
-        )),
+        _ => die(
+            "sweep",
+            &format!(
+                "the report at {} is missing or stale (checkpoint writes failed?)",
+                path.display()
+            ),
+        ),
     }
     if let Some(tag) = &report.shard {
         println!(
@@ -538,9 +547,7 @@ fn sweep_merge(inv: &Invocation) {
     let default_path = format!("results/sweep-{}.json", report.scenario);
     let path = PathBuf::from(inv.text("--out").unwrap_or(&default_path));
     let rendered = report.to_json();
-    if let Err(e) = sweep::write_checkpoint(&path, &rendered) {
-        die("sweep merge", &format!("writing {}: {e}", path.display()));
-    }
+    written(path.display(), sweep::write_checkpoint(&path, &rendered));
     match std::fs::read_to_string(&path) {
         Ok(on_disk) if on_disk == rendered => {}
         _ => die(
@@ -706,9 +713,7 @@ fn trace_convert(input: &str, output: &str) {
     let from_len = file.len();
     let trace =
         Trace::from_bytes(file).unwrap_or_else(|e| fail(&format!("converting {input}: {e}")));
-    trace
-        .write_to(Path::new(output))
-        .unwrap_or_else(|e| fail(&format!("writing {output}: {e}")));
+    write_file(output, trace.as_bytes());
     let to_len = trace.as_bytes().len();
     println!(
         "converted {input} ({} event(s)): {} {from_len} bytes -> LTRC2 {to_len} bytes \
@@ -865,17 +870,15 @@ fn run_cmd(entry: &ScenarioEntry, inv: &Invocation) {
             // The sink's own row for the run's time budget: how much of
             // the simulation thread's wall the sealer's back-pressure took.
             let seal = recorder.seal_stats();
-            match trace.write_to(Path::new(path)) {
-                Ok(()) => println!(
-                    "recorded {} event(s) to {path} (content hash {}; {} block(s) sealed, \
-                     simulation blocked {:.3} ms on the sealer)",
-                    trace.events(),
-                    trace.content_hash(),
-                    seal.blocks_sealed,
-                    seal.blocked_ns as f64 / 1e6
-                ),
-                Err(e) => fail(&format!("writing {path}: {e}")),
-            }
+            write_file(path, trace.as_bytes());
+            println!(
+                "recorded {} event(s) to {path} (content hash {}; {} block(s) sealed, \
+                 simulation blocked {:.3} ms on the sealer)",
+                trace.events(),
+                trace.content_hash(),
+                seal.blocks_sealed,
+                seal.blocked_ns as f64 / 1e6
+            );
         }
         let b = jobs.get(1).map(|j| run(j, seed, &plain).summary);
         (out.summary.clone(), b, Some(out))
@@ -969,9 +972,8 @@ fn run_cmd(entry: &ScenarioEntry, inv: &Invocation) {
         phases,
     );
     let path = format!("results/scenario-{}.json", entry.name());
-    if std::fs::create_dir_all("results").is_ok() && std::fs::write(&path, &json).is_ok() {
-        println!("\nwrote {path}");
-    }
+    write_file(&path, &json);
+    println!("\nwrote {path}");
     if let (Some(merged), Some(sp)) = (&obs.profile, &sp) {
         // Batch workers have already absorbed theirs into the merge target.
         merged.lock().unwrap().absorb(&sp.borrow());
@@ -995,9 +997,8 @@ fn figure(ids: &[String], scale: Scale) {
         println!("{}", figure.banner(scale));
         let rendered = figure.render(&sweeps);
         println!("{}", rendered.table);
-        if let Err(e) = save_results(figure.id, &rendered.table, &rendered.csv) {
-            die(&format!("figure {}", figure.id), &format!("writing {e}"));
-        }
+        write_file(&format!("results/{}.txt", figure.id), &rendered.table);
+        write_file(&format!("results/{}.csv", figure.id), &rendered.csv);
         if let Some(footer) = rendered.footer {
             println!("{footer}");
         }

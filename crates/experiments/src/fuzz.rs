@@ -12,10 +12,11 @@
 //!    damaged, the access-failure probability is a probability,
 //!    per-phase summaries telescope back to the run totals, the per-peer
 //!    effort ledgers conserve the run's loyal CPU total, and the
-//!    mobile-adversary compromise ledger stays within the campaign's
-//!    declared budgets (concurrent compromises never exceed the budget
-//!    sum, cures never exceed compromises, poisoned repairs never exceed
-//!    repairs served);
+//!    mobile-adversary compromise ledger, replayed from the trace, is
+//!    consistent: no peer is compromised twice, cures and poisoned repairs
+//!    name peers compromised at that instant, concurrent compromises never
+//!    exceed the campaign's budget sum, and the peers compromised at the
+//!    horizon are the ones the world holds;
 //! 3. **replay** — recording the run must not perturb it (recorded
 //!    summary byte-equal to the untraced run's) and replaying the trace
 //!    must report zero divergence.
@@ -35,7 +36,7 @@ use lockss_core::trace::{PollConclusion, TraceEvent};
 use lockss_core::World;
 use lockss_metrics::{PhaseSummary, Summary};
 use lockss_sim::SimRng;
-use lockss_trace::{Trace, TraceMeta};
+use lockss_trace::{Trace, TraceMeta, TraceRecord};
 
 use crate::runner::{replay_once, run, RunOptions};
 use crate::scale::Scale;
@@ -327,37 +328,12 @@ fn check_accounting(
             summary.loyal_effort_secs
         )));
     }
-    // Mobile-adversary accounting: the compromise ledger must respect
-    // the campaign's declared concurrency budgets at every instant (the
-    // high-water mark is the "at every event" witness), cures can only
-    // undo compromises, and poisoned repairs are a subset of all repair
-    // blocks served.
-    let cs = world.compromise_stats();
-    let budget = mobile_budget_total(&spec.attack);
-    if cs.max_concurrent as u64 > budget {
-        return Err(acct(format!(
-            "{} concurrent compromises exceed the campaign budget {budget}",
-            cs.max_concurrent
-        )));
-    }
-    if cs.cures > cs.compromises {
-        return Err(acct(format!(
-            "cures {} exceed compromises {}",
-            cs.cures, cs.compromises
-        )));
-    }
-    if cs.concurrent as u64 != cs.compromises - cs.cures {
-        return Err(acct(format!(
-            "concurrent compromises {} do not balance the ledger ({} - {})",
-            cs.concurrent, cs.compromises, cs.cures
-        )));
-    }
-    if cs.poisoned_repairs > cs.repairs_served {
-        return Err(acct(format!(
-            "poisoned repairs {} exceed repairs served {}",
-            cs.poisoned_repairs, cs.repairs_served
-        )));
-    }
+    check_compromise_ledger(
+        &records,
+        mobile_budget_total(&spec.attack),
+        world.peers.compromised_count(),
+    )
+    .map_err(acct)?;
 
     // Phase summaries are deltas between consecutive marks (plus the
     // synthetic pre-phase), so they must telescope back to the totals.
@@ -384,6 +360,52 @@ fn check_accounting(
                 summary.loyal_effort_secs, summary.adversary_effort_secs
             )));
         }
+    }
+    Ok(())
+}
+
+/// Replays the mobile-adversary ledger from the recorded `Compromise`,
+/// `Cure` and `PoisonedRepair` events: no peer is compromised twice, every
+/// cure names a compromised peer, every poisoned repair names a server
+/// compromised at that instant, the concurrent high-water mark (the "at
+/// every event" witness) stays within `budget`, and the peers still
+/// compromised at the horizon number `live`, as many as the world holds.
+fn check_compromise_ledger(
+    records: &[TraceRecord],
+    budget: u64,
+    live: usize,
+) -> Result<(), String> {
+    let mut compromised = BTreeSet::new();
+    let mut high_water = 0;
+    for r in records {
+        // The guards keep the set: a compromise inserts its peer, a cure
+        // removes it, and each arm below is the transition that failed.
+        match r.event {
+            TraceEvent::Compromise { peer, .. } if !compromised.insert(peer) => {
+                return Err(format!("peer #{peer} compromised twice"));
+            }
+            TraceEvent::Compromise { .. } => high_water = high_water.max(compromised.len()),
+            TraceEvent::Cure { peer, .. } if !compromised.remove(&peer) => {
+                return Err(format!("cure of peer #{peer}, which is not compromised"));
+            }
+            TraceEvent::PoisonedRepair { server, .. } if !compromised.contains(&server) => {
+                return Err(format!(
+                    "poisoned repair served by peer #{server}, which is not compromised"
+                ));
+            }
+            _ => {}
+        }
+    }
+    if high_water as u64 > budget {
+        return Err(format!(
+            "{high_water} concurrent compromises exceed the campaign budget {budget}"
+        ));
+    }
+    if compromised.len() != live {
+        return Err(format!(
+            "the trace leaves {} peer(s) compromised at the horizon; the world holds {live}",
+            compromised.len()
+        ));
     }
     Ok(())
 }
@@ -755,6 +777,57 @@ mod tests {
             let stats = check_campaign(&spec, seed).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
             assert!(stats.signature.contains("mobile"), "{}", stats.signature);
         }
+    }
+
+    /// One hand-built record sequence per way the ledger can be broken,
+    /// each refused with its own message; a consistent one passes.
+    #[test]
+    fn compromise_ledger_rejects_each_violation() {
+        let rec = |event| TraceRecord {
+            at: lockss_sim::SimTime::ZERO,
+            seq: 0,
+            event,
+        };
+        let take = |peer| rec(TraceEvent::Compromise { peer, corrupted: 2 });
+        let cure = |peer| rec(TraceEvent::Cure { peer, residual: 1 });
+        let poison = |server| {
+            rec(TraceEvent::PoisonedRepair {
+                peer: 9,
+                au: 0,
+                poll: 4,
+                block: 7,
+                server,
+            })
+        };
+        let clean = [
+            take(1),
+            take(2),
+            poison(2),
+            cure(1),
+            take(3),
+            poison(3),
+            cure(2),
+        ];
+        assert_eq!(check_compromise_ledger(&clean, 2, 1), Ok(()));
+        let cases = [
+            (vec![take(1), cure(2)], 2, 1, "cure of peer #2"),
+            (vec![take(1), take(1)], 2, 1, "peer #1 compromised twice"),
+            (vec![take(1), poison(4)], 2, 1, "served by peer #4"),
+            (
+                vec![take(1), take(2), take(3)],
+                2,
+                3,
+                "3 concurrent compromises",
+            ),
+            (vec![take(1), take(2)], 2, 1, "the world holds 1"),
+        ];
+        let mut messages = BTreeSet::new();
+        for (records, budget, live, want) in cases {
+            let err = check_compromise_ledger(&records, budget, live).unwrap_err();
+            assert!(err.contains(want), "want {want:?}, got {err:?}");
+            messages.insert(err);
+        }
+        assert_eq!(messages.len(), 5, "every violation has its own message");
     }
 
     #[test]

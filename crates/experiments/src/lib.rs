@@ -48,20 +48,3 @@ pub use sweep::{
     dispatch, jobfile, merge_files, run_sweep, run_sweep_plan, DispatchPlan, ShardTag,
     SweepOptions, SweepReport,
 };
-
-use std::io;
-use std::path::Path;
-
-/// Writes a rendered table and its CSV twin under `results/`. An error
-/// names the path that could not be written.
-pub fn save_results(name: &str, rendered: &str, csv: &str) -> io::Result<()> {
-    let dir = Path::new("results");
-    let at =
-        |path: &Path, e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
-    std::fs::create_dir_all(dir).map_err(|e| at(dir, e))?;
-    for (ext, content) in [("txt", rendered), ("csv", csv)] {
-        let path = dir.join(format!("{name}.{ext}"));
-        std::fs::write(&path, content).map_err(|e| at(&path, e))?;
-    }
-    Ok(())
-}

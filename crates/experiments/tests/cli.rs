@@ -135,22 +135,84 @@ fn figure_rejects_missing_and_unknown_ids_listing_the_table() {
     }
 }
 
-/// A figure that cannot be written is a failure naming the path, not a
-/// silent success: here `results` is a regular file, so the directory
-/// cannot be created.
+/// An output that cannot be written is an I/O failure naming the path —
+/// exit 1 — not a silent success (the scenario report, the sweep
+/// checkpoint) or misuse (exit 2, as every other row once was): here
+/// `results` is a regular file, so nothing can be written under it.
 #[test]
-fn figure_write_failures_exit_1_naming_the_path() {
-    let dir = temp_dir("results-is-a-file");
-    std::fs::write(dir.join("results"), "in the way").unwrap();
-    let out = lockss_sim(&["figure", "churn", "--scale", "quick"])
-        .current_dir(&dir)
+fn output_write_failures_exit_1_naming_the_path() {
+    // A trace to export and convert, recorded where `results/` is free.
+    let src = temp_dir("write-failure-trace");
+    let recorded = lockss_sim(&["run", "baseline", "--scale", "quick", "--seed", "1"])
+        .args(["--record", "t.bin"])
+        .current_dir(&src)
         .output()
         .expect("spawn");
-    let stderr = stderr(&out);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("results"), "path not named: {stderr}");
+    assert_eq!(recorded.status.code(), Some(0), "{}", stderr(&recorded));
+    let trace = src.join("t.bin");
+    let trace = trace.to_str().unwrap();
+
+    let dir = temp_dir("results-is-a-file");
+    std::fs::write(dir.join("results"), "in the way").unwrap();
+    let quick_run = ["run", "baseline", "--scale", "quick", "--seed", "1"];
+    let quick_sweep = ["sweep", "baseline", "--scale", "quick", "--seeds", "1"];
+    let cases: [(&[&str], &[&str], &str); 10] = [
+        (&quick_run, &[], "results/scenario-baseline.json"),
+        (&quick_run, &["--record", "results/t.bin"], "results/t.bin"),
+        (&quick_sweep, &[], "results/sweep-baseline.json"),
+        (
+            &quick_sweep,
+            &["--checkpoint", "c.json", "--profile"],
+            "results/profile-baseline.json",
+        ),
+        (
+            &quick_sweep,
+            &["--checkpoint", "c.json", "--metrics-out", "results/m.json"],
+            "results/m.json",
+        ),
+        (
+            &["trace", "export", trace],
+            &["--csv", "results/t.csv"],
+            "results/t.csv",
+        ),
+        (
+            &["trace", "convert", trace, "results/c.bin"],
+            &[],
+            "results/c.bin",
+        ),
+        (
+            &["sweep", "recovery", "--budgets", "2", "--seeds", "1"],
+            &["--attack-days", "30", "--out", "results/r.txt"],
+            "results/r.txt",
+        ),
+        (
+            &["sweep", "dispatch", "baseline", "--scale", "quick"],
+            &["--shards", "1", "--jobfile", "results/jobs.txt"],
+            "results/jobs.txt",
+        ),
+        (
+            &["figure", "churn", "--scale", "quick"],
+            &[],
+            "results/churn.txt",
+        ),
+    ];
+    for (verb, flags, path) in cases {
+        let out = lockss_sim(verb)
+            .args(flags)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn");
+        let stderr = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{verb:?} {flags:?}: {stderr}");
+        assert!(
+            stderr.contains(path),
+            "{verb:?} {flags:?}: {path} not named: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{verb:?} {flags:?}: {stderr}");
+    }
     assert!(!Path::new(&dir).join("results/churn.txt").exists());
     std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&src).unwrap();
 }
 
 /// `run --mem-report` reports from the run it already made rather than

@@ -333,3 +333,141 @@ fn dispatch_passes_telemetry_through_and_logs_are_tagged() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The one emission point: with a recorder and the protocol metric
+/// handles both installed, every handle but `repairs_requested` (a fact no
+/// event carries) counts exactly the events of its kind in the decoded
+/// trace, and the votes histogram holds one observation per poll outcome
+/// summing their `votes`. The counters are a view of the event stream, not
+/// a second statement of its facts.
+#[test]
+fn core_counters_count_the_recorded_events() {
+    use lockss_core::TraceEventKind as K;
+    use lockss_core::{AdmissionVerdict as V, PollConclusion as C, TraceEvent as E};
+    use lockss_experiments::{runner, ObsSession, RunOptions, Scale, ScenarioRegistry};
+
+    let registry = ScenarioRegistry::standard();
+    for name in ["mobile-recovery-race", "admission-flood"] {
+        let scenario = registry.get(name).expect("registered").build(Scale::Quick);
+        let session = ObsSession::new();
+        let meta = lockss_trace::TraceMeta {
+            scenario: name.into(),
+            scale: "quick".into(),
+            seed: 1,
+            run_length_ms: scenario.run_length.as_millis(),
+        };
+        let options = RunOptions {
+            instruments: session.instruments(None),
+            ..RunOptions::record(&meta)
+        };
+        let trace = runner::run(&scenario, 1, &options).trace.expect("recorded");
+        let records = trace.decode_all().expect("decodes");
+
+        let mut kinds = [0u64; K::COUNT];
+        let (mut conclusions, mut verdicts) = ([0u64; C::ALL.len()], [0u64; V::ALL.len()]);
+        let (mut suppressed, mut votes) = (0, 0);
+        for r in &records {
+            kinds[r.event.kind().code() as usize - 1] += 1;
+            match r.event {
+                E::PollOutcome {
+                    conclusion,
+                    votes: v,
+                    ..
+                } => {
+                    conclusions[conclusion.code() as usize] += 1;
+                    votes += u64::from(v);
+                }
+                E::MessageSend { suppressed: s, .. } => suppressed += u64::from(s),
+                E::Admission { verdict, .. } => verdicts[verdict.code() as usize] += 1,
+                _ => {}
+            }
+        }
+        let kind = |k: K| kinds[k.code() as usize - 1];
+        let c = &session.core;
+        let pairs = [
+            ("polls_started", c.polls_started.get(), kind(K::PollStart)),
+            (
+                "polls_win",
+                c.polls_win.get(),
+                conclusions[C::Win.code() as usize],
+            ),
+            (
+                "polls_loss",
+                c.polls_loss.get(),
+                conclusions[C::Loss.code() as usize],
+            ),
+            (
+                "polls_inconclusive",
+                c.polls_inconclusive.get(),
+                conclusions[C::Inconclusive.code() as usize],
+            ),
+            (
+                "polls_inquorate",
+                c.polls_inquorate.get(),
+                conclusions[C::Inquorate.code() as usize],
+            ),
+            (
+                "poll_votes count",
+                c.poll_votes.count(),
+                kind(K::PollOutcome),
+            ),
+            ("poll_votes sum", c.poll_votes.sum(), votes),
+            (
+                "msgs_sent",
+                c.msgs_sent.get(),
+                kind(K::MessageSend) - suppressed,
+            ),
+            ("msgs_suppressed", c.msgs_suppressed.get(), suppressed),
+            (
+                "admission_admitted",
+                c.admission_admitted.get(),
+                verdicts[V::Admitted.code() as usize],
+            ),
+            (
+                "admission_introduced",
+                c.admission_introduced.get(),
+                verdicts[V::AdmittedIntroduced.code() as usize],
+            ),
+            (
+                "admission_random_drop",
+                c.admission_random_drop.get(),
+                verdicts[V::RandomDrop.code() as usize],
+            ),
+            (
+                "admission_refractory",
+                c.admission_refractory.get(),
+                verdicts[V::Refractory.code() as usize],
+            ),
+            (
+                "admission_rate_limited",
+                c.admission_rate_limited.get(),
+                verdicts[V::RateLimited.code() as usize],
+            ),
+            ("repairs_applied", c.repairs_applied.get(), kind(K::Repair)),
+            ("damage_events", c.damage_events.get(), kind(K::Damage)),
+            ("peer_joins", c.peer_joins.get(), kind(K::PeerJoin)),
+            (
+                "adversary_actions",
+                c.adversary_actions.get(),
+                kind(K::AdversaryAction),
+            ),
+            ("compromises", c.compromises.get(), kind(K::Compromise)),
+            ("cures", c.cures.get(), kind(K::Cure)),
+            (
+                "poisoned_repairs",
+                c.poisoned_repairs.get(),
+                kind(K::PoisonedRepair),
+            ),
+        ];
+        for (handle, counted, recorded) in pairs {
+            assert_eq!(counted, recorded, "{name}: {handle}");
+        }
+        // Both runs exercise what they are named for.
+        assert!(c.polls_started.get() > 0, "{name}");
+        let exercised = match name {
+            "admission-flood" => c.admission_refractory.get() + c.admission_random_drop.get(),
+            _ => c.compromises.get().min(c.cures.get()),
+        };
+        assert!(exercised > 0, "{name}: the attack left no events");
+    }
+}

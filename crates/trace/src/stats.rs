@@ -27,6 +27,9 @@ use crate::wire::TraceError;
 /// The version string of the stats JSON document (single and aggregate).
 pub const FORMAT: &str = "lockss-trace-stats-v1";
 
+/// Admission verdict counts, indexed by verdict code.
+type VerdictCounts = [u64; AdmissionVerdict::ALL.len()];
+
 /// Bucket width for activity histograms (diffing aligns on these).
 pub(crate) const BUCKET: Duration = Duration::from_days(30);
 
@@ -61,7 +64,7 @@ pub struct TraceStats {
     /// The condensed poll-timeline view.
     pub summary: TimelineSummary,
     /// Admission verdict counts, indexed by verdict code.
-    pub admissions: [u64; 5],
+    pub admissions: VerdictCounts,
     /// Sends suppressed at the source (pipe stoppage).
     pub suppressed_sends: u64,
     /// Activity split by recorded phase marks (empty without marks).
@@ -80,7 +83,7 @@ pub struct StatsBuilder {
     kind_counts: Vec<(TraceEventKind, u64)>,
     polls: Vec<PollTimeline>,
     poll_index: std::collections::HashMap<u64, usize>,
-    admissions: [u64; 5],
+    admissions: VerdictCounts,
     suppressed_sends: u64,
     phases: Vec<PhaseSegment>,
     buckets: TimeBuckets,
@@ -97,7 +100,7 @@ impl StatsBuilder {
             kind_counts: TraceEventKind::ALL.iter().map(|&k| (k, 0)).collect(),
             polls: Vec::new(),
             poll_index: std::collections::HashMap::new(),
-            admissions: [0u64; 5],
+            admissions: VerdictCounts::default(),
             suppressed_sends: 0,
             phases: Vec::new(),
             buckets: TimeBuckets::new(BUCKET),
@@ -296,13 +299,25 @@ fn write_kinds(w: &mut Writer, kinds: &[(TraceEventKind, u64)]) {
 }
 
 /// Writes the `admissions` count object, in verdict-code order.
-fn write_admissions(w: &mut Writer, admissions: &[u64; 5]) {
+fn write_admissions(w: &mut Writer, admissions: &VerdictCounts) {
     w.key("admissions").object(Inline);
-    for (code, count) in (0..5u8).zip(admissions) {
-        let verdict = AdmissionVerdict::from_code(code).expect("code in range");
+    for (verdict, count) in AdmissionVerdict::ALL.iter().zip(admissions) {
         w.field(verdict.label(), count);
     }
     w.end();
+}
+
+/// Writes the nonzero admission verdict counts as an indented section.
+fn fmt_admissions(f: &mut std::fmt::Formatter<'_>, admissions: &VerdictCounts) -> std::fmt::Result {
+    if admissions.iter().any(|&c| c > 0) {
+        writeln!(f, "\nadmission verdicts:")?;
+        for (verdict, &count) in AdmissionVerdict::ALL.iter().zip(admissions) {
+            if count > 0 {
+                writeln!(f, "  {:<20} {count}", verdict.label())?;
+            }
+        }
+    }
+    Ok(())
 }
 
 impl std::fmt::Display for TraceStats {
@@ -337,16 +352,7 @@ impl std::fmt::Display for TraceStats {
             )?;
         }
         writeln!(f, "  repairs applied {}", s.repairs)?;
-        if self.admissions.iter().any(|&c| c > 0) {
-            writeln!(f, "\nadmission verdicts:")?;
-            for code in 0..5u8 {
-                let verdict = AdmissionVerdict::from_code(code).expect("code in range");
-                let count = self.admissions[code as usize];
-                if count > 0 {
-                    writeln!(f, "  {:<20} {count}", verdict.label())?;
-                }
-            }
-        }
+        fmt_admissions(f, &self.admissions)?;
         if self.suppressed_sends > 0 {
             writeln!(
                 f,
@@ -405,8 +411,8 @@ impl AggregateStats {
     }
 
     /// Combined admission verdict counts, indexed by verdict code.
-    pub fn total_admissions(&self) -> [u64; 5] {
-        let mut totals = [0u64; 5];
+    pub fn total_admissions(&self) -> VerdictCounts {
+        let mut totals = VerdictCounts::default();
         for (_, s) in &self.traces {
             for (i, c) in s.admissions.iter().enumerate() {
                 totals[i] += c;
@@ -486,16 +492,7 @@ impl std::fmt::Display for AggregateStats {
                 writeln!(f, "  {:<18} {count}", kind.label())?;
             }
         }
-        let admissions = self.total_admissions();
-        if admissions.iter().any(|&c| c > 0) {
-            writeln!(f, "\nadmission verdicts:")?;
-            for code in 0..5u8 {
-                let verdict = AdmissionVerdict::from_code(code).expect("code in range");
-                if admissions[code as usize] > 0 {
-                    writeln!(f, "  {:<20} {}", verdict.label(), admissions[code as usize])?;
-                }
-            }
-        }
+        fmt_admissions(f, &self.total_admissions())?;
         let suppressed = self.total_suppressed_sends();
         if suppressed > 0 {
             writeln!(f, "\nsuppressed sends (pipe stoppage): {suppressed}")?;

@@ -7,11 +7,13 @@
 //! needs no external serialization dependency and stays byte-stable
 //! across platforms.
 //!
-//! Which fields each event kind carries, in which order and encoding,
-//! is declared once, in the `payload_schema!` table below. The flat
-//! LTRC1 record and the LTRC2 per-field columns hold the same field
-//! bytes in different places, so one generated write traversal and one
-//! generated read constructor serve both.
+//! Which fields each event kind carries, in which order and with which
+//! types, is declared once, in `lockss_core::trace_event_table!`; the
+//! `payload_schema!` expansion below turns that table into the codecs,
+//! each field's type fixing its encoding. The flat LTRC1 record and the
+//! LTRC2 per-field columns hold the same field bytes in different places,
+//! so one generated write traversal and one generated read constructor
+//! serve both.
 
 use lockss_core::trace::{AdmissionVerdict, MsgKind, PollConclusion, TraceEvent, TraceEventKind};
 
@@ -314,13 +316,15 @@ impl<'a> FieldCursors<'a> for Vec<Cursor<'a>> {
     }
 }
 
-/// Expands the payload schema — each kind's fields in encoding order,
-/// each field's type fixing its encoding through [`Field`] — into the
-/// one write traversal, the one read constructor, and the two facts the
-/// column layout needs about a kind. The running `i` is a constant
-/// after inlining.
+/// Expands the event table — each kind's fields in encoding order, each
+/// field's type fixing its encoding through [`Field`] — into the one write
+/// traversal, the one read constructor, and the two facts the column
+/// layout needs about a kind. The running `i` is a constant after
+/// inlining.
 macro_rules! payload_schema {
-    ($($kind:ident { $($field:ident: $ty:ty),+ })+) => {
+    ($($(#[$doc:meta])* $kind:ident = $code:literal => $label:literal {
+        $($(#[$field_doc:meta])* $field:ident: $ty:ty,)+
+    })+) => {
         /// Encodes one event payload into `out` (the kind byte is framed
         /// by the caller).
         pub(crate) fn put_event<B: FieldBufs>(out: &mut B, event: &TraceEvent) {
@@ -371,24 +375,10 @@ macro_rules! payload_schema {
     };
 }
 
-// The payload schema, in kind-code order. This is the table in
-// docs/FORMATS.md ("Event kinds and payload schema"); a unit test below
-// holds the two to each other row by row.
-payload_schema! {
-    PollStart { peer: u32, au: u32, poll: u64 }
-    PollOutcome { peer: u32, au: u32, poll: u64, conclusion: PollConclusion, votes: u32 }
-    MessageSend { from: u32, to: u32, kind: MsgKind, au: u32, poll: u64, suppressed: bool }
-    Admission { peer: u32, poller: u64, verdict: AdmissionVerdict }
-    Damage { peer: u32, au: u32, block: u64, was_intact: bool }
-    Repair { peer: u32, au: u32, poll: u64, block: u64, intact_after: bool }
-    AdversaryTimer { channel: u64, tag: u64 }
-    AdversaryAction { channel: u64, label: String, magnitude: u64 }
-    PeerJoin { peer: u32 }
-    PhaseMark { label: String }
-    Compromise { peer: u32, corrupted: u64 }
-    Cure { peer: u32, residual: u64 }
-    PoisonedRepair { peer: u32, au: u32, poll: u64, block: u64, server: u32 }
-}
+// The payload schema is the event table, in kind-code order. Its rows
+// are the table in docs/FORMATS.md ("Event kinds and payload schema"); a
+// unit test below holds the two to each other row by row.
+lockss_core::trace_event_table!(payload_schema);
 
 #[cfg(test)]
 mod tests {
