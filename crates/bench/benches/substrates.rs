@@ -97,14 +97,6 @@ fn bench_schedule(h: &mut Harness) {
 
 fn bench_replica(h: &mut Harness) {
     let mut a = Replica::pristine();
-    a.damage(17);
-    a.damage(401);
-    let other: Vec<u64> = vec![17, 350];
-    h.bench("replica/disagreements sparse", move || {
-        black_box(a.disagreeing_blocks(&other))
-    });
-
-    let mut a = Replica::pristine();
     for i in 0..16 {
         a.damage(i * 31);
     }

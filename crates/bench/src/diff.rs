@@ -225,7 +225,7 @@ pub fn diff_benches(base: &[ParsedBench], new: &[ParsedBench]) -> DiffReport {
 }
 
 /// True if `name` matches `pattern`: exact, or prefix when the pattern
-/// ends with `*` (`"realproto/*"`, `"fig*"`).
+/// ends with `*` (`"world/scale*"`, `"fig*"`).
 fn name_matches(pattern: &str, name: &str) -> bool {
     match pattern.strip_suffix('*') {
         Some(prefix) => name.starts_with(prefix),
@@ -234,13 +234,7 @@ fn name_matches(pattern: &str, name: &str) -> bool {
 }
 
 /// The hot benches the CI regression gate protects, as name patterns.
-pub const GATED_BENCHES: [&str; 5] = [
-    "world/simulate*",
-    "world/scale*",
-    "realproto/*",
-    "fig*",
-    "run/untraced",
-];
+pub const GATED_BENCHES: [&str; 4] = ["world/simulate*", "world/scale*", "fig*", "run/untraced"];
 
 #[cfg(test)]
 mod tests {
@@ -333,20 +327,20 @@ mod tests {
     #[test]
     fn gate_matches_patterns_and_threshold() {
         let base = vec![
-            bench("realproto/full exchange (intact)", 100.0),
+            bench("world/scale 10k peers", 100.0),
             bench("world/simulate 30 days", 100.0),
             bench("engine/schedule+run", 100.0),
         ];
         let new = vec![
-            bench("realproto/full exchange (intact)", 140.0),
+            bench("world/scale 10k peers", 140.0),
             bench("world/simulate 30 days", 100.0 * (1.0 + FLOOR * 0.9)),
             bench("engine/schedule+run", 300.0),
         ];
         let failures = diff_benches(&base, &new).gate_failures();
-        // realproto +40% trips; world/simulate is inside the floor; the
+        // world/scale +40% trips; world/simulate is inside the floor; the
         // engine bench is not gated at all.
         assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].starts_with("realproto/full exchange (intact) slowed +40.0%"));
+        assert!(failures[0].starts_with("world/scale 10k peers slowed +40.0%"));
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //! `criterion`), plus the benchmarks under `benches/`:
 //!
 //! - `substrates`: event queue, RNG, network delay, schedule, damage sets;
-//! - `protocol`: SHA-256, MBF prove/verify, sessions, the real-mode
-//!   exchange, and whole-world simulation steps;
+//! - `protocol`: SHA-256 and whole-world simulation steps;
 //! - `figures`: one smoke-scale benchmark per paper table/figure (the full
 //!   sweeps are `lockss-sim figure <id>`);
 //! - `trace`, `scale`, `obs`: the trace layer, 10k-peer worlds, and the

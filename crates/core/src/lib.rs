@@ -39,7 +39,6 @@ pub mod msg;
 pub mod obs;
 pub mod peer;
 pub mod poller;
-pub mod realproto;
 pub mod reflist;
 pub mod reputation;
 pub mod schedule;

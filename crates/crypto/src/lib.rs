@@ -1,29 +1,11 @@
-//! Cryptographic substrate for the LOCKSS attrition reproduction.
+//! SHA-256 for the LOCKSS attrition reproduction.
 //!
-//! Everything here is implemented from scratch (the offline dependency
-//! policy bans third-party crypto crates):
-//!
-//! - [`mod@sha256`]: FIPS 180-4 SHA-256, used for content hashing and votes in
-//!   "real mode" (the simulator charges *time* for hashing instead, exactly
-//!   as the paper's Narses runs did, but the real thing exists and is
-//!   exercised by tests and examples).
-//! - [`hmac`]: HMAC-SHA-256 for the toy authenticated session channel.
-//! - [`mbf`]: a memory-bound function in the spirit of Dwork–Goldberg–Naor,
-//!   providing provable effort with a verification cost that is a large
-//!   constant fraction of generation cost, plus the 160-bit unforgeable
-//!   *byproduct* that the protocol reuses as the evaluation receipt
-//!   (paper §5.1).
-//! - [`prg`]: a tiny deterministic generator for synthesizing archival-unit
-//!   block content in real-mode tests.
-//!
-//! None of this is production cryptography; it is a faithful, testable
-//! substrate for a simulation study.
+//! [`mod@sha256`] is FIPS 180-4 SHA-256, implemented from scratch (the
+//! offline dependency policy bans third-party crypto crates). It seals
+//! recorded traces and fingerprints the golden scenario pins. The
+//! simulator itself never hashes: it charges *time* for hashing and effort
+//! proofs, exactly as the paper's Narses runs did.
 
-pub mod hmac;
-pub mod mbf;
-pub mod prg;
 pub mod sha256;
 
-pub use hmac::hmac_sha256;
-pub use mbf::{MbfParams, MbfProof, MbfPuzzle};
 pub use sha256::{sha256, Sha256};

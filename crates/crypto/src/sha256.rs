@@ -9,9 +9,7 @@
 //! the only per-block memory traffic is the sixteen schedule loads.
 //! `finalize` assembles the padding in place (one compress call for short
 //! tails, two when the length field doesn't fit) instead of feeding padding
-//! bytes through `update` one at a time; vote hashing clones and finalizes a
-//! running hasher at every block boundary, which makes finalize itself a
-//! hot path.
+//! bytes through `update` one at a time.
 //!
 //! On x86-64 machines with the SHA extensions (detected once at runtime,
 //! cached by `is_x86_feature_detected!`), multi-block runs go through the

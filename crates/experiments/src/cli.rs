@@ -12,6 +12,7 @@
 use crate::figures;
 use crate::scale::Scale;
 use crate::sweep::{parse_seed_range, parse_shard_arg, MAX_SEEDS};
+use lockss_sim::Duration;
 
 /// What a flag takes.
 #[derive(Clone, Copy, Debug)]
@@ -22,8 +23,9 @@ pub enum Ty {
     Text,
     /// A non-negative integer, described by the text in diagnostics.
     Num(&'static str),
-    /// An integer ≥ 1, described by the text in diagnostics.
-    Positive(&'static str),
+    /// A day count from 1 to the most days simulated time holds
+    /// ([`Duration::max_count`]).
+    Days,
     /// A seed count `K` (seeds `1..=K`), at most [`MAX_SEEDS`].
     SeedCount,
     /// Seeds: a count `K` (seeds `1..=K`) or an inclusive range `A..B`,
@@ -84,7 +86,6 @@ mod table {
     const MERGED_OUT: Flag = flag("--out", "<path>", Ty::Text, "merged report path (default results/sweep-<name>.json)");
     const JSON: Flag = switch("--json", "print the JSON report to stdout");
     const COUNT: Ty = Ty::Num("a number");
-    const DAYS: Ty = Ty::Positive("a positive day count");
 
     /// Every verb `lockss-sim` has, in help order.
     pub const VERBS: &[Verb] = &[
@@ -141,9 +142,9 @@ mod table {
             about: "mobile-takeover recovery threshold study: time-to-heal and a heals/data-loss verdict per budget", flags: &[
             flag("--budgets", "<B,...>", Ty::Budgets, "concurrency budgets, one row each"),
             flag("--seeds", "<K|A..B>", Ty::Seeds, "seeds per budget"),
-            flag("--attack-days", "<N>", DAYS, "campaign length in days"),
-            flag("--heal-window", "<N>", DAYS, "days the world may keep repairing after the campaign"),
-            flag("--period", "<N>", DAYS, "migration period in days"),
+            flag("--attack-days", "<N>", Ty::Days, "campaign length in days"),
+            flag("--heal-window", "<N>", Ty::Days, "days the world may keep repairing after the campaign"),
+            flag("--period", "<N>", Ty::Days, "migration period in days"),
             THREADS,
             flag("--out", "<path>", Ty::Text, "report path (default results/recovery-threshold.txt)"),
         ], ..VERB },
@@ -162,7 +163,7 @@ mod table {
         Verb { path: "trace export", operands: "<trace>", count: (1, 1), about: "dense CSV timeline of the event stream", flags: &[
             THREADS,
             flag("--csv", "<path>", Ty::Text, "write the CSV to <path> instead of stdout"),
-            flag("--bucket-days", "<N>", Ty::Num("a day count"), "row width in days (default 1)"),
+            flag("--bucket-days", "<N>", Ty::Days, "row width in days (default 1)"),
         ], ..VERB },
         Verb { path: "bench diff", operands: "<base> <new>...", count: (2, ANY),
             about: "compare bench reports median-vs-median, each line against its own noise band", flags: &[
@@ -228,9 +229,9 @@ impl Ty {
         Ok(match self {
             Ty::Switch | Ty::Text => Value::Text,
             Ty::Num(what) => Value::Nums(vec![raw.parse().map_err(|_| wants(what))?]),
-            Ty::Positive(what) => match raw.parse() {
-                Ok(n) if n > 0 => Value::Nums(vec![n]),
-                _ => return Err(wants(what)),
+            Ty::Days => match (raw.parse(), Duration::max_count(Duration::DAY)) {
+                (Ok(n), max) if (1..=max).contains(&n) => Value::Nums(vec![n]),
+                (_, max) => return Err(wants(&format!("a positive day count of at most {max}"))),
             },
             Ty::SeedCount => match raw.parse() {
                 Ok(k) if (1..=MAX_SEEDS).contains(&k) => Value::Nums(vec![k]),
@@ -466,7 +467,7 @@ mod tests {
             ),
             (
                 "sweep recovery --period 0",
-                "--period wants a positive day count, got '0'",
+                "--period wants a positive day count of at most 213503982334, got '0'",
             ),
             (
                 "sweep recovery --budgets 2,x",

@@ -305,7 +305,7 @@ impl ScenarioSpec {
             description: str_field(root, "description", "description")?.to_string(),
             paper_ref: str_field(root, "paper_ref", "paper_ref")?.to_string(),
             world: decode_world(require(root, "world", "world")?)?,
-            attack: decode_attack(require(root, "attack", "attack")?, "attack")?,
+            attack: decode_attack(require(root, "attack", "attack")?, "attack", 0)?,
         })
     }
 
@@ -508,6 +508,29 @@ fn u64_field(fields: &[(String, Value)], key: &str, path: &str) -> Result<u64, S
         .map_err(|m| field_err(path, m))
 }
 
+/// `n` as a count of `unit`s, refused when its milliseconds do not fit in
+/// simulated time ([`Duration::max_count`]).
+fn span(n: u64, unit: Duration, path: &str) -> Result<u64, SpecError> {
+    let max = Duration::max_count(unit);
+    if n > max {
+        return Err(field_err(
+            path,
+            format!("{n} × {unit} overflows simulated time (at most {max})"),
+        ));
+    }
+    Ok(n)
+}
+
+/// A `u64_field` counted in `unit`s, bounded by [`span`].
+fn span_field(
+    fields: &[(String, Value)],
+    key: &str,
+    path: &str,
+    unit: Duration,
+) -> Result<u64, SpecError> {
+    span(u64_field(fields, key, path)?, unit, path)
+}
+
 fn decode_world(v: &Value) -> Result<WorldSpec, SpecError> {
     let fields = expect_object(v, "world")?;
     reject_unknown(
@@ -573,10 +596,12 @@ fn decode_world(v: &Value) -> Result<WorldSpec, SpecError> {
             require(fields, "poll_months", "world")?;
             None
         }
-        Some(v) => Some(
+        Some(v) => Some(span(
             v.as_u64("poll_months")
                 .map_err(|m| field_err("world.poll_months", m))?,
-        ),
+            Duration::MONTH,
+            "world.poll_months",
+        )?),
     };
     let run = match require(fields, "run_days", "world")? {
         Value::Str(s) if s == "scale" => RunSpec::Scale,
@@ -588,16 +613,19 @@ fn decode_world(v: &Value) -> Result<WorldSpec, SpecError> {
         }
         Value::Obj(per) => {
             reject_unknown(per, &["quick", "default", "paper"], "world.run_days")?;
+            let day = Duration::DAY;
             RunSpec::PerScale {
-                quick: u64_field(per, "quick", "world.run_days.quick")?,
-                default: u64_field(per, "default", "world.run_days.default")?,
-                paper: u64_field(per, "paper", "world.run_days.paper")?,
+                quick: span_field(per, "quick", "world.run_days.quick", day)?,
+                default: span_field(per, "default", "world.run_days.default", day)?,
+                paper: span_field(per, "paper", "world.run_days.paper", day)?,
             }
         }
-        n => RunSpec::Days(
+        n => RunSpec::Days(span(
             n.as_u64("run_days")
                 .map_err(|m| field_err("world.run_days", m))?,
-        ),
+            Duration::DAY,
+            "world.run_days",
+        )?),
     };
     Ok(WorldSpec {
         peers,
@@ -609,7 +637,9 @@ fn decode_world(v: &Value) -> Result<WorldSpec, SpecError> {
     })
 }
 
-fn decode_attack(v: &Value, path: &str) -> Result<AttackSpec, SpecError> {
+/// Decodes the attack at `path`, which a composite ancestor starts
+/// `start_days` into the run.
+fn decode_attack(v: &Value, path: &str, start_days: u64) -> Result<AttackSpec, SpecError> {
     let fields = expect_object(v, path)?;
     let kind = str_field(fields, "kind", path)?;
     let only = |allowed: &[&str]| reject_unknown(fields, allowed, path);
@@ -623,14 +653,14 @@ fn decode_attack(v: &Value, path: &str) -> Result<AttackSpec, SpecError> {
             only(&["kind", "coverage", "days"])?;
             Ok(AttackSpec::PipeStoppage {
                 coverage: f64_field(fields, "coverage", &sub("coverage"))?,
-                days: u64_field(fields, "days", &sub("days"))?,
+                days: span_field(fields, "days", &sub("days"), Duration::DAY)?,
             })
         }
         "admission-flood" => {
             only(&["kind", "coverage", "days"])?;
             Ok(AttackSpec::AdmissionFlood {
                 coverage: f64_field(fields, "coverage", &sub("coverage"))?,
-                days: u64_field(fields, "days", &sub("days"))?,
+                days: span_field(fields, "days", &sub("days"), Duration::DAY)?,
             })
         }
         "brute-force" => {
@@ -655,7 +685,7 @@ fn decode_attack(v: &Value, path: &str) -> Result<AttackSpec, SpecError> {
                 .map_err(|_| field_err(&sub("votes_per_wave"), "does not fit in u32"))?;
             Ok(AttackSpec::VoteFlood {
                 votes_per_wave: votes,
-                wave_hours: u64_field(fields, "wave_hours", &sub("wave_hours"))?,
+                wave_hours: span_field(fields, "wave_hours", &sub("wave_hours"), Duration::HOUR)?,
             })
         }
         "churn-storm" => {
@@ -669,7 +699,7 @@ fn decode_attack(v: &Value, path: &str) -> Result<AttackSpec, SpecError> {
             only(&["kind", "step", "step_days"])?;
             Ok(AttackSpec::SybilRamp {
                 step: f64_field(fields, "step", &sub("step"))?,
-                step_days: u64_field(fields, "step_days", &sub("step_days"))?,
+                step_days: span_field(fields, "step_days", &sub("step_days"), Duration::DAY)?,
             })
         }
         "mobile-takeover" => {
@@ -688,7 +718,12 @@ fn decode_attack(v: &Value, path: &str) -> Result<AttackSpec, SpecError> {
                     }
                     None
                 }
-                "fixed" => Some(u64_field(fields, "period_days", &sub("period_days"))?),
+                "fixed" => Some(span_field(
+                    fields,
+                    "period_days",
+                    &sub("period_days"),
+                    Duration::DAY,
+                )?),
                 other => {
                     return Err(field_err(
                         &sub("cadence"),
@@ -712,12 +747,16 @@ fn decode_attack(v: &Value, path: &str) -> Result<AttackSpec, SpecError> {
                 let member_path = format!("{members_path}[{i}]");
                 let member = expect_object(item, &member_path)?;
                 reject_unknown(member, &["start_days", "attack"], &member_path)?;
-                let start_days = u64_field(member, "start_days", &member_path)?;
+                let start = u64_field(member, "start_days", &member_path)?;
+                // Offsets add up along the compose path; their sum must fit.
+                let at = format!("{member_path}.start_days");
+                span(start_days.saturating_add(start), Duration::DAY, &at)?;
                 let attack = decode_attack(
                     require(member, "attack", &member_path)?,
                     &format!("{member_path}.attack"),
+                    start_days + start,
                 )?;
-                members.push(phased(start_days, attack));
+                members.push(phased(start, attack));
             }
             Ok(AttackSpec::Compose(members))
         }
@@ -917,6 +956,91 @@ mod tests {
         let doc = base.to_json().replace("    \"peers\": \"scale\",\n", "");
         let err = ScenarioSpec::from_json(&doc).unwrap_err();
         assert!(err.message.contains("missing field 'peers'"), "{err}");
+
+        // A count whose milliseconds overflow simulated time used to wrap
+        // into a horizon of a fraction of a day; one past the bound is
+        // refused at its path, the bound itself decodes.
+        let max = Duration::max_count(Duration::DAY);
+        let run_days = |n: String| base.to_json().replace("\"run_days\": \"scale\"", &n);
+        for (doc, path) in [
+            (
+                run_days(format!("\"run_days\": {}", max + 1)),
+                "world.run_days",
+            ),
+            (
+                run_days(format!(
+                    "\"run_days\": {{\"quick\": 1, \"default\": 1, \"paper\": {}}}",
+                    max + 1
+                )),
+                "world.run_days.paper",
+            ),
+            (
+                base.to_json().replace(
+                    "\"poll_months\": null",
+                    &format!(
+                        "\"poll_months\": {}",
+                        Duration::max_count(Duration::MONTH) + 1
+                    ),
+                ),
+                "world.poll_months",
+            ),
+        ] {
+            let err = ScenarioSpec::from_json(&doc).unwrap_err();
+            assert_eq!(err.path, path, "{err}");
+            assert!(err.message.contains("overflows simulated time"), "{err}");
+        }
+        let at_bound = run_days(format!("\"run_days\": {max}"));
+        ScenarioSpec::from_json(&at_bound).expect("the bound itself fits");
+    }
+
+    /// Every day, hour and start offset of an attack is bounded the same
+    /// way, start offsets by their sum along the compose path.
+    #[test]
+    fn attack_spans_that_overflow_simulated_time_name_the_field() {
+        let day = Duration::max_count(Duration::DAY);
+        let hour = Duration::max_count(Duration::HOUR);
+        let flood = "{\"kind\": \"admission-flood\", \"coverage\": 0.5, \"days\": 30}";
+        for (attack, path) in [
+            (
+                format!("{{\"kind\": \"pipe-stoppage\", \"coverage\": 1, \"days\": {}}}", day + 1),
+                "attack.days",
+            ),
+            (
+                format!("{{\"kind\": \"vote-flood\", \"votes_per_wave\": 3, \"wave_hours\": {}}}", hour + 1),
+                "attack.wave_hours",
+            ),
+            (
+                format!("{{\"kind\": \"sybil-ramp\", \"step\": 0.1, \"step_days\": {}}}", day + 1),
+                "attack.step_days",
+            ),
+            (
+                format!(
+                    "{{\"kind\": \"mobile-takeover\", \"budget\": 3, \"cadence\": \"fixed\", \
+                     \"period_days\": {}}}",
+                    day + 1
+                ),
+                "attack.period_days",
+            ),
+            (
+                format!(
+                    "{{\"kind\": \"compose\", \"members\": [{{\"start_days\": {}, \"attack\": {flood}}}]}}",
+                    day + 1
+                ),
+                "attack.members[0].start_days",
+            ),
+            // Each offset fits; their sum does not.
+            (
+                format!(
+                    "{{\"kind\": \"compose\", \"members\": [{{\"start_days\": {day}, \"attack\": \
+                     {{\"kind\": \"compose\", \"members\": [{{\"start_days\": 1, \"attack\": {flood}}}]}}}}]}}"
+                ),
+                "attack.members[0].attack.members[0].start_days",
+            ),
+        ] {
+            let err = mobile(&attack).unwrap_err();
+            assert_eq!(err.path, path, "{err}");
+            assert!(err.message.contains("overflows simulated time"), "{err}");
+        }
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn unknown_scale_names_exit_2_with_the_accepted_names() {
 /// the offending value.
 #[test]
 fn numeric_flag_typos_exit_2_naming_the_flag_and_the_value() {
-    let cases: [(&[&str], &str, &str); 11] = [
+    let cases: [(&[&str], &str, &str); 16] = [
         (&["run", "baseline", "--seed", "banana"], "--seed", "banana"),
         (&["run", "baseline", "--seeds", "x"], "--seeds", "x"),
         // Seed lists are materialised: a huge count or range used to abort
@@ -94,6 +94,34 @@ fn numeric_flag_typos_exit_2_naming_the_flag_and_the_value() {
             &["trace", "diff", "a.bin", "b.bin", "--threads", "-1"],
             "--threads",
             "-1",
+        ),
+        // A day count whose milliseconds overflow simulated time used to
+        // wrap (or panic under overflow checks); `--bucket-days 0` was
+        // silently widened to one day.
+        (
+            &["sweep", "recovery", "--attack-days", "213503982335"],
+            "--attack-days",
+            "213503982335",
+        ),
+        (
+            &["sweep", "recovery", "--heal-window", "18446744073709551615"],
+            "--heal-window",
+            "18446744073709551615",
+        ),
+        (
+            &["sweep", "recovery", "--period", "213503982335"],
+            "--period",
+            "213503982335",
+        ),
+        (
+            &["trace", "export", "t.bin", "--bucket-days", "0"],
+            "--bucket-days",
+            "0",
+        ),
+        (
+            &["trace", "export", "t.bin", "--bucket-days", "213503982335"],
+            "--bucket-days",
+            "213503982335",
         ),
     ];
     for (args, flag, value) in cases {
@@ -365,12 +393,25 @@ fn run_file_escapes_the_scenario_strings_in_its_json_report() {
 
 /// A file nested 50,000 brackets deep used to overflow the reader's stack
 /// and abort the process. It is a bad file like any other: exit 1, the
-/// file named, the nesting limit the reason.
+/// file named, the nesting limit the reason. So is a `run_days` whose
+/// milliseconds overflow simulated time, which used to validate `ok` and
+/// then run a fraction of a day.
 #[test]
 fn validate_reports_a_pathologically_nested_file_instead_of_overflowing() {
     let dir = temp_dir("deep-nesting");
-    for (name, open) in [("arrays.json", "["), ("objects.json", "{\"a\":")] {
-        std::fs::write(dir.join(name), open.repeat(50_000)).unwrap();
+    let campaign = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/campaign.json"
+    ))
+    .unwrap();
+    let endless = campaign.replace("\"run_days\": 360", "\"run_days\": 213503982335");
+    assert_ne!(endless, campaign, "examples/campaign.json sets run_days");
+    for (name, text, reason) in [
+        ("arrays.json", "[".repeat(50_000), "nesting too deep"),
+        ("objects.json", "{\"a\":".repeat(50_000), "nesting too deep"),
+        ("endless.json", endless, "overflows simulated time"),
+    ] {
+        std::fs::write(dir.join(name), text).unwrap();
         let out = lockss_sim(&["validate", name])
             .current_dir(&dir)
             .output()
@@ -378,7 +419,7 @@ fn validate_reports_a_pathologically_nested_file_instead_of_overflowing() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert_eq!(out.status.code(), Some(1), "{name}: {}", stderr(&out));
         assert!(
-            stdout.contains(name) && stdout.contains("nesting too deep"),
+            stdout.contains(name) && stdout.contains(reason),
             "{name}: {stdout}"
         );
     }

@@ -14,12 +14,7 @@
 //!   victim nodes: sends fail at origination and in-flight checks let the
 //!   caller drop deliveries that would land during stoppage;
 //! - per-node traffic accounting feeds the metrics crate.
-//!
-//! The crate also provides the [`session`] module: a toy authenticated
-//! channel standing in for the paper's TLS-over-anonymous-Diffie-Hellman
-//! sessions, whose cost shows up in the effort model.
 
-pub mod session;
 pub mod topology;
 
 pub use topology::{LinkSpec, Network, NodeId, TrafficStats};

@@ -45,8 +45,8 @@ const SPARSE_SAMPLE_THRESHOLD: usize = 2048;
 /// The splitmix64 state increment (2^64 / φ, forced odd).
 const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// The splitmix64 output finalizer (same idiom as `lockss-crypto`'s
-/// content PRG): multiply-xorshift avalanche of Stafford's "mix13".
+/// The splitmix64 output finalizer: multiply-xorshift avalanche of
+/// Stafford's "mix13".
 fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -70,6 +70,13 @@ impl Duration {
         Duration(d * 24 * 60 * 60 * 1_000)
     }
 
+    /// The most whole `unit`s whose milliseconds fit in [`SimTime`]. Day
+    /// (hour, month) counts read from scenario files and the command line
+    /// above it are refused rather than wrapped.
+    pub const fn max_count(unit: Duration) -> u64 {
+        u64::MAX / unit.0
+    }
+
     /// The duration in milliseconds.
     pub const fn as_millis(self) -> u64 {
         self.0
@@ -315,6 +322,15 @@ mod tests {
         assert_eq!(Duration::from_millis(2_587_889_794).to_string(), "30.0d");
         let ninety_minutes_ish = Duration::from_millis(90 * 60 * 1000 + 1);
         assert_eq!(ninety_minutes_ish.to_string(), "1.5h");
+    }
+
+    #[test]
+    fn max_count_is_the_last_count_that_fits() {
+        let days = Duration::max_count(Duration::DAY);
+        assert_eq!(days, 213_503_982_334);
+        assert!(days.checked_mul(Duration::DAY.0).is_some());
+        assert!((days + 1).checked_mul(Duration::DAY.0).is_none());
+        assert_eq!(Duration::max_count(Duration::MILLISECOND), u64::MAX);
     }
 
     #[test]

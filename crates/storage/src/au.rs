@@ -84,34 +84,11 @@ impl Replica {
         self.damaged.remove(&block)
     }
 
-    /// Iterates damaged block indices in ascending order.
-    pub fn damaged_blocks(&self) -> impl Iterator<Item = u64> + '_ {
-        self.damaged.iter().copied()
-    }
-
     /// Snapshot of the damage set (what a vote effectively encodes: the
     /// voter's per-block hashes differ from canonical exactly on these
     /// blocks).
     pub fn snapshot(&self) -> Vec<u64> {
         self.damaged.iter().copied().collect()
-    }
-
-    /// Blocks on which `self` and `other` disagree: exactly the symmetric
-    /// difference of the damage sets, since damaged content is garbage and
-    /// never collides.
-    pub fn disagreeing_blocks(&self, other_damage: &[u64]) -> Vec<u64> {
-        let other: BTreeSet<u64> = other_damage.iter().copied().collect();
-        self.damaged.symmetric_difference(&other).copied().collect()
-    }
-
-    /// True if the two replicas would produce identical votes.
-    pub fn agrees_with(&self, other_damage: &[u64]) -> bool {
-        self.damaged.len() == other_damage.len()
-            && self
-                .damaged
-                .iter()
-                .copied()
-                .eq(other_damage.iter().copied())
     }
 }
 
@@ -137,25 +114,6 @@ mod tests {
         assert!(r.repair(7));
         assert!(!r.repair(7), "double repair is idempotent");
         assert!(r.is_intact());
-    }
-
-    #[test]
-    fn disagreement_is_symmetric_difference() {
-        let mut a = Replica::pristine();
-        a.damage(1);
-        a.damage(2);
-        let other = vec![2, 3];
-        assert_eq!(a.disagreeing_blocks(&other), vec![1, 3]);
-    }
-
-    #[test]
-    fn identical_damage_agrees() {
-        let mut a = Replica::pristine();
-        a.damage(5);
-        assert!(a.agrees_with(&[5]));
-        assert!(!a.agrees_with(&[]));
-        assert!(!a.agrees_with(&[5, 6]));
-        assert!(Replica::pristine().agrees_with(&[]));
     }
 
     #[test]
@@ -192,30 +150,8 @@ mod proptests {
         rng.sample(&blocks, k)
     }
 
-    /// Disagreement is symmetric: A vs B's snapshot equals B vs A's.
-    #[test]
-    fn disagreement_symmetric() {
-        let mut rng = SimRng::seed_from_u64(0x0061_7501);
-        for _ in 0..256 {
-            let da = random_damage(&mut rng);
-            let db = random_damage(&mut rng);
-            let mut a = Replica::pristine();
-            for b in &da {
-                a.damage(*b);
-            }
-            let mut b = Replica::pristine();
-            for x in &db {
-                b.damage(*x);
-            }
-            assert_eq!(
-                a.disagreeing_blocks(&b.snapshot()),
-                b.disagreeing_blocks(&a.snapshot())
-            );
-        }
-    }
-
-    /// Repairing every disagreeing block from an intact reference
-    /// restores agreement.
+    /// Repairing every block of the damage snapshot restores a replica
+    /// equal to a pristine one.
     #[test]
     fn repair_restores_agreement() {
         let mut rng = SimRng::seed_from_u64(0x0061_7502);
@@ -225,12 +161,11 @@ mod proptests {
             for b in &da {
                 a.damage(*b);
             }
-            let reference = Replica::pristine();
-            for blk in a.disagreeing_blocks(&reference.snapshot()) {
-                a.repair(blk);
+            for blk in a.snapshot() {
+                assert!(a.repair(blk));
             }
-            assert!(a.agrees_with(&reference.snapshot()));
             assert!(a.is_intact());
+            assert_eq!(a, Replica::pristine());
         }
     }
 }

@@ -10,11 +10,9 @@
 //!
 //! Replicas are represented as sparse *damage sets* over block indices: two
 //! replicas agree on a block iff neither has damaged it (damage produces
-//! garbage, and two garbage blocks never collide). Real content and hashes
-//! exist behind the [`content`] module for real-mode tests.
+//! garbage, and two garbage blocks never collide).
 
 pub mod au;
-pub mod content;
 pub mod damage;
 
 pub use au::{AuId, AuSpec, Replica};

@@ -5,7 +5,7 @@
 //!
 //! - [`sim`]: discrete-event engine, simulated time, seeded RNG;
 //! - [`net`]: flow-level network with pipe-stoppage modelling;
-//! - [`crypto`]: SHA-256, HMAC, memory-bound effort proofs (real mode);
+//! - [`crypto`]: SHA-256 for trace seals and golden digests;
 //! - [`effort`]: the calibrated effort cost model and ledgers;
 //! - [`storage`]: archival units, replicas, bit-rot damage;
 //! - [`core`]: the audit/repair protocol with the attrition defenses;
