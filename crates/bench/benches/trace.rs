@@ -10,16 +10,14 @@
 use std::hint::black_box;
 
 use lockss_bench::Harness;
-use lockss_core::trace::{TraceEventKind, TraceSink};
+use lockss_core::trace::TraceSink;
 use lockss_core::World;
 use lockss_crypto::sha256::sha256;
 use lockss_experiments::runner::{replay_once, run, run_once, RunOptions};
 use lockss_experiments::scenario::{AttackSpec, Scenario};
 use lockss_experiments::Scale;
 use lockss_sim::{Duration, Engine, SimTime};
-use lockss_trace::{
-    trace_stats, trace_stats_threaded, Recorder, RecorderV1, TraceMeta, DEFAULT_BLOCK_EVENTS,
-};
+use lockss_trace::{trace_stats, trace_stats_threaded, Recorder, TraceMeta, DEFAULT_BLOCK_EVENTS};
 
 fn smoke(attack: AttackSpec) -> Scenario {
     let mut s = Scenario::attacked(Scale::Quick, 2, attack);
@@ -118,16 +116,8 @@ fn main() {
         });
     }
 
-    // The recorded stream, for the wire-substrate lines below. `v1_len` is
-    // the same stream as an LTRC1 file, for the size line at the end.
+    // The recorded stream, for the wire-substrate lines below.
     let records = trace.decode_all().expect("decodes");
-    let v1_len = {
-        let mut rec = RecorderV1::new(&m);
-        for r in &records {
-            rec.record(r.at, r.seq, &r.event);
-        }
-        rec.finish().len()
-    };
 
     // The block-parallel pass, where it has blocks to hand out: the
     // recorded stream laid end to end until it fills eight default
@@ -156,8 +146,8 @@ fn main() {
         );
     }
 
-    // The wire substrate: the recorded stream re-encoded, decoded, and
-    // seek/skip-decoded.
+    // The wire substrate: the recorded stream re-encoded (its decode is
+    // `trace/decode-all` above).
     {
         let m = m.clone();
         h.bench("trace/encode-v2", move || {
@@ -166,25 +156,6 @@ fn main() {
                 rec.record(r.at, r.seq, &r.event);
             }
             black_box(rec.finish())
-        });
-    }
-    {
-        let trace = trace.clone();
-        h.bench("trace/decode-v2", move || {
-            black_box(trace.decode_all().expect("decodes"))
-        });
-    }
-    // Seek/skip: materialize only the poll events. The index skips whole
-    // payload columns without decompressing them.
-    {
-        let mask = TraceEventKind::PollStart.bit() | TraceEventKind::PollOutcome.bit();
-        let trace = trace.clone();
-        h.bench("trace/seek-skip-v2", move || {
-            let mut polls = Vec::new();
-            for b in 0..trace.blocks().len() {
-                polls.extend(trace.decode_block_masked(b, mask).expect("decodes"));
-            }
-            black_box(polls)
         });
     }
 
@@ -212,12 +183,5 @@ fn main() {
         median("trace/stats-pass 8 blocks @1") / median("trace/stats-pass 8 blocks @2"),
         long_trace.blocks().len(),
         long_trace.events(),
-    );
-    println!(
-        "trace/size: LTRC1 {} bytes -> LTRC2 {} bytes ({:.2}x smaller on \
-         this stream; the ratio grows with run length as columns fill)",
-        v1_len,
-        trace.as_bytes().len(),
-        v1_len as f64 / trace.as_bytes().len() as f64,
     );
 }

@@ -16,7 +16,6 @@
 //! cargo run --release --bin lockss-sim -- replay t.bin
 //! cargo run --release --bin lockss-sim -- trace diff a.bin b.bin
 //! cargo run --release --bin lockss-sim -- trace stats traces/*.bin
-//! cargo run --release --bin lockss-sim -- trace convert old-v1.bin new-v2.bin
 //! cargo run --release --bin lockss-sim -- trace export t.bin --csv timeline.csv
 //! cargo run --release --bin lockss-sim -- sweep baseline --record traces/
 //! cargo run --release --bin lockss-sim -- figure fig3 fig4 fig5 --scale quick
@@ -133,7 +132,6 @@ fn main() {
                 }
             }
         }
-        "trace convert" => trace_convert(&ops[0], &ops[1]),
         "trace export" => {
             let bucket_days = inv.num("--bucket-days").unwrap_or(1);
             let csv = export_csv(&load_trace(&ops[0]), threads, bucket_days)
@@ -703,27 +701,6 @@ fn mem_report(seed: u64, occupancy: &Occupancy) {
 
 fn load_trace(path: &str) -> Trace {
     Trace::read_from(Path::new(path)).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")))
-}
-
-/// Rewrites a trace file in the block-columnar `LTRC2` wire and reports
-/// the size change. Reading is the conversion: an `LTRC1` input is
-/// imported by `Trace::from_bytes`, an `LTRC2` one is copied verbatim.
-fn trace_convert(input: &str, output: &str) {
-    let file = std::fs::read(input).unwrap_or_else(|e| fail(&format!("reading {input}: {e}")));
-    let from_len = file.len();
-    let trace =
-        Trace::from_bytes(file).unwrap_or_else(|e| fail(&format!("converting {input}: {e}")));
-    write_file(output, trace.as_bytes());
-    let to_len = trace.as_bytes().len();
-    println!(
-        "converted {input} ({} event(s)): {} {from_len} bytes -> LTRC2 {to_len} bytes \
-         ({:.2}x), content hash {}",
-        trace.events(),
-        trace.wire(),
-        from_len as f64 / to_len.max(1) as f64,
-        trace.content_hash()
-    );
-    println!("wrote {output}");
 }
 
 /// Re-drives a recorded trace's scenario and verifies equivalence. Exits 0

@@ -158,8 +158,6 @@ mod table {
         Verb { path: "trace stats", operands: "<trace>...", count: (1, ANY),
             about: "per-poll/per-phase timelines of one trace, or an aggregate over many",
             flags: &[THREADS, switch("--json", "print lockss-trace-stats-v1 JSON instead of tables")], ..VERB },
-        Verb { path: "trace convert", operands: "<in> <out>", count: (2, 2),
-            about: "rewrite a trace (either wire) in the block-columnar LTRC2 wire", ..VERB },
         Verb { path: "trace export", operands: "<trace>", count: (1, 1), about: "dense CSV timeline of the event stream", flags: &[
             THREADS,
             flag("--csv", "<path>", Ty::Text, "write the CSV to <path> instead of stdout"),
@@ -451,7 +449,7 @@ mod tests {
             ("describe", "describe: missing <name>"),
             ("describe a b", "unexpected operand 'b'"),
             ("run --file c.json x", "unexpected operand 'x'"),
-            ("trace convert a", "missing <in> <out>"),
+            ("trace diff a", "missing <a> <b>"),
             ("run x --json --json", "--json given twice"),
             (
                 "fuzz --seeds 5..1",

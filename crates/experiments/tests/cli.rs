@@ -169,7 +169,7 @@ fn figure_rejects_missing_and_unknown_ids_listing_the_table() {
 /// `results` is a regular file, so nothing can be written under it.
 #[test]
 fn output_write_failures_exit_1_naming_the_path() {
-    // A trace to export and convert, recorded where `results/` is free.
+    // A trace to export, recorded where `results/` is free.
     let src = temp_dir("write-failure-trace");
     let recorded = lockss_sim(&["run", "baseline", "--scale", "quick", "--seed", "1"])
         .args(["--record", "t.bin"])
@@ -184,7 +184,7 @@ fn output_write_failures_exit_1_naming_the_path() {
     std::fs::write(dir.join("results"), "in the way").unwrap();
     let quick_run = ["run", "baseline", "--scale", "quick", "--seed", "1"];
     let quick_sweep = ["sweep", "baseline", "--scale", "quick", "--seeds", "1"];
-    let cases: [(&[&str], &[&str], &str); 10] = [
+    let cases: [(&[&str], &[&str], &str); 9] = [
         (&quick_run, &[], "results/scenario-baseline.json"),
         (&quick_run, &["--record", "results/t.bin"], "results/t.bin"),
         (&quick_sweep, &[], "results/sweep-baseline.json"),
@@ -202,11 +202,6 @@ fn output_write_failures_exit_1_naming_the_path() {
             &["trace", "export", trace],
             &["--csv", "results/t.csv"],
             "results/t.csv",
-        ),
-        (
-            &["trace", "convert", trace, "results/c.bin"],
-            &[],
-            "results/c.bin",
         ),
         (
             &["sweep", "recovery", "--budgets", "2", "--seeds", "1"],

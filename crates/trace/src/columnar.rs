@@ -13,7 +13,8 @@
 //! for only their own bytes. Delta state resets at every block
 //! boundary, so any block decodes independently of its neighbours:
 //! that independence is what the parallel analytics in
-//! [`crate::parallel`] and the seek/skip reader paths are built on.
+//! [`crate::parallel`] and the diff's skipped identical prefix are
+//! built on.
 //!
 //! Block body layout (after the per-block framing in the container):
 //!
@@ -392,35 +393,17 @@ fn get_column(
     }
 }
 
-/// Skips one framed column without decompressing it. Used by masked
-/// decoding to step over payload columns of unwanted kinds.
-fn skip_column(cur: &mut Cursor<'_>, block: u64, column: &'static str) -> Result<(), TraceError> {
-    let bad = || TraceError::BadColumn { block, column };
-    let enc = cur.u8().map_err(|_| bad())?;
-    if enc > ENC_DELTA_LZ {
-        return Err(bad());
-    }
-    cur.varint().map_err(|_| bad())?;
-    let stored_len = cur.varint().map_err(|_| bad())? as usize;
-    cur.bytes(stored_len).map_err(|_| bad())?;
-    Ok(())
-}
-
-/// Decodes a block body, appending to `out` the events whose kind bit is
-/// in `kind_mask` (`u64::MAX` for all of them). Payload columns of
-/// excluded kinds are skipped without decompression; the structural
-/// columns are always read so positions stay exact. `block` is the
+/// Decodes a block body, appending its events to `out`. `block` is the
 /// block's index, used only to attribute errors; on an error `out` is
 /// left as it came in.
-pub fn decode_block_body_masked(
+pub fn decode_block_body(
     body: &[u8],
     block: u64,
-    kind_mask: u64,
     scratch: &mut ColumnScratch,
     out: &mut Vec<TraceRecord>,
 ) -> Result<(), TraceError> {
     let len_before = out.len();
-    let decoded = decode_body(body, block, kind_mask, scratch, out);
+    let decoded = decode_body(body, block, scratch, out);
     if decoded.is_err() {
         out.truncate(len_before);
     }
@@ -430,7 +413,6 @@ pub fn decode_block_body_masked(
 fn decode_body(
     body: &[u8],
     block: u64,
-    kind_mask: u64,
     scratch: &mut ColumnScratch,
     out: &mut Vec<TraceRecord>,
 ) -> Result<(), TraceError> {
@@ -457,7 +439,6 @@ fn decode_body(
 
     // One column per payload field per kind present, ascending code
     // order, each kind's group prefixed by its field count.
-    let mut wanted = 0u64;
     for kind in TraceEventKind::ALL {
         if bitmap & kind.bit() == 0 {
             continue;
@@ -466,15 +447,8 @@ fn decode_body(
         if n_cols != field_count(kind) {
             return Err(bad("payload"));
         }
-        if kind_mask & kind.bit() != 0 {
-            wanted |= kind.bit();
-            for col in &mut payloads[kind.code() as usize - 1] {
-                get_column(&mut cur, block, "payload", delta, col)?;
-            }
-        } else {
-            for _ in 0..n_cols {
-                skip_column(&mut cur, block, "payload")?;
-            }
+        for col in &mut payloads[kind.code() as usize - 1] {
+            get_column(&mut cur, block, "payload", delta, col)?;
         }
     }
     if !cur.at_end() {
@@ -483,14 +457,14 @@ fn decode_body(
 
     let mut at_cur = Cursor::new(d_at);
     let mut seq_cur = Cursor::new(d_seq);
-    // Cursors over the decompressed columns of the kinds being
-    // materialised; the other kinds' columns hold an earlier block's
-    // bytes and are never read.
+    // Cursors over the decompressed columns of the kinds present; the
+    // other kinds' columns hold an earlier block's bytes and are never
+    // read.
     let mut payload_curs: Vec<Vec<Cursor<'_>>> = TraceEventKind::ALL
         .iter()
         .zip(payloads.iter())
         .map(|(kind, cols)| {
-            let cols = if wanted & kind.bit() != 0 {
+            let cols = if bitmap & kind.bit() != 0 {
                 &cols[..]
             } else {
                 &[]
@@ -501,9 +475,7 @@ fn decode_body(
 
     // `n` is backed by `n` decompressed kind bytes, so it is safe to
     // reserve for.
-    if kind_mask == u64::MAX {
-        out.reserve(n);
-    }
+    out.reserve(n);
     let mut at = base_at;
     let mut seq = base_seq;
     // The deltas are the file's claim: their running sums may not wrap.
@@ -515,14 +487,12 @@ fn decode_body(
         }
         at = next(&mut at_cur, at).ok_or(bad("time-delta"))?;
         seq = next(&mut seq_cur, seq).ok_or(bad("ordinal-delta"))?;
-        if wanted & kind.bit() != 0 {
-            let event = get_event(&mut payload_curs[code as usize - 1], kind)?;
-            out.push(TraceRecord {
-                at: SimTime(at),
-                seq,
-                event,
-            });
-        }
+        let event = get_event(&mut payload_curs[code as usize - 1], kind)?;
+        out.push(TraceRecord {
+            at: SimTime(at),
+            seq,
+            event,
+        });
     }
     if !at_cur.at_end() || !seq_cur.at_end() {
         return Err(bad("time-delta"));
@@ -612,13 +582,9 @@ mod tests {
         seal(records).1
     }
 
-    fn decode_block_body(body: &[u8], block: u64) -> Result<Vec<TraceRecord>, TraceError> {
-        decode_masked(body, block, u64::MAX)
-    }
-
-    fn decode_masked(body: &[u8], block: u64, mask: u64) -> Result<Vec<TraceRecord>, TraceError> {
+    fn decode(body: &[u8], block: u64) -> Result<Vec<TraceRecord>, TraceError> {
         let mut out = Vec::new();
-        decode_block_body_masked(body, block, mask, &mut ColumnScratch::default(), &mut out)?;
+        decode_block_body(body, block, &mut ColumnScratch::default(), &mut out)?;
         Ok(out)
     }
 
@@ -665,29 +631,14 @@ mod tests {
     fn block_body_roundtrips() {
         let records = sample_records();
         let body = encode_block_body(&records);
-        let back = decode_block_body(&body, 0).expect("decodes");
+        let back = decode(&body, 0).expect("decodes");
         assert_eq!(back, records);
     }
 
     #[test]
     fn empty_block_roundtrips() {
         let body = encode_block_body(&[]);
-        assert_eq!(decode_block_body(&body, 0).expect("decodes"), Vec::new());
-    }
-
-    #[test]
-    fn masked_decode_keeps_only_requested_kinds() {
-        let records = sample_records();
-        let body = encode_block_body(&records);
-        let mask = TraceEventKind::PollStart.bit();
-        let only_polls = decode_masked(&body, 0, mask).expect("decodes");
-        let expected: Vec<TraceRecord> = records
-            .iter()
-            .filter(|r| r.event.kind() == TraceEventKind::PollStart)
-            .cloned()
-            .collect();
-        assert_eq!(only_polls, expected);
-        assert!(!only_polls.is_empty());
+        assert_eq!(decode(&body, 0).expect("decodes"), Vec::new());
     }
 
     #[test]
@@ -695,7 +646,7 @@ mod tests {
         let records = sample_records();
         let body = encode_block_body(&records);
         let cut = &body[..body.len() / 2];
-        match decode_block_body(cut, 4) {
+        match decode(cut, 4) {
             Err(TraceError::BadColumn { block: 4, .. }) => {}
             other => panic!("expected BadColumn, got {other:?}"),
         }
@@ -732,7 +683,7 @@ mod tests {
         let mut body = encode_block_body(&records);
         body.push(0xAA);
         assert!(matches!(
-            decode_block_body(&body, 0),
+            decode(&body, 0),
             Err(TraceError::BadColumn {
                 column: "trailing bytes",
                 ..
@@ -780,16 +731,19 @@ mod tests {
 
     #[test]
     fn columnar_body_beats_flat_encoding_on_repetitive_streams() {
-        // The same 200 records encoded flat (v1 style) for comparison.
+        // The same 200 records encoded flat, record by record, for comparison.
         let records = sample_records();
         let mut flat = Vec::new();
         let mut prev_at = 0u64;
         let mut prev_seq = 0u64;
         for r in &records {
-            flat.push(r.event.kind().code());
+            let kind = r.event.kind();
+            flat.push(kind.code());
             put_varint(&mut flat, r.at.as_millis() - prev_at);
             put_varint(&mut flat, r.seq - prev_seq);
-            put_event(&mut flat, &r.event);
+            let mut fields = vec![Vec::new(); field_count(kind)];
+            put_event(&mut fields, &r.event);
+            flat.extend(fields.concat());
             prev_at = r.at.as_millis();
             prev_seq = r.seq;
         }
@@ -850,9 +804,6 @@ mod tests {
         );
         let mut cur = Cursor::new(&col);
         assert_eq!(get_column(&mut cur, 0, "test").unwrap(), raw);
-        // And the same frame skips cleanly.
-        let mut cur = Cursor::new(&col);
-        skip_column(&mut cur, 0, "test").unwrap();
         assert!(cur.at_end());
     }
 

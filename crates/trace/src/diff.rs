@@ -208,7 +208,6 @@ impl std::fmt::Display for TraceDiff {
 mod tests {
     use super::*;
     use crate::format::{Recorder, TraceMeta};
-    use crate::legacy::RecorderV1;
     use lockss_core::trace::{PollConclusion, TraceEvent, TraceSink};
     use lockss_sim::{Duration, SimTime};
 
@@ -354,19 +353,5 @@ mod tests {
             let many = diff_traces_threaded(&a, &b, threads).unwrap().to_string();
             assert_eq!(one, many, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn mixed_wire_diff_compares_records_not_bytes() {
-        let polls = [(0, 1, PollConclusion::Win), (1, 40, PollConclusion::Loss)];
-        let v2 = trace_with(&polls, 1);
-        let v1_rec = RecorderV1::new(&meta_for(1));
-        emit_polls(&mut v1_rec.clone(), &polls);
-        let v1_bytes = v1_rec.finish();
-        assert_ne!(v1_bytes, v2.as_bytes());
-        let v1 = Trace::from_bytes(v1_bytes).unwrap();
-        assert_ne!(v1, v2, "the source wire differs");
-        let d = diff_traces(&v1, &v2).unwrap();
-        assert!(d.is_identical(), "same records, different wires");
     }
 }

@@ -1,6 +1,6 @@
 //! The trace container: header, block-columnar records, indexed trailer.
 //!
-//! Current wire format (`LTRC2`):
+//! The wire format (`LTRC2`):
 //!
 //! ```text
 //! magic    "LTRC2\n"
@@ -17,14 +17,8 @@
 //! integrity rolls up into the one trailing content hash — byte-stable
 //! across runs and thread counts for a deterministic `(scenario, seed)`,
 //! which is what the golden-trace regression tests pin. The index makes
-//! blocks independently addressable: readers seek, skip whole blocks by
-//! kind bitmap or time range, and decode blocks in parallel.
-//!
-//! A [`Trace`] in memory is always this wire. A file in the flat
-//! predecessor format (`LTRC1`, [`crate::legacy`]) is still accepted:
-//! [`Trace::from_bytes`] sniffs the magic and re-records the old file's
-//! events through [`Recorder`] on the way in, so nothing past that door
-//! knows a second wire exists.
+//! blocks independently addressable: readers seek to a block, resume a
+//! stream after a skipped prefix, and decode blocks in parallel.
 
 use std::cell::RefCell;
 use std::path::Path;
@@ -39,19 +33,14 @@ use lockss_crypto::sha256::sha256;
 use lockss_sim::SimTime;
 
 use crate::columnar::{
-    decode_block_body_masked, parse_index, put_index, BlockBuf, BlockEntry, BlockSealer,
-    ColumnScratch,
+    decode_block_body, parse_index, put_index, BlockBuf, BlockEntry, BlockSealer, ColumnScratch,
 };
-use crate::legacy;
 use crate::wire::{put_str, put_varint, Cursor, TraceError};
-
-/// The file magic of the flat v1 format.
-pub const MAGIC_V1: &[u8; 6] = b"LTRC1\n";
 
 /// The file magic of the block-columnar v2 format.
 pub const MAGIC_V2: &[u8; 6] = b"LTRC2\n";
 
-/// The end-of-records marker (block markers and v1 kind codes start at 1).
+/// The end-of-records marker (block markers start at 1).
 pub(crate) const END: u8 = 0;
 
 /// The start-of-block marker in a v2 stream.
@@ -61,31 +50,6 @@ pub(crate) const BLOCK: u8 = 1;
 /// feed the compressor, small enough that one decoded block (~65k
 /// records) bounds a reader's memory.
 pub const DEFAULT_BLOCK_EVENTS: usize = 65_536;
-
-/// Which wire format a trace file was written in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceWire {
-    /// Flat delta-coded records (`LTRC1`).
-    V1,
-    /// Block-columnar with a trailer index (`LTRC2`).
-    V2,
-}
-
-impl TraceWire {
-    /// The wire's version string, as it appears in the file magic.
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceWire::V1 => "LTRC1",
-            TraceWire::V2 => "LTRC2",
-        }
-    }
-}
-
-impl std::fmt::Display for TraceWire {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// Identifies the execution a trace captured.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -101,7 +65,7 @@ pub struct TraceMeta {
 }
 
 impl TraceMeta {
-    /// Appends the file header (the same four fields in both wires).
+    /// Appends the file header.
     pub(crate) fn put(&self, buf: &mut Vec<u8>) {
         put_str(buf, &self.scenario);
         put_str(buf, &self.scale);
@@ -360,7 +324,6 @@ impl Recorder {
         bytes.extend_from_slice(&digest);
         Trace {
             sealed: Arc::new(Sealed { bytes, blocks }),
-            wire: TraceWire::V2,
         }
     }
 }
@@ -388,9 +351,6 @@ struct Sealed {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Trace {
     sealed: Arc<Sealed>,
-    /// The wire of the file the trace was read from; the bytes held are
-    /// LTRC2 either way.
-    pub(crate) wire: TraceWire,
 }
 
 impl Trace {
@@ -398,30 +358,22 @@ impl Trace {
     const TAIL: usize = 8 + 8 + 32;
 
     /// Validates raw file bytes (magic, trailer hash, decodable header
-    /// and a structurally sound block index) into a trace. An `LTRC1`
-    /// file is imported: seal and record count verified, its records
-    /// re-recorded as LTRC2 — exactly the bytes a direct recording of
-    /// the same run holds.
+    /// and a structurally sound block index) into a trace. Anything that
+    /// does not start with `LTRC2\n` is [`TraceError::BadMagic`].
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Trace, TraceError> {
-        let (wire, tail) = match bytes.get(..MAGIC_V2.len()) {
-            Some(m) if m == MAGIC_V1 => (TraceWire::V1, 32),
-            Some(m) if m == MAGIC_V2 => (TraceWire::V2, Trace::TAIL),
-            _ => return Err(TraceError::BadMagic),
-        };
-        if bytes.len() < MAGIC_V2.len() + tail {
+        if !bytes.starts_with(MAGIC_V2) {
+            return Err(TraceError::BadMagic);
+        }
+        if bytes.len() < MAGIC_V2.len() + Trace::TAIL {
             return Err(TraceError::Truncated);
         }
         let body_len = bytes.len() - 32;
         if sha256(&bytes[..body_len]) != bytes[body_len..] {
             return Err(TraceError::HashMismatch);
         }
-        if wire == TraceWire::V1 {
-            return legacy::import(&bytes[MAGIC_V1.len()..body_len]);
-        }
         let blocks = Trace::validate_index(&bytes)?;
         let trace = Trace {
             sealed: Arc::new(Sealed { bytes, blocks }),
-            wire,
         };
         trace.meta()?; // header must decode
         Ok(trace)
@@ -486,13 +438,6 @@ impl Trace {
         u64::from_le_bytes(raw)
     }
 
-    /// Which wire format the trace's file was written in. The trace
-    /// itself — [`Trace::as_bytes`], [`Trace::content_hash`] — is LTRC2
-    /// whichever this says.
-    pub fn wire(&self) -> TraceWire {
-        self.wire
-    }
-
     /// The block index.
     pub fn blocks(&self) -> &[BlockEntry] {
         &self.sealed.blocks
@@ -544,41 +489,19 @@ impl Trace {
         Ok(body)
     }
 
-    /// Decodes block `block`, appending to `out` its records of the kinds
-    /// in `kind_mask` (`u64::MAX`: all of them; payload columns of the
-    /// other kinds are skipped without decompression). The block body is
-    /// digest-verified first, so a corrupt block under a re-sealed file
-    /// still diagnoses as [`TraceError::BadBlockChecksum`]. `scratch` is
-    /// the caller's to keep between blocks; on an error `out` is left as
-    /// it came in.
+    /// Decodes block `block`, appending its records to `out`. The block
+    /// body is digest-verified first, so a corrupt block under a
+    /// re-sealed file still diagnoses as [`TraceError::BadBlockChecksum`].
+    /// `scratch` is the caller's to keep between blocks; on an error
+    /// `out` is left as it came in.
     pub fn decode_block_into(
         &self,
         block: usize,
-        kind_mask: u64,
         scratch: &mut ColumnScratch,
         out: &mut Vec<TraceRecord>,
     ) -> Result<(), TraceError> {
         let body = self.block_body(block)?;
-        decode_block_body_masked(body, block as u64, kind_mask, scratch, out)
-    }
-
-    /// Decodes one block into records of its own (a one-off look at a
-    /// block; passes over a trace reuse buffers through
-    /// [`Trace::decode_block_into`]).
-    pub fn decode_block(&self, block: usize) -> Result<Vec<TraceRecord>, TraceError> {
-        self.decode_block_masked(block, u64::MAX)
-    }
-
-    /// Decodes one block keeping only events whose kind bit is in
-    /// `kind_mask`.
-    pub fn decode_block_masked(
-        &self,
-        block: usize,
-        kind_mask: u64,
-    ) -> Result<Vec<TraceRecord>, TraceError> {
-        let mut out = Vec::new();
-        self.decode_block_into(block, kind_mask, &mut ColumnScratch::default(), &mut out)?;
-        Ok(out)
+        decode_block_body(body, block as u64, scratch, out)
     }
 
     /// A streaming reader over the decoded records.
@@ -607,7 +530,7 @@ impl Trace {
         let mut out = Vec::new();
         let mut scratch = ColumnScratch::default();
         for block in 0..self.blocks().len() {
-            self.decode_block_into(block, u64::MAX, &mut scratch, &mut out)?;
+            self.decode_block_into(block, &mut scratch, &mut out)?;
         }
         Ok(out)
     }
@@ -659,9 +582,9 @@ impl TraceReader {
             self.next_record = 0;
             let block = self.next_block;
             self.next_block += 1;
-            let decoded =
-                self.trace
-                    .decode_block_into(block, u64::MAX, &mut self.scratch, &mut self.records);
+            let decoded = self
+                .trace
+                .decode_block_into(block, &mut self.scratch, &mut self.records);
             if let Err(e) = decoded {
                 self.next_block = n_blocks;
                 return Err(e);
@@ -683,8 +606,7 @@ impl Iterator for TraceReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::legacy::RecorderV1;
-    use lockss_core::trace::{MsgKind, PollConclusion, TraceEventKind};
+    use lockss_core::trace::{MsgKind, PollConclusion};
     use lockss_sim::Duration;
 
     fn meta() -> TraceMeta {
@@ -747,7 +669,6 @@ mod tests {
     fn record_decode_roundtrip() {
         let records = sample_records();
         let trace = record_all(&records);
-        assert_eq!(trace.wire(), TraceWire::V2);
         assert_eq!(trace.meta().unwrap(), meta());
         let decoded = trace.decode_all().unwrap();
         assert_eq!(decoded, records);
@@ -780,6 +701,41 @@ mod tests {
     }
 
     #[test]
+    fn damaged_v1_files_are_rejected_at_the_door() {
+        // An LTRC1 file, whole or damaged, is refused on its magic before
+        // any count or offset in it is read.
+        let mut good = record_all(&sample_records()).as_bytes().to_vec();
+        let v1_magic = "LTRC1\n".as_bytes();
+        good[..MAGIC_V2.len()].copy_from_slice(v1_magic);
+        let reseal = |bytes: &mut Vec<u8>| {
+            let body = bytes.len() - 32;
+            let digest = sha256(&bytes[..body]);
+            bytes[body..].copy_from_slice(&digest);
+        };
+        reseal(&mut good);
+
+        let mut flipped = good.clone();
+        flipped[20] ^= 1;
+        let mut miscounted = good.clone();
+        let count_at = miscounted.len() - 40;
+        miscounted[count_at] += 1;
+        reseal(&mut miscounted);
+        let mut padded = good[..good.len() - 32].to_vec();
+        padded.extend_from_slice(&[0; 33]);
+        reseal(&mut padded);
+        let mut cut = good[..good.len() - 45].to_vec();
+        cut.extend_from_slice(&[0; 32]);
+        reseal(&mut cut);
+
+        for bytes in [good, flipped, miscounted, padded, cut, v1_magic.to_vec()] {
+            assert!(matches!(
+                Trace::from_bytes(bytes),
+                Err(TraceError::BadMagic)
+            ));
+        }
+    }
+
+    #[test]
     fn file_roundtrip_creates_directories() {
         let trace = record_all(&sample_records());
         let dir = std::env::temp_dir().join(format!("lockss-trace-test-{}", std::process::id()));
@@ -807,7 +763,6 @@ mod tests {
     #[test]
     fn empty_trace_is_valid() {
         let trace = Recorder::new(&meta()).finish();
-        assert_eq!(trace.wire(), TraceWire::V2);
         assert!(trace.blocks().is_empty());
         assert_eq!(trace.events(), 0);
         assert_eq!(trace.decode_all().unwrap(), Vec::new());
@@ -827,97 +782,13 @@ mod tests {
         assert_eq!(trace.blocks()[0].n_events, 2);
         assert_eq!(trace.blocks()[1].n_events, 1);
         assert_eq!(trace.decode_all().unwrap(), records);
-        assert_eq!(trace.decode_block(1).unwrap(), records[2..]);
+        let mut second = Vec::new();
+        trace
+            .decode_block_into(1, &mut ColumnScratch::default(), &mut second)
+            .unwrap();
+        assert_eq!(second, records[2..]);
         let first_at = trace.blocks()[0].first_at_ms;
         let last_at = trace.blocks()[1].last_at_ms;
         assert_eq!((first_at, last_at), (1_000, 90_000));
-    }
-
-    #[test]
-    fn legacy_v1_traces_still_read() {
-        let records = sample_records();
-        let recorder = RecorderV1::new(&meta());
-        let mut sink: Box<dyn TraceSink> = Box::new(recorder.clone());
-        for r in &records {
-            sink.record(r.at, r.seq, &r.event);
-        }
-        let v1_bytes = recorder.finish();
-        let v1 = Trace::from_bytes(v1_bytes.clone()).unwrap();
-        assert_eq!(v1.wire(), TraceWire::V1);
-        assert_eq!(v1.events(), records.len() as u64);
-        assert_eq!(v1.meta().unwrap(), meta());
-        assert_eq!(v1.decode_all().unwrap(), records);
-        let streamed: Vec<_> = v1.records().map(Result::unwrap).collect();
-        assert_eq!(streamed, records);
-
-        // The import is the direct recording, byte for byte; only the
-        // source-wire tag remembers the file was v1.
-        let v2 = record_all(&records);
-        assert_eq!(v2.wire(), TraceWire::V2);
-        assert_eq!(v1.as_bytes(), v2.as_bytes());
-        assert_eq!(v1.content_hash(), v2.content_hash());
-        assert_eq!(v1.blocks(), v2.blocks());
-        assert_ne!(v1.as_bytes(), v1_bytes);
-        let reread = Trace::from_bytes(v1.as_bytes().to_vec()).unwrap();
-        assert_eq!(reread, v2);
-    }
-
-    #[test]
-    fn damaged_v1_files_are_rejected_at_the_door() {
-        let recorder = RecorderV1::new(&meta());
-        let mut sink = recorder.clone();
-        for r in &sample_records() {
-            sink.record(r.at, r.seq, &r.event);
-        }
-        let good = recorder.finish();
-        let reseal = |bytes: &mut Vec<u8>| {
-            let body = bytes.len() - 32;
-            let digest = sha256(&bytes[..body]);
-            bytes[body..].copy_from_slice(&digest);
-        };
-
-        let mut flipped = good.clone();
-        flipped[20] ^= 1;
-        assert!(matches!(
-            Trace::from_bytes(flipped),
-            Err(TraceError::HashMismatch)
-        ));
-
-        // A trailer count that disagrees with the records present.
-        let mut miscounted = good.clone();
-        let count_at = miscounted.len() - 40;
-        miscounted[count_at] += 1;
-        reseal(&mut miscounted);
-        assert!(matches!(
-            Trace::from_bytes(miscounted),
-            Err(TraceError::BadIndex("event count"))
-        ));
-
-        // Bytes between the count and the seal.
-        let mut padded = good[..good.len() - 32].to_vec();
-        padded.extend_from_slice(&[0; 33]);
-        reseal(&mut padded);
-        assert!(matches!(
-            Trace::from_bytes(padded),
-            Err(TraceError::BadIndex("event count"))
-        ));
-
-        // The records cut off before the end marker.
-        let mut cut = good[..good.len() - 45].to_vec();
-        cut.extend_from_slice(&[0; 32]);
-        reseal(&mut cut);
-        assert!(Trace::from_bytes(cut).is_err());
-    }
-
-    #[test]
-    fn masked_block_decode_filters_kinds() {
-        let records = sample_records();
-        let trace = record_all(&records);
-        let mask = TraceEventKind::PollOutcome.bit();
-        assert_eq!(trace.blocks().len(), 1);
-        assert_eq!(trace.blocks()[0].kind_bitmap & mask, mask);
-        let outcomes = trace.decode_block_masked(0, mask).unwrap();
-        assert_eq!(outcomes.len(), 1);
-        assert_eq!(outcomes[0], records[2]);
     }
 }

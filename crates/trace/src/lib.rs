@@ -10,10 +10,8 @@
 //!   block-columnar `LTRC2` format — events grouped into fixed-budget
 //!   blocks, transposed into per-kind columns, delta-coded and
 //!   LZ-compressed, with a seekable block index and a SHA-256 content
-//!   hash in the trailer, no external dependencies. Files in the flat
-//!   `LTRC1` predecessor stay readable: [`Trace::from_bytes`] imports
-//!   them to LTRC2 at the door ([`legacy`]), so every tool below has
-//!   one wire to know;
+//!   hash in the trailer, no external dependencies. It is the one wire:
+//!   every tool below reads it and nothing else;
 //! - **replay** ([`Verifier`]): re-drive the same scenario and verify
 //!   event-for-event equivalence against a recorded trace, aborting the run
 //!   at the first divergence and reporting it with full context (time,
@@ -30,8 +28,8 @@
 //!
 //! The `lockss-sim` CLI exposes all five: `run <name> --record <path>`,
 //! `replay <path>`, `trace diff <a> <b>`, `trace stats <paths...>`,
-//! `trace convert <in> <out>`, `trace export <path> --csv <out>`, and
-//! `sweep <name> --record <dir>` for whole-campaign recordings.
+//! `trace export <path> --csv <out>`, and `sweep <name> --record <dir>`
+//! for whole-campaign recordings.
 
 #![deny(missing_docs)]
 
@@ -39,7 +37,6 @@ pub mod columnar;
 pub mod diff;
 pub mod export;
 pub mod format;
-pub mod legacy;
 pub mod lz;
 pub mod parallel;
 pub mod replay;
@@ -50,10 +47,8 @@ pub use columnar::{BlockEntry, ColumnScratch};
 pub use diff::{diff_traces, diff_traces_threaded, Fork, TraceDiff};
 pub use export::export_csv;
 pub use format::{
-    Recorder, SealStats, Trace, TraceMeta, TraceReader, TraceRecord, TraceWire,
-    DEFAULT_BLOCK_EVENTS,
+    Recorder, SealStats, Trace, TraceMeta, TraceReader, TraceRecord, DEFAULT_BLOCK_EVENTS,
 };
-pub use legacy::RecorderV1;
 pub use parallel::for_each_block;
 pub use replay::{Divergence, ReplayReport, Verifier};
 pub use stats::{

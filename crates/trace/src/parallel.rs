@@ -98,7 +98,7 @@ where
         let mut records = Vec::new();
         for block in 0..n {
             records.clear();
-            trace.decode_block_into(block, u64::MAX, &mut scratch, &mut records)?;
+            trace.decode_block_into(block, &mut scratch, &mut records)?;
             fold(&records);
         }
         return Ok(());
@@ -135,7 +135,7 @@ where
             let mut records = std::mem::take(&mut ring.slots[block % ring_len].records);
             drop(ring);
             records.clear();
-            let decoded = trace.decode_block_into(block, u64::MAX, &mut scratch, &mut records);
+            let decoded = trace.decode_block_into(block, &mut scratch, &mut records);
             shared.lock().slots[block % ring_len] = Slot {
                 records,
                 decoded: Some((block, decoded)),
@@ -177,7 +177,6 @@ where
 mod tests {
     use super::*;
     use crate::format::{Recorder, TraceMeta};
-    use crate::legacy::RecorderV1;
     use lockss_core::trace::{TraceEvent, TraceSink};
     use lockss_sim::SimTime;
 
@@ -216,13 +215,13 @@ mod tests {
     }
 
     #[test]
-    fn imported_v1_traces_fold_like_any_other() {
-        // More than one block's worth, so the import has real blocks for
-        // the workers to claim.
+    fn more_threads_than_blocks_fold_once_per_block() {
+        // More than one default block's worth: two real blocks for eight
+        // workers to claim.
         let n = crate::format::DEFAULT_BLOCK_EVENTS as u64 + 50;
-        let recorder = RecorderV1::new(&meta());
+        let recorder = Recorder::new(&meta());
         emit(&mut recorder.clone(), n);
-        let trace = Trace::from_bytes(recorder.finish()).unwrap();
+        let trace = recorder.finish();
         assert_eq!(trace.blocks().len(), 2);
         let mut chunks = Vec::new();
         for_each_block(&trace, 8, |chunk| chunks.push(chunk.to_vec())).unwrap();

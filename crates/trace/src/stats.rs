@@ -20,12 +20,17 @@ use lockss_sim::json::{
 };
 use lockss_sim::{Duration, SimTime};
 
-use crate::format::{Trace, TraceMeta, TraceRecord, TraceWire};
+use crate::format::{Trace, TraceMeta, TraceRecord};
 use crate::parallel::for_each_block;
 use crate::wire::TraceError;
 
 /// The version string of the stats JSON document (single and aggregate).
 pub const FORMAT: &str = "lockss-trace-stats-v1";
+
+/// The `wire` key of the JSON documents and column of the text renderings:
+/// always the one trace wire, kept so `lockss-trace-stats-v1` documents
+/// keep their shape.
+const WIRE: &str = "LTRC2";
 
 /// Admission verdict counts, indexed by verdict code.
 type VerdictCounts = [u64; AdmissionVerdict::ALL.len()];
@@ -51,8 +56,6 @@ pub struct PhaseSegment {
 pub struct TraceStats {
     /// The trace's metadata.
     pub meta: TraceMeta,
-    /// Which wire format the trace was encoded in.
-    pub wire: TraceWire,
     /// Total recorded events.
     pub events: u64,
     /// Simulated instant of the last event (ZERO when empty).
@@ -79,7 +82,6 @@ pub struct TraceStats {
 /// exact same stats.
 pub struct StatsBuilder {
     meta: TraceMeta,
-    wire: TraceWire,
     kind_counts: Vec<(TraceEventKind, u64)>,
     polls: Vec<PollTimeline>,
     poll_index: std::collections::HashMap<u64, usize>,
@@ -93,10 +95,9 @@ pub struct StatsBuilder {
 
 impl StatsBuilder {
     /// An empty accumulator for a trace with the given identity.
-    pub fn new(meta: TraceMeta, wire: TraceWire) -> StatsBuilder {
+    pub fn new(meta: TraceMeta) -> StatsBuilder {
         StatsBuilder {
             meta,
-            wire,
             kind_counts: TraceEventKind::ALL.iter().map(|&k| (k, 0)).collect(),
             polls: Vec::new(),
             poll_index: std::collections::HashMap::new(),
@@ -195,7 +196,6 @@ impl StatsBuilder {
         let summary = TimelineSummary::from_polls(&self.polls);
         TraceStats {
             meta: self.meta,
-            wire: self.wire,
             events: self.events,
             last_event_at: self.last_event_at,
             kind_counts: self.kind_counts,
@@ -218,7 +218,7 @@ pub fn trace_stats(trace: &Trace) -> Result<TraceStats, TraceError> {
 /// The result — down to the rendered bytes — is identical at any thread
 /// count: decoding parallelizes, the fold stays in block order.
 pub fn trace_stats_threaded(trace: &Trace, threads: usize) -> Result<TraceStats, TraceError> {
-    let mut builder = StatsBuilder::new(trace.meta()?, trace.wire());
+    let mut builder = StatsBuilder::new(trace.meta()?);
     for_each_block(trace, threads, |chunk| {
         for rec in chunk {
             builder.push(rec);
@@ -246,7 +246,7 @@ impl TraceStats {
         let (mut w, s) = (Writer::new(), &self.summary);
         w.object(Lines)
             .field("format", FORMAT)
-            .field("wire", self.wire.label())
+            .field("wire", WIRE)
             .key("meta")
             .object(Inline)
             .field("scenario", &self.meta.scenario)
@@ -322,7 +322,7 @@ fn fmt_admissions(f: &mut std::fmt::Formatter<'_>, admissions: &VerdictCounts) -
 
 impl std::fmt::Display for TraceStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "trace of {} [{}]", self.meta, self.wire.label())?;
+        writeln!(f, "trace of {} [{WIRE}]", self.meta)?;
         writeln!(
             f,
             "{} event(s), last at day {:.1}",
@@ -439,7 +439,7 @@ impl AggregateStats {
         for (label, s) in &self.traces {
             w.object(Inline)
                 .field("path", label)
-                .field("wire", s.wire.label())
+                .field("wire", WIRE)
                 .field("scenario", &s.meta.scenario)
                 .field("seed", s.meta.seed)
                 .field("events", s.events)
@@ -478,7 +478,7 @@ impl std::fmt::Display for AggregateStats {
                 f,
                 "  {:<40} {:>6} {:>12} {:>8} {:>8} {:>6}",
                 label,
-                s.wire.label(),
+                WIRE,
                 s.events,
                 s.summary.polls_concluded,
                 s.summary.wins,
@@ -622,7 +622,6 @@ mod tests {
     fn stats_rebuild_poll_timelines() {
         let stats = trace_stats(&build_trace()).unwrap();
         assert_eq!(stats.events, 11);
-        assert_eq!(stats.wire, TraceWire::V2);
         assert_eq!(stats.count(TraceEventKind::PollStart), 2);
         assert_eq!(stats.count(TraceEventKind::MessageSend), 4);
         assert_eq!(stats.polls.len(), 2);

@@ -10,10 +10,9 @@
 //! Which fields each event kind carries, in which order and with which
 //! types, is declared once, in `lockss_core::trace_event_table!`; the
 //! `payload_schema!` expansion below turns that table into the codecs,
-//! each field's type fixing its encoding. The flat LTRC1 record and the
-//! LTRC2 per-field columns hold the same field bytes in different places,
-//! so one generated write traversal and one generated read constructor
-//! serve both.
+//! each field's type fixing its encoding: one generated write traversal
+//! and one generated read constructor, both over a kind's per-field
+//! columns.
 
 use lockss_core::trace::{AdmissionVerdict, MsgKind, PollConclusion, TraceEvent, TraceEventKind};
 
@@ -281,41 +280,6 @@ code_field!(PollConclusion, "poll conclusion");
 code_field!(MsgKind, "message kind");
 code_field!(AdmissionVerdict, "admission verdict");
 
-/// Where field `i` of a payload is written: the one record buffer of the
-/// flat LTRC1 layout, or column `i` of an LTRC2 block's per-kind group.
-pub(crate) trait FieldBufs {
-    fn buf(&mut self, i: usize) -> &mut Vec<u8>;
-}
-
-impl FieldBufs for Vec<u8> {
-    fn buf(&mut self, _: usize) -> &mut Vec<u8> {
-        self
-    }
-}
-
-impl FieldBufs for Vec<Vec<u8>> {
-    fn buf(&mut self, i: usize) -> &mut Vec<u8> {
-        &mut self[i]
-    }
-}
-
-/// Where field `i` of a payload is read from (the mirror of [`FieldBufs`]).
-pub(crate) trait FieldCursors<'a> {
-    fn cur(&mut self, i: usize) -> &mut Cursor<'a>;
-}
-
-impl<'a> FieldCursors<'a> for Cursor<'a> {
-    fn cur(&mut self, _: usize) -> &mut Cursor<'a> {
-        self
-    }
-}
-
-impl<'a> FieldCursors<'a> for Vec<Cursor<'a>> {
-    fn cur(&mut self, i: usize) -> &mut Cursor<'a> {
-        &mut self[i]
-    }
-}
-
 /// Expands the event table — each kind's fields in encoding order, each
 /// field's type fixing its encoding through [`Field`] — into the one write
 /// traversal, the one read constructor, and the two facts the column
@@ -325,23 +289,24 @@ macro_rules! payload_schema {
     ($($(#[$doc:meta])* $kind:ident = $code:literal => $label:literal {
         $($(#[$field_doc:meta])* $field:ident: $ty:ty,)+
     })+) => {
-        /// Encodes one event payload into `out` (the kind byte is framed
-        /// by the caller).
-        pub(crate) fn put_event<B: FieldBufs>(out: &mut B, event: &TraceEvent) {
+        /// Encodes one event payload into its kind's columns, field `i`
+        /// into `cols[i]` (the kind byte is framed by the caller).
+        pub(crate) fn put_event(cols: &mut [Vec<u8>], event: &TraceEvent) {
             let mut i = 0;
             match event {
                 $(TraceEvent::$kind { $($field),+ } => {
                     $(
                         i += 1;
-                        $field.put(out.buf(i - 1));
+                        $field.put(&mut cols[i - 1]);
                     )+
                 })+
             }
         }
 
-        /// Decodes one event payload of the given kind from `src`.
-        pub(crate) fn get_event<'a, C: FieldCursors<'a>>(
-            src: &mut C,
+        /// Decodes one event payload of the given kind, field `i` from
+        /// `cols[i]`.
+        pub(crate) fn get_event(
+            cols: &mut [Cursor<'_>],
             kind: TraceEventKind,
         ) -> Result<TraceEvent, TraceError> {
             let mut i = 0;
@@ -349,7 +314,7 @@ macro_rules! payload_schema {
                 $(TraceEventKind::$kind => TraceEvent::$kind {
                     $($field: {
                         i += 1;
-                        <$ty as Field>::get(src.cur(i - 1))?
+                        <$ty as Field>::get(&mut cols[i - 1])?
                     }),+
                 },)+
             })
@@ -525,22 +490,18 @@ mod tests {
         assert_eq!(sample_events().len(), TraceEventKind::COUNT);
         for event in sample_events() {
             let kind = event.kind();
-            let mut flat = Vec::new();
-            put_event(&mut flat, &event);
-            let mut cur = Cursor::new(&flat);
-            assert_eq!(get_event(&mut cur, kind).unwrap(), event);
-            assert!(cur.at_end(), "trailing bytes after {event}");
-
             let mut cols: Vec<Vec<u8>> = vec![Vec::new(); field_count(kind)];
             put_event(&mut cols, &event);
             assert!(
                 cols.iter().all(|c| !c.is_empty()),
                 "{kind:?}: every declared field column must be written"
             );
-            assert_eq!(cols.concat(), flat, "{kind:?}: same bytes, redistributed");
             let mut cursors: Vec<Cursor<'_>> = cols.iter().map(|c| Cursor::new(c)).collect();
             assert_eq!(get_event(&mut cursors, kind).unwrap(), event);
-            assert!(cursors.iter().all(Cursor::at_end), "{kind:?}");
+            assert!(
+                cursors.iter().all(Cursor::at_end),
+                "trailing bytes after {event}"
+            );
         }
     }
 
@@ -600,12 +561,10 @@ mod tests {
 
     #[test]
     fn unknown_payload_codes_are_reported() {
-        let mut buf = Vec::new();
-        put_varint(&mut buf, 1); // peer
-        put_varint(&mut buf, 2); // poller
-        buf.push(99); // bogus verdict code
-        let mut cur = Cursor::new(&buf);
-        match get_event(&mut cur, TraceEventKind::Admission) {
+        // peer 1 · poller 2 · a bogus verdict code
+        let cols: [&[u8]; 3] = [&[1], &[2], &[99]];
+        let mut cursors = cols.map(Cursor::new);
+        match get_event(&mut cursors, TraceEventKind::Admission) {
             Err(TraceError::UnknownCode { field, code: 99 }) => {
                 assert_eq!(field, "admission verdict");
             }

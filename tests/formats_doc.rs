@@ -7,17 +7,16 @@
 //! contract runs as greps in the CI docs job; this test is the local,
 //! `cargo test`-visible form of it.
 //!
-//! The spec's two worked trace examples are executed as well: the hex
-//! dumps are parsed out of the document and loaded, so "LTRC1 stays
-//! readable forever" is pinned by literal bytes no writer in this tree
-//! produced. And every JSON emitter's real output is held to the
-//! reader and to the spec's JSON examples by one table.
+//! The spec's worked trace example is executed as well: the hex dump is
+//! parsed out of the document, loaded and held to the recorder's bytes.
+//! And every JSON emitter's real output is held to the reader and to the
+//! spec's JSON examples by one table.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
-use lockss::core::trace::{MsgKind, PollConclusion, TraceEvent};
+use lockss::core::trace::{MsgKind, PollConclusion, TraceEvent, TraceSink};
 use lockss::experiments::runner::{run, run_once, RunOptions};
 use lockss::experiments::sweep::{
     summary_from_json, summary_to_json, HeartbeatRecord, ShardTag, SweepReport,
@@ -26,7 +25,7 @@ use lockss::experiments::{ObsSession, Scale, ScenarioRegistry, ScenarioSpec};
 use lockss::obs::{Heartbeat, Profiler};
 use lockss::sim::json::{self, Value, Writer};
 use lockss::sim::{Duration, SimTime};
-use lockss::trace::{trace_stats, AggregateStats, Trace, TraceMeta, TraceRecord, TraceWire};
+use lockss::trace::{trace_stats, AggregateStats, Recorder, Trace, TraceMeta, TraceRecord};
 
 /// Extracts every `lockss-…-vN` version tag from `text`.
 fn version_tags(text: &str) -> BTreeSet<String> {
@@ -122,8 +121,8 @@ fn every_declared_format_is_specified_in_the_doc() {
     let doc = fs::read_to_string("docs/FORMATS.md").expect("docs/FORMATS.md exists");
     let declared = declared_formats();
     assert!(
-        declared.len() >= 8,
-        "expected at least 8 format constants (7 formats + 2 magics), found {declared:?}"
+        declared.len() >= 7,
+        "expected at least 7 format constants (6 version tags + 1 magic), found {declared:?}"
     );
     for format in &declared {
         assert!(
@@ -153,10 +152,9 @@ fn every_format_the_doc_names_exists_in_source() {
 }
 
 #[test]
-fn the_doc_covers_all_seven_formats() {
+fn the_doc_covers_all_six_formats() {
     let doc = fs::read_to_string("docs/FORMATS.md").expect("docs/FORMATS.md exists");
     for required in [
-        "LTRC1",
         "LTRC2",
         "lockss-sweep-v1",
         "lockss-scenario-v1",
@@ -205,20 +203,14 @@ fn hex_dumps(doc: &str) -> Vec<Vec<u8>> {
 }
 
 #[test]
-fn the_worked_trace_examples_load_and_the_ltrc1_one_imports_to_the_ltrc2_one() {
+fn the_worked_trace_example_loads_and_is_the_recorders_bytes() {
     let doc = fs::read_to_string("docs/FORMATS.md").expect("docs/FORMATS.md exists");
     let dumps = hex_dumps(&doc);
-    let [v2_file, v1_file] = dumps.as_slice() else {
-        panic!(
-            "expected the LTRC2 and the LTRC1 dump, found {}",
-            dumps.len()
-        );
+    let [file] = dumps.as_slice() else {
+        panic!("expected the one LTRC2 dump, found {}", dumps.len());
     };
-    assert_eq!((v2_file.len(), v1_file.len()), (198, 89));
-    assert_eq!(
-        (&v2_file[..6], &v1_file[..6]),
-        (&b"LTRC2\n"[..], &b"LTRC1\n"[..])
-    );
+    assert_eq!(file.len(), 198);
+    assert_eq!(&file[..6], b"LTRC2\n");
 
     let documented = vec![
         TraceRecord {
@@ -260,20 +252,17 @@ fn the_worked_trace_examples_load_and_the_ltrc1_one_imports_to_the_ltrc2_one() {
         seed: 9,
         run_length_ms: 86_400_000,
     };
-    let v2 = Trace::from_bytes(v2_file.clone()).expect("the LTRC2 example is a valid trace");
-    let v1 = Trace::from_bytes(v1_file.clone()).expect("the LTRC1 example is a valid trace");
-    assert_eq!((v2.wire(), v1.wire()), (TraceWire::V2, TraceWire::V1));
-    for trace in [&v2, &v1] {
-        assert_eq!(trace.meta().expect("header"), meta);
-        assert_eq!(trace.events(), 3);
-        assert_eq!(trace.decode_all().expect("decodes"), documented);
+    let trace = Trace::from_bytes(file.clone()).expect("the LTRC2 example is a valid trace");
+    assert_eq!(trace.meta().expect("header"), meta);
+    assert_eq!(trace.events(), 3);
+    assert_eq!(trace.decode_all().expect("decodes"), documented);
+    // The dump is what the recorder writes for those events, byte for byte.
+    let recorder = Recorder::new(&meta);
+    let mut sink = recorder.clone();
+    for r in &documented {
+        sink.record(r.at, r.seq, &r.event);
     }
-    assert_eq!(v2.as_bytes(), v2_file.as_slice());
-    assert_eq!(
-        v1.as_bytes(),
-        v2_file.as_slice(),
-        "importing the LTRC1 example must yield the LTRC2 example, byte for byte"
-    );
+    assert_eq!(recorder.finish().as_bytes(), file.as_slice());
 }
 
 /// The ```json examples of the FORMATS.md section headed `## <format> —`.

@@ -5,15 +5,13 @@
 //! budget; (2) tampering — a corrupted block body, a lying frame
 //! length, a flipped byte, a chopped tail — yields *distinct* accurate
 //! diagnostics; (3) a re-sealed file whose numbers lie (overflowing
-//! counts, lengths and deltas, a promised million-block index) is an
-//! `Err`, never a panic or an allocation sized by the lie; (4) reading
-//! a legacy `LTRC1` file imports it to exactly the directly recorded
-//! LTRC2 bytes, preserving every statistic and shrinking the file;
-//! (5) the parallel analytics (stats, diff, export) render
-//! byte-identical output at any thread count, on real scenario traces;
-//! (6) in steady state the recorder allocates per block, not per event,
-//! and a pass over a trace makes no large allocation once its buffers
-//! are sized.
+//! counts, lengths and deltas, a promised million-block index), or a
+//! well-sealed file of another wire, is an `Err`, never a panic or an
+//! allocation sized by the lie; (4) the parallel analytics (stats,
+//! diff, export) render byte-identical output at any thread count, on
+//! real scenario traces; (5) in steady state the recorder allocates per
+//! block, not per event, and a pass over a trace makes no large
+//! allocation once its buffers are sized.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -30,8 +28,7 @@ use lockss::trace::columnar::put_index;
 use lockss::trace::wire::put_varint;
 use lockss::trace::{
     diff_traces_threaded, export_csv, for_each_block, trace_stats, trace_stats_threaded,
-    AggregateStats, BlockEntry, Recorder, RecorderV1, Trace, TraceError, TraceMeta, TraceRecord,
-    TraceWire,
+    AggregateStats, BlockEntry, Recorder, Trace, TraceError, TraceMeta, TraceRecord,
 };
 
 fn meta() -> TraceMeta {
@@ -174,16 +171,6 @@ fn record_v2(records: &[TraceRecord], budget: usize) -> Trace {
     rec.finish()
 }
 
-/// The same stream through the legacy flat writer: an LTRC1 file's bytes.
-fn record_v1(meta: &TraceMeta, records: &[TraceRecord]) -> Vec<u8> {
-    let rec = RecorderV1::new(meta);
-    let mut sink: Box<dyn TraceSink> = Box::new(rec.clone());
-    for r in records {
-        sink.record(r.at, r.seq, &r.event);
-    }
-    rec.finish()
-}
-
 #[test]
 fn random_event_streams_roundtrip_across_block_budgets() {
     let _shared = WHOLE_PROCESS.read().expect("no writer panics holding it");
@@ -192,7 +179,6 @@ fn random_event_streams_roundtrip_across_block_budgets() {
         let mut rendered = Vec::new();
         for budget in [1, 7, 1000, 65_536] {
             let trace = record_v2(&records, budget);
-            assert_eq!(trace.wire(), TraceWire::V2);
             assert_eq!(trace.events(), 2000, "budget {budget}");
             // Validation survives a full serialize → parse round-trip.
             let back = Trace::from_bytes(trace.as_bytes().to_vec()).expect("revalidates");
@@ -208,10 +194,6 @@ fn random_event_streams_roundtrip_across_block_budgets() {
             rendered.windows(2).all(|w| w[0] == w[1]),
             "stats differ across block budgets (seed {seed})"
         );
-        // The legacy writer agrees record-for-record.
-        let v1 = Trace::from_bytes(record_v1(&meta(), &records)).expect("v1 imports");
-        assert_eq!(v1.wire(), TraceWire::V1);
-        assert_eq!(v1.decode_all().expect("v1 decodes"), records);
     }
 }
 
@@ -528,24 +510,27 @@ fn files_whose_numbers_lie_are_errors_not_panics_or_allocations() {
         "{e}"
     );
 
-    // (6) The same overflow through the LTRC1 door: two records at
-    // u64::MAX ms (deltas MAX, 0), the second delta bumped to 1.
-    let at_max: Vec<TraceRecord> = (0..2)
-        .map(|i| TraceRecord {
-            at: SimTime(u64::MAX),
-            seq: i,
-            event: TraceEvent::PeerJoin { peer: 7 },
-        })
-        .collect();
-    let mut v1 = record_v1(&meta(), &at_max);
-    // Tail: kind · Δt · Δseq · peer | end marker · count · seal.
-    let dt = v1.len() - (1 + 8 + 32) - 3;
-    assert_eq!(v1[dt - 1..dt + 3], [9, 0, 1, 7]);
-    v1[dt] = 1;
-    reseal(&mut v1);
-    let e = rejected(v1);
-    assert!(matches!(e, TraceError::BadVarint), "{e}");
+    // (6) A well-sealed file of the retired flat wire, `LTRC1`: the
+    // three events of the docs/FORMATS.md worked example, as that
+    // document once showed them. Its seal is genuine; its magic is not
+    // this wire's.
+    assert_eq!(LTRC1_EXAMPLE.len(), 89);
+    assert_eq!(sha256(&LTRC1_EXAMPLE[..57]), LTRC1_EXAMPLE[57..]);
+    let e = rejected(LTRC1_EXAMPLE.to_vec());
+    assert!(matches!(e, TraceError::BadMagic), "{e}");
+    assert_eq!(e.to_string(), "not a lockss trace (bad magic)");
 }
+
+/// An 89-byte `LTRC1` file: magic, header, three flat records, end
+/// marker, record count and SHA-256 seal.
+const LTRC1_EXAMPLE: [u8; 89] = [
+    0x4c, 0x54, 0x52, 0x43, 0x31, 0x0a, 0x04, 0x64, 0x65, 0x6d, 0x6f, 0x05, 0x71, 0x75, 0x69, 0x63,
+    0x6b, 0x09, 0x80, 0xb8, 0x99, 0x29, 0x01, 0xe8, 0x07, 0x0a, 0x03, 0x01, 0x07, 0x03, 0xfa, 0x01,
+    0x01, 0x03, 0x0c, 0x00, 0x01, 0x07, 0x00, 0x02, 0xee, 0x05, 0x01, 0x03, 0x01, 0x07, 0x00, 0x0a,
+    0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x56, 0x1e, 0x47, 0x29, 0xd3, 0xba, 0xa6,
+    0x76, 0x59, 0xf2, 0xeb, 0x7f, 0x7c, 0xef, 0xf7, 0xe2, 0xdd, 0xfe, 0x99, 0x10, 0xf4, 0x54, 0xad,
+    0x7e, 0x7c, 0x16, 0x77, 0x3a, 0xf3, 0x29, 0x6c, 0xbc,
+];
 
 /// Event `i` of a stream whose every third event owns a string.
 fn steady_event(i: u64) -> TraceEvent {
@@ -667,7 +652,7 @@ fn block_passes_make_no_large_allocation_once_warm() {
     assert_eq!(large_requests(), after_first_block);
 }
 
-/// A real (shrunken) scenario run for the migration and analytics tests.
+/// A real (shrunken) scenario run for the analytics tests.
 fn scenario_trace(name: &str, seed: u64) -> Trace {
     let entry = ScenarioRegistry::standard();
     let entry = entry.get(name).expect("registered");
@@ -684,47 +669,6 @@ fn scenario_trace(name: &str, seed: u64) -> Trace {
     run(&s, seed, &RunOptions::record(&meta))
         .trace
         .expect("a recorded run seals a trace")
-}
-
-#[test]
-fn converting_v1_preserves_stats_and_shrinks() {
-    let _shared = WHOLE_PROCESS.read().expect("no writer panics holding it");
-    let v2 = scenario_trace("baseline", 7);
-    let records = v2.decode_all().expect("decodes");
-    assert!(records.len() > 1000, "need a substantial stream");
-
-    // The same stream through the legacy flat writer.
-    let v1_bytes = record_v1(&v2.meta().expect("meta"), &records);
-    let v1 = Trace::from_bytes(v1_bytes.clone()).expect("v1 imports");
-
-    // Migration is canonical: importing the v1 recording reproduces the
-    // directly-recorded v2 bytes exactly (same content hash, same blocks),
-    // and what `trace convert` writes reads back as that recording.
-    assert_eq!(v1.as_bytes(), v2.as_bytes());
-    assert_eq!(v1.content_hash(), v2.content_hash());
-    assert_eq!(v1.blocks(), v2.blocks());
-    let converted = Trace::from_bytes(v1.as_bytes().to_vec()).expect("rereads");
-    assert_eq!(converted, v2);
-
-    // Every statistic survives the wire change; only the wire tag moves.
-    let mut sv1 = trace_stats(&v1).expect("v1 stats");
-    let sv2 = trace_stats(&converted).expect("v2 stats");
-    assert_eq!(sv1.wire, TraceWire::V1);
-    assert_eq!(sv2.wire, TraceWire::V2);
-    sv1.wire = TraceWire::V2;
-    assert_eq!(sv1.to_json(), sv2.to_json());
-
-    // The columnar wire carries its seek index *and* still shrinks the
-    // file substantially (the ≥4x target is asserted at campaign scale in
-    // the bench suite; real quick-scale streams must manage ≥2x).
-    let ratio = v1_bytes.len() as f64 / v2.as_bytes().len() as f64;
-    assert!(
-        ratio >= 2.0,
-        "LTRC2 must be at least 2x smaller than LTRC1, got {ratio:.2}x \
-         ({} -> {} bytes)",
-        v1_bytes.len(),
-        v2.as_bytes().len()
-    );
 }
 
 #[test]
@@ -755,13 +699,6 @@ fn analytics_are_thread_invariant_on_real_traces() {
     }
     // The JSON stats carry the wire tag (regression: it used to be absent).
     assert!(json1.contains("\"wire\": \"LTRC2\""), "{json1}");
-    // Self-diff across wires: identical records, different files.
-    let a1_bytes = record_v1(&a.meta().expect("meta"), &a.decode_all().expect("decodes"));
-    assert_ne!(a1_bytes, a.as_bytes());
-    let a1 = Trace::from_bytes(a1_bytes).expect("v1 imports");
-    assert_eq!(a1.wire(), TraceWire::V1);
-    let self_diff = diff_traces_threaded(&a, &a1, 4).expect("mixed-wire diff");
-    assert!(self_diff.is_identical(), "{self_diff}");
 }
 
 #[test]
@@ -795,7 +732,6 @@ fn sweep_record_retains_per_seed_traces_that_aggregate() {
         let path = dir.join(format!("trace-baseline-s{seed}.bin"));
         let trace = Trace::read_from(&path)
             .unwrap_or_else(|e| panic!("sweep --record must write {}: {e}", path.display()));
-        assert_eq!(trace.wire(), TraceWire::V2);
         let m = trace.meta().expect("meta");
         assert_eq!((m.seed, m.scenario.as_str()), (seed, "baseline"));
         assert!(trace.events() > 0, "seed {seed} recorded an empty stream");
