@@ -45,6 +45,10 @@ fn bench_rng(h: &mut Harness) {
     h.bench("rng/sample 20 of 100", move || {
         black_box(rng.sample(&items, 20))
     });
+
+    // A range that is not a power of two: the rejection-sampling path.
+    let mut rng = SimRng::seed_from_u64(4);
+    h.bench("rng/below 37", move || black_box(rng.below(black_box(37))));
 }
 
 fn bench_network(h: &mut Harness) {

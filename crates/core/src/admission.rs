@@ -14,20 +14,29 @@
 //! 5. known even/credit pollers bypass drops but are rate-limited to one
 //!    admission per refractory period each (the self-clocking liability
 //!    cap).
+//!
+//! A last-admission stamp matters only while it is younger than the
+//! refractory period: an older one rate-limits nobody, and step 5 treats
+//! it exactly as a missing one. So a cell forgets its expired stamps
+//! whenever its table is full, rather than growing to hold every identity
+//! it ever admitted. This relies on a cell's refractory period being fixed
+//! for its lifetime, which the world's immutable config guarantees, and on
+//! time never running backwards.
 
 use lockss_sim::SimRng;
-use lockss_sim::SimTime;
+use lockss_sim::{Duration, SimTime};
 
 use crate::config::ProtocolConfig;
 use crate::reputation::{Grade, KnownPeers, Standing};
 use crate::trace::AdmissionVerdict;
 use crate::types::Identity;
 
-/// `last_admission` grows this many stamps at a time. A cell's table ends
-/// up a little under the population it talks to and there are thousands of
-/// cells, so doubling would leave up to half of the largest table in the
-/// world unused; at 256 bytes a step the copying stays negligible for any
-/// table a cell can fill at one first admission per refractory period.
+/// `last_admission` grows this many stamps at a time, and only when a full
+/// table still has no room after its expired stamps are dropped. A table
+/// then holds about as many identities as the cell admits in one refractory
+/// period, and there are thousands of cells, so doubling would leave up to
+/// half of the largest table in the world unused; at 256 bytes a step the
+/// copying stays negligible.
 const STAMP_CHUNK: usize = 16;
 
 /// One outstanding introduction (§5.1).
@@ -48,8 +57,9 @@ pub struct AdmissionControl {
     /// End of the current refractory period, if one is running.
     refractory_until: Option<SimTime>,
     /// Last admission instant per identity (the per-peer liability cap),
-    /// sorted by identity. Holds only identities actually admitted here,
-    /// so it grows with this cell's interactions, not the population.
+    /// sorted by identity. Holds only identities admitted here, less the
+    /// stamps that had expired when the table last filled up; see the
+    /// module docs.
     last_admission: Vec<(Identity, SimTime)>,
     /// Outstanding introductions, sorted by introducee and never longer
     /// than `max_introductions` (one when the cap is zero).
@@ -107,9 +117,16 @@ impl AdmissionControl {
     }
 
     /// Number of identities with a recorded last admission (memory
-    /// reports).
+    /// reports). Expired stamps are dropped only when the table is full,
+    /// so this lies between the stamps still live and all ever written.
     pub fn last_admission_entries(&self) -> usize {
         self.last_admission.len()
+    }
+
+    /// Approximate heap bytes of both tables: capacity × entry size.
+    pub fn heap_bytes(&self) -> usize {
+        self.last_admission.capacity() * std::mem::size_of::<(Identity, SimTime)>()
+            + self.introductions.capacity() * std::mem::size_of::<Introduction>()
     }
 
     /// Where `id`'s last-admission stamp is (`Ok`) or would be inserted
@@ -119,18 +136,25 @@ impl AdmissionControl {
     }
 
     /// Files `id`'s first stamp at `at`, as [`Self::stamp_slot`] placed it.
-    fn insert_stamp(&mut self, at: usize, id: Identity, now: SimTime) {
-        if self.last_admission.len() == self.last_admission.capacity() {
-            self.last_admission.reserve_exact(STAMP_CHUNK);
+    /// A full table first drops the stamps `refractory` has expired, and
+    /// grows only if that frees nothing.
+    fn insert_stamp(&mut self, mut at: usize, id: Identity, now: SimTime, refractory: Duration) {
+        let table = &mut self.last_admission;
+        if table.len() == table.capacity() {
+            table.retain(|&(_, t)| now.since(t) < refractory);
+            at = table.partition_point(|e| e.0 < id);
+            if table.len() == table.capacity() {
+                table.reserve_exact(STAMP_CHUNK);
+            }
         }
-        self.last_admission.insert(at, (id, now));
+        table.insert(at, (id, now));
     }
 
     /// Records `now` as `id`'s last admission.
-    fn stamp_admission(&mut self, id: Identity, now: SimTime) {
+    fn stamp_admission(&mut self, id: Identity, now: SimTime, refractory: Duration) {
         match self.stamp_slot(id) {
             Ok(at) => self.last_admission[at].1 = now,
-            Err(at) => self.insert_stamp(at, id, now),
+            Err(at) => self.insert_stamp(at, id, now, refractory),
         }
     }
 
@@ -174,7 +198,7 @@ impl AdmissionControl {
         if !cfg.ablation.no_introductions && self.consume_introduction(poller) {
             // The introduced admission still counts against the identity's
             // own rate limit going forward.
-            self.stamp_admission(poller, now);
+            self.stamp_admission(poller, now, cfg.refractory);
             return AdmissionVerdict::AdmittedIntroduced;
         }
 
@@ -202,7 +226,7 @@ impl AdmissionControl {
                     }
                     *last = now;
                 }
-                Err(at) => self.insert_stamp(at, poller, now),
+                Err(at) => self.insert_stamp(at, poller, now, cfg.refractory),
             }
             return AdmissionVerdict::Admitted;
         }
@@ -224,7 +248,7 @@ impl AdmissionControl {
         if !cfg.ablation.no_refractory {
             self.refractory_until = Some(now + cfg.refractory);
         }
-        self.stamp_admission(poller, now);
+        self.stamp_admission(poller, now, cfg.refractory);
         AdmissionVerdict::Admitted
     }
 }

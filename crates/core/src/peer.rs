@@ -11,7 +11,11 @@
 //! flat allocations; what hangs off them per peer or per cell is also flat
 //! (one hash table of open voter sessions per peer, sorted arrays in each
 //! cell's admission state, a hash table in its known-peers list), never a
-//! tree of heap nodes.
+//! tree of heap nodes. A peer's RNG is its 8-byte stream state, and a
+//! cell's admission stamps are only those a refractory period has not yet
+//! expired, so neither column grows with the length of a run.
+//! [`PeerTable::occupancy`] reports each table's entries and approximate
+//! bytes for `--mem-report`.
 
 use lockss_effort::EffortLedger;
 use lockss_net::NodeId;
@@ -72,10 +76,25 @@ pub struct TableOccupancy {
     /// Voter-side commitments currently open.
     pub voter_sessions: usize,
     /// Last-admission stamps across all cells (the admission filter's
-    /// per-identity rate limit; one per identity ever admitted by a cell).
+    /// per-identity rate limit; one per identity a cell admitted within
+    /// about a refractory period).
     pub last_admission_entries: usize,
     /// Outstanding introductions across all cells (capped per cell).
     pub introductions: usize,
+    /// Approximate heap bytes (capacity × entry size) of the reputation
+    /// entries across all cells.
+    pub known_bytes: usize,
+    /// Approximate heap bytes of the last-admission stamps and
+    /// introductions across all cells.
+    pub admission_bytes: usize,
+    /// Approximate heap bytes of the reference and friends lists.
+    pub reflist_bytes: usize,
+    /// Approximate heap bytes the live polls hold.
+    pub poll_bytes: usize,
+    /// Approximate heap bytes of the per-peer voter-session tables.
+    pub voter_session_bytes: usize,
+    /// Bytes of the per-peer RNG column.
+    pub rng_bytes: usize,
 }
 
 /// All loyal peers, struct-of-arrays.
@@ -328,8 +347,15 @@ impl PeerTable {
             occ.live_polls += usize::from(cell.poll.is_some());
             occ.last_admission_entries += cell.admission.last_admission_entries();
             occ.introductions += cell.admission.outstanding_introductions();
+            occ.known_bytes += cell.known.heap_bytes();
+            occ.admission_bytes += cell.admission.heap_bytes();
+            occ.reflist_bytes += cell.reflist.heap_bytes();
+            occ.poll_bytes += cell.poll.as_ref().map_or(0, PollState::heap_bytes);
         }
         occ.voter_sessions = self.voting.iter().map(FxHashMap::len).sum();
+        let session = std::mem::size_of::<(VoterKey, VoterSession)>();
+        occ.voter_session_bytes = self.voting.iter().map(|m| m.capacity() * session).sum();
+        occ.rng_bytes = self.rng.capacity() * std::mem::size_of::<SimRng>();
         occ
     }
 }

@@ -105,6 +105,17 @@ impl PollState {
         }
     }
 
+    /// Approximate heap bytes the poll holds: capacity × entry size of its
+    /// lists, vote damage snapshots included.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let damage: usize = self.votes.iter().map(|v| v.damage.capacity()).sum();
+        self.invitees.capacity() * size_of::<Invitee>()
+            + self.votes.capacity() * size_of::<RecordedVote>()
+            + damage * size_of::<u64>()
+            + self.nominated_pool.capacity() * size_of::<Identity>()
+    }
+
     /// Index of an invitee by identity.
     pub fn invitee_index(&self, id: Identity) -> Option<usize> {
         self.invitees.iter().position(|i| i.id == id)

@@ -60,6 +60,12 @@ impl RefList {
         self.entries.is_empty()
     }
 
+    /// Approximate heap bytes of the list and the friends list: capacity ×
+    /// entry size.
+    pub fn heap_bytes(&self) -> usize {
+        (self.entries.capacity() + self.friends.capacity()) * std::mem::size_of::<Identity>()
+    }
+
     /// True if `id` is on the list.
     pub fn contains(&self, id: Identity) -> bool {
         self.entries.contains(&id)

@@ -243,6 +243,12 @@ impl KnownPeers {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+
+    /// Approximate heap bytes of the materialized entries: capacity ×
+    /// entry size (the hash table's control bytes are not counted).
+    pub fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<(Identity, Entry)>()
+    }
 }
 
 #[cfg(test)]

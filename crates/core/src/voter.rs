@@ -20,10 +20,9 @@ pub enum VoterStage {
     AwaitingProof,
     /// PollProof received; the vote computation occupies the reservation.
     ComputingVote,
-    /// Vote sent; awaiting the evaluation receipt.
+    /// Vote sent; awaiting the evaluation receipt. The session is removed
+    /// when the receipt arrives.
     AwaitingReceipt,
-    /// Exchange complete.
-    Done,
 }
 
 /// One voter-side commitment to one poll.
@@ -70,8 +69,7 @@ impl VoterSession {
     /// True if this session may still serve a repair (§4.3: voters are
     /// expected to supply a small number of repairs once committed).
     pub fn may_serve_repair(&self, max_repairs: u32) -> bool {
-        (self.stage == VoterStage::AwaitingReceipt || self.stage == VoterStage::Done)
-            && self.repairs_served < max_repairs
+        self.stage == VoterStage::AwaitingReceipt && self.repairs_served < max_repairs
     }
 }
 
@@ -104,7 +102,6 @@ mod tests {
         assert!(!session(VoterStage::AwaitingProof, 0).may_serve_repair(4));
         assert!(!session(VoterStage::ComputingVote, 0).may_serve_repair(4));
         assert!(session(VoterStage::AwaitingReceipt, 0).may_serve_repair(4));
-        assert!(session(VoterStage::Done, 3).may_serve_repair(4));
         assert!(!session(VoterStage::AwaitingReceipt, 4).may_serve_repair(4));
     }
 }

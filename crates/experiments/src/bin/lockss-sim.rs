@@ -654,7 +654,8 @@ fn sweep_dispatch(registry: &ScenarioRegistry, name: &str, inv: &Invocation) {
 }
 
 /// Prints the process's peak RSS plus the event-arena and peer-table
-/// occupancy one run of `seed` ended with.
+/// occupancy one run of `seed` ended with: entry counts, then each table's
+/// approximate bytes (capacity × entry size) and their sum.
 fn mem_report(seed: u64, occupancy: &Occupancy) {
     let Occupancy {
         arena_live,
@@ -662,15 +663,14 @@ fn mem_report(seed: u64, occupancy: &Occupancy) {
         events_executed,
         events_queued,
         queue_buffer_bytes,
+        arena_bytes,
         table,
     } = occupancy;
+    let peak_rss = peak_rss_kb()
+        .map(|kb| format!("{:.1} MiB", kb as f64 / 1024.0))
+        .unwrap_or_else(|| "unavailable on this platform".into());
     println!("\nmemory report (seed {seed}):");
-    println!(
-        "  peak RSS                  {}",
-        peak_rss_kb()
-            .map(|kb| format!("{:.1} MiB", kb as f64 / 1024.0))
-            .unwrap_or_else(|| "unavailable on this platform".into())
-    );
+    println!("  peak RSS                  {peak_rss}");
     println!("  event arena               {arena_live} live / {arena_total} high-water slots");
     println!(
         "  events                    {events_executed} executed, {events_queued} queued at horizon"
@@ -697,6 +697,37 @@ fn mem_report(seed: u64, occupancy: &Occupancy) {
         table.last_admission_entries
     );
     println!("  introductions outstanding {}", table.introductions);
+
+    let kib = |bytes: usize| bytes as f64 / 1024.0;
+    let row = |label: &str, bytes: usize, per: Option<(usize, &str)>| {
+        let note = per.map_or(String::new(), |(n, unit)| {
+            format!(" ({} B per {unit})", bytes / n.max(1))
+        });
+        println!("    {label:<24}{:>10.1} KiB{note}", kib(bytes));
+        bytes
+    };
+    let cells = table.peers * table.aus_per_peer;
+    println!("  bytes, approximate (capacity x entry size):");
+    let sum = row("reputation entries", table.known_bytes, None)
+        + row(
+            "admission stamps+intros",
+            table.admission_bytes,
+            Some((cells, "cell")),
+        )
+        + row("reference lists", table.reflist_bytes, None)
+        + row("live polls", table.poll_bytes, None)
+        + row("voter-session tables", table.voter_session_bytes, None)
+        + row("RNG column", table.rng_bytes, Some((table.peers, "peer")))
+        + row(
+            "event arena + queue",
+            arena_bytes + queue_buffer_bytes,
+            None,
+        );
+    println!(
+        "    {:<24}{:>10.1} KiB of {peak_rss} peak RSS",
+        "sum",
+        kib(sum)
+    );
 }
 
 fn load_trace(path: &str) -> Trace {

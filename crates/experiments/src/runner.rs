@@ -93,6 +93,8 @@ pub struct Occupancy {
     pub events_queued: usize,
     /// Bytes of slot buffer the event queue holds at the horizon.
     pub queue_buffer_bytes: usize,
+    /// Approximate bytes of the event arena's slot slab and free list.
+    pub arena_bytes: usize,
     /// Peer-table heap occupancy at end of run.
     pub table: TableOccupancy,
 }
@@ -175,6 +177,7 @@ pub fn run(scenario: &Scenario, seed: u64, opts: &RunOptions) -> RunOutput {
             events_executed: eng.executed(),
             events_queued: eng.queued(),
             queue_buffer_bytes: eng.queue_buffer_bytes(),
+            arena_bytes: eng.arena_bytes(),
             table: world.peers.occupancy(),
         },
         world,

@@ -240,7 +240,8 @@ fn output_write_failures_exit_1_naming_the_path() {
 
 /// `run --mem-report` reports from the run it already made rather than
 /// simulating again: the report's event count is the one the instrumented
-/// report run fed the metrics registry.
+/// report run fed the metrics registry. Its table bytes add up to no more
+/// than peak RSS.
 #[test]
 fn mem_report_comes_from_the_report_run() {
     let dir = temp_dir("mem-report");
@@ -279,6 +280,44 @@ fn mem_report_comes_from_the_report_run() {
             .unwrap_or_else(|| panic!("no {label:?} line in: {stdout}"));
         assert!(count > 0, "{label}: {count}");
     }
+    // Each table's approximate bytes, and a sum that fits in peak RSS.
+    let kib = |line: &str| -> f64 {
+        let (before, _) = line.split_once(" KiB").expect("a KiB figure");
+        before.split_whitespace().last().unwrap().parse().unwrap()
+    };
+    let lines: Vec<&str> = stdout.lines().map(str::trim).collect();
+    let at = lines
+        .iter()
+        .position(|l| l.starts_with("bytes, approximate"))
+        .unwrap_or_else(|| panic!("no byte lines in: {stdout}"));
+    let mut listed = 0.0;
+    for label in [
+        "reputation entries",
+        "admission stamps+intros",
+        "reference lists",
+        "live polls",
+        "voter-session tables",
+        "RNG column",
+        "event arena + queue",
+    ] {
+        let line = lines[at..]
+            .iter()
+            .find(|l| l.starts_with(label))
+            .unwrap_or_else(|| panic!("no {label:?} byte line in: {stdout}"));
+        listed += kib(line);
+    }
+    let sum_line = lines[at..].iter().find(|l| l.starts_with("sum")).unwrap();
+    let sum = kib(sum_line);
+    assert!(
+        (sum - listed).abs() < 1.0,
+        "{sum_line} vs listed {listed} KiB"
+    );
+    let peak_mib: f64 = lines
+        .iter()
+        .find_map(|l| l.strip_prefix("peak RSS")?.trim().strip_suffix(" MiB"))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no peak RSS in: {stdout}"));
+    assert!(sum > 0.0 && sum <= peak_mib * 1024.0, "{sum_line}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -500,6 +500,14 @@ impl<W> Engine<W> {
         (total - self.arena.free.len(), total)
     }
 
+    /// Approximate bytes of the event arena: its slot slab and free list,
+    /// capacity × entry size (closures too large for a slot's inline
+    /// payload hold further heap blocks, not counted).
+    pub fn arena_bytes(&self) -> usize {
+        self.arena.slots.capacity() * mem::size_of::<Option<EventCell<W>>>()
+            + self.arena.free.capacity() * mem::size_of::<u32>()
+    }
+
     /// Number of events executed so far.
     pub fn executed(&self) -> u64 {
         self.executed

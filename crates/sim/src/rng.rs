@@ -5,6 +5,11 @@
 //! need (exponential inter-arrival times, jittered intervals, sampling
 //! without replacement), so model code never touches raw bit streams and the
 //! whole run stays a pure function of the seed.
+//!
+//! A [`SimRng`] is its 8-byte stream state and nothing else: no cache or
+//! scratch buffer rides along, so the peer table's one stream per peer
+//! costs 8 bytes a peer. CI's "No RNG state but the stream" guard keeps
+//! it that way.
 
 use crate::time::Duration;
 
@@ -20,22 +25,7 @@ use crate::time::Duration;
 #[derive(Clone, Debug)]
 pub struct SimRng {
     state: u64,
-    /// Reusable index workspace for [`SimRng::sample`]. Not part of the
-    /// random state: it never influences a draw, it only spares the hot
-    /// sampling paths (inner-circle selection, nominations) a fresh
-    /// allocation per call.
-    idx_scratch: Vec<usize>,
-    /// Direct-mapped `(n, rejection zone)` cache for [`SimRng::below`].
-    /// The zone is a pure function of `n` but costs a 64-bit division, and
-    /// the same handful of range sizes (circle sizes, list lengths) recur
-    /// throughout a run; caching halves the division work per draw without
-    /// touching the draw sequence. `n == 0` never queries, so zeroed slots
-    /// can't alias.
-    zone_cache: [(u64, u64); ZONE_SLOTS],
 }
-
-/// Slots in the rejection-zone cache (power of two for cheap indexing).
-const ZONE_SLOTS: usize = 32;
 
 /// Above this domain size, [`SimRng::sample_indices`] switches from the
 /// dense O(n) index vector to the sparse O(k) displacement map. Purely a
@@ -53,14 +43,25 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// `v % n`, or `None` if `v` lies in the partial block of `n` values at the
+/// top of the u64 range, for `n` not a power of two.
+///
+/// Accepts `v` iff the block it lies in, starting at `v - v % n`, ends by
+/// `u64::MAX`. With `q` the largest multiple of `n` at most `u64::MAX`,
+/// that accepts exactly the blocks starting at or below `q - n`, as the
+/// classic `v < q` does: `n` is not a power of two, so `q + n - 1 >
+/// u64::MAX` and `u64::MAX - (n - 1)` lies in `[q - n, q)`. The bound
+/// needs no second division and no cache of `q` per `n`.
+#[inline]
+fn unbiased_residue(v: u64, n: u64) -> Option<u64> {
+    let r = v % n;
+    (v - r <= u64::MAX - (n - 1)).then_some(r)
+}
+
 impl SimRng {
     /// Creates an RNG from a 64-bit seed.
     pub fn seed_from_u64(seed: u64) -> SimRng {
-        SimRng {
-            state: seed,
-            idx_scratch: Vec::new(),
-            zone_cache: [(0, 0); ZONE_SLOTS],
-        }
+        SimRng { state: seed }
     }
 
     /// The next raw splitmix64 output.
@@ -92,30 +93,13 @@ impl SimRng {
         if n.is_power_of_two() {
             return self.next_u64() & (n - 1);
         }
-        // Reject draws past the largest multiple of n, so each residue is
-        // equally likely. The loop rejects less than half the time even in
-        // the worst case.
-        let zone = self.zone(n);
+        // Rejection keeps each residue equally likely; the loop rejects
+        // less than half the time even in the worst case.
         loop {
-            let v = self.next_u64();
-            if v < zone {
-                return v % n;
+            if let Some(r) = unbiased_residue(self.next_u64(), n) {
+                return r;
             }
         }
-    }
-
-    /// The rejection zone for `n` (`u64::MAX` rounded down to a multiple
-    /// of `n`), served from the direct-mapped cache.
-    #[inline]
-    fn zone(&mut self, n: u64) -> u64 {
-        let slot = (n as usize) & (ZONE_SLOTS - 1);
-        let (cached_n, cached_zone) = self.zone_cache[slot];
-        if cached_n == n {
-            return cached_zone;
-        }
-        let zone = u64::MAX - u64::MAX % n;
-        self.zone_cache[slot] = (n, zone);
-        zone
     }
 
     /// Uniform integer in `[0, n)`.
@@ -215,19 +199,14 @@ impl SimRng {
         if n <= SPARSE_SAMPLE_THRESHOLD {
             // Partial Fisher–Yates over an index vector: after k swap steps
             // the prefix is a uniform k-permutation of 0..n, so the picks
-            // are distinct, uniform, and in random order. The index vector
-            // lives in the RNG's scratch space (same draws, no allocation
-            // per call).
-            let mut idx = std::mem::take(&mut self.idx_scratch);
-            idx.clear();
-            idx.extend(0..n);
+            // are distinct, uniform, and in random order.
+            let mut idx: Vec<usize> = (0..n).collect();
             for i in 0..k {
                 let j = i + self.below(n - i);
                 idx.swap(i, j);
             }
-            let picks = idx[..k].to_vec();
-            self.idx_scratch = idx;
-            return picks;
+            idx.truncate(k);
+            return idx;
         }
         // Sparse Fisher–Yates: only displaced positions are materialized.
         // `displaced[j]` holds the value currently sitting at position `j`
@@ -270,6 +249,11 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.u64(), b.u64());
         }
+    }
+
+    #[test]
+    fn an_rng_is_its_stream_state() {
+        assert_eq!(std::mem::size_of::<SimRng>(), 8);
     }
 
     #[test]
@@ -327,6 +311,121 @@ mod tests {
                 assert_eq!(a.u64(), b.u64(), "n={n} k={k} draw streams diverged");
             }
         }
+    }
+
+    /// The rejection rule before [`unbiased_residue`]: accept below the
+    /// largest multiple of `n` at most `u64::MAX`.
+    fn zone(n: u64) -> u64 {
+        u64::MAX - u64::MAX % n
+    }
+
+    #[test]
+    fn rejection_rule_matches_the_zone_rule_at_boundaries() {
+        let mut gen = SimRng::seed_from_u64(31);
+        let random = (0..2000).map(|_| 3 + gen.u64() % (1 << 40));
+        let huge = [u64::MAX, u64::MAX - 1, (1 << 63) + 1, 3 << 62, u64::MAX / 3];
+        for n in (3..5000).chain(random).chain(huge) {
+            if n.is_power_of_two() {
+                continue;
+            }
+            let z = zone(n);
+            let edges = [0, 1, n - 1, n, z - n, z - n + 1, z - 2, z - 1, z, u64::MAX];
+            for v in edges.into_iter().chain((z..=u64::MAX).take(3)) {
+                let want = (v < z).then_some(v % n);
+                assert_eq!(unbiased_residue(v, n), want, "n={n} v={v}");
+            }
+        }
+    }
+
+    /// The sampler as it stood when `SimRng` kept a reusable index buffer
+    /// and a cache of rejection zones, copied so the rewritten samplers are
+    /// held to it rather than only to each other.
+    struct ScratchRng {
+        state: u64,
+        scratch: Vec<usize>,
+        zones: [(u64, u64); 32],
+    }
+
+    impl ScratchRng {
+        fn next_u64(&mut self) -> u64 {
+            self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+            mix(self.state)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            let n = n as u64;
+            if n.is_power_of_two() {
+                return (self.next_u64() & (n - 1)) as usize;
+            }
+            let slot = (n as usize) & 31;
+            let zone = if self.zones[slot].0 == n {
+                self.zones[slot].1
+            } else {
+                let zone = zone(n);
+                self.zones[slot] = (n, zone);
+                zone
+            };
+            loop {
+                let v = self.next_u64();
+                if v < zone {
+                    return (v % n) as usize;
+                }
+            }
+        }
+
+        fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
+            let k = k.min(n);
+            if k == 0 {
+                return Vec::new();
+            }
+            if n <= SPARSE_SAMPLE_THRESHOLD {
+                let mut idx = std::mem::take(&mut self.scratch);
+                idx.clear();
+                idx.extend(0..n);
+                for i in 0..k {
+                    let j = i + self.below(n - i);
+                    idx.swap(i, j);
+                }
+                let picks = idx[..k].to_vec();
+                self.scratch = idx;
+                return picks;
+            }
+            let mut displaced: crate::FxHashMap<usize, usize> = crate::fxmap::with_capacity(2 * k);
+            let mut picks = Vec::with_capacity(k);
+            for i in 0..k {
+                let j = i + self.below(n - i);
+                let at_j = displaced.get(&j).copied().unwrap_or(j);
+                let at_i = displaced.get(&i).copied().unwrap_or(i);
+                picks.push(at_j);
+                displaced.insert(j, at_i);
+            }
+            picks
+        }
+    }
+
+    #[test]
+    fn samplers_match_the_scratch_sampler() {
+        // One stream per side across every call, so a drift in any draw
+        // shows up in every later pick.
+        let mut old = ScratchRng {
+            state: 77,
+            scratch: Vec::new(),
+            zones: [(0, 0); 32],
+        };
+        let (mut by_index, mut by_slice) = (SimRng::seed_from_u64(77), SimRng::seed_from_u64(77));
+        for n in 1..=2049usize {
+            let items: Vec<usize> = (0..n).collect();
+            for k in [0, 1, n / 2, n, n + 1] {
+                let want = old.sample_indices(n, k);
+                assert_eq!(by_index.sample_indices(n, k), want, "n={n} k={k}");
+                assert_eq!(by_slice.sample(&items, k), want, "n={n} k={k}");
+                let next = old.below(n);
+                assert_eq!(by_index.below(n), next, "n={n} k={k}");
+                assert_eq!(by_slice.below(n), next, "n={n} k={k}");
+            }
+        }
+        let last = old.next_u64();
+        assert_eq!((by_index.u64(), by_slice.u64()), (last, last));
     }
 
     #[test]
