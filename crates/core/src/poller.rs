@@ -6,10 +6,16 @@
 //! phase that tallies votes block by block, fetches repairs where the
 //! poller is outvoted in a landslide, and concludes with receipts.
 
-use lockss_sim::SimTime;
+use lockss_effort::Purpose;
+use lockss_net::NodeId;
+use lockss_obs::Span;
+use lockss_sim::{Duration, SimTime};
 use lockss_storage::AuId;
 
+use crate::msg::Message;
+use crate::trace::{PollConclusion, TraceEvent};
 use crate::types::{Identity, PollId};
+use crate::world::{Eng, World};
 
 /// Solicitation status of one invitee.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -221,6 +227,782 @@ impl PollState {
             })
             .map(|i| i.id)
             .collect()
+    }
+}
+
+impl World {
+    // ------------------------------------------------------------------
+    // Poller side.
+    // ------------------------------------------------------------------
+
+    /// Opens a new poll on `au` at peer `p` (§4.1).
+    pub fn start_poll(&mut self, eng: &mut Eng, p: usize, au: AuId) {
+        // Copy the handful of scalars this path needs instead of cloning
+        // the whole ProtocolConfig per poll.
+        let solicit_window = self.cfg.protocol.solicit_window();
+        let poll_interval = self.cfg.protocol.poll_interval;
+        let inner_circle = self.cfg.protocol.inner_circle;
+        let synchronous = self.cfg.protocol.ablation.synchronous_solicitation;
+        let now = eng.now();
+        self.metrics.polls.register(p as u32, au.0, now);
+        let id = self.alloc_poll_id();
+        self.trace(eng, || TraceEvent::PollStart {
+            peer: p as u32,
+            au: au.0,
+            poll: id.0,
+        });
+        let solicit_deadline = now + solicit_window;
+        let conclude_at = now + poll_interval;
+        let mut poll = PollState::new(id, au, now, solicit_deadline, conclude_at);
+
+        // Sample the inner circle from the reference list, topped up with
+        // friends if the list has shrunk below the circle size.
+        let me = self.peers.identity(p);
+        let (au_state, rng) = self.peers.au_and_rng_mut(p, au.index());
+        let mut circle = au_state.reflist.sample(inner_circle, rng);
+        if circle.len() < inner_circle {
+            for &f in au_state.reflist.friends() {
+                if circle.len() >= inner_circle {
+                    break;
+                }
+                if !circle.contains(&f) && f != me {
+                    circle.push(f);
+                }
+            }
+        }
+        for v in circle {
+            poll.add_invitee(v, true);
+        }
+        let n = poll.invitees.len();
+        au_state.poll = Some(poll);
+
+        // Desynchronization (§5.2): stagger invitations individually over
+        // the first 60% of the solicitation window. (The ablation solicits
+        // everyone at once — the synchronization failure mode §5.2 warns
+        // about.)
+        let spread = if synchronous {
+            Duration::SECOND * 2
+        } else {
+            solicit_window.mul_f64(0.6)
+        };
+        for idx in 0..n {
+            let at = now
+                + self
+                    .peers
+                    .rng_mut(p)
+                    .duration_between(Duration::SECOND, spread);
+            eng.schedule_at(at, move |w: &mut World, e| {
+                w.send_invite(e, p, au, id, idx);
+            });
+        }
+        // Outer-circle launch and evaluation checkpoints.
+        let outer_at = now + solicit_window.mul_f64(0.62);
+        eng.schedule_at(outer_at, move |w: &mut World, e| {
+            w.launch_outer(e, p, au, id);
+        });
+        eng.schedule_at(solicit_deadline, move |w: &mut World, e| {
+            w.begin_evaluation(e, p, au, id);
+        });
+        eng.schedule_at(conclude_at, move |w: &mut World, e| {
+            w.conclude_guard(e, p, au, id);
+        });
+    }
+
+    /// True if the poll `id` is still the live poll for (p, au).
+    fn poll_is_current(&self, p: usize, au: AuId, id: PollId) -> bool {
+        self.peers
+            .au(p, au.index())
+            .poll
+            .as_ref()
+            .map(|poll| poll.id == id)
+            .unwrap_or(false)
+    }
+
+    /// Generates the introductory effort and sends a Poll invitation
+    /// (possibly a retry).
+    fn send_invite(&mut self, eng: &mut Eng, p: usize, au: AuId, id: PollId, idx: usize) {
+        if !self.poll_is_current(p, au, id) {
+            return;
+        }
+        let now = eng.now();
+        let (invitee, deadline, attempt) = {
+            let poll = self
+                .peers
+                .au_mut(p, au.index())
+                .poll
+                .as_mut()
+                .expect("current");
+            if poll.phase != PollPhase::Soliciting {
+                return;
+            }
+            let inv = &mut poll.invitees[idx];
+            let attempt = match inv.status {
+                InviteeStatus::Scheduled { attempt } => attempt,
+                InviteeStatus::Refused { attempts } => attempts,
+                _ => return, // already in flight or done
+            };
+            inv.status = InviteeStatus::Invited { attempt };
+            (inv.id, poll.solicit_deadline, attempt)
+        };
+        // Give the voter the vote deadline with a small delivery margin.
+        let vote_deadline = deadline.saturating_sub(Duration::MINUTE);
+        if now + Duration::MINUTE >= vote_deadline {
+            return; // too late in the window to bother
+        }
+
+        // The introductory effort occupies the poller's CPU (§5.1).
+        let intro = self.balanced_effort(self.costs.intro_gen);
+        let res = self.peers.schedule_mut(p).reserve(now, intro);
+        self.charge_loyal(p, Purpose::GenIntro, intro);
+        let poller_identity = self.peers.identity(p);
+        let from = self.peers.node(p);
+        eng.schedule_at(res.end, move |w: &mut World, e| {
+            if !w.poll_is_current(p, au, id) {
+                return;
+            }
+            let Some(to) = w.node_of(invitee) else { return };
+            // Whether or not the send succeeded (pipe stoppage) or the
+            // voter silently drops it, an ack timeout drives the retry.
+            w.send_message(
+                e,
+                from,
+                to,
+                Message::Poll {
+                    au,
+                    poll: id,
+                    poller: poller_identity,
+                    intro_valid: true,
+                    vote_deadline,
+                },
+            );
+            let timeout = w.cfg.protocol.invite_timeout;
+            e.schedule_in(timeout, move |w: &mut World, e| {
+                w.invite_timeout(e, p, au, id, idx, attempt);
+            });
+        });
+    }
+
+    /// PollAck handling (§4.1).
+    pub(crate) fn poller_on_ack(
+        &mut self,
+        eng: &mut Eng,
+        p: usize,
+        au: AuId,
+        id: PollId,
+        from: NodeId,
+        accept: bool,
+    ) {
+        if !self.poll_is_current(p, au, id) {
+            return;
+        }
+        let now = eng.now();
+        // Identify the invitee by its node.
+        let Some(invitee_identity) = self
+            .loyal_peer_of_node(from)
+            .map(|i| self.peers.identity(i))
+        else {
+            return;
+        };
+        let idx = {
+            let poll = self.peers.au(p, au.index()).poll.as_ref().expect("current");
+            let Some(idx) = poll.invitee_index(invitee_identity) else {
+                return;
+            };
+            idx
+        };
+        if !accept {
+            self.mark_refused_and_maybe_retry(eng, p, au, id, idx);
+            return;
+        }
+        {
+            let poll = self
+                .peers
+                .au_mut(p, au.index())
+                .poll
+                .as_mut()
+                .expect("current");
+            if !matches!(poll.invitees[idx].status, InviteeStatus::Invited { .. }) {
+                return;
+            }
+            poll.invitees[idx].status = InviteeStatus::Accepted;
+        }
+        // Generate and ship the remaining effort proof (§5.1).
+        let remaining = self.balanced_effort(self.costs.remaining_gen);
+        let res = self.peers.schedule_mut(p).reserve(now, remaining);
+        self.charge_loyal(p, Purpose::GenRemaining, remaining);
+        let from_node = self.peers.node(p);
+        eng.schedule_at(res.end, move |w: &mut World, e| {
+            if !w.poll_is_current(p, au, id) {
+                return;
+            }
+            {
+                let poll = w
+                    .peers
+                    .au_mut(p, au.index())
+                    .poll
+                    .as_mut()
+                    .expect("current");
+                let Some(idx) = poll.invitee_index(invitee_identity) else {
+                    return;
+                };
+                if poll.invitees[idx].status != InviteeStatus::Accepted {
+                    return;
+                }
+                poll.invitees[idx].status = InviteeStatus::AwaitingVote;
+            }
+            let Some(to) = w.node_of(invitee_identity) else {
+                return;
+            };
+            w.send_message(
+                e,
+                from_node,
+                to,
+                Message::PollProof {
+                    au,
+                    poll: id,
+                    remaining_valid: true,
+                },
+            );
+        });
+    }
+
+    /// No PollAck arrived in time: treat as reluctance and retry later in
+    /// the same solicitation phase (§4.1).
+    fn invite_timeout(
+        &mut self,
+        eng: &mut Eng,
+        p: usize,
+        au: AuId,
+        id: PollId,
+        idx: usize,
+        attempt: u32,
+    ) {
+        if !self.poll_is_current(p, au, id) {
+            return;
+        }
+        let stale = {
+            let poll = self.peers.au(p, au.index()).poll.as_ref().expect("current");
+            poll.invitees[idx].status != InviteeStatus::Invited { attempt }
+        };
+        if stale {
+            return;
+        }
+        self.mark_refused_and_maybe_retry(eng, p, au, id, idx);
+    }
+
+    fn mark_refused_and_maybe_retry(
+        &mut self,
+        eng: &mut Eng,
+        p: usize,
+        au: AuId,
+        id: PollId,
+        idx: usize,
+    ) {
+        let cfg_max = self.cfg.protocol.max_invite_attempts;
+        let now = eng.now();
+        let do_retry = {
+            let poll = self
+                .peers
+                .au_mut(p, au.index())
+                .poll
+                .as_mut()
+                .expect("current");
+            let attempts = match poll.invitees[idx].status {
+                InviteeStatus::Invited { attempt } => attempt + 1,
+                InviteeStatus::Scheduled { attempt } => attempt + 1,
+                _ => return,
+            };
+            if attempts >= cfg_max || now + Duration::HOUR * 2 >= poll.solicit_deadline {
+                poll.invitees[idx].status = InviteeStatus::Dead;
+                false
+            } else {
+                poll.invitees[idx].status = InviteeStatus::Refused { attempts };
+                true
+            }
+        };
+        if do_retry {
+            // Spread retries uniformly over what is left of the window.
+            let deadline = {
+                let poll = self.peers.au(p, au.index()).poll.as_ref().expect("current");
+                poll.solicit_deadline
+            };
+            let window = deadline.since(now);
+            let wait = self
+                .peers
+                .rng_mut(p)
+                .duration_between(Duration::MINUTE * 30, window.max(Duration::HOUR));
+            eng.schedule_in(wait, move |w: &mut World, e| {
+                w.retry_invite(e, p, au, id, idx);
+            });
+        }
+    }
+
+    fn retry_invite(&mut self, eng: &mut Eng, p: usize, au: AuId, id: PollId, idx: usize) {
+        if !self.poll_is_current(p, au, id) {
+            return;
+        }
+        let ok = {
+            let poll = self.peers.au(p, au.index()).poll.as_ref().expect("current");
+            matches!(poll.invitees[idx].status, InviteeStatus::Refused { .. })
+                && poll.phase == PollPhase::Soliciting
+        };
+        if ok {
+            {
+                let poll = self
+                    .peers
+                    .au_mut(p, au.index())
+                    .poll
+                    .as_mut()
+                    .expect("current");
+                if let InviteeStatus::Refused { attempts } = poll.invitees[idx].status {
+                    poll.invitees[idx].status = InviteeStatus::Scheduled { attempt: attempts };
+                }
+            }
+            self.send_invite(eng, p, au, id, idx);
+        }
+    }
+
+    /// A Vote arrived (§4.2): record it and harvest nominations into the
+    /// outer-circle pool and the introduction table.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn poller_on_vote(
+        &mut self,
+        eng: &mut Eng,
+        p: usize,
+        au: AuId,
+        id: PollId,
+        voter: Identity,
+        damage: Vec<u64>,
+        nominations: Vec<Identity>,
+        proof_valid: bool,
+    ) {
+        if !self.poll_is_current(p, au, id) {
+            return; // unsolicited or stale: ignored for free (§5.1)
+        }
+        let now = eng.now();
+        {
+            // Vote-flood defense (§5.1): votes from identities we never
+            // invited are ignored without any effort.
+            let poll = self.peers.au(p, au.index()).poll.as_ref().expect("current");
+            if !poll.has_invitee(voter) {
+                return;
+            }
+        }
+        if !proof_valid {
+            // Bogus vote from a real invitee: one block hash detects it;
+            // penalize and discard.
+            self.charge_loyal(p, Purpose::VerifyVoteProof, self.costs.block_hash);
+            self.peers.au_mut(p, au.index()).known.penalize(voter, now);
+            return;
+        }
+        // Destructuring splits the borrow: the protocol config is read-only
+        // alongside the mutable peer columns, so nothing needs cloning.
+        let World { cfg, peers, .. } = self;
+        let cfg = &cfg.protocol;
+        let me = peers.identity(p);
+        let (au_state, rng) = peers.au_and_rng_mut(p, au.index());
+        let poll = au_state.poll.as_mut().expect("current");
+        if !poll.record_vote(voter, damage) {
+            return; // unsolicited or duplicate votes are ignored (§5.1)
+        }
+        // Harvest nominations: randomly partition into outer-circle
+        // candidates and introductions (§5.1).
+        for nominee in nominations {
+            if nominee == me || nominee == voter || nominee.is_minion() {
+                continue;
+            }
+            if rng.chance(cfg.introduction_frac) {
+                au_state.admission.introduce(nominee, voter, now, cfg);
+            } else {
+                poll.nominate(nominee);
+            }
+        }
+    }
+
+    /// A Repair block arrived at the poller (§4.3). `from` is the serving
+    /// node: a block handed over by a *currently compromised* peer is
+    /// poison — applying it leaves the target block damaged (and damages
+    /// it if it was intact, the frivolous-repair infection vector). The
+    /// apply effort is charged either way; the poller cannot tell.
+    pub(crate) fn poller_on_repair(
+        &mut self,
+        eng: &mut Eng,
+        p: usize,
+        from: NodeId,
+        au: AuId,
+        id: PollId,
+        block: u64,
+    ) {
+        if !self.poll_is_current(p, au, id) {
+            return;
+        }
+        let cost = self.costs.repair_apply;
+        self.charge_loyal(p, Purpose::ApplyRepair, cost);
+        let server = self.loyal_peer_of_node(from);
+        let poisoned = server
+            .map(|s| self.peers.is_compromised(s))
+            .unwrap_or(false);
+        if poisoned {
+            let server = server.expect("poisoned implies a loyal-table server") as u32;
+            let newly_damaged = {
+                let au_state = self.peers.au_mut(p, au.index());
+                let was_intact = au_state.replica.is_intact();
+                au_state.replica.damage(block);
+                was_intact && !au_state.replica.is_intact()
+            };
+            self.trace(eng, || TraceEvent::PoisonedRepair {
+                peer: p as u32,
+                au: au.0,
+                poll: id.0,
+                block,
+                server,
+            });
+            if newly_damaged {
+                self.metrics.damage.on_damaged(eng.now());
+            }
+        } else {
+            let became_intact = {
+                let au_state = self.peers.au_mut(p, au.index());
+                let was_intact = au_state.replica.is_intact();
+                au_state.replica.repair(block);
+                !was_intact && au_state.replica.is_intact()
+            };
+            self.trace(eng, || TraceEvent::Repair {
+                peer: p as u32,
+                au: au.0,
+                poll: id.0,
+                block,
+                intact_after: became_intact,
+            });
+            if became_intact {
+                self.metrics.damage.on_repaired(eng.now());
+            }
+        }
+        let done = {
+            let poll = self
+                .peers
+                .au_mut(p, au.index())
+                .poll
+                .as_mut()
+                .expect("current");
+            poll.pending_repairs = poll.pending_repairs.saturating_sub(1);
+            poll.phase == PollPhase::Repairing && poll.pending_repairs == 0
+        };
+        if done {
+            self.finalize_poll(eng, p, au, id);
+        }
+    }
+
+    /// Launches the outer circle (§4.2): solicit votes from discovered
+    /// peers to observe their behaviour.
+    fn launch_outer(&mut self, eng: &mut Eng, p: usize, au: AuId, id: PollId) {
+        if !self.poll_is_current(p, au, id) {
+            return;
+        }
+        let outer_n = self.cfg.protocol.outer_circle;
+        let now = eng.now();
+        let candidates: Vec<Identity> = {
+            let me = self.peers.identity(p);
+            let au_state = self.peers.au(p, au.index());
+            let poll = au_state.poll.as_ref().expect("current");
+            let mut pool: Vec<Identity> = poll
+                .nominated_pool
+                .iter()
+                .copied()
+                .filter(|&c| c != me && !au_state.reflist.contains(c) && !poll.has_invitee(c))
+                .collect();
+            pool.dedup();
+            pool
+        };
+        let picked = self.peers.rng_mut(p).sample(&candidates, outer_n);
+        let deadline = {
+            let poll = self.peers.au(p, au.index()).poll.as_ref().expect("current");
+            poll.solicit_deadline
+        };
+        let window = deadline.since(now).mul_f64(0.7);
+        for v in picked {
+            let idx = {
+                let poll = self
+                    .peers
+                    .au_mut(p, au.index())
+                    .poll
+                    .as_mut()
+                    .expect("current");
+                if poll.has_invitee(v) {
+                    continue;
+                }
+                poll.add_invitee(v, false)
+            };
+            let at = now
+                + self
+                    .peers
+                    .rng_mut(p)
+                    .duration_between(Duration::SECOND, window);
+            eng.schedule_at(at, move |w: &mut World, e| {
+                w.send_invite(e, p, au, id, idx);
+            });
+        }
+        if self.poll_is_current(p, au, id) {
+            let poll = self
+                .peers
+                .au_mut(p, au.index())
+                .poll
+                .as_mut()
+                .expect("current");
+            poll.outer_launched = true;
+        }
+    }
+
+    /// Solicitation window closed: evaluate (§4.3).
+    fn begin_evaluation(&mut self, eng: &mut Eng, p: usize, au: AuId, id: PollId) {
+        if !self.poll_is_current(p, au, id) {
+            return;
+        }
+        let _span = Span::enter(&self.profiler, "poll-evaluate");
+        let now = eng.now();
+        // Penalize invitees that committed but never delivered (§5.1).
+        let deserters = {
+            let poll = self
+                .peers
+                .au_mut(p, au.index())
+                .poll
+                .as_mut()
+                .expect("current");
+            if poll.phase != PollPhase::Soliciting {
+                return;
+            }
+            poll.phase = PollPhase::Evaluating;
+            poll.committed_non_voters()
+        };
+        let au_state = self.peers.au_mut(p, au.index());
+        for d in deserters {
+            au_state.known.penalize(d, now);
+        }
+        let n_votes = {
+            let poll = self.peers.au(p, au.index()).poll.as_ref().expect("current");
+            poll.votes.len()
+        };
+        if n_votes == 0 {
+            // Nothing to evaluate; conclude as failed.
+            self.finalize_poll(eng, p, au, id);
+            return;
+        }
+        let proof_checks = self.balanced_effort(self.costs.vote_proof_verify * n_votes as u64);
+        let cost = self.costs.au_hash + proof_checks;
+        let res = self.peers.schedule_mut(p).reserve(now, cost);
+        self.charge_loyal(p, Purpose::Evaluate, self.costs.au_hash);
+        self.charge_loyal(p, Purpose::VerifyVoteProof, proof_checks);
+        eng.schedule_at(res.end, move |w: &mut World, e| {
+            w.tally(e, p, au, id);
+        });
+    }
+
+    /// Block-wise tally and repair planning (§4.3).
+    fn tally(&mut self, eng: &mut Eng, p: usize, au: AuId, id: PollId) {
+        if !self.poll_is_current(p, au, id) {
+            return;
+        }
+        let quorum = self.cfg.protocol.quorum;
+        let frivolous_p = self.cfg.protocol.frivolous_repair_prob;
+        let blocks = self.cfg.au_spec.blocks();
+
+        let (inner_votes, my_damage) = {
+            let au_state = self.peers.au(p, au.index());
+            let poll = au_state.poll.as_ref().expect("current");
+            (poll.inner_votes(), au_state.replica.snapshot())
+        };
+
+        let mut repair_plan: Vec<(u64, Identity)> = Vec::new();
+        let mut unrepairable = 0u32;
+        if inner_votes >= quorum {
+            // Every damaged block of our replica meets landslide
+            // disagreement (damaged content never matches anyone): fetch a
+            // repair from a voter whose vote shows the block intact.
+            let (au_state, rng) = self.peers.au_and_rng_mut(p, au.index());
+            let poll = au_state.poll.as_ref().expect("current");
+            for block in my_damage {
+                let candidates = poll.repair_candidates(block);
+                match rng.choose(&candidates) {
+                    Some(&v) => repair_plan.push((block, v)),
+                    None => unrepairable += 1,
+                }
+            }
+            // Frivolous repair (§4.3): keep voters honest about serving.
+            if rng.chance(frivolous_p) && !poll.votes.is_empty() {
+                let block = rng.below(blocks as usize) as u64;
+                let pick = rng.below(poll.votes.len());
+                let v = poll.votes[pick].voter;
+                repair_plan.push((block, v));
+            }
+        }
+
+        {
+            let poll = self
+                .peers
+                .au_mut(p, au.index())
+                .poll
+                .as_mut()
+                .expect("current");
+            poll.phase = PollPhase::Repairing;
+            poll.pending_repairs = repair_plan.len() as u32;
+            poll.unrepairable = unrepairable;
+        }
+        let from = self.peers.node(p);
+        if repair_plan.is_empty() {
+            self.finalize_poll(eng, p, au, id);
+            return;
+        }
+        for (block, voter) in repair_plan {
+            // The one counted fact no event carries: a request planned from
+            // a voter with no loyal node is never sent.
+            if let Some(o) = self.obs.as_deref() {
+                o.repairs_requested.inc();
+            }
+            let Some(to) = self.node_of(voter) else {
+                let poll = self
+                    .peers
+                    .au_mut(p, au.index())
+                    .poll
+                    .as_mut()
+                    .expect("current");
+                poll.pending_repairs -= 1;
+                continue;
+            };
+            self.send_message(
+                eng,
+                from,
+                to,
+                Message::RepairRequest {
+                    au,
+                    poll: id,
+                    block,
+                },
+            );
+        }
+        let still_pending = {
+            let poll = self.peers.au(p, au.index()).poll.as_ref().expect("current");
+            poll.pending_repairs
+        };
+        if still_pending == 0 {
+            self.finalize_poll(eng, p, au, id);
+        }
+    }
+
+    /// Hard conclusion: if repairs (or evaluation) are stuck at the poll's
+    /// scheduled end, finish anyway; the next poll starts on time
+    /// (autonomous rate limitation).
+    fn conclude_guard(&mut self, eng: &mut Eng, p: usize, au: AuId, id: PollId) {
+        if !self.poll_is_current(p, au, id) {
+            return;
+        }
+        let phase = {
+            let poll = self.peers.au(p, au.index()).poll.as_ref().expect("current");
+            poll.phase
+        };
+        if phase != PollPhase::Finished {
+            self.finalize_poll(eng, p, au, id);
+        }
+    }
+
+    /// Concludes the poll (§4.3): receipts, grades, reference-list update,
+    /// metrics, and the next poll's schedule.
+    fn finalize_poll(&mut self, eng: &mut Eng, p: usize, au: AuId, id: PollId) {
+        if !self.poll_is_current(p, au, id) {
+            return;
+        }
+        let _span = Span::enter(&self.profiler, "poll-finalize");
+        // Scalar copies instead of a whole-config clone; the one helper
+        // that takes `&ProtocolConfig` gets it through a split borrow below.
+        let quorum = self.cfg.protocol.quorum;
+        let max_disagree = self.cfg.protocol.max_disagree;
+        let grade_decay = self.cfg.protocol.grade_decay;
+        let poll_interval = self.cfg.protocol.poll_interval;
+        let now = eng.now();
+
+        let poll = {
+            let au_state = self.peers.au_mut(p, au.index());
+            let mut poll = au_state.poll.take().expect("current");
+            poll.phase = PollPhase::Finished;
+            poll
+        };
+
+        let my_damage = self.peers.au(p, au.index()).replica.snapshot();
+        let inner_votes = poll.inner_votes();
+        let disagreeing = poll.inner_disagreements(&my_damage);
+        let conclusion = if inner_votes < quorum {
+            PollConclusion::Inquorate
+        } else if disagreeing <= max_disagree {
+            PollConclusion::Win
+        } else if disagreeing >= inner_votes.saturating_sub(max_disagree) {
+            PollConclusion::Loss
+        } else {
+            PollConclusion::Inconclusive
+        };
+        let votes = poll.votes.len() as u32;
+        self.trace(eng, || TraceEvent::PollOutcome {
+            peer: p as u32,
+            au: au.0,
+            poll: id.0,
+            conclusion,
+            votes,
+        });
+
+        // Grades: every voter that supplied a valid vote is raised (§5.1).
+        {
+            let au_state = self.peers.au_mut(p, au.index());
+            for v in &poll.votes {
+                au_state.known.raise(v.voter, now, grade_decay);
+            }
+        }
+
+        // Receipts: the MBF byproduct of evaluation (§5.1); evaluation was
+        // already charged, so receipts cost only the send.
+        let from = self.peers.node(p);
+        let voters: Vec<Identity> = poll.votes.iter().map(|v| v.voter).collect();
+        for v in &voters {
+            if let Some(to) = self.node_of(*v) {
+                self.send_message(
+                    eng,
+                    from,
+                    to,
+                    Message::EvaluationReceipt {
+                        au,
+                        poll: id,
+                        valid: true,
+                    },
+                );
+            }
+        }
+
+        // Reference-list update only on a decisive outcome (§4.3).
+        if conclusion == PollConclusion::Win {
+            let agreeing_outer = poll.agreeing_outer(&my_damage);
+            let decisive = poll.decisive_voters();
+            let World { cfg, peers, .. } = self;
+            let (au_state, rng) = peers.au_and_rng_mut(p, au.index());
+            au_state
+                .reflist
+                .conclude_poll(&decisive, &agreeing_outer, &cfg.protocol, rng);
+        }
+
+        // Metrics.
+        match conclusion {
+            PollConclusion::Win => self.metrics.polls.on_success(p as u32, au.0, now),
+            PollConclusion::Inquorate => self.metrics.polls.on_failure(),
+            PollConclusion::Loss | PollConclusion::Inconclusive => {
+                // A loss should have been repaired away; both raise alarms.
+                self.metrics.polls.on_failure();
+                self.metrics.polls.on_alarm();
+            }
+        }
+
+        // Next poll: autonomous fixed rate with jitter (§5.1).
+        let jitter = self.cfg.protocol.interval_jitter;
+        let next_start = poll.started + self.peers.rng_mut(p).jitter(poll_interval, jitter);
+        let at = next_start.max(now + Duration::SECOND);
+        eng.schedule_at(at, move |w: &mut World, e| {
+            w.start_poll(e, p, au);
+        });
     }
 }
 

@@ -6,12 +6,16 @@
 //! number of repairs, and finally expects a valid evaluation receipt — the
 //! MBF byproduct — failing which the poller is penalized to debt.
 
+use lockss_effort::Purpose;
 use lockss_net::NodeId;
-use lockss_sim::SimTime;
+use lockss_sim::{Duration, SimTime};
 use lockss_storage::AuId;
 
+use crate::msg::Message;
 use crate::schedule::Reservation;
+use crate::trace::{AdmissionVerdict, TraceEvent};
 use crate::types::{Identity, PollId};
+use crate::world::{Eng, World};
 
 /// Stage of a voter session.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -75,6 +79,306 @@ impl VoterSession {
 
 /// Key for a voter session: the poll it serves.
 pub type VoterKey = PollId;
+
+impl World {
+    // ------------------------------------------------------------------
+    // Voter side.
+    // ------------------------------------------------------------------
+
+    /// An invitation arrived (§5.1 admission control, then commitment).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn voter_on_poll(
+        &mut self,
+        eng: &mut Eng,
+        p: usize,
+        from: NodeId,
+        au: AuId,
+        id: PollId,
+        poller: Identity,
+        intro_valid: bool,
+        vote_deadline: SimTime,
+    ) {
+        let now = eng.now();
+        if self.peers.voting(p).contains_key(&id) {
+            return; // duplicate invitation for an existing commitment
+        }
+        // Admission filter. The split borrow passes the config by reference
+        // alongside the mutable peer columns — no per-invitation clone.
+        let verdict = {
+            let World { cfg, peers, .. } = self;
+            let (au_state, rng) = peers.au_and_rng_mut(p, au.index());
+            au_state
+                .admission
+                .filter(poller, &au_state.known, now, &cfg.protocol, rng)
+        };
+        self.trace(eng, || TraceEvent::Admission {
+            peer: p as u32,
+            poller: poller.0,
+            verdict,
+        });
+        if !verdict.is_admitted() {
+            return; // silent for the sender; free for us
+        }
+
+        // §9 adaptive acceptance (off by default): the busier we already
+        // are, the likelier we refuse — raising the attacker's marginal
+        // cost of increasing our busyness. The admission (and any intro
+        // effort the poller spent) is already consumed.
+        if self.cfg.protocol.adaptive_acceptance {
+            let window = self.cfg.protocol.adaptive_window;
+            let busy = self.peers.schedule(p).busy_within(now, window);
+            let fraction = (busy / window).min(0.95);
+            if self.peers.rng_mut(p).chance(fraction) {
+                let from_node = self.peers.node(p);
+                self.send_message(
+                    eng,
+                    from_node,
+                    from,
+                    Message::PollAck {
+                        au,
+                        poll: id,
+                        accept: false,
+                    },
+                );
+                return;
+            }
+        }
+
+        // Consideration: session + introductory-effort verification.
+        self.charge_loyal(p, Purpose::Consider, self.costs.consider);
+        if !intro_valid {
+            // Garbage proof: cheap detection, then reject. The refractory
+            // period was already triggered by the admission — which is the
+            // entire point of the §7.3 attack.
+            let detect = self.balanced_effort(self.costs.bogus_intro_detect);
+            self.charge_loyal(p, Purpose::VerifyIntro, detect);
+            return;
+        }
+        let verify = self.balanced_effort(self.costs.intro_verify);
+        self.charge_loyal(p, Purpose::VerifyIntro, verify);
+
+        // Schedule check (§5.1): the whole vote-service computation must
+        // fit before the deadline.
+        let vote_cost = self.balanced_effort(self.costs.remaining_verify)
+            + self.costs.au_hash
+            + self.balanced_effort(self.costs.vote_proof_gen);
+        let reservation = self.peers.schedule_mut(p).try_reserve(
+            now,
+            now,
+            vote_deadline.saturating_sub(Duration::MINUTE),
+            vote_cost,
+        );
+        let from_node = self.peers.node(p);
+        let Some(reservation) = reservation else {
+            self.send_message(
+                eng,
+                from_node,
+                from,
+                Message::PollAck {
+                    au,
+                    poll: id,
+                    accept: false,
+                },
+            );
+            return;
+        };
+
+        let session = VoterSession::new(
+            au,
+            poller,
+            from,
+            reservation,
+            vote_deadline,
+            verdict == AdmissionVerdict::AdmittedIntroduced,
+        );
+        self.peers.voting_mut(p).insert(id, session);
+        self.send_message(
+            eng,
+            from_node,
+            from,
+            Message::PollAck {
+                au,
+                poll: id,
+                accept: true,
+            },
+        );
+        // If the poller deserts (INTRO strategy), release the reservation
+        // and penalize (§5.1 reservation attack defense).
+        let timeout = self.cfg.protocol.proof_timeout;
+        eng.schedule_in(timeout, move |w: &mut World, e| {
+            w.voter_proof_timeout(e, p, id);
+        });
+    }
+
+    fn voter_proof_timeout(&mut self, eng: &mut Eng, p: usize, id: PollId) {
+        let Some(s) = self
+            .peers
+            .close_voter_session(p, id, VoterStage::AwaitingProof)
+        else {
+            return;
+        };
+        self.peers.schedule_mut(p).cancel(s.reservation);
+        self.peers
+            .au_mut(p, s.au.index())
+            .known
+            .penalize(s.poller, eng.now());
+    }
+
+    /// The PollProof arrived: the vote computation occupies the reserved
+    /// slot (§4.1).
+    pub(crate) fn voter_on_proof(
+        &mut self,
+        eng: &mut Eng,
+        p: usize,
+        id: PollId,
+        au: AuId,
+        remaining_valid: bool,
+    ) {
+        let now = eng.now();
+        let compute_done = {
+            let Some(s) = self.peers.voting_mut(p).get_mut(&id) else {
+                return;
+            };
+            if s.stage != VoterStage::AwaitingProof || s.au != au {
+                return;
+            }
+            if !remaining_valid {
+                // Bogus remaining proof: abort, penalize.
+                let res = s.reservation;
+                let poller = s.poller;
+                self.peers.schedule_mut(p).cancel(res);
+                self.peers.voting_mut(p).remove(&id);
+                self.peers.au_mut(p, au.index()).known.penalize(poller, now);
+                return;
+            }
+            s.stage = VoterStage::ComputingVote;
+            s.reservation.end.max(now)
+        };
+        eng.schedule_at(compute_done, move |w: &mut World, e| {
+            w.voter_vote_computed(e, p, id);
+        });
+    }
+
+    fn voter_vote_computed(&mut self, eng: &mut Eng, p: usize, id: PollId) {
+        let (au, poller_node, vote_deadline) = {
+            let Some(s) = self.peers.voting_mut(p).get_mut(&id) else {
+                return;
+            };
+            if s.stage != VoterStage::ComputingVote {
+                return;
+            }
+            s.stage = VoterStage::AwaitingReceipt;
+            (s.au, s.poller_node, s.vote_deadline)
+        };
+        // Charge the vote-service compute (the reserved slot).
+        let verify_remaining = self.balanced_effort(self.costs.remaining_verify);
+        self.charge_loyal(p, Purpose::VerifyRemaining, verify_remaining);
+        self.charge_loyal(p, Purpose::ComputeVote, self.costs.au_hash);
+        let gen_proof = self.balanced_effort(self.costs.vote_proof_gen);
+        self.charge_loyal(p, Purpose::GenVoteProof, gen_proof);
+
+        let (damage, nominations, from, me) = {
+            let from = self.peers.node(p);
+            let me = self.peers.identity(p);
+            let compromised = self.peers.is_compromised(p);
+            let nominations_k = self.cfg.protocol.nominations;
+            let (au_state, rng) = self.peers.au_and_rng_mut(p, au.index());
+            // A compromised peer votes from the lying shadow snapshot —
+            // hiding its corruption and volunteering as a repair candidate
+            // for blocks it will then poison.
+            let damage = match &au_state.shadow {
+                Some(shadow) if compromised => shadow.snapshot(),
+                _ => au_state.replica.snapshot(),
+            };
+            let noms = au_state.reflist.nominate(nominations_k, rng);
+            (damage, noms, from, me)
+        };
+        self.send_message(
+            eng,
+            from,
+            poller_node,
+            Message::Vote {
+                au,
+                poll: id,
+                voter: me,
+                damage,
+                nominations,
+                proof_valid: true,
+            },
+        );
+        // Expect the receipt within the poll's remaining lifetime.
+        let slack = self.cfg.protocol.receipt_slack + self.cfg.protocol.poll_interval.mul_f64(0.35);
+        let deadline = vote_deadline + slack;
+        eng.schedule_at(deadline, move |w: &mut World, e| {
+            w.voter_receipt_deadline(e, p, id);
+        });
+    }
+
+    fn voter_receipt_deadline(&mut self, eng: &mut Eng, p: usize, id: PollId) {
+        let Some(s) = self
+            .peers
+            .close_voter_session(p, id, VoterStage::AwaitingReceipt)
+        else {
+            return;
+        };
+        // Wasteful-strategy defense (§5.1): no receipt, straight to debt.
+        self.peers
+            .au_mut(p, s.au.index())
+            .known
+            .penalize(s.poller, eng.now());
+    }
+
+    pub(crate) fn voter_on_receipt(&mut self, eng: &mut Eng, p: usize, id: PollId, valid: bool) {
+        let now = eng.now();
+        let Some(s) = self
+            .peers
+            .close_voter_session(p, id, VoterStage::AwaitingReceipt)
+        else {
+            return;
+        };
+        let decay = self.cfg.protocol.grade_decay;
+        let au_state = self.peers.au_mut(p, s.au.index());
+        if valid {
+            // Completed exchange: we supplied a vote, the poller consumed
+            // it — its grade at us drops one step (§5.1 reciprocity).
+            au_state.known.lower(s.poller, now, decay);
+        } else {
+            au_state.known.penalize(s.poller, now);
+        }
+    }
+
+    /// RepairRequest arrived at a voter (§4.3).
+    pub(crate) fn voter_on_repair_request(
+        &mut self,
+        eng: &mut Eng,
+        p: usize,
+        poll: PollId,
+        block: u64,
+    ) {
+        let cfg_max = self.cfg.protocol.max_repairs_served;
+        let now = eng.now();
+        let (au, poller_node, can) = {
+            let Some(s) = self.peers.voting_mut(p).get_mut(&poll) else {
+                return;
+            };
+            let can = s.may_serve_repair(cfg_max);
+            if can {
+                s.repairs_served += 1;
+            }
+            (s.au, s.poller_node, can)
+        };
+        if !can {
+            return;
+        }
+        let cost = self.costs.repair_serve;
+        let res = self.peers.schedule_mut(p).reserve(now, cost);
+        self.charge_loyal(p, Purpose::ServeRepair, cost);
+        let from = self.peers.node(p);
+        eng.schedule_at(res.end, move |w: &mut World, e| {
+            w.send_message(e, from, poller_node, Message::Repair { au, poll, block });
+        });
+    }
+}
 
 #[cfg(test)]
 mod tests {
