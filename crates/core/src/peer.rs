@@ -20,14 +20,14 @@
 use lockss_effort::EffortLedger;
 use lockss_net::NodeId;
 use lockss_sim::{FxHashMap, SimRng};
-use lockss_storage::Replica;
+use lockss_storage::{AuId, Replica};
 
 use crate::admission::AdmissionControl;
 use crate::poller::PollState;
 use crate::reflist::RefList;
 use crate::reputation::KnownPeers;
 use crate::schedule::TaskSchedule;
-use crate::types::Identity;
+use crate::types::{Identity, PollId};
 use crate::voter::{VoterKey, VoterSession, VoterStage};
 
 /// Per-AU state of one peer.
@@ -222,6 +222,26 @@ impl PeerTable {
         &mut self.au[i]
     }
 
+    /// The live poll of `(p, au)` if it is poll `id`. Every poller step is
+    /// a timer or message that may arrive after its poll concluded or was
+    /// replaced; this is how each one finds its poll, or learns it is gone.
+    #[inline]
+    pub fn live_poll(&self, p: usize, au: AuId, id: PollId) -> Option<&PollState> {
+        self.au(p, au.index())
+            .poll
+            .as_ref()
+            .filter(|poll| poll.id == id)
+    }
+
+    /// Mutable [`PeerTable::live_poll`].
+    #[inline]
+    pub fn live_poll_mut(&mut self, p: usize, au: AuId, id: PollId) -> Option<&mut PollState> {
+        self.au_mut(p, au.index())
+            .poll
+            .as_mut()
+            .filter(|poll| poll.id == id)
+    }
+
     /// All of one peer's per-AU cells.
     pub fn aus(&self, p: usize) -> &[AuState] {
         &self.au[p * self.n_aus..(p + 1) * self.n_aus]
@@ -363,7 +383,6 @@ impl PeerTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lockss_storage::AuId;
 
     fn table_with_two_aus() -> PeerTable {
         let mut t = PeerTable::new(2);
@@ -447,6 +466,43 @@ mod tests {
         assert_eq!(t.compromised_count(), 0);
         // Shadow replicas start absent on every cell.
         assert!(t.aus(0).iter().all(|a| a.shadow.is_none()));
+    }
+
+    #[test]
+    fn live_poll_finds_only_its_own_poll_until_it_concludes() {
+        use crate::config::WorldConfig;
+        use crate::world::{Eng, World};
+        let mut world = World::new(WorldConfig {
+            n_peers: 30,
+            n_aus: 2,
+            seed: 4,
+            ..WorldConfig::default()
+        });
+        let mut eng = Eng::new();
+        let au = AuId(1);
+        world.start_poll(&mut eng, 3, au);
+        let id = world
+            .peers
+            .au(3, 1)
+            .poll
+            .as_ref()
+            .expect("a poll opened")
+            .id;
+        assert_eq!(
+            world.peers.live_poll(3, au, id).map(|poll| poll.id),
+            Some(id)
+        );
+        assert!(world.peers.live_poll_mut(3, au, id).is_some());
+        // Another id, another AU or another peer is not this poll.
+        let other = PollId(id.0 + 1);
+        assert!(world.peers.live_poll(3, au, other).is_none());
+        assert!(world.peers.live_poll_mut(3, au, other).is_none());
+        assert!(world.peers.live_poll(3, AuId(0), id).is_none());
+        assert!(world.peers.live_poll(4, au, id).is_none());
+        // Once concluded, every late timer or message finds nothing.
+        world.finalize_poll(&mut eng, 3, au, id);
+        assert!(world.peers.live_poll(3, au, id).is_none());
+        assert!(world.peers.live_poll_mut(3, au, id).is_none());
     }
 
     #[test]

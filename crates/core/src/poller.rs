@@ -1,10 +1,17 @@
-//! Poller-side poll state (§4.1–§4.3).
+//! The poller: poll state and the machine that drives it (§4.1–§4.3).
 //!
 //! A poll proceeds through a *vote solicitation* phase — individual,
 //! desynchronized invitations to the inner circle sampled from the
 //! reference list, plus discovered outer-circle peers — and an *evaluation*
 //! phase that tallies votes block by block, fetches repairs where the
 //! poller is outvoted in a landslide, and concludes with receipts.
+//!
+//! The machine is an `impl World` block beside [`PollState`]. Each step
+//! (invite, ack, vote, outer-circle launch, evaluation, tally, repair,
+//! conclusion) is a timer or message that may arrive after its poll
+//! concluded or was replaced, so each finds its poll through
+//! [`PeerTable::live_poll`](crate::peer::PeerTable::live_poll) and does
+//! nothing when it is gone.
 
 use lockss_effort::Purpose;
 use lockss_net::NodeId;
@@ -61,7 +68,6 @@ pub enum PollPhase {
     Soliciting,
     Evaluating,
     Repairing,
-    Finished,
 }
 
 /// The poller's full state for one poll on one AU.
@@ -72,42 +78,28 @@ pub struct PollState {
     pub started: SimTime,
     /// End of the solicitation window; evaluation begins here.
     pub solicit_deadline: SimTime,
-    /// Hard conclusion time (the next poll starts on schedule regardless).
-    pub conclude_at: SimTime,
     pub phase: PollPhase,
     pub invitees: Vec<Invitee>,
     pub votes: Vec<RecordedVote>,
     /// Outer-circle candidates accumulated from nominations (§4.2).
     pub nominated_pool: Vec<Identity>,
-    pub outer_launched: bool,
     /// Repairs requested and not yet received.
     pub pending_repairs: u32,
-    /// Repairs that could not be sourced from any voter.
-    pub unrepairable: u32,
 }
 
 impl PollState {
     /// Creates a poll in the soliciting phase.
-    pub fn new(
-        id: PollId,
-        au: AuId,
-        started: SimTime,
-        solicit_deadline: SimTime,
-        conclude_at: SimTime,
-    ) -> PollState {
+    pub fn new(id: PollId, au: AuId, started: SimTime, solicit_deadline: SimTime) -> PollState {
         PollState {
             id,
             au,
             started,
             solicit_deadline,
-            conclude_at,
             phase: PollPhase::Soliciting,
             invitees: Vec::new(),
             votes: Vec::new(),
             nominated_pool: Vec::new(),
-            outer_launched: false,
             pending_repairs: 0,
-            unrepairable: 0,
         }
     }
 
@@ -231,10 +223,6 @@ impl PollState {
 }
 
 impl World {
-    // ------------------------------------------------------------------
-    // Poller side.
-    // ------------------------------------------------------------------
-
     /// Opens a new poll on `au` at peer `p` (§4.1).
     pub fn start_poll(&mut self, eng: &mut Eng, p: usize, au: AuId) {
         // Copy the handful of scalars this path needs instead of cloning
@@ -252,8 +240,7 @@ impl World {
             poll: id.0,
         });
         let solicit_deadline = now + solicit_window;
-        let conclude_at = now + poll_interval;
-        let mut poll = PollState::new(id, au, now, solicit_deadline, conclude_at);
+        let mut poll = PollState::new(id, au, now, solicit_deadline);
 
         // Sample the inner circle from the reference list, topped up with
         // friends if the list has shrunk below the circle size.
@@ -295,7 +282,7 @@ impl World {
                 w.send_invite(e, p, au, id, idx);
             });
         }
-        // Outer-circle launch and evaluation checkpoints.
+        // Outer-circle launch, evaluation and hard-conclusion checkpoints.
         let outer_at = now + solicit_window.mul_f64(0.62);
         eng.schedule_at(outer_at, move |w: &mut World, e| {
             w.launch_outer(e, p, au, id);
@@ -303,49 +290,31 @@ impl World {
         eng.schedule_at(solicit_deadline, move |w: &mut World, e| {
             w.begin_evaluation(e, p, au, id);
         });
-        eng.schedule_at(conclude_at, move |w: &mut World, e| {
+        eng.schedule_at(now + poll_interval, move |w: &mut World, e| {
             w.conclude_guard(e, p, au, id);
         });
-    }
-
-    /// True if the poll `id` is still the live poll for (p, au).
-    fn poll_is_current(&self, p: usize, au: AuId, id: PollId) -> bool {
-        self.peers
-            .au(p, au.index())
-            .poll
-            .as_ref()
-            .map(|poll| poll.id == id)
-            .unwrap_or(false)
     }
 
     /// Generates the introductory effort and sends a Poll invitation
     /// (possibly a retry).
     fn send_invite(&mut self, eng: &mut Eng, p: usize, au: AuId, id: PollId, idx: usize) {
-        if !self.poll_is_current(p, au, id) {
+        let Some(poll) = self.peers.live_poll_mut(p, au, id) else {
+            return;
+        };
+        if poll.phase != PollPhase::Soliciting {
             return;
         }
-        let now = eng.now();
-        let (invitee, deadline, attempt) = {
-            let poll = self
-                .peers
-                .au_mut(p, au.index())
-                .poll
-                .as_mut()
-                .expect("current");
-            if poll.phase != PollPhase::Soliciting {
-                return;
-            }
-            let inv = &mut poll.invitees[idx];
-            let attempt = match inv.status {
-                InviteeStatus::Scheduled { attempt } => attempt,
-                InviteeStatus::Refused { attempts } => attempts,
-                _ => return, // already in flight or done
-            };
-            inv.status = InviteeStatus::Invited { attempt };
-            (inv.id, poll.solicit_deadline, attempt)
+        let inv = &mut poll.invitees[idx];
+        let attempt = match inv.status {
+            InviteeStatus::Scheduled { attempt } => attempt,
+            InviteeStatus::Refused { attempts } => attempts,
+            _ => return, // already in flight or done
         };
+        inv.status = InviteeStatus::Invited { attempt };
+        let invitee = inv.id;
         // Give the voter the vote deadline with a small delivery margin.
-        let vote_deadline = deadline.saturating_sub(Duration::MINUTE);
+        let vote_deadline = poll.solicit_deadline.saturating_sub(Duration::MINUTE);
+        let now = eng.now();
         if now + Duration::MINUTE >= vote_deadline {
             return; // too late in the window to bother
         }
@@ -357,7 +326,7 @@ impl World {
         let poller_identity = self.peers.identity(p);
         let from = self.peers.node(p);
         eng.schedule_at(res.end, move |w: &mut World, e| {
-            if !w.poll_is_current(p, au, id) {
+            if w.peers.live_poll(p, au, id).is_none() {
                 return;
             }
             let Some(to) = w.node_of(invitee) else { return };
@@ -392,65 +361,47 @@ impl World {
         from: NodeId,
         accept: bool,
     ) {
-        if !self.poll_is_current(p, au, id) {
-            return;
-        }
-        let now = eng.now();
         // Identify the invitee by its node.
-        let Some(invitee_identity) = self
+        let Some(invitee) = self
             .loyal_peer_of_node(from)
             .map(|i| self.peers.identity(i))
         else {
             return;
         };
-        let idx = {
-            let poll = self.peers.au(p, au.index()).poll.as_ref().expect("current");
-            let Some(idx) = poll.invitee_index(invitee_identity) else {
-                return;
-            };
-            idx
+        let Some(poll) = self.peers.live_poll_mut(p, au, id) else {
+            return;
+        };
+        let Some(idx) = poll.invitee_index(invitee) else {
+            return;
         };
         if !accept {
             self.mark_refused_and_maybe_retry(eng, p, au, id, idx);
             return;
         }
-        {
-            let poll = self
-                .peers
-                .au_mut(p, au.index())
-                .poll
-                .as_mut()
-                .expect("current");
-            if !matches!(poll.invitees[idx].status, InviteeStatus::Invited { .. }) {
-                return;
-            }
-            poll.invitees[idx].status = InviteeStatus::Accepted;
+        let status = &mut poll.invitees[idx].status;
+        if !matches!(status, InviteeStatus::Invited { .. }) {
+            return;
         }
+        *status = InviteeStatus::Accepted;
         // Generate and ship the remaining effort proof (§5.1).
+        let now = eng.now();
         let remaining = self.balanced_effort(self.costs.remaining_gen);
         let res = self.peers.schedule_mut(p).reserve(now, remaining);
         self.charge_loyal(p, Purpose::GenRemaining, remaining);
         let from_node = self.peers.node(p);
         eng.schedule_at(res.end, move |w: &mut World, e| {
-            if !w.poll_is_current(p, au, id) {
+            let Some(poll) = w.peers.live_poll_mut(p, au, id) else {
+                return;
+            };
+            let Some(idx) = poll.invitee_index(invitee) else {
+                return;
+            };
+            let status = &mut poll.invitees[idx].status;
+            if *status != InviteeStatus::Accepted {
                 return;
             }
-            {
-                let poll = w
-                    .peers
-                    .au_mut(p, au.index())
-                    .poll
-                    .as_mut()
-                    .expect("current");
-                let Some(idx) = poll.invitee_index(invitee_identity) else {
-                    return;
-                };
-                if poll.invitees[idx].status != InviteeStatus::Accepted {
-                    return;
-                }
-                poll.invitees[idx].status = InviteeStatus::AwaitingVote;
-            }
-            let Some(to) = w.node_of(invitee_identity) else {
+            *status = InviteeStatus::AwaitingVote;
+            let Some(to) = w.node_of(invitee) else {
                 return;
             };
             w.send_message(
@@ -477,19 +428,16 @@ impl World {
         idx: usize,
         attempt: u32,
     ) {
-        if !self.poll_is_current(p, au, id) {
+        let Some(poll) = self.peers.live_poll(p, au, id) else {
             return;
-        }
-        let stale = {
-            let poll = self.peers.au(p, au.index()).poll.as_ref().expect("current");
-            poll.invitees[idx].status != InviteeStatus::Invited { attempt }
         };
-        if stale {
-            return;
+        if poll.invitees[idx].status == (InviteeStatus::Invited { attempt }) {
+            self.mark_refused_and_maybe_retry(eng, p, au, id, idx);
         }
-        self.mark_refused_and_maybe_retry(eng, p, au, id, idx);
     }
 
+    /// Marks invitee `idx` of the live poll `id` refused, scheduling a
+    /// retry if attempts and window remain, or gives up on it.
     fn mark_refused_and_maybe_retry(
         &mut self,
         eng: &mut Eng,
@@ -500,64 +448,40 @@ impl World {
     ) {
         let cfg_max = self.cfg.protocol.max_invite_attempts;
         let now = eng.now();
-        let do_retry = {
-            let poll = self
-                .peers
-                .au_mut(p, au.index())
-                .poll
-                .as_mut()
-                .expect("current");
-            let attempts = match poll.invitees[idx].status {
-                InviteeStatus::Invited { attempt } => attempt + 1,
-                InviteeStatus::Scheduled { attempt } => attempt + 1,
-                _ => return,
-            };
-            if attempts >= cfg_max || now + Duration::HOUR * 2 >= poll.solicit_deadline {
-                poll.invitees[idx].status = InviteeStatus::Dead;
-                false
-            } else {
-                poll.invitees[idx].status = InviteeStatus::Refused { attempts };
-                true
-            }
+        let poll = self
+            .peers
+            .live_poll_mut(p, au, id)
+            .expect("refusals are handled for the live poll");
+        let attempts = match poll.invitees[idx].status {
+            InviteeStatus::Invited { attempt } => attempt + 1,
+            InviteeStatus::Scheduled { attempt } => attempt + 1,
+            _ => return,
         };
-        if do_retry {
-            // Spread retries uniformly over what is left of the window.
-            let deadline = {
-                let poll = self.peers.au(p, au.index()).poll.as_ref().expect("current");
-                poll.solicit_deadline
-            };
-            let window = deadline.since(now);
-            let wait = self
-                .peers
-                .rng_mut(p)
-                .duration_between(Duration::MINUTE * 30, window.max(Duration::HOUR));
-            eng.schedule_in(wait, move |w: &mut World, e| {
-                w.retry_invite(e, p, au, id, idx);
-            });
+        if attempts >= cfg_max || now + Duration::HOUR * 2 >= poll.solicit_deadline {
+            poll.invitees[idx].status = InviteeStatus::Dead;
+            return;
         }
+        poll.invitees[idx].status = InviteeStatus::Refused { attempts };
+        // Spread retries uniformly over what is left of the window.
+        let window = poll.solicit_deadline.since(now);
+        let wait = self
+            .peers
+            .rng_mut(p)
+            .duration_between(Duration::MINUTE * 30, window.max(Duration::HOUR));
+        eng.schedule_in(wait, move |w: &mut World, e| {
+            w.retry_invite(e, p, au, id, idx);
+        });
     }
 
     fn retry_invite(&mut self, eng: &mut Eng, p: usize, au: AuId, id: PollId, idx: usize) {
-        if !self.poll_is_current(p, au, id) {
+        let Some(poll) = self.peers.live_poll_mut(p, au, id) else {
             return;
-        }
-        let ok = {
-            let poll = self.peers.au(p, au.index()).poll.as_ref().expect("current");
-            matches!(poll.invitees[idx].status, InviteeStatus::Refused { .. })
-                && poll.phase == PollPhase::Soliciting
         };
-        if ok {
-            {
-                let poll = self
-                    .peers
-                    .au_mut(p, au.index())
-                    .poll
-                    .as_mut()
-                    .expect("current");
-                if let InviteeStatus::Refused { attempts } = poll.invitees[idx].status {
-                    poll.invitees[idx].status = InviteeStatus::Scheduled { attempt: attempts };
-                }
-            }
+        let InviteeStatus::Refused { attempts } = poll.invitees[idx].status else {
+            return;
+        };
+        if poll.phase == PollPhase::Soliciting {
+            poll.invitees[idx].status = InviteeStatus::Scheduled { attempt: attempts };
             self.send_invite(eng, p, au, id, idx);
         }
     }
@@ -576,18 +500,15 @@ impl World {
         nominations: Vec<Identity>,
         proof_valid: bool,
     ) {
-        if !self.poll_is_current(p, au, id) {
+        let Some(poll) = self.peers.live_poll(p, au, id) else {
             return; // unsolicited or stale: ignored for free (§5.1)
+        };
+        // Vote-flood defense (§5.1): votes from identities we never
+        // invited are ignored without any effort.
+        if !poll.has_invitee(voter) {
+            return;
         }
         let now = eng.now();
-        {
-            // Vote-flood defense (§5.1): votes from identities we never
-            // invited are ignored without any effort.
-            let poll = self.peers.au(p, au.index()).poll.as_ref().expect("current");
-            if !poll.has_invitee(voter) {
-                return;
-            }
-        }
         if !proof_valid {
             // Bogus vote from a real invitee: one block hash detects it;
             // penalize and discard.
@@ -601,7 +522,7 @@ impl World {
         let cfg = &cfg.protocol;
         let me = peers.identity(p);
         let (au_state, rng) = peers.au_and_rng_mut(p, au.index());
-        let poll = au_state.poll.as_mut().expect("current");
+        let poll = au_state.poll.as_mut().expect("the vote's poll is live");
         if !poll.record_vote(voter, damage) {
             return; // unsolicited or duplicate votes are ignored (§5.1)
         }
@@ -633,40 +554,33 @@ impl World {
         id: PollId,
         block: u64,
     ) {
-        if !self.poll_is_current(p, au, id) {
+        let Some(poll) = self.peers.live_poll_mut(p, au, id) else {
             return;
-        }
-        let cost = self.costs.repair_apply;
-        self.charge_loyal(p, Purpose::ApplyRepair, cost);
-        let server = self.loyal_peer_of_node(from);
-        let poisoned = server
-            .map(|s| self.peers.is_compromised(s))
-            .unwrap_or(false);
-        if poisoned {
-            let server = server.expect("poisoned implies a loyal-table server") as u32;
-            let newly_damaged = {
-                let au_state = self.peers.au_mut(p, au.index());
-                let was_intact = au_state.replica.is_intact();
-                au_state.replica.damage(block);
-                was_intact && !au_state.replica.is_intact()
-            };
+        };
+        poll.pending_repairs = poll.pending_repairs.saturating_sub(1);
+        let done = poll.phase == PollPhase::Repairing && poll.pending_repairs == 0;
+        self.charge_loyal(p, Purpose::ApplyRepair, self.costs.repair_apply);
+        let poisoner = self
+            .loyal_peer_of_node(from)
+            .filter(|&s| self.peers.is_compromised(s));
+        let replica = &mut self.peers.au_mut(p, au.index()).replica;
+        let was_intact = replica.is_intact();
+        if let Some(server) = poisoner {
+            replica.damage(block);
+            let newly_damaged = was_intact && !replica.is_intact();
             self.trace(eng, || TraceEvent::PoisonedRepair {
                 peer: p as u32,
                 au: au.0,
                 poll: id.0,
                 block,
-                server,
+                server: server as u32,
             });
             if newly_damaged {
                 self.metrics.damage.on_damaged(eng.now());
             }
         } else {
-            let became_intact = {
-                let au_state = self.peers.au_mut(p, au.index());
-                let was_intact = au_state.replica.is_intact();
-                au_state.replica.repair(block);
-                !was_intact && au_state.replica.is_intact()
-            };
+            replica.repair(block);
+            let became_intact = !was_intact && replica.is_intact();
             self.trace(eng, || TraceEvent::Repair {
                 peer: p as u32,
                 au: au.0,
@@ -678,16 +592,6 @@ impl World {
                 self.metrics.damage.on_repaired(eng.now());
             }
         }
-        let done = {
-            let poll = self
-                .peers
-                .au_mut(p, au.index())
-                .poll
-                .as_mut()
-                .expect("current");
-            poll.pending_repairs = poll.pending_repairs.saturating_sub(1);
-            poll.phase == PollPhase::Repairing && poll.pending_repairs == 0
-        };
         if done {
             self.finalize_poll(eng, p, au, id);
         }
@@ -696,92 +600,54 @@ impl World {
     /// Launches the outer circle (§4.2): solicit votes from discovered
     /// peers to observe their behaviour.
     fn launch_outer(&mut self, eng: &mut Eng, p: usize, au: AuId, id: PollId) {
-        if !self.poll_is_current(p, au, id) {
+        let Some(poll) = self.peers.live_poll(p, au, id) else {
             return;
-        }
-        let outer_n = self.cfg.protocol.outer_circle;
+        };
         let now = eng.now();
-        let candidates: Vec<Identity> = {
-            let me = self.peers.identity(p);
-            let au_state = self.peers.au(p, au.index());
-            let poll = au_state.poll.as_ref().expect("current");
-            let mut pool: Vec<Identity> = poll
-                .nominated_pool
-                .iter()
-                .copied()
-                .filter(|&c| c != me && !au_state.reflist.contains(c) && !poll.has_invitee(c))
-                .collect();
-            pool.dedup();
-            pool
-        };
-        let picked = self.peers.rng_mut(p).sample(&candidates, outer_n);
-        let deadline = {
-            let poll = self.peers.au(p, au.index()).poll.as_ref().expect("current");
-            poll.solicit_deadline
-        };
-        let window = deadline.since(now).mul_f64(0.7);
+        let window = poll.solicit_deadline.since(now).mul_f64(0.7);
+        let me = self.peers.identity(p);
+        let reflist = &self.peers.au(p, au.index()).reflist;
+        let mut candidates: Vec<Identity> = poll
+            .nominated_pool
+            .iter()
+            .copied()
+            .filter(|&c| c != me && !reflist.contains(c) && !poll.has_invitee(c))
+            .collect();
+        candidates.dedup();
+        let outer_n = self.cfg.protocol.outer_circle;
+        let (au_state, rng) = self.peers.au_and_rng_mut(p, au.index());
+        let picked = rng.sample(&candidates, outer_n);
+        let poll = au_state.poll.as_mut().expect("the launching poll is live");
         for v in picked {
-            let idx = {
-                let poll = self
-                    .peers
-                    .au_mut(p, au.index())
-                    .poll
-                    .as_mut()
-                    .expect("current");
-                if poll.has_invitee(v) {
-                    continue;
-                }
-                poll.add_invitee(v, false)
-            };
-            let at = now
-                + self
-                    .peers
-                    .rng_mut(p)
-                    .duration_between(Duration::SECOND, window);
+            if poll.has_invitee(v) {
+                continue;
+            }
+            let idx = poll.add_invitee(v, false);
+            let at = now + rng.duration_between(Duration::SECOND, window);
             eng.schedule_at(at, move |w: &mut World, e| {
                 w.send_invite(e, p, au, id, idx);
             });
-        }
-        if self.poll_is_current(p, au, id) {
-            let poll = self
-                .peers
-                .au_mut(p, au.index())
-                .poll
-                .as_mut()
-                .expect("current");
-            poll.outer_launched = true;
         }
     }
 
     /// Solicitation window closed: evaluate (§4.3).
     fn begin_evaluation(&mut self, eng: &mut Eng, p: usize, au: AuId, id: PollId) {
-        if !self.poll_is_current(p, au, id) {
+        let Some(poll) = self.peers.live_poll_mut(p, au, id) else {
+            return;
+        };
+        let _span = Span::enter(&self.profiler, "poll-evaluate");
+        if poll.phase != PollPhase::Soliciting {
             return;
         }
-        let _span = Span::enter(&self.profiler, "poll-evaluate");
-        let now = eng.now();
+        poll.phase = PollPhase::Evaluating;
         // Penalize invitees that committed but never delivered (§5.1).
-        let deserters = {
-            let poll = self
-                .peers
-                .au_mut(p, au.index())
-                .poll
-                .as_mut()
-                .expect("current");
-            if poll.phase != PollPhase::Soliciting {
-                return;
-            }
-            poll.phase = PollPhase::Evaluating;
-            poll.committed_non_voters()
-        };
-        let au_state = self.peers.au_mut(p, au.index());
+        let deserters = poll.committed_non_voters();
+        let n_votes = poll.votes.len();
+        let now = eng.now();
+        let known = &mut self.peers.au_mut(p, au.index()).known;
         for d in deserters {
-            au_state.known.penalize(d, now);
+            known.penalize(d, now);
         }
-        let n_votes = {
-            let poll = self.peers.au(p, au.index()).poll.as_ref().expect("current");
-            poll.votes.len()
-        };
         if n_votes == 0 {
             // Nothing to evaluate; conclude as failed.
             self.finalize_poll(eng, p, au, id);
@@ -799,32 +665,23 @@ impl World {
 
     /// Block-wise tally and repair planning (§4.3).
     fn tally(&mut self, eng: &mut Eng, p: usize, au: AuId, id: PollId) {
-        if !self.poll_is_current(p, au, id) {
+        let Some(poll) = self.peers.live_poll(p, au, id) else {
             return;
-        }
-        let quorum = self.cfg.protocol.quorum;
+        };
+        let quorum_met = poll.inner_votes() >= self.cfg.protocol.quorum;
         let frivolous_p = self.cfg.protocol.frivolous_repair_prob;
         let blocks = self.cfg.au_spec.blocks();
 
-        let (inner_votes, my_damage) = {
-            let au_state = self.peers.au(p, au.index());
-            let poll = au_state.poll.as_ref().expect("current");
-            (poll.inner_votes(), au_state.replica.snapshot())
-        };
-
+        let (au_state, rng) = self.peers.au_and_rng_mut(p, au.index());
+        let poll = au_state.poll.as_mut().expect("the tallied poll is live");
         let mut repair_plan: Vec<(u64, Identity)> = Vec::new();
-        let mut unrepairable = 0u32;
-        if inner_votes >= quorum {
+        if quorum_met {
             // Every damaged block of our replica meets landslide
             // disagreement (damaged content never matches anyone): fetch a
             // repair from a voter whose vote shows the block intact.
-            let (au_state, rng) = self.peers.au_and_rng_mut(p, au.index());
-            let poll = au_state.poll.as_ref().expect("current");
-            for block in my_damage {
-                let candidates = poll.repair_candidates(block);
-                match rng.choose(&candidates) {
-                    Some(&v) => repair_plan.push((block, v)),
-                    None => unrepairable += 1,
+            for block in au_state.replica.snapshot() {
+                if let Some(&v) = rng.choose(&poll.repair_candidates(block)) {
+                    repair_plan.push((block, v));
                 }
             }
             // Frivolous repair (§4.3): keep voters honest about serving.
@@ -835,55 +692,31 @@ impl World {
                 repair_plan.push((block, v));
             }
         }
+        // A request planned from a voter with no loyal node is never sent,
+        // so it is not awaited.
+        let awaited = repair_plan
+            .iter()
+            .filter(|(_, v)| v.loyal_index().is_some())
+            .count() as u32;
+        poll.phase = PollPhase::Repairing;
+        poll.pending_repairs = awaited;
 
-        {
-            let poll = self
-                .peers
-                .au_mut(p, au.index())
-                .poll
-                .as_mut()
-                .expect("current");
-            poll.phase = PollPhase::Repairing;
-            poll.pending_repairs = repair_plan.len() as u32;
-            poll.unrepairable = unrepairable;
-        }
         let from = self.peers.node(p);
-        if repair_plan.is_empty() {
-            self.finalize_poll(eng, p, au, id);
-            return;
-        }
         for (block, voter) in repair_plan {
-            // The one counted fact no event carries: a request planned from
-            // a voter with no loyal node is never sent.
+            // The one counted fact no event carries.
             if let Some(o) = self.obs.as_deref() {
                 o.repairs_requested.inc();
             }
-            let Some(to) = self.node_of(voter) else {
-                let poll = self
-                    .peers
-                    .au_mut(p, au.index())
-                    .poll
-                    .as_mut()
-                    .expect("current");
-                poll.pending_repairs -= 1;
-                continue;
-            };
-            self.send_message(
-                eng,
-                from,
-                to,
-                Message::RepairRequest {
+            if let Some(to) = self.node_of(voter) {
+                let request = Message::RepairRequest {
                     au,
                     poll: id,
                     block,
-                },
-            );
+                };
+                self.send_message(eng, from, to, request);
+            }
         }
-        let still_pending = {
-            let poll = self.peers.au(p, au.index()).poll.as_ref().expect("current");
-            poll.pending_repairs
-        };
-        if still_pending == 0 {
+        if awaited == 0 {
             self.finalize_poll(eng, p, au, id);
         }
     }
@@ -892,24 +725,15 @@ impl World {
     /// scheduled end, finish anyway; the next poll starts on time
     /// (autonomous rate limitation).
     fn conclude_guard(&mut self, eng: &mut Eng, p: usize, au: AuId, id: PollId) {
-        if !self.poll_is_current(p, au, id) {
-            return;
-        }
-        let phase = {
-            let poll = self.peers.au(p, au.index()).poll.as_ref().expect("current");
-            poll.phase
-        };
-        if phase != PollPhase::Finished {
+        if self.peers.live_poll(p, au, id).is_some() {
             self.finalize_poll(eng, p, au, id);
         }
     }
 
-    /// Concludes the poll (§4.3): receipts, grades, reference-list update,
-    /// metrics, and the next poll's schedule.
-    fn finalize_poll(&mut self, eng: &mut Eng, p: usize, au: AuId, id: PollId) {
-        if !self.poll_is_current(p, au, id) {
-            return;
-        }
+    /// Concludes the live poll `id` (§4.3): receipts, grades,
+    /// reference-list update, metrics, and the next poll's schedule. Every
+    /// caller has just found the poll live.
+    pub(crate) fn finalize_poll(&mut self, eng: &mut Eng, p: usize, au: AuId, id: PollId) {
         let _span = Span::enter(&self.profiler, "poll-finalize");
         // Scalar copies instead of a whole-config clone; the one helper
         // that takes `&ProtocolConfig` gets it through a split borrow below.
@@ -919,14 +743,10 @@ impl World {
         let poll_interval = self.cfg.protocol.poll_interval;
         let now = eng.now();
 
-        let poll = {
-            let au_state = self.peers.au_mut(p, au.index());
-            let mut poll = au_state.poll.take().expect("current");
-            poll.phase = PollPhase::Finished;
-            poll
-        };
-
-        let my_damage = self.peers.au(p, au.index()).replica.snapshot();
+        let au_state = self.peers.au_mut(p, au.index());
+        let poll = au_state.poll.take().filter(|poll| poll.id == id);
+        let poll = poll.expect("the concluded poll is live");
+        let my_damage = au_state.replica.snapshot();
         let inner_votes = poll.inner_votes();
         let disagreeing = poll.inner_disagreements(&my_damage);
         let conclusion = if inner_votes < quorum {
@@ -948,19 +768,16 @@ impl World {
         });
 
         // Grades: every voter that supplied a valid vote is raised (§5.1).
-        {
-            let au_state = self.peers.au_mut(p, au.index());
-            for v in &poll.votes {
-                au_state.known.raise(v.voter, now, grade_decay);
-            }
+        let known = &mut self.peers.au_mut(p, au.index()).known;
+        for v in &poll.votes {
+            known.raise(v.voter, now, grade_decay);
         }
 
         // Receipts: the MBF byproduct of evaluation (§5.1); evaluation was
         // already charged, so receipts cost only the send.
         let from = self.peers.node(p);
-        let voters: Vec<Identity> = poll.votes.iter().map(|v| v.voter).collect();
-        for v in &voters {
-            if let Some(to) = self.node_of(*v) {
+        for v in &poll.votes {
+            if let Some(to) = self.node_of(v.voter) {
                 self.send_message(
                     eng,
                     from,
@@ -1011,13 +828,7 @@ mod tests {
     use super::*;
 
     fn poll() -> PollState {
-        PollState::new(
-            PollId(1),
-            AuId(0),
-            SimTime::ZERO,
-            SimTime(100),
-            SimTime(200),
-        )
+        PollState::new(PollId(1), AuId(0), SimTime::ZERO, SimTime(100))
     }
 
     fn id(i: u64) -> Identity {
@@ -1120,13 +931,7 @@ mod proptests {
                 .map(|_| random_damage(&mut rng))
                 .collect();
             let own = random_damage(&mut rng);
-            let mut p = PollState::new(
-                PollId(1),
-                AuId(0),
-                SimTime::ZERO,
-                SimTime(1_000),
-                SimTime(2_000),
-            );
+            let mut p = PollState::new(PollId(1), AuId(0), SimTime::ZERO, SimTime(1_000));
             for (i, d) in damages.iter().enumerate() {
                 let id = Identity(i as u64);
                 let inner = i % 3 != 0; // mix inner and outer
@@ -1162,13 +967,7 @@ mod proptests {
         for _ in 0..128 {
             let n_invited = 1 + rng.below(9);
             let n_strangers = rng.below(5);
-            let mut p = PollState::new(
-                PollId(2),
-                AuId(0),
-                SimTime::ZERO,
-                SimTime(1_000),
-                SimTime(2_000),
-            );
+            let mut p = PollState::new(PollId(2), AuId(0), SimTime::ZERO, SimTime(1_000));
             for i in 0..n_invited {
                 p.add_invitee(Identity(i as u64), true);
             }

@@ -5,6 +5,11 @@
 //! sending the PollProof), computes and ships the vote, serves a bounded
 //! number of repairs, and finally expects a valid evaluation receipt — the
 //! MBF byproduct — failing which the poller is penalized to debt.
+//!
+//! The voter machine — the handlers for Poll, PollProof, RepairRequest and
+//! EvaluationReceipt and the session's timers — is an `impl World` block
+//! beside [`VoterSession`]; each step finds its session by poll id in the
+//! peer's voting table and does nothing when it is gone.
 
 use lockss_effort::Purpose;
 use lockss_net::NodeId;
@@ -13,7 +18,7 @@ use lockss_storage::AuId;
 
 use crate::msg::Message;
 use crate::schedule::Reservation;
-use crate::trace::{AdmissionVerdict, TraceEvent};
+use crate::trace::TraceEvent;
 use crate::types::{Identity, PollId};
 use crate::world::{Eng, World};
 
@@ -43,9 +48,6 @@ pub struct VoterSession {
     pub vote_deadline: SimTime,
     /// Repairs served so far in this poll (bounded, §4.3).
     pub repairs_served: u32,
-    /// Whether the committed invitation was admitted via introduction
-    /// (diagnostics).
-    pub via_introduction: bool,
 }
 
 impl VoterSession {
@@ -56,7 +58,6 @@ impl VoterSession {
         poller_node: NodeId,
         reservation: Reservation,
         vote_deadline: SimTime,
-        via_introduction: bool,
     ) -> VoterSession {
         VoterSession {
             au,
@@ -66,7 +67,6 @@ impl VoterSession {
             reservation,
             vote_deadline,
             repairs_served: 0,
-            via_introduction,
         }
     }
 
@@ -81,10 +81,6 @@ impl VoterSession {
 pub type VoterKey = PollId;
 
 impl World {
-    // ------------------------------------------------------------------
-    // Voter side.
-    // ------------------------------------------------------------------
-
     /// An invitation arrived (§5.1 admission control, then commitment).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn voter_on_poll(
@@ -183,14 +179,7 @@ impl World {
             return;
         };
 
-        let session = VoterSession::new(
-            au,
-            poller,
-            from,
-            reservation,
-            vote_deadline,
-            verdict == AdmissionVerdict::AdmittedIntroduced,
-        );
+        let session = VoterSession::new(au, poller, from, reservation, vote_deadline);
         self.peers.voting_mut(p).insert(id, session);
         self.send_message(
             eng,
@@ -235,41 +224,36 @@ impl World {
         remaining_valid: bool,
     ) {
         let now = eng.now();
-        let compute_done = {
-            let Some(s) = self.peers.voting_mut(p).get_mut(&id) else {
-                return;
-            };
-            if s.stage != VoterStage::AwaitingProof || s.au != au {
-                return;
-            }
-            if !remaining_valid {
-                // Bogus remaining proof: abort, penalize.
-                let res = s.reservation;
-                let poller = s.poller;
-                self.peers.schedule_mut(p).cancel(res);
-                self.peers.voting_mut(p).remove(&id);
-                self.peers.au_mut(p, au.index()).known.penalize(poller, now);
-                return;
-            }
-            s.stage = VoterStage::ComputingVote;
-            s.reservation.end.max(now)
+        let Some(s) = self.peers.voting_mut(p).get_mut(&id) else {
+            return;
         };
+        if s.stage != VoterStage::AwaitingProof || s.au != au {
+            return;
+        }
+        if !remaining_valid {
+            // Bogus remaining proof: abort, penalize.
+            let (res, poller) = (s.reservation, s.poller);
+            self.peers.schedule_mut(p).cancel(res);
+            self.peers.voting_mut(p).remove(&id);
+            self.peers.au_mut(p, au.index()).known.penalize(poller, now);
+            return;
+        }
+        s.stage = VoterStage::ComputingVote;
+        let compute_done = s.reservation.end.max(now);
         eng.schedule_at(compute_done, move |w: &mut World, e| {
             w.voter_vote_computed(e, p, id);
         });
     }
 
     fn voter_vote_computed(&mut self, eng: &mut Eng, p: usize, id: PollId) {
-        let (au, poller_node, vote_deadline) = {
-            let Some(s) = self.peers.voting_mut(p).get_mut(&id) else {
-                return;
-            };
-            if s.stage != VoterStage::ComputingVote {
-                return;
-            }
-            s.stage = VoterStage::AwaitingReceipt;
-            (s.au, s.poller_node, s.vote_deadline)
+        let Some(s) = self.peers.voting_mut(p).get_mut(&id) else {
+            return;
         };
+        if s.stage != VoterStage::ComputingVote {
+            return;
+        }
+        s.stage = VoterStage::AwaitingReceipt;
+        let (au, poller_node, vote_deadline) = (s.au, s.poller_node, s.vote_deadline);
         // Charge the vote-service compute (the reserved slot).
         let verify_remaining = self.balanced_effort(self.costs.remaining_verify);
         self.charge_loyal(p, Purpose::VerifyRemaining, verify_remaining);
@@ -277,22 +261,19 @@ impl World {
         let gen_proof = self.balanced_effort(self.costs.vote_proof_gen);
         self.charge_loyal(p, Purpose::GenVoteProof, gen_proof);
 
-        let (damage, nominations, from, me) = {
-            let from = self.peers.node(p);
-            let me = self.peers.identity(p);
-            let compromised = self.peers.is_compromised(p);
-            let nominations_k = self.cfg.protocol.nominations;
-            let (au_state, rng) = self.peers.au_and_rng_mut(p, au.index());
-            // A compromised peer votes from the lying shadow snapshot —
-            // hiding its corruption and volunteering as a repair candidate
-            // for blocks it will then poison.
-            let damage = match &au_state.shadow {
-                Some(shadow) if compromised => shadow.snapshot(),
-                _ => au_state.replica.snapshot(),
-            };
-            let noms = au_state.reflist.nominate(nominations_k, rng);
-            (damage, noms, from, me)
+        let from = self.peers.node(p);
+        let me = self.peers.identity(p);
+        let compromised = self.peers.is_compromised(p);
+        let nominations_k = self.cfg.protocol.nominations;
+        let (au_state, rng) = self.peers.au_and_rng_mut(p, au.index());
+        // A compromised peer votes from the lying shadow snapshot — hiding
+        // its corruption and volunteering as a repair candidate for blocks
+        // it will then poison.
+        let damage = match &au_state.shadow {
+            Some(shadow) if compromised => shadow.snapshot(),
+            _ => au_state.replica.snapshot(),
         };
+        let nominations = au_state.reflist.nominate(nominations_k, rng);
         self.send_message(
             eng,
             from,
@@ -357,19 +338,14 @@ impl World {
     ) {
         let cfg_max = self.cfg.protocol.max_repairs_served;
         let now = eng.now();
-        let (au, poller_node, can) = {
-            let Some(s) = self.peers.voting_mut(p).get_mut(&poll) else {
-                return;
-            };
-            let can = s.may_serve_repair(cfg_max);
-            if can {
-                s.repairs_served += 1;
-            }
-            (s.au, s.poller_node, can)
+        let Some(s) = self.peers.voting_mut(p).get_mut(&poll) else {
+            return;
         };
-        if !can {
+        if !s.may_serve_repair(cfg_max) {
             return;
         }
+        s.repairs_served += 1;
+        let (au, poller_node) = (s.au, s.poller_node);
         let cost = self.costs.repair_serve;
         let res = self.peers.schedule_mut(p).reserve(now, cost);
         self.charge_loyal(p, Purpose::ServeRepair, cost);
@@ -394,7 +370,6 @@ mod tests {
             NodeId(1),
             reservation,
             SimTime::ZERO + Duration::DAY,
-            false,
         );
         s.stage = stage;
         s.repairs_served = served;

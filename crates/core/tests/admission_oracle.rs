@@ -334,13 +334,7 @@ fn poll_membership_matches_plain_lists() {
     let (mut duplicates, mut refused) = (0u64, 0u64);
     for seed in 0..seeds() {
         let mut gen = SimRng::seed_from_u64(0x9011_5eed ^ (seed << 20));
-        let mut poll = PollState::new(
-            PollId(seed),
-            AuId(0),
-            SimTime::ZERO,
-            SimTime(1_000),
-            SimTime(2_000),
-        );
+        let mut poll = PollState::new(PollId(seed), AuId(0), SimTime::ZERO, SimTime(1_000));
         let mut model = RefPoll::default();
         for step in 0..120 {
             let id = universe[gen.below(universe.len())];
