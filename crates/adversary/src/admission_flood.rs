@@ -43,10 +43,6 @@ pub struct AdmissionFlood {
     active: bool,
     victim_flags: Vec<bool>,
     next_identity: u64,
-    /// Garbage invitations sent (diagnostics).
-    pub invitations_sent: u64,
-    /// Bursts that ended in an admission (refractory re-armed).
-    pub admissions: u64,
 }
 
 impl AdmissionFlood {
@@ -59,8 +55,6 @@ impl AdmissionFlood {
             active: false,
             victim_flags: Vec::new(),
             next_identity: Identity::MINION_BASE,
-            invitations_sent: 0,
-            admissions: 0,
         }
     }
 
@@ -133,11 +127,11 @@ impl AdmissionFlood {
         // costs a consideration — the unbounded cost the defense exists to
         // bound. The burst is capped at one wave per scheduling cycle.
         let no_refractory = cfg.ablation.no_refractory;
-        let consider = world.cost().consider_cost();
-        let detect = world.balanced_effort(world.cost().bogus_intro_detect());
-        let sent_before = self.invitations_sent;
+        let consider = world.costs().consider;
+        let detect = world.balanced_effort(world.costs().bogus_intro_detect);
+        let mut sent = 0u64;
         for _ in 0..1_000 {
-            self.invitations_sent += 1;
+            sent += 1;
             let id = self.fresh_identity();
             let verdict = {
                 let (au_state, rng) = world.peers.au_and_rng_mut(victim, au as usize);
@@ -146,7 +140,6 @@ impl AdmissionFlood {
                     .filter(id, &au_state.known, now, &cfg, rng)
             };
             if verdict.is_admitted() {
-                self.admissions += 1;
                 // The victim considers the admitted invitation and detects
                 // the garbage proof (cheaply, §6.3).
                 world.charge_loyal(victim, Purpose::Consider, consider);
@@ -159,11 +152,7 @@ impl AdmissionFlood {
         // The burst short-circuits the message layer (the invitations are
         // modelled directly against the admission filter), so this
         // provenance tag is the trace's only witness of it.
-        world.note_adversary_action(
-            eng,
-            "admission-flood/burst",
-            self.invitations_sent - sent_before,
-        );
+        world.note_adversary_action(eng, "admission-flood/burst", sent);
         // Next burst at refractory expiry.
         schedule_adversary_timer(
             world,

@@ -91,10 +91,6 @@ pub struct BruteForce {
     minions: Vec<NodeId>,
     /// In-flight bogus polls.
     pending: BTreeMap<PollId, BogusPoll>,
-    /// Diagnostics.
-    pub invitations_sent: u64,
-    pub admissions: u64,
-    pub votes_received: u64,
 }
 
 impl BruteForce {
@@ -104,9 +100,6 @@ impl BruteForce {
             defection,
             minions: Vec::new(),
             pending: BTreeMap::new(),
-            invitations_sent: 0,
-            admissions: 0,
-            votes_received: 0,
         }
     }
 
@@ -125,9 +118,8 @@ impl BruteForce {
         let now = eng.now();
         // Real introductory effort per try (§6.3 economics). Free if the
         // effort-balancing ablation removed the requirement.
-        let intro = world.balanced_effort(world.cost().intro_gen());
+        let intro = world.balanced_effort(world.costs().intro_gen);
         world.charge_adversary(intro);
-        self.invitations_sent += 1;
 
         let poll = world.alloc_poll_id();
         // Provenance: the trace ties this bogus poll id to the strategy
@@ -193,7 +185,6 @@ impl BruteForce {
         if entry.stage != BogusStage::AwaitingAck {
             return;
         }
-        self.admissions += 1;
         // Whether accepted or refused, the admission has consumed the
         // victim's unknown/in-debt slot: the refractory period is armed.
         if !accept {
@@ -209,7 +200,7 @@ impl BruteForce {
                 self.schedule_next_burst(world, eng, entry.victim, entry.au);
             }
             Defection::Remaining | Defection::None_ => {
-                let remaining = world.balanced_effort(world.cost().remaining_gen());
+                let remaining = world.balanced_effort(world.costs().remaining_gen);
                 world.charge_adversary(remaining);
                 let victim_node = world.peers.node(entry.victim);
                 world.send_message(
@@ -241,13 +232,13 @@ impl BruteForce {
         if entry.stage != BogusStage::AwaitingVote {
             return;
         }
-        self.votes_received += 1;
         self.pending.remove(&poll);
         if self.defection == Defection::None_ {
             // Full participation: evaluate the vote (the adversary has an
             // incorruptible replica, but evaluation effort is evaluation
             // effort) and return the valid receipt (the MBF byproduct).
-            let eval = world.cost().evaluation_cost(1);
+            let costs = world.costs();
+            let eval = costs.au_hash + costs.vote_proof_verify;
             world.charge_adversary(eval);
             let victim_node = world.peers.node(entry.victim);
             world.send_message(

@@ -37,10 +37,6 @@ pub struct ChurnStorm {
     /// departures blanket exactly the span in which votes are solicited.
     pub duty: f64,
     departed: Vec<NodeId>,
-    /// Completed depart/return cycles (diagnostics).
-    pub cycles: u64,
-    /// Total individual departures so far (diagnostics).
-    pub departures: u64,
 }
 
 impl ChurnStorm {
@@ -51,8 +47,6 @@ impl ChurnStorm {
             coverage: coverage.clamp(0.0, 1.0),
             duty: duty.clamp(0.0, 1.0),
             departed: Vec::new(),
-            cycles: 0,
-            departures: 0,
         }
     }
 
@@ -69,7 +63,6 @@ impl ChurnStorm {
         for node in &self.departed {
             world.net.set_stopped(*node, true);
         }
-        self.departures += self.departed.len() as u64;
         world.note_adversary_action(eng, "churn-storm/depart", self.departed.len() as u64);
         let interval = world.cfg.protocol.poll_interval;
         schedule_adversary_timer(world, eng, interval.mul_f64(self.duty), TAG_RETURN);
@@ -80,7 +73,6 @@ impl ChurnStorm {
         for node in self.departed.drain(..) {
             world.net.set_stopped(node, false);
         }
-        self.cycles += 1;
         world.note_adversary_action(eng, "churn-storm/rejoin", returned);
         let interval = world.cfg.protocol.poll_interval;
         schedule_adversary_timer(

@@ -49,8 +49,6 @@ pub struct MobileTakeover {
     pub horizon: Option<Duration>,
     victims: Vec<usize>,
     ended: bool,
-    /// Completed migrations (diagnostics).
-    pub migrations: u64,
     /// Individual takeovers performed (diagnostics).
     pub takeovers: u64,
     /// Individual cures performed (diagnostics).
@@ -67,7 +65,6 @@ impl MobileTakeover {
             horizon: None,
             victims: Vec::new(),
             ended: false,
-            migrations: 0,
             takeovers: 0,
             cures: 0,
         }
@@ -113,7 +110,6 @@ impl MobileTakeover {
                 self.takeovers += 1;
             }
         }
-        self.migrations += 1;
         world.note_adversary_action(eng, "mobile-takeover/compromise", k as u64);
         let period = self.period(world);
         schedule_adversary_timer(world, eng, period, TAG_MIGRATE);

@@ -45,10 +45,6 @@ pub struct SybilRamp {
     /// How many of `order` are currently under attack.
     active: usize,
     next_identity: u64,
-    /// Garbage invitations sent (diagnostics).
-    pub invitations_sent: u64,
-    /// Bursts that ended in an admission (diagnostics).
-    pub admissions: u64,
 }
 
 impl SybilRamp {
@@ -60,8 +56,6 @@ impl SybilRamp {
             order: Vec::new(),
             active: 0,
             next_identity: Identity::MINION_BASE + (1 << 40),
-            invitations_sent: 0,
-            admissions: 0,
         }
     }
 
@@ -125,11 +119,11 @@ impl SybilRamp {
         }
 
         let no_refractory = cfg.ablation.no_refractory;
-        let consider = world.cost().consider_cost();
-        let detect = world.balanced_effort(world.cost().bogus_intro_detect());
-        let sent_before = self.invitations_sent;
+        let consider = world.costs().consider;
+        let detect = world.balanced_effort(world.costs().bogus_intro_detect);
+        let mut sent = 0u64;
         for _ in 0..1_000 {
-            self.invitations_sent += 1;
+            sent += 1;
             let id = self.fresh_identity();
             let verdict = {
                 let (au_state, rng) = world.peers.au_and_rng_mut(victim, au as usize);
@@ -138,7 +132,6 @@ impl SybilRamp {
                     .filter(id, &au_state.known, now, &cfg, rng)
             };
             if verdict.is_admitted() {
-                self.admissions += 1;
                 world.charge_loyal(victim, Purpose::Consider, consider);
                 world.charge_loyal(victim, Purpose::VerifyIntro, detect);
                 if !no_refractory {
@@ -148,7 +141,7 @@ impl SybilRamp {
         }
         // Sybil bursts also bypass the message layer; tag them so the
         // trace shows which victim waves the escalation produced.
-        world.note_adversary_action(eng, "sybil-ramp/burst", self.invitations_sent - sent_before);
+        world.note_adversary_action(eng, "sybil-ramp/burst", sent);
         schedule_adversary_timer(
             world,
             eng,

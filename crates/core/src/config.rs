@@ -70,7 +70,8 @@ pub struct ProtocolConfig {
     /// poller.
     pub receipt_slack: Duration,
     /// Ablation switches: disable individual defenses to measure their
-    /// contribution (DESIGN.md §8). All default to fully-enabled.
+    /// contribution (`lockss-sim figure ablations`). All default to
+    /// fully-enabled.
     pub ablation: Ablation,
     /// §9 adaptive behaviour: "loyal peers could modulate the probability
     /// of acceptance of a poll request according to their recent busyness.

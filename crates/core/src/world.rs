@@ -1,6 +1,10 @@
 //! The simulated world: peers, network, storage damage, metrics, adversary.
 //!
-//! All protocol behaviour is orchestrated here as discrete events. Peer
+//! [`World`] owns the run's state and the events that are not a poll step:
+//! construction, tracing, effort charging, storage damage, compromise and
+//! message delivery. The protocol machines are `impl World` blocks beside
+//! their state: the poller in [`crate::poller`], the voter in
+//! [`crate::voter`], dynamic membership in [`crate::churn`]. Peer
 //! compute (effort proofs, hashing) occupies each peer's single-CPU
 //! [`crate::schedule::TaskSchedule`]; message transfers go through the
 //! flow-level network; every CPU-second is charged to an effort ledger so
@@ -13,7 +17,7 @@
 //! founding-population rule, so a 10k–100k-peer world builds in
 //! milliseconds and fits in a handful of flat allocations.
 
-use lockss_effort::{CostModel, CostTable, Purpose};
+use lockss_effort::{CostTable, Purpose};
 use lockss_metrics::RunMetrics;
 use lockss_net::{Network, NodeId};
 use lockss_sim::{Duration, Engine, SimRng, SimTime};
@@ -79,7 +83,8 @@ pub struct World {
 impl World {
     /// Builds the world: loyal peers with sampled links, pristine replicas,
     /// seeded reference lists and reputation (a steady-state proxy:
-    /// everyone starts known-at-even, documented in DESIGN.md).
+    /// everyone starts known-at-even; see ARCHITECTURE.md, "Memory
+    /// model").
     ///
     /// # Panics
     ///
@@ -288,9 +293,9 @@ impl World {
         self.metrics.adversary_effort_secs += cost.as_secs_f64();
     }
 
-    /// The cost model.
-    pub fn cost(&self) -> &CostModel {
-        &self.cfg.cost
+    /// The derived costs, snapshotted from `cfg.cost` at construction.
+    pub fn costs(&self) -> &CostTable {
+        &self.costs
     }
 
     /// An effort-balancing cost, or zero when the `no_effort_balancing`
@@ -517,6 +522,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lockss_effort::CostModel;
     use lockss_storage::AuSpec;
 
     /// A small, fast world for end-to-end protocol tests.

@@ -234,9 +234,9 @@ impl Sweeps {
         self.run_grid(grid, true)
     }
 
-    /// What each defense buys (DESIGN.md §8; the paper's §9 parameter
-    /// exploration and the §1/§5 motivations). For each defense, the
-    /// attack that defense exists to stop, with the defense on and off:
+    /// What each defense buys (the paper's §9 parameter exploration and
+    /// the §1/§5 motivations). For each defense, the attack that defense
+    /// exists to stop, with the defense on and off:
     ///
     /// - **refractory periods** vs the admission flood (§7.3): without the
     ///   refractory rate limit, every garbage invitation that survives the

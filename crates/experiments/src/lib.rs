@@ -22,7 +22,8 @@
 //! `quick` for CI smoke runs, `default` for laptop-scale shape
 //! reproduction, `paper` for the full §6.3 parameters. The reproduction
 //! criterion is *shape* (orderings, approximate factors, crossovers), not
-//! the absolute numbers of the authors' 2004 testbed — see EXPERIMENTS.md.
+//! the absolute numbers of the authors' 2004 testbed; known deviations are
+//! tracked in VALIDATION.md.
 
 pub mod cli;
 pub mod figures;

@@ -14,7 +14,9 @@ use lockss_sim::Duration;
 pub enum Scale {
     /// Smoke test: tiny population, one seed.
     Quick,
-    /// Laptop-scale shape reproduction (the EXPERIMENTS.md numbers).
+    /// Laptop-scale shape reproduction: the paper's orderings, factors
+    /// and crossovers, not its absolute numbers (deviations are tracked
+    /// in VALIDATION.md).
     Default,
     /// The paper's §6.3 parameters.
     Paper,
@@ -54,7 +56,7 @@ impl Scale {
 
     /// The large collection size (the paper's 600-AU points; `paper` scale
     /// uses 200 — still 4× the small collection, direct-simulated rather
-    /// than layered, see DESIGN.md).
+    /// than layered, see [`crate::layering`]).
     pub fn large_collection(self) -> usize {
         match self {
             Scale::Quick => 8,

@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration as StdDuration, Instant, SystemTime};
 
-use lockss_obs::{unix_ms_now, utc_timestamp};
+use lockss_obs::{unix_ms_now, utc_timestamp, Heartbeat};
 
 use super::merge::merge_files;
 use super::plan::{write_checkpoint, SweepReport};
@@ -391,7 +391,7 @@ fn next_attempt(
 fn progress_line(
     plan: &DispatchPlan,
     index: u64,
-    hb: &super::status::HeartbeatRecord,
+    hb: &Heartbeat,
     progress_base: &Option<(u64, Instant)>,
 ) -> String {
     let mut line = format!(
@@ -505,15 +505,15 @@ mod tests {
 
     #[test]
     fn progress_lines_carry_rate_and_eta() {
-        use super::super::status::HeartbeatRecord;
         let p = plan();
-        let hb = HeartbeatRecord {
+        let hb = Heartbeat {
             unix_ms: 0,
             seeds_done: 3,
             seeds_total: 4,
             polls: 300,
             polls_per_sec: 12.34,
             vm_rss_kb: 1024,
+            ..Heartbeat::default()
         };
         // No baseline yet: rate only.
         let line = progress_line(&p, 2, &hb, &None);

@@ -10,49 +10,15 @@ use std::io::{Read as _, Seek as _, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use lockss_metrics::Table;
-use lockss_sim::json;
+use lockss_obs::Heartbeat;
 
 use super::plan::SweepReport;
 use crate::obs::heartbeat_path;
 
-/// The heartbeat fields the status view and dispatch's stall detector
-/// consume (a subset of what workers write).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct HeartbeatRecord {
-    /// Wall-clock milliseconds since the unix epoch at emission.
-    pub unix_ms: u64,
-    /// Seeds the shard had completed.
-    pub seeds_done: u64,
-    /// Seeds the shard is responsible for.
-    pub seeds_total: u64,
-    /// Polls opened so far (advances during a seed).
-    pub polls: u64,
-    /// Poll throughput, polls per wall second.
-    pub polls_per_sec: f64,
-    /// Resident set size in KiB at emission.
-    pub vm_rss_kb: u64,
-}
-
-impl HeartbeatRecord {
-    /// Parses one heartbeat JSONL line.
-    pub fn from_line(line: &str) -> Result<HeartbeatRecord, String> {
-        let v = json::parse(line).map_err(|e| e.to_string())?;
-        let f = v.as_object("heartbeat")?;
-        Ok(HeartbeatRecord {
-            unix_ms: json::get(f, "unix_ms")?.as_u64("unix_ms")?,
-            seeds_done: json::get(f, "seeds_done")?.as_u64("seeds_done")?,
-            seeds_total: json::get(f, "seeds_total")?.as_u64("seeds_total")?,
-            polls: json::get(f, "polls")?.as_u64("polls")?,
-            polls_per_sec: json::get(f, "polls_per_sec")?.as_f64("polls_per_sec")?,
-            vm_rss_kb: json::get(f, "vm_rss_kb")?.as_u64("vm_rss_kb")?,
-        })
-    }
-}
-
 /// Reads the last parseable heartbeat of `path` without slurping an
 /// unbounded log: only the final 64 KiB are examined. `None` when the
 /// file is missing, empty, or holds no complete record yet.
-pub fn last_heartbeat(path: &Path) -> Option<HeartbeatRecord> {
+pub fn last_heartbeat(path: &Path) -> Option<Heartbeat> {
     const TAIL: u64 = 64 * 1024;
     let mut f = std::fs::File::open(path).ok()?;
     let len = f.metadata().ok()?.len();
@@ -61,16 +27,16 @@ pub fn last_heartbeat(path: &Path) -> Option<HeartbeatRecord> {
     f.read_to_string(&mut tail).ok()?;
     tail.lines()
         .rev()
-        .find_map(|l| HeartbeatRecord::from_line(l).ok())
+        .find_map(|l| Heartbeat::from_json_line(l).ok())
 }
 
 /// Reads every parseable heartbeat of `path`, in file order. Torn or
 /// foreign lines are skipped.
-pub fn read_heartbeats(path: &Path) -> Vec<HeartbeatRecord> {
+pub fn read_heartbeats(path: &Path) -> Vec<Heartbeat> {
     std::fs::read_to_string(path)
         .map(|text| {
             text.lines()
-                .filter_map(|l| HeartbeatRecord::from_line(l).ok())
+                .filter_map(|l| Heartbeat::from_json_line(l).ok())
                 .collect()
         })
         .unwrap_or_default()
@@ -83,12 +49,12 @@ pub struct ShardStatus {
     /// The (possibly partial) report the checkpoint holds.
     pub report: SweepReport,
     /// The freshest heartbeat, when telemetry exists for this shard.
-    pub heartbeat: Option<HeartbeatRecord>,
+    pub heartbeat: Option<Heartbeat>,
     /// Seed completion rate derived from the heartbeat history.
     pub seeds_per_sec: Option<f64>,
 }
 
-fn seeds_rate(hbs: &[HeartbeatRecord]) -> Option<f64> {
+fn seeds_rate(hbs: &[Heartbeat]) -> Option<f64> {
     let first = hbs.first()?;
     let last = hbs.last()?;
     let dt = last.unix_ms.saturating_sub(first.unix_ms) as f64 / 1000.0;
@@ -215,7 +181,6 @@ pub fn render_status(statuses: &[ShardStatus], now_ms: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lockss_obs::Heartbeat;
     use std::io::Write as _;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -247,13 +212,14 @@ mod tests {
     #[test]
     fn heartbeat_lines_roundtrip() {
         let hb = beat(5000, 2);
-        let rec = HeartbeatRecord::from_line(&hb.to_json_line()).unwrap();
+        let rec = Heartbeat::from_json_line(&hb.to_json_line()).unwrap();
         assert_eq!(rec.unix_ms, 5000);
         assert_eq!(rec.seeds_done, 2);
         assert_eq!(rec.seeds_total, 4);
         assert_eq!(rec.polls, 200);
         assert_eq!(rec.polls_per_sec, 12.5);
         assert_eq!(rec.vm_rss_kb, 4096);
+        assert_eq!(rec, hb);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
-use lockss_experiments::sweep::HeartbeatRecord;
+use lockss_obs::Heartbeat;
 use lockss_sim::json;
 
 const BIN: &str = env!("CARGO_BIN_EXE_lockss-sim");
@@ -220,9 +220,9 @@ fn sweep_checkpoints_are_byte_identical_with_telemetry_on() {
     // final record shows the finished sweep.
     let hb_path = tele.join("heartbeat-baseline.jsonl");
     let body = read(&hb_path);
-    let records: Vec<HeartbeatRecord> = body
+    let records: Vec<Heartbeat> = body
         .lines()
-        .map(|l| HeartbeatRecord::from_line(l).expect("heartbeat line parses"))
+        .map(|l| Heartbeat::from_json_line(l).expect("heartbeat line parses"))
         .collect();
     assert!(!records.is_empty());
     for pair in records.windows(2) {
@@ -316,7 +316,7 @@ fn dispatch_passes_telemetry_through_and_logs_are_tagged() {
         assert!(hb.exists(), "missing {}", hb.display());
         let body = read(&hb);
         assert!(
-            body.lines().all(|l| HeartbeatRecord::from_line(l).is_ok()),
+            body.lines().all(|l| Heartbeat::from_json_line(l).is_ok()),
             "unparseable heartbeat line in {}",
             hb.display()
         );

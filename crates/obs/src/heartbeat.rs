@@ -11,7 +11,7 @@ use std::fs::OpenOptions;
 use std::io::{self, Write as _};
 use std::path::Path;
 
-use crate::json::{Layout, Writer};
+use crate::json::{self, Layout, Writer};
 
 /// Format tag stamped on every heartbeat line. Consumers parse by key
 /// and must ignore keys they do not know, so adding fields is a
@@ -77,6 +77,37 @@ impl Heartbeat {
             .finish()
     }
 
+    /// Parses one line written by [`Heartbeat::to_json_line`], by key:
+    /// keys this version does not know are ignored. A torn or malformed
+    /// line, another format, or a missing or mistyped field is an `Err`.
+    pub fn from_json_line(line: &str) -> Result<Heartbeat, String> {
+        let v = json::parse(line).map_err(|e| e.to_string())?;
+        let f = v.as_object("heartbeat")?;
+        let format = json::get(f, "format")?.as_str("format")?;
+        if format != FORMAT {
+            return Err(format!("not a heartbeat: format {format:?}"));
+        }
+        let num = |key: &str| json::get(f, key)?.as_u64(key);
+        let small = |key: &str| u32::try_from(num(key)?).map_err(|_| format!("{key} out of range"));
+        let text = |key: &str| Ok::<_, String>(json::get(f, key)?.as_str(key)?.to_string());
+        Ok(Heartbeat {
+            unix_ms: num("unix_ms")?,
+            scenario: text("scenario")?,
+            scale: text("scale")?,
+            shard: small("shard")?,
+            shards: small("shards")?,
+            seeds_done: num("seeds_done")?,
+            seeds_total: num("seeds_total")?,
+            last_seed: num("last_seed")?,
+            polls: num("polls")?,
+            events: num("events")?,
+            polls_per_sec: json::get(f, "polls_per_sec")?.as_f64("polls_per_sec")?,
+            vm_rss_kb: num("vm_rss_kb")?,
+            arena_live: num("arena_live")?,
+            arena_total: num("arena_total")?,
+        })
+    }
+
     /// Appends the record (plus newline) to `path`, creating the file
     /// if needed.
     pub fn append_to(&self, path: &Path) -> io::Result<()> {
@@ -130,6 +161,13 @@ mod tests {
         assert!(line.contains("\"seeds_done\": 3"));
         assert!(line.contains("\"polls_per_sec\": 6.25"));
         assert!(line.contains("\"scale\": \"quick\""));
+        assert_eq!(Heartbeat::from_json_line(&line), Ok(hb));
+        // Another format, a missing field or a torn line is refused.
+        let foreign = line.replace(FORMAT, "lockss-profile-v1");
+        assert!(Heartbeat::from_json_line(&foreign).is_err());
+        let missing = line.replace("\"polls\"", "\"pools\"");
+        assert!(Heartbeat::from_json_line(&missing).is_err());
+        assert!(Heartbeat::from_json_line(&line[..line.len() / 2]).is_err());
     }
 
     #[test]

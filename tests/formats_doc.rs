@@ -18,9 +18,7 @@ use std::path::Path;
 
 use lockss::core::trace::{MsgKind, PollConclusion, TraceEvent, TraceSink};
 use lockss::experiments::runner::{run, run_once, RunOptions};
-use lockss::experiments::sweep::{
-    summary_from_json, summary_to_json, HeartbeatRecord, ShardTag, SweepReport,
-};
+use lockss::experiments::sweep::{summary_from_json, summary_to_json, ShardTag, SweepReport};
 use lockss::experiments::{ObsSession, Scale, ScenarioRegistry, ScenarioSpec};
 use lockss::obs::{Heartbeat, Profiler};
 use lockss::sim::json::{self, Value, Writer};
@@ -149,6 +147,65 @@ fn every_format_the_doc_names_exists_in_source() {
              (stale doc, or a format was renamed without updating the spec)"
         );
     }
+}
+
+/// Every `.rs` file under `dir`, integration tests and benches included.
+fn all_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in fs::read_dir(dir).expect("readable source dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            if path.file_name().unwrap_or_default() != "target" {
+                all_rs(&path, out);
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// A document a comment cites by file name (an upper-case stem plus
+/// `.md`, possibly behind a path) must exist — a bare name at the repo
+/// root or under `docs/`, a path at that path from the root.
+#[test]
+fn every_document_a_comment_names_exists() {
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        all_rs(Path::new(dir), &mut files);
+    }
+    let mut cited = 0;
+    let mut missing = Vec::new();
+    for path in files {
+        let text = fs::read_to_string(&path).expect("readable source file");
+        for (n, line) in text.lines().enumerate() {
+            let Some((_, comment)) = line.split_once("//") else {
+                continue;
+            };
+            let tokens =
+                comment.split(|c: char| !(c.is_ascii_alphanumeric() || "_./-".contains(c)));
+            for token in tokens.map(|t| t.trim_end_matches('.')) {
+                let Some(stem) = token.strip_suffix(".md") else {
+                    continue;
+                };
+                let name = stem.rsplit('/').next().unwrap_or(stem);
+                let upper = |c: char| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_';
+                if !name.starts_with(|c: char| c.is_ascii_uppercase()) || !name.chars().all(upper) {
+                    continue;
+                }
+                cited += 1;
+                let found = Path::new(token).is_file()
+                    || (!token.contains('/') && Path::new("docs").join(token).is_file());
+                if !found {
+                    missing.push(format!("{}:{}: {token}", path.display(), n + 1));
+                }
+            }
+        }
+    }
+    assert!(cited > 0, "no comment names a document; the scan is broken");
+    assert!(
+        missing.is_empty(),
+        "comments cite documents that do not exist:\n{}",
+        missing.join("\n")
+    );
 }
 
 #[test]
@@ -447,7 +504,7 @@ fn every_json_emitter_parses_rereads_and_covers_its_documented_example() {
             heartbeat.to_json_line(),
             Some(("lockss-heartbeat-v1", 0)),
             Box::new(|text| {
-                let back = HeartbeatRecord::from_line(text).expect("reads back");
+                let back = Heartbeat::from_json_line(text).expect("reads back");
                 let hb = &heartbeat;
                 let written = (hb.unix_ms, hb.seeds_done, hb.seeds_total, hb.polls);
                 assert_eq!(
