@@ -7,10 +7,10 @@
 //! the publisher, §2), knows only its operator-configured friends, and is
 //! unknown to everyone else — so its invitations face the full
 //! unknown-peer drop rate and refractory gauntlet until nominations and
-//! introductions integrate it. [`integration_report`] measures exactly
+//! introductions integrate it. [`World::reflist_penetration`] measures
 //! that ramp.
 
-use lockss_sim::{Duration, SimTime};
+use lockss_sim::Duration;
 use lockss_storage::AuId;
 
 use crate::peer::AuState;
@@ -99,43 +99,12 @@ impl World {
     }
 }
 
-/// Integration metrics for one late joiner.
-#[derive(Clone, Debug)]
-pub struct IntegrationReport {
-    /// When the peer joined.
-    pub joined_at: SimTime,
-    /// Successful polls it completed after joining.
-    pub successful_polls: u64,
-    /// Failed polls after joining.
-    pub failed_polls: u64,
-    /// Final reference-list penetration (mean over AUs).
-    pub penetration: f64,
-}
-
-/// Summarizes how well peer `index` (a late joiner) has integrated.
-pub fn integration_report(world: &World, index: usize, joined_at: SimTime) -> IntegrationReport {
-    // Poll outcomes for this peer are tracked globally; recount from its
-    // own per-AU state is not retained, so use penetration + the ledger as
-    // integration signals. Successful polls are read from the metrics.
-    let mut penetration = 0.0;
-    for au in 0..world.cfg.n_aus {
-        penetration += world.reflist_penetration(index, AuId(au as u32));
-    }
-    penetration /= world.cfg.n_aus as f64;
-    IntegrationReport {
-        joined_at,
-        successful_polls: 0, // filled by callers that track per-peer polls
-        failed_polls: 0,
-        penetration,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::WorldConfig;
     use lockss_effort::CostModel;
-    use lockss_sim::Engine;
+    use lockss_sim::{Engine, SimTime};
     use lockss_storage::AuSpec;
 
     fn config(seed: u64) -> WorldConfig {
@@ -165,7 +134,6 @@ mod tests {
         // Let the network reach steady state, then join.
         eng.run_until(&mut world, SimTime::ZERO + Duration::from_days(60));
         let joiner = world.join_loyal_peer(&mut eng);
-        let joined_at = eng.now();
         let early = world.reflist_penetration(joiner, AuId(0));
 
         eng.run_until(&mut world, SimTime::ZERO + Duration::from_days(420));
@@ -175,9 +143,6 @@ mod tests {
             late > 0.05,
             "joiner should reach some reference lists: {late}"
         );
-
-        let report = integration_report(&world, joiner, joined_at);
-        assert!(report.penetration > 0.0);
         // The joiner does real work once integrated.
         assert!(world.peers.ledger(joiner).total_secs() > 0.0);
     }

@@ -204,11 +204,6 @@ impl PeerTable {
         self.identity[p]
     }
 
-    /// All identities, by peer index.
-    pub fn identities(&self) -> &[Identity] {
-        &self.identity
-    }
-
     /// The peer's state for one AU.
     #[inline]
     pub fn au(&self, p: usize, au: usize) -> &AuState {
@@ -270,11 +265,6 @@ impl PeerTable {
     /// Mutable CPU calendar.
     pub fn schedule_mut(&mut self, p: usize) -> &mut TaskSchedule {
         &mut self.schedule[p]
-    }
-
-    /// All CPU calendars, by peer index.
-    pub fn schedules(&self) -> &[TaskSchedule] {
-        &self.schedule
     }
 
     /// The peer's effort ledger.
@@ -341,14 +331,6 @@ impl PeerTable {
         self.compromised.iter().filter(|c| **c).count()
     }
 
-    /// Number of this peer's replicas currently damaged.
-    pub fn damaged_replicas(&self, p: usize) -> usize {
-        self.aus(p)
-            .iter()
-            .filter(|a| !a.replica.is_intact())
-            .count()
-    }
-
     /// Damaged replicas across the whole population.
     pub fn total_damaged(&self) -> usize {
         self.au.iter().filter(|a| !a.replica.is_intact()).count()
@@ -410,10 +392,11 @@ mod tests {
         assert_eq!(t.n_aus(), 2);
         assert_eq!(t.node(1), NodeId(1));
         assert_eq!(t.identity(2), Identity::loyal(2));
-        assert_eq!(t.damaged_replicas(1), 0);
+        let damaged = |t: &PeerTable, p| t.aus(p).iter().filter(|a| !a.replica.is_intact()).count();
+        assert_eq!(damaged(&t, 1), 0);
         t.au_mut(1, AuId(1).index()).replica.damage(3);
-        assert_eq!(t.damaged_replicas(1), 1);
-        assert_eq!(t.damaged_replicas(0), 0);
+        assert_eq!(damaged(&t, 1), 1);
+        assert_eq!(damaged(&t, 0), 0);
         assert_eq!(t.total_damaged(), 1);
         assert!(!t.au(1, 1).replica.is_intact());
         assert!(t.au(1, 0).replica.is_intact());

@@ -140,13 +140,6 @@ impl CostModel {
         self.remaining_gen().mul_f64(self.verify_ratio)
     }
 
-    /// Poller-side cost of evaluating one poll: hashing its own replica once
-    /// (all votes are checked against the same block hashes, computed "in
-    /// parallel", §4.3) plus verifying each vote's embedded proof.
-    pub fn evaluation_cost(&self, votes: usize) -> Duration {
-        self.au_hash() + self.vote_proof_verify() * votes as u64
-    }
-
     /// Cost to serve one repair block: read + hash + frame it.
     pub fn repair_serve_cost(&self) -> Duration {
         self.block_hash() * 2
@@ -310,15 +303,6 @@ mod tests {
     fn vote_bytes_scales_with_blocks() {
         let m = CostModel::default();
         assert_eq!(m.vote_bytes(), m.blocks_per_au() * 20 + 256);
-    }
-
-    #[test]
-    fn evaluation_cost_scales_with_votes() {
-        let m = CostModel::default();
-        let base = m.evaluation_cost(0);
-        let ten = m.evaluation_cost(10);
-        assert_eq!(base, m.au_hash());
-        assert!(ten > base);
     }
 }
 

@@ -38,7 +38,7 @@ use lockss_experiments::sweep::{
     run_sweep_plan, DispatchPlan, ShardTag, SweepOptions, SweepReport,
 };
 use lockss_experiments::{
-    run_recovery_study, RecoveryStudy, Scale, ScenarioEntry, ScenarioRegistry, ScenarioSpec,
+    run_recovery_study, RecoveryStudy, Scale, ScenarioRegistry, ScenarioSpec,
 };
 use lockss_metrics::table::{ratio, sci};
 use lockss_metrics::{PhaseSummary, Summary, Table};
@@ -79,11 +79,11 @@ fn main() {
         "list" => list(&registry, scale),
         "describe" => describe(&registry, &ops[0], scale),
         "run" => {
-            let entry = match inv.text("--file") {
-                Some(path) => load_entry(path),
+            let spec = match inv.text("--file") {
+                Some(path) => read_spec(path).unwrap_or_else(|e| fail(&format!("{path}: {e}"))),
                 None => resolve(&registry, &ops[0]).clone(),
             };
-            run_cmd(&entry, &inv);
+            run_cmd(&spec, &inv);
         }
         "figure" => figure(ops, scale),
         "validate" => validate(ops),
@@ -185,12 +185,6 @@ fn read_spec(path: &str) -> Result<ScenarioSpec, String> {
     let spec = ScenarioSpec::from_json(&text).map_err(|e| e.to_string())?;
     spec.validate().map_err(|e| e.to_string())?;
     Ok(spec)
-}
-
-/// Loads a declarative scenario file as a runnable entry, exiting with
-/// the spec error on a bad file.
-fn load_entry(path: &str) -> ScenarioEntry {
-    ScenarioEntry::new(read_spec(path).unwrap_or_else(|e| fail(&format!("{path}: {e}"))))
 }
 
 /// Checks each scenario file, printing one line per file. Exits 1 if any
@@ -393,16 +387,14 @@ fn sweep_cmd(registry: &ScenarioRegistry, name: &str, inv: &Invocation, threads:
         .map(|shard| ShardTag::new(shard[0], shard[1], seeds.clone()).unwrap_or_else(|e| fail(&e)));
     let obs = Obs::new(inv);
     let record = inv.text("--record").map(Path::new);
-    let entry = resolve(registry, name);
-    let scenario = entry.build(scale);
+    let spec = resolve(registry, name);
+    let scenario = spec.build(scale);
     let default_path = match &shard {
         Some(tag) => format!(
             "results/sweep-{}-shard-{}of{}.json",
-            entry.name(),
-            tag.index,
-            tag.count
+            spec.name, tag.index, tag.count
         ),
-        None => format!("results/sweep-{}.json", entry.name()),
+        None => format!("results/sweep-{}.json", spec.name),
     };
     let path = PathBuf::from(inv.text("--checkpoint").unwrap_or(&default_path));
     // --fresh ignores any existing checkpoint: without it, a rerun after a
@@ -410,14 +402,14 @@ fn sweep_cmd(registry: &ScenarioRegistry, name: &str, inv: &Invocation, threads:
     let resume = if inv.switch("--fresh") {
         None
     } else {
-        load_checkpoint(&path, entry.name(), scale.label(), shard.as_ref())
+        load_checkpoint(&path, &spec.name, scale.label(), shard.as_ref())
     };
     let done_before = resume.as_ref().map(|r| r.completed.len()).unwrap_or(0);
     let shard_seeds = shard.as_ref().map(ShardTag::seeds);
     let my_seeds: &[u64] = shard_seeds.as_deref().unwrap_or(&seeds);
     println!(
         "sweeping '{}' at scale '{}': {} seed(s){} on {} thread(s){}",
-        entry.name(),
+        spec.name,
         scale.label(),
         my_seeds.len(),
         shard
@@ -443,8 +435,8 @@ fn sweep_cmd(registry: &ScenarioRegistry, name: &str, inv: &Invocation, threads:
         );
     }
     let plan = match shard {
-        Some(tag) => SweepReport::new_shard(entry.name(), scale.label(), tag),
-        None => SweepReport::new(entry.name(), scale.label(), seeds),
+        Some(tag) => SweepReport::new_shard(&spec.name, scale.label(), tag),
+        None => SweepReport::new(&spec.name, scale.label(), seeds),
     };
     let opts = SweepOptions {
         threads,
@@ -512,7 +504,7 @@ fn sweep_cmd(registry: &ScenarioRegistry, name: &str, inv: &Invocation, threads:
             tag.count
         );
     }
-    obs.finish(entry.name());
+    obs.finish(&spec.name);
     if inv.switch("--json") {
         print!("{}", report.to_json());
     }
@@ -579,10 +571,10 @@ fn sweep_merge(inv: &Invocation) {
 /// survives worker deaths via retry-with-backoff and checkpoint-freshness
 /// straggler re-dispatch, then merges and writes the campaign report.
 fn sweep_dispatch(registry: &ScenarioRegistry, name: &str, inv: &Invocation) {
-    let entry = resolve(registry, name);
+    let spec = resolve(registry, name);
     let num = |flag: &str, default: u64| inv.num(flag).unwrap_or(default);
     let plan = DispatchPlan {
-        scenario: entry.name().to_string(),
+        scenario: spec.name.clone(),
         scale: inv.scale.label().to_string(),
         seeds_arg: inv
             .text("--seeds")
@@ -594,10 +586,10 @@ fn sweep_dispatch(registry: &ScenarioRegistry, name: &str, inv: &Invocation) {
         backoff_ms: num("--backoff-ms", 250),
         stall_secs: inv.num("--stall-secs"),
         dir: PathBuf::from(inv.text("--dir").unwrap_or("results")),
-        out: PathBuf::from(inv.text("--out").map_or_else(
-            || format!("results/sweep-{}.json", entry.name()),
-            String::from,
-        )),
+        out: PathBuf::from(
+            inv.text("--out")
+                .map_or_else(|| format!("results/sweep-{}.json", spec.name), String::from),
+        ),
         fresh: inv.switch("--fresh"),
         telemetry: inv.text("--telemetry").map(PathBuf::from),
     };
@@ -741,14 +733,14 @@ fn replay(registry: &ScenarioRegistry, path: &str, seed_override: Option<u64>) {
     let meta = trace
         .meta()
         .unwrap_or_else(|e| fail(&format!("header: {e}")));
-    let entry = registry.get(&meta.scenario).unwrap_or_else(|| {
+    let spec = registry.get(&meta.scenario).unwrap_or_else(|| {
         fail(&format!(
             "trace records scenario '{}', which is not in this build's registry",
             meta.scenario
         ))
     });
     let scale = Scale::parse(&meta.scale).unwrap_or_else(|e| fail(&format!("trace header: {e}")));
-    let scenario = entry.build(scale);
+    let scenario = spec.build(scale);
     let seed = seed_override.unwrap_or(meta.seed);
     println!(
         "replaying {path}: {meta}{}",
@@ -766,7 +758,7 @@ fn replay(registry: &ScenarioRegistry, path: &str, seed_override: Option<u64>) {
     }
 }
 
-fn resolve<'r>(registry: &'r ScenarioRegistry, name: &str) -> &'r ScenarioEntry {
+fn resolve<'r>(registry: &'r ScenarioRegistry, name: &str) -> &'r ScenarioSpec {
     let unknown = || {
         fail(&format!(
             "unknown scenario '{name}'; `lockss-sim list` shows the registry"
@@ -778,22 +770,22 @@ fn resolve<'r>(registry: &'r ScenarioRegistry, name: &str) -> &'r ScenarioEntry 
 fn list(registry: &ScenarioRegistry, scale: Scale) {
     println!(
         "{} registered scenarios (scale '{}'):\n",
-        registry.len(),
+        registry.entries().len(),
         scale.label()
     );
     let mut table = Table::new(vec!["scenario", "paper", "description"]);
-    for e in registry.entries() {
-        table.row(vec![e.name(), e.paper_ref(), e.description()]);
+    for s in registry.entries() {
+        table.row(vec![&s.name, &s.paper_ref, &s.description]);
     }
     print!("{}", table.render());
 }
 
 fn describe(registry: &ScenarioRegistry, name: &str, scale: Scale) {
-    let entry = resolve(registry, name);
-    let s = entry.build(scale);
-    println!("scenario     {}", entry.name());
-    println!("paper        {}", entry.paper_ref());
-    println!("description  {}", entry.description());
+    let spec = resolve(registry, name);
+    let s = spec.build(scale);
+    println!("scenario     {}", spec.name);
+    println!("paper        {}", spec.paper_ref);
+    println!("description  {}", spec.description);
     println!("attack       {}", s.attack.label());
     println!(
         "world        {} peers x {} AUs, mtbf {} disk-years, poll interval {}",
@@ -809,7 +801,7 @@ fn describe(registry: &ScenarioRegistry, name: &str, scale: Scale) {
 
 /// Runs one scenario (plus its matched baseline) over `--seed N` or
 /// seeds `1..=K`, prints the metric report and writes the JSON summary.
-fn run_cmd(entry: &ScenarioEntry, inv: &Invocation) {
+fn run_cmd(spec: &ScenarioSpec, inv: &Invocation) {
     let scale = inv.scale;
     let seeds: Vec<u64> = match inv.num("--seed") {
         Some(seed) => vec![seed],
@@ -822,11 +814,11 @@ fn run_cmd(entry: &ScenarioEntry, inv: &Invocation) {
     }
     let obs = Obs::new(inv);
     let mem = inv.switch("--mem-report");
-    let scenario = entry.build(scale);
+    let scenario = spec.build(scale);
     let attacked_label = scenario.attack.label();
     println!(
         "running '{}' at scale '{}' ({} seed(s), {} threads): {}",
-        entry.name(),
+        spec.name,
         scale.label(),
         seeds.len(),
         default_threads(),
@@ -863,7 +855,7 @@ fn run_cmd(entry: &ScenarioEntry, inv: &Invocation) {
             Some(_) => RunOptions {
                 instruments: plain.instruments.clone(),
                 ..RunOptions::record(&TraceMeta {
-                    scenario: entry.name().to_string(),
+                    scenario: spec.name.clone(),
                     scale: scale.label().to_string(),
                     seed,
                     run_length_ms: scenario.run_length.as_millis(),
@@ -971,7 +963,7 @@ fn run_cmd(entry: &ScenarioEntry, inv: &Invocation) {
     }
 
     let json = render_json(
-        entry,
+        spec,
         scale,
         seeds,
         &attacked_label,
@@ -979,14 +971,14 @@ fn run_cmd(entry: &ScenarioEntry, inv: &Invocation) {
         baseline.as_ref(),
         phases,
     );
-    let path = format!("results/scenario-{}.json", entry.name());
+    let path = format!("results/scenario-{}.json", spec.name);
     write_file(&path, &json);
     println!("\nwrote {path}");
     if let (Some(merged), Some(sp)) = (&obs.profile, &sp) {
         // Batch workers have already absorbed theirs into the merge target.
         merged.lock().unwrap().absorb(&sp.borrow());
     }
-    obs.finish(entry.name());
+    obs.finish(&spec.name);
     if inv.switch("--json") {
         println!("{json}");
     }
@@ -1014,7 +1006,7 @@ fn figure(ids: &[String], scale: Scale) {
 }
 
 fn render_json(
-    entry: &ScenarioEntry,
+    spec: &ScenarioSpec,
     scale: Scale,
     seeds: &[u64],
     attack_label: &str,
@@ -1025,8 +1017,8 @@ fn render_json(
     // Summaries use the canonical field order shared with the sweep reports.
     let mut w = Writer::new();
     w.object(Lines)
-        .field("scenario", entry.name())
-        .field("paper_ref", entry.paper_ref())
+        .field("scenario", &spec.name)
+        .field("paper_ref", &spec.paper_ref)
         .field("scale", scale.label())
         .key("seeds")
         .list(seeds)

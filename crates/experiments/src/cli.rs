@@ -77,7 +77,7 @@ mod table {
     const VERB: Verb = Verb { path: "", operands: "", count: (0, 0), instead: None, about: "", flags: &[], more: None };
     const ANY: usize = usize::MAX;
 
-    const SCALE: Flag = flag("--scale", "<scale>", Ty::Scale, "quick|default|paper (default: $LOCKSS_SCALE, else default)");
+    const SCALE: Flag = flag("--scale", "<scale>", Ty::Scale, "quick|default|paper (absent: default)");
     const SEEDS: Flag = flag("--seeds", "<K|A..B>", Ty::Seeds, "seeds 1..=K or A..B (default: the scale's)");
     const THREADS: Flag = flag("--threads", "<N>", Ty::Num("a positive integer"), "worker threads (default: all cores); output is identical at any count");
     const PROFILE: Flag = switch("--profile", "time span trees and write results/profile-<name>.json");
@@ -254,7 +254,7 @@ impl Ty {
 pub struct Invocation {
     pub verb: &'static Verb,
     pub operands: Vec<String>,
-    /// `--scale`, else `$LOCKSS_SCALE`, else `default`.
+    /// `--scale`, else `default`.
     pub scale: Scale,
     given: Vec<(&'static str, String, Value)>,
 }
@@ -366,12 +366,8 @@ fn invocation(verb: &'static Verb, args: &[String]) -> Result<Invocation, String
     if let Some(surplus) = inv.operands.get(max) {
         return Err(format!("unexpected operand '{surplus}'"));
     }
-    let takes_scale = verb.flags.iter().any(|f| matches!(f.ty, Ty::Scale));
-    inv.scale = match (inv.value("--scale"), std::env::var("LOCKSS_SCALE")) {
-        (Some(Value::Scale(scale)), _) => *scale,
-        (_, Ok(name)) if takes_scale => {
-            Scale::parse(&name).map_err(|e| format!("LOCKSS_SCALE: {e}"))?
-        }
+    inv.scale = match inv.value("--scale") {
+        Some(Value::Scale(scale)) => *scale,
         _ => Scale::Default,
     };
     Ok(inv)

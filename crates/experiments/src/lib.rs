@@ -18,7 +18,7 @@
 //! batch, a sweep, a replay, a fuzz campaign, a figure point — goes
 //! through the single [`runner::run`].
 //!
-//! Scale is controlled by a `--scale` argument (or `LOCKSS_SCALE`):
+//! Scale is controlled by a `--scale` argument:
 //! `quick` for CI smoke runs, `default` for laptop-scale shape
 //! reproduction, `paper` for the full §6.3 parameters. The reproduction
 //! criterion is *shape* (orderings, approximate factors, crossovers), not
@@ -28,7 +28,6 @@
 pub mod cli;
 pub mod figures;
 pub mod fuzz;
-pub mod layering;
 pub mod obs;
 pub mod recovery;
 pub mod registry;
@@ -40,7 +39,7 @@ pub mod sweep;
 
 pub use obs::{heartbeat_path, ObsSession, SweepObs, Telemetry};
 pub use recovery::{run_recovery_study, RecoveryReport, RecoveryStudy};
-pub use registry::{ScenarioEntry, ScenarioRegistry};
+pub use registry::ScenarioRegistry;
 pub use runner::{Instruments, RunOptions, RunOutput};
 pub use scale::Scale;
 pub use scenario::{phased, AttackSpec, PhasedAttack, Scenario};

@@ -21,41 +21,6 @@ use crate::scale::Scale;
 use crate::scenario::Scenario;
 use crate::spec::ScenarioSpec;
 
-/// One registered scenario: a declarative spec (world, attack, catalog
-/// metadata).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ScenarioEntry {
-    /// The spec this entry is backed by.
-    pub spec: ScenarioSpec,
-}
-
-impl ScenarioEntry {
-    /// Wraps a spec as a registry entry.
-    pub fn new(spec: ScenarioSpec) -> ScenarioEntry {
-        ScenarioEntry { spec }
-    }
-
-    /// Unique, CLI-addressable name (kebab-case).
-    pub fn name(&self) -> &str {
-        &self.spec.name
-    }
-
-    /// One-line description of the world and what it demonstrates.
-    pub fn description(&self) -> &str {
-        &self.spec.description
-    }
-
-    /// The paper figure/table/section the scenario reproduces or extends.
-    pub fn paper_ref(&self) -> &str {
-        &self.spec.paper_ref
-    }
-
-    /// Builds the scenario at `scale`.
-    pub fn build(&self, scale: Scale) -> Scenario {
-        self.spec.build(scale)
-    }
-}
-
 /// `(name, contents of scenarios/<name>.json)` for each name, so a name is
 /// written once.
 macro_rules! corpus {
@@ -91,77 +56,30 @@ pub const STANDARD_SCENARIOS: [(&str, &str); 21] = corpus![
     "scale-50k-attrition",
 ];
 
-/// The registry: an ordered collection of named scenarios.
+/// The registry: an ordered collection of named scenario specs.
 pub struct ScenarioRegistry {
-    entries: Vec<ScenarioEntry>,
+    specs: Vec<ScenarioSpec>,
 }
 
 impl ScenarioRegistry {
-    /// An empty registry.
-    pub fn new() -> ScenarioRegistry {
-        ScenarioRegistry {
-            entries: Vec::new(),
-        }
+    /// All specs, in catalog order.
+    pub fn entries(&self) -> &[ScenarioSpec] {
+        &self.specs
     }
 
-    /// Registers an entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the name is already taken — names are CLI addresses and
-    /// must be unique.
-    pub fn register(&mut self, entry: ScenarioEntry) {
-        assert!(
-            self.get(entry.name()).is_none(),
-            "duplicate scenario name '{}'",
-            entry.name()
-        );
-        self.entries.push(entry);
-    }
-
-    /// All entries, in registration order.
-    pub fn entries(&self) -> &[ScenarioEntry] {
-        &self.entries
-    }
-
-    /// Looks an entry up by name.
-    pub fn get(&self, name: &str) -> Option<&ScenarioEntry> {
-        self.entries.iter().find(|e| e.name() == name)
+    /// Looks a spec up by name.
+    pub fn get(&self, name: &str) -> Option<&ScenarioSpec> {
+        self.specs.iter().find(|s| s.name == name)
     }
 
     /// Builds the named scenario at `scale`, if registered.
     pub fn build(&self, name: &str, scale: Scale) -> Option<Scenario> {
-        self.get(name).map(|e| e.build(scale))
+        self.get(name).map(|s| s.build(scale))
     }
 
-    /// All registered names, in registration order.
+    /// All registered names, in catalog order.
     pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|e| e.name()).collect()
-    }
-
-    /// Number of registered scenarios.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The scenario catalog as a markdown table (the README section; kept
-    /// in sync by `tests/scenario_catalog.rs`).
-    pub fn catalog_markdown(&self) -> String {
-        let mut out = String::from("| scenario | paper | description |\n|---|---|---|\n");
-        for e in &self.entries {
-            out.push_str(&format!(
-                "| `{}` | {} | {} |\n",
-                e.name(),
-                e.paper_ref(),
-                e.description()
-            ));
-        }
-        out
+        self.specs.iter().map(|s| s.name.as_str()).collect()
     }
 
     /// The standard registry: the paper's evaluated worlds plus the
@@ -173,23 +91,32 @@ impl ScenarioRegistry {
     /// Panics if a checked-in scenario file fails to parse — a build-time
     /// defect, caught by every test that touches the registry.
     pub fn standard() -> ScenarioRegistry {
-        let mut r = ScenarioRegistry::new();
-        for (name, text) in STANDARD_SCENARIOS {
+        ScenarioRegistry::load(&STANDARD_SCENARIOS)
+    }
+
+    /// Parses `(file name, contents)` pairs in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a file fails to parse, names a scenario other than its
+    /// file name, or repeats a name — names are CLI addresses and must be
+    /// unique.
+    fn load(corpus: &[(&str, &str)]) -> ScenarioRegistry {
+        let mut specs: Vec<ScenarioSpec> = Vec::with_capacity(corpus.len());
+        for &(name, text) in corpus {
             let spec = ScenarioSpec::from_json(text)
                 .unwrap_or_else(|e| panic!("checked-in scenario '{name}' is invalid: {e}"));
             assert_eq!(
                 spec.name, name,
                 "scenario file name and embedded name disagree"
             );
-            r.register(ScenarioEntry::new(spec));
+            assert!(
+                specs.iter().all(|s| s.name != name),
+                "duplicate scenario name '{name}'"
+            );
+            specs.push(spec);
         }
-        r
-    }
-}
-
-impl Default for ScenarioRegistry {
-    fn default() -> ScenarioRegistry {
-        ScenarioRegistry::standard()
+        ScenarioRegistry { specs }
     }
 }
 
@@ -200,14 +127,14 @@ mod tests {
     #[test]
     fn standard_registry_is_rich_enough() {
         let r = ScenarioRegistry::standard();
-        assert!(r.len() >= 10, "want >= 10 scenarios, have {}", r.len());
+        let n = r.entries().len();
+        assert!(n >= 10, "want >= 10 scenarios, have {n}");
         let composites = r
             .entries()
             .iter()
             .filter(|e| e.build(Scale::Quick).attack.is_composite())
             .count();
         assert!(composites >= 2, "want >= 2 composite scenarios");
-        assert!(!r.is_empty());
     }
 
     #[test]
@@ -231,16 +158,15 @@ mod tests {
     fn every_scenario_validates_at_every_scale() {
         let r = ScenarioRegistry::standard();
         for e in r.entries() {
-            e.spec
-                .validate()
-                .unwrap_or_else(|err| panic!("{}: {err}", e.name()));
+            e.validate()
+                .unwrap_or_else(|err| panic!("{}: {err}", e.name));
         }
         for scale in [Scale::Quick, Scale::Default, Scale::Paper] {
             for e in r.entries() {
                 let s = e.build(scale);
                 s.cfg
                     .validate()
-                    .unwrap_or_else(|err| panic!("{} at {:?}: {err}", e.name(), scale));
+                    .unwrap_or_else(|err| panic!("{} at {:?}: {err}", e.name, scale));
                 assert!(!s.run_length.is_zero());
             }
         }
@@ -272,18 +198,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate scenario name")]
     fn duplicate_registration_panics() {
-        let mut r = ScenarioRegistry::standard();
-        let dup = r.get("baseline").expect("registered").clone();
-        r.register(dup);
-    }
-
-    #[test]
-    fn catalog_lists_every_entry() {
-        let r = ScenarioRegistry::standard();
-        let md = r.catalog_markdown();
-        for e in r.entries() {
-            assert!(md.contains(e.name()), "catalog missing {}", e.name());
-        }
-        assert_eq!(md.lines().count(), r.len() + 2, "header + one row each");
+        let baseline = STANDARD_SCENARIOS[0];
+        ScenarioRegistry::load(&[baseline, baseline]);
     }
 }

@@ -23,16 +23,15 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses a scale name, case-insensitively: `quick` (or `smoke`, `ci`),
-    /// `default`, `paper` (or `full`). Anything else is an error naming
-    /// the accepted spellings.
+    /// Parses a scale name: exactly one of the labels [`Scale::label`]
+    /// prints. Anything else is an error naming them.
     pub fn parse(s: &str) -> Result<Scale, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "quick" | "smoke" | "ci" => Ok(Scale::Quick),
+        match s {
+            "quick" => Ok(Scale::Quick),
             "default" => Ok(Scale::Default),
-            "paper" | "full" => Ok(Scale::Paper),
+            "paper" => Ok(Scale::Paper),
             _ => Err(format!(
-                "unknown scale '{s}' (expected quick|smoke|ci, default, or paper|full)"
+                "unknown scale '{s}' (expected quick, default, or paper)"
             )),
         }
     }
@@ -56,7 +55,7 @@ impl Scale {
 
     /// The large collection size (the paper's 600-AU points; `paper` scale
     /// uses 200 — still 4× the small collection, direct-simulated rather
-    /// than layered, see [`crate::layering`]).
+    /// than layered; VALIDATION.md says why).
     pub fn large_collection(self) -> usize {
         match self {
             Scale::Quick => 8,
@@ -138,9 +137,8 @@ mod tests {
     #[test]
     fn parse_names() {
         assert_eq!(Scale::parse("quick"), Ok(Scale::Quick));
-        assert_eq!(Scale::parse("PAPER"), Ok(Scale::Paper));
         assert_eq!(Scale::parse("default"), Ok(Scale::Default));
-        for typo in ["garbage", "qick", "", "defaults"] {
+        for typo in ["garbage", "qick", "", "defaults", "PAPER"] {
             let err = Scale::parse(typo).expect_err("typos are errors, not `default`");
             assert!(err.contains("quick") && err.contains("paper"), "{err}");
         }

@@ -5,7 +5,7 @@ use std::process::{Command, Output};
 
 fn lockss_sim(args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_lockss-sim"));
-    cmd.args(args).env_remove("LOCKSS_SCALE");
+    cmd.args(args);
     cmd
 }
 
@@ -21,30 +21,46 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// `--scale qick` and `LOCKSS_SCALE=garbage` used to run the (minutes-long)
-/// default scale. Both must exit 2 naming the accepted scales, before any
-/// simulation starts, for a scenario run and for a figure.
+/// `--scale qick` used to run the (minutes-long) default scale. It must
+/// exit 2 naming the accepted scales, before any simulation starts, for a
+/// scenario run and for a figure.
 #[test]
 fn unknown_scale_names_exit_2_with_the_accepted_names() {
     for verb in [&["run", "baseline"], &["figure", "fig2"]] {
-        let by_flag = lockss_sim(verb).args(["--scale", "qick"]).output();
-        let by_env = lockss_sim(verb).env("LOCKSS_SCALE", "garbage").output();
-        for (out, source, typo) in [
-            (by_flag, "--scale", "qick"),
-            (by_env, "LOCKSS_SCALE", "garbage"),
-        ] {
-            let out = out.expect("spawn");
-            let stderr = stderr(&out);
-            assert_eq!(out.status.code(), Some(2), "{verb:?}: {stderr}");
-            assert!(out.stdout.is_empty(), "{verb:?}: nothing may run");
-            for needle in [source, typo, "quick", "default", "paper"] {
-                assert!(
-                    stderr.contains(needle),
-                    "{verb:?}: '{needle}' not in: {stderr}"
-                );
-            }
+        let out = lockss_sim(verb)
+            .args(["--scale", "qick"])
+            .output()
+            .expect("spawn");
+        let stderr = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{verb:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{verb:?}: nothing may run");
+        for needle in ["--scale", "qick", "quick", "default", "paper"] {
+            assert!(
+                stderr.contains(needle),
+                "{verb:?}: '{needle}' not in: {stderr}"
+            );
         }
     }
+}
+
+/// The scale comes from the command line alone: a `LOCKSS_SCALE` left in a
+/// shell profile must not change the world a bare command simulates, so the
+/// bytes stay a function of the binary and the seed, not of the host.
+#[test]
+fn the_environment_does_not_pick_the_scale() {
+    let describe = |env: Option<&str>| {
+        let mut cmd = lockss_sim(&["describe", "baseline"]);
+        match env {
+            Some(scale) => cmd.env("LOCKSS_SCALE", scale),
+            None => cmd.env_remove("LOCKSS_SCALE"),
+        };
+        let out = cmd.output().expect("spawn");
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        out.stdout
+    };
+    let bare = describe(None);
+    assert!(String::from_utf8_lossy(&bare).contains("scale 'default'"));
+    assert_eq!(describe(Some("quick")), bare);
 }
 
 /// A numeric flag that does not parse, or names more seeds than

@@ -120,15 +120,6 @@ impl PollStats {
             .quantile(q)
             .map(|ms| Duration::from_millis(ms.round() as u64))
     }
-
-    /// Fraction of polls that succeeded.
-    pub fn success_rate(&self) -> f64 {
-        let total = self.successful_polls + self.failed_polls;
-        if total == 0 {
-            return 0.0;
-        }
-        self.successful_polls as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -160,21 +151,6 @@ mod tests {
         assert_eq!(s.mean_time_between_successes(), None);
         s.on_success(0, 0, t(5));
         assert_eq!(s.mean_time_between_successes(), None);
-    }
-
-    #[test]
-    fn success_rate() {
-        let mut s = PollStats::new();
-        s.on_success(0, 0, t(1));
-        s.on_failure();
-        s.on_failure();
-        s.on_success(0, 1, t(2));
-        assert!((s.success_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_success_rate_is_zero() {
-        assert_eq!(PollStats::new().success_rate(), 0.0);
     }
 
     #[test]

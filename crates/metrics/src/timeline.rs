@@ -120,14 +120,6 @@ impl TimelineSummary {
         }
         s
     }
-
-    /// Fraction of concluded polls that won; `None` with nothing concluded.
-    pub fn win_rate(&self) -> Option<f64> {
-        if self.polls_concluded == 0 {
-            return None;
-        }
-        Some(self.wins as f64 / self.polls_concluded as f64)
-    }
 }
 
 /// A fixed-width histogram of event counts over simulated time.
@@ -252,9 +244,7 @@ mod tests {
         assert_eq!(s.mean_poll_duration, Some(Duration::from_days(15)));
         assert!((s.mean_votes - 4.0).abs() < 1e-12);
         assert_eq!(s.repairs, 1);
-        assert_eq!(s.win_rate(), Some(0.5));
         assert_eq!(c.duration(t(40)), Duration::from_days(10));
-        assert_eq!(TimelineSummary::from_polls(&[]).win_rate(), None);
     }
 
     #[test]

@@ -177,13 +177,6 @@ impl Network {
         f.latency + t.latency + serialization
     }
 
-    /// One network round trip between `a` and `b` (no payload).
-    pub fn rtt(&self, a: NodeId, b: NodeId) -> Duration {
-        let la = self.nodes[a.index()].link.latency;
-        let lb = self.nodes[b.index()].link.latency;
-        (la + lb) * 2
-    }
-
     /// Attempts to send `bytes` from `from` to `to`: returns the delivery
     /// delay, or `None` (and counts a suppression) if either endpoint is
     /// pipe-stopped or the destination is the source.
@@ -363,7 +356,8 @@ mod tests {
     #[test]
     fn rtt_is_double_sum_of_latencies() {
         let (net, a, b) = two_node_net(10_000_000, 10, 10_000_000, 20);
-        assert_eq!(net.rtt(a, b), Duration::from_millis(60));
+        let rtt = net.transfer_delay(a, b, 0) + net.transfer_delay(b, a, 0);
+        assert_eq!(rtt, Duration::from_millis(60));
     }
 
     #[test]

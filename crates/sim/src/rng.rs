@@ -151,18 +151,6 @@ impl SimRng {
         mean.mul_f64(-u.ln())
     }
 
-    /// Number of Bernoulli(p) failures before the first success (geometric
-    /// distribution, support `0..`). Capped at `cap` to bound simulation
-    /// work; the paper's drop probabilities (≤ 0.9) make the cap academic.
-    pub fn geometric(&mut self, p: f64, cap: u32) -> u32 {
-        let p = p.clamp(1e-9, 1.0);
-        let mut k = 0;
-        while k < cap && !self.chance(p) {
-            k += 1;
-        }
-        k
-    }
-
     /// Chooses one element of a slice, or `None` if it is empty.
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
         if items.is_empty() {
@@ -452,16 +440,6 @@ mod tests {
         assert_eq!(sorted.len(), 20, "sample must be distinct");
         let few = rng.sample(&items[..5], 20);
         assert_eq!(few.len(), 5);
-    }
-
-    #[test]
-    fn geometric_mean_matches() {
-        let mut rng = SimRng::seed_from_u64(13);
-        // p = 0.2 => mean failures before success = (1-p)/p = 4.
-        let n = 50_000;
-        let total: u64 = (0..n).map(|_| rng.geometric(0.2, 1000) as u64).sum();
-        let avg = total as f64 / n as f64;
-        assert!((avg - 4.0).abs() < 0.1, "avg {avg}");
     }
 
     #[test]

@@ -18,8 +18,6 @@ pub struct Duration(pub u64);
 impl Duration {
     /// The zero-length duration.
     pub const ZERO: Duration = Duration(0);
-    /// One millisecond (the clock's resolution).
-    pub const MILLISECOND: Duration = Duration(1);
     /// One second.
     pub const SECOND: Duration = Duration(1_000);
     /// One minute.
@@ -55,11 +53,6 @@ impl Duration {
         Duration((s * 1_000.0).round() as u64)
     }
 
-    /// Builds a duration from whole minutes.
-    pub const fn from_mins(m: u64) -> Duration {
-        Duration(m * 60 * 1_000)
-    }
-
     /// Builds a duration from whole hours.
     pub const fn from_hours(h: u64) -> Duration {
         Duration(h * 60 * 60 * 1_000)
@@ -90,11 +83,6 @@ impl Duration {
     /// The duration in fractional days.
     pub fn as_days_f64(self) -> f64 {
         self.0 as f64 / Duration::DAY.0 as f64
-    }
-
-    /// The duration in fractional years.
-    pub fn as_years_f64(self) -> f64 {
-        self.0 as f64 / Duration::YEAR.0 as f64
     }
 
     /// Scales the duration by a non-negative factor, rounding to
@@ -293,7 +281,6 @@ mod tests {
 
     #[test]
     fn fractional_conversions() {
-        assert!((Duration::from_days(365).as_years_f64() - 1.0).abs() < 1e-12);
         assert!((Duration::from_secs(90).as_secs_f64() - 90.0).abs() < 1e-12);
         assert_eq!(Duration::from_secs_f64(1.5), Duration::from_millis(1500));
         assert_eq!(Duration::from_secs_f64(-3.0), Duration::ZERO);
@@ -330,7 +317,7 @@ mod tests {
         assert_eq!(days, 213_503_982_334);
         assert!(days.checked_mul(Duration::DAY.0).is_some());
         assert!((days + 1).checked_mul(Duration::DAY.0).is_none());
-        assert_eq!(Duration::max_count(Duration::MILLISECOND), u64::MAX);
+        assert_eq!(Duration::max_count(Duration(1)), u64::MAX);
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl Replica {
         self.damaged.len()
     }
 
-    /// True if `block` is damaged.
-    pub fn is_damaged(&self, block: u64) -> bool {
-        self.damaged.contains(&block)
-    }
-
     /// Marks `block` damaged. Returns true if it was previously intact.
     pub fn damage(&mut self, block: u64) -> bool {
         self.damaged.insert(block)
@@ -101,7 +96,6 @@ mod tests {
         let r = Replica::pristine();
         assert!(r.is_intact());
         assert_eq!(r.damaged_count(), 0);
-        assert!(!r.is_damaged(0));
     }
 
     #[test]
@@ -109,7 +103,7 @@ mod tests {
         let mut r = Replica::pristine();
         assert!(r.damage(7));
         assert!(!r.damage(7), "double damage is idempotent");
-        assert!(r.is_damaged(7));
+        assert_eq!(r.snapshot(), vec![7]);
         assert_eq!(r.damaged_count(), 1);
         assert!(r.repair(7));
         assert!(!r.repair(7), "double repair is idempotent");

@@ -30,11 +30,6 @@ impl DamageProcess {
         }
     }
 
-    /// Number of physical disks this peer needs (informational).
-    pub fn disks(&self) -> u32 {
-        self.aus.div_ceil(self.aus_per_disk).max(1)
-    }
-
     /// Mean time between damage events at this peer.
     ///
     /// The paper's rate is *per disk of 50 AUs*, i.e. a per-AU rate of
@@ -60,26 +55,11 @@ impl DamageProcess {
         let block = rng.below(blocks_per_au as usize) as u64;
         (au, block)
     }
-
-    /// Expected damage events per AU per year — the analytic rate the
-    /// baseline experiment (Fig. 2) is checked against.
-    pub fn rate_per_au_per_year(&self) -> f64 {
-        let per_disk_per_year = Duration::YEAR / self.mean_per_disk;
-        per_disk_per_year / self.aus_per_disk as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disk_count_rounds_up() {
-        assert_eq!(DamageProcess::paper(5.0, 50).disks(), 1);
-        assert_eq!(DamageProcess::paper(5.0, 51).disks(), 2);
-        assert_eq!(DamageProcess::paper(5.0, 600).disks(), 12);
-        assert_eq!(DamageProcess::paper(5.0, 1).disks(), 1);
-    }
 
     #[test]
     fn merged_rate_scales_with_disks() {
@@ -92,19 +72,12 @@ mod tests {
     }
 
     #[test]
-    fn analytic_rate_per_au() {
-        let p = DamageProcess::paper(5.0, 50);
-        // 1/(5 yr) per disk over 50 AUs => 1/250 per AU-year.
-        assert!((p.rate_per_au_per_year() - 0.004).abs() < 1e-9);
-    }
-
-    #[test]
     fn arrivals_have_right_mean() {
         let mut rng = SimRng::seed_from_u64(21);
         let p = DamageProcess::paper(1.0, 50);
         let n = 5000;
         let total: f64 = (0..n)
-            .map(|_| p.next_arrival(&mut rng).as_years_f64())
+            .map(|_| p.next_arrival(&mut rng).as_secs_f64() / Duration::YEAR.as_secs_f64())
             .sum();
         let avg = total / n as f64;
         assert!((avg - 1.0).abs() < 0.05, "avg {avg}");

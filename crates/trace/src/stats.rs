@@ -233,11 +233,6 @@ impl TraceStats {
         self.kind_counts[kind.code() as usize - 1].1
     }
 
-    /// Admission verdict count.
-    pub fn admission_count(&self, verdict: AdmissionVerdict) -> u64 {
-        self.admissions[verdict.code() as usize]
-    }
-
     /// Renders the stats as a machine-readable JSON document (strings
     /// escaped by the workspace's own [`lockss_sim::json`] grammar, the
     /// same one that parses it back). Field order is fixed, so the same
@@ -634,7 +629,10 @@ mod tests {
         assert_eq!(stats.summary.wins, 1);
         assert_eq!(stats.summary.inquorate, 1);
         assert_eq!(stats.suppressed_sends, 1);
-        assert_eq!(stats.admission_count(AdmissionVerdict::Admitted), 1);
+        assert_eq!(
+            stats.admissions[AdmissionVerdict::Admitted.code() as usize],
+            1
+        );
     }
 
     #[test]

@@ -708,7 +708,7 @@ fn recorder_seals_the_reference_bytes_on_every_registered_scenario() {
             scenario.run_length = Duration::from_days(150);
         }
         let meta = TraceMeta {
-            scenario: entry.name().to_string(),
+            scenario: entry.name.clone(),
             scale: "quick".to_string(),
             seed: 7,
             run_length_ms: scenario.run_length.as_millis(),
@@ -719,7 +719,7 @@ fn recorder_seals_the_reference_bytes_on_every_registered_scenario() {
         let budget = if full { 65_536 } else { 4_096 };
         let recorder = Recorder::with_block_events(&meta, budget);
         let records = record_with_tee(&scenario, 7, &recorder);
-        assert!(!records.is_empty(), "{}: empty stream", entry.name());
-        check_sealed(entry.name(), &meta, &records, budget, &recorder.finish());
+        assert!(!records.is_empty(), "{}: empty stream", entry.name);
+        check_sealed(&entry.name, &meta, &records, budget, &recorder.finish());
     }
 }

@@ -22,16 +22,16 @@ use lockss::experiments::{Scale, ScenarioRegistry};
 
 fn main() {
     let registry = ScenarioRegistry::standard();
-    let entry = registry
+    let spec = registry
         .get("stoppage-then-flood")
         .expect("'stoppage-then-flood' is registered");
-    let scenario = entry.build(Scale::Quick);
+    let scenario = spec.build(Scale::Quick);
 
-    println!("Composite campaign: {}", entry.name());
-    println!("  {}", entry.description());
+    println!("Composite campaign: {}", spec.name);
+    println!("  {}", spec.description);
     println!(
         "  paper: {}   attack: {}\n",
-        entry.paper_ref(),
+        spec.paper_ref,
         scenario.attack.label()
     );
 

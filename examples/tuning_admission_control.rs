@@ -10,37 +10,23 @@
 //! cargo run --release --example tuning_admission_control
 //! ```
 
-use lockss::core::{World, WorldConfig};
-use lockss::experiments::{AttackSpec, Scale, ScenarioRegistry};
-use lockss::metrics::Summary;
-use lockss::sim::{Duration, Engine, SimTime};
+use lockss::experiments::runner::run_once;
+use lockss::experiments::{AttackSpec, Scale, Scenario, ScenarioRegistry};
+use lockss::sim::Duration;
 
-/// The registered `admission-flood` world, shrunk to demo size.
-fn config(seed: u64) -> WorldConfig {
-    let mut cfg = ScenarioRegistry::standard()
+/// The registered `admission-flood` world, shrunk to demo size, under a
+/// full-coverage flood for one simulated year.
+fn scenario() -> Scenario {
+    let mut s = ScenarioRegistry::standard()
         .build("admission-flood", Scale::Default)
-        .expect("'admission-flood' is registered")
-        .cfg;
-    cfg.n_peers = 50;
-    cfg.n_aus = 6;
-    cfg.seed = seed;
-    cfg
-}
-
-fn run(cfg: WorldConfig, attack: bool) -> Summary {
-    let mut world = World::new(cfg);
-    if attack {
-        let spec = AttackSpec::AdmissionFlood {
-            coverage: 1.0,
-            days: 360,
-        };
-        world.install_adversary(spec.build().expect("an attack"));
-    }
-    let mut eng = Engine::new();
-    world.start(&mut eng);
-    let end = SimTime::ZERO + Duration::YEAR;
-    eng.run_until(&mut world, end);
-    world.metrics.summarize(end)
+        .expect("'admission-flood' is registered");
+    s.cfg.n_peers = 50;
+    s.cfg.n_aus = 6;
+    s.run_length = Duration::YEAR;
+    s.with_attack(AttackSpec::AdmissionFlood {
+        coverage: 1.0,
+        days: 360,
+    })
 }
 
 fn main() {
@@ -59,11 +45,11 @@ fn main() {
         ("refractory 1d,  drop .95", 24, 0.95),
         ("refractory 1d,  drop .99", 24, 0.99),
     ] {
-        let mut cfg = config(11);
-        cfg.protocol.refractory = Duration::from_hours(refractory_hours);
-        cfg.protocol.drop_unknown = drop_unknown;
-        let baseline = run(cfg.clone(), false);
-        let attacked = run(cfg, true);
+        let mut s = scenario();
+        s.cfg.protocol.refractory = Duration::from_hours(refractory_hours);
+        s.cfg.protocol.drop_unknown = drop_unknown;
+        let baseline = run_once(&s.matched_baseline(), 11);
+        let attacked = run_once(&s, 11);
         println!(
             "{:<26} {:>14} {:>14} {:>16}",
             label,

@@ -64,7 +64,7 @@ fn shrunken_registry_jobs() -> Vec<(String, Scenario)> {
             s.cfg.n_peers = 30;
             s.cfg.n_aus = 2;
             s.run_length = Duration::from_days(150);
-            (e.name().to_string(), s)
+            (e.name.clone(), s)
         })
         .collect()
 }

@@ -1,11 +1,24 @@
 //! Keeps the README's catalogs in sync with the code: the table between
-//! the `scenario-catalog` markers must be exactly what
-//! `ScenarioRegistry::catalog_markdown()` generates today, and the
+//! the `scenario-catalog` markers must be exactly what [`catalog_markdown`]
+//! generates from the registry today, and the
 //! command list between the `figure-catalog` markers must name exactly
 //! the figures of `figures::FIGURES`, each with its title.
 
 use lockss::experiments::figures::FIGURES;
 use lockss::experiments::ScenarioRegistry;
+
+/// The scenario catalog as a markdown table: one row per registered
+/// scenario, in catalog order. This test generates the README section.
+fn catalog_markdown(registry: &ScenarioRegistry) -> String {
+    let mut out = String::from("| scenario | paper | description |\n|---|---|---|\n");
+    for s in registry.entries() {
+        out.push_str(&format!(
+            "| `{}` | {} | {} |\n",
+            s.name, s.paper_ref, s.description
+        ));
+    }
+    out
+}
 
 /// The README text between `<!-- {name}:begin -->` and `<!-- {name}:end -->`.
 fn readme_block(name: &str) -> String {
@@ -27,12 +40,12 @@ fn readme_block(name: &str) -> String {
 
 #[test]
 fn readme_catalog_matches_registry() {
-    let generated = ScenarioRegistry::standard().catalog_markdown();
+    let generated = catalog_markdown(&ScenarioRegistry::standard());
     assert_eq!(
         readme_block("scenario-catalog"),
         generated.trim(),
         "README scenario catalog is stale — replace the table between the \
-         markers with ScenarioRegistry::catalog_markdown()"
+         markers with tests/scenario_catalog.rs's catalog_markdown()"
     );
 }
 
@@ -59,6 +72,20 @@ fn readme_figure_list_matches_the_figure_table() {
 }
 
 #[test]
+fn catalog_lists_every_entry() {
+    let r = ScenarioRegistry::standard();
+    let md = catalog_markdown(&r);
+    for s in r.entries() {
+        assert!(md.contains(&s.name), "catalog missing {}", s.name);
+    }
+    assert_eq!(
+        md.lines().count(),
+        r.entries().len() + 2,
+        "header + one row each"
+    );
+}
+
+#[test]
 fn catalog_names_resolve_in_the_registry() {
     let registry = ScenarioRegistry::standard();
     for name in registry.names() {
@@ -71,7 +98,7 @@ fn catalog_names_resolve_in_the_registry() {
 #[test]
 fn mobile_family_is_cataloged_with_paper_refs() {
     let registry = ScenarioRegistry::standard();
-    let md = registry.catalog_markdown();
+    let md = catalog_markdown(&registry);
     for name in [
         "mobile-takeover-light",
         "mobile-takeover-heavy",
@@ -81,11 +108,11 @@ fn mobile_family_is_cataloged_with_paper_refs() {
             .get(name)
             .unwrap_or_else(|| panic!("'{name}' missing from the registry"));
         assert!(
-            entry.paper_ref().contains("§4.3"),
+            entry.paper_ref.contains("§4.3"),
             "'{name}' paper_ref must cite the repair machinery (§4.3), got '{}'",
-            entry.paper_ref()
+            entry.paper_ref
         );
-        let row = format!("| `{name}` | {} |", entry.paper_ref());
+        let row = format!("| `{name}` | {} |", entry.paper_ref);
         assert!(md.contains(&row), "catalog row for '{name}' is stale");
     }
 }
