@@ -181,7 +181,10 @@ fn shrunken_scale_scenario() -> Scenario {
 
 /// `(scenario, seed, trace content hash, SHA-256 of `summary_to_json`)`
 /// for the shrunken worlds above, recorded on the `BinaryHeap` engine
-/// before the timing wheel replaced it. These are the only digests in the
+/// before the timing wheel replaced it; the brute-force, vote-flood,
+/// sybil-ramp and storm-over-ramp rows were added later, recorded on the
+/// commit before the adversary strategies shared one burst and one
+/// blackout mechanism. These are the only digests in the
 /// tree pinned *across commits*: an engine, network or protocol change
 /// that reorders same-instant events, moves an RNG draw or shifts a float
 /// moves them. A deliberate protocol change regenerates the table from
@@ -224,6 +227,54 @@ const GOLDEN_DIGESTS: &[(&str, u64, &str, &str)] = &[
         "d429b9ef1e07658627b7122112731c58a328a15060d810c34b0cda935006b187",
     ),
     (
+        "brute-force-intro",
+        7,
+        "9b93f73b7163084d067993568b2759038bc8f0a4ea9bcfd891ce4d4a5c363f5e",
+        "c433c839bef1cfff087e43f1a75ac4ec3ad7c5b56644dcda3edfd2849992d6c0",
+    ),
+    (
+        "brute-force-intro",
+        11,
+        "14ab16288a84cac8710dea7f9a77d586f5711f3a7f4aef6156012ed590fbff97",
+        "e3d5aa7a927c8c03a9f20f4199e3261dd92945570d218711004db890fa7bfc0b",
+    ),
+    (
+        "brute-force-remaining",
+        7,
+        "05251fe2921bb7613743ed346fdf97f0f0d0a38c9f4f6a658bc5a41622e89354",
+        "14c939b821578e1a761881907f21a355334cb3487daac80329936febb64a9de3",
+    ),
+    (
+        "brute-force-remaining",
+        11,
+        "6451ead67b96544f9318053a48ee1994cf77e6de4ed03569949332b833984cf9",
+        "9e1e45f01c672b0e9041e9b5a13803237cdf660932fa016dc63fd3717e416e47",
+    ),
+    (
+        "brute-force-none",
+        7,
+        "bc851f737c569c32bd847463dbdbe3c788126a54e48c0a55f0e88bc06458d960",
+        "a309dbd69681df915c00d9a65253237e351f64b3eba39a0503a476597119770d",
+    ),
+    (
+        "brute-force-none",
+        11,
+        "a4b2e2c5b64015351d6423c5105e58640ee97467b40c95bc800ce55443f00e2a",
+        "b9300480ab96625320da22b5f6605e4851ecc745c2be8d033ce46463c470cc84",
+    ),
+    (
+        "vote-flood",
+        7,
+        "6708fc435170dcbe0e23faa5738917c344409e91152696efaabd3a6d0a88c272",
+        "79f7dc054b021e6ec239db60561431b8747f06bd92948d0d90e1a7f563803df8",
+    ),
+    (
+        "vote-flood",
+        11,
+        "d4a1c3021f7a161b884603975dbbb6a5f60a97705bcd2b0d8e7c4ed12cd1fd83",
+        "1c03e18a1a4d9bbb7e83fad25e79ab0ce5677fdae5aef107a6a4d91369202d0b",
+    ),
+    (
         "churn-storm",
         7,
         "6af5c8afe324c7a0b434c31eee2aedf1d7068a0dad19965b1c1c34f446e00f45",
@@ -234,6 +285,18 @@ const GOLDEN_DIGESTS: &[(&str, u64, &str, &str)] = &[
         11,
         "7769418bdc0c4462d89018b73c2a5ba21256a8a00831ea4febdae9d04c4bccf2",
         "d452de772ad2cc7d854163fe594c4fe4a9805c92946bc58d8747f18e5545d19e",
+    ),
+    (
+        "sybil-ramp",
+        7,
+        "3c468505904bb099c782a2f13cea6e7a5875b0dee72981c7136a20d625a0c8d7",
+        "8007ca2090df4686467fceef89d51d84f3fd41767e4e952031f382076d2f5075",
+    ),
+    (
+        "sybil-ramp",
+        11,
+        "eb0d87fc4bb9153cd9159f0839a966fc97d7e07ca0e96ed1219d602a5294ce0b",
+        "f7634e22cda27935ca21069657357c210999ec30cd3cde5f3fb5af70aa3b4457",
     ),
     (
         "mobile-takeover-light",
@@ -260,6 +323,18 @@ const GOLDEN_DIGESTS: &[(&str, u64, &str, &str)] = &[
         "d247a1d71c18bc87dbc4f4474130484b52da1d11c1227991f0582df908d58cd1",
     ),
     (
+        "storm-over-ramp",
+        7,
+        "7dd04460fb22d7278cf486dd76ef256e784705baec3858dfa63a02e713ea0260",
+        "a9722f40f2dd5963e1b6f6204dcad0c4fec32baf78cfb28b18e42109427063c3",
+    ),
+    (
+        "storm-over-ramp",
+        11,
+        "fd0b05c9e47eed1726315fff3f362ae2ad20826e39bbe5ba4c6cff9da9f23717",
+        "29f28acfc4c80095b6c2cb0d60d310c6073fb29b455c9eeda98182eed64eccd5",
+    ),
+    (
         "scale-10k-baseline",
         7,
         "784b072d702391854f4787e6e72ebcebcffe5252e17cf57ffba8b8ec6bff0649",
@@ -283,8 +358,14 @@ fn golden_digests_match_the_pinned_literals() {
         "pipe-stoppage",
         "stoppage-then-flood",
         "admission-flood",
+        "brute-force-intro",
+        "brute-force-remaining",
+        "brute-force-none",
+        "vote-flood",
         "churn-storm",
+        "sybil-ramp",
         "mobile-takeover-light",
+        "storm-over-ramp",
     ];
     let mut jobs: Vec<(String, Scenario)> = shrunken_registry_jobs()
         .into_iter()
