@@ -29,16 +29,10 @@ use lockss_net::NodeId;
 use lockss_sim::{Duration, Engine, SimTime};
 use lockss_storage::AuId;
 
+use crate::flood::{burst_tag, burst_target, open_bursts, wait_out_refractory};
+
 const KIND_BURST: u64 = 0;
 const KIND_ACK_TIMEOUT: u64 = 1;
-
-fn burst_tag(victim: usize, au: u32) -> u64 {
-    KIND_BURST | ((victim as u64) << 4) | ((au as u64) << 28)
-}
-
-fn decode_burst(tag: u64) -> (usize, u32) {
-    (((tag >> 4) & 0xFF_FFFF) as usize, (tag >> 28) as u32)
-}
 
 fn timeout_tag(poll: PollId) -> u64 {
     KIND_ACK_TIMEOUT | (poll.0 << 4)
@@ -161,78 +155,59 @@ impl BruteForce {
             world,
             eng,
             refractory + Duration::MINUTE,
-            burst_tag(victim, au),
+            burst_tag(KIND_BURST, victim, au),
         );
     }
 
-    fn on_ack_timeout(&mut self, world: &mut World, eng: &mut Engine<World>, poll: PollId) {
-        let Some(entry) = self.pending.get(&poll).copied() else {
-            return;
-        };
-        if entry.stage != BogusStage::AwaitingAck {
-            return;
+    /// Removes and returns the in-flight bogus poll `poll` if it is at
+    /// `stage`.
+    fn take(&mut self, poll: PollId, stage: BogusStage) -> Option<BogusPoll> {
+        match self.pending.get(&poll) {
+            Some(entry) if entry.stage == stage => self.pending.remove(&poll),
+            _ => None,
         }
+    }
+
+    fn on_ack_timeout(&mut self, world: &mut World, eng: &mut Engine<World>, poll: PollId) {
         // Silently dropped (or refused without reply): retry immediately —
         // the whole point of brute force is to push through the drops.
-        self.pending.remove(&poll);
-        self.send_try(world, eng, entry.victim, entry.au);
+        if let Some(entry) = self.take(poll, BogusStage::AwaitingAck) {
+            self.send_try(world, eng, entry.victim, entry.au);
+        }
     }
 
     fn on_ack(&mut self, world: &mut World, eng: &mut Engine<World>, poll: PollId, accept: bool) {
-        let Some(entry) = self.pending.get(&poll).copied() else {
+        let Some(entry) = self.take(poll, BogusStage::AwaitingAck) else {
             return;
         };
-        if entry.stage != BogusStage::AwaitingAck {
-            return;
-        }
         // Whether accepted or refused, the admission has consumed the
-        // victim's unknown/in-debt slot: the refractory period is armed.
-        if !accept {
-            self.pending.remove(&poll);
-            self.schedule_next_burst(world, eng, entry.victim, entry.au);
-            return;
-        }
-        match self.defection {
-            Defection::Intro => {
-                // Desert: the victim holds a reservation until its proof
-                // timeout fires.
-                self.pending.remove(&poll);
-                self.schedule_next_burst(world, eng, entry.victim, entry.au);
-            }
-            Defection::Remaining | Defection::None_ => {
-                let remaining = world.balanced_effort(world.costs().remaining_gen);
-                world.charge_adversary(remaining);
-                let victim_node = world.peers.node(entry.victim);
-                world.send_message(
-                    eng,
-                    entry.minion,
-                    victim_node,
-                    Message::PollProof {
-                        au: AuId(entry.au),
-                        poll,
-                        remaining_valid: true,
-                    },
-                );
-                self.pending.insert(
+        // victim's unknown/in-debt slot: the refractory period is armed. At
+        // INTRO the adversary deserts, and the victim holds a reservation
+        // until its proof timeout fires.
+        if accept && self.defection != Defection::Intro {
+            let remaining = world.balanced_effort(world.costs().remaining_gen);
+            world.charge_adversary(remaining);
+            let victim_node = world.peers.node(entry.victim);
+            world.send_message(
+                eng,
+                entry.minion,
+                victim_node,
+                Message::PollProof {
+                    au: AuId(entry.au),
                     poll,
-                    BogusPoll {
-                        stage: BogusStage::AwaitingVote,
-                        ..entry
-                    },
-                );
-                self.schedule_next_burst(world, eng, entry.victim, entry.au);
-            }
+                    remaining_valid: true,
+                },
+            );
+            let stage = BogusStage::AwaitingVote;
+            self.pending.insert(poll, BogusPoll { stage, ..entry });
         }
+        self.schedule_next_burst(world, eng, entry.victim, entry.au);
     }
 
     fn on_vote(&mut self, world: &mut World, eng: &mut Engine<World>, poll: PollId) {
-        let Some(entry) = self.pending.get(&poll).copied() else {
+        let Some(entry) = self.take(poll, BogusStage::AwaitingVote) else {
             return;
         };
-        if entry.stage != BogusStage::AwaitingVote {
-            return;
-        }
-        self.pending.remove(&poll);
         if self.defection == Defection::None_ {
             // Full participation: evaluate the vote (the adversary has an
             // incorruptible replica, but evaluation effort is evaluation
@@ -279,11 +254,8 @@ impl Adversary for BruteForce {
                     lockss_core::reputation::Grade::Debt,
                     SimTime::ZERO,
                 );
-                let jitter = world
-                    .rng
-                    .duration_between(Duration::SECOND, world.cfg.protocol.refractory);
-                schedule_adversary_timer(world, eng, jitter, burst_tag(victim, au));
             }
+            open_bursts(world, eng, KIND_BURST, victim);
         }
     }
 
@@ -307,28 +279,12 @@ impl Adversary for BruteForce {
     fn on_timer(&mut self, world: &mut World, eng: &mut Engine<World>, tag: u64) {
         match tag & 0xF {
             KIND_BURST => {
-                let (victim, au) = decode_burst(tag);
-                if victim < world.n_loyal() && (au as usize) < world.cfg.n_aus {
-                    // Insider information: wait out any live refractory
-                    // period rather than wasting intro efforts against it.
-                    let now = eng.now();
-                    if let Some(until) = world
-                        .peers
-                        .au(victim, au as usize)
-                        .admission
-                        .refractory_until()
-                    {
-                        if now < until {
-                            schedule_adversary_timer(
-                                world,
-                                eng,
-                                until.since(now) + Duration::SECOND,
-                                burst_tag(victim, au),
-                            );
-                            return;
-                        }
+                // Insider information: wait out any live refractory period
+                // rather than wasting intro efforts against it.
+                if let Some((victim, au)) = burst_target(world, tag) {
+                    if !wait_out_refractory(world, eng, KIND_BURST, victim, au) {
+                        self.send_try(world, eng, victim, au);
                     }
-                    self.send_try(world, eng, victim, au);
                 }
             }
             KIND_ACK_TIMEOUT => {
@@ -346,9 +302,6 @@ mod tests {
 
     #[test]
     fn tags_roundtrip() {
-        let t = burst_tag(42, 7);
-        assert_eq!(t & 0xF, KIND_BURST);
-        assert_eq!(decode_burst(t), (42, 7));
         let p = timeout_tag(PollId(123456));
         assert_eq!(p & 0xF, KIND_ACK_TIMEOUT);
         assert_eq!(decode_timeout(p), PollId(123456));

@@ -30,6 +30,9 @@ struct Child {
 }
 
 /// A composite adversary: child strategies with per-child start offsets.
+/// `Compose::default()` is the empty composition; add children with
+/// [`Compose::with`].
+#[derive(Default)]
 pub struct Compose {
     children: Vec<Child>,
 }
@@ -39,13 +42,6 @@ pub struct Compose {
 const CHANNEL_SELF: u64 = 0;
 
 impl Compose {
-    /// An empty composition; add children with [`Compose::with`].
-    pub fn new() -> Compose {
-        Compose {
-            children: Vec::new(),
-        }
-    }
-
     /// Adds a child strategy starting `start` after the beginning of the
     /// run (`Duration::ZERO` to run from the first instant).
     pub fn with(mut self, start: Duration, adversary: Box<dyn Adversary>) -> Compose {
@@ -57,16 +53,6 @@ impl Compose {
         self
     }
 
-    /// Number of child strategies.
-    pub fn len(&self) -> usize {
-        self.children.len()
-    }
-
-    /// True if the composition has no children.
-    pub fn is_empty(&self) -> bool {
-        self.children.is_empty()
-    }
-
     fn start_child(&mut self, world: &mut World, eng: &mut Engine<World>, index: usize) {
         let child = &mut self.children[index];
         if child.started {
@@ -76,12 +62,6 @@ impl Compose {
         world.mark_phase(child.adversary.name(), eng);
         world.set_adversary_channel(CHANNEL_SELF + 1 + index as u64);
         child.adversary.begin(world, eng);
-    }
-}
-
-impl Default for Compose {
-    fn default() -> Compose {
-        Compose::new()
     }
 }
 
@@ -153,11 +133,10 @@ mod tests {
 
     #[test]
     fn composition_builds() {
-        let c = Compose::new()
+        let c = Compose::default()
             .with(Duration::ZERO, Box::new(NullAdversary))
             .with(Duration::from_days(30), Box::new(NullAdversary));
-        assert_eq!(c.len(), 2);
-        assert!(!c.is_empty());
+        assert_eq!(c.children.len(), 2);
         assert_eq!(c.name(), "composite");
     }
 }

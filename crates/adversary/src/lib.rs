@@ -8,23 +8,23 @@
 //! Minions sit outside the loyal population: loyal peers never solicit
 //! votes from them (§6.2).
 //!
-//! - [`PipeStoppage`]: the effortless network-level DoS (§7.2) —
-//!   suppresses all communication for a coverage-sized random subset for a
-//!   duration, repeating after a 30-day recuperation with a fresh subset.
+//! - [`Blackout::pipe_stoppage`]: the effortless network-level DoS (§7.2)
+//!   — suppresses all communication for a coverage-sized random subset for
+//!   a duration, repeating after a 30-day recuperation with a fresh subset.
 //! - [`AdmissionFlood`]: the admission-control attack (§7.3) — cheap
 //!   garbage invitations from unknown identities keep victims' refractory
 //!   periods permanently triggered.
 //! - [`BruteForce`]: the effortful attack on the effort-verification
 //!   filters (§7.4) — valid introductory efforts from in-debt identities,
 //!   then defection at INTRO, REMAINING, or not at all (NONE).
-
 //! - [`VoteFlood`]: the unsolicited bogus-vote flood (§5.1) — defeated for
 //!   free because votes can only be supplied in response to an invitation.
 //!
 //! Beyond the paper's evaluation, two dynamic-environment attacks:
 //!
-//! - [`ChurnStorm`]: mass departure/re-arrival synchronized with the poll
-//!   cadence (the §9 "more dynamic environment", sharpened into an attack);
+//! - [`Blackout::churn_storm`]: mass departure/re-arrival synchronized with
+//!   the poll cadence (the §9 "more dynamic environment", sharpened into an
+//!   attack);
 //! - [`SybilRamp`]: an admission flood that escalates its victim set over
 //!   time, minting a fresh sybil identity per invitation;
 //! - [`MobileTakeover`]: a migrating Byzantine compromise with a fixed
@@ -36,21 +36,25 @@
 //! world, concurrently or phased by per-child start offsets, so campaigns
 //! like "pipe stoppage, then admission flood during recovery" are a
 //! handful of lines.
+//!
+//! Each attack mechanism is written once. The flood, the sybil ramp and the
+//! brute force share one admission burst per (victim, AU), timed to the
+//! victim's refractory period (the private `flood` module); the pipe
+//! stoppage and the churn storm are one [`Blackout`] on two clocks.
 
 pub mod admission_flood;
+pub mod blackout;
 pub mod brute_force;
-pub mod churn_storm;
 pub mod compose;
+mod flood;
 pub mod mobile_takeover;
-pub mod pipe_stoppage;
 pub mod sybil_ramp;
 pub mod vote_flood;
 
 pub use admission_flood::AdmissionFlood;
+pub use blackout::Blackout;
 pub use brute_force::{BruteForce, Defection};
-pub use churn_storm::ChurnStorm;
 pub use compose::Compose;
 pub use mobile_takeover::MobileTakeover;
-pub use pipe_stoppage::PipeStoppage;
 pub use sybil_ramp::SybilRamp;
 pub use vote_flood::VoteFlood;

@@ -49,10 +49,6 @@ pub struct MobileTakeover {
     pub horizon: Option<Duration>,
     victims: Vec<usize>,
     ended: bool,
-    /// Individual takeovers performed (diagnostics).
-    pub takeovers: u64,
-    /// Individual cures performed (diagnostics).
-    pub cures: u64,
 }
 
 impl MobileTakeover {
@@ -65,8 +61,6 @@ impl MobileTakeover {
             horizon: None,
             victims: Vec::new(),
             ended: false,
-            takeovers: 0,
-            cures: 0,
         }
     }
 
@@ -91,9 +85,7 @@ impl MobileTakeover {
     fn cure_all(&mut self, world: &mut World, eng: &mut Engine<World>) {
         let cured = self.victims.len() as u64;
         for p in self.victims.drain(..) {
-            if world.cure_peer(eng, p) {
-                self.cures += 1;
-            }
+            world.cure_peer(eng, p);
         }
         if cured > 0 {
             world.note_adversary_action(eng, "mobile-takeover/cure", cured);
@@ -105,10 +97,8 @@ impl MobileTakeover {
         let n = world.n_loyal();
         let k = (self.budget as usize).min(n);
         self.victims = world.rng.sample_indices(n, k);
-        for i in 0..self.victims.len() {
-            if world.compromise_peer(eng, self.victims[i], CORRUPT_BLOCKS_PER_AU) {
-                self.takeovers += 1;
-            }
+        for &victim in &self.victims {
+            world.compromise_peer(eng, victim, CORRUPT_BLOCKS_PER_AU);
         }
         world.note_adversary_action(eng, "mobile-takeover/compromise", k as u64);
         let period = self.period(world);
@@ -165,8 +155,6 @@ mod tests {
             adv.migrate(&mut world, &mut eng);
             assert_eq!(world.peers.compromised_count(), 4);
         }
-        assert_eq!(adv.takeovers, 24);
-        assert_eq!(adv.cures, 20);
     }
 
     #[test]

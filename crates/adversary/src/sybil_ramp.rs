@@ -19,19 +19,12 @@
 
 use lockss_core::adversary::schedule_adversary_timer;
 use lockss_core::{Adversary, Identity, World};
-use lockss_effort::Purpose;
 use lockss_sim::{Duration, Engine};
+
+use crate::flood::{burst_target, garbage_burst, open_bursts};
 
 const KIND_STEP: u64 = 0;
 const KIND_BURST: u64 = 1;
-
-fn burst_tag(victim: usize, au: u32) -> u64 {
-    KIND_BURST | ((victim as u64) << 4) | ((au as u64) << 28)
-}
-
-fn decode_burst(tag: u64) -> (usize, u32) {
-    (((tag >> 4) & 0xFF_FFFF) as usize, (tag >> 28) as u32)
-}
 
 /// The escalating sybil admission attack.
 pub struct SybilRamp {
@@ -59,95 +52,20 @@ impl SybilRamp {
         }
     }
 
-    /// The current victim-set coverage fraction.
-    pub fn coverage(&self) -> f64 {
-        if self.order.is_empty() {
-            return 0.0;
-        }
-        self.active as f64 / self.order.len() as f64
-    }
-
-    fn fresh_identity(&mut self) -> Identity {
-        let id = Identity(self.next_identity);
-        self.next_identity += 1;
-        id
-    }
-
     /// Widens the victim set by one step and opens bursts against the
     /// newly covered victims.
     fn escalate(&mut self, world: &mut World, eng: &mut Engine<World>) {
         let n = self.order.len();
         let add = ((n as f64) * self.step).round().max(1.0) as usize;
         let new_active = (self.active + add).min(n);
-        for i in self.active..new_active {
-            let victim = self.order[i];
-            for au in 0..world.cfg.n_aus as u32 {
-                let jitter = world
-                    .rng
-                    .duration_between(Duration::SECOND, world.cfg.protocol.refractory);
-                schedule_adversary_timer(world, eng, jitter, burst_tag(victim, au));
-            }
+        for &victim in &self.order[self.active..new_active] {
+            open_bursts(world, eng, KIND_BURST, victim);
         }
         self.active = new_active;
         world.note_adversary_action(eng, "sybil-ramp/escalate", new_active as u64);
         if self.active < n {
             schedule_adversary_timer(world, eng, self.step_interval, KIND_STEP);
         }
-    }
-
-    /// One burst against (victim, au): sybil invitations until admitted.
-    fn burst(&mut self, world: &mut World, eng: &mut Engine<World>, victim: usize, au: u32) {
-        let now = eng.now();
-        let cfg = world.cfg.protocol.clone();
-
-        // Insider timing: if the victim is refractory, return at expiry.
-        if let Some(until) = world
-            .peers
-            .au(victim, au as usize)
-            .admission
-            .refractory_until()
-        {
-            if now < until {
-                schedule_adversary_timer(
-                    world,
-                    eng,
-                    until.since(now) + Duration::SECOND,
-                    burst_tag(victim, au),
-                );
-                return;
-            }
-        }
-
-        let no_refractory = cfg.ablation.no_refractory;
-        let consider = world.costs().consider;
-        let detect = world.balanced_effort(world.costs().bogus_intro_detect);
-        let mut sent = 0u64;
-        for _ in 0..1_000 {
-            sent += 1;
-            let id = self.fresh_identity();
-            let verdict = {
-                let (au_state, rng) = world.peers.au_and_rng_mut(victim, au as usize);
-                au_state
-                    .admission
-                    .filter(id, &au_state.known, now, &cfg, rng)
-            };
-            if verdict.is_admitted() {
-                world.charge_loyal(victim, Purpose::Consider, consider);
-                world.charge_loyal(victim, Purpose::VerifyIntro, detect);
-                if !no_refractory {
-                    break;
-                }
-            }
-        }
-        // Sybil bursts also bypass the message layer; tag them so the
-        // trace shows which victim waves the escalation produced.
-        world.note_adversary_action(eng, "sybil-ramp/burst", sent);
-        schedule_adversary_timer(
-            world,
-            eng,
-            cfg.refractory + Duration::SECOND,
-            burst_tag(victim, au),
-        );
     }
 }
 
@@ -167,41 +85,21 @@ impl Adversary for SybilRamp {
         match tag & 0xF {
             KIND_STEP => self.escalate(world, eng),
             KIND_BURST => {
-                let (victim, au) = decode_burst(tag);
-                if victim < world.n_loyal() && (au as usize) < world.cfg.n_aus {
-                    self.burst(world, eng, victim, au);
+                if let Some(target) = burst_target(world, tag) {
+                    // Sybil bursts also bypass the message layer; the label
+                    // shows which victim waves the escalation produced.
+                    let label = "sybil-ramp/burst";
+                    garbage_burst(
+                        world,
+                        eng,
+                        KIND_BURST,
+                        target,
+                        &mut self.next_identity,
+                        label,
+                    );
                 }
             }
             _ => {}
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tags_roundtrip() {
-        for (v, au) in [(0usize, 0u32), (77, 599), (54321, 3)] {
-            let tag = burst_tag(v, au);
-            assert_eq!(tag & 0xF, KIND_BURST);
-            assert_eq!(decode_burst(tag), (v, au));
-        }
-    }
-
-    #[test]
-    fn identities_are_fresh_minions() {
-        let mut r = SybilRamp::new(0.25, 30);
-        let a = r.fresh_identity();
-        let b = r.fresh_identity();
-        assert_ne!(a, b);
-        assert!(a.is_minion() && b.is_minion());
-    }
-
-    #[test]
-    fn coverage_starts_empty() {
-        let r = SybilRamp::new(0.25, 30);
-        assert_eq!(r.coverage(), 0.0);
     }
 }

@@ -29,8 +29,6 @@ pub struct VoteFlood {
     pub wave_interval: Duration,
     minions: Vec<NodeId>,
     next_identity: u64,
-    /// Votes sent (diagnostics).
-    pub votes_sent: u64,
 }
 
 impl VoteFlood {
@@ -42,7 +40,6 @@ impl VoteFlood {
             wave_interval,
             minions: Vec::new(),
             next_identity: Identity::MINION_BASE + (1 << 30),
-            votes_sent: 0,
         }
     }
 
@@ -71,7 +68,6 @@ impl VoteFlood {
                 self.next_identity += 1;
                 let minion = self.minions[(victim + k as usize) % self.minions.len()];
                 let to = world.peers.node(victim);
-                self.votes_sent += 1;
                 world.send_message(
                     eng,
                     minion,
@@ -116,7 +112,6 @@ mod tests {
     fn construction() {
         let v = VoteFlood::new(5, Duration::HOUR);
         assert_eq!(v.votes_per_wave, 5);
-        assert_eq!(v.votes_sent, 0);
         assert!(Identity(v.next_identity).is_minion());
     }
 }

@@ -1,8 +1,7 @@
 //! Scenario description: a world configuration plus an attack.
 
 use lockss_adversary::{
-    AdmissionFlood, BruteForce, ChurnStorm, Compose, Defection, MobileTakeover, PipeStoppage,
-    SybilRamp, VoteFlood,
+    AdmissionFlood, Blackout, BruteForce, Compose, Defection, MobileTakeover, SybilRamp, VoteFlood,
 };
 use lockss_core::{Adversary, WorldConfig};
 use lockss_effort::CostModel;
@@ -113,7 +112,7 @@ impl AttackSpec {
             primitive => {
                 let adversary: Box<dyn Adversary> = match primitive {
                     AttackSpec::PipeStoppage { coverage, days } => {
-                        Box::new(PipeStoppage::new(*coverage, *days))
+                        Box::new(Blackout::pipe_stoppage(*coverage, *days))
                     }
                     AttackSpec::AdmissionFlood { coverage, days } => {
                         Box::new(AdmissionFlood::new(*coverage, *days))
@@ -127,7 +126,7 @@ impl AttackSpec {
                         Duration::from_hours(*wave_hours),
                     )),
                     AttackSpec::ChurnStorm { coverage, duty } => {
-                        Box::new(ChurnStorm::new(*coverage, *duty))
+                        Box::new(Blackout::churn_storm(*coverage, *duty))
                     }
                     AttackSpec::SybilRamp { step, step_days } => {
                         Box::new(SybilRamp::new(*step, *step_days))
@@ -164,7 +163,7 @@ impl AttackSpec {
                 if members.is_empty() {
                     return None;
                 }
-                let mut composite = Compose::new();
+                let mut composite = Compose::default();
                 for (start, adversary) in members {
                     composite = composite.with(start, adversary);
                 }

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: full worlds, attacks, and the §6.1
 //! metrics, at sizes small enough for the test suite.
 
-use lockss::adversary::{AdmissionFlood, BruteForce, Defection, PipeStoppage, VoteFlood};
+use lockss::adversary::{AdmissionFlood, Blackout, BruteForce, Defection, VoteFlood};
 use lockss::core::{World, WorldConfig};
 use lockss::effort::CostModel;
 use lockss::metrics::Summary;
@@ -66,7 +66,7 @@ fn pipe_stoppage_increases_failure_monotonically_in_coverage() {
         let mut total = 0.0;
         for seed in 1..=3 {
             let adversary: Option<Box<dyn lockss::core::Adversary>> = if coverage > 0.0 {
-                Some(Box::new(PipeStoppage::new(coverage, 60)))
+                Some(Box::new(Blackout::pipe_stoppage(coverage, 60)))
             } else {
                 None
             };
@@ -84,7 +84,7 @@ fn pipe_stoppage_increases_failure_monotonically_in_coverage() {
 #[test]
 fn full_stoppage_blocks_all_polls_while_active() {
     let cfg = test_config(5);
-    let adv = PipeStoppage::new(1.0, 400); // longer than the run
+    let adv = Blackout::pipe_stoppage(1.0, 400); // longer than the run
     let (summary, _) = run_with(cfg, Some(Box::new(adv)), 200);
     assert_eq!(
         summary.successful_polls, 0,
@@ -176,7 +176,7 @@ fn damage_without_repair_accumulates() {
     // Sanity check on the damage model: stop all communication so repairs
     // are impossible, and watch the damaged fraction grow.
     let cfg = test_config(15);
-    let adv = PipeStoppage::new(1.0, 10_000);
+    let adv = Blackout::pipe_stoppage(1.0, 10_000);
     let (summary, world) = run_with(cfg, Some(Box::new(adv)), 720);
     let damaged: usize = world.peers.total_damaged();
     assert!(damaged > 0, "damage must accumulate unrepaired");
