@@ -46,7 +46,9 @@ impl AdmissionFlood {
             attack_len: Duration::from_days(attack_days),
             recuperation: Duration::from_days(30),
             victim_flags: Vec::new(),
-            next_identity: Identity::MINION_BASE,
+            // Clear of the brute force's in-debt range from MINION_BASE up,
+            // so a composed flood's addresses stay unknown (§7.3).
+            next_identity: Identity::MINION_BASE + (1 << 36),
         }
     }
 
@@ -105,17 +107,23 @@ impl Adversary for AdmissionFlood {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BruteForce, Defection};
+    use lockss_core::reputation::Standing;
     use lockss_core::WorldConfig;
 
-    #[test]
-    fn bursts_stop_between_cycles() {
+    fn world() -> (World, Engine<World>) {
         let cfg = WorldConfig {
             n_peers: 30,
-            n_aus: 1,
+            n_aus: 2,
             seed: 3,
             ..WorldConfig::default()
         };
-        let (mut world, mut eng) = (World::new(cfg), Engine::new());
+        (World::new(cfg), Engine::new())
+    }
+
+    #[test]
+    fn bursts_stop_between_cycles() {
+        let (mut world, mut eng) = world();
         let mut flood = AdmissionFlood::new(1.0, 10);
         flood.begin(&mut world, &mut eng);
         flood.end_cycle(&mut world, &mut eng);
@@ -123,5 +131,26 @@ mod tests {
         let tag = crate::flood::burst_tag(KIND_BURST, 0, 0);
         flood.on_timer(&mut world, &mut eng, tag);
         assert_eq!(flood.next_identity, before, "no invitation between cycles");
+    }
+
+    /// §7.3: the flood's poller addresses are unknown to the victims, also
+    /// in a campaign that composes it with the brute force, which seeds its
+    /// own identities in debt at every victim.
+    #[test]
+    fn flood_identities_are_unknown_where_brute_force_seeds_debt() {
+        let (mut world, mut eng) = world();
+        BruteForce::new(Defection::Intro).begin(&mut world, &mut eng);
+        let flood = AdmissionFlood::new(1.0, 10);
+        let decay = world.cfg.protocol.grade_decay;
+        for victim in 0..world.n_loyal() {
+            for au in 0..world.cfg.n_aus {
+                let known = &world.peers.au(victim, au).known;
+                for k in 0..1_000 {
+                    let id = Identity(flood.next_identity + k);
+                    let standing = known.standing(id, eng.now(), decay);
+                    assert_eq!(standing, Standing::Unknown, "{id} at ({victim}, {au})");
+                }
+            }
+        }
     }
 }
