@@ -107,6 +107,7 @@ impl Adversary for AdmissionFlood {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flood::burst_tag;
     use crate::{BruteForce, Defection};
     use lockss_core::reputation::Standing;
     use lockss_core::WorldConfig;
@@ -122,14 +123,34 @@ mod tests {
     }
 
     #[test]
+    fn tags_roundtrip() {
+        let (world, _) = world();
+        for (v, au) in [(0usize, 0u32), (29, 1), (12, 1)] {
+            let tag = burst_tag(KIND_BURST, v, au);
+            assert_eq!(tag & 0xF, KIND_BURST);
+            assert_eq!(burst_target(&world, tag), Some((v, au)));
+        }
+    }
+
+    #[test]
+    fn identities_are_fresh_minions() {
+        let (mut world, mut eng) = world();
+        let mut flood = AdmissionFlood::new(1.0, 10);
+        flood.begin(&mut world, &mut eng);
+        let first = flood.next_identity;
+        flood.on_timer(&mut world, &mut eng, burst_tag(KIND_BURST, 0, 0));
+        assert!(flood.next_identity > first);
+        assert!(Identity(first).is_minion());
+    }
+
+    #[test]
     fn bursts_stop_between_cycles() {
         let (mut world, mut eng) = world();
         let mut flood = AdmissionFlood::new(1.0, 10);
         flood.begin(&mut world, &mut eng);
         flood.end_cycle(&mut world, &mut eng);
         let before = flood.next_identity;
-        let tag = crate::flood::burst_tag(KIND_BURST, 0, 0);
-        flood.on_timer(&mut world, &mut eng, tag);
+        flood.on_timer(&mut world, &mut eng, burst_tag(KIND_BURST, 0, 0));
         assert_eq!(flood.next_identity, before, "no invitation between cycles");
     }
 

@@ -20,7 +20,7 @@
 //! - [`VoteFlood`]: the unsolicited bogus-vote flood (§5.1) — defeated for
 //!   free because votes can only be supplied in response to an invitation.
 //!
-//! Beyond the paper's evaluation, two dynamic-environment attacks:
+//! Beyond the paper's evaluation, three dynamic-environment attacks:
 //!
 //! - [`Blackout::churn_storm`]: mass departure/re-arrival synchronized with
 //!   the poll cadence (the §9 "more dynamic environment", sharpened into an
@@ -37,10 +37,9 @@
 //! like "pipe stoppage, then admission flood during recovery" are a
 //! handful of lines.
 //!
-//! Each attack mechanism is written once. The flood, the sybil ramp and the
-//! brute force share one admission burst per (victim, AU), timed to the
-//! victim's refractory period (the private `flood` module); the pipe
-//! stoppage and the churn storm are one [`Blackout`] on two clocks.
+//! Each mechanism is written once: the flood, the sybil ramp and the brute
+//! force share one refractory-timed admission burst (the private `flood`
+//! module); the pipe stoppage and the churn storm are one [`Blackout`].
 
 pub mod admission_flood;
 pub mod blackout;

@@ -103,3 +103,42 @@ impl Adversary for SybilRamp {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::flood::burst_tag;
+    use lockss_core::WorldConfig;
+
+    fn world() -> (World, Engine<World>) {
+        let cfg = WorldConfig {
+            n_peers: 30,
+            n_aus: 2,
+            seed: 4,
+            ..WorldConfig::default()
+        };
+        (World::new(cfg), Engine::new())
+    }
+
+    #[test]
+    fn tags_roundtrip() {
+        let (world, _) = world();
+        for (v, au) in [(0usize, 0u32), (29, 1), (17, 0)] {
+            let tag = burst_tag(KIND_BURST, v, au);
+            assert_eq!(tag & 0xF, KIND_BURST);
+            assert_eq!(burst_target(&world, tag), Some((v, au)));
+        }
+    }
+
+    #[test]
+    fn identities_are_fresh_minions() {
+        let (mut world, mut eng) = world();
+        let mut ramp = SybilRamp::new(0.25, 30);
+        ramp.begin(&mut world, &mut eng);
+        let first = ramp.next_identity;
+        let victim = ramp.order[0];
+        ramp.on_timer(&mut world, &mut eng, burst_tag(KIND_BURST, victim, 1));
+        assert!(ramp.next_identity > first);
+        assert!(Identity(first).is_minion());
+    }
+}

@@ -368,6 +368,36 @@ const RULES: &[Rule] = &[
         ],
     },
     Rule {
+        name: "One burst, one blackout",
+        why: "The admission flood, the sybil ramp and the brute force aim one burst \
+              timer at each (victim, AU) and wait out the victim's refractory period; \
+              the tag packing, the opening jitter, the refractory wait and the \
+              garbage-invitation loop are written once, in \
+              crates/adversary/src/flood.rs. The pipe stoppage and the churn storm \
+              darken a fresh random subset and restore it; they are one Blackout on \
+              two clocks, in crates/adversary/src/blackout.rs. A second copy of \
+              either mechanism is one the golden digests pin twice and the next fix \
+              mends once.",
+        check: one_burst_one_blackout,
+        plants: &[
+            plant(
+                "crates/adversary/src/sybil_ramp.rs",
+                "if let Some(until) = world.peers.au(v, 0).admission.refractory_until() {}\n",
+                "the burst mechanism outside crates/adversary/src/flood.rs",
+            ),
+            plant(
+                "crates/adversary/src/vote_flood.rs",
+                "world.net.set_stopped(node, true);\n",
+                "set_stopped( outside crates/adversary/src/blackout.rs",
+            ),
+            plant(
+                "crates/adversary/src/churn_storm.rs",
+                "pub struct ChurnStorm;\n",
+                "crates/adversary/src/churn_storm.rs exists",
+            ),
+        ],
+    },
+    Rule {
         name: "Every pub fn has a program caller",
         why: "A public function that only its own unit tests reach is surface \
               with no behaviour behind it: it is read, documented and kept \
@@ -825,6 +855,48 @@ fn one_poll_lookup(t: &Tree) -> Vec<String> {
         "a poller or voter handler in world.rs — the machines live in poller.rs and \
          voter.rs",
     ));
+    out
+}
+
+fn one_burst_one_blackout(t: &Tree) -> Vec<String> {
+    let homes: [(&str, &[&str], &str); 2] = [
+        (
+            "crates/adversary/src/flood.rs",
+            &[
+                "refractory_until()",
+                "duration_between(",
+                "<< 28",
+                "charge_loyal(",
+            ],
+            "the burst mechanism outside crates/adversary/src/flood.rs (a refractory \
+             wait, an opening jitter, a burst-tag packing or a garbage-invitation \
+             charge) — call its helpers",
+        ),
+        (
+            "crates/adversary/src/blackout.rs",
+            &["set_stopped("],
+            "set_stopped( outside crates/adversary/src/blackout.rs — a strategy that \
+             darkens peers is a Blackout clock",
+        ),
+    ];
+    let mut out = Vec::new();
+    for (home, needles, message) in homes {
+        let hits = files(t, &["crates/adversary/src"])
+            .filter(|(path, _)| *path != home)
+            .flat_map(|(path, text)| {
+                grep(Some((path, program(text))), |l| contains_any(l, needles))
+            })
+            .collect();
+        out.extend(flag(hits, message));
+    }
+    for gone in ["pipe_stoppage.rs", "churn_storm.rs"] {
+        let path = format!("crates/adversary/src/{gone}");
+        if t.contains_key(&path) {
+            out.push(format!(
+                "{path} exists — it is a Blackout clock in blackout.rs"
+            ));
+        }
+    }
     out
 }
 
