@@ -88,14 +88,13 @@ impl Adversary for AdmissionFlood {
             KIND_BURST => {
                 let victim = |&(v, _): &(usize, u32)| self.victim_flags.get(v) == Some(&true);
                 if let Some(target) = burst_target(world, tag).filter(victim) {
-                    let label = "admission-flood/burst";
                     garbage_burst(
                         world,
                         eng,
                         KIND_BURST,
                         target,
                         &mut self.next_identity,
-                        label,
+                        "admission-flood/burst",
                     );
                 }
             }

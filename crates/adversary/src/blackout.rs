@@ -48,6 +48,7 @@ pub enum Clock {
 pub struct Blackout {
     /// Fraction of the loyal population darkened each cycle (0.0–1.0).
     pub coverage: f64,
+    /// When the subset goes dark and when it is restored.
     pub clock: Clock,
     dark: Vec<NodeId>,
 }

@@ -88,14 +88,13 @@ impl Adversary for SybilRamp {
                 if let Some(target) = burst_target(world, tag) {
                     // Sybil bursts also bypass the message layer; the label
                     // shows which victim waves the escalation produced.
-                    let label = "sybil-ramp/burst";
                     garbage_burst(
                         world,
                         eng,
                         KIND_BURST,
                         target,
                         &mut self.next_identity,
-                        label,
+                        "sybil-ramp/burst",
                     );
                 }
             }
