@@ -80,7 +80,7 @@ impl Blackout {
     }
 
     /// Peers darkened per cycle.
-    fn per_cycle(&self, n_loyal: usize) -> usize {
+    pub(crate) fn per_cycle(&self, n_loyal: usize) -> usize {
         ((n_loyal as f64) * self.coverage).round() as usize
     }
 
@@ -153,28 +153,6 @@ impl Adversary for Blackout {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parameters_are_clamped() {
-        let a = Blackout::pipe_stoppage(7.0, 10);
-        assert!((a.coverage - 1.0).abs() < 1e-12);
-        let s = Blackout::churn_storm(3.0, -1.0);
-        assert!((s.coverage - 1.0).abs() < 1e-12);
-        assert_eq!(s.clock, Clock::Storm { duty: 0.0 });
-    }
-
-    #[test]
-    fn victim_count_rounds() {
-        let a = Blackout::pipe_stoppage(0.4, 10);
-        assert_eq!(a.per_cycle(100), 40);
-        let b = Blackout::pipe_stoppage(1.0, 10);
-        assert_eq!(b.per_cycle(100), 100);
-        let c = Blackout::pipe_stoppage(0.0, 10);
-        assert_eq!(c.per_cycle(100), 0);
-        let s = Blackout::churn_storm(0.5, 0.7);
-        assert_eq!(s.per_cycle(100), 50);
-        assert_eq!(s.per_cycle(0), 0);
-    }
 
     #[test]
     fn the_clock_picks_name_and_labels() {

@@ -57,3 +57,52 @@ pub use compose::Compose;
 pub use mobile_takeover::MobileTakeover;
 pub use sybil_ramp::SybilRamp;
 pub use vote_flood::VoteFlood;
+
+// Each Blackout constructor's clamps and per-cycle counts, tested under the
+// name of the attack it builds.
+#[cfg(test)]
+mod pipe_stoppage {
+    #[cfg(test)]
+    mod tests {
+        use crate::Blackout;
+
+        #[test]
+        fn victim_count_rounds() {
+            let a = Blackout::pipe_stoppage(0.4, 10);
+            assert_eq!(a.per_cycle(100), 40);
+            let b = Blackout::pipe_stoppage(1.0, 10);
+            assert_eq!(b.per_cycle(100), 100);
+            let c = Blackout::pipe_stoppage(0.0, 10);
+            assert_eq!(c.per_cycle(100), 0);
+        }
+
+        #[test]
+        fn coverage_is_clamped() {
+            let a = Blackout::pipe_stoppage(7.0, 10);
+            assert!((a.coverage - 1.0).abs() < 1e-12);
+        }
+    }
+}
+
+#[cfg(test)]
+mod churn_storm {
+    #[cfg(test)]
+    mod tests {
+        use crate::blackout::Clock;
+        use crate::Blackout;
+
+        #[test]
+        fn parameters_are_clamped() {
+            let s = Blackout::churn_storm(3.0, -1.0);
+            assert!((s.coverage - 1.0).abs() < 1e-12);
+            assert_eq!(s.clock, Clock::Storm { duty: 0.0 });
+        }
+
+        #[test]
+        fn departure_count_rounds() {
+            let s = Blackout::churn_storm(0.5, 0.7);
+            assert_eq!(s.per_cycle(100), 50);
+            assert_eq!(s.per_cycle(0), 0);
+        }
+    }
+}
