@@ -16,7 +16,7 @@
 //! refractory expiry, which is the strongest version of this attack.
 
 use lockss_core::adversary::schedule_adversary_timer;
-use lockss_core::{Adversary, Identity, World};
+use lockss_core::{Adversary, Identity, Label, World};
 use lockss_sim::{Duration, Engine};
 
 use crate::flood::{burst_target, garbage_burst, open_bursts};
@@ -60,21 +60,21 @@ impl AdmissionFlood {
             self.victim_flags[v] = true;
             open_bursts(world, eng, KIND_BURST, v);
         }
-        world.note_adversary_action(eng, "admission-flood/cycle-start", k as u64);
+        world.note_adversary_action(eng, Label::AdmissionFloodCycleStart, k as u64);
         schedule_adversary_timer(world, eng, self.attack_len, KIND_CYCLE_END);
     }
 
     fn end_cycle(&mut self, world: &mut World, eng: &mut Engine<World>) {
         let cleared = self.victim_flags.iter().filter(|&&f| f).count() as u64;
         self.victim_flags.clear();
-        world.note_adversary_action(eng, "admission-flood/cycle-end", cleared);
+        world.note_adversary_action(eng, Label::AdmissionFloodCycleEnd, cleared);
         schedule_adversary_timer(world, eng, self.recuperation, KIND_CYCLE_START);
     }
 }
 
 impl Adversary for AdmissionFlood {
-    fn name(&self) -> &'static str {
-        "admission-flood"
+    fn name(&self) -> Label {
+        Label::AdmissionFlood
     }
 
     fn begin(&mut self, world: &mut World, eng: &mut Engine<World>) {
@@ -94,7 +94,7 @@ impl Adversary for AdmissionFlood {
                         KIND_BURST,
                         target,
                         &mut self.next_identity,
-                        "admission-flood/burst",
+                        Label::AdmissionFloodBurst,
                     );
                 }
             }

@@ -23,7 +23,7 @@
 //! reachable.
 
 use lockss_core::adversary::schedule_adversary_timer;
-use lockss_core::{Adversary, World};
+use lockss_core::{Adversary, Label, World};
 use lockss_net::NodeId;
 use lockss_sim::{Duration, Engine};
 
@@ -85,14 +85,18 @@ impl Blackout {
     }
 
     /// The strategy's name, then its darken and restore action labels.
-    fn labels(&self) -> [&'static str; 3] {
+    fn labels(&self) -> [Label; 3] {
         match self.clock {
             Clock::Stoppage { .. } => [
-                "pipe-stoppage",
-                "pipe-stoppage/stop",
-                "pipe-stoppage/restore",
+                Label::PipeStoppage,
+                Label::PipeStoppageStop,
+                Label::PipeStoppageRestore,
             ],
-            Clock::Storm { .. } => ["churn-storm", "churn-storm/depart", "churn-storm/rejoin"],
+            Clock::Storm { .. } => [
+                Label::ChurnStorm,
+                Label::ChurnStormDepart,
+                Label::ChurnStormRejoin,
+            ],
         }
     }
 
@@ -133,7 +137,7 @@ impl Blackout {
 }
 
 impl Adversary for Blackout {
-    fn name(&self) -> &'static str {
+    fn name(&self) -> Label {
         self.labels()[0]
     }
 
@@ -157,15 +161,15 @@ mod tests {
     #[test]
     fn the_clock_picks_name_and_labels() {
         let a = Blackout::pipe_stoppage(0.5, 10);
-        assert_eq!(a.name(), "pipe-stoppage");
+        assert_eq!(a.name().label(), "pipe-stoppage");
         assert_eq!(
-            a.labels()[1..],
+            a.labels().map(Label::label)[1..],
             ["pipe-stoppage/stop", "pipe-stoppage/restore"]
         );
         let s = Blackout::churn_storm(0.5, 0.7);
-        assert_eq!(s.name(), "churn-storm");
+        assert_eq!(s.name().label(), "churn-storm");
         assert_eq!(
-            s.labels()[1..],
+            s.labels().map(Label::label)[1..],
             ["churn-storm/depart", "churn-storm/rejoin"]
         );
     }

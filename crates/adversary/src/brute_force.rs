@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 
 use lockss_core::adversary::schedule_adversary_timer;
-use lockss_core::{Adversary, Identity, Message, PollId, World};
+use lockss_core::{Adversary, Identity, Label, Message, PollId, World};
 use lockss_net::NodeId;
 use lockss_sim::{Duration, Engine, SimTime};
 use lockss_storage::AuId;
@@ -118,7 +118,7 @@ impl BruteForce {
         let poll = world.alloc_poll_id();
         // Provenance: the trace ties this bogus poll id to the strategy
         // before its Poll message appears in the stream.
-        world.note_adversary_action(eng, "brute-force/poll", poll.0);
+        world.note_adversary_action(eng, Label::BruteForcePoll, poll.0);
         let minion = self.minion_for(victim, au);
         let identity = self.identity_for(victim, au, world.cfg.n_aus);
         let victim_node = world.peers.node(victim);
@@ -233,11 +233,11 @@ impl BruteForce {
 }
 
 impl Adversary for BruteForce {
-    fn name(&self) -> &'static str {
+    fn name(&self) -> Label {
         match self.defection {
-            Defection::Intro => "brute-force/INTRO",
-            Defection::Remaining => "brute-force/REMAINING",
-            Defection::None_ => "brute-force/NONE",
+            Defection::Intro => Label::BruteForceIntro,
+            Defection::Remaining => Label::BruteForceRemaining,
+            Defection::None_ => Label::BruteForceNone,
         }
     }
 

@@ -19,7 +19,7 @@
 //! reacts. When a child starts, the composite records a phase mark in the
 //! run metrics, so per-phase summaries fall out of every composite run.
 
-use lockss_core::{Adversary, Message, World};
+use lockss_core::{Adversary, Label, Message, World};
 use lockss_net::NodeId;
 use lockss_sim::{Duration, Engine};
 
@@ -66,8 +66,8 @@ impl Compose {
 }
 
 impl Adversary for Compose {
-    fn name(&self) -> &'static str {
-        "composite"
+    fn name(&self) -> Label {
+        Label::Composite
     }
 
     fn begin(&mut self, world: &mut World, eng: &mut Engine<World>) {
@@ -137,6 +137,6 @@ mod tests {
             .with(Duration::ZERO, Box::new(NullAdversary))
             .with(Duration::from_days(30), Box::new(NullAdversary));
         assert_eq!(c.children.len(), 2);
-        assert_eq!(c.name(), "composite");
+        assert_eq!(c.name(), Label::Composite);
     }
 }

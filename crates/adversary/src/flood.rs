@@ -8,7 +8,7 @@
 //! introductory effort (the brute force's own poll exchange).
 
 use lockss_core::adversary::schedule_adversary_timer;
-use lockss_core::{Identity, World};
+use lockss_core::{Identity, Label, World};
 use lockss_effort::Purpose;
 use lockss_sim::{Duration, Engine};
 
@@ -79,7 +79,7 @@ pub(crate) fn garbage_burst(
     kind: u64,
     (victim, au): (usize, u32),
     next_identity: &mut u64,
-    label: &'static str,
+    label: Label,
 ) {
     if wait_out_refractory(world, eng, kind, victim, au) {
         return;
@@ -153,13 +153,27 @@ mod tests {
         let (mut world, mut eng) = world();
         let base = Identity::MINION_BASE + (1 << 40);
         let mut next = base;
-        garbage_burst(&mut world, &mut eng, 1, (3, 1), &mut next, "test/burst");
+        garbage_burst(
+            &mut world,
+            &mut eng,
+            1,
+            (3, 1),
+            &mut next,
+            Label::SybilRampBurst,
+        );
         assert!(next > base, "fresh identities were minted");
         let admission = &world.peers.au(3, 1).admission;
         assert!(admission.in_refractory(eng.now()), "one invitation got in");
         // While refractory, the next burst sends nothing and re-arms.
         let sent = next;
-        garbage_burst(&mut world, &mut eng, 1, (3, 1), &mut next, "test/burst");
+        garbage_burst(
+            &mut world,
+            &mut eng,
+            1,
+            (3, 1),
+            &mut next,
+            Label::SybilRampBurst,
+        );
         assert_eq!(next, sent);
         assert!(wait_out_refractory(&world, &mut eng, 1, 3, 1));
         assert!(!wait_out_refractory(&world, &mut eng, 1, 3, 0));

@@ -26,7 +26,7 @@
 //! studies can measure time-to-heal from a clean "attack over" mark.
 
 use lockss_core::adversary::schedule_adversary_timer;
-use lockss_core::{Adversary, World};
+use lockss_core::{Adversary, Label, World};
 use lockss_sim::{Duration, Engine};
 
 const TAG_MIGRATE: u64 = 0;
@@ -88,7 +88,7 @@ impl MobileTakeover {
             world.cure_peer(eng, p);
         }
         if cured > 0 {
-            world.note_adversary_action(eng, "mobile-takeover/cure", cured);
+            world.note_adversary_action(eng, Label::MobileTakeoverCure, cured);
         }
     }
 
@@ -100,15 +100,15 @@ impl MobileTakeover {
         for &victim in &self.victims {
             world.compromise_peer(eng, victim, CORRUPT_BLOCKS_PER_AU);
         }
-        world.note_adversary_action(eng, "mobile-takeover/compromise", k as u64);
+        world.note_adversary_action(eng, Label::MobileTakeoverCompromise, k as u64);
         let period = self.period(world);
         schedule_adversary_timer(world, eng, period, TAG_MIGRATE);
     }
 }
 
 impl Adversary for MobileTakeover {
-    fn name(&self) -> &'static str {
-        "mobile-takeover"
+    fn name(&self) -> Label {
+        Label::MobileTakeover
     }
 
     fn begin(&mut self, world: &mut World, eng: &mut Engine<World>) {

@@ -18,7 +18,7 @@
 //! with insider timing.
 
 use lockss_core::adversary::schedule_adversary_timer;
-use lockss_core::{Adversary, Identity, World};
+use lockss_core::{Adversary, Identity, Label, World};
 use lockss_sim::{Duration, Engine};
 
 use crate::flood::{burst_target, garbage_burst, open_bursts};
@@ -62,7 +62,7 @@ impl SybilRamp {
             open_bursts(world, eng, KIND_BURST, victim);
         }
         self.active = new_active;
-        world.note_adversary_action(eng, "sybil-ramp/escalate", new_active as u64);
+        world.note_adversary_action(eng, Label::SybilRampEscalate, new_active as u64);
         if self.active < n {
             schedule_adversary_timer(world, eng, self.step_interval, KIND_STEP);
         }
@@ -70,8 +70,8 @@ impl SybilRamp {
 }
 
 impl Adversary for SybilRamp {
-    fn name(&self) -> &'static str {
-        "sybil-ramp"
+    fn name(&self) -> Label {
+        Label::SybilRamp
     }
 
     fn begin(&mut self, world: &mut World, eng: &mut Engine<World>) {
@@ -94,7 +94,7 @@ impl Adversary for SybilRamp {
                         KIND_BURST,
                         target,
                         &mut self.next_identity,
-                        "sybil-ramp/burst",
+                        Label::SybilRampBurst,
                     );
                 }
             }

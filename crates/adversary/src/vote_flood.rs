@@ -14,7 +14,7 @@
 //! hashing happens, so the flood costs the victims nothing but bandwidth.
 
 use lockss_core::adversary::schedule_adversary_timer;
-use lockss_core::{Adversary, Identity, Message, World};
+use lockss_core::{Adversary, Identity, Label, Message, World};
 use lockss_net::NodeId;
 use lockss_sim::{Duration, Engine};
 use lockss_storage::AuId;
@@ -48,7 +48,7 @@ impl VoteFlood {
         let n_aus = world.cfg.n_aus as u32;
         world.note_adversary_action(
             eng,
-            "vote-flood/wave",
+            Label::VoteFloodWave,
             n as u64 * u64::from(self.votes_per_wave),
         );
         for victim in 0..n {
@@ -88,8 +88,8 @@ impl VoteFlood {
 }
 
 impl Adversary for VoteFlood {
-    fn name(&self) -> &'static str {
-        "vote-flood"
+    fn name(&self) -> Label {
+        Label::VoteFlood
     }
 
     fn begin(&mut self, world: &mut World, eng: &mut Engine<World>) {

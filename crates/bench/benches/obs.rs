@@ -66,7 +66,7 @@ fn main() {
         });
     }
 
-    let results = h.finish();
+    let (results, _) = h.finish();
     let [off, on] = ["run/instruments-off", "run/instruments-on"]
         .map(|name| results.iter().find(|r| r.name == name).unwrap().median_ns);
     println!(

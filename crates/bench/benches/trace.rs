@@ -159,7 +159,7 @@ fn main() {
         });
     }
 
-    let results = h.finish();
+    let (results, _) = h.finish();
 
     let median = |name: &str| {
         let line = results.iter().find(|r| r.name == name);

@@ -163,8 +163,8 @@ impl Harness {
     /// Measures every line — calibration, then [`ROUNDS`] interleaved
     /// rounds — prints the table, writes `results/BENCH_<group>.json` (one
     /// line, timings to a tenth of a nanosecond) and returns the results
-    /// in registration order.
-    pub fn finish(mut self) -> Vec<BenchResult> {
+    /// in registration order, with the path of the report it wrote.
+    pub fn finish(mut self) -> (Vec<BenchResult>, PathBuf) {
         println!(
             "  {} line(s) x {ROUNDS} interleaved rounds",
             self.lines.len()
@@ -236,7 +236,7 @@ impl Harness {
             Ok(()) => println!("wrote {}", path.display()),
             Err(e) => eprintln!("could not write {}: {e}", path.display()),
         }
-        results
+        (results, path)
     }
 }
 
@@ -351,14 +351,14 @@ mod tests {
         h.bench_bytes("hash-ish", 1024, || {
             black_box([0u8; 1024].iter().map(|&b| b as u64).sum::<u64>())
         });
-        let results = h.finish();
+        let (results, path) = h.finish();
         assert_eq!(results.len(), 2);
         for r in &results {
             assert!(r.q1_ns <= r.median_ns && r.median_ns <= r.q3_ns, "{r:?}");
             assert!(r.q1_ns > 0.0);
         }
         assert!(results[1].mib_per_sec().unwrap() > 0.0);
-        let path = results_dir().join("BENCH_selftest.json");
+        assert!(path.ends_with("BENCH_selftest.json"), "{}", path.display());
         let json = fs::read_to_string(&path).unwrap();
         assert!(json.contains("\"group\": \"selftest\""));
         assert!(json.contains("\"throughput_bytes\": 1024"));
@@ -382,8 +382,8 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             });
         }
-        let results = h.finish();
-        let _ = fs::remove_file(results_dir().join("BENCH_interleave.json"));
+        let (results, path) = h.finish();
+        let _ = fs::remove_file(path);
         assert_eq!(*log.borrow(), ["a", "b"].repeat(ROUNDS as usize + 1));
         assert!(results.iter().all(|r| r.samples == ROUNDS));
     }

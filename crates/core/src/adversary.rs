@@ -12,12 +12,14 @@ use lockss_net::NodeId;
 use lockss_sim::Engine;
 
 use crate::msg::Message;
+use crate::trace::Label;
 use crate::world::World;
 
 /// An attack strategy.
 pub trait Adversary {
-    /// Human-readable strategy name (for reports).
-    fn name(&self) -> &'static str;
+    /// The strategy's name (for reports and phase marks), a declared
+    /// [`Label`].
+    fn name(&self) -> Label;
 
     /// Called once after the world is built; schedule attack events here.
     fn begin(&mut self, world: &mut World, eng: &mut Engine<World>);
@@ -80,8 +82,8 @@ pub fn schedule_adversary_timer(
 pub struct NullAdversary;
 
 impl Adversary for NullAdversary {
-    fn name(&self) -> &'static str {
-        "none"
+    fn name(&self) -> Label {
+        Label::NoAttack
     }
 
     fn begin(&mut self, _world: &mut World, _eng: &mut Engine<World>) {}

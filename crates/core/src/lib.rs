@@ -52,6 +52,8 @@ pub use config::{ProtocolConfig, WorldConfig};
 pub use msg::Message;
 pub use obs::CoreObs;
 pub use peer::{AuState, PeerTable, TableOccupancy};
-pub use trace::{AdmissionVerdict, MsgKind, PollConclusion, TraceEvent, TraceEventKind, TraceSink};
+pub use trace::{
+    AdmissionVerdict, Label, MsgKind, PollConclusion, TraceEvent, TraceEventKind, TraceSink,
+};
 pub use types::{Identity, PollId};
 pub use world::World;

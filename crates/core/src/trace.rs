@@ -158,8 +158,8 @@ macro_rules! trace_event_table {
             AdversaryAction = 8 => "adversary-action" {
                 /// The adversary channel active when the action was declared.
                 channel: u64,
-                /// Strategy-chosen label, e.g. `"churn-storm/depart"`.
-                label: String,
+                /// The strategy's declared action, e.g. `churn-storm/depart`.
+                label: $crate::trace::Label,
                 /// Strategy-chosen magnitude (victims this wave, sybils
                 /// minted...).
                 magnitude: u64,
@@ -171,8 +171,8 @@ macro_rules! trace_event_table {
             }
             /// A named phase boundary was recorded in the run metrics.
             PhaseMark = 10 => "phase-mark" {
-                /// The phase label.
-                label: String,
+                /// The strategy whose phase begins.
+                label: $crate::trace::Label,
             }
             /// The mobile adversary took over a loyal peer: shadow replicas
             /// were snapshotted and the real replicas corrupted.
@@ -229,8 +229,9 @@ macro_rules! declare_events {
         /// forms so the vocabulary encodes compactly and compares exactly;
         /// the semantic wrappers ([`crate::types::Identity`],
         /// [`crate::types::PollId`], `lockss_net::NodeId`) all expose these
-        /// integers losslessly.
-        #[derive(Clone, PartialEq, Debug)]
+        /// integers losslessly. Adversary labels are [`Label`]s, so an event
+        /// is plain `Copy` data that owns no heap.
+        #[derive(Clone, Copy, PartialEq, Debug)]
         pub enum TraceEvent {
             $($(#[$doc])* $kind { $($(#[$field_doc])* $field: $ty,)+ },)+
         }
@@ -327,6 +328,84 @@ coded_enum! {
         Repair = 5 => "Repair",
         /// An evaluation receipt.
         EvaluationReceipt = 6 => "EvaluationReceipt",
+    }
+}
+
+/// Declares a label vocabulary from one row list — each label's variant
+/// and string written once — with `ALL` (in table order), `label` and
+/// `from_label` generated from it. A label travels as its string (a
+/// length-prefixed `str` in `lockss-trace`); the variant's in-memory code
+/// never reaches the wire, so a decoder accepts exactly the strings the
+/// table declares.
+macro_rules! label_table {
+    ($(#[$attr:meta])* $name:ident {
+        $($variant:ident => $label:literal,)+
+    }) => {
+        $(#[$attr])*
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+        pub enum $name {
+            $(#[doc = $label] $variant,)+
+        }
+
+        impl $name {
+            /// Every label, in table order.
+            pub const ALL: [$name; [$($label),+].len()] = [$($name::$variant),+];
+
+            /// The label's string, as the trace carries it.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $($name::$variant => $label,)+
+                }
+            }
+
+            /// The declared label spelled `s`, if there is one.
+            pub fn from_label(s: &str) -> Option<$name> {
+                match s {
+                    $($label => Some($name::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+label_table! {
+    /// Every label a run can emit: the action an
+    /// [`TraceEvent::AdversaryAction`] declares, and the strategy name an
+    /// [`crate::Adversary`] reports and a [`TraceEvent::PhaseMark`] carries.
+    /// An event holds its label by value, so events own no heap; a trace
+    /// string the table does not declare is a decode error.
+    Label {
+        AdmissionFloodCycleStart => "admission-flood/cycle-start",
+        AdmissionFloodCycleEnd => "admission-flood/cycle-end",
+        AdmissionFloodBurst => "admission-flood/burst",
+        SybilRampEscalate => "sybil-ramp/escalate",
+        SybilRampBurst => "sybil-ramp/burst",
+        VoteFloodWave => "vote-flood/wave",
+        BruteForcePoll => "brute-force/poll",
+        PipeStoppageStop => "pipe-stoppage/stop",
+        PipeStoppageRestore => "pipe-stoppage/restore",
+        ChurnStormDepart => "churn-storm/depart",
+        ChurnStormRejoin => "churn-storm/rejoin",
+        MobileTakeoverCompromise => "mobile-takeover/compromise",
+        MobileTakeoverCure => "mobile-takeover/cure",
+        NoAttack => "none",
+        Composite => "composite",
+        AdmissionFlood => "admission-flood",
+        SybilRamp => "sybil-ramp",
+        VoteFlood => "vote-flood",
+        BruteForceIntro => "brute-force/INTRO",
+        BruteForceRemaining => "brute-force/REMAINING",
+        BruteForceNone => "brute-force/NONE",
+        PipeStoppage => "pipe-stoppage",
+        ChurnStorm => "churn-storm",
+        MobileTakeover => "mobile-takeover",
+    }
+}
+
+impl std::fmt::Display for Label {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -488,6 +567,18 @@ mod tests {
         }
         assert_eq!(MsgKind::ALL.len(), 7);
         assert_eq!(MsgKind::from_code(7), None);
+    }
+
+    #[test]
+    fn labels_roundtrip_through_their_strings() {
+        for label in Label::ALL {
+            assert_eq!(Label::from_label(label.label()), Some(label));
+            assert_eq!(label.to_string(), label.label());
+        }
+        assert_eq!(Label::ALL.len(), 24);
+        for undeclared in ["", "none ", "Composite", "churn-storm/", "attack/1"] {
+            assert_eq!(Label::from_label(undeclared), None, "{undeclared:?}");
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::obs::CoreObs;
 use crate::peer::{AuState, PeerTable};
 use crate::reflist::RefList;
 use crate::reputation::Grade;
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::{Label, TraceEvent, TraceSink};
 use crate::types::{Identity, PollId};
 
 /// Engine alias: all events run against the world.
@@ -255,11 +255,11 @@ impl World {
     /// untraced). Strategies call this at their decision points — a
     /// stoppage cycle starting, a flood wave launching, a sybil escalation
     /// step — so a trace names *which* adversary move caused what follows.
-    pub fn note_adversary_action(&mut self, eng: &mut Eng, label: &'static str, magnitude: u64) {
+    pub fn note_adversary_action(&mut self, eng: &mut Eng, label: Label, magnitude: u64) {
         let channel = self.adversary_channel;
         self.trace(eng, || TraceEvent::AdversaryAction {
             channel,
-            label: label.to_string(),
+            label,
             magnitude,
         });
     }
@@ -267,11 +267,9 @@ impl World {
     /// Records the start of a named attack phase in the run metrics (used
     /// by phased composite adversaries; see
     /// [`lockss_metrics::summary::RunMetrics::mark_phase`]).
-    pub fn mark_phase(&mut self, label: &str, eng: &mut Eng) {
-        self.metrics.mark_phase(label, eng.now());
-        self.trace(eng, || TraceEvent::PhaseMark {
-            label: label.to_string(),
-        });
+    pub fn mark_phase(&mut self, label: Label, eng: &mut Eng) {
+        self.metrics.mark_phase(label.label(), eng.now());
+        self.trace(eng, || TraceEvent::PhaseMark { label });
     }
 
     /// Allocates a globally unique poll id (also used by adversaries for

@@ -326,20 +326,20 @@ mod tests {
         }
         .build()
         .expect("pipe");
-        assert_eq!(p.name(), "pipe-stoppage");
+        assert_eq!(p.name().label(), "pipe-stoppage");
         let f = AttackSpec::AdmissionFlood {
             coverage: 1.0,
             days: 720,
         }
         .build()
         .expect("flood");
-        assert_eq!(f.name(), "admission-flood");
+        assert_eq!(f.name().label(), "admission-flood");
         let b = AttackSpec::BruteForce {
             defection: Defection::None_,
         }
         .build()
         .expect("bf");
-        assert_eq!(b.name(), "brute-force/NONE");
+        assert_eq!(b.name().label(), "brute-force/NONE");
     }
 
     #[test]
@@ -361,28 +361,28 @@ mod tests {
         }
         .build()
         .expect("churn");
-        assert_eq!(c.name(), "churn-storm");
+        assert_eq!(c.name().label(), "churn-storm");
         let s = AttackSpec::SybilRamp {
             step: 0.25,
             step_days: 30,
         }
         .build()
         .expect("ramp");
-        assert_eq!(s.name(), "sybil-ramp");
+        assert_eq!(s.name().label(), "sybil-ramp");
         let v = AttackSpec::VoteFlood {
             votes_per_wave: 4,
             wave_hours: 6,
         }
         .build()
         .expect("votes");
-        assert_eq!(v.name(), "vote-flood");
+        assert_eq!(v.name().label(), "vote-flood");
         let m = AttackSpec::MobileTakeover {
             budget: 3,
             period_days: Some(45),
         }
         .build()
         .expect("mobile");
-        assert_eq!(m.name(), "mobile-takeover");
+        assert_eq!(m.name().label(), "mobile-takeover");
     }
 
     #[test]
@@ -427,7 +427,7 @@ mod tests {
         assert!(spec.is_composite());
         assert!(!spec.is_none());
         let adv = spec.build().expect("composite");
-        assert_eq!(adv.name(), "composite");
+        assert_eq!(adv.name().label(), "composite");
         let label = spec.label();
         assert!(label.contains("stoppage"), "{label}");
         assert!(label.contains("flood"), "{label}");

@@ -47,7 +47,7 @@
 //! content hash.
 
 use lockss_core::trace::{TraceEvent, TraceEventKind};
-use lockss_crypto::sha256::sha256;
+use lockss_crypto::sha256::{sha256, Sha256};
 use lockss_sim::SimTime;
 
 use crate::format::{TraceRecord, BLOCK};
@@ -267,14 +267,15 @@ impl ColumnEncoder {
 /// Seals open blocks onto the block region of a file under construction.
 ///
 /// Owns the file's bytes so far (magic, header, the frames of every
-/// block sealed) and their index entries, plus the encoder state reused
-/// from block to block. The one place a block's bytes are made: a pure
+/// block sealed), their index entries and the running content hash over
+/// them, plus the encoder state reused from block to block. The one place a block's bytes are made: a pure
 /// function of the events pushed into the [`BlockBuf`], whichever thread
 /// runs it — which both the content hash and the digest-based diff fast
 /// path rely on.
 pub(crate) struct BlockSealer {
     bytes: Vec<u8>,
     index: Vec<BlockEntry>,
+    hash: Sha256,
     body: Vec<u8>,
     encoder: ColumnEncoder,
 }
@@ -282,9 +283,12 @@ pub(crate) struct BlockSealer {
 impl BlockSealer {
     /// A sealer appending to `bytes` (the file's magic and header).
     pub(crate) fn new(bytes: Vec<u8>) -> BlockSealer {
+        let mut hash = Sha256::new();
+        hash.update(&bytes);
         BlockSealer {
             bytes,
             index: Vec::new(),
+            hash,
             body: Vec::new(),
             encoder: ColumnEncoder::default(),
         }
@@ -321,14 +325,17 @@ impl BlockSealer {
             last_at_ms: block.last_at,
             digest: sha256(body),
         });
+        let frame = self.bytes.len();
         self.bytes.push(BLOCK);
         put_varint(&mut self.bytes, body.len() as u64);
         self.bytes.extend_from_slice(body);
+        self.hash.update(&self.bytes[frame..]);
     }
 
-    /// The file bytes so far and the index of the blocks in them.
-    pub(crate) fn into_parts(self) -> (Vec<u8>, Vec<BlockEntry>) {
-        (self.bytes, self.index)
+    /// The file bytes so far, the index of the blocks in them, and the
+    /// content hash fed with every one of those bytes.
+    pub(crate) fn into_parts(self) -> (Vec<u8>, Vec<BlockEntry>, Sha256) {
+        (self.bytes, self.index, self.hash)
     }
 }
 
@@ -487,7 +494,11 @@ fn decode_body(
         }
         at = next(&mut at_cur, at).ok_or(bad("time-delta"))?;
         seq = next(&mut seq_cur, seq).ok_or(bad("ordinal-delta"))?;
-        let event = get_event(&mut payload_curs[code as usize - 1], kind)?;
+        // A field codec that names its column leaves the block to us.
+        let event = get_event(&mut payload_curs[code as usize - 1], kind).map_err(|e| match e {
+            TraceError::BadColumn { column, .. } => bad(column),
+            e => e,
+        })?;
         out.push(TraceRecord {
             at: SimTime(at),
             seq,
@@ -571,7 +582,7 @@ mod tests {
         }
         let mut sealer = BlockSealer::new(vec![0xAB; 46]);
         sealer.seal_block(&block);
-        let (bytes, mut index) = sealer.into_parts();
+        let (bytes, mut index, _) = sealer.into_parts();
         let entry = index.pop().expect("one block sealed");
         assert_eq!((entry.offset, bytes[46]), (46, BLOCK));
         let body = bytes[bytes.len() - entry.body_len as usize..].to_vec();

@@ -97,8 +97,9 @@ impl std::fmt::Display for TraceMeta {
     }
 }
 
-/// One decoded record: the event plus its causal position.
-#[derive(Clone, Debug, PartialEq)]
+/// One decoded record: the event plus its causal position. Plain `Copy`
+/// data, like the event: a decoded block owns no heap per record.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceRecord {
     /// The simulated instant of emission.
     pub at: SimTime,
@@ -191,7 +192,9 @@ impl Drop for SealWorker {
 
 /// Where a recorder's blocks are sealed: on the recording thread until
 /// the first block fills — a short recording never spawns a thread —
-/// then on a [`SealWorker`].
+/// then on a [`SealWorker`]. There is one per recorder, so the sealer's
+/// inline hash state costs nothing worth a box.
+#[allow(clippy::large_enum_variant)]
 enum Sealing {
     Here(BlockSealer),
     Worker(SealWorker),
@@ -293,7 +296,9 @@ impl Recorder {
 
     /// Seals the trace: seals the last partial block behind the ones
     /// already queued, then appends the end marker, block index, index
-    /// offset, event count, and the content hash.
+    /// offset, event count, and the content hash. The sealer has hashed
+    /// the header and every block frame as it appended them, so only the
+    /// trailer is hashed here.
     pub fn finish(self) -> Trace {
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
@@ -314,14 +319,14 @@ impl Recorder {
                 worker.join().expect("the seal worker panicked")
             }
         };
-        let (mut bytes, blocks) = sealer.into_parts();
-        let index_offset = bytes.len() as u64;
+        let (mut bytes, blocks, mut hash) = sealer.into_parts();
+        let index_offset = bytes.len();
         bytes.push(END);
         put_index(&mut bytes, &blocks);
-        bytes.extend_from_slice(&index_offset.to_le_bytes());
+        bytes.extend_from_slice(&(index_offset as u64).to_le_bytes());
         bytes.extend_from_slice(&inner.events.to_le_bytes());
-        let digest = sha256(&bytes);
-        bytes.extend_from_slice(&digest);
+        hash.update(&bytes[index_offset..]);
+        bytes.extend_from_slice(&hash.finalize());
         Trace {
             sealed: Arc::new(Sealed { bytes, blocks }),
         }
@@ -571,7 +576,7 @@ pub struct TraceReader {
 
 impl TraceReader {
     /// The next record, borrowed from the reader's decoded block: what
-    /// [`Iterator::next`] clones. `Ok(None)` at the end of the trace.
+    /// [`Iterator::next`] copies. `Ok(None)` at the end of the trace.
     pub fn next_record(&mut self) -> Result<Option<&TraceRecord>, TraceError> {
         while self.next_record >= self.records.len() {
             let n_blocks = self.trace.blocks().len();
@@ -599,7 +604,7 @@ impl Iterator for TraceReader {
     type Item = Result<TraceRecord, TraceError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.next_record().map(|r| r.cloned()).transpose()
+        self.next_record().map(|r| r.copied()).transpose()
     }
 }
 

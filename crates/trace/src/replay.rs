@@ -202,7 +202,7 @@ impl TraceSink for Verifier {
                     actual: Some(TraceRecord {
                         at,
                         seq,
-                        event: event.clone(),
+                        event: *event,
                     }),
                 });
             }

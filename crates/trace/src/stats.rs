@@ -18,7 +18,7 @@ use lockss_sim::json::{
     Layout::{Inline, Lines},
     Writer,
 };
-use lockss_sim::{Duration, SimTime};
+use lockss_sim::{Duration, FxHashMap, SimTime};
 
 use crate::format::{Trace, TraceMeta, TraceRecord};
 use crate::parallel::for_each_block;
@@ -42,7 +42,7 @@ pub(crate) const BUCKET: Duration = Duration::from_days(30);
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhaseSegment {
     /// The phase label (`"(pre)"` before the first mark).
-    pub label: String,
+    pub label: &'static str,
     /// When the phase began.
     pub start: SimTime,
     /// Events emitted during the phase.
@@ -84,7 +84,7 @@ pub struct StatsBuilder {
     meta: TraceMeta,
     kind_counts: Vec<(TraceEventKind, u64)>,
     polls: Vec<PollTimeline>,
-    poll_index: std::collections::HashMap<u64, usize>,
+    poll_index: FxHashMap<u64, usize>,
     admissions: VerdictCounts,
     suppressed_sends: u64,
     phases: Vec<PhaseSegment>,
@@ -100,7 +100,7 @@ impl StatsBuilder {
             meta,
             kind_counts: TraceEventKind::ALL.iter().map(|&k| (k, 0)).collect(),
             polls: Vec::new(),
-            poll_index: std::collections::HashMap::new(),
+            poll_index: FxHashMap::default(),
             admissions: VerdictCounts::default(),
             suppressed_sends: 0,
             phases: Vec::new(),
@@ -171,7 +171,7 @@ impl StatsBuilder {
             TraceEvent::PhaseMark { label } => {
                 if self.phases.is_empty() && rec.at > SimTime::ZERO {
                     self.phases.push(PhaseSegment {
-                        label: "(pre)".to_string(),
+                        label: "(pre)",
                         start: SimTime::ZERO,
                         // Everything before this mark, this mark included
                         // in the new segment below.
@@ -181,7 +181,7 @@ impl StatsBuilder {
                     });
                 }
                 self.phases.push(PhaseSegment {
-                    label: label.clone(),
+                    label: label.label(),
                     start: rec.at,
                     events: 1, // the mark itself
                     polls_concluded: 0,
@@ -274,7 +274,7 @@ impl TraceStats {
             .array(Lines);
         for seg in &self.phases {
             w.object(Inline)
-                .field("label", &seg.label)
+                .field("label", seg.label)
                 .field("start_day", seg.start.as_days_f64())
                 .field("events", seg.events)
                 .field("polls_concluded", seg.polls_concluded)
@@ -500,7 +500,7 @@ impl std::fmt::Display for AggregateStats {
 mod tests {
     use super::*;
     use crate::format::{Recorder, TraceMeta};
-    use lockss_core::trace::{PollConclusion, TraceSink};
+    use lockss_core::trace::{Label, PollConclusion, TraceSink};
 
     fn t(days: u64) -> SimTime {
         SimTime::ZERO + Duration::from_days(days)
@@ -578,7 +578,7 @@ mod tests {
         emit(
             t(40),
             TraceEvent::PhaseMark {
-                label: "admission-flood".into(),
+                label: Label::AdmissionFlood,
             },
         );
         emit(

@@ -14,7 +14,9 @@
 //! and one generated read constructor, both over a kind's per-field
 //! columns.
 
-use lockss_core::trace::{AdmissionVerdict, MsgKind, PollConclusion, TraceEvent, TraceEventKind};
+use lockss_core::trace::{
+    AdmissionVerdict, Label, MsgKind, PollConclusion, TraceEvent, TraceEventKind,
+};
 
 /// A malformed or corrupt trace.
 #[derive(Debug)]
@@ -210,7 +212,7 @@ impl<'a> Cursor<'a> {
 
 /// How one payload field type lies on the wire. The five encodings of
 /// the format: `varint` (u32, and u64), a `u8` enum code, a `u8` flag,
-/// and a length-prefixed `str`.
+/// and a length-prefixed `str` (a [`Label`]).
 trait Field: Sized {
     /// True when the encoding is a canonical varint, which makes the
     /// zigzag-delta column re-code lossless for a column of them. Enum
@@ -248,13 +250,24 @@ impl Field for bool {
     }
 }
 
-impl Field for String {
+/// A label lies on the wire as its string and decodes to the declared
+/// [`Label`] of that spelling, read in place. Anything else — a string the
+/// table does not declare, bytes that are not UTF-8, a cut-off string — is
+/// a bad `label` column; the block decoder fills in the block.
+impl Field for Label {
     const VARINT: bool = false;
     fn put(&self, buf: &mut Vec<u8>) {
-        put_str(buf, self);
+        put_str(buf, self.label());
     }
-    fn get(cur: &mut Cursor<'_>) -> Result<String, TraceError> {
-        cur.str()
+    fn get(cur: &mut Cursor<'_>) -> Result<Label, TraceError> {
+        let declared = |cur: &mut Cursor<'_>| {
+            let len = cur.varint().ok()? as usize;
+            Label::from_label(std::str::from_utf8(cur.bytes(len).ok()?).ok()?)
+        };
+        declared(cur).ok_or(TraceError::BadColumn {
+            block: 0,
+            column: "label",
+        })
     }
 }
 
@@ -458,12 +471,12 @@ mod tests {
             },
             TraceEvent::AdversaryAction {
                 channel: 2,
-                label: "sybil-ramp/escalate".into(),
+                label: Label::SybilRampEscalate,
                 magnitude: 25,
             },
             TraceEvent::PeerJoin { peer: 101 },
             TraceEvent::PhaseMark {
-                label: "admission-flood".into(),
+                label: Label::AdmissionFlood,
             },
             TraceEvent::Compromise {
                 peer: 42,

@@ -21,7 +21,8 @@
 //!
 //! What the streams are built to reach:
 //!
-//! - every [`TraceEventKind`], string payloads included, in random order;
+//! - every [`TraceEventKind`], label payloads (every declared [`Label`])
+//!   included, in random order;
 //! - block budgets 1, 2 and 16 (hundreds of blocks from a short stream:
 //!   every hand-over, the worker's queue full, a partial last block, no
 //!   last block at all) and 65,536 (the budget real recordings use, with
@@ -42,7 +43,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use lockss_core::trace::{
-    AdmissionVerdict, MsgKind, PollConclusion, TraceEvent, TraceEventKind, TraceSink,
+    AdmissionVerdict, Label, MsgKind, PollConclusion, TraceEvent, TraceEventKind, TraceSink,
 };
 use lockss_core::World;
 use lockss_crypto::sha256::sha256;
@@ -314,11 +315,11 @@ mod reference {
                 magnitude,
             } => {
                 put_varint(&mut cols[0], *channel);
-                put_str(&mut cols[1], label);
+                put_str(&mut cols[1], label.label());
                 put_varint(&mut cols[2], *magnitude);
             }
             TraceEvent::PeerJoin { peer } => varint(u64::from(*peer)),
-            TraceEvent::PhaseMark { label } => put_str(&mut cols[0], label),
+            TraceEvent::PhaseMark { label } => put_str(&mut cols[0], label.label()),
             TraceEvent::Compromise { peer, corrupted } => {
                 varint(u64::from(*peer));
                 varint(*corrupted);
@@ -463,11 +464,7 @@ fn event_of(kind: TraceEventKind, rng: &mut Rng, poll: u64) -> TraceEvent {
     let big = |rng: &mut Rng, small: u64| if wide { rng.next() } else { rng.below(small) };
     let au = rng.below(3) as u32;
     let block = rng.below(500);
-    let label = |rng: &mut Rng| match rng.below(8) {
-        0 => String::new(),
-        1 => "é-phase/∆".repeat(1 + rng.below(40) as usize),
-        n => format!("attack-{n}/step"),
-    };
+    let label = |rng: &mut Rng| Label::ALL[rng.below(Label::ALL.len() as u64) as usize];
     match kind {
         TraceEventKind::PollStart => TraceEvent::PollStart {
             peer: rng.peer(),
@@ -668,7 +665,7 @@ impl TraceSink for Tee {
         self.seen.borrow_mut().push(TraceRecord {
             at,
             seq,
-            event: event.clone(),
+            event: *event,
         });
         self.recorder.record(at, seq, event);
     }

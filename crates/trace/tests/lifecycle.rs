@@ -12,7 +12,7 @@
 //! test function would be a second libtest thread starting or ending
 //! mid-measurement.
 
-use lockss_core::trace::{MsgKind, TraceEvent, TraceSink};
+use lockss_core::trace::{Label, MsgKind, TraceEvent, TraceSink};
 use lockss_sim::SimTime;
 use lockss_trace::{Recorder, TraceMeta};
 
@@ -45,12 +45,12 @@ fn meta() -> TraceMeta {
     }
 }
 
-/// Event `i` of a stream whose every third event owns a string.
+/// Event `i` of a stream whose every third event carries a label.
 fn event(i: u64) -> TraceEvent {
     if i.is_multiple_of(3) {
         TraceEvent::AdversaryAction {
             channel: i % 4,
-            label: format!("flood/round-{}", i % 10),
+            label: Label::ALL[(i % 10) as usize],
             magnitude: i,
         }
     } else {

@@ -7,16 +7,17 @@
 //! contract runs as greps in the CI docs job; this test is the local,
 //! `cargo test`-visible form of it.
 //!
-//! The spec's worked trace example is executed as well: the hex dump is
-//! parsed out of the document, loaded and held to the recorder's bytes.
-//! And every JSON emitter's real output is held to the reader and to the
-//! spec's JSON examples by one table.
+//! The spec's label table is held to `Label::ALL`, the labels a trace may
+//! carry. The spec's worked trace example is executed as well: the hex
+//! dump is parsed out of the document, loaded and held to the recorder's
+//! bytes. And every JSON emitter's real output is held to the reader and
+//! to the spec's JSON examples by one table.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 
-use lockss::core::trace::{MsgKind, PollConclusion, TraceEvent, TraceSink};
+use lockss::core::trace::{Label, MsgKind, PollConclusion, TraceEvent, TraceSink};
 use lockss::experiments::runner::{run, run_once, RunOptions};
 use lockss::experiments::sweep::{summary_from_json, summary_to_json, ShardTag, SweepReport};
 use lockss::experiments::{ObsSession, Scale, ScenarioRegistry, ScenarioSpec};
@@ -227,6 +228,22 @@ fn the_doc_covers_all_six_formats() {
     }
 }
 
+/// The doc's label table is `Label::ALL`, row by row: the strings a
+/// decoder accepts in a label column are exactly the ones it lists.
+#[test]
+fn the_doc_lists_every_declared_label_in_table_order() {
+    let doc = fs::read_to_string("docs/FORMATS.md").expect("docs/FORMATS.md exists");
+    let listed: Vec<&str> = doc
+        .lines()
+        .skip_while(|l| !l.starts_with("| Label |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| l.trim_matches('|').split('|').next().unwrap().trim())
+        .map(|cell| cell.trim_matches('`'))
+        .collect();
+    assert_eq!(listed, Label::ALL.map(Label::label));
+}
+
 /// The bytes of every `offset  hex…  ascii` dump in `doc`, one `Vec` per
 /// fenced block. The hex field is a fixed 47 columns after the 4-digit
 /// offset and two spaces.
@@ -423,10 +440,9 @@ fn every_json_emitter_parses_rereads_and_covers_its_documented_example() {
     };
     let mut bench = lockss_bench::Harness::new("formats-doc");
     bench.bench("noop", || std::hint::black_box(3u64));
-    let benched = bench.finish();
-    let bench_path = "results/BENCH_formats-doc.json";
-    let bench_text = fs::read_to_string(bench_path).expect("Harness::finish wrote its report");
-    let _ = fs::remove_file(bench_path);
+    let (benched, bench_path) = bench.finish();
+    let bench_text = fs::read_to_string(&bench_path).expect("Harness::finish wrote its report");
+    let _ = fs::remove_file(&bench_path);
 
     let mut shard_writer = Writer::new();
     tag.write_json(&mut shard_writer);

@@ -398,6 +398,36 @@ const RULES: &[Rule] = &[
         ],
     },
     Rule {
+        name: "Trace events own no heap",
+        why: "A TraceEvent is plain Copy data (32 bytes on 64-bit targets), so \
+              recording allocates nothing per event and a decoded block is one \
+              buffer with no drop glue per record. A String, Vec or Box field in \
+              trace_event_table! would put a heap allocation back on every event \
+              of its kind. Every label a run can emit is one row of label_table! \
+              in crates/core/src/trace.rs; the wire carries its string, and a \
+              decoder rejects any string the table does not declare. A label \
+              spelled as a literal elsewhere, or passed as a string to an \
+              emitter, is a second vocabulary the decoder does not know.",
+        check: trace_events_own_no_heap,
+        plants: &[
+            plant(
+                "crates/core/src/trace.rs",
+                "macro_rules! trace_event_table {\n    label: String,\n}\n",
+                "trace_event_table! field `label: String` owns heap",
+            ),
+            plant(
+                "crates/adversary/src/vote_flood.rs",
+                "world.note_adversary_action(eng, \"vote-flood/surge\", 1);\n",
+                "a string literal passed to an emitter",
+            ),
+            plant(
+                "crates/adversary/src/vote_flood.rs",
+                "const WAVE: &str = \"vote-flood/wave\";\n",
+                "a declared label spelled outside label_table!",
+            ),
+        ],
+    },
+    Rule {
         name: "Every pub fn has a program caller",
         why: "A public function that only its own unit tests reach is surface \
               with no behaviour behind it: it is read, documented and kept \
@@ -900,6 +930,83 @@ fn one_burst_one_blackout(t: &Tree) -> Vec<String> {
     out
 }
 
+fn trace_events_own_no_heap(t: &Tree) -> Vec<String> {
+    let path = "crates/core/src/trace.rs";
+    let trace = program(text_of(t, path));
+    let mut out = Vec::new();
+    for table in ranges(trace, "macro_rules! trace_event_table", "}") {
+        for line in table.lines().map(str::trim) {
+            let Some((field, ty)) = line.strip_suffix(',').and_then(|l| l.split_once(": ")) else {
+                continue;
+            };
+            let is_field =
+                !field.is_empty() && field.chars().all(|c| c.is_ascii_lowercase() || c == '_');
+            if is_field && contains_any(ty, &["String", "Vec<", "Box<"]) {
+                out.push(format!(
+                    "{path}: trace_event_table! field `{field}: {ty}` owns heap — an event \
+                     is plain Copy data; a label is a declared Label"
+                ));
+            }
+        }
+    }
+
+    let labels = declared_labels(trace);
+    if labels.is_empty() {
+        out.push(format!("{path} declares no label_table! rows"));
+    }
+    // Action labels (`strategy/action`) belong to no other vocabulary;
+    // strategy names double as scenario and attack-spec names, so they
+    // are held out of the crates that emit events.
+    let spelled = |file: (&str, &str), all: bool| {
+        grep(Some(file), |l| {
+            labels
+                .iter()
+                .filter(|label| all || label.contains('/'))
+                .any(|label| l.contains(&format!("\"{label}\"")))
+        })
+    };
+    let emitters = ["crates/adversary/src", "crates/core/src"];
+    let hits = crate_src_files(t)
+        .filter(|(p, _)| *p != path)
+        .flat_map(|(p, text)| {
+            spelled(
+                (p, program(text)),
+                emitters.iter().any(|d| p.starts_with(d)),
+            )
+        })
+        .collect();
+    out.extend(flag(
+        hits,
+        "a declared label spelled outside label_table! — name the Label variant",
+    ));
+    out.extend(flag(
+        files(t, &["crates", "src", "examples"])
+            .flat_map(|(p, text)| {
+                grep(Some((p, program(text))), |l| {
+                    contains_any(l, &["note_adversary_action(", "mark_phase("]) && l.contains('"')
+                })
+            })
+            .collect(),
+        "a string literal passed to an emitter — note_adversary_action and \
+         World::mark_phase take a Label",
+    ));
+    out
+}
+
+/// The strings of `label_table!`'s rows: lines of the form
+/// `<spaces><Upper><alnum>* => "<label>",`.
+fn declared_labels(text: &str) -> Vec<&str> {
+    ranges(text, "label_table! {", "}")
+        .flat_map(str::lines)
+        .filter_map(|line| {
+            let (name, label) = line.trim().split_once(" => \"")?;
+            let upper = name.starts_with(|c: char| c.is_ascii_uppercase())
+                && name.chars().all(|c| c.is_ascii_alphanumeric());
+            (upper && line.starts_with(' ')).then_some(label.strip_suffix("\",")?)
+        })
+        .collect()
+}
+
 fn every_pub_fn_has_a_caller(t: &Tree) -> Vec<String> {
     // Definitions: `pub fn` / `pub const fn` / `pub unsafe fn` in program
     // code under crates/*/src.
@@ -1259,4 +1366,12 @@ fn the_matchers_agree_with_their_patterns() {
     assert!(!names_with_field_list("BigDamage { peer: 1 }", "Damage"));
     assert!(!names_with_field_list("Damage { .. }", "Damage"));
     assert!(!names_with_field_list("Damage { Peer: 1 }", "Damage"));
+    // `^label_table! \{` through `^\}`, rows `^ +[A-Z][A-Za-z0-9]* => "(.*)",`
+    let labels = declared_labels(
+        "x => \"out\",\nlabel_table! {\n    Label {\n        Stop => \"pipe/stop\",\n        \
+         lower => \"no\",\nTop => \"no\",\n        Name2 => \"name\",\n    }\n}\n    X => \"after\",\n",
+    );
+    assert_eq!(labels, ["pipe/stop", "name"]);
+    let real = declared_labels(text_of(&read_tree(), "crates/core/src/trace.rs")).len();
+    assert_eq!(real, lockss::core::Label::ALL.len());
 }

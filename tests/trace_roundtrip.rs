@@ -119,7 +119,7 @@ fn attacked_traces_carry_adversary_provenance() {
         let has_label = trace.decode_all().expect("decodes").iter().any(|r| {
             matches!(
                 &r.event,
-                lockss::core::TraceEvent::AdversaryAction { label, .. } if label == expected_label
+                lockss::core::TraceEvent::AdversaryAction { label, .. } if label.label() == expected_label
             )
         });
         assert!(

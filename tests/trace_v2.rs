@@ -10,15 +10,19 @@
 //! allocation sized by the lie; (4) the parallel analytics (stats,
 //! diff, export) render byte-identical output at any thread count, on
 //! real scenario traces; (5) in steady state the recorder allocates per
-//! block, not per event, and a pass over a trace makes no large
-//! allocation once its buffers are sized.
+//! block, not per event, and a pass over a trace allocates per block, not
+//! per event, and makes no large allocation once its buffers are sized.
+//! A decoded record is a 48-byte `Copy` value: its label is a declared
+//! [`Label`], and a string the label table does not declare is an error.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
-use lockss::core::trace::{AdmissionVerdict, MsgKind, PollConclusion, TraceEvent, TraceSink};
+use lockss::core::trace::{
+    AdmissionVerdict, Label, MsgKind, PollConclusion, TraceEvent, TraceSink,
+};
 use lockss::crypto::sha256;
 use lockss::experiments::runner::{run, RunOptions};
 use lockss::experiments::scenario::Scenario;
@@ -119,12 +123,12 @@ fn random_event(rng: &mut Rng) -> TraceEvent {
         },
         7 => TraceEvent::AdversaryAction {
             channel: rng.next() % 8,
-            label: format!("attack/{}", rng.next() % 5),
+            label: Label::ALL[(rng.next() % Label::ALL.len() as u64) as usize],
             magnitude: rng.next() % 10_000,
         },
         8 => TraceEvent::PeerJoin { peer: r(rng, 100) },
         9 => TraceEvent::PhaseMark {
-            label: format!("phase-{}", rng.next() % 3),
+            label: Label::ALL[(rng.next() % Label::ALL.len() as u64) as usize],
         },
         10 => TraceEvent::Compromise {
             peer: r(rng, 100),
@@ -521,6 +525,93 @@ fn files_whose_numbers_lie_are_errors_not_panics_or_allocations() {
     assert_eq!(e.to_string(), "not a lockss trace (bad magic)");
 }
 
+/// Seals a one-block trace again around a replacement `body`: frame,
+/// index entry (length and digest) and file seal all brought up to date,
+/// so the forgery reaches the column decoder.
+fn with_body(trace: &Trace, body: &[u8]) -> Vec<u8> {
+    let mut entry = trace.blocks()[0].clone();
+    let mut region = trace.as_bytes()[..=entry.offset as usize].to_vec();
+    put_varint(&mut region, body.len() as u64);
+    region.extend_from_slice(body);
+    entry.body_len = body.len() as u64;
+    entry.digest = sha256(body);
+    seal_with_index(&region, &[entry], trace.events())
+}
+
+#[test]
+fn undeclared_labels_are_rejected_naming_the_label_column() {
+    let _shared = WHOLE_PROCESS.read().expect("no writer panics holding it");
+    // One phase mark: its label column is the body's last, stored raw as
+    // `enc 0 · raw_len · stored_len · varint len · bytes`.
+    let label = Label::AdmissionFlood;
+    let mark = TraceRecord {
+        at: SimTime(5),
+        seq: 1,
+        event: TraceEvent::PhaseMark { label },
+    };
+    let trace = record_v2(&[mark], 100);
+    let entry = &trace.blocks()[0];
+    let region = block_region(&trace);
+    let body = &region[region.len() - entry.body_len as usize..];
+    let len = label.label().len();
+    let column = [
+        &[0, len as u8 + 1, len as u8 + 1, len as u8][..],
+        label.label().as_bytes(),
+    ]
+    .concat();
+    assert!(body.ends_with(&column), "the label column is stored raw");
+    let prefix = &body[..body.len() - column.len()];
+    // The honest column, re-sealed by the forging helper, still decodes.
+    let honest = Trace::from_bytes(with_body(&trace, body)).expect("honest");
+    assert_eq!(honest.decode_all().expect("honest"), [mark]);
+
+    let mut one_byte_off = label.label().as_bytes().to_vec();
+    one_byte_off[3] ^= 1;
+    let mut not_utf8 = label.label().as_bytes().to_vec();
+    not_utf8[0] = 0xC3;
+    for string in [
+        Vec::new(),
+        "é-phase/∆".repeat(40).into_bytes(),
+        one_byte_off,
+        not_utf8,
+    ] {
+        let mut raw = Vec::new();
+        put_varint(&mut raw, string.len() as u64);
+        raw.extend_from_slice(&string);
+        let mut forged = prefix.to_vec();
+        forged.push(0);
+        put_varint(&mut forged, raw.len() as u64);
+        put_varint(&mut forged, raw.len() as u64);
+        forged.extend_from_slice(&raw);
+        let e = rejected(with_body(&trace, &forged));
+        assert!(
+            matches!(
+                e,
+                TraceError::BadColumn {
+                    block: 0,
+                    column: "label"
+                }
+            ),
+            "{string:?}: {e}"
+        );
+        assert_eq!(e.to_string(), "malformed label column in block 0");
+    }
+}
+
+/// A decoded record is plain data: `Copy`, and on 64-bit targets 48
+/// bytes around a 32-byte event, the largest payload (`PoisonedRepair`)
+/// setting the event's size.
+#[test]
+fn records_are_small_copy_values() {
+    fn copy<T: Copy>() {}
+    copy::<TraceEvent>();
+    copy::<TraceRecord>();
+    if cfg!(target_pointer_width = "64") {
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 32);
+        assert_eq!(std::mem::size_of::<TraceRecord>(), 48);
+    }
+}
+
 /// An 89-byte `LTRC1` file: magic, header, three flat records, end
 /// marker, record count and SHA-256 seal.
 const LTRC1_EXAMPLE: [u8; 89] = [
@@ -532,12 +623,12 @@ const LTRC1_EXAMPLE: [u8; 89] = [
     0x7e, 0x7c, 0x16, 0x77, 0x3a, 0xf3, 0x29, 0x6c, 0xbc,
 ];
 
-/// Event `i` of a stream whose every third event owns a string.
+/// Event `i` of a stream whose every third event carries a label.
 fn steady_event(i: u64) -> TraceEvent {
     if i.is_multiple_of(3) {
         TraceEvent::AdversaryAction {
             channel: i % 4,
-            label: format!("flood/round-{}", i % 10),
+            label: Label::ALL[(i % 10) as usize],
             magnitude: i,
         }
     } else {
@@ -567,16 +658,15 @@ fn large_requests() -> u64 {
 fn recorder_and_block_passes_reuse_their_buffers() {
     let _alone = WHOLE_PROCESS.write().expect("no writer panics holding it");
     steady_state_recording_allocates_per_block_not_per_event();
-    block_passes_make_no_large_allocation_once_warm();
+    block_passes_allocate_per_block_once_warm();
 }
 
-/// Eight blocks of 4,096 events, a third of them owning a string: after
-/// the first block the recorder's allocations are those of a handful of
-/// block buffers and the file's growth, nowhere near one per event.
+/// Eight blocks of 4,096 events, a third of them labelled: after the
+/// first block the recorder's allocations are those of a handful of block
+/// buffers and the file's growth, nowhere near one per event.
 fn steady_state_recording_allocates_per_block_not_per_event() {
     const BLOCK: u64 = 4_096;
     const BLOCKS: u64 = 8;
-    // Built up front: the stream's own strings are not the recorder's.
     let events: Vec<TraceEvent> = (0..BLOCK * BLOCKS).map(steady_event).collect();
     let recorder = Recorder::with_block_events(&meta(), BLOCK as usize);
     let mut sink = recorder.clone();
@@ -592,8 +682,9 @@ fn steady_state_recording_allocates_per_block_not_per_event() {
     assert_eq!(trace.blocks().len() as u64, BLOCKS);
     // A few hundred a block at most: up to four block buffers growing a
     // dozen columns each by doubling, the sealer's scratch, and (debug
-    // builds only) the encoder's round-trip assertion. The parent's
-    // `event.clone()` alone made one per string-owning event, 9,557 here.
+    // builds only) the encoder's round-trip assertion. Cloning an event
+    // whose label was a `String` once made one per labelled event, 9,557
+    // here.
     let bound = 256 * BLOCKS;
     assert!(
         made <= bound,
@@ -602,10 +693,16 @@ fn steady_state_recording_allocates_per_block_not_per_event() {
     );
 }
 
+/// Allocation requests a block pass may make per block once warm: the
+/// decoder's per-block cursor tables. A decoded record owns no heap, so a
+/// third of 32,768 records being labelled adds nothing here.
+const PASS_REQUESTS_PER_BLOCK: u64 = 16;
+
 /// Blocks wide enough that one decoded block is a multi-MiB buffer: a
 /// pass makes its large allocations while the first `2 × threads` blocks
-/// size the ring, and none after.
-fn block_passes_make_no_large_allocation_once_warm() {
+/// size the ring, and none after; and after those blocks it makes a few
+/// requests per block, none per record.
+fn block_passes_allocate_per_block_once_warm() {
     const BLOCK: u64 = 32_768;
     const BLOCKS: u64 = 14;
     let recorder = Recorder::with_block_events(&meta(), BLOCK as usize);
@@ -621,35 +718,50 @@ fn block_passes_make_no_large_allocation_once_warm() {
     );
 
     for threads in [1usize, 4] {
+        let warm_blocks = 2 * threads;
         let (mut folded, mut events) = (0usize, 0u64);
-        let mut large_when_warm = None;
+        let mut when_warm = None;
         for_each_block(&trace, threads, |block| {
             folded += 1;
             events += block.len() as u64;
-            if folded == 2 * threads {
-                large_when_warm = Some(large_requests());
+            if folded == warm_blocks {
+                when_warm = Some((requests(), large_requests()));
             }
         })
         .expect("decodes");
         assert_eq!(events, trace.events());
+        let (requests_warm, large_warm) = when_warm.expect("more blocks than the ring");
         assert_eq!(
-            Some(large_requests()),
-            large_when_warm,
-            "{threads} thread(s): a large allocation after the first {} blocks",
-            2 * threads
+            large_requests(),
+            large_warm,
+            "{threads} thread(s): a large allocation after the first {warm_blocks} blocks",
+        );
+        let made = requests() - requests_warm;
+        let bound = PASS_REQUESTS_PER_BLOCK * (BLOCKS - warm_blocks as u64);
+        assert!(
+            made <= bound,
+            "{threads} thread(s): {made} allocation(s) after the first {warm_blocks} \
+             blocks (bound {bound})"
         );
     }
 
-    // The streaming reader likewise: everything large is the first block's.
+    // The streaming reader likewise: everything large is the first block's,
+    // and each later block costs a few requests.
     let mut reader = trace.records();
     assert!(reader.next_record().expect("decodes").is_some());
-    let after_first_block = large_requests();
+    let (after_first_block, large_after_first_block) = (requests(), large_requests());
     let mut rest = 1u64;
     while reader.next_record().expect("decodes").is_some() {
         rest += 1;
     }
     assert_eq!(rest, trace.events());
-    assert_eq!(large_requests(), after_first_block);
+    assert_eq!(large_requests(), large_after_first_block);
+    let made = requests() - after_first_block;
+    let bound = PASS_REQUESTS_PER_BLOCK * (BLOCKS - 1);
+    assert!(
+        made <= bound,
+        "streaming reader: {made} allocation(s) after the first block (bound {bound})"
+    );
 }
 
 /// A real (shrunken) scenario run for the analytics tests.
