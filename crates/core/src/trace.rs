@@ -342,7 +342,7 @@ macro_rules! label_table {
         $($variant:ident => $label:literal,)+
     }) => {
         $(#[$attr])*
-        #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
         pub enum $name {
             $(#[doc = $label] $variant,)+
         }

@@ -268,10 +268,10 @@ impl ColumnEncoder {
 ///
 /// Owns the file's bytes so far (magic, header, the frames of every
 /// block sealed), their index entries and the running content hash over
-/// them, plus the encoder state reused from block to block. The one place a block's bytes are made: a pure
-/// function of the events pushed into the [`BlockBuf`], whichever thread
-/// runs it — which both the content hash and the digest-based diff fast
-/// path rely on.
+/// them, plus the encoder state reused from block to block. The one
+/// place a block's bytes are made: a pure function of the events pushed
+/// into the [`BlockBuf`], whichever thread runs it — which both the
+/// content hash and the digest-based diff fast path rely on.
 pub(crate) struct BlockSealer {
     bytes: Vec<u8>,
     index: Vec<BlockEntry>,
