@@ -104,6 +104,7 @@ mod tests {
     use super::*;
     use crate::config::WorldConfig;
     use lockss_effort::CostModel;
+    use lockss_net::NodeId;
     use lockss_sim::{Engine, SimTime};
     use lockss_storage::AuSpec;
 
@@ -153,11 +154,21 @@ mod tests {
         let mut eng: Engine<World> = Engine::new();
         world.start(&mut eng);
         let before = world.n_loyal();
+        let minions = world.add_minions(2);
         let joiner = world.join_loyal_peer(&mut eng);
         assert_eq!(world.n_loyal(), before + 1);
         assert_eq!(joiner, before);
-        // Its messages route as a loyal peer, not an adversary minion.
+        // Its messages route as a loyal peer, not an adversary minion:
+        // its node lies past the minions', which stay the adversary's.
         assert!(world.peers.identity(joiner).loyal_index().is_some());
+        let node = world.peers.node(joiner);
+        assert_eq!(world.loyal_peer_of_node(node), Some(joiner));
+        assert!(minions.iter().all(|&m| m < node));
+        for m in minions {
+            assert_eq!(world.loyal_peer_of_node(m), None, "minion {m}");
+        }
+        assert_eq!(world.loyal_peer_of_node(NodeId(node.0 + 1)), None);
+        assert_eq!(world.loyal_peer_of_node(world.peers.node(0)), Some(0));
     }
 
     #[test]

@@ -11,15 +11,18 @@
 //! flat allocations; what hangs off them per peer or per cell is also flat
 //! (one hash table of open voter sessions per peer, sorted arrays in each
 //! cell's admission state, a hash table in its known-peers list), never a
-//! tree of heap nodes. A peer's RNG is its 8-byte stream state, and a
-//! cell's admission stamps are only those a refractory period has not yet
-//! expired, so neither column grows with the length of a run.
-//! [`PeerTable::occupancy`] reports each table's entries and approximate
-//! bytes for `--mem-report`.
+//! tree of heap nodes. A known-peers entry packs its grade into its stamp,
+//! so each of that table's buckets is 16 bytes. A peer's RNG is its
+//! 8-byte stream state, and a cell's admission stamps are only those a
+//! refractory period has not yet expired, so neither column grows with the
+//! length of a run. [`PeerTable::occupancy`] reports each table's entries
+//! and approximate bytes for `--mem-report`: the cells themselves, the
+//! hash tables by bucket with their control bytes, and the schedule and
+//! ledger columns.
 
 use lockss_effort::EffortLedger;
 use lockss_net::NodeId;
-use lockss_sim::{FxHashMap, SimRng};
+use lockss_sim::{fxmap, FxHashMap, SimRng};
 use lockss_storage::{AuId, Replica};
 
 use crate::admission::AdmissionControl;
@@ -81,8 +84,8 @@ pub struct TableOccupancy {
     pub last_admission_entries: usize,
     /// Outstanding introductions across all cells (capped per cell).
     pub introductions: usize,
-    /// Approximate heap bytes (capacity × entry size) of the reputation
-    /// entries across all cells.
+    /// Approximate heap bytes (buckets × entry size plus control bytes)
+    /// of the reputation entries across all cells.
     pub known_bytes: usize,
     /// Approximate heap bytes of the last-admission stamps and
     /// introductions across all cells.
@@ -91,10 +94,20 @@ pub struct TableOccupancy {
     pub reflist_bytes: usize,
     /// Approximate heap bytes the live polls hold.
     pub poll_bytes: usize,
-    /// Approximate heap bytes of the per-peer voter-session tables.
+    /// Approximate heap bytes (buckets × entry size plus control bytes)
+    /// of the per-peer voter-session tables.
     pub voter_session_bytes: usize,
+    /// The hash-table control bytes counted in `known_bytes` and
+    /// `voter_session_bytes`.
+    pub hash_control_bytes: usize,
     /// Bytes of the per-peer RNG column.
     pub rng_bytes: usize,
+    /// Bytes of the flattened per-AU cells themselves, not counting what
+    /// they point to.
+    pub cell_bytes: usize,
+    /// Bytes of the schedule and effort-ledger columns, with each
+    /// schedule's committed intervals.
+    pub schedule_ledger_bytes: usize,
 }
 
 /// All loyal peers, struct-of-arrays.
@@ -350,16 +363,33 @@ impl PeerTable {
             occ.last_admission_entries += cell.admission.last_admission_entries();
             occ.introductions += cell.admission.outstanding_introductions();
             occ.known_bytes += cell.known.heap_bytes();
+            occ.hash_control_bytes += cell.known.control_bytes();
             occ.admission_bytes += cell.admission.heap_bytes();
             occ.reflist_bytes += cell.reflist.heap_bytes();
             occ.poll_bytes += cell.poll.as_ref().map_or(0, PollState::heap_bytes);
         }
-        occ.voter_sessions = self.voting.iter().map(FxHashMap::len).sum();
-        let session = std::mem::size_of::<(VoterKey, VoterSession)>();
-        occ.voter_session_bytes = self.voting.iter().map(|m| m.capacity() * session).sum();
-        occ.rng_bytes = self.rng.capacity() * std::mem::size_of::<SimRng>();
+        for table in &self.voting {
+            let (slots, control) = fxmap::heap_bytes(table);
+            occ.voter_sessions += table.len();
+            occ.voter_session_bytes += slots + control;
+            occ.hash_control_bytes += control;
+        }
+        occ.rng_bytes = column_bytes(&self.rng);
+        occ.cell_bytes = column_bytes(&self.au);
+        occ.schedule_ledger_bytes = column_bytes(&self.schedule)
+            + self
+                .schedule
+                .iter()
+                .map(TaskSchedule::heap_bytes)
+                .sum::<usize>()
+            + column_bytes(&self.ledger);
         occ
     }
+}
+
+/// Bytes a column's allocation holds.
+fn column_bytes<T>(column: &Vec<T>) -> usize {
+    column.capacity() * std::mem::size_of::<T>()
 }
 
 #[cfg(test)]

@@ -10,19 +10,20 @@
 
 use std::collections::hash_map::Entry as Slot;
 
-use lockss_sim::{Duration, FxHashMap, SimTime};
+use lockss_sim::{fxmap, Duration, FxHashMap, SimTime};
 
 use crate::types::Identity;
 
-/// A first-hand reputation grade.
+/// A first-hand reputation grade. The discriminant is the grade's two bits
+/// in a packed known-peers entry.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Grade {
     /// The peer has supplied fewer votes than it consumed.
-    Debt,
+    Debt = 0,
     /// Balanced recent exchanges.
-    Even,
+    Even = 1,
     /// The peer has supplied more votes than it consumed.
-    Credit,
+    Credit = 2,
 }
 
 impl Grade {
@@ -61,10 +62,37 @@ pub enum Standing {
     Known(Grade),
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    grade: Grade,
-    updated: SimTime,
+/// One known-peers entry in a word: the stamp of its last update in
+/// milliseconds above the grade's two bits, `updated_ms << 2 | grade`.
+/// With its 8-byte identity key a hash bucket is 16 bytes.
+type Entry = u64;
+
+/// Low bits of an [`Entry`] holding the grade.
+const GRADE_BITS: u32 = 2;
+
+/// Packs an entry. A later stamp would lose its top bits, so it panics
+/// instead; runs are bounded to end by [`KnownPeers::LAST_STAMP`] where
+/// they enter.
+fn pack(grade: Grade, updated: SimTime) -> Entry {
+    assert!(
+        updated <= KnownPeers::LAST_STAMP,
+        "stamp {updated} is past the last one an entry holds"
+    );
+    updated.as_millis() << GRADE_BITS | grade as u64
+}
+
+/// The grade an [`Entry`] holds.
+fn grade_of(e: Entry) -> Grade {
+    match e & ((1 << GRADE_BITS) - 1) {
+        0 => Grade::Debt,
+        1 => Grade::Even,
+        _ => Grade::Credit,
+    }
+}
+
+/// The stamp an [`Entry`] holds.
+fn stamp_of(e: Entry) -> SimTime {
+    SimTime(e >> GRADE_BITS)
 }
 
 /// A virtual "everyone in the founding population is known at even" rule,
@@ -98,6 +126,13 @@ pub struct KnownPeers {
 }
 
 impl KnownPeers {
+    /// The last instant an entry can stamp, 2^62 − 1 ms (about 5.3e10
+    /// days): a run must end by it.
+    pub const LAST_STAMP: SimTime = SimTime(u64::MAX >> GRADE_BITS);
+
+    /// Bytes of one hash bucket: an identity and its packed entry.
+    pub const BUCKET_BYTES: usize = std::mem::size_of::<(Identity, Entry)>();
+
     /// An empty list.
     pub fn new() -> KnownPeers {
         KnownPeers::default()
@@ -106,13 +141,7 @@ impl KnownPeers {
     /// Seeds an identity at a grade (world initialization: the steady-state
     /// proxy starts loyal peers at `even`).
     pub fn seed(&mut self, id: Identity, grade: Grade, now: SimTime) {
-        self.entries.insert(
-            id,
-            Entry {
-                grade,
-                updated: now,
-            },
-        );
+        self.entries.insert(id, pack(grade, now));
     }
 
     /// Pre-sizes the table for `n` upcoming [`KnownPeers::seed`] calls, so
@@ -170,7 +199,7 @@ impl KnownPeers {
     /// "entries decay with time toward the debt grade").
     pub fn standing(&self, id: Identity, now: SimTime, decay: Duration) -> Standing {
         match self.entries.get(&id) {
-            Some(e) => Standing::Known(Self::decayed_at(e.grade, e.updated, now, decay)),
+            Some(&e) => Standing::Known(Self::decayed_at(grade_of(e), stamp_of(e), now, decay)),
             None => Self::default_standing(self.population_default, id, now, decay),
         }
     }
@@ -187,18 +216,12 @@ impl KnownPeers {
         match self.entries.entry(id) {
             Slot::Occupied(mut slot) => {
                 let e = slot.get_mut();
-                let current = Self::decayed_at(e.grade, e.updated, now, decay);
-                *e = Entry {
-                    grade: step(Standing::Known(current)),
-                    updated: now,
-                };
+                let current = Self::decayed_at(grade_of(*e), stamp_of(*e), now, decay);
+                *e = pack(step(Standing::Known(current)), now);
             }
             Slot::Vacant(slot) => {
                 let current = Self::default_standing(self.population_default, id, now, decay);
-                slot.insert(Entry {
-                    grade: step(current),
-                    updated: now,
-                });
+                slot.insert(pack(step(current), now));
             }
         }
     }
@@ -224,13 +247,7 @@ impl KnownPeers {
 
     /// Drops the identity straight to debt (misbehaviour, §5.1).
     pub fn penalize(&mut self, id: Identity, now: SimTime) {
-        self.entries.insert(
-            id,
-            Entry {
-                grade: Grade::Debt,
-                updated: now,
-            },
-        );
+        self.entries.insert(id, pack(Grade::Debt, now));
     }
 
     /// Number of *materialized* entries (identities with an explicitly
@@ -244,10 +261,18 @@ impl KnownPeers {
         self.entries.is_empty()
     }
 
-    /// Approximate heap bytes of the materialized entries: capacity ×
-    /// entry size (the hash table's control bytes are not counted).
+    /// Approximate heap bytes of the materialized entries: the hash
+    /// table's buckets × [`KnownPeers::BUCKET_BYTES`] plus its control
+    /// bytes.
     pub fn heap_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<(Identity, Entry)>()
+        let (slots, control) = fxmap::heap_bytes(&self.entries);
+        slots + control
+    }
+
+    /// The hash table's control bytes, which [`KnownPeers::heap_bytes`]
+    /// includes.
+    pub(crate) fn control_bytes(&self) -> usize {
+        fxmap::heap_bytes(&self.entries).1
     }
 }
 
@@ -382,6 +407,15 @@ mod tests {
         }
         // And the lazy table only materialized the three touched entries.
         assert_eq!(lazy.len(), 3);
+    }
+
+    /// A stamp past the last one a packed entry holds would lose its top
+    /// bits; it panics instead, in every build.
+    #[test]
+    #[should_panic(expected = "past the last one an entry holds")]
+    fn a_stamp_past_the_last_panics() {
+        let past = SimTime(KnownPeers::LAST_STAMP.as_millis() + 1);
+        KnownPeers::new().penalize(Identity::loyal(1), past);
     }
 
     #[test]

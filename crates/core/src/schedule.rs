@@ -134,6 +134,12 @@ impl TaskSchedule {
         self.committed_total
     }
 
+    /// Approximate heap bytes of the committed intervals (capacity ×
+    /// interval size).
+    pub fn heap_bytes(&self) -> usize {
+        self.busy.capacity() * std::mem::size_of::<Busy>()
+    }
+
     /// The end of the last committed interval, if any.
     pub fn horizon(&self) -> Option<SimTime> {
         self.busy.last().map(|b| b.end)

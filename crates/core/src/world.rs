@@ -74,11 +74,14 @@ pub struct World {
     pub(crate) profiler: Option<SharedProfiler>,
     next_poll_id: u64,
     n_loyal: usize,
-    /// Network node → loyal peer index (nodes absent here belong to the
-    /// adversary). Lookup-only, so hashing order cannot leak into runs;
-    /// probed on every message delivery, hence the fast hasher.
-    node_to_peer: lockss_sim::FxHashMap<NodeId, usize>,
+    /// Loyal peer index by network node, [`NOT_LOYAL`] for the adversary's
+    /// nodes; nodes past the end are not loyal either. Read on every
+    /// message delivery, so a dense column rather than a hash probe.
+    node_peer: Vec<u32>,
 }
+
+/// A [`World::node_peer`] slot of a node no loyal peer lives on.
+const NOT_LOYAL: u32 = u32::MAX;
 
 impl World {
     /// Builds the world: loyal peers with sampled links, pristine replicas,
@@ -128,7 +131,10 @@ impl World {
         }
 
         let metrics = RunMetrics::new(cfg.total_replicas(), SimTime::ZERO);
-        let node_to_peer = nodes.iter().enumerate().map(|(i, n)| (*n, i)).collect();
+        let mut node_peer = Vec::with_capacity(nodes.len());
+        for (i, node) in nodes.iter().enumerate() {
+            set_node_peer(&mut node_peer, *node, i);
+        }
         World {
             costs: cfg.cost.table(),
             cfg,
@@ -144,7 +150,7 @@ impl World {
             profiler: None,
             next_poll_id: 0,
             n_loyal: nodes.len(),
-            node_to_peer,
+            node_peer,
         }
     }
 
@@ -153,17 +159,21 @@ impl World {
         self.n_loyal
     }
 
-    /// Registers a late-joining loyal peer's node (see `churn`).
+    /// Registers a late-joining loyal peer's node (see `churn`), extending
+    /// the node column to reach it.
     pub(crate) fn bump_loyal_count(&mut self) {
         let index = self.peers.len() - 1;
-        let node = self.peers.node(index);
-        self.node_to_peer.insert(node, index);
+        set_node_peer(&mut self.node_peer, self.peers.node(index), index);
         self.n_loyal += 1;
     }
 
     /// The loyal peer living on `node`, if any.
+    #[inline]
     pub fn loyal_peer_of_node(&self, node: NodeId) -> Option<usize> {
-        self.node_to_peer.get(&node).copied()
+        match self.node_peer.get(node.index()) {
+            Some(&p) if p != NOT_LOYAL => Some(p as usize),
+            _ => None,
+        }
     }
 
     /// Adds `n` adversary minion nodes (well-connected: 100 Mbps, 5 ms)
@@ -515,6 +525,15 @@ impl World {
     pub(crate) fn node_of(&self, id: Identity) -> Option<NodeId> {
         id.loyal_index().map(|i| self.peers.node(i as usize))
     }
+}
+
+/// Records that loyal peer `index` lives on `node`, growing the column with
+/// [`NOT_LOYAL`] slots up to it.
+fn set_node_peer(column: &mut Vec<u32>, node: NodeId, index: usize) {
+    if column.len() <= node.index() {
+        column.resize(node.index() + 1, NOT_LOYAL);
+    }
+    column[node.index()] = u32::try_from(index).expect("loyal peer index fits in u32");
 }
 
 #[cfg(test)]

@@ -658,7 +658,8 @@ fn mem_report(seed: u64, occupancy: &Occupancy) {
         arena_bytes,
         table,
     } = occupancy;
-    let peak_rss = peak_rss_kb()
+    let peak_kb = peak_rss_kb();
+    let peak_rss = peak_kb
         .map(|kb| format!("{:.1} MiB", kb as f64 / 1024.0))
         .unwrap_or_else(|| "unavailable on this platform".into());
     println!("\nmemory report (seed {seed}):");
@@ -699,8 +700,9 @@ fn mem_report(seed: u64, occupancy: &Occupancy) {
         bytes
     };
     let cells = table.peers * table.aus_per_peer;
-    println!("  bytes, approximate (capacity x entry size):");
-    let sum = row("reputation entries", table.known_bytes, None)
+    println!("  bytes, approximate (capacity x entry size, hash tables by bucket):");
+    let sum = row("per-AU cells", table.cell_bytes, Some((cells, "cell")))
+        + row("reputation entries", table.known_bytes, None)
         + row(
             "admission stamps+intros",
             table.admission_bytes,
@@ -709,6 +711,11 @@ fn mem_report(seed: u64, occupancy: &Occupancy) {
         + row("reference lists", table.reflist_bytes, None)
         + row("live polls", table.poll_bytes, None)
         + row("voter-session tables", table.voter_session_bytes, None)
+        + row(
+            "schedules + ledgers",
+            table.schedule_ledger_bytes,
+            Some((table.peers, "peer")),
+        )
         + row("RNG column", table.rng_bytes, Some((table.peers, "peer")))
         + row(
             "event arena + queue",
@@ -716,7 +723,15 @@ fn mem_report(seed: u64, occupancy: &Occupancy) {
             None,
         );
     println!(
-        "    {:<24}{:>10.1} KiB of {peak_rss} peak RSS",
+        "    {:<24}{:>10.1} KiB (in the hash-table rows above)",
+        "of which control bytes",
+        kib(table.hash_control_bytes)
+    );
+    let share = peak_kb.map_or(String::new(), |kb| {
+        format!(" ({:.0}% attributed)", 100.0 * kib(sum) / kb as f64)
+    });
+    println!(
+        "    {:<24}{:>10.1} KiB of {peak_rss} peak RSS{share}",
         "sum",
         kib(sum)
     );

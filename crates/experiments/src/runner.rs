@@ -9,11 +9,11 @@ use std::sync::Mutex;
 use lockss_core::{CoreObs, TableOccupancy, World, WorldConfig};
 use lockss_metrics::{PhaseSummary, Summary};
 use lockss_obs::{SharedProfiler, Span};
-use lockss_sim::{Engine, EngineObs, SimTime};
+use lockss_sim::{Duration, Engine, EngineObs, SimTime};
 use lockss_trace::{Recorder, ReplayReport, Trace, TraceError, TraceMeta, Verifier};
 
 use crate::obs::{SweepObs, WorkerObs};
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, MAX_RUN_DAYS};
 
 /// An engine pre-sized for the scenario's population: a 10k+-peer world
 /// schedules (peers × AUs) first-poll events plus per-peer damage timers
@@ -123,7 +123,13 @@ pub struct RunOutput {
 /// touches the RNG or the event queue, and counters and spans only read
 /// protocol state, so `summary` and `phases` are byte-identical for any
 /// `opts` at the same `(scenario, seed)`.
+///
+/// # Panics
+///
+/// Panics, naming the limit, if the run would last past
+/// [`MAX_RUN_DAYS`].
 pub fn run(scenario: &Scenario, seed: u64, opts: &RunOptions) -> RunOutput {
+    let end = horizon(scenario.run_length).unwrap_or_else(|e| panic!("{e}"));
     let ins = &opts.instruments;
     let mut cfg = scenario.cfg.clone();
     cfg.seed = seed;
@@ -150,7 +156,6 @@ pub fn run(scenario: &Scenario, seed: u64, opts: &RunOptions) -> RunOutput {
     if let Some(engine) = &ins.engine {
         eng.set_obs(engine.clone());
     }
-    let end = SimTime::ZERO + scenario.run_length;
     {
         let _span = Span::enter(&ins.profiler, "simulate");
         world.start(&mut eng);
@@ -182,6 +187,21 @@ pub fn run(scenario: &Scenario, seed: u64, opts: &RunOptions) -> RunOutput {
         },
         world,
     }
+}
+
+/// The instant a run of `run_length` ends, refused past the last instant a
+/// known-peers entry can stamp.
+fn horizon(run_length: Duration) -> Result<SimTime, String> {
+    let last = Duration::from_days(MAX_RUN_DAYS);
+    if run_length > last {
+        return Err(format!(
+            "a run of {} ms lasts past the last instant a known-peers entry can \
+             stamp (at most {MAX_RUN_DAYS} days, {} ms)",
+            run_length.as_millis(),
+            last.as_millis()
+        ));
+    }
+    Ok(SimTime::ZERO + run_length)
 }
 
 /// Runs one seed of a scenario to completion: [`run`] with no sink and no
@@ -305,13 +325,34 @@ mod tests {
     use super::*;
     use crate::obs::ObsSession;
     use crate::scale::Scale;
+    use lockss_core::reputation::KnownPeers;
     use lockss_obs::Profiler;
-    use lockss_sim::Duration;
 
     fn tiny() -> Scenario {
         let mut s = Scenario::baseline(Scale::Quick, 2);
         s.run_length = Duration::from_days(120);
         s
+    }
+
+    /// The largest accepted run ends exactly on a day at or before the
+    /// last known-peers stamp; one day more is refused, naming the limit.
+    #[test]
+    fn the_horizon_stops_at_the_last_stamp() {
+        let last = Duration::from_days(MAX_RUN_DAYS);
+        assert_eq!(horizon(last), Ok(SimTime::ZERO + last));
+        assert!(SimTime::ZERO + last <= KnownPeers::LAST_STAMP);
+        let err = horizon(last + Duration::DAY).unwrap_err();
+        assert!(
+            err.contains(&format!("at most {MAX_RUN_DAYS} days")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "lasts past the last instant a known-peers entry can stamp")]
+    fn run_refuses_a_horizon_past_the_last_stamp() {
+        let s = tiny().with_run_length(Duration::from_days(MAX_RUN_DAYS + 1));
+        run_once(&s, 1);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use lockss_adversary::{
     AdmissionFlood, Blackout, BruteForce, Compose, Defection, MobileTakeover, SybilRamp, VoteFlood,
 };
+use lockss_core::reputation::KnownPeers;
 use lockss_core::{Adversary, WorldConfig};
 use lockss_effort::CostModel;
 use lockss_sim::Duration;
@@ -223,6 +224,11 @@ impl AttackSpec {
         }
     }
 }
+
+/// The longest run a scenario may ask for, in days. Every known-peers
+/// entry stamps its last update in 62 bits, so a run must end by
+/// [`KnownPeers::LAST_STAMP`] (about 5.3e10 days).
+pub const MAX_RUN_DAYS: u64 = KnownPeers::LAST_STAMP.as_millis() / Duration::DAY.as_millis();
 
 /// One experiment point: configuration + attack + run length.
 #[derive(Clone, Debug, PartialEq)]

@@ -33,7 +33,7 @@ use lockss_sim::json::{
 use lockss_sim::Duration;
 
 use crate::scale::Scale;
-use crate::scenario::{phased, AttackSpec, Scenario};
+use crate::scenario::{phased, AttackSpec, Scenario, MAX_RUN_DAYS};
 
 use std::fmt;
 
@@ -521,6 +521,20 @@ fn span(n: u64, unit: Duration, path: &str) -> Result<u64, SpecError> {
     Ok(n)
 }
 
+/// `n` as a run length in days, refused past [`MAX_RUN_DAYS`].
+fn run_days(n: u64, path: &str) -> Result<u64, SpecError> {
+    if n > MAX_RUN_DAYS {
+        return Err(field_err(
+            path,
+            format!(
+                "{n} days runs past the last instant a known-peers entry can stamp \
+                 (at most {MAX_RUN_DAYS} days)"
+            ),
+        ));
+    }
+    Ok(n)
+}
+
 /// A `u64_field` counted in `unit`s, bounded by [`span`].
 fn span_field(
     fields: &[(String, Value)],
@@ -613,17 +627,19 @@ fn decode_world(v: &Value) -> Result<WorldSpec, SpecError> {
         }
         Value::Obj(per) => {
             reject_unknown(per, &["quick", "default", "paper"], "world.run_days")?;
-            let day = Duration::DAY;
+            let days = |scale: &str| {
+                let path = format!("world.run_days.{scale}");
+                run_days(u64_field(per, scale, &path)?, &path)
+            };
             RunSpec::PerScale {
-                quick: span_field(per, "quick", "world.run_days.quick", day)?,
-                default: span_field(per, "default", "world.run_days.default", day)?,
-                paper: span_field(per, "paper", "world.run_days.paper", day)?,
+                quick: days("quick")?,
+                default: days("default")?,
+                paper: days("paper")?,
             }
         }
-        n => RunSpec::Days(span(
+        n => RunSpec::Days(run_days(
             n.as_u64("run_days")
                 .map_err(|m| field_err("world.run_days", m))?,
-            Duration::DAY,
             "world.run_days",
         )?),
     };
@@ -959,38 +975,62 @@ mod tests {
 
         // A count whose milliseconds overflow simulated time used to wrap
         // into a horizon of a fraction of a day; one past the bound is
-        // refused at its path, the bound itself decodes.
-        let max = Duration::max_count(Duration::DAY);
+        // refused at its path.
+        let doc = base.to_json().replace(
+            "\"poll_months\": null",
+            &format!(
+                "\"poll_months\": {}",
+                Duration::max_count(Duration::MONTH) + 1
+            ),
+        );
+        let err = ScenarioSpec::from_json(&doc).unwrap_err();
+        assert_eq!(err.path, "world.poll_months", "{err}");
+        assert!(err.message.contains("overflows simulated time"), "{err}");
+    }
+
+    /// A run may last until the last instant a known-peers entry can
+    /// stamp, and not a day longer: past it, a packed stamp would spill
+    /// into nothing and corrupt every standing. The refusal names the
+    /// limit at the field's path, per scale too.
+    #[test]
+    fn run_days_past_the_last_stamp_are_refused() {
+        let base = ScenarioSpec {
+            attack: AttackSpec::None,
+            ..sample()
+        };
         let run_days = |n: String| base.to_json().replace("\"run_days\": \"scale\"", &n);
+        let limit = format!("at most {MAX_RUN_DAYS} days");
         for (doc, path) in [
             (
-                run_days(format!("\"run_days\": {}", max + 1)),
+                run_days(format!("\"run_days\": {}", MAX_RUN_DAYS + 1)),
+                "world.run_days",
+            ),
+            (
+                run_days(format!(
+                    "\"run_days\": {}",
+                    Duration::max_count(Duration::DAY)
+                )),
                 "world.run_days",
             ),
             (
                 run_days(format!(
                     "\"run_days\": {{\"quick\": 1, \"default\": 1, \"paper\": {}}}",
-                    max + 1
+                    MAX_RUN_DAYS + 1
                 )),
                 "world.run_days.paper",
-            ),
-            (
-                base.to_json().replace(
-                    "\"poll_months\": null",
-                    &format!(
-                        "\"poll_months\": {}",
-                        Duration::max_count(Duration::MONTH) + 1
-                    ),
-                ),
-                "world.poll_months",
             ),
         ] {
             let err = ScenarioSpec::from_json(&doc).unwrap_err();
             assert_eq!(err.path, path, "{err}");
-            assert!(err.message.contains("overflows simulated time"), "{err}");
+            assert!(err.message.contains(&limit), "{err}");
         }
-        let at_bound = run_days(format!("\"run_days\": {max}"));
-        ScenarioSpec::from_json(&at_bound).expect("the bound itself fits");
+        let at_bound = run_days(format!("\"run_days\": {MAX_RUN_DAYS}"));
+        let spec = ScenarioSpec::from_json(&at_bound).expect("the last stamp itself fits");
+        assert_eq!(spec.world.run, RunSpec::Days(MAX_RUN_DAYS));
+        let per_scale = run_days(format!(
+            "\"run_days\": {{\"quick\": 1, \"default\": 1, \"paper\": {MAX_RUN_DAYS}}}"
+        ));
+        ScenarioSpec::from_json(&per_scale).expect("per scale too");
     }
 
     /// Every day, hour and start offset of an attack is bounded the same

@@ -306,22 +306,34 @@ fn mem_report_comes_from_the_report_run() {
         .iter()
         .position(|l| l.starts_with("bytes, approximate"))
         .unwrap_or_else(|| panic!("no byte lines in: {stdout}"));
-    let mut listed = 0.0;
-    for label in [
+    let row = |label: &str| {
+        let line = lines[at..]
+            .iter()
+            .find(|l| l.starts_with(label))
+            .unwrap_or_else(|| panic!("no {label:?} byte line in: {stdout}"));
+        kib(line)
+    };
+    let listed: f64 = [
+        "per-AU cells",
         "reputation entries",
         "admission stamps+intros",
         "reference lists",
         "live polls",
         "voter-session tables",
+        "schedules + ledgers",
         "RNG column",
         "event arena + queue",
-    ] {
-        let line = lines[at..]
-            .iter()
-            .find(|l| l.starts_with(label))
-            .unwrap_or_else(|| panic!("no {label:?} byte line in: {stdout}"));
-        listed += kib(line);
-    }
+    ]
+    .into_iter()
+    .map(row)
+    .sum();
+    // The hash tables' control bytes are inside their rows, not beside them.
+    let control = row("of which control bytes");
+    let hashed = row("reputation entries") + row("voter-session tables");
+    assert!(
+        control > 0.0 && control < hashed,
+        "{control} of {hashed} KiB"
+    );
     let sum_line = lines[at..].iter().find(|l| l.starts_with("sum")).unwrap();
     let sum = kib(sum_line);
     assert!(
@@ -334,6 +346,17 @@ fn mem_report_comes_from_the_report_run() {
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| panic!("no peak RSS in: {stdout}"));
     assert!(sum > 0.0 && sum <= peak_mib * 1024.0, "{sum_line}");
+    // The printed share is of the unrounded peak, so it may differ by a
+    // point from one taken of the rounded MiB figure.
+    let share: f64 = sum_line
+        .strip_suffix("% attributed)")
+        .and_then(|l| l.rsplit_once('(')?.1.parse().ok())
+        .unwrap_or_else(|| panic!("no attributed share in: {sum_line}"));
+    let expected = 100.0 * sum / (peak_mib * 1024.0);
+    assert!(
+        (share - expected).abs() <= 1.0,
+        "{sum_line}: about {expected}%"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -445,7 +468,8 @@ fn run_file_escapes_the_scenario_strings_in_its_json_report() {
 /// and abort the process. It is a bad file like any other: exit 1, the
 /// file named, the nesting limit the reason. So is a `run_days` whose
 /// milliseconds overflow simulated time, which used to validate `ok` and
-/// then run a fraction of a day.
+/// then run a fraction of a day, and one a day past the last instant a
+/// known-peers entry can stamp.
 #[test]
 fn validate_reports_a_pathologically_nested_file_instead_of_overflowing() {
     let dir = temp_dir("deep-nesting");
@@ -456,10 +480,13 @@ fn validate_reports_a_pathologically_nested_file_instead_of_overflowing() {
     .unwrap();
     let endless = campaign.replace("\"run_days\": 360", "\"run_days\": 213503982335");
     assert_ne!(endless, campaign, "examples/campaign.json sets run_days");
+    let past_stamps = campaign.replace("\"run_days\": 360", "\"run_days\": 53375995584");
+    let limit = "at most 53375995583 days";
     for (name, text, reason) in [
         ("arrays.json", "[".repeat(50_000), "nesting too deep"),
         ("objects.json", "{\"a\":".repeat(50_000), "nesting too deep"),
-        ("endless.json", endless, "overflows simulated time"),
+        ("endless.json", endless, limit),
+        ("past-stamps.json", past_stamps, limit),
     ] {
         std::fs::write(dir.join(name), text).unwrap();
         let out = lockss_sim(&["validate", name])

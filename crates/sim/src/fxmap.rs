@@ -84,11 +84,33 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` keyed with the deterministic Fx hasher.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// An [`FxHashMap`] pre-sized for `n` entries: bulk builders (a 10k+-peer
-/// world's node→peer map, the sparse sampler's displacement map) pay one
-/// table allocation instead of a growth cascade.
+/// An [`FxHashMap`] pre-sized for `n` entries: bulk builders (the sparse
+/// sampler's displacement map) pay one table allocation instead of a
+/// growth cascade.
 pub fn with_capacity<K, V>(n: usize) -> FxHashMap<K, V> {
     HashMap::with_capacity_and_hasher(n, FxBuildHasher::default())
+}
+
+/// Control bytes past the last bucket: one SIMD group, mirrored so a probe
+/// never wraps.
+const GROUP_WIDTH: usize = 16;
+
+/// Approximate heap of a map, as `(slot bytes, control bytes)`.
+///
+/// `std`'s table is a SwissTable: a power-of-two bucket array loaded to at
+/// most 7/8 (below 8 buckets, to all but one), one control byte per bucket
+/// and a trailing group. Its `capacity()` is that load limit, so the
+/// bucket count is read back from it.
+pub fn heap_bytes<K, V, S>(map: &HashMap<K, V, S>) -> (usize, usize) {
+    let buckets = match map.capacity() {
+        0 => return (0, 0),
+        cap if cap < 8 => cap + 1,
+        cap => cap / 7 * 8,
+    };
+    (
+        buckets * std::mem::size_of::<(K, V)>(),
+        buckets + GROUP_WIDTH,
+    )
 }
 
 #[cfg(test)]
@@ -106,6 +128,22 @@ mod tests {
         assert_eq!(a.len(), 1000);
         assert_eq!(a.get(&500), Some(&1500));
         assert!(a.keys().eq(b.keys()), "fixed hasher implies fixed order");
+    }
+
+    /// The bucket count read back from `capacity()` is a power of two
+    /// that holds the map's entries, at every size a table grows through.
+    #[test]
+    fn heap_bytes_reads_a_power_of_two_bucket_count() {
+        let mut map: FxHashMap<u64, u64> = FxHashMap::default();
+        assert_eq!(heap_bytes(&map), (0, 0));
+        for i in 0..5000u64 {
+            map.insert(i, i);
+            let (slots, control) = heap_bytes(&map);
+            let buckets = control - GROUP_WIDTH;
+            assert!(buckets.is_power_of_two(), "{} entries", map.len());
+            assert!(buckets > map.len());
+            assert_eq!(slots, buckets * 16);
+        }
     }
 
     #[test]
