@@ -102,6 +102,11 @@ pub struct TableOccupancy {
     pub hash_control_bytes: usize,
     /// Bytes of the per-peer RNG column.
     pub rng_bytes: usize,
+    /// Bytes of the remaining per-peer columns: node, identity, compromise
+    /// flag and the voter tables' headers (their buckets are in
+    /// `voter_session_bytes`), plus the world's node-to-peer column when
+    /// read through [`crate::world::World::occupancy`].
+    pub peer_column_bytes: usize,
     /// Bytes of the flattened per-AU cells themselves, not counting what
     /// they point to.
     pub cell_bytes: usize,
@@ -300,13 +305,27 @@ impl PeerTable {
         &self.voting[p]
     }
 
-    /// Mutable voter commitments.
-    pub fn voting_mut(&mut self, p: usize) -> &mut FxHashMap<VoterKey, VoterSession> {
-        &mut self.voting[p]
+    /// The peer's open commitment to `poll`, mutably.
+    pub fn voter_session_mut(&mut self, p: usize, poll: VoterKey) -> Option<&mut VoterSession> {
+        self.voting[p].get_mut(&poll)
+    }
+
+    /// Records the peer's new commitment to `poll`.
+    pub fn open_voter_session(&mut self, p: usize, poll: VoterKey, session: VoterSession) {
+        self.voting[p].insert(poll, session);
     }
 
     /// Closes the peer's commitment to `poll` if it has reached `stage`,
     /// returning the session; anything else is left as it is.
+    ///
+    /// This is the one way a session leaves its table, and the table gives
+    /// back buckets here: the hash table never shrinks by itself, so a peer
+    /// that once held many sessions would otherwise keep their buckets for
+    /// the rest of the run. Once no more than a quarter of the table's
+    /// capacity is in use, it is rehashed to twice its length, never below
+    /// its 16-bucket size. The gap between the two factors keeps a peer that
+    /// alternates opening and closing at the boundary from rehashing on
+    /// every call.
     pub fn close_voter_session(
         &mut self,
         p: usize,
@@ -319,7 +338,12 @@ impl PeerTable {
         if voting.get(&poll)?.stage != stage {
             return None;
         }
-        voting.remove(&poll)
+        let session = voting.remove(&poll);
+        let len = voting.len();
+        if len * 4 <= voting.capacity() && voting.capacity() > SMALL_VOTER_TABLE {
+            voting.shrink_to((len * 2).max(SMALL_VOTER_TABLE));
+        }
+        session
     }
 
     /// The peer's private randomness stream.
@@ -375,6 +399,10 @@ impl PeerTable {
             occ.hash_control_bytes += control;
         }
         occ.rng_bytes = column_bytes(&self.rng);
+        occ.peer_column_bytes = column_bytes(&self.node)
+            + column_bytes(&self.identity)
+            + column_bytes(&self.compromised)
+            + column_bytes(&self.voting);
         occ.cell_bytes = column_bytes(&self.au);
         occ.schedule_ledger_bytes = column_bytes(&self.schedule)
             + self
@@ -387,8 +415,12 @@ impl PeerTable {
     }
 }
 
+/// Capacity of a 16-bucket hash table (loaded to at most 7/8): a voter
+/// table this size or smaller is never shrunk.
+const SMALL_VOTER_TABLE: usize = 14;
+
 /// Bytes a column's allocation holds.
-fn column_bytes<T>(column: &Vec<T>) -> usize {
+pub(crate) fn column_bytes<T>(column: &Vec<T>) -> usize {
     column.capacity() * std::mem::size_of::<T>()
 }
 
@@ -516,6 +548,80 @@ mod tests {
         world.finalize_poll(&mut eng, 3, au, id);
         assert!(world.peers.live_poll(3, au, id).is_none());
         assert!(world.peers.live_poll_mut(3, au, id).is_none());
+    }
+
+    /// A peer's voter table gives its buckets back once most of its
+    /// sessions have closed, and a peer that alternates opening and closing
+    /// at the shrink boundary does not rehash on every call.
+    #[test]
+    fn voter_tables_shrink_without_thrashing() {
+        use lockss_sim::{Duration, SimTime};
+        use std::collections::VecDeque;
+        let mut t = table_with_two_aus();
+        let mut schedule = TaskSchedule::new();
+        let mut next = 0;
+        // Opens a session under the next key; closes the oldest open one.
+        let mut open = |t: &mut PeerTable, live: &mut VecDeque<u64>| {
+            let reservation = schedule.reserve(SimTime::ZERO, Duration::SECOND);
+            let deadline = SimTime::ZERO + Duration::DAY;
+            let session = VoterSession::new(
+                AuId(0),
+                Identity::loyal(1),
+                NodeId(1),
+                reservation,
+                deadline,
+            );
+            t.open_voter_session(0, PollId(next), session);
+            live.push_back(next);
+            next += 1;
+        };
+        let close = |t: &mut PeerTable, live: &mut VecDeque<u64>| {
+            let key = live.pop_front().expect("a session is open");
+            t.close_voter_session(0, PollId(key), VoterStage::AwaitingProof)
+                .expect("an open session closes");
+        };
+        let mut live = VecDeque::new();
+        for _ in 0..200 {
+            open(&mut t, &mut live);
+        }
+        assert!(t.voting(0).capacity() >= 200);
+        for _ in 0..197 {
+            close(&mut t, &mut live);
+        }
+        assert_eq!(t.voting(0).capacity(), SMALL_VOTER_TABLE, "16 buckets");
+
+        // Alternate one close and one open right after the table grows,
+        // then one open and one close right after it shrinks: a table that
+        // shrank to an exact fit would grow and shrink again every time.
+        let mut changes = 0;
+        for grown in [true, false] {
+            let before = t.voting(0).capacity();
+            while t.voting(0).capacity() == before {
+                if grown {
+                    open(&mut t, &mut live);
+                } else {
+                    close(&mut t, &mut live);
+                }
+            }
+            let mut capacity = t.voting(0).capacity();
+            for step in 0..2_000 {
+                if (step % 2 == 0) == grown {
+                    close(&mut t, &mut live);
+                } else {
+                    open(&mut t, &mut live);
+                }
+                if t.voting(0).capacity() != capacity {
+                    capacity = t.voting(0).capacity();
+                    changes += 1;
+                }
+            }
+        }
+        assert!(changes <= 2, "{changes} capacity changes");
+        assert_eq!(t.voting(0).len(), live.len());
+        for &key in &live {
+            assert!(t.voter_session_mut(0, PollId(key)).is_some(), "{key}");
+        }
+        assert!(t.voter_session_mut(0, PollId(0)).is_none());
     }
 
     #[test]

@@ -272,14 +272,18 @@ impl World {
         } else {
             solicit_window.mul_f64(0.6)
         };
-        for idx in 0..n {
+        // Here and in every invitation timer, the peer and invitee indexes
+        // ride as `u32`s, so the closure fits the engine's 24-byte inline
+        // payload.
+        let peer = p as u32;
+        for idx in 0..n as u32 {
             let at = now
                 + self
                     .peers
                     .rng_mut(p)
                     .duration_between(Duration::SECOND, spread);
             eng.schedule_at(at, move |w: &mut World, e| {
-                w.send_invite(e, p, au, id, idx);
+                w.send_invite(e, peer as usize, au, id, idx as usize);
             });
         }
         // Outer-circle launch, evaluation and hard-conclusion checkpoints.
@@ -311,7 +315,6 @@ impl World {
             _ => return, // already in flight or done
         };
         inv.status = InviteeStatus::Invited { attempt };
-        let invitee = inv.id;
         // Give the voter the vote deadline with a small delivery margin.
         let vote_deadline = poll.solicit_deadline.saturating_sub(Duration::MINUTE);
         let now = eng.now();
@@ -323,30 +326,37 @@ impl World {
         let intro = self.balanced_effort(self.costs.intro_gen);
         let res = self.peers.schedule_mut(p).reserve(now, intro);
         self.charge_loyal(p, Purpose::GenIntro, intro);
-        let poller_identity = self.peers.identity(p);
-        let from = self.peers.node(p);
+        // The send reads the invitee, the deadline and the poller's node
+        // and identity back when it runs, rather than capturing them, so
+        // it fits the inline payload: a live poll found by its id is this
+        // poll, its invitees are only appended to, and neither its
+        // deadline nor the peer's columns change.
+        let (peer, idx) = (p as u32, idx as u32);
         eng.schedule_at(res.end, move |w: &mut World, e| {
-            if w.peers.live_poll(p, au, id).is_none() {
+            let p = peer as usize;
+            let Some(poll) = w.peers.live_poll(p, au, id) else {
                 return;
-            }
+            };
+            let invitee = poll.invitees[idx as usize].id;
+            let vote_deadline = poll.solicit_deadline.saturating_sub(Duration::MINUTE);
             let Some(to) = w.node_of(invitee) else { return };
             // Whether or not the send succeeded (pipe stoppage) or the
             // voter silently drops it, an ack timeout drives the retry.
             w.send_message(
                 e,
-                from,
+                w.peers.node(p),
                 to,
                 Message::Poll {
                     au,
                     poll: id,
-                    poller: poller_identity,
+                    poller: w.peers.identity(p),
                     intro_valid: true,
                     vote_deadline,
                 },
             );
             let timeout = w.cfg.protocol.invite_timeout;
             e.schedule_in(timeout, move |w: &mut World, e| {
-                w.invite_timeout(e, p, au, id, idx, attempt);
+                w.invite_timeout(e, peer as usize, au, id, idx as usize, attempt);
             });
         });
     }
@@ -388,8 +398,11 @@ impl World {
         let remaining = self.balanced_effort(self.costs.remaining_gen);
         let res = self.peers.schedule_mut(p).reserve(now, remaining);
         self.charge_loyal(p, Purpose::GenRemaining, remaining);
-        let from_node = self.peers.node(p);
+        // A peer's node never changes, so the closure reads it when it
+        // runs rather than capturing it, and fits the inline payload.
+        let peer = p as u32;
         eng.schedule_at(res.end, move |w: &mut World, e| {
+            let p = peer as usize;
             let Some(poll) = w.peers.live_poll_mut(p, au, id) else {
                 return;
             };
@@ -404,6 +417,7 @@ impl World {
             let Some(to) = w.node_of(invitee) else {
                 return;
             };
+            let from_node = w.peers.node(p);
             w.send_message(
                 e,
                 from_node,
@@ -468,8 +482,9 @@ impl World {
             .peers
             .rng_mut(p)
             .duration_between(Duration::MINUTE * 30, window.max(Duration::HOUR));
+        let (peer, idx) = (p as u32, idx as u32);
         eng.schedule_in(wait, move |w: &mut World, e| {
-            w.retry_invite(e, p, au, id, idx);
+            w.retry_invite(e, peer as usize, au, id, idx as usize);
         });
     }
 
@@ -622,10 +637,11 @@ impl World {
             if poll.has_invitee(v) {
                 continue;
             }
-            let idx = poll.add_invitee(v, false);
+            let idx = poll.add_invitee(v, false) as u32;
             let at = now + rng.duration_between(Duration::SECOND, window);
+            let peer = p as u32;
             eng.schedule_at(at, move |w: &mut World, e| {
-                w.send_invite(e, p, au, id, idx);
+                w.send_invite(e, peer as usize, au, id, idx as usize);
             });
         }
     }

@@ -180,7 +180,7 @@ impl World {
         };
 
         let session = VoterSession::new(au, poller, from, reservation, vote_deadline);
-        self.peers.voting_mut(p).insert(id, session);
+        self.peers.open_voter_session(p, id, session);
         self.send_message(
             eng,
             from_node,
@@ -224,7 +224,7 @@ impl World {
         remaining_valid: bool,
     ) {
         let now = eng.now();
-        let Some(s) = self.peers.voting_mut(p).get_mut(&id) else {
+        let Some(s) = self.peers.voter_session_mut(p, id) else {
             return;
         };
         if s.stage != VoterStage::AwaitingProof || s.au != au {
@@ -234,7 +234,8 @@ impl World {
             // Bogus remaining proof: abort, penalize.
             let (res, poller) = (s.reservation, s.poller);
             self.peers.schedule_mut(p).cancel(res);
-            self.peers.voting_mut(p).remove(&id);
+            self.peers
+                .close_voter_session(p, id, VoterStage::AwaitingProof);
             self.peers.au_mut(p, au.index()).known.penalize(poller, now);
             return;
         }
@@ -246,7 +247,7 @@ impl World {
     }
 
     fn voter_vote_computed(&mut self, eng: &mut Eng, p: usize, id: PollId) {
-        let Some(s) = self.peers.voting_mut(p).get_mut(&id) else {
+        let Some(s) = self.peers.voter_session_mut(p, id) else {
             return;
         };
         if s.stage != VoterStage::ComputingVote {
@@ -338,7 +339,7 @@ impl World {
     ) {
         let cfg_max = self.cfg.protocol.max_repairs_served;
         let now = eng.now();
-        let Some(s) = self.peers.voting_mut(p).get_mut(&poll) else {
+        let Some(s) = self.peers.voter_session_mut(p, poll) else {
             return;
         };
         if !s.may_serve_repair(cfg_max) {

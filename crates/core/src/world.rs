@@ -29,7 +29,7 @@ use crate::adversary::Adversary;
 use crate::config::WorldConfig;
 use crate::msg::Message;
 use crate::obs::CoreObs;
-use crate::peer::{AuState, PeerTable};
+use crate::peer::{column_bytes, AuState, PeerTable, TableOccupancy};
 use crate::reflist::RefList;
 use crate::reputation::Grade;
 use crate::trace::{Label, TraceEvent, TraceSink};
@@ -165,6 +165,14 @@ impl World {
         let index = self.peers.len() - 1;
         set_node_peer(&mut self.node_peer, self.peers.node(index), index);
         self.n_loyal += 1;
+    }
+
+    /// The peer table's heap occupancy, with the node-to-peer column the
+    /// world keeps beside it, for memory reports.
+    pub fn occupancy(&self) -> TableOccupancy {
+        let mut occ = self.peers.occupancy();
+        occ.peer_column_bytes += column_bytes(&self.node_peer);
+        occ
     }
 
     /// The loyal peer living on `node`, if any.

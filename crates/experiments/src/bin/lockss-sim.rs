@@ -718,6 +718,11 @@ fn mem_report(seed: u64, occupancy: &Occupancy) {
         )
         + row("RNG column", table.rng_bytes, Some((table.peers, "peer")))
         + row(
+            "other peer columns",
+            table.peer_column_bytes,
+            Some((table.peers, "peer")),
+        )
+        + row(
             "event arena + queue",
             arena_bytes + queue_buffer_bytes,
             None,

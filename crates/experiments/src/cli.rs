@@ -23,6 +23,9 @@ pub enum Ty {
     Text,
     /// A non-negative integer, described by the text in diagnostics.
     Num(&'static str),
+    /// A positive integer: a count of threads or workers, where 0 would
+    /// run nothing.
+    Positive,
     /// A day count from 1 to the most days simulated time holds
     /// ([`Duration::max_count`]).
     Days,
@@ -79,7 +82,7 @@ mod table {
 
     const SCALE: Flag = flag("--scale", "<scale>", Ty::Scale, "quick|default|paper (absent: default)");
     const SEEDS: Flag = flag("--seeds", "<K|A..B>", Ty::Seeds, "seeds 1..=K or A..B (default: the scale's)");
-    const THREADS: Flag = flag("--threads", "<N>", Ty::Num("a positive integer"), "worker threads (default: all cores); output is identical at any count");
+    const THREADS: Flag = flag("--threads", "<N>", Ty::Positive, "worker threads (default: all cores); output is identical at any count");
     const PROFILE: Flag = switch("--profile", "time span trees and write results/profile-<name>.json");
     const METRICS_OUT: Flag = flag("--metrics-out", "<path>", Ty::Text, "snapshot the metrics registry as JSON at <path>, Prometheus text beside it");
     const MEM_REPORT: Flag = switch("--mem-report", "print peak RSS and arena/table occupancy");
@@ -124,8 +127,8 @@ mod table {
         Verb { path: "sweep dispatch", operands: "<name>", count: (1, 1),
             about: "fan a sweep over shard worker subprocesses with retry, stall re-dispatch and a checked merge", flags: &[
             SCALE, SEEDS,
-            flag("--shards", "<N>", COUNT, "shard workers (default: all cores)"),
-            flag("--threads", "<N>", COUNT, "threads per shard worker (default 1)"),
+            flag("--shards", "<N>", Ty::Positive, "shard workers (default: all cores)"),
+            flag("--threads", "<N>", Ty::Positive, "threads per shard worker (default 1)"),
             flag("--retries", "<N>", COUNT, "re-dispatches per shard (default 3)"),
             flag("--backoff-ms", "<N>", COUNT, "base retry backoff, doubling per attempt (default 250)"),
             flag("--stall-secs", "<N>", COUNT, "re-dispatch a worker that makes no progress this long (default: never)"),
@@ -227,6 +230,10 @@ impl Ty {
         Ok(match self {
             Ty::Switch | Ty::Text => Value::Text,
             Ty::Num(what) => Value::Nums(vec![raw.parse().map_err(|_| wants(what))?]),
+            Ty::Positive => match raw.parse() {
+                Ok(n) if n > 0 => Value::Nums(vec![n]),
+                _ => return Err(wants("a positive integer")),
+            },
             Ty::Days => match (raw.parse(), Duration::max_count(Duration::DAY)) {
                 (Ok(n), max) if (1..=max).contains(&n) => Value::Nums(vec![n]),
                 (_, max) => return Err(wants(&format!("a positive day count of at most {max}"))),

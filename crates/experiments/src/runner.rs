@@ -183,7 +183,7 @@ pub fn run(scenario: &Scenario, seed: u64, opts: &RunOptions) -> RunOutput {
             events_queued: eng.queued(),
             queue_buffer_bytes: eng.queue_buffer_bytes(),
             arena_bytes: eng.arena_bytes(),
-            table: world.peers.occupancy(),
+            table: world.occupancy(),
         },
         world,
     }

@@ -153,6 +153,42 @@ fn numeric_flag_typos_exit_2_naming_the_flag_and_the_value() {
     }
 }
 
+/// A thread or shard count of 0 would run nothing; `--threads 0` used to
+/// be taken as one thread. The parser refuses it as it refuses a typo, for
+/// every verb that takes one, while the counts that may be zero stay
+/// legal. Parsing only: nothing is spawned.
+#[test]
+fn zero_thread_and_shard_counts_are_refused_by_the_parser() {
+    let parse = |line: &str| {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        lockss_experiments::cli::parse(&argv)
+    };
+    let refused = [
+        ("sweep baseline --threads 0", "--threads"),
+        ("sweep recovery --threads 0", "--threads"),
+        ("trace stats t.bin --threads 0", "--threads"),
+        ("trace diff a.bin b.bin --threads 0", "--threads"),
+        ("trace export t.bin --threads 0", "--threads"),
+        ("sweep dispatch baseline --shards 0", "--shards"),
+        ("sweep dispatch baseline --threads 0", "--threads"),
+    ];
+    for (line, flag) in refused {
+        let problem = parse(line)
+            .err()
+            .and_then(|misuse| misuse.problem)
+            .unwrap_or_else(|| panic!("{line:?} parsed"));
+        let want = format!("{flag} wants a positive integer, got '0'");
+        assert!(problem.ends_with(&want), "{line:?}: {problem}");
+    }
+    for line in [
+        "sweep baseline --threads 1",
+        "sweep dispatch baseline --shards 1 --retries 0",
+        "sweep dispatch baseline --backoff-ms 0",
+    ] {
+        assert!(parse(line).is_ok(), "{line:?} refused");
+    }
+}
+
 /// `figure` with no id, an unknown id, or a flag it does not have (the
 /// memo's `--fresh` is gone) exits 2 listing every id and what it shows.
 #[test]
@@ -322,6 +358,7 @@ fn mem_report_comes_from_the_report_run() {
         "voter-session tables",
         "schedules + ledgers",
         "RNG column",
+        "other peer columns",
         "event arena + queue",
     ]
     .into_iter()

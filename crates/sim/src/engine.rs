@@ -8,11 +8,15 @@
 //! # Storage
 //!
 //! Closures live in a slab-backed arena (`EventArena`) whose slots are
-//! recycled through a free list as events execute. Closures at most
-//! `INLINE_BYTES` (32) bytes — the protocol's common captures — are stored
-//! *inline* in their slot; oversized ones transparently fall back to a
-//! boxed representation. The queue proper holds only 16-byte
-//! `(time, arena slot)` keys.
+//! recycled through a free list as events execute. A slot is 32 bytes: one
+//! `consume` function pointer, which runs the closure when handed the world
+//! and the engine and drops it when handed nothing, and a 24-byte payload
+//! aligned to 8. Closures of at most `INLINE_BYTES` (24) bytes and 8-byte
+//! alignment — the protocol's timers, which capture a few ids and indices —
+//! are stored *inline* in the payload; larger or over-aligned ones
+//! transparently fall back to a box whose pointer the payload holds:
+//! message deliveries (80 bytes) and the voter's repair serve (32) box.
+//! The queue proper holds only 16-byte `(time, arena slot)` keys.
 //!
 //! # The queue: a monotone hierarchical timing wheel
 //!
@@ -115,66 +119,52 @@ impl EngineObs {
 pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
 
 /// Inline storage per arena slot. Sized for the protocol layer's common
-/// captures — a few ids and indices — while keeping a slot at one cache
-/// line, so scheduling moves at most 48 bytes. Rare fat closures (message
-/// deliveries capturing a whole `Message`) take the boxed fallback, which
-/// is exactly what the previous all-boxed representation paid for *every*
-/// event.
-const INLINE_BYTES: usize = 32;
+/// captures — a few ids and indices — so that a slot, its `consume`
+/// pointer included, is 32 bytes and scheduling moves no more. Fat
+/// closures (message deliveries capturing a whole `Message`) take the
+/// boxed fallback, which is exactly what the previous all-boxed
+/// representation paid for *every* event.
+const INLINE_BYTES: usize = 24;
 
 /// Maximum supported alignment for inline closures; larger-aligned ones are
 /// boxed.
-const INLINE_ALIGN: usize = 16;
+const INLINE_ALIGN: usize = 8;
+
+/// True if a closure of type `F` is stored in its slot rather than boxed.
+const fn fits_inline<F>() -> bool {
+    mem::size_of::<F>() <= INLINE_BYTES && mem::align_of::<F>() <= INLINE_ALIGN
+}
 
 /// Raw closure storage: an aligned byte array written and read via typed
 /// raw pointers.
-#[repr(C, align(16))]
+#[repr(C, align(8))]
 struct Payload([MaybeUninit<u8>; INLINE_BYTES]);
 
-type CallFn<W> = unsafe fn(*mut u8, &mut W, &mut Engine<W>);
-type DropFn = unsafe fn(*mut u8);
+/// Runs the stored closure against the world and engine it is given, or,
+/// given none, drops it. Either way the payload is consumed.
+type ConsumeFn<W> = unsafe fn(*mut u8, Option<(&mut W, &mut Engine<W>)>);
 
-/// Reads an `F` out of the payload and runs it.
+/// Reads a `G` out of the payload, then runs it or drops it.
+///
+/// `G` is the closure itself when it fits inline, or a `Box` of it (a
+/// `Box<F>` is itself an `FnOnce`), so one function serves both.
 ///
 /// # Safety
 ///
-/// `p` must point to a valid, initialized `F` that is never read again.
-unsafe fn call_inline<W, F: FnOnce(&mut W, &mut Engine<W>)>(
+/// `p` must point to a valid, initialized `G` that is never read again.
+unsafe fn consume<W, G: FnOnce(&mut W, &mut Engine<W>)>(
     p: *mut u8,
-    w: &mut W,
-    eng: &mut Engine<W>,
+    run: Option<(&mut W, &mut Engine<W>)>,
 ) {
-    let f = unsafe { p.cast::<F>().read() };
-    f(w, eng);
-}
-
-/// Reads a `Box<F>` out of the payload and runs it.
-///
-/// # Safety
-///
-/// `p` must point to a valid, initialized `Box<F>` that is never read again.
-unsafe fn call_boxed<W, F: FnOnce(&mut W, &mut Engine<W>)>(
-    p: *mut u8,
-    w: &mut W,
-    eng: &mut Engine<W>,
-) {
-    let b = unsafe { p.cast::<Box<F>>().read() };
-    b(w, eng);
-}
-
-/// Drops the `T` stored in the payload in place.
-///
-/// # Safety
-///
-/// `p` must point to a valid, initialized `T` that is never used again.
-unsafe fn drop_payload<T>(p: *mut u8) {
-    unsafe { std::ptr::drop_in_place(p.cast::<T>()) }
+    let g = unsafe { p.cast::<G>().read() };
+    if let Some((w, eng)) = run {
+        g(w, eng);
+    }
 }
 
 /// One type-erased event closure, stored inline when it fits.
 struct EventCell<W> {
-    call: CallFn<W>,
-    drop_fn: DropFn,
+    consume: ConsumeFn<W>,
     payload: Payload,
     /// The erased closure is neither `Send` nor `Sync` in general; without
     /// this marker the raw-bytes representation would be auto-`Send`/`Sync`
@@ -189,48 +179,48 @@ impl<W> EventCell<W> {
     where
         F: FnOnce(&mut W, &mut Engine<W>) + 'static,
     {
-        let mut payload = Payload([MaybeUninit::uninit(); INLINE_BYTES]);
-        if mem::size_of::<F>() <= INLINE_BYTES && mem::align_of::<F>() <= INLINE_ALIGN {
-            // SAFETY: the payload is large and aligned enough for `F`; the
-            // value is owned by the cell from here on (run exactly once by
-            // `invoke` or dropped exactly once by `Drop`).
-            unsafe { payload.0.as_mut_ptr().cast::<F>().write(f) };
-            EventCell {
-                call: call_inline::<W, F>,
-                drop_fn: drop_payload::<F>,
-                payload,
-                _not_send: std::marker::PhantomData,
-            }
+        if fits_inline::<F>() {
+            EventCell::store(f)
         } else {
-            let boxed = Box::new(f);
-            // SAFETY: a `Box` pointer always fits the payload.
-            unsafe { payload.0.as_mut_ptr().cast::<Box<F>>().write(boxed) };
-            EventCell {
-                call: call_boxed::<W, F>,
-                drop_fn: drop_payload::<Box<F>>,
-                payload,
-                _not_send: std::marker::PhantomData,
-            }
+            EventCell::store(Box::new(f))
+        }
+    }
+
+    /// Moves `g` into a fresh cell's payload.
+    fn store<G>(g: G) -> EventCell<W>
+    where
+        G: FnOnce(&mut W, &mut Engine<W>) + 'static,
+    {
+        assert!(fits_inline::<G>(), "a boxed closure always fits");
+        let mut payload = Payload([MaybeUninit::uninit(); INLINE_BYTES]);
+        // SAFETY: the payload is large and aligned enough for `G` (checked
+        // above); the value is owned by the cell from here on (consumed
+        // exactly once, by `invoke` or by `Drop`).
+        unsafe { payload.0.as_mut_ptr().cast::<G>().write(g) };
+        EventCell {
+            consume: consume::<W, G>,
+            payload,
+            _not_send: std::marker::PhantomData,
         }
     }
 
     /// Runs the stored closure, consuming the cell.
     fn invoke(self, world: &mut W, eng: &mut Engine<W>) {
-        // The payload is moved out by `call`; suppress the cell's own drop
-        // so it is not dropped a second time. If the closure panics it is
-        // already on the callee's stack and unwinding drops it there.
+        // The payload is moved out by `consume`; suppress the cell's own
+        // drop so it is not dropped a second time. If the closure panics it
+        // is already on the callee's stack and unwinding drops it there.
         let mut this = mem::ManuallyDrop::new(self);
-        // SAFETY: `call` matches the payload's contents by construction,
+        // SAFETY: `consume` matches the payload's contents by construction,
         // and the ManuallyDrop guarantees this is the only consumption.
-        unsafe { (this.call)(this.payload.0.as_mut_ptr().cast::<u8>(), world, eng) }
+        unsafe { (this.consume)(this.payload.0.as_mut_ptr().cast::<u8>(), Some((world, eng))) }
     }
 }
 
 impl<W> Drop for EventCell<W> {
     fn drop(&mut self) {
         // SAFETY: a cell that was not `invoke`d still owns its payload;
-        // `drop_fn` matches the stored type by construction.
-        unsafe { (self.drop_fn)(self.payload.0.as_mut_ptr().cast::<u8>()) }
+        // `consume` matches the stored type by construction.
+        unsafe { (self.consume)(self.payload.0.as_mut_ptr().cast::<u8>(), None) }
     }
 }
 
@@ -839,8 +829,40 @@ mod tests {
         assert_eq!(w, want);
     }
 
+    /// Whether the closure `f` would be stored inline.
+    fn inline<F>(_: &F) -> bool {
+        fits_inline::<F>()
+    }
+
+    /// A slot is the `consume` pointer and the payload, and `None` costs
+    /// nothing beside them.
+    #[test]
+    fn an_event_slot_is_32_bytes() {
+        assert_eq!(mem::size_of::<Option<EventCell<Vec<u64>>>>(), 32);
+        assert_eq!(mem::size_of::<Option<EventCell<u8>>>(), 32);
+    }
+
+    /// The inline boundary: 24 bytes at 8-byte alignment fit, one byte more
+    /// or a 16-byte alignment boxes.
+    #[test]
+    fn closures_fit_inline_up_to_24_bytes_at_8_byte_alignment() {
+        assert!(fits_inline::<[u8; 24]>());
+        assert!(fits_inline::<[u64; 3]>());
+        assert!(!fits_inline::<[u8; 25]>());
+        assert!(!fits_inline::<u128>());
+        assert!(fits_inline::<Box<[u64; 64]>>(), "the fallback always fits");
+        let (a, b, c) = (1u64, 2u32, 3u64);
+        assert!(inline(&move |_: &mut u8, _: &mut Engine<u8>| {
+            let _ = (a, b, c);
+        }));
+        let d = 4u128;
+        assert!(!inline(&move |_: &mut u8, _: &mut Engine<u8>| {
+            std::hint::black_box(d);
+        }));
+    }
+
     /// Events that never execute (beyond the horizon at drop time) still
-    /// release their captured state exactly once.
+    /// release their captured state exactly once, in every representation.
     #[test]
     fn unexecuted_events_drop_their_captures() {
         use std::rc::Rc;
@@ -858,9 +880,27 @@ mod tests {
         eng.schedule_at(SimTime(1_000), move |_, _| {
             let _ = (&keep, &big);
         });
+        // Exactly the inline payload's size: stored inline.
+        let keep = Rc::clone(&witness);
+        let pad = [0u64; 2];
+        let full = move |_: &mut u32, _: &mut Engine<u32>| {
+            let _ = (&keep, &pad);
+        };
+        assert!(inline(&full) && mem::size_of_val(&full) == INLINE_BYTES);
+        eng.schedule_at(SimTime(1_000), full);
+        // Small enough but over-aligned: boxed.
+        #[repr(align(16))]
+        #[allow(dead_code)] // held only to be dropped
+        struct Wide(Rc<()>);
+        let wide = Wide(Rc::clone(&witness));
+        let aligned = move |_: &mut u32, _: &mut Engine<u32>| {
+            let _ = &wide;
+        };
+        assert!(!inline(&aligned) && mem::size_of_val(&aligned) <= INLINE_BYTES);
+        eng.schedule_at(SimTime(1_000), aligned);
         let mut w = 0;
         eng.run_until(&mut w, SimTime(10)); // nothing executes
-        assert_eq!(Rc::strong_count(&witness), 10);
+        assert_eq!(Rc::strong_count(&witness), 12);
         drop(eng);
         assert_eq!(
             Rc::strong_count(&witness),
