@@ -358,10 +358,12 @@ macro_rules! label_table {
                 }
             }
 
-            /// The declared label spelled `s`, if there is one.
-            pub fn from_label(s: &str) -> Option<$name> {
-                match s {
-                    $($label => Some($name::$variant),)+
+            /// The declared label whose string is exactly `bytes`, if
+            /// there is one. Bytes that match are the label's UTF-8, so a
+            /// decoder needs no UTF-8 pass of its own.
+            pub fn from_label(bytes: &[u8]) -> Option<$name> {
+                match bytes {
+                    $(b if b == $label.as_bytes() => Some($name::$variant),)+
                     _ => None,
                 }
             }
@@ -572,12 +574,16 @@ mod tests {
     #[test]
     fn labels_roundtrip_through_their_strings() {
         for label in Label::ALL {
-            assert_eq!(Label::from_label(label.label()), Some(label));
+            assert_eq!(Label::from_label(label.label().as_bytes()), Some(label));
             assert_eq!(label.to_string(), label.label());
         }
         assert_eq!(Label::ALL.len(), 24);
         for undeclared in ["", "none ", "Composite", "churn-storm/", "attack/1"] {
-            assert_eq!(Label::from_label(undeclared), None, "{undeclared:?}");
+            assert_eq!(
+                Label::from_label(undeclared.as_bytes()),
+                None,
+                "{undeclared:?}"
+            );
         }
     }
 

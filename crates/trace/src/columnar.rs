@@ -417,6 +417,47 @@ pub fn decode_block_body(
     decoded
 }
 
+/// The block header a body opens with.
+struct Head {
+    base_at: u64,
+    base_seq: u64,
+    bitmap: u64,
+}
+
+/// Reads a body's header and its kind column into `scratch.kinds`,
+/// holding the header's event count to the column's decompressed length.
+/// Leaves `cur` at the time-delta column.
+fn get_head(
+    cur: &mut Cursor<'_>,
+    block: u64,
+    scratch: &mut ColumnScratch,
+) -> Result<Head, TraceError> {
+    let bad = |column: &'static str| TraceError::BadColumn { block, column };
+    let n = cur.varint().map_err(|_| bad("header"))?;
+    let head = Head {
+        base_at: cur.varint().map_err(|_| bad("header"))?,
+        base_seq: cur.varint().map_err(|_| bad("header"))?,
+        bitmap: cur.varint().map_err(|_| bad("header"))?,
+    };
+    get_column(cur, block, "kinds", &mut scratch.delta, &mut scratch.kinds)?;
+    if scratch.kinds.len() as u64 != n {
+        return Err(bad("kinds"));
+    }
+    Ok(head)
+}
+
+/// The event count of a block body, backed by its decompressed kind
+/// column rather than taken on the header's word: a number a caller may
+/// size a buffer by.
+pub(crate) fn block_events(
+    body: &[u8],
+    block: u64,
+    scratch: &mut ColumnScratch,
+) -> Result<usize, TraceError> {
+    get_head(&mut Cursor::new(body), block, scratch)?;
+    Ok(scratch.kinds.len())
+}
+
 fn decode_body(
     body: &[u8],
     block: u64,
@@ -425,10 +466,11 @@ fn decode_body(
 ) -> Result<(), TraceError> {
     let bad = |column: &'static str| TraceError::BadColumn { block, column };
     let mut cur = Cursor::new(body);
-    let n = cur.varint().map_err(|_| bad("header"))? as usize;
-    let base_at = cur.varint().map_err(|_| bad("header"))?;
-    let base_seq = cur.varint().map_err(|_| bad("header"))?;
-    let bitmap = cur.varint().map_err(|_| bad("header"))?;
+    let Head {
+        base_at,
+        base_seq,
+        bitmap,
+    } = get_head(&mut cur, block, scratch)?;
 
     let ColumnScratch {
         kinds,
@@ -437,10 +479,6 @@ fn decode_body(
         payloads,
         delta,
     } = scratch;
-    get_column(&mut cur, block, "kinds", delta, kinds)?;
-    if kinds.len() != n {
-        return Err(bad("kinds"));
-    }
     get_column(&mut cur, block, "time-delta", delta, d_at)?;
     get_column(&mut cur, block, "ordinal-delta", delta, d_seq)?;
 
@@ -480,9 +518,10 @@ fn decode_body(
         })
         .collect();
 
-    // `n` is backed by `n` decompressed kind bytes, so it is safe to
-    // reserve for.
-    out.reserve(n);
+    // The count is backed by as many decompressed kind bytes, so it is
+    // safe to reserve for; a caller that sized `out` for the block
+    // already makes this a no-op.
+    out.reserve(kinds.len());
     let mut at = base_at;
     let mut seq = base_seq;
     // The deltas are the file's claim: their running sums may not wrap.

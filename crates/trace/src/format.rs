@@ -33,7 +33,8 @@ use lockss_crypto::sha256::sha256;
 use lockss_sim::SimTime;
 
 use crate::columnar::{
-    decode_block_body, parse_index, put_index, BlockBuf, BlockEntry, BlockSealer, ColumnScratch,
+    block_events, decode_block_body, parse_index, put_index, BlockBuf, BlockEntry, BlockSealer,
+    ColumnScratch,
 };
 use crate::wire::{put_str, put_varint, Cursor, TraceError};
 
@@ -467,9 +468,9 @@ impl Trace {
         TraceMeta::get(&mut Cursor::new(&self.as_bytes()[MAGIC_V2.len()..]))
     }
 
-    /// The framed body bytes of block `block`, digest and event count
-    /// verified against the index.
-    fn block_body(&self, block: usize) -> Result<&[u8], TraceError> {
+    /// The framed body bytes of block `block` and its index entry, not
+    /// yet verified against each other.
+    fn framed_body(&self, block: usize) -> Result<(&BlockEntry, &[u8]), TraceError> {
         let entry = self
             .blocks()
             .get(block)
@@ -480,7 +481,13 @@ impl Trace {
         // Offset and frame were validated against the index on load.
         let mut cur = Cursor::new(&self.as_bytes()[entry.offset as usize + 1..]);
         let len = cur.varint().map_err(truncated)? as usize;
-        let body = cur.bytes(len).map_err(truncated)?;
+        Ok((entry, cur.bytes(len).map_err(truncated)?))
+    }
+
+    /// The framed body bytes of block `block`, digest and event count
+    /// verified against the index.
+    fn block_body(&self, block: usize) -> Result<&[u8], TraceError> {
+        let (entry, body) = self.framed_body(block)?;
         if sha256(body) != entry.digest {
             return Err(TraceError::BadBlockChecksum {
                 block: block as u64,
@@ -528,14 +535,33 @@ impl Trace {
         }
     }
 
-    /// Decodes every record into memory.
+    /// The event count of block `block`, verified: the body's digest and
+    /// its count held to the index, and the count held to the block's
+    /// decompressed kind column. A number the bytes back, unlike the
+    /// index's and the trailer's, so a caller may size a buffer by it.
+    fn verified_events(
+        &self,
+        block: usize,
+        scratch: &mut ColumnScratch,
+    ) -> Result<usize, TraceError> {
+        block_events(self.block_body(block)?, block as u64, scratch)
+    }
+
+    /// Decodes every record into memory, in one allocation of its final
+    /// size. A first pass verifies each block and sums the verified
+    /// counts; the second decodes the bodies the first has digested
+    /// without hashing them again. A block that fails verification is
+    /// therefore reported before any block's payload columns are read.
     pub fn decode_all(&self) -> Result<Vec<TraceRecord>, TraceError> {
-        // Grown block by block, by counts the decoder has checked against
-        // the bytes: the index's and the trailer's are the file's claim.
-        let mut out = Vec::new();
         let mut scratch = ColumnScratch::default();
+        let mut total = 0;
         for block in 0..self.blocks().len() {
-            self.decode_block_into(block, &mut scratch, &mut out)?;
+            total += self.verified_events(block, &mut scratch)?;
+        }
+        let mut out = Vec::with_capacity(total);
+        for block in 0..self.blocks().len() {
+            let (_, body) = self.framed_body(block)?;
+            decode_block_body(body, block as u64, &mut scratch, &mut out)?;
         }
         Ok(out)
     }
@@ -772,6 +798,28 @@ mod tests {
         assert_eq!(trace.events(), 0);
         assert_eq!(trace.decode_all().unwrap(), Vec::new());
         assert_eq!(trace.meta().unwrap().scenario, "baseline");
+    }
+
+    #[test]
+    fn decode_all_allocates_once_at_its_final_size() {
+        let events: Vec<TraceEvent> = sample_records().iter().map(|r| r.event).collect();
+        let records: Vec<TraceRecord> = (0..150)
+            .map(|i| TraceRecord {
+                at: SimTime(i * 100),
+                seq: i,
+                event: events[i as usize % 3],
+            })
+            .collect();
+        let recorder = Recorder::with_block_events(&meta(), 16);
+        let mut sink: Box<dyn TraceSink> = Box::new(recorder.clone());
+        for r in &records {
+            sink.record(r.at, r.seq, &r.event);
+        }
+        let trace = recorder.finish();
+        assert_eq!(trace.blocks().len(), 10, "150 events at budget 16");
+        let decoded = trace.decode_all().unwrap();
+        assert_eq!(decoded, records);
+        assert_eq!(decoded.len(), decoded.capacity());
     }
 
     #[test]

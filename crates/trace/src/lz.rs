@@ -178,7 +178,7 @@ pub(crate) fn compress(input: &[u8]) -> Vec<u8> {
 
 /// No stream expands by more than this factor: the densest op, a far
 /// copy, turns 3 stream bytes into 67 output bytes.
-const MAX_EXPANSION: usize = 23;
+pub(crate) const MAX_EXPANSION: usize = 23;
 
 /// Decompresses a stream produced by [`Compressor::compress_into`]
 /// into exactly `raw_len` bytes, replacing the contents of `out` (whose

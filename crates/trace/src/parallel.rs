@@ -12,17 +12,22 @@
 //! parallel speedup survives and the output ordering is trivial by
 //! construction.
 //!
-//! Memory stays bounded and, past the first few blocks, unallocated:
-//! the ring holds `2 × threads` record buffers that cycle between the
-//! workers and the fold, each worker decodes through one
+//! Memory stays bounded and allocated up front: the ring holds
+//! `2 × threads` record buffers (fewer for a shorter trace) that cycle
+//! between the workers and the fold, each worker decodes through one
 //! [`ColumnScratch`] of its own, and a worker may run at most a ring
-//! ahead of the fold.
+//! ahead of the fold. The calling thread allocates the ring, each buffer
+//! at the size of the largest block, before any worker starts; the
+//! workers only fill it. A buffer a worker grew would come from its
+//! thread's allocator arena, where it can stay resident after the pass
+//! that freed it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::columnar::ColumnScratch;
-use crate::format::{Trace, TraceRecord};
+use crate::format::{Trace, TraceRecord, DEFAULT_BLOCK_EVENTS};
+use crate::lz::MAX_EXPANSION;
 use crate::wire::TraceError;
 
 /// One ring slot: the record buffer parked in it, and — once a worker
@@ -84,6 +89,22 @@ impl Drop for StopOnDrop<'_> {
     }
 }
 
+/// The records each ring buffer is allocated for: the largest block's,
+/// as its index entry counts them, bounded by what the block's bytes can
+/// expand to and by [`DEFAULT_BLOCK_EVENTS`]. A block holds one kind byte
+/// per event and no column expands by more than [`MAX_EXPANSION`], so the
+/// index's count, a claim, never sizes a buffer past its bytes. A worker
+/// grows a buffer only for a block larger than this, which a recording at
+/// the default block budget never has.
+fn ring_buffer_records(trace: &Trace) -> usize {
+    let most = trace.blocks().iter().map(|b| {
+        b.n_events
+            .min(b.body_len.saturating_mul(MAX_EXPANSION as u64))
+            .min(DEFAULT_BLOCK_EVENTS as u64)
+    });
+    most.max().unwrap_or(0) as usize
+}
+
 /// Runs `fold` over the decoded records of every block of `trace` in
 /// block order, decoding blocks on up to `threads` worker threads. The
 /// fold sees blocks exactly in block order regardless of thread count;
@@ -105,10 +126,17 @@ where
     }
 
     let workers = threads.min(n);
-    let ring_len = workers * 2;
+    // A ring longer than the trace would hold buffers no block fills.
+    let ring_len = (workers * 2).min(n);
+    let capacity = ring_buffer_records(trace);
     let shared = Shared {
         ring: Mutex::new(Ring {
-            slots: (0..ring_len).map(|_| Slot::default()).collect(),
+            slots: (0..ring_len)
+                .map(|_| Slot {
+                    records: Vec::with_capacity(capacity),
+                    decoded: None,
+                })
+                .collect(),
             folded: 0,
             stop: false,
         }),

@@ -151,14 +151,22 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads an unsigned LEB128 varint.
+    #[inline]
     pub fn varint(&mut self) -> Result<u64, TraceError> {
-        // Most values in every column fit one byte.
+        // Most values in every column fit one byte: that path is inlined
+        // into each column loop, the rest is a call.
         if let Some(&byte) = self.bytes.get(self.pos) {
             if byte < 0x80 {
                 self.pos += 1;
                 return Ok(u64::from(byte));
             }
         }
+        self.multi_byte_varint()
+    }
+
+    /// [`Cursor::varint`] past its one-byte case.
+    #[cold]
+    fn multi_byte_varint(&mut self) -> Result<u64, TraceError> {
         let mut v: u64 = 0;
         for shift in 0..10 {
             let byte = self.u8()?;
@@ -251,7 +259,9 @@ impl Field for bool {
 }
 
 /// A label lies on the wire as its string and decodes to the declared
-/// [`Label`] of that spelling, read in place. Anything else — a string the
+/// [`Label`] of that spelling, its bytes compared in place with the
+/// declared labels' bytes. Bytes equal to a declared label are UTF-8 by
+/// construction, so no UTF-8 pass runs. Anything else — a string the
 /// table does not declare, bytes that are not UTF-8, a cut-off string — is
 /// a bad `label` column; the block decoder fills in the block.
 impl Field for Label {
@@ -262,7 +272,7 @@ impl Field for Label {
     fn get(cur: &mut Cursor<'_>) -> Result<Label, TraceError> {
         let declared = |cur: &mut Cursor<'_>| {
             let len = cur.varint().ok()? as usize;
-            Label::from_label(std::str::from_utf8(cur.bytes(len).ok()?).ok()?)
+            Label::from_label(cur.bytes(len).ok()?)
         };
         declared(cur).ok_or(TraceError::BadColumn {
             block: 0,

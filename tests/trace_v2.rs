@@ -11,13 +11,14 @@
 //! diff, export) render byte-identical output at any thread count, on
 //! real scenario traces; (5) in steady state the recorder allocates per
 //! block, not per event, and a pass over a trace allocates per block, not
-//! per event, and makes no large allocation once its buffers are sized.
+//! per event, and makes no large allocation once its buffers are sized;
+//! the threaded passes' workers fill buffers the calling thread sized.
 //! A decoded record is a 48-byte `Copy` value: its label is a declared
 //! [`Label`], and a string the label table does not declare is an error.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::RwLock;
 
 use lockss::core::trace::{
@@ -33,6 +34,7 @@ use lockss::trace::wire::put_varint;
 use lockss::trace::{
     diff_traces_threaded, export_csv, for_each_block, trace_stats, trace_stats_threaded,
     AggregateStats, BlockEntry, Recorder, Trace, TraceError, TraceMeta, TraceRecord,
+    DEFAULT_BLOCK_EVENTS,
 };
 
 fn meta() -> TraceMeta {
@@ -287,17 +289,20 @@ fn tampered_traces_yield_distinct_diagnostics() {
 /// Forwards to the system allocator, remembering the largest single
 /// request each thread has made, so a test can assert that rejecting a
 /// hostile file never reserved memory on the strength of a number in it;
-/// and counting every thread's requests, and those of 1 MiB or more, for
-/// the one test that measures code with worker threads of its own.
+/// counting every thread's requests, and those of 1 MiB or more, for the
+/// tests that measure code with worker threads of its own; and keeping the
+/// largest request of any thread but the one that marked itself the caller.
 struct LargestRequest;
 
 thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    static IS_CALLER: Cell<bool> = const { Cell::new(false) };
 }
 
 // Relaxed everywhere: statistics, publishing no other data.
 static REQUESTS: AtomicU64 = AtomicU64::new(0);
 static LARGE_REQUESTS: AtomicU64 = AtomicU64::new(0);
+static LARGEST_OFF_CALLER: AtomicUsize = AtomicUsize::new(0);
 
 const LARGE: usize = 1 << 20;
 
@@ -312,11 +317,14 @@ fn note_request(size: usize) {
     if size >= LARGE {
         LARGE_REQUESTS.fetch_add(1, Ordering::Relaxed);
     }
+    if !IS_CALLER.try_with(Cell::get).unwrap_or(false) {
+        LARGEST_OFF_CALLER.fetch_max(size, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract. The only state touched is a
-// const-initialised thread-local `Cell<usize>` and two atomics: no
+// upholds the `GlobalAlloc` contract. The only state touched is two
+// const-initialised thread-local `Cell`s and three atomics: no
 // allocation, no destructor, no reentrancy into the allocator.
 unsafe impl GlobalAlloc for LargestRequest {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -337,15 +345,26 @@ unsafe impl GlobalAlloc for LargestRequest {
 #[global_allocator]
 static ALLOCATOR: LargestRequest = LargestRequest;
 
-/// Loads and fully decodes `file`, which must fail — by returning an
+/// Loads `file` and, if it loads, decodes it whole and runs the threaded
+/// stats and export passes over it. Each must fail — by returning the same
 /// error, not by panicking — without a single allocation request above
-/// 1 MiB (every forged file here is under a kilobyte).
+/// 1 MiB on this thread, which allocates the passes' buffers (every forged
+/// file here is under a kilobyte).
 fn rejected(file: Vec<u8>) -> TraceError {
     assert!(file.len() < 1024);
     LARGEST.with(|l| l.set(0));
-    let err = Trace::from_bytes(file)
-        .and_then(|t| t.decode_all())
-        .expect_err("a file whose numbers lie must be rejected");
+    let must = "a file whose numbers lie must be rejected";
+    let err = match Trace::from_bytes(file) {
+        Err(e) => e,
+        Ok(t) => {
+            let err = t.decode_all().expect_err(must);
+            let stats = trace_stats_threaded(&t, 4).map(drop).expect_err(must);
+            let export = export_csv(&t, 4, 30).map(drop).expect_err(must);
+            assert_eq!(stats.to_string(), err.to_string(), "trace stats");
+            assert_eq!(export.to_string(), err.to_string(), "trace export");
+            err
+        }
+    };
     let largest = LARGEST.with(Cell::get);
     assert!(largest < 1 << 20, "{err}: one request of {largest} bytes");
     err
@@ -452,6 +471,22 @@ fn files_whose_numbers_lie_are_errors_not_panics_or_allocations() {
         ..trace.blocks()[0].clone()
     };
     let e = rejected(seal_with_index(region, &[inflated], 1 << 40));
+    assert!(matches!(e, TraceError::BadIndex("event count")), "{e}");
+
+    // (3c) The same lie told of every block of a three-block trace, which
+    // the threaded passes read on their worker ring: the ring is sized by
+    // the blocks' bytes, not by the counts the index claims for them.
+    let multi = record_v2(&random_stream(9, 6), 2);
+    assert_eq!(multi.blocks().len(), 3);
+    let inflated: Vec<BlockEntry> = multi
+        .blocks()
+        .iter()
+        .map(|b| BlockEntry {
+            n_events: 1 << 40,
+            ..b.clone()
+        })
+        .collect();
+    let e = rejected(seal_with_index(block_region(&multi), &inflated, 3 << 40));
     assert!(matches!(e, TraceError::BadIndex("event count")), "{e}");
 
     // (4) A time-delta column whose running sum overflows: three events
@@ -762,6 +797,40 @@ fn block_passes_allocate_per_block_once_warm() {
         made <= bound,
         "streaming reader: {made} allocation(s) after the first block (bound {bound})"
     );
+}
+
+/// The threaded block passes decode into buffers the calling thread
+/// allocated before their workers started: at 2 and 4 threads over blocks
+/// of the default budget, no other thread asks for as much memory as one
+/// block's records. A buffer a short-lived worker grows stays resident
+/// in that worker's allocator arena after the pass.
+#[test]
+fn block_pass_workers_fill_buffers_the_caller_allocated() {
+    let _alone = WHOLE_PROCESS.write().expect("no writer panics holding it");
+    let per_block = DEFAULT_BLOCK_EVENTS as u64;
+    let recorder = Recorder::new(&meta());
+    let mut sink = recorder.clone();
+    for i in 0..3 * per_block + 100 {
+        sink.record(SimTime(i * 10), i, &steady_event(i));
+    }
+    let trace = recorder.finish();
+    assert_eq!(trace.blocks().len(), 4);
+    let block_buffer = DEFAULT_BLOCK_EVENTS * std::mem::size_of::<TraceRecord>();
+
+    IS_CALLER.with(|c| c.set(true));
+    for threads in [2usize, 4] {
+        LARGEST_OFF_CALLER.store(0, Ordering::Relaxed);
+        let mut events = 0u64;
+        for_each_block(&trace, threads, |block| events += block.len() as u64).expect("decodes");
+        assert_eq!(events, trace.events());
+        let largest = LARGEST_OFF_CALLER.load(Ordering::Relaxed);
+        assert!(
+            largest < block_buffer,
+            "{threads} threads: a worker asked for {largest} bytes, one block's records \
+             are {block_buffer}"
+        );
+    }
+    IS_CALLER.with(|c| c.set(false));
 }
 
 /// A real (shrunken) scenario run for the analytics tests.
