@@ -18,6 +18,7 @@
 //! cargo run --release --bin lockss-sim -- trace stats traces/*.bin
 //! cargo run --release --bin lockss-sim -- trace export t.bin --csv timeline.csv
 //! cargo run --release --bin lockss-sim -- sweep baseline --record traces/
+//! cargo run --release --bin lockss-sim -- sweep baseline --seeds 1..100 --jobfile jobs.txt --shards 4
 //! cargo run --release --bin lockss-sim -- figure fig3 fig4 fig5 --scale quick
 //! ```
 //!
@@ -34,8 +35,8 @@ use lockss_experiments::runner::{
     default_threads, peak_rss_kb, replay_once, run, run_batch, Occupancy, RunOptions, Sink,
 };
 use lockss_experiments::sweep::{
-    self, campaign_status, dispatch, jobfile, load_checkpoint, merge_files, render_status,
-    run_sweep_plan, DispatchPlan, ShardTag, SweepOptions, SweepReport,
+    self, campaign_status, jobfile, load_checkpoint, merge_files, render_status, report_path,
+    run_sweep_plan, CrashHook, DispatchPlan, ShardTag, SweepOptions, SweepReport,
 };
 use lockss_experiments::{
     run_recovery_study, RecoveryStudy, Scale, ScenarioRegistry, ScenarioSpec,
@@ -95,7 +96,6 @@ fn main() {
         }
         "sweep" => sweep_cmd(&registry, &ops[0], &inv, threads),
         "sweep merge" => sweep_merge(&inv),
-        "sweep dispatch" => sweep_dispatch(&registry, &ops[0], &inv),
         "sweep status" => {
             let dir = Path::new(&ops[0]);
             let telemetry = inv.text("--telemetry").map_or(dir, Path::new);
@@ -154,7 +154,7 @@ fn fail(msg: &str) -> ! {
 }
 
 /// A `verb` that failed on its *inputs or outputs* — files, shard
-/// topology, worker processes — exits 1, distinct from exit 2 (CLI misuse).
+/// topology — exits 1, distinct from exit 2 (CLI misuse).
 fn die(verb: &str, msg: &str) -> ! {
     eprintln!("lockss-sim: {verb}: {msg}");
     std::process::exit(1);
@@ -380,6 +380,16 @@ fn sweep_recovery(inv: &Invocation, threads: usize) {
 /// as an uninterrupted run. Observability (`--profile`, `--metrics-out`,
 /// `--telemetry`) is strictly out-of-band: it never changes those bytes.
 fn sweep_cmd(registry: &ScenarioRegistry, name: &str, inv: &Invocation, threads: usize) {
+    if let Some(path) = inv.text("--jobfile") {
+        return sweep_jobfile(registry, name, inv, path);
+    }
+    if inv.switch("--shards") {
+        fail(
+            "sweep: --shards sizes a --jobfile; give --jobfile <path>, \
+             or run one shard with --shard i/N",
+        );
+    }
+    let crash = CrashHook::from_env().unwrap_or_else(|e| fail(&e));
     let scale = inv.scale;
     let seeds = campaign_seeds(inv);
     let shard = inv
@@ -389,14 +399,10 @@ fn sweep_cmd(registry: &ScenarioRegistry, name: &str, inv: &Invocation, threads:
     let record = inv.text("--record").map(Path::new);
     let spec = resolve(registry, name);
     let scenario = spec.build(scale);
-    let default_path = match &shard {
-        Some(tag) => format!(
-            "results/sweep-{}-shard-{}of{}.json",
-            spec.name, tag.index, tag.count
-        ),
-        None => format!("results/sweep-{}.json", spec.name),
-    };
-    let path = PathBuf::from(inv.text("--checkpoint").unwrap_or(&default_path));
+    let path = inv.text("--checkpoint").map_or_else(
+        || report_path(&spec.name, shard.as_ref().map(|t| (t.index, t.count))),
+        PathBuf::from,
+    );
     // --fresh ignores any existing checkpoint: without it, a rerun after a
     // code change would replay the stale per-seed summaries verbatim.
     let resume = if inv.switch("--fresh") {
@@ -444,6 +450,7 @@ fn sweep_cmd(registry: &ScenarioRegistry, name: &str, inv: &Invocation, threads:
         resume,
         obs: sweep_obs.as_ref(),
         record,
+        crash,
     };
     let report = run_sweep_plan(&scenario, plan, &opts);
 
@@ -483,19 +490,8 @@ fn sweep_cmd(registry: &ScenarioRegistry, name: &str, inv: &Invocation, threads:
             m.loyal_effort_secs
         );
     }
-    // The report claims persistence only after re-reading the file: a full
-    // disk or unwritable results/ must fail loudly, not lose a multi-hour
-    // sweep silently.
-    match std::fs::read_to_string(&path) {
-        Ok(on_disk) if on_disk == report.to_json() => println!("wrote {}", path.display()),
-        _ => die(
-            "sweep",
-            &format!(
-                "the report at {} is missing or stale (checkpoint writes failed?)",
-                path.display()
-            ),
-        ),
-    }
+    confirm_written("sweep", &path, &report.to_json());
+    println!("wrote {}", path.display());
     if let Some(tag) = &report.shard {
         println!(
             "shard {} complete; reassemble the campaign with: \
@@ -534,20 +530,12 @@ fn campaign_seeds(inv: &Invocation) -> Vec<u64> {
 fn sweep_merge(inv: &Invocation) {
     let files: Vec<PathBuf> = inv.operands.iter().map(PathBuf::from).collect();
     let report = merge_files(&files).unwrap_or_else(|e| die("sweep merge", &e));
-    let default_path = format!("results/sweep-{}.json", report.scenario);
-    let path = PathBuf::from(inv.text("--out").unwrap_or(&default_path));
+    let path = inv
+        .text("--out")
+        .map_or_else(|| report_path(&report.scenario, None), PathBuf::from);
     let rendered = report.to_json();
     written(path.display(), sweep::write_checkpoint(&path, &rendered));
-    match std::fs::read_to_string(&path) {
-        Ok(on_disk) if on_disk == rendered => {}
-        _ => die(
-            "sweep merge",
-            &format!(
-                "merged report at {} is missing or stale after writing it",
-                path.display()
-            ),
-        ),
-    }
+    confirm_written("sweep merge", &path, &rendered);
     let merged = report.merged().expect("a valid merge has completed seeds");
     println!(
         "merged {} shard(s) of '{}' (scale '{}') covering {} seed(s): \
@@ -566,83 +554,54 @@ fn sweep_merge(inv: &Invocation) {
     }
 }
 
-/// Fans a campaign out over shard worker subprocesses (or, with
-/// `--jobfile`, writes their command lines for host-level fan-out),
-/// survives worker deaths via retry-with-backoff and checkpoint-freshness
-/// straggler re-dispatch, then merges and writes the campaign report.
-fn sweep_dispatch(registry: &ScenarioRegistry, name: &str, inv: &Invocation) {
+/// A report claims persistence only after re-reading the file: a full
+/// disk or an unwritable results/ must fail loudly (exit 1), not lose a
+/// multi-hour campaign silently.
+fn confirm_written(verb: &str, path: &Path, rendered: &str) {
+    match std::fs::read_to_string(path) {
+        Ok(on_disk) if on_disk == rendered => {}
+        _ => die(
+            verb,
+            &format!(
+                "the report at {} is missing or stale after writing it",
+                path.display()
+            ),
+        ),
+    }
+}
+
+/// `sweep <name> --jobfile <path>`: writes one worker line per shard —
+/// this invocation with `--shard i/N` in place of `--jobfile`/`--shards` —
+/// and the `sweep merge` line over their default checkpoints, and runs
+/// nothing. Whatever executes the lines (`xargs -P`, a scheduler, ssh)
+/// reruns a failed one; its checkpoint resumes it.
+fn sweep_jobfile(registry: &ScenarioRegistry, name: &str, inv: &Invocation, path: &str) {
+    for flag in ["--shard", "--checkpoint"] {
+        if inv.switch(flag) {
+            fail(&format!(
+                "sweep: --jobfile cannot take {flag}: each line runs its own shard \
+                 at its default checkpoint, which the merge line names"
+            ));
+        }
+    }
     let spec = resolve(registry, name);
-    let num = |flag: &str, default: u64| inv.num(flag).unwrap_or(default);
     let plan = DispatchPlan {
         scenario: spec.name.clone(),
         scale: inv.scale.label().to_string(),
-        seeds_arg: inv
-            .text("--seeds")
-            .map_or_else(|| inv.scale.seeds().to_string(), String::from),
         campaign: campaign_seeds(inv),
-        shards: num("--shards", default_threads() as u64),
-        threads_per_shard: num("--threads", 1) as usize,
-        retries: num("--retries", 3) as u32,
-        backoff_ms: num("--backoff-ms", 250),
-        stall_secs: inv.num("--stall-secs"),
-        dir: PathBuf::from(inv.text("--dir").unwrap_or("results")),
-        out: PathBuf::from(
-            inv.text("--out")
-                .map_or_else(|| format!("results/sweep-{}.json", spec.name), String::from),
-        ),
-        fresh: inv.switch("--fresh"),
-        telemetry: inv.text("--telemetry").map(PathBuf::from),
+        shards: inv.num("--shards").unwrap_or(default_threads() as u64),
+        flags: inv.flags_except(&["--jobfile", "--shards"]),
     };
     let bin = std::env::current_exe().unwrap_or_else(|e| fail(&format!("current_exe: {e}")));
-
-    if let Some(jobfile_path) = inv.text("--jobfile") {
-        let text = jobfile(&plan, &bin).unwrap_or_else(|e| fail(&e));
-        write_file(jobfile_path, &text);
-        println!(
-            "wrote {jobfile_path}: {} shard command(s) + 1 merge for '{}' \
-             ({} seed(s), scale '{}')",
-            plan.shards,
-            plan.scenario,
-            plan.campaign.len(),
-            plan.scale
-        );
-        return;
-    }
-
+    let text = jobfile(&plan, &bin).unwrap_or_else(|e| fail(&e));
+    write_file(path, &text);
     println!(
-        "dispatching '{}' at scale '{}': {} seed(s) over {} shard worker(s) \
-         x {} thread(s), {} retr{} each{}{}",
-        plan.scenario,
-        plan.scale,
-        plan.campaign.len(),
+        "wrote {path}: {} shard command(s) + 1 merge for '{}' ({} seed(s), scale '{}')",
         plan.shards,
-        plan.threads_per_shard,
-        plan.retries,
-        if plan.retries == 1 { "y" } else { "ies" },
-        plan.stall_secs
-            .map(|s| format!(", {s}s stall window"))
-            .unwrap_or_default(),
-        plan.telemetry
-            .as_ref()
-            .map(|d| format!(", heartbeats under {}", d.display()))
-            .unwrap_or_default()
+        plan.scenario,
+        plan.campaign.len(),
+        plan.scale
     );
-    let report = dispatch(&bin, &plan, &mut |line| println!("  {line}"))
-        .unwrap_or_else(|e| die("sweep dispatch", &e));
-    let merged = report.merged().expect("a dispatched campaign has results");
-    println!(
-        "campaign complete: {} seed(s), access failure {}, {} ok / {} failed, \
-         loyal {:.0} CPU-s",
-        report.completed.len(),
-        sci(merged.access_failure_probability),
-        merged.successful_polls,
-        merged.failed_polls,
-        merged.loyal_effort_secs
-    );
-    println!("wrote {}", plan.out.display());
-    if inv.switch("--json") {
-        print!("{}", report.to_json());
-    }
 }
 
 /// Prints the process's peak RSS plus the event-arena and peer-table

@@ -1,6 +1,6 @@
 //! The `lockss-sim` command line, declared once.
 //!
-//! [`VERBS`] lists every verb path (`run`, `sweep dispatch`, `trace
+//! [`VERBS`] lists every verb path (`run`, `sweep merge`, `trace
 //! export`, …), its operands, and each flag it accepts — a switch or a
 //! typed value, once or repeated — with one help line. [`parse`] is the
 //! only reader of argv: it checks every value's type and rejects an
@@ -88,7 +88,6 @@ mod table {
     const MEM_REPORT: Flag = switch("--mem-report", "print peak RSS and arena/table occupancy");
     const MERGED_OUT: Flag = flag("--out", "<path>", Ty::Text, "merged report path (default results/sweep-<name>.json)");
     const JSON: Flag = switch("--json", "print the JSON report to stdout");
-    const COUNT: Ty = Ty::Num("a number");
 
     /// Every verb `lockss-sim` has, in help order.
     pub const VERBS: &[Verb] = &[
@@ -121,24 +120,11 @@ mod table {
             PROFILE, METRICS_OUT,
             flag("--telemetry", "<dir>", Ty::Text, "append heartbeat JSONL records under <dir> every ~2s"),
             JSON, MEM_REPORT,
+            flag("--jobfile", "<path>", Ty::Text, "run nothing: write one line per shard (this command with --shard i/N) and the merge line"),
+            flag("--shards", "<N>", Ty::Positive, "shard lines --jobfile writes (default: all cores)"),
         ], ..VERB },
         Verb { path: "sweep merge", operands: "<checkpoint>...", count: (1, ANY), flags: &[MERGED_OUT, JSON],
             about: "check shard checkpoints (disjoint, complete, one campaign) and write the merged report; exits 1 on a violation", ..VERB },
-        Verb { path: "sweep dispatch", operands: "<name>", count: (1, 1),
-            about: "fan a sweep over shard worker subprocesses with retry, stall re-dispatch and a checked merge", flags: &[
-            SCALE, SEEDS,
-            flag("--shards", "<N>", Ty::Positive, "shard workers (default: all cores)"),
-            flag("--threads", "<N>", Ty::Positive, "threads per shard worker (default 1)"),
-            flag("--retries", "<N>", COUNT, "re-dispatches per shard (default 3)"),
-            flag("--backoff-ms", "<N>", COUNT, "base retry backoff, doubling per attempt (default 250)"),
-            flag("--stall-secs", "<N>", COUNT, "re-dispatch a worker that makes no progress this long (default: never)"),
-            flag("--dir", "<dir>", Ty::Text, "shard checkpoints and logs (default results)"),
-            MERGED_OUT,
-            switch("--fresh", "delete existing shard checkpoints first"),
-            flag("--telemetry", "<dir>", Ty::Text, "heartbeat directory passed to every worker; stall detection reads it"),
-            flag("--jobfile", "<path>", Ty::Text, "write the shard and merge command lines instead of running them"),
-            JSON,
-        ], ..VERB },
         Verb { path: "sweep status", operands: "<dir>", count: (1, 1), about: "render campaign progress from the checkpoints under <dir>",
             flags: &[flag("--telemetry", "<dir>", Ty::Text, "heartbeat directory (default: the checkpoint <dir>)")], ..VERB },
         Verb { path: "sweep recovery",
@@ -295,6 +281,25 @@ impl Invocation {
     pub fn num(&self, flag: &str) -> Option<u64> {
         self.nums(flag).map(|nums| nums[0])
     }
+
+    /// The given flags with their values, as written and in order, less
+    /// those named in `except`: this invocation's options, ready to be
+    /// repeated on another command line.
+    pub fn flags_except(&self, except: &[&str]) -> Vec<String> {
+        let kept = self
+            .given
+            .iter()
+            .filter(|(name, ..)| !except.contains(name));
+        kept.flat_map(|(name, raw, _)| {
+            let switch = self
+                .verb
+                .flags
+                .iter()
+                .any(|f| f.name == *name && f.arg.is_empty());
+            std::iter::once(name.to_string()).chain((!switch).then(|| raw.clone()))
+        })
+        .collect()
+    }
 }
 
 /// Parses a command line (without the program name) against [`VERBS`].
@@ -384,7 +389,7 @@ fn invocation(verb: &'static Verb, args: &[String]) -> Result<Invocation, String
 mod tests {
     use super::*;
     use crate::sweep::{jobfile, DispatchPlan};
-    use std::path::{Path, PathBuf};
+    use std::path::Path;
 
     fn argv(line: &str) -> Vec<String> {
         line.split_whitespace().map(String::from).collect()
@@ -418,19 +423,23 @@ mod tests {
 
     #[test]
     fn values_come_back_typed() {
-        let line = "sweep dispatch baseline --seeds 3..5 --shards 2 --fresh --scale quick";
+        let line = "sweep baseline --seeds 3..5 --shards 2 --fresh --scale quick --jobfile j";
         let inv = parse(&argv(line)).unwrap();
         assert_eq!(
             (inv.verb.path, &inv.operands[..]),
-            ("sweep dispatch", &argv("baseline")[..])
+            ("sweep", &argv("baseline")[..])
         );
         assert_eq!(
             (inv.nums("--seeds"), inv.text("--seeds")),
             (Some(&[3, 4, 5][..]), Some("3..5"))
         );
-        assert_eq!((inv.num("--shards"), inv.num("--retries")), (Some(2), None));
+        assert_eq!((inv.num("--shards"), inv.num("--threads")), (Some(2), None));
         assert!(inv.switch("--fresh") && !inv.switch("--json"));
         assert_eq!(inv.scale, Scale::Quick);
+        assert_eq!(
+            inv.flags_except(&["--jobfile", "--shards"]),
+            argv("--seeds 3..5 --fresh --scale quick")
+        );
         let bench = parse(&argv("bench diff a b c --gate")).unwrap();
         assert_eq!(bench.operands, argv("a b c"));
         assert!(bench.switch("--gate"));
@@ -608,21 +617,17 @@ mod tests {
             "only {documented} documented command lines found"
         );
 
-        for telemetry in [None, Some(PathBuf::from("results/tele"))] {
+        for line in [
+            "sweep baseline --scale quick --seeds 1..8 --threads 2 --jobfile j --shards 3",
+            "sweep baseline --jobfile j --telemetry results/tele --seeds 8 --shards 3 --fresh",
+        ] {
+            let inv = parse(&argv(line)).unwrap();
             let plan = DispatchPlan {
-                scenario: "baseline".into(),
-                scale: "quick".into(),
-                seeds_arg: "1..8".into(),
-                campaign: (1..=8).collect(),
-                shards: 3,
-                threads_per_shard: 2,
-                retries: 3,
-                backoff_ms: 250,
-                stall_secs: None,
-                dir: PathBuf::from("results/fabric"),
-                out: PathBuf::from("results/sweep-fabric.json"),
-                fresh: false,
-                telemetry,
+                scenario: inv.operands[0].clone(),
+                scale: inv.scale.label().into(),
+                campaign: inv.nums("--seeds").unwrap().to_vec(),
+                shards: inv.num("--shards").unwrap(),
+                flags: inv.flags_except(&["--jobfile", "--shards"]),
             };
             commands.extend((1..=plan.shards).map(|index| plan.shard_args(index)));
             let jobs = jobfile(&plan, Path::new("lockss-sim")).unwrap();

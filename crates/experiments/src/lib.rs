@@ -45,6 +45,6 @@ pub use scale::Scale;
 pub use scenario::{phased, AttackSpec, PhasedAttack, Scenario};
 pub use spec::{ScenarioSpec, SpecError, WorldSpec};
 pub use sweep::{
-    dispatch, jobfile, merge_files, run_sweep, run_sweep_plan, DispatchPlan, ShardTag,
-    SweepOptions, SweepReport,
+    jobfile, merge_files, run_sweep, run_sweep_plan, DispatchPlan, ShardTag, SweepOptions,
+    SweepReport,
 };

@@ -100,8 +100,8 @@ pub struct Telemetry {
     pub dir: PathBuf,
     /// Emission interval. Heartbeats are time-based, not per-seed: the
     /// protocol counters advance *during* a seed, so a long seed still
-    /// shows progress — which is exactly what lets `sweep dispatch` tell
-    /// a slow shard from a stalled one.
+    /// shows progress — which is exactly what lets `sweep status` tell a
+    /// slow shard from a stalled one.
     pub interval: Duration,
 }
 

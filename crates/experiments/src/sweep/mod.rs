@@ -2,7 +2,7 @@
 //! sharded across worker threads, processes, and hosts.
 //!
 //! A *sweep* runs one registered scenario across a seed range and merges
-//! the per-seed summaries into one report. The fabric layers four modules
+//! the per-seed summaries into one report. The fabric layers five modules
 //! on top of that idea:
 //!
 //! - [`plan`] — the report/checkpoint model and the in-process
@@ -24,17 +24,20 @@
 //!   version, duplicate or missing shards, overlapping or uncovered seed
 //!   ranges, an unfinished shard) and otherwise emits a report
 //!   byte-identical to a single-process run of the whole campaign.
-//! - [`mod@dispatch`] — the driver: `sweep dispatch --shards N` fans the
-//!   shards out over subprocesses with per-shard retry-with-backoff,
-//!   preemption detection via checkpoint freshness (a worker whose
-//!   checkpoint stops advancing is presumed preempted), straggler
-//!   re-dispatch, and a final validated merge. `--jobfile` writes the
-//!   per-shard command lines instead, for fanning out over hosts.
+//! - [`dispatch`] — handing shards out: `sweep <name> --jobfile
+//!   <path> --shards N` writes N worker command lines and the merge line
+//!   and runs nothing, for `xargs -P`, GNU parallel, ssh or a scheduler
+//!   to execute. There is no supervisor: a worker that dies is rerun and
+//!   resumes from its checkpoint, one that hangs is bounded by `timeout`,
+//!   and `sweep merge` checks the result.
+//! - [`status`] — `sweep status <dir>` renders campaign progress from the
+//!   checkpoints and heartbeat telemetry a directory holds.
 //!
-//! Fault injection for the test suite (and CI's kill-one-shard job) is a
-//! set of `LOCKSS_SWEEP_CRASH_*` environment hooks in [`shard`] that
-//! abort a worker mid-checkpoint-write — the torn temp file they leave
-//! behind is exactly what a real `kill -9` can produce.
+//! Fault injection for the test suite (and CI's kill-one-shard step) is
+//! the `LOCKSS_SWEEP_CRASH_AFTER` hook in [`shard`], armed on exactly
+//! the worker to crash: it aborts that worker mid-checkpoint-write, and
+//! the torn temp file it leaves behind is exactly what a real `kill -9`
+//! can produce.
 //!
 //! The checkpoint/report format is a small fixed-schema JSON document
 //! (format tag [`plan::FORMAT`]), written and parsed by the workspace's
@@ -47,10 +50,10 @@ pub mod plan;
 pub mod shard;
 pub mod status;
 
-pub use dispatch::{dispatch, jobfile, DispatchPlan};
+pub use dispatch::{jobfile, DispatchPlan};
 pub use merge::{merge_files, merge_reports};
 pub use plan::{
-    load_checkpoint, parse_seed_range, run_sweep, run_sweep_plan, summary_from_json,
+    load_checkpoint, parse_seed_range, report_path, run_sweep, run_sweep_plan, summary_from_json,
     summary_to_json, write_checkpoint, write_summary, SweepOptions, SweepReport, FORMAT, MAX_SEEDS,
 };
 pub use shard::{parse_shard_arg, partition, CrashHook, ShardTag};

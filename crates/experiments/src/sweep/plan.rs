@@ -21,7 +21,7 @@
 //!   world costs one world at a time per worker, not a buffered history.
 
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -267,6 +267,17 @@ pub fn parse_seed_range(arg: &str) -> Result<Vec<u64>, String> {
     }
 }
 
+/// Where a sweep of `scenario` keeps its checkpoint and report unless told
+/// otherwise: `results/sweep-<name>.json` for the whole campaign (also
+/// `sweep merge`'s output), `results/sweep-<name>-shard-<i>of<n>.json`
+/// for shard `(i, n)` (what a jobfile's merge line names).
+pub fn report_path(scenario: &str, shard: Option<(u64, u64)>) -> PathBuf {
+    PathBuf::from(match shard {
+        Some((index, count)) => format!("results/sweep-{scenario}-shard-{index}of{count}.json"),
+        None => format!("results/sweep-{scenario}.json"),
+    })
+}
+
 /// Loads the resumable state from `checkpoint`, if it exists and matches
 /// the planned sweep (scenario, scale, and — for shard runs — the exact
 /// shard topology); a mismatched, truncated, or otherwise unreadable file
@@ -329,6 +340,9 @@ pub struct SweepOptions<'a> {
     /// `resume` are **not** re-recorded — rerun with `--fresh` to capture
     /// a complete trace set.
     pub record: Option<&'a Path>,
+    /// Test-only fault injection ([`CrashHook`]): abort mid-checkpoint-write
+    /// after this process's k-th seed.
+    pub crash: Option<CrashHook>,
 }
 
 /// Runs a single-process (unsharded) sweep of `seeds`, resuming from
@@ -372,6 +386,7 @@ pub fn run_sweep_plan(
         checkpoint,
         obs,
         record,
+        crash,
         ..
     } = *opts;
     if let Some(prior) = &opts.resume {
@@ -390,7 +405,6 @@ pub fn run_sweep_plan(
         .copied()
         .filter(|s| !plan.completed.iter().any(|(done, _)| done == s))
         .collect();
-    let crash_hook = CrashHook::from_env(plan.shard.as_ref().map(|t| t.index));
 
     // Trace identity is frozen before the plan moves into the lock; the
     // directory is created up front so a bad path warns once, not per seed.
@@ -511,7 +525,7 @@ pub fn run_sweep_plan(
                     o.session.sweep_seeds.inc();
                 }
                 let done = done_here.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(hook) = &crash_hook {
+                if let Some(hook) = &crash {
                     // Test-only fault injection: dies here, holding the lock,
                     // leaving a torn temp file — the worst-case `kill -9`
                     // mid-checkpoint-write.

@@ -1,5 +1,5 @@
 //! Shard topology: how a campaign's seed list is sliced across workers,
-//! and the fault-injection hooks the test suite uses to kill workers at
+//! and the fault-injection hook the test suite uses to kill a worker at
 //! the worst possible moment.
 //!
 //! The wire rule is deliberately boring: sort and dedup the campaign
@@ -124,70 +124,58 @@ pub fn parse_shard_arg(arg: &str) -> Result<(u64, u64), String> {
 // Fault injection.
 // ---------------------------------------------------------------------
 
-/// Test-only crash injection, armed via environment variables; CI's
-/// kill-one-shard job and the `sweep_fabric` test harness use it to die
+/// The variable that arms the [`CrashHook`].
+const CRASH_AFTER: &str = "LOCKSS_SWEEP_CRASH_AFTER";
+
+/// Test-only crash injection, armed by one environment variable; CI's
+/// kill-one-shard step and the `sweep_fabric` test harness use it to die
 /// at the most damaging instant — mid-checkpoint-write, lock held, temp
-/// file torn:
+/// file torn.
 ///
-/// - `LOCKSS_SWEEP_CRASH_AFTER=k` — abort as this process completes its
-///   k-th seed (counting only seeds run by this process, not resumed
-///   ones), *instead of* writing that checkpoint: a truncated temp file
-///   is written and the process aborts before the rename.
-/// - `LOCKSS_SWEEP_CRASH_SHARD=i` — only fire when running shard index
-///   `i` (unset: fire in any sweep worker).
-/// - `LOCKSS_SWEEP_CRASH_ONCE=path` — fire only if `path` does not exist
-///   yet, creating it just before the abort; a retried or re-dispatched
-///   worker then runs to completion, which is how the tests prove
-///   resume-after-crash converges.
-///
-/// Unset variables cost one `env::var` lookup at sweep start and nothing
-/// per seed.
-#[derive(Clone, Debug)]
+/// `LOCKSS_SWEEP_CRASH_AFTER=k` aborts the process as it completes its
+/// k-th seed (counting only seeds run by this process, not resumed ones),
+/// *instead of* writing that checkpoint: a truncated temp file is written
+/// and the process aborts before the rename. A caller arms it on exactly
+/// the worker it wants to crash, then reruns that worker without it; the
+/// rerun resumes from the durable checkpoint, which is how the tests
+/// prove resume-after-crash converges.
+#[derive(Clone, Copy, Debug)]
 pub struct CrashHook {
     after: usize,
-    once_marker: Option<String>,
 }
 
 impl CrashHook {
-    /// Reads the hook from the environment. `shard_index` is the running
-    /// worker's shard index (`None` for an unsharded sweep); a hook
-    /// scoped to a different shard disarms entirely.
-    pub fn from_env(shard_index: Option<u64>) -> Option<CrashHook> {
-        let after: usize = std::env::var("LOCKSS_SWEEP_CRASH_AFTER")
-            .ok()?
-            .parse()
-            .ok()?;
-        if let Ok(only) = std::env::var("LOCKSS_SWEEP_CRASH_SHARD") {
-            if only.parse::<u64>().ok() != shard_index {
-                return None;
-            }
+    /// Reads the hook from the environment: `None` when the variable is
+    /// unset, an error naming it when it is set to anything but a seed
+    /// count (a typo must not silently disarm a crash test).
+    pub fn from_env() -> Result<Option<CrashHook>, String> {
+        let raw = std::env::var_os(CRASH_AFTER);
+        CrashHook::parse(raw.as_ref().map(|r| r.to_string_lossy()).as_deref())
+    }
+
+    fn parse(raw: Option<&str>) -> Result<Option<CrashHook>, String> {
+        let Some(raw) = raw else { return Ok(None) };
+        match raw.parse() {
+            Ok(after) => Ok(Some(CrashHook { after })),
+            Err(_) => Err(format!(
+                "{CRASH_AFTER} is set to '{raw}', which is not a seed count"
+            )),
         }
-        Some(CrashHook {
-            after,
-            once_marker: std::env::var("LOCKSS_SWEEP_CRASH_ONCE").ok(),
-        })
     }
 
     /// Aborts the process if `done` (seeds completed by this process) has
     /// reached the armed threshold: writes a torn temp file next to
-    /// `checkpoint` — half of `content`, never renamed — creates the
-    /// once-marker, and dies without unwinding, exactly like `kill -9`
-    /// landing mid-checkpoint-write.
+    /// `checkpoint` — half of `content`, never renamed — and dies without
+    /// unwinding, exactly like `kill -9` landing mid-checkpoint-write.
     pub fn maybe_crash(&self, done: usize, checkpoint: Option<&Path>, content: &str) {
         if done != self.after {
             return;
-        }
-        if let Some(marker) = &self.once_marker {
-            if Path::new(marker).exists() {
-                return;
-            }
-            let _ = std::fs::write(marker, "crashed\n");
         }
         if let Some(path) = checkpoint {
             let tmp = path.with_extension("json.tmp");
             let _ = std::fs::write(&tmp, &content.as_bytes()[..content.len() / 2]);
         }
-        eprintln!("LOCKSS_SWEEP_CRASH_AFTER: injected crash after {done} seed(s)");
+        eprintln!("{CRASH_AFTER}: injected crash after {done} seed(s)");
         std::process::abort();
     }
 }
@@ -239,6 +227,20 @@ mod tests {
         let doctored = text.replace("\"index\": 3", "\"index\": 9");
         let v = json::parse(&doctored).unwrap();
         assert!(ShardTag::from_json(&v).is_err());
+    }
+
+    #[test]
+    fn a_set_but_unparsable_crash_hook_is_an_error_naming_the_variable() {
+        assert!(CrashHook::parse(None).unwrap().is_none(), "unset: disarmed");
+        let hook = CrashHook::parse(Some("2")).unwrap().expect("armed");
+        assert_eq!(hook.after, 2);
+        for raw in ["", "two", "-1", "1.5", " 2"] {
+            let e = CrashHook::parse(Some(raw)).unwrap_err();
+            assert!(
+                e.contains(CRASH_AFTER) && e.contains(&format!("'{raw}'")),
+                "{raw:?}: {e}"
+            );
+        }
     }
 
     #[test]

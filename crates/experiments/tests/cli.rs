@@ -169,8 +169,7 @@ fn zero_thread_and_shard_counts_are_refused_by_the_parser() {
         ("trace stats t.bin --threads 0", "--threads"),
         ("trace diff a.bin b.bin --threads 0", "--threads"),
         ("trace export t.bin --threads 0", "--threads"),
-        ("sweep dispatch baseline --shards 0", "--shards"),
-        ("sweep dispatch baseline --threads 0", "--threads"),
+        ("sweep baseline --jobfile j --shards 0", "--shards"),
     ];
     for (line, flag) in refused {
         let problem = parse(line)
@@ -182,11 +181,63 @@ fn zero_thread_and_shard_counts_are_refused_by_the_parser() {
     }
     for line in [
         "sweep baseline --threads 1",
-        "sweep dispatch baseline --shards 1 --retries 0",
-        "sweep dispatch baseline --backoff-ms 0",
+        "sweep baseline --jobfile j --shards 1",
     ] {
         assert!(parse(line).is_ok(), "{line:?} refused");
     }
+}
+
+/// The jobfile's flags combine one way: `--shards` sizes a `--jobfile`,
+/// and a jobfile picks each line's shard and checkpoint itself. The parser
+/// has no cross-flag rule, so the `sweep` handler refuses the rest — exit
+/// 2 naming the flag, with nothing run and nothing written. `sweep
+/// dispatch`, the subprocess supervisor the jobfile replaced, is a usage
+/// error too.
+#[test]
+fn jobfile_flag_combinations_are_refused_naming_the_flag() {
+    let dir = temp_dir("jobfile-refusals");
+    let sweep = ["sweep", "baseline", "--scale", "quick", "--seeds", "1..4"];
+    for (flags, named) in [
+        (&["--shards", "2"][..], "--shards"),
+        (&["--jobfile", "j.txt", "--shard", "1/2"], "--shard"),
+        (
+            &["--jobfile", "j.txt", "--checkpoint", "c.json"],
+            "--checkpoint",
+        ),
+    ] {
+        let out = lockss_sim(&sweep)
+            .args(flags)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn");
+        let stderr = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(
+            stderr.contains(named),
+            "{flags:?}: {named} not named: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flags:?}: nothing may run");
+    }
+    let dispatch = lockss_sim(&["sweep", "dispatch", "baseline", "--shards", "2"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn");
+    assert_eq!(dispatch.status.code(), Some(2), "{}", stderr(&dispatch));
+    assert!(dispatch.stdout.is_empty(), "sweep dispatch ran something");
+    let written: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(written.is_empty(), "refused commands wrote {written:?}");
+
+    // The accepted form writes the jobfile and runs nothing else.
+    let out = lockss_sim(&sweep)
+        .args(["--jobfile", "j.txt", "--shards", "2"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let jobs = std::fs::read_to_string(dir.join("j.txt")).unwrap();
+    assert_eq!(jobs.lines().filter(|l| l.contains(" --shard ")).count(), 2);
+    assert!(!dir.join("results").exists(), "a jobfile run simulated");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// `figure` with no id, an unknown id, or a flag it does not have (the
@@ -261,7 +312,7 @@ fn output_write_failures_exit_1_naming_the_path() {
             "results/r.txt",
         ),
         (
-            &["sweep", "dispatch", "baseline", "--scale", "quick"],
+            &["sweep", "baseline", "--scale", "quick"],
             &["--shards", "1", "--jobfile", "results/jobs.txt"],
             "results/jobs.txt",
         ),

@@ -281,40 +281,51 @@ fn trace_stats_json_round_trips_through_the_cli() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A jobfile's worker lines carry `--telemetry` through to every shard,
+/// each worker appends heartbeats named by its topology, and `sweep
+/// status` pairs them with the shard checkpoints the merge line names.
 #[test]
-fn dispatch_passes_telemetry_through_and_logs_are_tagged() {
-    let dir = scratch("dispatch-tele");
-    let tele = dir.join("tele");
-    let out = run_in(
+fn jobfile_lines_carry_telemetry_that_sweep_status_reads() {
+    let dir = scratch("jobfile-tele");
+    run_in(
         &dir,
         &[
             "sweep",
-            "dispatch",
             "baseline",
             "--scale",
             "quick",
             "--seeds",
             "1..4",
+            "--telemetry",
+            "tele",
+            "--jobfile",
+            "jobs.txt",
             "--shards",
             "2",
-            "--dir",
-            dir.to_str().unwrap(),
-            "--out",
-            dir.join("sweep-baseline.json").to_str().unwrap(),
-            "--telemetry",
-            tele.to_str().unwrap(),
-            "--stall-secs",
-            "120",
         ],
     );
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(stdout.contains("campaign complete"), "{stdout}");
+    let jobs = read(&dir.join("jobs.txt"));
+    let lines: Vec<&str> = jobs
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.is_empty())
+        .collect();
+    assert_eq!(lines.len(), 3, "2 shard lines + 1 merge:\n{jobs}");
+    for line in &lines[..2] {
+        assert!(line.contains(" --telemetry tele "), "{line}");
+        let status = Command::new("sh")
+            .args(["-c", line])
+            .current_dir(&dir)
+            .stdout(Stdio::null())
+            .status()
+            .expect("run jobfile line");
+        assert!(status.success(), "jobfile line failed: {line}");
+    }
 
     // Workers wrote per-shard heartbeat files named by topology.
     for shard in ["s1of2", "s2of2"] {
-        let hb = tele.join(format!("heartbeat-baseline-{shard}.jsonl"));
-        assert!(hb.exists(), "missing {}", hb.display());
+        let hb = dir.join(format!("tele/heartbeat-baseline-{shard}.jsonl"));
         let body = read(&hb);
+        assert!(!body.is_empty(), "empty {}", hb.display());
         assert!(
             body.lines().all(|l| Heartbeat::from_json_line(l).is_ok()),
             "unparseable heartbeat line in {}",
@@ -322,15 +333,19 @@ fn dispatch_passes_telemetry_through_and_logs_are_tagged() {
         );
     }
 
-    // Shard logs are timestamp- and topology-tagged line by line.
-    let log = read(&dir.join("sweep-baseline-shard-1of2.log"));
-    assert!(!log.is_empty());
-    for line in log.lines() {
+    let out = run_in(&dir, &["sweep", "status", "results", "--telemetry", "tele"]);
+    let table = String::from_utf8_lossy(&out.stdout).to_string();
+    for shard in ["1/2", "2/2"] {
+        let row = table
+            .lines()
+            .find(|l| l.trim_start().starts_with(shard))
+            .unwrap_or_else(|| panic!("no row for shard {shard}:\n{table}"));
         assert!(
-            line.starts_with('[') && line.contains(" s1/2 a1] "),
-            "untagged log line: {line}"
+            row.contains(" ago"),
+            "shard {shard} has no heartbeat: {row}"
         );
     }
+    assert!(table.contains("campaign: 4/4 seeds (100%)"), "{table}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

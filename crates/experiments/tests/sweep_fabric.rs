@@ -210,47 +210,6 @@ fn crash_mid_checkpoint_write_resumes_cleanly() {
     assert_eq!(read(&single), read(&merged));
 }
 
-/// Satellite: `sweep dispatch` survives a worker that dies
-/// mid-checkpoint-write — it re-dispatches the shard and the merged
-/// campaign report is still byte-identical.
-#[test]
-fn dispatch_retries_a_crashed_shard_and_matches_single_process() {
-    let dir = scratch("dispatch-crash");
-    let single = dir.join("single.json");
-    single_process("1..9", "3", &single);
-
-    let out = dir.join("dispatched.json");
-    let marker = dir.join("crash-marker");
-    run_ok(
-        &[
-            "sweep",
-            "dispatch",
-            SCENARIO,
-            "--scale",
-            "quick",
-            "--seeds",
-            "1..9",
-            "--shards",
-            "3",
-            "--dir",
-            &path_str(&dir),
-            "--out",
-            &path_str(&out),
-            "--fresh",
-        ],
-        &[
-            ("LOCKSS_SWEEP_CRASH_SHARD", "2"),
-            ("LOCKSS_SWEEP_CRASH_AFTER", "1"),
-            ("LOCKSS_SWEEP_CRASH_ONCE", &path_str(&marker)),
-        ],
-    );
-    assert!(
-        marker.exists(),
-        "the injected crash must actually have fired"
-    );
-    assert_eq!(read(&single), read(&out));
-}
-
 /// The jobfile's command lines are the real fabric wire protocol: run
 /// them verbatim through a shell (any order) and the final merge line
 /// reproduces the single-process bytes.
@@ -264,19 +223,19 @@ fn jobfile_lines_executed_verbatim_reproduce_the_campaign() {
     run_ok(
         &[
             "sweep",
-            "dispatch",
             SCENARIO,
             "--scale",
             "quick",
             "--seeds",
             "1..6",
-            "--shards",
-            "2",
             "--jobfile",
             &path_str(&jobs),
+            "--shards",
+            "2",
         ],
         &[],
     );
+
     let text = read(&jobs);
     let lines: Vec<&str> = text
         .lines()

@@ -2,7 +2,7 @@
 //!
 //! Heartbeat files are append-only telemetry (`heartbeat-<shard>.jsonl`
 //! under the `--telemetry` directory). They carry enough state for a
-//! supervisor — `sweep dispatch` or `sweep status` — to compute
+//! reader — `sweep status`, or an operator's own watchdog — to compute
 //! progress, rate, and ETA without touching checkpoints. Appends are
 //! best-effort: a lost heartbeat costs liveness information, never
 //! results, so there is no fsync here.
@@ -39,7 +39,7 @@ pub struct Heartbeat {
     /// The most recently completed seed (0 before the first finishes).
     pub last_seed: u64,
     /// Polls opened so far — advances *during* a seed, not just between
-    /// seeds, which is what lets a supervisor tell slow from stalled.
+    /// seeds, which is what lets a reader tell slow from stalled.
     pub polls: u64,
     /// Engine events executed across finished run loops.
     pub events: u64,

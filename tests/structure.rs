@@ -428,6 +428,24 @@ const RULES: &[Rule] = &[
         ],
     },
     Rule {
+        name: "No program code spawns a process",
+        why: "A host runs a campaign's seeds in parallel one way, `sweep \
+              --threads N` on par_map's pool. Across processes or hosts a \
+              campaign is a jobfile of `sweep --shard i/N` lines for an executor \
+              (`xargs -P`, a scheduler, ssh) to run; a failed line is rerun and \
+              resumes from its checkpoint, and `sweep merge` checks the result. \
+              The subprocess supervisor that spawned, retried and stall-killed \
+              workers was measured no faster than either and wrote no different \
+              byte, and was deleted. Tests and the benchmark harness may spawn \
+              the binary; crates/*/src, src/ and examples/ may not.",
+        check: no_program_code_spawns_a_process,
+        plants: &[plant(
+            "crates/experiments/src/sweep/dispatch.rs",
+            "fn spawn(bin: &Path) { let _ = std::process::Command::new(bin).spawn(); }\n",
+            "a process spawned under crates/*/src, src/ or examples/",
+        )],
+    },
+    Rule {
         name: "Every pub fn has a program caller",
         why: "A public function that only its own unit tests reach is surface \
               with no behaviour behind it: it is read, documented and kept \
@@ -1005,6 +1023,23 @@ fn declared_labels(text: &str) -> Vec<&str> {
             (upper && line.starts_with(' ')).then_some(label.strip_suffix("\",")?)
         })
         .collect()
+}
+
+fn no_program_code_spawns_a_process(t: &Tree) -> Vec<String> {
+    let program_files = crate_src_files(t).chain(files(t, &["src", "examples"]));
+    let hits = program_files
+        .filter(|(path, _)| path.ends_with(".rs"))
+        .flat_map(|(path, text)| {
+            grep(Some((path, program(text))), |l| {
+                contains_any(l, &["Command::new", "process::Command"])
+            })
+        })
+        .collect();
+    flag(
+        hits,
+        "a process spawned under crates/*/src, src/ or examples/ outside #[cfg(test)] \
+         — run shards from a `sweep --jobfile` under any executor instead",
+    )
 }
 
 fn every_pub_fn_has_a_caller(t: &Tree) -> Vec<String> {

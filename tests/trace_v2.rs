@@ -19,7 +19,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::RwLock;
+use std::sync::{PoisonError, RwLock};
 
 use lockss::core::trace::{
     AdmissionVerdict, Label, MsgKind, PollConclusion, TraceEvent, TraceSink,
@@ -179,7 +179,7 @@ fn record_v2(records: &[TraceRecord], budget: usize) -> Trace {
 
 #[test]
 fn random_event_streams_roundtrip_across_block_budgets() {
-    let _shared = WHOLE_PROCESS.read().expect("no writer panics holding it");
+    let _shared = WHOLE_PROCESS.read().unwrap_or_else(PoisonError::into_inner);
     for seed in [1, 2, 3] {
         let records = random_stream(seed, 2000);
         let mut rendered = Vec::new();
@@ -213,7 +213,7 @@ fn reseal(bytes: &mut [u8]) {
 
 #[test]
 fn tampered_traces_yield_distinct_diagnostics() {
-    let _shared = WHOLE_PROCESS.read().expect("no writer panics holding it");
+    let _shared = WHOLE_PROCESS.read().unwrap_or_else(PoisonError::into_inner);
     // Small single-block trace: all varints under test are one byte.
     let records = random_stream(9, 3);
     let trace = record_v2(&records, 100);
@@ -307,7 +307,9 @@ static LARGEST_OFF_CALLER: AtomicUsize = AtomicUsize::new(0);
 const LARGE: usize = 1 << 20;
 
 /// The process-wide counters mean something only while one test runs:
-/// that test takes this for writing, every other test for reading.
+/// that test takes this for writing, every other test for reading. A test
+/// that fails while holding it poisons it; the others take it anyway
+/// (`PoisonError::into_inner`), so one failure reads as one.
 static WHOLE_PROCESS: RwLock<()> = RwLock::new(());
 
 fn note_request(size: usize) {
@@ -415,7 +417,7 @@ fn with_patched_body(trace: &Trace, at: usize, patch: &[u8]) -> Vec<u8> {
 
 #[test]
 fn files_whose_numbers_lie_are_errors_not_panics_or_allocations() {
-    let _shared = WHOLE_PROCESS.read().expect("no writer panics holding it");
+    let _shared = WHOLE_PROCESS.read().unwrap_or_else(PoisonError::into_inner);
     let records = random_stream(9, 3);
     let trace = record_v2(&records, 100);
     let entry = trace.blocks()[0].clone();
@@ -575,7 +577,7 @@ fn with_body(trace: &Trace, body: &[u8]) -> Vec<u8> {
 
 #[test]
 fn undeclared_labels_are_rejected_naming_the_label_column() {
-    let _shared = WHOLE_PROCESS.read().expect("no writer panics holding it");
+    let _shared = WHOLE_PROCESS.read().unwrap_or_else(PoisonError::into_inner);
     // One phase mark: its label column is the body's last, stored raw as
     // `enc 0 · raw_len · stored_len · varint len · bytes`.
     let label = Label::AdmissionFlood;
@@ -691,7 +693,9 @@ fn large_requests() -> u64 {
 /// process while they do.
 #[test]
 fn recorder_and_block_passes_reuse_their_buffers() {
-    let _alone = WHOLE_PROCESS.write().expect("no writer panics holding it");
+    let _alone = WHOLE_PROCESS
+        .write()
+        .unwrap_or_else(PoisonError::into_inner);
     steady_state_recording_allocates_per_block_not_per_event();
     block_passes_allocate_per_block_once_warm();
 }
@@ -806,7 +810,9 @@ fn block_passes_allocate_per_block_once_warm() {
 /// in that worker's allocator arena after the pass.
 #[test]
 fn block_pass_workers_fill_buffers_the_caller_allocated() {
-    let _alone = WHOLE_PROCESS.write().expect("no writer panics holding it");
+    let _alone = WHOLE_PROCESS
+        .write()
+        .unwrap_or_else(PoisonError::into_inner);
     let per_block = DEFAULT_BLOCK_EVENTS as u64;
     let recorder = Recorder::new(&meta());
     let mut sink = recorder.clone();
@@ -854,7 +860,7 @@ fn scenario_trace(name: &str, seed: u64) -> Trace {
 
 #[test]
 fn analytics_are_thread_invariant_on_real_traces() {
-    let _shared = WHOLE_PROCESS.read().expect("no writer panics holding it");
+    let _shared = WHOLE_PROCESS.read().unwrap_or_else(PoisonError::into_inner);
     let a = scenario_trace("pipe-stoppage", 7);
     let b = scenario_trace("pipe-stoppage", 8);
     let stats1 = format!("{}", trace_stats_threaded(&a, 1).expect("stats"));
@@ -884,7 +890,7 @@ fn analytics_are_thread_invariant_on_real_traces() {
 
 #[test]
 fn sweep_record_retains_per_seed_traces_that_aggregate() {
-    let _shared = WHOLE_PROCESS.read().expect("no writer panics holding it");
+    let _shared = WHOLE_PROCESS.read().unwrap_or_else(PoisonError::into_inner);
     use lockss::experiments::sweep::{run_sweep_plan, SweepOptions, SweepReport};
 
     let entry = ScenarioRegistry::standard();
