@@ -576,12 +576,23 @@ fn confirm_written(verb: &str, path: &Path, rendered: &str) {
 /// nothing. Whatever executes the lines (`xargs -P`, a scheduler, ssh)
 /// reruns a failed one; its checkpoint resumes it.
 fn sweep_jobfile(registry: &ScenarioRegistry, name: &str, inv: &Invocation, path: &str) {
-    for flag in ["--shard", "--checkpoint"] {
+    for (flag, why) in [
+        ("--shard", "each line runs its own shard"),
+        (
+            "--checkpoint",
+            "each line writes its own shard's default checkpoint, which the merge line names",
+        ),
+        (
+            "--profile",
+            "shards run in one directory would overwrite one another's profile",
+        ),
+        (
+            "--metrics-out",
+            "shards run in one directory would overwrite one another's metrics file",
+        ),
+    ] {
         if inv.switch(flag) {
-            fail(&format!(
-                "sweep: --jobfile cannot take {flag}: each line runs its own shard \
-                 at its default checkpoint, which the merge line names"
-            ));
+            fail(&format!("sweep: --jobfile cannot take {flag}: {why}"));
         }
     }
     let spec = resolve(registry, name);
@@ -604,17 +615,15 @@ fn sweep_jobfile(registry: &ScenarioRegistry, name: &str, inv: &Invocation, path
     );
 }
 
-/// Prints the process's peak RSS plus the event-arena and peer-table
+/// Prints the process's peak RSS plus the event-queue and peer-table
 /// occupancy one run of `seed` ended with: entry counts, then each table's
 /// approximate bytes (capacity × entry size) and their sum.
 fn mem_report(seed: u64, occupancy: &Occupancy) {
     let Occupancy {
-        arena_live,
-        arena_total,
         events_executed,
         events_queued,
-        queue_buffer_bytes,
-        arena_bytes,
+        events_high_water,
+        queue_bytes,
         table,
     } = occupancy;
     let peak_kb = peak_rss_kb();
@@ -623,13 +632,11 @@ fn mem_report(seed: u64, occupancy: &Occupancy) {
         .unwrap_or_else(|| "unavailable on this platform".into());
     println!("\nmemory report (seed {seed}):");
     println!("  peak RSS                  {peak_rss}");
-    println!("  event arena               {arena_live} live / {arena_total} high-water slots");
     println!(
-        "  events                    {events_executed} executed, {events_queued} queued at horizon"
+        "  event queue               {events_queued} pending / {events_high_water} high-water events"
     );
     println!(
-        "  event queue               {} KiB of slot buffers holding those",
-        queue_buffer_bytes / 1024
+        "  events                    {events_executed} executed, {events_queued} queued at horizon"
     );
     println!(
         "  peer table                {} peers x {} AU(s)",
@@ -682,9 +689,9 @@ fn mem_report(seed: u64, occupancy: &Occupancy) {
             Some((table.peers, "peer")),
         )
         + row(
-            "event arena + queue",
-            arena_bytes + queue_buffer_bytes,
-            None,
+            "event queue",
+            *queue_bytes,
+            Some((*events_high_water, "high-water event")),
         );
     println!(
         "    {:<24}{:>10.1} KiB (in the hash-table rows above)",

@@ -85,7 +85,7 @@ mod table {
     const THREADS: Flag = flag("--threads", "<N>", Ty::Positive, "worker threads (default: all cores); output is identical at any count");
     const PROFILE: Flag = switch("--profile", "time span trees and write results/profile-<name>.json");
     const METRICS_OUT: Flag = flag("--metrics-out", "<path>", Ty::Text, "snapshot the metrics registry as JSON at <path>, Prometheus text beside it");
-    const MEM_REPORT: Flag = switch("--mem-report", "print peak RSS and arena/table occupancy");
+    const MEM_REPORT: Flag = switch("--mem-report", "print peak RSS and event-queue/table occupancy");
     const MERGED_OUT: Flag = flag("--out", "<path>", Ty::Text, "merged report path (default results/sweep-<name>.json)");
     const JSON: Flag = switch("--json", "print the JSON report to stdout");
 

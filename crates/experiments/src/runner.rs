@@ -18,9 +18,9 @@ use crate::scenario::{Scenario, MAX_RUN_DAYS};
 /// An engine pre-sized for the scenario's population: a 10k+-peer world
 /// schedules (peers × AUs) first-poll events plus per-peer damage timers
 /// before the first event runs, and the in-flight message population
-/// scales the same way. Sizing up front replaces the doubling cascade on
-/// the event arena with one allocation (the queue's slot buffers grow on
-/// demand and are released as they drain).
+/// scales the same way. Sizing up front allocates the event queue's first
+/// chunks in one go (more are allocated on demand, and every chunk is
+/// reused as it drains).
 fn engine_for(cfg: &WorldConfig) -> Engine<World> {
     let outstanding = cfg.n_peers * (cfg.n_aus + 1) * 4;
     Engine::with_capacity(outstanding.clamp(1024, 1 << 22))
@@ -38,7 +38,7 @@ fn engine_for(cfg: &WorldConfig) -> Engine<World> {
 pub struct Instruments {
     /// Protocol-layer counters (poll lifecycle, admission, repairs).
     pub core: Option<CoreObs>,
-    /// Engine counters (events, arena occupancy).
+    /// Engine counters (events executed, pending and high-water pending).
     pub engine: Option<EngineObs>,
     /// Wall-clock span profiler.
     pub profiler: Option<SharedProfiler>,
@@ -83,18 +83,14 @@ impl RunOptions {
 /// Engine and peer-table occupancy at the horizon, for `--mem-report`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Occupancy {
-    /// Event-arena occupancy at end of run: live slots.
-    pub arena_live: usize,
-    /// Event-arena high-water mark: total slots ever in use at once.
-    pub arena_total: usize,
     /// Events executed by the run.
     pub events_executed: u64,
     /// Events still queued at the horizon.
     pub events_queued: usize,
-    /// Bytes of slot buffer the event queue holds at the horizon.
-    pub queue_buffer_bytes: usize,
-    /// Approximate bytes of the event arena's slot slab and free list.
-    pub arena_bytes: usize,
+    /// The most events ever queued at once.
+    pub events_high_water: usize,
+    /// Approximate bytes of the event queue: its chunks and slot heads.
+    pub queue_bytes: usize,
     /// Peer-table heap occupancy at end of run.
     pub table: TableOccupancy,
 }
@@ -171,18 +167,16 @@ pub fn run(scenario: &Scenario, seed: u64, opts: &RunOptions) -> RunOutput {
         }
         _ => None,
     };
-    let (arena_live, arena_total) = eng.arena_occupancy();
+    let (events_queued, events_high_water) = eng.arena_occupancy();
     RunOutput {
         summary,
         phases,
         trace,
         occupancy: Occupancy {
-            arena_live,
-            arena_total,
             events_executed: eng.executed(),
-            events_queued: eng.queued(),
-            queue_buffer_bytes: eng.queue_buffer_bytes(),
-            arena_bytes: eng.arena_bytes(),
+            events_queued,
+            events_high_water,
+            queue_bytes: eng.queue_bytes(),
             table: world.occupancy(),
         },
         world,

@@ -9,6 +9,9 @@
 //! ssh, a cluster scheduler. Any worker can run anywhere, because the
 //! shard topology is derived, not assigned.
 //!
+//! Every token on a line is shell-quoted where it needs to be, so a
+//! binary path or flag value holding a space or a quote survives `sh -c`.
+//!
 //! The failure model needs no supervisor. A worker that dies is rerun,
 //! and its checkpoint resumes it. A worker that hangs is bounded by
 //! `timeout`. Its output goes wherever the executor redirects it. And
@@ -47,11 +50,29 @@ impl DispatchPlan {
     }
 }
 
+/// `token` as one POSIX shell word: unchanged if it is made only of
+/// characters no shell treats specially, else in single quotes, with each
+/// `'` written as `'\''`.
+fn shell_word(token: &str) -> String {
+    let plain = |c: char| c.is_ascii_alphanumeric() || "_@%+=:,./-".contains(c);
+    if !token.is_empty() && token.chars().all(plain) {
+        token.to_string()
+    } else {
+        format!("'{}'", token.replace('\'', r"'\''"))
+    }
+}
+
+/// One command line: `bin` and `args`, each shell-quoted.
+fn command_line(bin: &str, args: impl IntoIterator<Item = String>) -> String {
+    let words: Vec<String> = args.into_iter().map(|a| shell_word(&a)).collect();
+    format!("{} {}", shell_word(bin), words.join(" "))
+}
+
 /// Renders the jobfile: one worker command line per shard, then the
 /// merge that reassembles them.
 pub fn jobfile(plan: &DispatchPlan, bin: &Path) -> Result<String, String> {
     ShardTag::new(1, plan.shards, plan.campaign.clone())?;
-    let bin = bin.display();
+    let bin = bin.to_string_lossy();
     let mut lines = vec![format!(
         "# sweep fabric jobfile: '{}' at scale '{}', {} seed(s), {} shard(s)\n\
          # run each shard line anywhere (any order, any host with this binary\n\
@@ -63,13 +84,13 @@ pub fn jobfile(plan: &DispatchPlan, bin: &Path) -> Result<String, String> {
         plan.shards
     )];
     for index in 1..=plan.shards {
-        lines.push(format!("{bin} {}", plan.shard_args(index).join(" ")));
+        lines.push(command_line(&bin, plan.shard_args(index)));
     }
-    let checkpoints: Vec<String> = (1..=plan.shards)
+    let checkpoints = (1..=plan.shards)
         .map(|i| report_path(&plan.scenario, Some((i, plan.shards))))
-        .map(|path| path.display().to_string())
-        .collect();
-    lines.push(format!("{bin} sweep merge {}", checkpoints.join(" ")));
+        .map(|path| path.display().to_string());
+    let merge = ["sweep".to_string(), "merge".to_string()];
+    lines.push(command_line(&bin, merge.into_iter().chain(checkpoints)));
     lines.push(String::new());
     Ok(lines.join("\n"))
 }
@@ -135,6 +156,27 @@ mod tests {
             "/usr/local/bin/lockss-sim sweep merge results/sweep-baseline-shard-1of3.json \
              results/sweep-baseline-shard-2of3.json results/sweep-baseline-shard-3of3.json"
         );
+    }
+
+    /// Plain tokens stay as they are; anything else is single-quoted, and
+    /// a quote inside is closed, escaped and reopened.
+    #[test]
+    fn tokens_are_shell_quoted_only_when_they_need_it() {
+        assert_eq!(shell_word("results/tele-1_2.json"), "results/tele-1_2.json");
+        assert_eq!(shell_word("1..10"), "1..10");
+        assert_eq!(shell_word(""), "''");
+        assert_eq!(shell_word("q q"), "'q q'");
+        assert_eq!(shell_word("it's"), r"'it'\''s'");
+        assert_eq!(shell_word("$HOME;*`~"), "'$HOME;*`~'");
+        let mut p = plan();
+        p.flags.extend(["--telemetry".into(), "t e'l".into()]);
+        let text = jobfile(&p, Path::new("/srv/q q'x/lockss-sim")).unwrap();
+        let first = text.lines().find(|l| !l.starts_with('#')).unwrap();
+        let want = concat!(
+            r"'/srv/q q'\''x/lockss-sim' sweep baseline --scale quick --seeds 1..10 ",
+            r"--threads 2 --telemetry 't e'\''l' --shard 1/3"
+        );
+        assert_eq!(first, want);
     }
 
     #[test]

@@ -204,6 +204,11 @@ fn jobfile_flag_combinations_are_refused_naming_the_flag() {
             &["--jobfile", "j.txt", "--checkpoint", "c.json"],
             "--checkpoint",
         ),
+        (&["--jobfile", "j.txt", "--profile"], "--profile"),
+        (
+            &["--jobfile", "j.txt", "--metrics-out", "m.json"],
+            "--metrics-out",
+        ),
     ] {
         let out = lockss_sim(&sweep)
             .args(flags)
@@ -374,6 +379,29 @@ fn mem_report_comes_from_the_report_run() {
         metrics.contains(&format!("\"engine_events_executed_total\": {executed}")),
         "report says {executed} event(s); registry: {metrics}"
     );
+    // The queue line: pending events at the horizon, and the high-water
+    // mark the engine's gauge holds.
+    let queue: Vec<u64> = stdout
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("event queue"))
+        .map(|l| {
+            l.split_whitespace()
+                .filter_map(|w| w.parse().ok())
+                .collect()
+        })
+        .unwrap_or_else(|| panic!("no event queue line in: {stdout}"));
+    let [pending, high] = queue[..] else {
+        panic!("event queue line: {queue:?}")
+    };
+    assert!(
+        stdout.contains(&format!("{pending} queued at horizon")),
+        "{stdout}"
+    );
+    assert!(high >= pending && high > 0, "{pending} pending / {high}");
+    assert!(
+        metrics.contains(&format!("\"engine_arena_total\": {high}")),
+        "report says {high} high-water event(s); registry: {metrics}"
+    );
     // The admission tables are on the report, and a baseline run fills them.
     for label in ["last-admission stamps", "introductions outstanding"] {
         let count: u64 = stdout
@@ -410,7 +438,7 @@ fn mem_report_comes_from_the_report_run() {
         "schedules + ledgers",
         "RNG column",
         "other peer columns",
-        "event arena + queue",
+        "event queue",
     ]
     .into_iter()
     .map(row)

@@ -257,6 +257,57 @@ fn jobfile_lines_executed_verbatim_reproduce_the_campaign() {
     assert_eq!(read(&single), read(&merged));
 }
 
+/// A jobfile written by a binary whose directory name holds a space and a
+/// quote, with a flag value that does too, still hands `sh -c` lines that
+/// run: the first shard line completes and writes its checkpoint.
+#[test]
+fn jobfile_lines_survive_a_path_with_a_space_and_a_quote() {
+    let dir = scratch("jobfile-quoting");
+    let odd = dir.join("q q'x");
+    std::fs::create_dir_all(&odd).unwrap();
+    let bin = odd.join("lockss-sim");
+    std::fs::copy(BIN, &bin).expect("copy the binary");
+    let out = Command::new(&bin)
+        .args(["sweep", SCENARIO, "--scale", "quick", "--seeds", "1..2"])
+        .args([
+            "--telemetry",
+            "t e'l",
+            "--jobfile",
+            "jobs.txt",
+            "--shards",
+            "2",
+        ])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn the copied binary");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = read(&dir.join("jobs.txt"));
+    let first = text.lines().find(|l| !l.starts_with('#')).unwrap();
+    assert!(
+        first.starts_with('\''),
+        "the binary path is quoted: {first}"
+    );
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg(first)
+        .current_dir(&dir)
+        .output()
+        .expect("run the first jobfile line");
+    assert!(
+        out.status.success(),
+        "{first}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let checkpoint = dir.join(format!("results/sweep-{SCENARIO}-shard-1of2.json"));
+    assert!(checkpoint.is_file(), "no checkpoint after {first}");
+    assert!(dir.join("t e'l").is_dir(), "telemetry went elsewhere");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Asserts a `sweep merge` invocation fails with exit code 1 and a
 /// diagnostic containing `needle`.
 fn assert_merge_fails(files: &[&Path], needle: &str) {

@@ -47,9 +47,9 @@ pub struct Heartbeat {
     pub polls_per_sec: f64,
     /// Current resident set size (VmRSS) in KiB, 0 when unavailable.
     pub vm_rss_kb: u64,
-    /// Live closures in the event arena after the last seed.
+    /// Events pending in the engine after the last seed.
     pub arena_live: u64,
-    /// Total slots in the event arena after the last seed.
+    /// The most events pending at once, after the last seed.
     pub arena_total: u64,
 }
 

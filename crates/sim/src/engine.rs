@@ -7,50 +7,48 @@
 //!
 //! # Storage
 //!
-//! Closures live in a slab-backed arena (`EventArena`) whose slots are
-//! recycled through a free list as events execute. A slot is 32 bytes: one
-//! `consume` function pointer, which runs the closure when handed the world
-//! and the engine and drops it when handed nothing, and a 24-byte payload
-//! aligned to 8. Closures of at most `INLINE_BYTES` (24) bytes and 8-byte
-//! alignment — the protocol's timers, which capture a few ids and indices —
-//! are stored *inline* in the payload; larger or over-aligned ones
-//! transparently fall back to a box whose pointer the payload holds:
-//! message deliveries (80 bytes) and the voter's repair serve (32) box.
-//! The queue proper holds only 16-byte `(time, arena slot)` keys.
+//! A pending event is a 40-byte entry: its time and a 32-byte cell, a
+//! `consume` function pointer (which runs the closure given the world and
+//! the engine, and drops it given nothing) and a 24-byte payload holding the
+//! closure, or a box of it if it does not fit (`INLINE_BYTES`). Entries live
+//! in the queue itself, in chunks of `CHUNK` (32), each its own allocation:
+//! the store grows without copying, a chunk is reached by the pointer that
+//! links it, and a drained chunk is freed for reuse at once.
 //!
 //! # The queue: a monotone hierarchical timing wheel
 //!
 //! The queue (`Wheel`) reads a time in milliseconds as eleven base-64
 //! digits (6 bits each; 11 × 6 ≥ 64, so every `u64` fits) and keeps one
 //! row of 64 slots per digit position — *level* 0 is the least significant
-//! digit — with one `u64` occupancy mask per level. It remembers `last`,
-//! the time of the last key it released.
+//! digit — with one `u64` occupancy mask per level. A slot is a chain of
+//! chunks, newest first. The wheel remembers `last`, the time of the last
+//! entry it released.
 //!
-//! - **Push.** A key for time `at ≥ last` goes to level `l` = the highest
-//!   digit position in which `at` differs from `last` (0 if none), slot =
-//!   that digit of `at`: a `leading_zeros`, a `Vec::push` and a mask `|=`.
-//!   So level 0 holds keys that share all higher digits with `last` — each
+//! - **Push.** An entry for time `at ≥ last` goes to level `l` = the
+//!   highest digit position in which `at` differs from `last` (0 if none),
+//!   slot = that digit of `at`, appended to the slot's newest chunk. So
+//!   level 0 holds entries that share all higher digits with `last` — each
 //!   of its slots is *one instant* — and an occupied slot of level `l`
 //!   always has a digit above `last`'s digit `l`.
-//! - **Pop.** The level-0 slot of `last` is consumed through a read cursor.
-//!   When it is drained, the next set bit of the level-0 mask is the next
-//!   instant. When level 0 is empty, the first set bit of the lowest
-//!   non-empty level names the slot holding the overall minimum: scan it
-//!   for its minimum time, make that `last`, and redistribute the slot's
-//!   keys — each now agrees with `last` in digit `l` and above, so each
-//!   lands on a strictly lower level. A key moves at most once per level
-//!   (a slot holding a single key, the common case when events are seconds
-//!   apart, hands it out directly).
+//! - **Pop.** The level-0 slot of `last` is reversed into the *drain*,
+//!   oldest chunk first, and read through a cursor; entries pushed for
+//!   `last` meanwhile start a new chain, taken when the drain empties. Then
+//!   the next set bit of the level-0 mask is the next instant. When level 0
+//!   is empty, the first set bit of the lowest non-empty level names the
+//!   slot holding the overall minimum: scan it for its minimum time, make
+//!   that `last`, and redistribute its entries oldest chunk first; each
+//!   lands on a strictly lower level, so moves at most once per level (a
+//!   lone entry, common when events are seconds apart, is handed out).
 //!
 //! **Why the order is exactly `(time, seq)` although no `seq` is stored.**
 //! Every slot is, at all times, in schedule order. A push appends, and every
-//! key already in the slot was scheduled earlier. A cascade only fills
+//! entry already in the slot was scheduled earlier. A cascade only fills
 //! slots of lower levels, all of which are empty at that moment (it runs
 //! only when everything below the cascading level has drained), and copies
 //! the source slot front to back, so relative order survives the move. A
 //! level-0 slot holds a single instant, so its FIFO order *is* `seq` order
 //! within that instant; an event scheduled for the instant being drained
-//! appends behind the cursor and runs in the same drain, after everything
+//! appends behind the drain and runs in the same instant, after everything
 //! queued before it. Times are released in increasing order because the
 //! slot chosen at each step holds the minimum. The resulting execution
 //! order is bitwise identical to that of the binary heap of `(time, seq)`
@@ -59,7 +57,7 @@
 //! `Vec`).
 //!
 //! **Invariant: `last ≤ now`.** Placement is relative to `last`, and
-//! `schedule_at` clamps to the clock, so a key is always pushed at or after
+//! `schedule_at` clamps to the clock, so an entry is always pushed at or after
 //! `last` provided `last` never runs ahead of the clock. `pop` therefore
 //! takes the run loop's limit and, when the next candidate instant is past
 //! it, returns *without* advancing `last` or cascading: between two
@@ -84,9 +82,9 @@ pub struct EngineObs {
     pub events_executed: Counter,
     /// Events still queued when the last run loop exited.
     pub events_queued: Gauge,
-    /// Live arena slots when the last run loop exited.
+    /// Events pending when the last run loop exited.
     pub arena_live: Gauge,
-    /// High-water mark of arena slots across all observed engines.
+    /// High-water mark of pending events across all observed engines.
     pub arena_total: Gauge,
 }
 
@@ -104,22 +102,15 @@ impl EngineObs {
             ),
             arena_live: b.gauge(
                 "engine_arena_live",
-                "Live event-arena slots when the last run loop exited",
+                "Events pending when the last run loop exited",
             ),
-            arena_total: b.gauge("engine_arena_total", "High-water mark of event-arena slots"),
+            arena_total: b.gauge("engine_arena_total", "High-water mark of pending events"),
         }
     }
 }
 
-/// A boxed event body: runs against the world and may schedule more events.
-///
-/// Retained as the engine's public name for an owned event closure;
-/// internally events of ordinary size are stored inline in the arena and
-/// never boxed.
-pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
-
-/// Inline storage per arena slot. Sized for the protocol layer's common
-/// captures — a few ids and indices — so that a slot, its `consume`
+/// Inline storage per cell. Sized for the protocol layer's common
+/// captures — a few ids and indices — so that a cell, its `consume`
 /// pointer included, is 32 bytes and scheduling moves no more. Fat
 /// closures (message deliveries capturing a whole `Message`) take the
 /// boxed fallback, which is exactly what the previous all-boxed
@@ -130,7 +121,7 @@ const INLINE_BYTES: usize = 24;
 /// boxed.
 const INLINE_ALIGN: usize = 8;
 
-/// True if a closure of type `F` is stored in its slot rather than boxed.
+/// True if a closure of type `F` is stored in its cell rather than boxed.
 const fn fits_inline<F>() -> bool {
     mem::size_of::<F>() <= INLINE_BYTES && mem::align_of::<F>() <= INLINE_ALIGN
 }
@@ -161,6 +152,9 @@ unsafe fn consume<W, G: FnOnce(&mut W, &mut Engine<W>)>(
         g(w, eng);
     }
 }
+
+/// An owned, boxed event closure; a cell has the same auto-traits.
+type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
 
 /// One type-erased event closure, stored inline when it fits.
 struct EventCell<W> {
@@ -224,39 +218,42 @@ impl<W> Drop for EventCell<W> {
     }
 }
 
-/// Slab of event cells with free-list slot reuse.
-struct EventArena<W> {
-    slots: Vec<Option<EventCell<W>>>,
-    free: Vec<u32>,
+/// One pending event; as an `Option` still 40 bytes (`None` is a null `consume`).
+struct Entry<W> {
+    at: u64,
+    cell: EventCell<W>,
 }
 
-impl<W> EventArena<W> {
-    fn with_capacity(n: usize) -> EventArena<W> {
-        EventArena {
-            slots: Vec::with_capacity(n),
-            free: Vec::new(),
+/// Entries per chunk; ARCHITECTURE "Event storage" has the sizes measured.
+const CHUNK: usize = 32;
+
+/// Entries filled front to back, linked by `next` into a chain.
+struct Chunk<W> {
+    next: Chain<W>,
+    len: usize,
+    entries: [Option<Entry<W>>; CHUNK],
+}
+
+type Chain<W> = Option<Box<Chunk<W>>>;
+
+impl<W> Drop for Chunk<W> {
+    /// Unlinks the chain one chunk at a time, however long it is.
+    fn drop(&mut self) {
+        let mut next = self.next.take();
+        while let Some(mut c) = next {
+            next = c.next.take();
         }
     }
+}
 
-    fn insert(&mut self, cell: EventCell<W>) -> u32 {
-        match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = Some(cell);
-                i
-            }
-            None => {
-                let i = u32::try_from(self.slots.len()).expect("under 4G outstanding events");
-                self.slots.push(Some(cell));
-                i
-            }
-        }
+/// Reverses a chain: newest first becomes oldest first.
+fn reverse<W>(mut chain: Chain<W>) -> Chain<W> {
+    let mut out = None;
+    while let Some(mut c) = chain {
+        chain = mem::replace(&mut c.next, out);
+        out = Some(c);
     }
-
-    fn take(&mut self, slot: u32) -> EventCell<W> {
-        let cell = self.slots[slot as usize].take().expect("live event slot");
-        self.free.push(slot);
-        cell
-    }
+    out
 }
 
 /// Bits per wheel digit.
@@ -265,91 +262,116 @@ const DIGIT_BITS: u32 = 6;
 const SLOTS: usize = 1 << DIGIT_BITS;
 /// Digits in a `u64` time (the top one is partial).
 const LEVELS: usize = (u64::BITS as usize).div_ceil(DIGIT_BITS as usize);
-/// A drained slot keeps its buffer only up to this many keys (1 KiB);
-/// larger ones are released, so a slot that once held a burst does not
-/// pin its high-water capacity for the rest of the run.
-const KEEP_KEYS: usize = 64;
 
-/// Queue entry for one scheduled event; the closure lives in the arena.
-#[derive(Clone, Copy)]
-struct Key {
-    at: u64,
-    slot: u32,
-}
-
-/// Empties a drained slot buffer, releasing it if it grew large.
-fn recycle(keys: &mut Vec<Key>) {
-    if keys.capacity() > KEEP_KEYS {
-        *keys = Vec::new();
-    } else {
-        keys.clear();
-    }
-}
-
-/// The event queue: a monotone hierarchical timing wheel releasing keys
-/// in exact `(time, schedule order)` order. See the module docs for the
-/// layout and the ordering argument.
-struct Wheel {
-    /// Time of the last key released; placement is relative to it. Never
-    /// ahead of the engine clock.
+/// The event queue and store: a monotone hierarchical timing wheel releasing
+/// entries in `(time, schedule order)`; the module docs say how and why.
+struct Wheel<W> {
+    /// The last released entry's time, never past the clock; entries are placed relative to it.
     last: u64,
+    /// Entries pending, and the most ever pending at once.
     len: usize,
-    /// Read position in the level-0 slot of `last`.
+    high: usize,
+    /// `last`'s entries, oldest chunk first, read from `cursor` on.
+    drain: Chain<W>,
     cursor: usize,
     /// Per level, bit `d` is set iff slot `d` is non-empty.
     masks: [u64; LEVELS],
-    /// `LEVELS × SLOTS` buffers, level-major; each in schedule order.
-    slots: Box<[Vec<Key>]>,
+    /// `LEVELS × SLOTS` chains, level-major, each newest chunk first.
+    slots: Box<[Chain<W>]>,
+    /// Empty chunks, and how many chunks exist in all.
+    free: Chain<W>,
+    chunks: usize,
 }
 
-impl Wheel {
-    fn new() -> Wheel {
-        Wheel {
+impl<W> Wheel<W> {
+    /// A wheel whose free list holds chunks for about `events` entries.
+    fn with_capacity(events: usize) -> Wheel<W> {
+        let mut wheel = Wheel {
             last: 0,
             len: 0,
+            high: 0,
+            drain: None,
             cursor: 0,
             masks: [0; LEVELS],
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-        }
+            slots: (0..LEVELS * SLOTS).map(|_| None).collect(),
+            free: None,
+            chunks: 0,
+        };
+        // `fresh` allocates each of these: the free list is empty until all are made.
+        let chunks: Vec<_> = (0..events.div_ceil(CHUNK)).map(|_| wheel.fresh()).collect();
+        chunks.into_iter().for_each(|c| wheel.release(c));
+        wheel
     }
 
-    /// Files `key` under the highest digit in which its time differs from
-    /// `last`. Requires `key.at >= self.last`.
+    /// An empty chunk, from the free list if it has one.
+    fn fresh(&mut self) -> Box<Chunk<W>> {
+        let Some(mut c) = self.free.take() else {
+            self.chunks += 1;
+            let entries = [const { None }; CHUNK];
+            return Box::new(Chunk {
+                next: None,
+                len: 0,
+                entries,
+            });
+        };
+        self.free = c.next.take();
+        c
+    }
+
+    /// Puts a chunk whose entries have all been taken on the free list.
+    fn release(&mut self, mut c: Box<Chunk<W>>) {
+        c.len = 0;
+        c.next = self.free.take();
+        self.free = Some(c);
+    }
+
+    /// Appends `entry` to the slot of the highest digit in which its time
+    /// differs from `last`. Requires `entry.at >= last`.
     #[inline]
-    fn place(&mut self, key: Key) {
-        debug_assert!(key.at >= self.last, "wheel time must be monotone");
+    fn place(&mut self, entry: Entry<W>) {
+        debug_assert!(entry.at >= self.last, "wheel time must be monotone");
         let level =
-            ((u64::BITS - 1 - ((key.at ^ self.last) | 1).leading_zeros()) / DIGIT_BITS) as usize;
-        let digit = (key.at >> (level as u32 * DIGIT_BITS)) as usize & (SLOTS - 1);
-        self.slots[level * SLOTS + digit].push(key);
+            ((u64::BITS - 1 - ((entry.at ^ self.last) | 1).leading_zeros()) / DIGIT_BITS) as usize;
+        let digit = (entry.at >> (level as u32 * DIGIT_BITS)) as usize & (SLOTS - 1);
         self.masks[level] |= 1 << digit;
+        let slot = level * SLOTS + digit;
+        if self.slots[slot].as_ref().is_none_or(|c| c.len == CHUNK) {
+            let mut c = self.fresh();
+            c.next = self.slots[slot].take();
+            self.slots[slot] = Some(c);
+        }
+        let c = self.slots[slot].as_mut().expect("a chunk with room");
+        c.entries[c.len] = Some(entry);
+        c.len += 1;
     }
 
-    #[inline]
-    fn push(&mut self, key: Key) {
-        self.place(key);
-        self.len += 1;
-    }
-
-    /// Releases the next key in `(time, schedule order)` if its time is at
-    /// most `limit`. Otherwise returns `None` and leaves `last` where it
+    /// Releases the next entry in `(time, schedule order)` if its time is
+    /// at most `limit`. Otherwise returns `None` and leaves `last` where it
     /// is, so the caller may still push any time after `limit`.
-    fn pop(&mut self, limit: u64) -> Option<Key> {
+    fn pop(&mut self, limit: u64) -> Option<Entry<W>> {
         loop {
-            let cur = self.last as usize & (SLOTS - 1);
-            if let Some(&key) = self.slots[cur].get(self.cursor) {
+            if let Some(c) = &mut self.drain {
                 // Only when a run loop is asked to stop in the past.
                 if self.last > limit {
                     return None;
                 }
+                let entry = c.entries[self.cursor].take();
                 self.cursor += 1;
+                if self.cursor == c.len {
+                    let next = c.next.take();
+                    let done = mem::replace(&mut self.drain, next).expect("draining");
+                    self.release(done);
+                    self.cursor = 0;
+                }
                 self.len -= 1;
-                return Some(key);
+                return entry;
             }
-            if self.cursor > 0 {
-                recycle(&mut self.slots[cur]);
-                self.cursor = 0;
+            // Entries pushed for `last` since its slot was last taken.
+            let cur = self.last as usize & (SLOTS - 1);
+            if self.slots[cur].is_some() {
+                self.drain = reverse(self.slots[cur].take());
                 self.masks[0] &= !(1 << cur);
+                continue;
             }
             if self.masks[0] != 0 {
                 // Occupied level-0 slots all lie after `cur`.
@@ -362,36 +384,39 @@ impl Wheel {
                 continue;
             }
             // The first occupied slot of the lowest occupied level holds
-            // the minimum: every other key has a larger digit there, or
+            // the minimum: every other entry has a larger digit there, or
             // differs from `last` in a higher one.
             let level = (1..LEVELS).find(|&l| self.masks[l] != 0)?;
             let digit = self.masks[level].trailing_zeros() as usize;
-            let idx = level * SLOTS + digit;
-            let min = self.slots[idx]
-                .iter()
-                .map(|k| k.at)
+            let slot = level * SLOTS + digit;
+            let min = std::iter::successors(self.slots[slot].as_deref(), |c| c.next.as_deref())
+                .flat_map(|c| c.entries[..c.len].iter().flatten())
+                .map(|e| e.at)
                 .min()
                 .expect("a set mask bit marks a non-empty slot");
             if min > limit {
                 return None;
             }
-            // Cascade: relative to the new `last` every key of the slot
+            // Cascade: relative to the new `last` every entry of the slot
             // belongs on a lower level, all of which are empty.
             self.last = min;
             self.masks[level] &= !(1 << digit);
-            // A lone key (most cascades, on a queue sparse in time) is
+            let mut chain = reverse(self.slots[slot].take());
+            // A lone entry (most cascades, on a queue sparse in time) is
             // released directly rather than via level 0.
-            if let [key] = self.slots[idx][..] {
-                self.slots[idx].clear();
+            if let Some(c) = chain.as_mut().filter(|c| c.len == 1 && c.next.is_none()) {
+                let entry = c.entries[0].take();
+                self.release(chain.expect("just matched"));
                 self.len -= 1;
-                return Some(key);
+                return entry;
             }
-            let mut keys = mem::take(&mut self.slots[idx]);
-            for &key in &keys {
-                self.place(key);
+            while let Some(mut c) = chain {
+                chain = c.next.take();
+                for e in &mut c.entries[..c.len] {
+                    self.place(e.take().expect("a slot's entries are filled"));
+                }
+                self.release(c);
             }
-            recycle(&mut keys);
-            self.slots[idx] = keys;
         }
     }
 }
@@ -414,11 +439,7 @@ impl Wheel {
 pub struct Engine<W> {
     now: SimTime,
     executed: u64,
-    queue: Wheel,
-    arena: EventArena<W>,
-    /// Hard stop; events scheduled past this instant are silently dropped at
-    /// pop time (they stay queued but never run).
-    horizon: Option<SimTime>,
+    queue: Wheel<W>,
     /// Set by [`Engine::request_stop`] from inside an event; cleared when a
     /// run loop is entered.
     stop_requested: bool,
@@ -439,22 +460,18 @@ impl<W> Engine<W> {
         Self::with_capacity(0)
     }
 
-    /// Creates an engine whose event arena is pre-sized for roughly
-    /// `events` simultaneously outstanding events.
+    /// Creates an engine whose event queue holds chunks for roughly
+    /// `events` simultaneously pending events before it allocates.
     ///
     /// Purely a performance knob for large-population worlds: a 10k+-peer
     /// world schedules tens of thousands of first-poll and damage events
-    /// before the run starts, and pre-sizing avoids the doubling cascade on
-    /// the slot slab. The queue itself is not pre-sized: its keys spread
-    /// over the wheel's slots by time, which no count predicts. Behaviour
-    /// is identical to [`Engine::new`].
+    /// before the run starts, and pre-sizing allocates their chunks in one
+    /// go. Behaviour is identical to [`Engine::new`].
     pub fn with_capacity(events: usize) -> Self {
         Engine {
             now: SimTime::ZERO,
             executed: 0,
-            queue: Wheel::new(),
-            arena: EventArena::with_capacity(events),
-            horizon: None,
+            queue: Wheel::with_capacity(events),
             stop_requested: false,
             obs: None,
         }
@@ -471,9 +488,8 @@ impl<W> Engine<W> {
         if let Some(o) = &self.obs {
             o.events_executed.add(ran);
             o.events_queued.set(self.queue.len as u64);
-            let (live, total) = self.arena_occupancy();
-            o.arena_live.set(live as u64);
-            o.arena_total.raise(total as u64);
+            o.arena_live.set(self.queue.len as u64);
+            o.arena_total.raise(self.queue.high as u64);
         }
     }
 
@@ -482,20 +498,10 @@ impl<W> Engine<W> {
         self.now
     }
 
-    /// Event-arena occupancy: `(live slots, total slots)`. The total is the
-    /// high-water mark of simultaneously outstanding events (slots are
-    /// recycled, never shrunk), which is what a memory report wants.
+    /// Event occupancy: `(pending, high-water pending)`, the most events
+    /// ever pending at once, which is what a memory report wants.
     pub fn arena_occupancy(&self) -> (usize, usize) {
-        let total = self.arena.slots.len();
-        (total - self.arena.free.len(), total)
-    }
-
-    /// Approximate bytes of the event arena: its slot slab and free list,
-    /// capacity × entry size (closures too large for a slot's inline
-    /// payload hold further heap blocks, not counted).
-    pub fn arena_bytes(&self) -> usize {
-        self.arena.slots.capacity() * mem::size_of::<Option<EventCell<W>>>()
-            + self.arena.free.capacity() * mem::size_of::<u32>()
+        (self.queue.len, self.queue.high)
     }
 
     /// Number of events executed so far.
@@ -508,17 +514,11 @@ impl<W> Engine<W> {
         self.queue.len
     }
 
-    /// Bytes of buffer the queue's slots currently hold. Within a small
-    /// factor of 16 × [`Engine::queued`] in a healthy run: drained slots
-    /// release large buffers, so a burst does not stay allocated.
-    pub fn queue_buffer_bytes(&self) -> usize {
-        let keys: usize = self.queue.slots.iter().map(Vec::capacity).sum();
-        keys * mem::size_of::<Key>()
-    }
-
-    /// The stop horizon, if one was set by `run_until`.
-    pub fn horizon(&self) -> Option<SimTime> {
-        self.horizon
+    /// Approximate bytes of the event queue: every chunk it has allocated,
+    /// in use or free, plus its slot heads (closures too large for a
+    /// cell's inline payload hold further heap blocks, not counted).
+    pub fn queue_bytes(&self) -> usize {
+        self.queue.chunks * mem::size_of::<Chunk<W>>() + mem::size_of_val(&*self.queue.slots)
     }
 
     /// Asks the current run loop to stop after the executing event returns.
@@ -546,9 +546,11 @@ impl<W> Engine<W> {
     where
         F: FnOnce(&mut W, &mut Engine<W>) + 'static,
     {
-        let at = at.max(self.now).0;
-        let slot = self.arena.insert(EventCell::new(f));
-        self.queue.push(Key { at, slot });
+        let (at, cell) = (at.max(self.now).0, EventCell::new(f));
+        let q = &mut self.queue;
+        q.place(Entry { at, cell });
+        q.len += 1;
+        q.high = q.high.max(q.len);
     }
 
     /// Schedules `f` to run `delay` after the current instant.
@@ -565,7 +567,6 @@ impl<W> Engine<W> {
     /// Events timestamped exactly at `until` do *not* run; the engine's
     /// clock finishes at `until`.
     pub fn run_until(&mut self, world: &mut W, until: SimTime) -> u64 {
-        self.horizon = Some(until);
         let ran = self.run_through(world, until.0.checked_sub(1));
         if !self.stop_requested {
             self.now = self.now.max(until);
@@ -585,11 +586,10 @@ impl<W> Engine<W> {
     fn run_through(&mut self, world: &mut W, limit: Option<u64>) -> u64 {
         self.stop_requested = false;
         let before = self.executed;
-        while let Some(key) = limit.and_then(|limit| self.queue.pop(limit)) {
-            debug_assert!(key.at >= self.now.0, "time must be monotone");
-            self.now = SimTime(key.at);
+        while let Some(Entry { at, cell }) = limit.and_then(|limit| self.queue.pop(limit)) {
+            debug_assert!(at >= self.now.0, "time must be monotone");
+            self.now = SimTime(at);
             self.executed += 1;
-            let cell = self.arena.take(key.slot);
             cell.invoke(world, self);
             if self.stop_requested {
                 break;
@@ -621,6 +621,8 @@ mod tests {
         let (live, total) = b.arena_occupancy();
         assert_eq!(live, 0, "all events executed");
         assert_eq!(total, 10, "high-water mark of outstanding events");
+        // Ten instants take a chunk each; the pre-sized store had enough.
+        assert_eq!((a.queue.chunks, b.queue.chunks), (10, 1024 / CHUNK));
     }
 
     #[test]
@@ -785,21 +787,26 @@ mod tests {
         assert_eq!((w, eng.now(), eng.queued()), (2, SimTime(u64::MAX), 0));
     }
 
-    /// A slot that held a burst releases its buffer once drained; small
-    /// buffers are kept for reuse.
+    /// Bursts spanning several chunks — at one instant, and in a far slot
+    /// that cascades — hand their chunks back as they drain, and the
+    /// cascade reuses them as it goes: a second identical burst allocates
+    /// no new chunk.
     #[test]
-    fn drained_burst_slots_release_their_buffers() {
+    fn a_second_identical_burst_allocates_no_new_chunk() {
         let mut eng: Engine<u32> = Engine::new();
-        for _ in 0..10 * KEEP_KEYS {
-            eng.schedule_at(SimTime(7), |w: &mut u32, _| *w += 1);
-            eng.schedule_at(SimTime(1 << 20), |w: &mut u32, _| *w += 1);
-        }
-        eng.schedule_at(SimTime(9), |w: &mut u32, _| *w += 1);
         let mut w = 0;
-        eng.run_to_exhaustion(&mut w);
-        assert_eq!(w as usize, 20 * KEEP_KEYS + 1);
-        let held = eng.queue_buffer_bytes() / mem::size_of::<Key>();
-        assert!(held <= 4 * KEEP_KEYS, "{held} keys of capacity retained");
+        for _ in 0..2 {
+            let t = eng.now().0;
+            for _ in 0..10 * CHUNK {
+                eng.schedule_at(SimTime(t + 7), |w: &mut u32, _| *w += 1);
+                eng.schedule_at(SimTime(t + (1 << 20)), |w: &mut u32, _| *w += 1);
+            }
+            eng.schedule_at(SimTime(t + 9), |w: &mut u32, _| *w += 1);
+            eng.run_to_exhaustion(&mut w);
+            assert_eq!(eng.queue.chunks, 2 * 10 + 1, "the first burst's high water");
+        }
+        assert_eq!(w as usize, 2 * (20 * CHUNK + 1));
+        assert_eq!(eng.arena_occupancy(), (0, 20 * CHUNK + 1));
     }
 
     /// Interleaved scheduling and draining: slots freed by executed events
@@ -834,12 +841,13 @@ mod tests {
         fits_inline::<F>()
     }
 
-    /// A slot is the `consume` pointer and the payload, and `None` costs
-    /// nothing beside them.
+    /// A cell is the `consume` pointer and the payload, and `None` costs
+    /// nothing beside them; a wheel entry adds only its time.
     #[test]
     fn an_event_slot_is_32_bytes() {
         assert_eq!(mem::size_of::<Option<EventCell<Vec<u64>>>>(), 32);
         assert_eq!(mem::size_of::<Option<EventCell<u8>>>(), 32);
+        assert_eq!(mem::size_of::<Option<Entry<u8>>>(), 40);
     }
 
     /// The inline boundary: 24 bytes at 8-byte alignment fit, one byte more

@@ -21,7 +21,7 @@ pub mod weighted;
 /// so its own documents can use it too.
 pub use lockss_obs::json;
 
-pub use engine::{Engine, EngineObs, EventFn};
+pub use engine::{Engine, EngineObs};
 pub use fxmap::{FxBuildHasher, FxHashMap, FxHasher};
 pub use rng::SimRng;
 pub use time::{Duration, SimTime};

@@ -1,6 +1,7 @@
 //! Differential oracle for the event engine.
 //!
-//! [`Engine`] is a fast path (slab arena, inline closures, timing wheel);
+//! [`Engine`] is a fast path (inline closures stored in a timing wheel's
+//! chunks);
 //! `RefEngine` below is its slow twin: one `Vec` of `(time, seq, boxed
 //! closure)` kept sorted, nothing else. A seeded random program — events
 //! that log themselves and spawn more events, driven in `run_until` slices
@@ -13,6 +14,9 @@
 //!
 //! - heavy same-instant ties (bursts at one instant, zero-delay children
 //!   scheduled while their instant is draining, past times clamped to now);
+//! - bursts of more than two of the engine's 32-entry chunks, at one
+//!   instant or a few adjacent ones, some far enough ahead that the slot
+//!   holding them cascades while it spans several chunks;
 //! - delays from 1 ms to 10 years, and absolute times one below, at and one
 //!   above multiples of 64ⁿ (the wheel's digit boundaries);
 //! - `run_until` cut at arbitrary instants — empty slices, slices into the
@@ -32,6 +36,10 @@ use std::rc::Rc;
 use lockss_sim::{Duration, Engine, SimRng, SimTime};
 
 const DEFAULT_SEEDS: u64 = 400;
+
+/// Entries per chunk of the engine's wheel (`CHUNK` in `engine.rs`); a
+/// large burst holds more than two chunks' worth.
+const CHUNK: u32 = 32;
 
 /// One observation both engines must agree on.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -77,6 +85,9 @@ struct World {
     /// Events that may still be created; bounds the run.
     budget: u32,
     drops: Rc<RefCell<Vec<u32>>>,
+    /// Instants a large burst was scheduled for at least one wheel digit
+    /// (64 ms) ahead of the clock, so that its slot cascades.
+    far_bursts: Vec<SimTime>,
 }
 
 impl World {
@@ -152,12 +163,22 @@ fn fire<S: Sim>(ev: Ev, w: &mut World, sim: &mut S) {
     }
     match w.rng.below(8) {
         0..=2 => {}
-        // A burst at one instant.
+        // A burst at one instant; one in eight spans several chunks, and
+        // of those one in two spreads over three adjacent instants.
         7 => {
             let at = w.pick_time(now);
-            for _ in 0..5 {
+            let (n, spread) = match w.rng.below(16) {
+                0 => (2 * CHUNK + 1 + w.rng.below(64) as u32, 1),
+                1 => (2 * CHUNK + 1 + w.rng.below(64) as u32, 3),
+                _ => (5, 1),
+            };
+            if n > 5 && at.0 >= now.0.saturating_add(64) {
+                w.far_bursts.push(at);
+            }
+            for _ in 0..n {
+                let t = SimTime(at.0.saturating_add(w.rng.below(spread) as u64));
                 if let Some(child) = w.spawn() {
-                    sim.schedule(at, child);
+                    sim.schedule(t, child);
                 }
             }
         }
@@ -302,15 +323,19 @@ fn schedule_from_outside<S: Sim>(sim: &mut S, w: &mut World, max: usize) {
     }
 }
 
-/// Runs the program for `seed` on `sim`. Returns the log, the per-event
-/// drop counts after the engine is gone, and whether the queue was run dry.
-fn drive<S: Sim>(mut sim: S, seed: u64) -> (Vec<Entry>, Vec<u32>, bool) {
+/// What [`drive`] hands back: the log, the per-event drop counts after the
+/// engine is gone, whether the queue was run dry, and the far bursts.
+type Drive = (Vec<Entry>, Vec<u32>, bool, Vec<SimTime>);
+
+/// Runs the program for `seed` on `sim`.
+fn drive<S: Sim>(mut sim: S, seed: u64) -> Drive {
     let drops = Rc::new(RefCell::new(Vec::new()));
     let mut w = World {
         rng: SimRng::seed_from_u64(seed),
         log: Vec::new(),
         budget: 200 + 600 * (seed % 4) as u32,
         drops: Rc::clone(&drops),
+        far_bursts: Vec::new(),
     };
     schedule_from_outside(&mut sim, &mut w, 80);
     for _ in 0..2 + w.rng.below(12) {
@@ -349,9 +374,11 @@ fn drive<S: Sim>(mut sim: S, seed: u64) -> (Vec<Entry>, Vec<u32>, bool) {
         assert_eq!(sim.queued(), 0, "seed {seed}: exhausted");
     }
     drop(sim);
-    let World { log, .. } = w;
+    let World {
+        log, far_bursts, ..
+    } = w;
     let drops = drops.borrow().clone();
-    (log, drops, exhaust)
+    (log, drops, exhaust, far_bursts)
 }
 
 fn seeds() -> u64 {
@@ -366,9 +393,10 @@ fn seeds() -> u64 {
 #[test]
 fn engine_matches_the_sorted_vec_reference() {
     let (mut events, mut stops, mut unrun) = (0usize, 0usize, 0usize);
+    let (mut widest, mut widest_far) = (0usize, 0usize);
     for seed in 0..seeds() {
-        let (fast, fast_drops, exhausted) = drive(Engine::<World>::new(), seed);
-        let (slow, slow_drops, _) = drive(RefEngine::default(), seed);
+        let (fast, fast_drops, exhausted, far) = drive(Engine::<World>::new(), seed);
+        let (slow, slow_drops, _, _) = drive(RefEngine::default(), seed);
         if let Some(i) = (0..fast.len().max(slow.len())).find(|&i| fast.get(i) != slow.get(i)) {
             panic!(
                 "seed {seed}: logs diverge at entry {i}\n  engine:    {:?}\n  reference: {:?}\n  \
@@ -390,6 +418,22 @@ fn engine_matches_the_sorted_vec_reference() {
         if exhausted {
             assert_eq!(ran, fast_drops.len(), "seed {seed}: exhaustion runs all");
         }
+        // Events run per instant, in log order (times never go back).
+        let mut instants: Vec<(SimTime, usize)> = Vec::new();
+        for e in &fast {
+            if let Entry::Ran { at, .. } = *e {
+                match instants.last_mut() {
+                    Some((t, n)) if *t == at => *n += 1,
+                    _ => instants.push((at, 1)),
+                }
+            }
+        }
+        for &(at, n) in &instants {
+            widest = widest.max(n);
+            if far.contains(&at) {
+                widest_far = widest_far.max(n);
+            }
+        }
         events += ran;
         unrun += fast_drops.len() - ran;
         stops += fast
@@ -401,4 +445,10 @@ fn engine_matches_the_sorted_vec_reference() {
     assert!(events > 100 * seeds() as usize, "only {events} events ran");
     assert!(stops > 0, "no run loop was ever stopped mid-run");
     assert!(unrun > 0, "no event was ever dropped unrun");
+    let chunks = 2 * CHUNK as usize;
+    assert!(widest > chunks, "no instant ran more than {chunks} events");
+    assert!(
+        widest_far > chunks,
+        "no cascaded instant ran more than {chunks} events"
+    );
 }
