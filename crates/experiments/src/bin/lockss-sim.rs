@@ -34,6 +34,7 @@ use lockss_experiments::obs::{ObsSession, SweepObs, Telemetry};
 use lockss_experiments::runner::{
     default_threads, peak_rss_kb, replay_once, run, run_batch, Occupancy, RunOptions, Sink,
 };
+use lockss_experiments::scenario::MAX_RUN_DAYS;
 use lockss_experiments::sweep::{
     self, campaign_status, jobfile, load_checkpoint, merge_files, render_status, report_path,
     run_sweep_plan, CrashHook, DispatchPlan, ShardTag, SweepOptions, SweepReport,
@@ -361,6 +362,14 @@ fn sweep_recovery(inv: &Invocation, threads: usize) {
         if let Some(days) = inv.num(flag) {
             *slot = days;
         }
+    }
+    // Each point watches its world until the heal window closes.
+    let days = study.attack_days + study.heal_window_days;
+    if days > MAX_RUN_DAYS {
+        fail(&format!(
+            "--attack-days plus --heal-window is {days} days, past the last day a \
+             known-peers entry can stamp (at most {MAX_RUN_DAYS} days)"
+        ));
     }
     let out = inv
         .text("--out")

@@ -16,16 +16,15 @@ use std::cell::OnceCell;
 
 use lockss_adversary::{AdmissionFlood, Defection};
 use lockss_core::config::Ablation;
-use lockss_core::World;
 use lockss_effort::ledger::ALL_PURPOSES;
 use lockss_effort::EffortLedger;
 use lockss_metrics::table::{ratio, sci};
 use lockss_metrics::{Summary, Table};
-use lockss_sim::{Duration, Engine, SimTime};
+use lockss_sim::{Duration, SimTime};
 use lockss_storage::AuId;
 
 use crate::registry::ScenarioRegistry;
-use crate::runner::{default_threads, run, run_batch, RunOptions};
+use crate::runner::{default_threads, run, run_batch, Run, RunOptions};
 use crate::scale::Scale;
 use crate::scenario::{AttackSpec, Scenario};
 
@@ -603,9 +602,6 @@ pub fn select(ids: &[String]) -> Result<Vec<&'static Figure>, String> {
 /// whose per-AU reference list contains it) over time. Under a sustained
 /// flood, refractory periods block unknown peers, so integration leans
 /// entirely on mutual friends and introductions — measurably slower.
-///
-/// This report samples its world month by month, so it steps the engine
-/// itself instead of going through [`run`].
 fn churn_report(scale: Scale) -> Table {
     let penetration = |flood: bool| -> Vec<f64> {
         // The registered baseline world, shrunk and sped up (monthly polls)
@@ -617,21 +613,18 @@ fn churn_report(scale: Scale) -> Table {
             .cfg;
         cfg.seed = 1;
         cfg.protocol.poll_interval = Duration::MONTH;
-        let mut world = World::new(cfg);
-        if flood {
-            world.install_adversary(Box::new(AdmissionFlood::new(1.0, 10_000)));
-        }
-        let mut eng: Engine<World> = Engine::new();
-        world.start(&mut eng);
+        let flood = flood.then(|| Box::new(AdmissionFlood::new(1.0, 10_000)) as _);
+        let mut run = Run::start(cfg, flood, &RunOptions::default());
 
         // Reach steady state, then join one newcomer.
-        eng.run_until(&mut world, SimTime::ZERO + Duration::MONTH * 3);
-        let joiner = world.join_loyal_peer(&mut eng);
+        run.advance_to(SimTime::ZERO + Duration::MONTH * 3);
+        let joiner = run.join_loyal_peer();
 
         // Sample penetration monthly for a year.
         (1..=12u64)
             .map(|month| {
-                eng.run_until(&mut world, SimTime::ZERO + Duration::MONTH * (3 + month));
+                run.advance_to(SimTime::ZERO + Duration::MONTH * (3 + month));
+                let world = run.world();
                 let pen: f64 = (0..world.cfg.n_aus)
                     .map(|au| world.reflist_penetration(joiner, AuId(au as u32)))
                     .sum();

@@ -22,13 +22,13 @@
 //! byte-identical for any thread count.
 
 use lockss_adversary::MobileTakeover;
-use lockss_core::{World, WorldConfig};
+use lockss_core::WorldConfig;
 use lockss_effort::CostModel;
 use lockss_metrics::streaming::Reservoir;
-use lockss_sim::{Duration, Engine, SimTime};
+use lockss_sim::{Duration, SimTime};
 use lockss_storage::AuSpec;
 
-use crate::runner::par_map;
+use crate::runner::{par_map, Run, RunOptions};
 
 /// Study shape: which budgets, how many seeds, the campaign and the
 /// patience after it.
@@ -130,27 +130,18 @@ fn run_point(study: &RecoveryStudy, budget: u32, seed: u64) -> PointOutcome {
     // Monthly polls: the repair machinery gets a dozen audit rounds per
     // simulated year, so heal times resolve inside a CI-sized window.
     cfg.protocol.poll_interval = Duration::MONTH;
-    let mut world = World::new(cfg);
-    world.install_adversary(Box::new(
-        MobileTakeover::new(budget)
-            .with_period(Duration::from_days(study.period_days))
-            .with_horizon(Duration::from_days(study.attack_days)),
-    ));
-    let mut eng: Engine<World> = Engine::new();
-    world.start(&mut eng);
+    let takeover = MobileTakeover::new(budget)
+        .with_period(Duration::from_days(study.period_days))
+        .with_horizon(Duration::from_days(study.attack_days));
+    let mut run = Run::start(cfg, Some(Box::new(takeover)), &RunOptions::default());
     let attack_end = SimTime::ZERO + Duration::from_days(study.attack_days);
-    eng.run_until(&mut world, attack_end);
-    let mut healed_after = None;
-    for day in 0..=study.heal_window_days {
-        eng.run_until(&mut world, attack_end + Duration::from_days(day));
-        if world.peers.total_damaged() == 0 {
-            healed_after = Some(day);
-            break;
-        }
-    }
+    let healed_after = (0..=study.heal_window_days).find(|&day| {
+        run.advance_to(attack_end + Duration::from_days(day));
+        run.world().peers.total_damaged() == 0
+    });
     PointOutcome {
         healed_after,
-        residual: world.peers.total_damaged() as u64,
+        residual: run.world().peers.total_damaged() as u64,
     }
 }
 

@@ -1,12 +1,13 @@
-//! The one run path: [`run`] turns a `(scenario, seed)` into a driven
-//! world, optionally with a trace sink (record, or replay-verify) and
-//! out-of-band instruments installed. Batches, sweeps, replay, fuzzing and
-//! the figure reports are all callers of it.
+//! The one run path: a [`Run`] builds a world, optionally with a trace
+//! sink (record, or replay-verify) and out-of-band instruments installed,
+//! and drives it in as many steps as its caller asks for. [`run`] turns a
+//! `(scenario, seed)` into one such run to the horizon; batches, sweeps,
+//! replay, fuzzing and the figure reports are all callers of it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use lockss_core::{CoreObs, TableOccupancy, World, WorldConfig};
+use lockss_core::{Adversary, CoreObs, TableOccupancy, World, WorldConfig};
 use lockss_metrics::{PhaseSummary, Summary};
 use lockss_obs::{SharedProfiler, Span};
 use lockss_sim::{Duration, Engine, EngineObs, SimTime};
@@ -47,10 +48,10 @@ pub struct Instruments {
 /// The trace sink a run installs. Recording and replay are the same
 /// execution with a different sink, not forks of the run loop.
 ///
-/// Both handles are shared (`Rc`) clones: keep one, hand the other to
-/// [`run`] — [`run`] seals a recorder itself ([`RunOutput::trace`]); a
-/// verifier's owner calls `Verifier::finish` afterwards, as
-/// [`replay_once`] does.
+/// Both handles are shared (`Rc`) clones: keep one, hand the other to a
+/// [`Run`] — [`Run::finish`] seals a recorder itself
+/// ([`RunOutput::trace`]); a verifier's owner calls `Verifier::finish`
+/// afterwards, as [`replay_once`] does.
 #[derive(Clone)]
 pub enum Sink {
     /// Capture the run's full causal event stream.
@@ -60,7 +61,7 @@ pub enum Sink {
     Verify(Verifier),
 }
 
-/// What one [`run`] installs besides the scenario itself. `Default` is a
+/// What one [`Run`] installs besides its world and adversary. `Default` is a
 /// plain run: no sink, instruments off.
 #[derive(Clone, Default)]
 pub struct RunOptions {
@@ -111,9 +112,116 @@ pub struct RunOutput {
     pub world: World,
 }
 
-/// Runs one seed of a scenario to its horizon — the only place a
-/// [`Scenario`] becomes a driven [`World`]. Everything else (batches,
-/// sweeps, replay, fuzzing, the figure reports) goes through here.
+/// A world driven in the steps its caller asks for — the one place a
+/// [`World`] and its [`Engine`] are built. [`run`] takes one step, to the
+/// horizon; the churn report and the recovery study look at
+/// [`Run::world`] between steps. Slicing never changes the run: an event
+/// stamped at a step's target runs in the next step, in the order one
+/// step would have run it.
+pub struct Run {
+    world: World,
+    eng: Engine<World>,
+    /// The last [`Run::advance_to`] target, where [`Run::finish`]
+    /// summarises.
+    end: SimTime,
+    opts: RunOptions,
+}
+
+impl Run {
+    /// Builds and starts the world for `cfg` (its seed included) with
+    /// `opts`'s sink and instruments and `adversary` installed. Nothing has
+    /// run yet: the clock is at zero.
+    pub fn start(
+        cfg: WorldConfig,
+        adversary: Option<Box<dyn Adversary>>,
+        opts: &RunOptions,
+    ) -> Run {
+        let ins = &opts.instruments;
+        let _span = Span::enter(&ins.profiler, "world-build");
+        let mut world = World::new(cfg);
+        match &opts.sink {
+            Some(Sink::Record(r)) => world.set_trace_sink(Box::new(r.clone())),
+            Some(Sink::Verify(v)) => world.set_trace_sink(Box::new(v.clone())),
+            None => {}
+        }
+        if let Some(adv) = adversary {
+            world.install_adversary(adv);
+        }
+        if let Some(core) = &ins.core {
+            world.set_obs(core.clone());
+        }
+        if let Some(prof) = &ins.profiler {
+            world.set_profiler(prof.clone());
+        }
+        let mut eng = engine_for(&world.cfg);
+        if let Some(engine) = &ins.engine {
+            eng.set_obs(engine.clone());
+        }
+        world.start(&mut eng);
+        Run {
+            world,
+            eng,
+            end: SimTime::ZERO,
+            opts: opts.clone(),
+        }
+    }
+
+    /// Runs every event stamped before `until`; the clock finishes at
+    /// `until`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the limit, if `until` lies past [`MAX_RUN_DAYS`].
+    pub fn advance_to(&mut self, until: SimTime) {
+        self.end = horizon(until.since(SimTime::ZERO)).unwrap_or_else(|e| panic!("{e}"));
+        let _span = Span::enter(&self.opts.instruments.profiler, "simulate");
+        self.eng.run_until(&mut self.world, until);
+    }
+
+    /// The world as the last step left it.
+    pub fn world(&self) -> &World {
+        &self.world
+    }
+
+    /// Joins a new loyal peer at the current instant; returns its index.
+    pub fn join_loyal_peer(&mut self) -> usize {
+        self.world.join_loyal_peer(&mut self.eng)
+    }
+
+    /// Summarises the run at the last [`Run::advance_to`] target, seals a
+    /// recorder's trace and reads the occupancy.
+    pub fn finish(mut self) -> RunOutput {
+        let summary = self.world.metrics.summarize(self.end);
+        let phases = self.world.metrics.phase_summaries(self.end);
+        drop(self.world.take_trace_sink());
+        let trace = match &self.opts.sink {
+            Some(Sink::Record(r)) => {
+                let _span = Span::enter(&self.opts.instruments.profiler, "trace-seal");
+                Some(r.clone().finish())
+            }
+            _ => None,
+        };
+        let (eng, world) = (self.eng, self.world);
+        let (events_queued, events_high_water) = eng.arena_occupancy();
+        RunOutput {
+            summary,
+            phases,
+            trace,
+            occupancy: Occupancy {
+                events_executed: eng.executed(),
+                events_queued,
+                events_high_water,
+                queue_bytes: eng.queue_bytes(),
+                table: world.occupancy(),
+            },
+            world,
+        }
+    }
+}
+
+/// Runs one seed of a scenario to its horizon: a [`Run`] advanced in one
+/// step. Everything else (batches, sweeps, replay, fuzzing, the figure
+/// reports) goes through here.
 ///
 /// Neither a sink nor instruments perturb the run: trace emission never
 /// touches the RNG or the event queue, and counters and spans only read
@@ -125,62 +233,11 @@ pub struct RunOutput {
 /// Panics, naming the limit, if the run would last past
 /// [`MAX_RUN_DAYS`].
 pub fn run(scenario: &Scenario, seed: u64, opts: &RunOptions) -> RunOutput {
-    let end = horizon(scenario.run_length).unwrap_or_else(|e| panic!("{e}"));
-    let ins = &opts.instruments;
     let mut cfg = scenario.cfg.clone();
     cfg.seed = seed;
-    let mut world = {
-        let _span = Span::enter(&ins.profiler, "world-build");
-        let mut world = World::new(cfg);
-        match &opts.sink {
-            Some(Sink::Record(r)) => world.set_trace_sink(Box::new(r.clone())),
-            Some(Sink::Verify(v)) => world.set_trace_sink(Box::new(v.clone())),
-            None => {}
-        }
-        if let Some(adv) = scenario.attack.build() {
-            world.install_adversary(adv);
-        }
-        world
-    };
-    if let Some(core) = &ins.core {
-        world.set_obs(core.clone());
-    }
-    if let Some(prof) = &ins.profiler {
-        world.set_profiler(prof.clone());
-    }
-    let mut eng: Engine<World> = engine_for(&scenario.cfg);
-    if let Some(engine) = &ins.engine {
-        eng.set_obs(engine.clone());
-    }
-    {
-        let _span = Span::enter(&ins.profiler, "simulate");
-        world.start(&mut eng);
-        eng.run_until(&mut world, end);
-    }
-    let summary = world.metrics.summarize(end);
-    let phases = world.metrics.phase_summaries(end);
-    drop(world.take_trace_sink());
-    let trace = match &opts.sink {
-        Some(Sink::Record(r)) => {
-            let _span = Span::enter(&ins.profiler, "trace-seal");
-            Some(r.clone().finish())
-        }
-        _ => None,
-    };
-    let (events_queued, events_high_water) = eng.arena_occupancy();
-    RunOutput {
-        summary,
-        phases,
-        trace,
-        occupancy: Occupancy {
-            events_executed: eng.executed(),
-            events_queued,
-            events_high_water,
-            queue_bytes: eng.queue_bytes(),
-            table: world.occupancy(),
-        },
-        world,
-    }
+    let mut run = Run::start(cfg, scenario.attack.build(), opts);
+    run.advance_to(SimTime::ZERO + scenario.run_length);
+    run.finish()
 }
 
 /// The instant a run of `run_length` ends, refused past the last instant a

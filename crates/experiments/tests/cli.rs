@@ -1,7 +1,8 @@
 //! Command-line misuse is an error, not a silent default.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::Instant;
 
 fn lockss_sim(args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_lockss-sim"));
@@ -150,6 +151,45 @@ fn numeric_flag_typos_exit_2_naming_the_flag_and_the_value() {
             "{args:?}: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+/// Each recovery-study point watches its world for `--attack-days` plus
+/// `--heal-window` days. Past `MAX_RUN_DAYS` in total the study used to
+/// simulate until killed; the handler refuses it before anything runs —
+/// exit 2, naming both flags and the limit. A child still running after
+/// the deadline is killed and fails the test rather than hanging it.
+#[test]
+fn recovery_studies_past_the_last_stamp_are_refused_at_once() {
+    let recovery = ["sweep", "recovery", "--budgets", "2", "--seeds", "1..1"];
+    for flags in [
+        &["--attack-days", "53375995583", "--heal-window", "1"][..],
+        &["--attack-days", "60000000000"],
+    ] {
+        let mut child = lockss_sim(&recovery)
+            .args(flags)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn");
+        let deadline = Instant::now() + std::time::Duration::from_secs(30);
+        while child.try_wait().expect("wait").is_none() {
+            if Instant::now() > deadline {
+                child.kill().expect("kill");
+                panic!("{flags:?}: still simulating after 30 s");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("collect");
+        let stderr = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flags:?}: nothing may run");
+        for needle in ["--attack-days", "--heal-window", "at most 53375995583 days"] {
+            assert!(
+                stderr.contains(needle),
+                "{flags:?}: '{needle}' not in: {stderr}"
+            );
+        }
     }
 }
 

@@ -37,11 +37,24 @@ impl Row {
 /// (clamped to at least one day), decoding blocks on up to `threads`
 /// threads. Deterministic and thread-invariant: the fold runs in block
 /// order no matter how decoding is scheduled.
+///
+/// The rows reach the last record's bucket, so a record stamped past the
+/// header's run length — which no run emits, as a run stops before its
+/// end — is a malformed time column, not a reason to allocate rows.
 pub fn export_csv(trace: &Trace, threads: usize, bucket_days: u64) -> Result<String, TraceError> {
     let bucket_days = bucket_days.max(1);
     let bucket_ms = bucket_days * MS_PER_DAY;
+    let run_length_ms = trace.meta()?.run_length_ms;
     let mut rows: Vec<Row> = Vec::new();
+    let (mut block, mut late_block) = (0, None);
     for_each_block(trace, threads, |chunk| {
+        if chunk.iter().any(|rec| rec.at.as_millis() > run_length_ms) {
+            late_block = late_block.or(Some(block));
+        }
+        block += 1;
+        if late_block.is_some() {
+            return;
+        }
         for rec in chunk {
             let idx = (rec.at.as_millis() / bucket_ms) as usize;
             if rows.len() <= idx {
@@ -58,6 +71,12 @@ pub fn export_csv(trace: &Trace, threads: usize, bucket_days: u64) -> Result<Str
             }
         }
     })?;
+    if let Some(block) = late_block {
+        return Err(TraceError::BadColumn {
+            block,
+            column: "time-delta",
+        });
+    }
 
     use std::fmt::Write as _;
     let mut out = String::with_capacity(rows.len() * 64 + 256);

@@ -5,10 +5,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use lockss::core::World;
 use lockss::effort::CostModel;
+use lockss::experiments::runner::{Run, RunOptions};
 use lockss::experiments::{Scale, ScenarioRegistry};
-use lockss::sim::{Duration, Engine, SimTime};
+use lockss::sim::{Duration, SimTime};
 use lockss::storage::AuSpec;
 
 fn main() {
@@ -43,26 +43,24 @@ fn main() {
         cfg.mtbf_years,
     );
 
-    let mut world = World::new(cfg);
-    let mut eng = Engine::new();
-    world.start(&mut eng);
+    let mut run = Run::start(cfg, None, &RunOptions::default());
 
     // Step through the year a quarter at a time, reporting progress.
     for quarter in 1..=4u64 {
-        let until = SimTime::ZERO + Duration::MONTH * (3 * quarter);
-        eng.run_until(&mut world, until);
-        let damaged: usize = world.peers.total_damaged();
+        run.advance_to(SimTime::ZERO + Duration::MONTH * (3 * quarter));
+        let world = run.world();
         println!(
             "after {:>2} months: {:>5} polls succeeded, {:>3} failed, {} replicas damaged right now",
             3 * quarter,
             world.metrics.polls.successful_polls,
             world.metrics.polls.failed_polls,
-            damaged,
+            world.peers.total_damaged(),
         );
     }
 
-    let end = SimTime::ZERO + Duration::YEAR;
-    let summary = world.metrics.summarize(end);
+    // Four quarters are 360 days; the summary reads the year to day 365.
+    let world = run.finish().world;
+    let summary = world.metrics.summarize(SimTime::ZERO + Duration::YEAR);
     println!();
     println!("=== one simulated year ===");
     println!(

@@ -22,20 +22,18 @@
 //! # Examples
 //!
 //! ```
-//! use lockss::core::{World, WorldConfig};
-//! use lockss::sim::{Duration, Engine, SimTime};
+//! use lockss::core::WorldConfig;
+//! use lockss::experiments::runner::{Run, RunOptions};
+//! use lockss::sim::{Duration, SimTime};
 //!
 //! // A small preservation network, simulated for sixty days.
 //! let mut cfg = WorldConfig::default();
 //! cfg.n_peers = 25;
 //! cfg.n_aus = 1;
 //! cfg.protocol.poll_interval = Duration::from_days(15);
-//! let mut world = World::new(cfg);
-//! let mut eng = Engine::new();
-//! world.start(&mut eng);
-//! let end = SimTime::ZERO + Duration::from_days(60);
-//! eng.run_until(&mut world, end);
-//! let summary = world.metrics.summarize(end);
+//! let mut run = Run::start(cfg, None, &RunOptions::default());
+//! run.advance_to(SimTime::ZERO + Duration::from_days(60));
+//! let summary = run.finish().summary;
 //! assert!(summary.successful_polls > 0);
 //! ```
 

@@ -7,15 +7,17 @@
 //! the `f64` effort accumulators — exactly, so these assertions demand
 //! byte-identical results, not epsilon closeness.
 
+use std::cell::Cell;
+
 use lockss::core::{World, WorldConfig};
 use lockss::crypto::sha256::{sha256, to_hex};
 use lockss::experiments::figures::{self, Sweeps};
-use lockss::experiments::runner::{run, run_batch, run_once, RunOptions};
+use lockss::experiments::runner::{run, run_batch, run_once, Run, RunOptions, RunOutput};
 use lockss::experiments::scenario::{AttackSpec, Scenario};
 use lockss::experiments::sweep::{load_checkpoint, run_sweep, summary_to_json};
 use lockss::experiments::{run_recovery_study, RecoveryStudy, Scale, ScenarioRegistry};
 use lockss::sim::{Duration, Engine, SimTime};
-use lockss::trace::TraceMeta;
+use lockss::trace::{TraceMeta, TraceRecord};
 
 fn quick(attack: AttackSpec) -> Scenario {
     let mut s = Scenario::attacked(Scale::Quick, 2, attack);
@@ -102,13 +104,24 @@ fn every_registered_scenario_is_thread_count_invariant() {
 /// Records one shrunken scenario and returns the trace's content hash
 /// and the SHA-256 of its summary's checkpoint encoding.
 fn record_digests(name: &str, scenario: &Scenario, seed: u64) -> (String, String) {
+    record_digests_by(name, scenario, seed, |opts| run(scenario, seed, opts))
+}
+
+/// [`record_digests`] with the run driven by `drive`, handed the
+/// recording options.
+fn record_digests_by(
+    name: &str,
+    scenario: &Scenario,
+    seed: u64,
+    drive: impl FnOnce(&RunOptions) -> RunOutput,
+) -> (String, String) {
     let meta = TraceMeta {
         scenario: name.to_string(),
         scale: "quick".to_string(),
         seed,
         run_length_ms: scenario.run_length.as_millis(),
     };
-    let out = run(scenario, seed, &RunOptions::record(&meta));
+    let out = drive(&RunOptions::record(&meta));
     let digest = to_hex(&sha256(summary_to_json(&out.summary).as_bytes()));
     let trace = out.trace.expect("a recorded run seals a trace");
     (trace.content_hash(), digest)
@@ -354,6 +367,46 @@ const GOLDEN_DIGESTS: &[(&str, u64, &str, &str)] = &[
 /// order changes between two commits.
 #[test]
 fn golden_digests_match_the_pinned_literals() {
+    assert_golden_digests(record_digests);
+}
+
+/// The pinned runs again, each advanced in seven-day slices instead of in
+/// one step to its horizon. No horizon is a multiple of a week, and
+/// whole-day adversary timers fall exactly on some slice boundaries,
+/// where `run_until` leaves an event for the next slice. Slicing must not
+/// move a byte.
+#[test]
+fn a_run_advanced_in_slices_matches_the_pinned_literals() {
+    let step = Duration::from_days(7);
+    let on_a_boundary = Cell::new(0);
+    assert_golden_digests(|name, s, seed| {
+        record_digests_by(name, s, seed, |opts| {
+            let mut cfg = s.cfg.clone();
+            cfg.seed = seed;
+            let mut run = Run::start(cfg, s.attack.build(), opts);
+            let end = SimTime::ZERO + s.run_length;
+            let mut at = SimTime::ZERO;
+            while at < end {
+                at = (at + step).min(end);
+                run.advance_to(at);
+            }
+            let out = run.finish();
+            let trace = out.trace.as_ref().expect("a recorded run seals a trace");
+            let boundary = |r: &TraceRecord| {
+                let ms = r.at.since(SimTime::ZERO).as_millis();
+                ms > 0 && ms.is_multiple_of(step.as_millis())
+            };
+            let records = trace.decode_all().expect("a sealed trace decodes");
+            on_a_boundary.set(on_a_boundary.get() + records.iter().filter(|r| boundary(r)).count());
+            out
+        })
+    });
+    assert!(on_a_boundary.get() > 0, "no event ran on a slice boundary");
+}
+
+/// Runs every pinned `(scenario, seed)` through `digests` and holds the
+/// results to `GOLDEN_DIGESTS`.
+fn assert_golden_digests(digests: impl Fn(&str, &Scenario, u64) -> (String, String)) {
     let pinned = [
         "baseline",
         "pipe-stoppage",
@@ -383,7 +436,7 @@ fn golden_digests_match_the_pinned_literals() {
     let mut got = Vec::new();
     for (name, s) in &jobs {
         for seed in [7u64, 11] {
-            let (trace, summary) = record_digests(name, s, seed);
+            let (trace, summary) = digests(name, s, seed);
             actual.push_str(&format!(
                 "    (\n        {name:?},\n        {seed},\n        {trace:?},\n        {summary:?},\n    ),\n"
             ));

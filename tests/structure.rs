@@ -76,9 +76,10 @@ const RULES: &[Rule] = &[
         why: "The eleven figure binaries and the CSV memo were folded into \
               `lockss-sim figure` over `runner::run`; a new bin, or a new place \
               that builds and drives a World, is a second path the byte-identity \
-              checks do not cover. The examples run through `runner::run` too; \
-              quickstart.rs steps its engine quarter by quarter and is the one \
-              stepping demo.",
+              checks do not cover. A caller that pauses a run part-way (the \
+              churn report, the recovery study, quickstart.rs, the facade's doc \
+              example) steps a `runner::Run`, so runner.rs alone builds a World \
+              and calls run_until.",
         check: one_run_path,
         plants: &[
             plant(
@@ -94,9 +95,14 @@ const RULES: &[Rule] = &[
             plant(
                 "examples/stepper.rs",
                 "let mut world = World::new(cfg);\n",
-                "World::new( is called from: crates/experiments/src/figures.rs \
-                 crates/experiments/src/recovery.rs crates/experiments/src/runner.rs \
-                 examples/quickstart.rs examples/stepper.rs",
+                "World::new( or run_until( is called from: \
+                 crates/experiments/src/runner.rs examples/stepper.rs",
+            ),
+            plant(
+                "crates/experiments/src/recovery.rs",
+                "let mut world = World::new(cfg);\n",
+                "World::new( or run_until( is called from: \
+                 crates/experiments/src/recovery.rs crates/experiments/src/runner.rs",
             ),
         ],
     },
@@ -522,22 +528,15 @@ fn one_run_path(t: &Tree) -> Vec<String> {
                 .to_string(),
         );
     }
-    let builders: Vec<&str> = files(t, &["crates/experiments/src", "examples"])
-        .filter(|(_, text)| text.contains("World::new("))
+    let builders: Vec<&str> = files(t, &["crates/experiments/src", "examples", "src"])
+        .filter(|(_, text)| contains_any(text, &["World::new(", "run_until("]))
         .map(|(path, _)| path)
         .collect();
-    let expected = [
-        "crates/experiments/src/figures.rs",
-        "crates/experiments/src/recovery.rs",
-        "crates/experiments/src/runner.rs",
-        "examples/quickstart.rs",
-    ];
-    if builders != expected {
+    if builders != ["crates/experiments/src/runner.rs"] {
         out.push(format!(
-            "World::new( is called from: {}\n\
-             only runner.rs (the run path), recovery.rs and figures.rs (the churn \
-             report steps its engine month by month) may build a World, and among \
-             the examples only quickstart.rs (the stepping demo)",
+            "World::new( or run_until( is called from: {}\n\
+             only runner.rs (the run path) may build or drive a World; a caller \
+             that pauses a run part-way steps a runner::Run",
             builders.join(" ")
         ));
     }

@@ -562,6 +562,42 @@ fn files_whose_numbers_lie_are_errors_not_panics_or_allocations() {
     assert_eq!(e.to_string(), "not a lockss trace (bad magic)");
 }
 
+/// A well-sealed file whose last record lies past the header's run length
+/// (2^62 ms against 1000 ms) decodes, since every column is well-formed,
+/// but `trace export` sizes its rows by the records' times: at one-day
+/// buckets that record alone used to ask for ~5·10^10 rows. Export
+/// refuses it, naming the record's block, without a request of 1 MiB on
+/// the calling thread, which sizes the export's buffers.
+#[test]
+fn export_refuses_a_record_past_the_run_length() {
+    let _shared = WHOLE_PROCESS.read().unwrap_or_else(PoisonError::into_inner);
+    let join = |at: u64, peer: u32| TraceRecord {
+        at: SimTime(at),
+        seq: u64::from(peer),
+        event: TraceEvent::PeerJoin { peer },
+    };
+    let records = [join(0, 0), join(500, 1), join(1 << 62, 2)];
+    let trace = record_v2(&records, 1);
+    assert_eq!(trace.blocks().len(), 3);
+    assert_eq!(trace.decode_all().expect("well-formed"), records);
+    for threads in [1, 4] {
+        LARGEST.with(|l| l.set(0));
+        let e = export_csv(&trace, threads, 1).expect_err("a record past the run's end");
+        let largest = LARGEST.with(Cell::get);
+        assert!(
+            matches!(
+                e,
+                TraceError::BadColumn {
+                    block: 2,
+                    column: "time-delta"
+                }
+            ),
+            "{e}"
+        );
+        assert!(largest < LARGE, "{e}: one request of {largest} bytes");
+    }
+}
+
 /// Seals a one-block trace again around a replacement `body`: frame,
 /// index entry (length and digest) and file seal all brought up to date,
 /// so the forgery reaches the column decoder.
