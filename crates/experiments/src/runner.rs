@@ -297,7 +297,10 @@ pub fn peak_rss_kb() -> Option<u64> {
 /// contend on or poison — and write into item-indexed slots, so the output
 /// never depends on which worker ran what, or on how many there were.
 /// Each worker builds its own state with `worker_init` (instruments and
-/// profilers are `!Send`) and drops it on the way out.
+/// profilers are `!Send`) and drops it on the way out. A panic in `f`
+/// ends the process under the release profile (`panic = "abort"`); in a
+/// build that unwinds, such as a test harness, the scope re-raises it
+/// once every worker has stopped.
 pub(crate) fn par_map<I: Sync, W, T: Send>(
     items: &[I],
     threads: usize,
@@ -319,7 +322,7 @@ pub(crate) fn par_map<I: Sync, W, T: Send>(
                     let out = f(&mut worker, item);
                     *slots[i]
                         .lock()
-                        .expect("a slot lock is never held across a panic") = Some(out);
+                        .expect("a slot is locked only to store a result") = Some(out);
                 }
             });
         }
@@ -328,7 +331,7 @@ pub(crate) fn par_map<I: Sync, W, T: Send>(
         .into_iter()
         .map(|slot| {
             slot.into_inner()
-                .expect("a slot lock is never held across a panic")
+                .expect("a slot is locked only to store a result")
                 .expect("the scope joined every worker, so every item ran")
         })
         .collect()

@@ -16,6 +16,12 @@ use crate::wire::TraceError;
 
 const MS_PER_DAY: u64 = 24 * 3600 * 1000;
 
+/// The most rows an export writes: 179 years at one-day buckets. A header
+/// may claim a run of up to 2^64 ms, and even an honest `MAX_RUN_DAYS` run
+/// would need ~5·10^10 one-day rows, so the row count is bounded by this,
+/// not by the header.
+pub(crate) const MAX_ROWS: u64 = 1 << 16;
+
 #[derive(Clone)]
 struct Row {
     events: u64,
@@ -40,11 +46,21 @@ impl Row {
 ///
 /// The rows reach the last record's bucket, so a record stamped past the
 /// header's run length — which no run emits, as a run stops before its
-/// end — is a malformed time column, not a reason to allocate rows.
+/// end — is a malformed time column, not a reason to allocate rows. A
+/// run length that would take more than [`MAX_ROWS`] rows is refused
+/// before anything is decoded or allocated.
 pub fn export_csv(trace: &Trace, threads: usize, bucket_days: u64) -> Result<String, TraceError> {
     let bucket_days = bucket_days.max(1);
     let bucket_ms = bucket_days * MS_PER_DAY;
     let run_length_ms = trace.meta()?.run_length_ms;
+    let buckets = run_length_ms / bucket_ms + 1;
+    if buckets > MAX_ROWS {
+        return Err(TraceError::TooManyRows {
+            buckets,
+            bucket_days,
+            min_bucket_days: run_length_ms / (MS_PER_DAY * MAX_ROWS) + 1,
+        });
+    }
     let mut rows: Vec<Row> = Vec::new();
     let (mut block, mut late_block) = (0, None);
     for_each_block(trace, threads, |chunk| {

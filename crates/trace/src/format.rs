@@ -176,18 +176,28 @@ impl SealWorker {
     }
 
     /// Closes the channel and waits for the worker to seal what is
-    /// queued. `None` if it was joined before, or panicked.
-    fn join(&mut self) -> Option<BlockSealer> {
+    /// queued. A panic on the worker ends the process under the release
+    /// profile (`panic = "abort"`); a build that unwinds, such as a test
+    /// harness, resumes it here, on the recording thread.
+    fn join(mut self) -> BlockSealer {
+        match self.stop().expect("only join and drop stop the worker") {
+            Ok(sealer) => sealer,
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    }
+
+    /// Closes the channel and joins the worker, unless that was done.
+    fn stop(&mut self) -> Option<std::thread::Result<BlockSealer>> {
         self.full = None;
-        self.handle.take()?.join().ok()
+        self.handle.take().map(JoinHandle::join)
     }
 }
 
 impl Drop for SealWorker {
-    /// A recorder dropped unfinished (an aborted replay, an unwinding
-    /// run) still stops its thread.
+    /// A recorder dropped unfinished (an aborted replay, or a test that
+    /// unwinds through its recording thread) still stops its thread.
     fn drop(&mut self) {
-        self.join();
+        let _ = self.stop();
     }
 }
 
@@ -313,11 +323,11 @@ impl Recorder {
                 }
                 sealer
             }
-            Sealing::Worker(mut worker) => {
+            Sealing::Worker(worker) => {
                 if partial {
                     inner.stats.blocked_ns += worker.send(std::mem::take(&mut inner.open));
                 }
-                worker.join().expect("the seal worker panicked")
+                worker.join()
             }
         };
         let (mut bytes, blocks, mut hash) = sealer.into_parts();

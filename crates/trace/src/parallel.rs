@@ -74,7 +74,9 @@ impl Shared {
 }
 
 /// Ends the pass when the fold returns or unwinds (`always`), or when a
-/// worker unwinds, so neither side waits on a thread that is gone.
+/// worker unwinds, so neither side waits on a thread that is gone. Only a
+/// build that unwinds (a test harness) reaches the unwinding cases; under
+/// the release profile (`panic = "abort"`) a panic ends the process.
 struct StopOnDrop<'a> {
     shared: &'a Shared,
     always: bool,

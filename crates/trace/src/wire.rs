@@ -59,6 +59,16 @@ pub enum TraceError {
         /// Which column failed (`kinds`, `time-delta`, ...).
         column: &'static str,
     },
+    /// `trace export` at this bucket width would write more rows than
+    /// it allows.
+    TooManyRows {
+        /// Buckets the header's run length spans.
+        buckets: u64,
+        /// The bucket width asked for.
+        bucket_days: u64,
+        /// The narrowest bucket width that fits.
+        min_bucket_days: u64,
+    },
     /// Reading or writing the trace file failed.
     Io(std::io::Error),
 }
@@ -87,6 +97,16 @@ impl std::fmt::Display for TraceError {
             TraceError::BadColumn { block, column } => {
                 write!(f, "malformed {column} column in block {block}")
             }
+            TraceError::TooManyRows {
+                buckets,
+                bucket_days,
+                min_bucket_days,
+            } => write!(
+                f,
+                "the run spans {buckets} buckets of {bucket_days} days, more than the {} \
+                 rows an export writes: pass --bucket-days {min_bucket_days} or wider",
+                crate::export::MAX_ROWS
+            ),
             TraceError::Io(e) => write!(f, "trace i/o: {e}"),
         }
     }

@@ -5,8 +5,9 @@
 //! one JSON writer, one trace wire, and so on. Each row below names one such
 //! rule, says why it exists, and checks it against the source tree read from
 //! the repository root: every file under `crates/`, `src/`, `tests/`,
-//! `examples/` and `benchmark/`, minus `target/` directories. This file is
-//! left out of that tree, because it spells every name the rules forbid.
+//! `examples/`, `benchmark/` and `.cargo/`, minus `target/` directories,
+//! and the root `Cargo.toml`. This file is left out of that tree, because
+//! it spells every name the rules forbid.
 //!
 //! Every row also carries planted violations. A plant lays text over one
 //! file of the real tree (in front of what is there, so it lands before any
@@ -450,6 +451,35 @@ const RULES: &[Rule] = &[
             "fn spawn(bin: &Path) { let _ = std::process::Command::new(bin).spawn(); }\n",
             "a process spawned under crates/*/src, src/ or examples/",
         )],
+    },
+    Rule {
+        name: "One release profile",
+        why: "The workspace and the benchmark (its own workspace under \
+              benchmark/) build with the one [profile.release] in \
+              .cargo/config.toml, which cargo reads for any build started in \
+              the repository. A [profile.*] in a manifest reaches one of \
+              the two builds only, so the binary measured and the binary shipped \
+              would be compiled differently; a second profile (a release-fast) \
+              is a binary nobody measures. The row reads benchmark/Cargo.toml \
+              and never writes it.",
+        check: one_release_profile,
+        plants: &[
+            plant(
+                "Cargo.toml",
+                "[profile.release]\nlto = true\n",
+                "\nCargo.toml:1: [profile.release]",
+            ),
+            plant(
+                "benchmark/Cargo.toml",
+                "[profile.release]\npanic = \"abort\"\n",
+                "\nbenchmark/Cargo.toml:1: [profile.release]",
+            ),
+            plant(
+                ".cargo/config.toml",
+                "[profile.release-fast]\ninherits = \"release\"\n",
+                ".cargo/config.toml declares [\"[profile.release-fast]\", \"[profile.release]\"]",
+            ),
+        ],
     },
     Rule {
         name: "Every pub fn has a program caller",
@@ -1041,6 +1071,37 @@ fn no_program_code_spawns_a_process(t: &Tree) -> Vec<String> {
     )
 }
 
+fn one_release_profile(t: &Tree) -> Vec<String> {
+    // `[profile.x]`, `[profile]` and the dotted `profile.x.key = v`.
+    let declares = |l: &str| {
+        let l = l.trim_start();
+        l.starts_with("[profile") || l.starts_with("profile.")
+    };
+    let manifests = t
+        .iter()
+        .filter(|(path, _)| *path == "Cargo.toml" || path.ends_with("/Cargo.toml"));
+    let hits = manifests
+        .flat_map(|(path, text)| grep(Some((path.as_str(), text.as_str())), declares))
+        .collect();
+    let mut found = flag(
+        hits,
+        "a Cargo.toml declares a profile — the one profile is .cargo/config.toml's \
+         [profile.release], which the benchmark's build reads too",
+    );
+    let sections: Vec<&str> = text_of(t, ".cargo/config.toml")
+        .lines()
+        .filter(|l| declares(l))
+        .map(str::trim)
+        .collect();
+    if sections != ["[profile.release]"] {
+        found.push(format!(
+            ".cargo/config.toml declares {sections:?} — it holds exactly one profile, \
+             [profile.release]"
+        ));
+    }
+    found
+}
+
 fn every_pub_fn_has_a_caller(t: &Tree) -> Vec<String> {
     // Definitions: `pub fn` / `pub const fn` / `pub unsafe fn` in program
     // code under crates/*/src.
@@ -1114,10 +1175,13 @@ fn every_pub_fn_has_a_caller(t: &Tree) -> Vec<String> {
 // ---------------------------------------------------------------------------
 
 /// The directories the rules read, relative to the repository root.
-const ROOTS: [&str; 5] = ["crates", "src", "tests", "examples", "benchmark"];
+const ROOTS: [&str; 6] = ["crates", "src", "tests", "examples", "benchmark", ".cargo"];
+
+/// The files at the repository root the rules read.
+const ROOT_FILES: [&str; 1] = ["Cargo.toml"];
 
 /// Reads every UTF-8 file under [`ROOTS`], skipping `target/` directories
-/// and this file.
+/// and this file, and the [`ROOT_FILES`].
 fn read_tree() -> Tree {
     fn walk(root: &Path, dir: &Path, tree: &mut Tree) {
         let mut entries: Vec<_> = std::fs::read_dir(dir)
@@ -1147,6 +1211,11 @@ fn read_tree() -> Tree {
     let mut tree = Tree::new();
     for dir in ROOTS {
         walk(root, &root.join(dir), &mut tree);
+    }
+    for name in ROOT_FILES {
+        let text =
+            std::fs::read_to_string(root.join(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+        tree.insert(name.to_string(), text);
     }
     tree
 }

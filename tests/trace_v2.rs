@@ -26,7 +26,7 @@ use lockss::core::trace::{
 };
 use lockss::crypto::sha256;
 use lockss::experiments::runner::{run, RunOptions};
-use lockss::experiments::scenario::Scenario;
+use lockss::experiments::scenario::{Scenario, MAX_RUN_DAYS};
 use lockss::experiments::{Scale, ScenarioRegistry};
 use lockss::sim::{Duration, SimTime};
 use lockss::trace::columnar::put_index;
@@ -169,7 +169,11 @@ fn random_stream(seed: u64, n: u64) -> Vec<TraceRecord> {
 }
 
 fn record_v2(records: &[TraceRecord], budget: usize) -> Trace {
-    let rec = Recorder::with_block_events(&meta(), budget);
+    record_with(&meta(), records, budget)
+}
+
+fn record_with(meta: &TraceMeta, records: &[TraceRecord], budget: usize) -> Trace {
+    let rec = Recorder::with_block_events(meta, budget);
     let mut sink: Box<dyn TraceSink> = Box::new(rec.clone());
     for r in records {
         sink.record(r.at, r.seq, &r.event);
@@ -596,6 +600,50 @@ fn export_refuses_a_record_past_the_run_length() {
         );
         assert!(largest < LARGE, "{e}: one request of {largest} bytes");
     }
+}
+
+/// A well-sealed file whose header claims a run of 2^62 ms, with its last
+/// record at that very instant: every column is well-formed and no record
+/// lies past the run, yet one-day rows up to that record would take ~6.4
+/// TB. Even an honest `MAX_RUN_DAYS` header would take ~5·10^10 rows.
+/// Export refuses both from the header, before decoding, without a
+/// request of 1 MiB, naming the bucket count and the narrowest bucket
+/// width that fits; at that width the forged file exports.
+#[test]
+fn export_refuses_more_rows_than_it_writes() {
+    let _shared = WHOLE_PROCESS.read().unwrap_or_else(PoisonError::into_inner);
+    let join = |at: u64, peer: u32| TraceRecord {
+        at: SimTime(at),
+        seq: u64::from(peer),
+        event: TraceEvent::PeerJoin { peer },
+    };
+    let record = |run_length_ms: u64, records: &[TraceRecord]| {
+        let long = TraceMeta {
+            run_length_ms,
+            ..meta()
+        };
+        record_with(&long, records, 1)
+    };
+    let forged = record(1 << 62, &[join(0, 0), join(1 << 62, 1)]);
+    let honest_ms = MAX_RUN_DAYS * Duration::DAY.as_millis();
+    let honest = record(honest_ms, &[join(0, 0)]);
+    for trace in [&forged, &honest] {
+        assert!(trace.decode_all().is_ok(), "every column is well-formed");
+        for threads in [1, 4] {
+            LARGEST.with(|l| l.set(0));
+            let e = export_csv(trace, threads, 1).expect_err("more rows than an export writes");
+            let largest = LARGEST.with(Cell::get);
+            assert!(largest < LARGE, "{e}: one request of {largest} bytes");
+            assert_eq!(
+                e.to_string(),
+                "the run spans 53375995584 buckets of 1 days, more than the 65536 rows an \
+                 export writes: pass --bucket-days 814454 or wider"
+            );
+        }
+    }
+    let csv = export_csv(&forged, 4, 814_454).expect("the suggested width fits");
+    assert_eq!(csv.lines().count(), 1 + 65_536);
+    assert!(export_csv(&forged, 4, 814_453).is_err());
 }
 
 /// Seals a one-block trace again around a replacement `body`: frame,
