@@ -10,6 +10,7 @@
 //! prices (counter bump, histogram observe, span enter/exit).
 
 use std::hint::black_box;
+use std::sync::Arc;
 
 use lockss_bench::Harness;
 use lockss_experiments::obs::ObsSession;
@@ -29,12 +30,12 @@ fn smoke() -> Scenario {
 fn main() {
     let mut h = Harness::new("obs");
 
-    // The overhead pair: identical (scenario, seed), instruments absent
-    // vs every registry handle wired.
+    // The overhead pair: identical (scenario, seed), no session vs a
+    // session with every registry handle wired.
     let s = smoke();
     let observed = RunOptions {
         sink: None,
-        instruments: ObsSession::new().instruments(None),
+        obs: Some(Arc::new(ObsSession::new())),
     };
     let off = s.clone();
     h.bench("run/instruments-off", move || black_box(run_once(&off, 1)));

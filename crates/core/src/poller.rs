@@ -15,14 +15,13 @@
 
 use lockss_effort::Purpose;
 use lockss_net::NodeId;
-use lockss_obs::Span;
 use lockss_sim::{Duration, SimTime};
 use lockss_storage::AuId;
 
 use crate::msg::Message;
 use crate::trace::{PollConclusion, TraceEvent};
 use crate::types::{Identity, PollId};
-use crate::world::{Eng, World};
+use crate::world::{Eng, Taps, World};
 
 /// Solicitation status of one invitee.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -651,7 +650,7 @@ impl World {
         let Some(poll) = self.peers.live_poll_mut(p, au, id) else {
             return;
         };
-        let _span = Span::enter(&self.profiler, "poll-evaluate");
+        let _span = Taps::span(&self.taps, "poll-evaluate");
         if poll.phase != PollPhase::Soliciting {
             return;
         }
@@ -720,7 +719,7 @@ impl World {
         let from = self.peers.node(p);
         for (block, voter) in repair_plan {
             // The one counted fact no event carries.
-            if let Some(o) = self.obs.as_deref() {
+            if let Some(o) = self.taps.as_ref().and_then(|t| t.obs.as_ref()) {
                 o.repairs_requested.inc();
             }
             if let Some(to) = self.node_of(voter) {
@@ -750,7 +749,7 @@ impl World {
     /// reference-list update, metrics, and the next poll's schedule. Every
     /// caller has just found the poll live.
     pub(crate) fn finalize_poll(&mut self, eng: &mut Eng, p: usize, au: AuId, id: PollId) {
-        let _span = Span::enter(&self.profiler, "poll-finalize");
+        let _span = Taps::span(&self.taps, "poll-finalize");
         // Scalar copies instead of a whole-config clone; the one helper
         // that takes `&ProtocolConfig` gets it through a split borrow below.
         let quorum = self.cfg.protocol.quorum;

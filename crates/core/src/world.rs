@@ -23,7 +23,7 @@ use lockss_net::{Network, NodeId};
 use lockss_sim::{Duration, Engine, SimRng, SimTime};
 use lockss_storage::{AuId, DamageProcess};
 
-use lockss_obs::SharedProfiler;
+use lockss_obs::{SharedProfiler, Span};
 
 use crate::adversary::Adversary;
 use crate::config::WorldConfig;
@@ -60,18 +60,10 @@ pub struct World {
     /// belongs to (see [`crate::adversary::schedule_adversary_timer`]).
     /// Always 0 for simple adversaries.
     adversary_channel: u64,
-    /// The installed trace sink, if this run is being traced.
-    trace_sink: Option<Box<dyn TraceSink>>,
-    /// Metric handles (see [`crate::obs`]), counted from the emitted
-    /// events.
-    pub(crate) obs: Option<Box<CoreObs>>,
-    /// True while a sink or metric handles are installed. Events are built
-    /// only then, so a run with neither pays one branch per emission site
-    /// (see [`World::trace`]).
-    observed: bool,
-    /// Profiler shared with the runner, for spans around poll evaluation.
-    /// Strictly out-of-band: wall-clock only, never read by the protocol.
-    pub(crate) profiler: Option<SharedProfiler>,
+    /// What observes the run: trace sink, metric handles and profiler.
+    /// `None` while none is installed, so an untraced run pays one branch
+    /// per emission site (see [`World::trace`]).
+    pub(crate) taps: Option<Box<Taps>>,
     next_poll_id: u64,
     n_loyal: usize,
     /// Loyal peer index by network node, [`NOT_LOYAL`] for the adversary's
@@ -82,6 +74,40 @@ pub struct World {
 
 /// A [`World::node_peer`] slot of a node no loyal peer lives on.
 const NOT_LOYAL: u32 = u32::MAX;
+
+/// The out-of-band taps a [`World`] carries. They observe the run and never
+/// feed it, so they are not part of its state.
+#[derive(Default)]
+pub(crate) struct Taps {
+    /// The installed trace sink, if this run is being traced.
+    sink: Option<Box<dyn TraceSink>>,
+    /// Metric handles (see [`crate::obs`]), counted from the emitted
+    /// events.
+    pub(crate) obs: Option<CoreObs>,
+    /// Profiler shared with the runner, for spans around poll evaluation:
+    /// wall-clock only, never read by the protocol.
+    profiler: Option<SharedProfiler>,
+}
+
+impl Taps {
+    /// Opens `name` on the profiler among `taps`, if there is one.
+    #[inline]
+    pub(crate) fn span(taps: &Option<Box<Taps>>, name: &'static str) -> Option<Span> {
+        Span::enter(taps.as_ref().map_or(&None, |t| &t.profiler), name)
+    }
+
+    fn emit(&mut self, eng: &mut Eng, event: &TraceEvent) {
+        if let Some(obs) = &self.obs {
+            obs.observe(event);
+        }
+        if let Some(sink) = self.sink.as_deref_mut() {
+            sink.record(eng.now(), eng.executed(), event);
+            if sink.wants_stop() {
+                eng.request_stop();
+            }
+        }
+    }
+}
 
 impl World {
     /// Builds the world: loyal peers with sampled links, pristine replicas,
@@ -144,10 +170,7 @@ impl World {
             rng,
             adversary: None,
             adversary_channel: 0,
-            trace_sink: None,
-            obs: None,
-            observed: false,
-            profiler: None,
+            taps: None,
             next_poll_id: 0,
             n_loyal: nodes.len(),
             node_peer,
@@ -215,57 +238,46 @@ impl World {
         self.adversary_channel = channel;
     }
 
+    /// The taps, installed empty on first use.
+    fn taps(&mut self) -> &mut Taps {
+        self.taps.get_or_insert_with(Box::default)
+    }
+
     /// Installs a trace sink: every causal event of the run from here on is
     /// delivered to it (see [`crate::trace`]). Install before
     /// [`World::start`] to capture the complete stream.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.trace_sink = Some(sink);
-        self.observed = true;
+        self.taps().sink = Some(sink);
     }
 
     /// Removes and returns the installed trace sink, if any.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.observed = self.obs.is_some();
-        self.trace_sink.take()
+        self.taps.as_mut()?.sink.take()
     }
 
     /// Installs metric handles: the poll lifecycle, admission verdicts,
     /// and repair traffic are counted from here on. Install before
     /// [`World::start`] for complete totals.
     pub fn set_obs(&mut self, obs: CoreObs) {
-        self.obs = Some(Box::new(obs));
-        self.observed = true;
+        self.taps().obs = Some(obs);
     }
 
     /// Shares a profiler with the world; poll evaluation opens spans on
     /// it. The world only ever *writes* wall-clock timings here, so
     /// simulation behaviour is independent of the profiler's presence.
     pub fn set_profiler(&mut self, profiler: SharedProfiler) {
-        self.profiler = Some(profiler);
+        self.taps().profiler = Some(profiler);
     }
 
     /// States one fact of the run: the only emission point of the event
-    /// vocabulary. The event is built only while a sink or metric handles
-    /// are installed, so a run with neither pays one branch here; the
-    /// handles count it ([`CoreObs::observe`]), then the sink records it,
-    /// and a sink that asks to stop (replay divergence) aborts the engine's
-    /// run loop.
+    /// vocabulary. The event is built only while taps are installed, so an
+    /// untraced run pays one branch here; the handles count it
+    /// ([`CoreObs::observe`]), then the sink records it, and a sink that
+    /// asks to stop (replay divergence) aborts the engine's run loop.
     #[inline]
     pub(crate) fn trace(&mut self, eng: &mut Eng, make: impl FnOnce() -> TraceEvent) {
-        if self.observed {
-            self.emit(eng, &make());
-        }
-    }
-
-    fn emit(&mut self, eng: &mut Eng, event: &TraceEvent) {
-        if let Some(obs) = self.obs.as_deref() {
-            obs.observe(event);
-        }
-        if let Some(sink) = self.trace_sink.as_deref_mut() {
-            sink.record(eng.now(), eng.executed(), event);
-            if sink.wants_stop() {
-                eng.request_stop();
-            }
+        if let Some(taps) = self.taps.as_deref_mut() {
+            taps.emit(eng, &make());
         }
     }
 

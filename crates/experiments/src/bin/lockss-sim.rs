@@ -30,9 +30,9 @@
 use lockss_experiments::cli::{self, Invocation};
 use lockss_experiments::figures::{self, Sweeps};
 use lockss_experiments::fuzz::run_fuzz;
-use lockss_experiments::obs::{ObsSession, SweepObs, Telemetry};
+use lockss_experiments::obs::ObsSession;
 use lockss_experiments::runner::{
-    default_threads, peak_rss_kb, replay_once, run, run_batch, Occupancy, RunOptions, Sink,
+    default_threads, replay_once, run, run_batch, Occupancy, RunOptions, Sink,
 };
 use lockss_experiments::scenario::MAX_RUN_DAYS;
 use lockss_experiments::sweep::{
@@ -44,7 +44,7 @@ use lockss_experiments::{
 };
 use lockss_metrics::table::{ratio, sci};
 use lockss_metrics::{PhaseSummary, Summary, Table};
-use lockss_obs::{unix_ms_now, Profiler};
+use lockss_obs::{proc_status_kb, unix_ms_now};
 use lockss_sim::json::{
     Layout::{Inline, Lines},
     Writer,
@@ -53,7 +53,7 @@ use lockss_trace::{
     diff_traces_threaded, export_csv, trace_stats_threaded, AggregateStats, Trace, TraceMeta,
 };
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::Arc;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -291,54 +291,41 @@ fn bench_diff(inv: &Invocation) {
     }
 }
 
-/// The observability a `run` or `sweep` invocation asked for: span
-/// profiling, a registry snapshot destination, and (sweeps only) the
-/// heartbeat telemetry directory. Strictly out-of-band — instruments never
-/// change a summary, a checkpoint or a trace.
-struct Obs<'a> {
-    inv: &'a Invocation,
-    /// The metric handles every run shares; present when any flag is on.
-    session: Option<ObsSession>,
-    /// With `--profile`: the tree every worker's spans are merged into.
-    profile: Option<Mutex<Profiler>>,
+/// The observability session a `run` or `sweep` invocation asked for, if
+/// any: span profiling, a registry snapshot, and (sweeps only) heartbeats.
+/// Strictly out-of-band — a session never changes a summary, a checkpoint
+/// or a trace.
+fn obs_session(inv: &Invocation) -> Option<Arc<ObsSession>> {
+    let profile = inv.switch("--profile");
+    let heartbeats = inv.text("--telemetry");
+    if !profile && heartbeats.is_none() && !inv.switch("--metrics-out") {
+        return None;
+    }
+    let mut session = ObsSession::new();
+    if profile {
+        session = session.profiled();
+    }
+    if let Some(dir) = heartbeats {
+        session = session.with_heartbeats(Path::new(dir));
+    }
+    Some(Arc::new(session))
 }
 
-impl Obs<'_> {
-    fn new(inv: &Invocation) -> Obs<'_> {
-        let profile = inv.switch("--profile");
-        let any = profile || inv.switch("--metrics-out") || inv.switch("--telemetry");
-        Obs {
-            inv,
-            session: any.then(ObsSession::new),
-            profile: profile.then(|| Mutex::new(Profiler::new())),
-        }
+/// Writes what the session was asked for: the merged span tree to
+/// `results/profile-<name>.json`, the registry as JSON at `--metrics-out`
+/// plus Prometheus text beside it.
+fn write_obs(obs: Option<&Arc<ObsSession>>, inv: &Invocation, name: &str) {
+    let Some(obs) = obs else {
+        return;
+    };
+    if let Some(profile) = obs.profile_json(name) {
+        let path = format!("results/profile-{name}.json");
+        write_file(&path, profile);
+        println!("wrote {path}");
     }
-
-    /// The hooks batch and sweep workers run under.
-    fn sweep_obs(&self) -> Option<SweepObs<'_>> {
-        self.session.as_ref().map(|session| SweepObs {
-            session,
-            profiler: self.profile.as_ref(),
-            telemetry: self
-                .inv
-                .text("--telemetry")
-                .map(|d| Telemetry::new(Path::new(d))),
-        })
-    }
-
-    /// Writes what was asked for: the merged span tree to
-    /// `results/profile-<name>.json`, the registry as JSON at
-    /// `--metrics-out` plus Prometheus text beside it.
-    fn finish(&self, name: &str) {
-        if let Some(merged) = &self.profile {
-            let path = format!("results/profile-{name}.json");
-            write_file(&path, merged.lock().unwrap().to_json(name));
-            println!("wrote {path}");
-        }
-        if let (Some(session), Some(out)) = (&self.session, self.inv.text("--metrics-out")) {
-            let prom = written(out, session.write_metrics(Path::new(out)));
-            println!("wrote {out} and {}", prom.display());
-        }
+    if let Some(out) = inv.text("--metrics-out") {
+        let prom = written(out, obs.write_metrics(Path::new(out)));
+        println!("wrote {out} and {}", prom.display());
     }
 }
 
@@ -404,7 +391,7 @@ fn sweep_cmd(registry: &ScenarioRegistry, name: &str, inv: &Invocation, threads:
     let shard = inv
         .nums("--shard")
         .map(|shard| ShardTag::new(shard[0], shard[1], seeds.clone()).unwrap_or_else(|e| fail(&e)));
-    let obs = Obs::new(inv);
+    let obs = obs_session(inv);
     let record = inv.text("--record").map(Path::new);
     let spec = resolve(registry, name);
     let scenario = spec.build(scale);
@@ -442,7 +429,6 @@ fn sweep_cmd(registry: &ScenarioRegistry, name: &str, inv: &Invocation, threads:
             String::new()
         }
     );
-    let sweep_obs = obs.sweep_obs();
     if let Some(dir) = record {
         println!(
             "recording per-seed traces under {} (resumed seeds are not re-recorded)",
@@ -457,7 +443,7 @@ fn sweep_cmd(registry: &ScenarioRegistry, name: &str, inv: &Invocation, threads:
         threads,
         checkpoint: Some(&path),
         resume,
-        obs: sweep_obs.as_ref(),
+        obs: obs.clone(),
         record,
         crash,
     };
@@ -509,7 +495,7 @@ fn sweep_cmd(registry: &ScenarioRegistry, name: &str, inv: &Invocation, threads:
             tag.count
         );
     }
-    obs.finish(&spec.name);
+    write_obs(obs.as_ref(), inv, &spec.name);
     if inv.switch("--json") {
         print!("{}", report.to_json());
     }
@@ -635,7 +621,7 @@ fn mem_report(seed: u64, occupancy: &Occupancy) {
         queue_bytes,
         table,
     } = occupancy;
-    let peak_kb = peak_rss_kb();
+    let peak_kb = proc_status_kb("VmHWM");
     let peak_rss = peak_kb
         .map(|kb| format!("{:.1} MiB", kb as f64 / 1024.0))
         .unwrap_or_else(|| "unavailable on this platform".into());
@@ -807,7 +793,7 @@ fn run_cmd(spec: &ScenarioSpec, inv: &Invocation) {
     if record.is_some() && seeds.len() != 1 {
         fail("--record captures exactly one run; pass --seed N (or --seeds 1)");
     }
-    let obs = Obs::new(inv);
+    let obs = obs_session(inv);
     let mem = inv.switch("--mem-report");
     let scenario = spec.build(scale);
     let attacked_label = scenario.attack.label();
@@ -820,17 +806,11 @@ fn run_cmd(spec: &ScenarioSpec, inv: &Invocation) {
         attacked_label,
     );
 
-    // Observability is out-of-band: instruments never change a summary, so
-    // every run below carries them (all-off when nothing was requested).
-    // This thread's runs profile into `sp`; batch workers into their own.
-    let sp = obs.profile.is_some().then(Profiler::shared);
+    // Observability is out-of-band: a session never changes a summary, so
+    // every measured run below reports to it (when one was requested).
     let plain = RunOptions {
         sink: None,
-        instruments: obs
-            .session
-            .as_ref()
-            .map(|s| s.instruments(sp.clone()))
-            .unwrap_or_default(),
+        obs: obs.clone(),
     };
 
     // Matched baseline for the ratio metrics, skipped for baselines.
@@ -842,13 +822,14 @@ fn run_cmd(spec: &ScenarioSpec, inv: &Invocation) {
     // The per-phase breakdown and the memory report describe one run, the
     // first seed's. A single `--seed N` is that run; `run_batch` means
     // over a contiguous 1..=K seed range and keeps no world, so there the
-    // first seed runs once more — only when one of the two is wanted.
+    // first seed runs once more — only when one of the two is wanted, and
+    // outside the session, which has already counted that seed.
     let (attacked, baseline, report_run) = if let [seed] = *seeds {
         // `--record` is single-seed (enforced above): the recorded
         // run doubles as the report run, since the sink never perturbs it.
         let opts = match record {
             Some(_) => RunOptions {
-                instruments: plain.instruments.clone(),
+                obs: obs.clone(),
                 ..RunOptions::record(&TraceMeta {
                     scenario: spec.name.clone(),
                     scale: scale.label().to_string(),
@@ -878,17 +859,11 @@ fn run_cmd(spec: &ScenarioSpec, inv: &Invocation) {
         let b = jobs.get(1).map(|j| run(j, seed, &plain).summary);
         (out.summary.clone(), b, Some(out))
     } else {
-        let workers = obs.sweep_obs();
-        let out = run_batch(
-            &jobs,
-            seeds.len() as u64,
-            default_threads(),
-            workers.as_ref(),
-        );
+        let out = run_batch(&jobs, seeds.len() as u64, default_threads(), obs.as_ref());
         let mut it = out.into_iter();
         let a = it.next().expect("attacked summary");
-        let first =
-            (scenario.attack.is_composite() || mem).then(|| run(&scenario, seeds[0], &plain));
+        let first = (scenario.attack.is_composite() || mem)
+            .then(|| run(&scenario, seeds[0], &RunOptions::default()));
         (a, it.next(), first)
     };
     let phases = report_run.as_ref().map_or(&[][..], |r| &r.phases);
@@ -969,11 +944,7 @@ fn run_cmd(spec: &ScenarioSpec, inv: &Invocation) {
     let path = format!("results/scenario-{}.json", spec.name);
     write_file(&path, &json);
     println!("\nwrote {path}");
-    if let (Some(merged), Some(sp)) = (&obs.profile, &sp) {
-        // Batch workers have already absorbed theirs into the merge target.
-        merged.lock().unwrap().absorb(&sp.borrow());
-    }
-    obs.finish(&spec.name);
+    write_obs(obs.as_ref(), inv, &spec.name);
     if inv.switch("--json") {
         println!("{json}");
     }

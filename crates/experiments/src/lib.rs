@@ -37,10 +37,10 @@ pub mod scenario;
 pub mod spec;
 pub mod sweep;
 
-pub use obs::{heartbeat_path, ObsSession, SweepObs, Telemetry};
+pub use obs::{heartbeat_path, ObsSession};
 pub use recovery::{run_recovery_study, RecoveryReport, RecoveryStudy};
 pub use registry::ScenarioRegistry;
-pub use runner::{Instruments, RunOptions, RunOutput};
+pub use runner::{RunOptions, RunOutput};
 pub use scale::Scale;
 pub use scenario::{phased, AttackSpec, PhasedAttack, Scenario};
 pub use spec::{ScenarioSpec, SpecError, WorldSpec};

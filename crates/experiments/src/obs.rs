@@ -1,7 +1,9 @@
-//! Experiment-level observability: one registry session that wires the
-//! protocol ([`CoreObs`]) and engine ([`EngineObs`]) metric handles
-//! together with the sweep fabric's own counters, plus the heartbeat
-//! telemetry configuration sweeps thread down to their workers.
+//! Experiment-level observability: [`ObsSession`], the one value a caller
+//! builds to watch its runs. It holds the metrics registry with the
+//! protocol ([`CoreObs`]), engine ([`EngineObs`]) and sweep handles, the
+//! span tree every profiled run is merged into, and the directory sweeps
+//! append heartbeats to. [`RunOptions`](crate::runner::RunOptions) carries
+//! it beside the trace sink.
 //!
 //! Everything here is strictly out-of-band, like tracing: a session
 //! observes a run, it never steers one. The byte-identity tests in
@@ -13,14 +15,19 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use lockss_core::CoreObs;
-use lockss_obs::{Counter, Profiler, Registry, RegistryBuilder, SharedProfiler, Span};
+use lockss_obs::{Counter, Profiler, Registry, RegistryBuilder, SharedProfiler};
 use lockss_sim::EngineObs;
 
-use crate::runner::{Instruments, RunOptions};
+/// How often a sweep appends a heartbeat. Heartbeats are time-based, not
+/// per-seed: the protocol counters advance *during* a seed, so a long seed
+/// still shows progress — which is exactly what lets `sweep status` tell a
+/// slow shard from a stalled one.
+pub const HEARTBEAT_INTERVAL: Duration = Duration::from_secs(2);
 
-/// One observability session: a sealed metrics registry with every
-/// handle the harness knows about pre-registered, shared by all worlds,
-/// engines, and sweep workers the process runs.
+/// One observability session: a sealed metrics registry with every handle
+/// the harness knows about pre-registered, shared by all worlds, engines
+/// and sweep workers the process runs; with profiling, the span tree they
+/// are merged into; with heartbeats, where a sweep writes them.
 ///
 /// Handles are `Arc` clones around atomics, so a session can be read
 /// (for heartbeats or a final snapshot) while workers are still
@@ -34,12 +41,17 @@ pub struct ObsSession {
     pub engine: EngineObs,
     /// Seeds completed by sweep workers.
     pub sweep_seeds: Counter,
-    /// Worker chunks started (one per worker thread per sweep).
+    /// Worker threads started by sweeps.
     pub sweep_chunks: Counter,
+    /// The span tree each run's profiler is absorbed into as it finishes
+    /// (profilers are single-threaded, so every run keeps its own).
+    profile: Option<Mutex<Profiler>>,
+    /// The directory sweeps append heartbeat JSONL files to.
+    heartbeats: Option<PathBuf>,
 }
 
 impl ObsSession {
-    /// Builds the registry and every handle.
+    /// Builds the registry and every handle; profiling and heartbeats off.
     pub fn new() -> ObsSession {
         let mut b = RegistryBuilder::new();
         let core = CoreObs::register(&mut b);
@@ -58,17 +70,53 @@ impl ObsSession {
             engine,
             sweep_seeds,
             sweep_chunks,
+            profile: None,
+            heartbeats: None,
         }
     }
 
-    /// Run-level instruments backed by this session's handles, plus an
-    /// optional profiler for span timing.
-    pub fn instruments(&self, profiler: Option<SharedProfiler>) -> Instruments {
-        Instruments {
-            core: Some(self.core.clone()),
-            engine: Some(self.engine.clone()),
-            profiler,
+    /// The session with span profiling on: every run opens its spans on a
+    /// fresh profiler, merged into [`ObsSession::profile_json`]'s tree.
+    pub fn profiled(mut self) -> ObsSession {
+        self.profile = Some(Mutex::new(Profiler::new()));
+        self
+    }
+
+    /// The session with sweep heartbeats on, appended under `dir` (created
+    /// if missing) every [`HEARTBEAT_INTERVAL`].
+    pub fn with_heartbeats(mut self, dir: &Path) -> ObsSession {
+        self.heartbeats = Some(dir.to_path_buf());
+        self
+    }
+
+    /// Where sweeps append heartbeats, when they are on.
+    pub(crate) fn heartbeat_dir(&self) -> Option<&Path> {
+        self.heartbeats.as_deref()
+    }
+
+    /// A fresh profiler for one run, when profiling is on.
+    pub(crate) fn run_profiler(&self) -> Option<SharedProfiler> {
+        self.profile.as_ref().map(|_| Profiler::shared())
+    }
+
+    /// Merges one finished run's span tree into the session's.
+    pub(crate) fn absorb(&self, run: &Profiler) {
+        if let Some(merged) = &self.profile {
+            merged
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .absorb(run);
         }
+    }
+
+    /// The merged span tree as a `lockss-profile-v1` document named
+    /// `name`, when profiling is on.
+    pub fn profile_json(&self, name: &str) -> Option<String> {
+        let merged = self.profile.as_ref()?;
+        let merged = merged
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        Some(merged.to_json(name))
     }
 
     /// Writes the JSON snapshot to `path` and the Prometheus text
@@ -93,28 +141,6 @@ impl Default for ObsSession {
     }
 }
 
-/// Heartbeat telemetry configuration for one sweep.
-#[derive(Clone, Debug)]
-pub struct Telemetry {
-    /// Directory the heartbeat JSONL files land in (created if missing).
-    pub dir: PathBuf,
-    /// Emission interval. Heartbeats are time-based, not per-seed: the
-    /// protocol counters advance *during* a seed, so a long seed still
-    /// shows progress — which is exactly what lets `sweep status` tell a
-    /// slow shard from a stalled one.
-    pub interval: Duration,
-}
-
-impl Telemetry {
-    /// Telemetry into `dir` at the default 2-second cadence.
-    pub fn new(dir: &Path) -> Telemetry {
-        Telemetry {
-            dir: dir.to_path_buf(),
-            interval: Duration::from_millis(2000),
-        }
-    }
-}
-
 /// The heartbeat JSONL path for a (possibly sharded) sweep of
 /// `scenario` under `dir`. Shards are `(index, count)` with the 1-based
 /// index the checkpoint names use.
@@ -122,62 +148,6 @@ pub fn heartbeat_path(dir: &Path, scenario: &str, shard: Option<(u64, u64)>) -> 
     match shard {
         Some((i, n)) => dir.join(format!("heartbeat-{scenario}-s{i}of{n}.jsonl")),
         None => dir.join(format!("heartbeat-{scenario}.jsonl")),
-    }
-}
-
-/// Observability hooks a sweep threads through its orchestrator: the
-/// shared session (always), a merge target for per-worker profilers
-/// (when profiling), and heartbeat telemetry (when requested).
-pub struct SweepObs<'a> {
-    /// The session whose handles workers bump.
-    pub session: &'a ObsSession,
-    /// Per-worker profilers are absorbed here as each worker exits.
-    pub profiler: Option<&'a Mutex<Profiler>>,
-    /// Heartbeat emission, when `--telemetry` is on.
-    pub telemetry: Option<Telemetry>,
-}
-
-/// One worker thread's view of a [`SweepObs`]: run options whose
-/// instruments are backed by the shared session, profiling into the
-/// worker's own tree (profilers are single-threaded `Rc`s) under a
-/// `worker-chunk` root. Dropping it closes that span and absorbs the tree
-/// into the shared profiler.
-pub(crate) struct WorkerObs<'a> {
-    /// Plain-run options (no sink) carrying this worker's instruments;
-    /// all-off when the batch or sweep is unobserved.
-    pub options: RunOptions,
-    chunk: Option<Span>,
-    merge: Option<(SharedProfiler, &'a Mutex<Profiler>)>,
-}
-
-impl<'a> WorkerObs<'a> {
-    /// Call on the worker thread, before its first item.
-    pub fn enter(obs: Option<&SweepObs<'a>>) -> WorkerObs<'a> {
-        let merge = obs.and_then(|o| o.profiler.map(|merged| (Profiler::shared(), merged)));
-        let wprof = merge.as_ref().map(|(wp, _)| wp.clone());
-        let chunk = Span::enter(&wprof, "worker-chunk");
-        WorkerObs {
-            options: RunOptions {
-                sink: None,
-                instruments: obs
-                    .map(|o| o.session.instruments(wprof))
-                    .unwrap_or_default(),
-            },
-            chunk,
-            merge,
-        }
-    }
-}
-
-impl Drop for WorkerObs<'_> {
-    fn drop(&mut self) {
-        drop(self.chunk.take());
-        if let Some((wp, merged)) = &self.merge {
-            merged
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .absorb(&wp.borrow());
-        }
     }
 }
 

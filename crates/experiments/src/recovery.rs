@@ -153,12 +153,9 @@ pub fn run_recovery_study(study: &RecoveryStudy, threads: usize) -> RecoveryRepo
         .iter()
         .flat_map(|&b| study.seeds.iter().map(move |&s| (b, s)))
         .collect();
-    let outcomes = par_map(
-        &work,
-        threads,
-        || (),
-        |_, &(budget, seed)| run_point(study, budget, seed),
-    );
+    let outcomes = par_map(&work, threads, |&(budget, seed)| {
+        run_point(study, budget, seed)
+    });
 
     let n_seeds = study.seeds.len();
     let rows = study

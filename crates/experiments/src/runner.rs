@@ -1,19 +1,19 @@
 //! The one run path: a [`Run`] builds a world, optionally with a trace
-//! sink (record, or replay-verify) and out-of-band instruments installed,
+//! sink (record, or replay-verify) and an observability session installed,
 //! and drives it in as many steps as its caller asks for. [`run`] turns a
 //! `(scenario, seed)` into one such run to the horizon; batches, sweeps,
 //! replay, fuzzing and the figure reports are all callers of it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use lockss_core::{Adversary, CoreObs, TableOccupancy, World, WorldConfig};
+use lockss_core::{Adversary, TableOccupancy, World, WorldConfig};
 use lockss_metrics::{PhaseSummary, Summary};
 use lockss_obs::{SharedProfiler, Span};
-use lockss_sim::{Duration, Engine, EngineObs, SimTime};
+use lockss_sim::{Duration, Engine, SimTime};
 use lockss_trace::{Recorder, ReplayReport, Trace, TraceError, TraceMeta, Verifier};
 
-use crate::obs::{SweepObs, WorkerObs};
+use crate::obs::ObsSession;
 use crate::scenario::{Scenario, MAX_RUN_DAYS};
 
 /// An engine pre-sized for the scenario's population: a 10k+-peer world
@@ -25,24 +25,6 @@ use crate::scenario::{Scenario, MAX_RUN_DAYS};
 fn engine_for(cfg: &WorldConfig) -> Engine<World> {
     let outstanding = cfg.n_peers * (cfg.n_aus + 1) * 4;
     Engine::with_capacity(outstanding.clamp(1024, 1 << 22))
-}
-
-/// Out-of-band instruments for one run: metric handles cloned into the
-/// world/engine and an optional profiler for span timing. `Default` is
-/// fully off — the run pays one `Option` check per instrumented site.
-///
-/// Instruments never perturb a run: counters and spans read protocol
-/// state, they never feed it, so summaries, traces, and reports are
-/// byte-identical with instruments on or off (enforced by
-/// `tests/observability.rs`).
-#[derive(Clone, Default)]
-pub struct Instruments {
-    /// Protocol-layer counters (poll lifecycle, admission, repairs).
-    pub core: Option<CoreObs>,
-    /// Engine counters (events executed, pending and high-water pending).
-    pub engine: Option<EngineObs>,
-    /// Wall-clock span profiler.
-    pub profiler: Option<SharedProfiler>,
 }
 
 /// The trace sink a run installs. Recording and replay are the same
@@ -62,13 +44,20 @@ pub enum Sink {
 }
 
 /// What one [`Run`] installs besides its world and adversary. `Default` is a
-/// plain run: no sink, instruments off.
+/// plain run: no sink, no session.
+///
+/// Neither perturbs the run: trace emission never touches the RNG or the
+/// event queue, and the session's counters and spans only read protocol
+/// state, so summaries, traces and reports are byte-identical with or
+/// without them (enforced by `tests/observability.rs`). A run without a
+/// session pays one `Option` check per instrumented site.
 #[derive(Clone, Default)]
 pub struct RunOptions {
     /// The trace sink, if any.
     pub sink: Option<Sink>,
-    /// Out-of-band metric handles and profiler.
-    pub instruments: Instruments,
+    /// The session whose metric handles count the run and whose span tree,
+    /// when it profiles, absorbs the run's at [`Run::finish`].
+    pub obs: Option<Arc<ObsSession>>,
 }
 
 impl RunOptions {
@@ -76,7 +65,7 @@ impl RunOptions {
     pub fn record(meta: &TraceMeta) -> RunOptions {
         RunOptions {
             sink: Some(Sink::Record(Recorder::new(meta))),
-            instruments: Instruments::default(),
+            obs: None,
         }
     }
 }
@@ -125,19 +114,22 @@ pub struct Run {
     /// summarises.
     end: SimTime,
     opts: RunOptions,
+    /// This run's own span tree, when its session profiles.
+    profiler: Option<SharedProfiler>,
 }
 
 impl Run {
     /// Builds and starts the world for `cfg` (its seed included) with
-    /// `opts`'s sink and instruments and `adversary` installed. Nothing has
-    /// run yet: the clock is at zero.
+    /// `opts`'s sink, `opts`'s session handles and a fresh profiler (when
+    /// the session profiles) and `adversary` installed. Nothing has run
+    /// yet: the clock is at zero.
     pub fn start(
         cfg: WorldConfig,
         adversary: Option<Box<dyn Adversary>>,
         opts: &RunOptions,
     ) -> Run {
-        let ins = &opts.instruments;
-        let _span = Span::enter(&ins.profiler, "world-build");
+        let profiler = opts.obs.as_ref().and_then(|o| o.run_profiler());
+        let _span = Span::enter(&profiler, "world-build");
         let mut world = World::new(cfg);
         match &opts.sink {
             Some(Sink::Record(r)) => world.set_trace_sink(Box::new(r.clone())),
@@ -147,15 +139,13 @@ impl Run {
         if let Some(adv) = adversary {
             world.install_adversary(adv);
         }
-        if let Some(core) = &ins.core {
-            world.set_obs(core.clone());
-        }
-        if let Some(prof) = &ins.profiler {
-            world.set_profiler(prof.clone());
-        }
         let mut eng = engine_for(&world.cfg);
-        if let Some(engine) = &ins.engine {
-            eng.set_obs(engine.clone());
+        if let Some(obs) = &opts.obs {
+            world.set_obs(obs.core.clone());
+            eng.set_obs(obs.engine.clone());
+        }
+        if let Some(prof) = &profiler {
+            world.set_profiler(prof.clone());
         }
         world.start(&mut eng);
         Run {
@@ -163,6 +153,7 @@ impl Run {
             eng,
             end: SimTime::ZERO,
             opts: opts.clone(),
+            profiler,
         }
     }
 
@@ -174,7 +165,7 @@ impl Run {
     /// Panics, naming the limit, if `until` lies past [`MAX_RUN_DAYS`].
     pub fn advance_to(&mut self, until: SimTime) {
         self.end = horizon(until.since(SimTime::ZERO)).unwrap_or_else(|e| panic!("{e}"));
-        let _span = Span::enter(&self.opts.instruments.profiler, "simulate");
+        let _span = Span::enter(&self.profiler, "simulate");
         self.eng.run_until(&mut self.world, until);
     }
 
@@ -189,18 +180,22 @@ impl Run {
     }
 
     /// Summarises the run at the last [`Run::advance_to`] target, seals a
-    /// recorder's trace and reads the occupancy.
+    /// recorder's trace, reads the occupancy and merges the run's spans
+    /// into its session's.
     pub fn finish(mut self) -> RunOutput {
         let summary = self.world.metrics.summarize(self.end);
         let phases = self.world.metrics.phase_summaries(self.end);
         drop(self.world.take_trace_sink());
         let trace = match &self.opts.sink {
             Some(Sink::Record(r)) => {
-                let _span = Span::enter(&self.opts.instruments.profiler, "trace-seal");
+                let _span = Span::enter(&self.profiler, "trace-seal");
                 Some(r.clone().finish())
             }
             _ => None,
         };
+        if let (Some(obs), Some(prof)) = (&self.opts.obs, &self.profiler) {
+            obs.absorb(&prof.borrow());
+        }
         let (eng, world) = (self.eng, self.world);
         let (events_queued, events_high_water) = eng.arena_occupancy();
         RunOutput {
@@ -223,10 +218,9 @@ impl Run {
 /// step. Everything else (batches, sweeps, replay, fuzzing, the figure
 /// reports) goes through here.
 ///
-/// Neither a sink nor instruments perturb the run: trace emission never
-/// touches the RNG or the event queue, and counters and spans only read
-/// protocol state, so `summary` and `phases` are byte-identical for any
-/// `opts` at the same `(scenario, seed)`.
+/// Neither a sink nor a session perturbs the run (see [`RunOptions`]), so
+/// `summary` and `phases` are byte-identical for any `opts` at the same
+/// `(scenario, seed)`.
 ///
 /// # Panics
 ///
@@ -256,7 +250,7 @@ fn horizon(run_length: Duration) -> Result<SimTime, String> {
 }
 
 /// Runs one seed of a scenario to completion: [`run`] with no sink and no
-/// instruments, keeping only the summary.
+/// session, keeping only the summary.
 pub fn run_once(scenario: &Scenario, seed: u64) -> Summary {
     run(scenario, seed, &RunOptions::default()).summary
 }
@@ -276,54 +270,45 @@ pub fn replay_once(
     let meta = trace.meta()?;
     let opts = RunOptions {
         sink: Some(Sink::Verify(verifier.clone())),
-        instruments: Instruments::default(),
+        obs: None,
     };
     run(scenario, seed, &opts);
     verifier.finish(meta)
 }
 
-/// The process's peak resident set size in kilobytes, read from
-/// `/proc/self/status` (`VmHWM`). `None` on platforms without procfs.
-pub fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
+/// How many workers [`par_map`] starts for `items` items on `threads`
+/// threads: at least one, and no more than there are items.
+pub(crate) fn workers(threads: usize, items: usize) -> usize {
+    threads.max(1).min(items.max(1))
 }
 
-/// Maps `f` over `items` on up to `threads` workers; results come back in
-/// item order.
+/// Maps `f` over `items` on [`workers`] threads; results come back in item
+/// order.
 ///
 /// Workers claim items by bumping one atomic cursor — no queue lock to
 /// contend on or poison — and write into item-indexed slots, so the output
-/// never depends on which worker ran what, or on how many there were.
-/// Each worker builds its own state with `worker_init` (instruments and
-/// profilers are `!Send`) and drops it on the way out. A panic in `f`
-/// ends the process under the release profile (`panic = "abort"`); in a
-/// build that unwinds, such as a test harness, the scope re-raises it
-/// once every worker has stopped.
-pub(crate) fn par_map<I: Sync, W, T: Send>(
+/// never depends on which worker ran what, or on how many there were. A
+/// panic in `f` ends the process under the release profile (`panic =
+/// "abort"`); in a build that unwinds, such as a test harness, the scope
+/// re-raises it once every worker has stopped.
+pub(crate) fn par_map<I: Sync, T: Send>(
     items: &[I],
     threads: usize,
-    worker_init: impl Fn() -> W + Sync,
-    f: impl Fn(&mut W, &I) -> T + Sync,
+    f: impl Fn(&I) -> T + Sync,
 ) -> Vec<T> {
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let threads = threads.max(1).min(items.len().max(1));
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut worker = worker_init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else {
-                        break;
-                    };
-                    let out = f(&mut worker, item);
-                    *slots[i]
-                        .lock()
-                        .expect("a slot is locked only to store a result") = Some(out);
-                }
+        for _ in 0..workers(threads, items.len()) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
+                    break;
+                };
+                let out = f(item);
+                *slots[i]
+                    .lock()
+                    .expect("a slot is locked only to store a result") = Some(out);
             });
         }
     });
@@ -345,25 +330,24 @@ pub(crate) fn par_map<I: Sync, W, T: Send>(
 /// byte-identical no matter how many threads raced — `threads = 1` and
 /// `threads = 4` agree exactly.
 ///
-/// With `obs`, workers share the session's metric handles and each
-/// profiles into its own tree (under a `worker-chunk` root) that is
-/// merged into `obs.profiler` as it exits; `obs.telemetry` is a sweep
-/// feature and is not used here.
+/// With `obs`, every run reports to that session (see [`RunOptions`]);
+/// its heartbeats are a sweep feature and are not written here.
 pub fn run_batch(
     jobs: &[Scenario],
     seeds: u64,
     threads: usize,
-    obs: Option<&SweepObs<'_>>,
+    obs: Option<&Arc<ObsSession>>,
 ) -> Vec<Summary> {
     let work: Vec<(usize, u64)> = (0..jobs.len())
         .flat_map(|j| (0..seeds).map(move |s| (j, s + 1)))
         .collect();
-    let runs = par_map(
-        &work,
-        threads,
-        || WorkerObs::enter(obs),
-        |worker, &(j, seed)| run(&jobs[j], seed, &worker.options).summary,
-    );
+    let runs = par_map(&work, threads, |&(j, seed)| {
+        let opts = RunOptions {
+            sink: None,
+            obs: obs.cloned(),
+        };
+        run(&jobs[j], seed, &opts).summary
+    });
     runs.chunks(seeds as usize).map(Summary::mean_of).collect()
 }
 
@@ -377,10 +361,8 @@ pub fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::ObsSession;
     use crate::scale::Scale;
     use lockss_core::reputation::KnownPeers;
-    use lockss_obs::Profiler;
 
     fn tiny() -> Scenario {
         let mut s = Scenario::baseline(Scale::Quick, 2);
@@ -466,8 +448,7 @@ mod tests {
         assert!(text.contains("day"), "{text}");
     }
 
-    /// A recorder *and* full instruments in one run — a combination no
-    /// entry point could express before [`run`] — changes nothing the
+    /// A recorder *and* a profiling session in one run changes nothing the
     /// plain run reports, and its trace replays.
     #[test]
     fn recorder_plus_instruments_equals_the_plain_run() {
@@ -475,10 +456,9 @@ mod tests {
         let plain = run(&s, 5, &RunOptions::default());
         assert!(plain.trace.is_none(), "no sink, no trace");
 
-        let session = ObsSession::new();
-        let profiler = Profiler::shared();
+        let session = Arc::new(ObsSession::new().profiled());
         let opts = RunOptions {
-            instruments: session.instruments(Some(profiler.clone())),
+            obs: Some(session.clone()),
             ..RunOptions::record(&tiny_meta(5))
         };
         let both = run(&s, 5, &opts);
@@ -488,9 +468,9 @@ mod tests {
         assert_eq!(
             session.engine.events_executed.get(),
             plain.occupancy.events_executed,
-            "the instruments were live, not ignored"
+            "the session was live, not ignored"
         );
-        let spans = profiler.borrow().to_json("tiny");
+        let spans = session.profile_json("tiny").expect("the session profiles");
         for name in ["world-build", "simulate", "trace-seal"] {
             assert!(spans.contains(name), "no '{name}' span in {spans}");
         }

@@ -57,6 +57,6 @@ pub use plan::{
     summary_to_json, write_checkpoint, write_summary, SweepOptions, SweepReport, FORMAT, MAX_SEEDS,
 };
 pub use shard::{parse_shard_arg, partition, CrashHook, ShardTag};
-pub use status::{campaign_status, last_heartbeat, render_status, ShardStatus};
+pub use status::{campaign_status, render_status, ShardStatus};
 
 pub use lockss_sim::json;

@@ -23,10 +23,10 @@
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use lockss_metrics::Summary;
-use lockss_obs::{current_rss_kb, unix_ms_now, Heartbeat};
+use lockss_obs::{proc_status_kb, unix_ms_now, Heartbeat};
 use lockss_sim::json::{
     self,
     Layout::{Inline, Lines},
@@ -37,8 +37,8 @@ use lockss_sim::Duration;
 use lockss_trace::TraceMeta;
 
 use super::shard::{CrashHook, ShardTag};
-use crate::obs::{heartbeat_path, SweepObs, WorkerObs};
-use crate::runner::{par_map, run, RunOptions};
+use crate::obs::{heartbeat_path, ObsSession, HEARTBEAT_INTERVAL};
+use crate::runner::{par_map, run, workers, RunOptions};
 use crate::scenario::Scenario;
 
 /// The checkpoint/report format tag. Any file carrying a different tag
@@ -329,10 +329,10 @@ pub struct SweepOptions<'a> {
     /// A prior (partial) report of the same plan: its finished seeds are
     /// reused verbatim, the rest are executed.
     pub resume: Option<SweepReport>,
-    /// Observability hooks: workers bump the session's counters and
-    /// profile into per-worker trees, and a monitor thread appends
-    /// heartbeats while they run.
-    pub obs: Option<&'a SweepObs<'a>>,
+    /// The session every seed's run reports to; when it has a heartbeat
+    /// directory, a monitor thread appends heartbeats while the workers
+    /// run.
+    pub obs: Option<Arc<ObsSession>>,
     /// A directory for per-seed traces: each *freshly executed* seed also
     /// writes its sealed event trace to
     /// `<record>/trace-<scenario>-s<seed>.bin` (recording never perturbs
@@ -384,11 +384,11 @@ pub fn run_sweep_plan(
     let SweepOptions {
         threads,
         checkpoint,
-        obs,
         record,
         crash,
         ..
     } = *opts;
+    let obs = opts.obs.as_ref();
     if let Some(prior) = &opts.resume {
         // Seeds outside the plan are dropped: the checkpoint belonged to
         // a different seed range.
@@ -427,10 +427,10 @@ pub fn run_sweep_plan(
         // The heartbeat monitor runs beside the workers, not among them:
         // protocol counters advance *during* a seed, so its records show
         // progress even while every worker is deep inside a long run.
-        if let Some((o, tele)) = obs.and_then(|o| Some((o, o.telemetry.as_ref()?))) {
-            let _ = std::fs::create_dir_all(&tele.dir);
+        if let Some((o, dir)) = obs.and_then(|o| Some((o, o.heartbeat_dir()?))) {
+            let _ = std::fs::create_dir_all(dir);
             let (shared, stop, last_seed) = (&shared, &stop_monitor, &last_seed);
-            let polls_at_start = o.session.core.polls_started.get();
+            let polls_at_start = o.core.polls_started.get();
             let started = std::time::Instant::now();
             // Snapshots the live counters into one heartbeat record and
             // appends it. Best-effort: telemetry never fails the sweep.
@@ -439,7 +439,7 @@ pub fn run_sweep_plan(
                     .lock()
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
                 let shard = plan.shard.as_ref().map(|t| (t.index, t.count));
-                let polls = o.session.core.polls_started.get();
+                let polls = o.core.polls_started.get();
                 let elapsed = started.elapsed().as_secs_f64();
                 let hb = Heartbeat {
                     unix_ms: unix_ms_now(),
@@ -451,24 +451,24 @@ pub fn run_sweep_plan(
                     seeds_total: plan.seeds.len() as u64,
                     last_seed: last_seed.load(Ordering::Relaxed),
                     polls,
-                    events: o.session.engine.events_executed.get(),
+                    events: o.engine.events_executed.get(),
                     polls_per_sec: if elapsed > 0.0 {
                         (polls - polls_at_start) as f64 / elapsed
                     } else {
                         0.0
                     },
-                    vm_rss_kb: current_rss_kb(),
-                    arena_live: o.session.engine.arena_live.get(),
-                    arena_total: o.session.engine.arena_total.get(),
+                    vm_rss_kb: proc_status_kb("VmRSS").unwrap_or(0),
+                    arena_live: o.engine.arena_live.get(),
+                    arena_total: o.engine.arena_total.get(),
                 };
                 drop(plan);
-                let _ = hb.append_to(&heartbeat_path(&tele.dir, &hb.scenario, shard));
+                let _ = hb.append_to(&heartbeat_path(dir, &hb.scenario, shard));
             };
             outer.spawn(move || {
                 emit();
                 while !stop.load(Ordering::Relaxed) {
                     let mut slept = std::time::Duration::ZERO;
-                    while slept < tele.interval && !stop.load(Ordering::Relaxed) {
+                    while slept < HEARTBEAT_INTERVAL && !stop.load(Ordering::Relaxed) {
                         let step = std::time::Duration::from_millis(25);
                         std::thread::sleep(step);
                         slept += step;
@@ -480,70 +480,67 @@ pub fn run_sweep_plan(
                 emit();
             });
         }
-        let worker_init = || {
-            let worker = WorkerObs::enter(obs);
+        if let Some(o) = obs {
+            o.sweep_chunks.add(workers(threads, todo.len()) as u64);
+        }
+        par_map(&todo, threads, |&seed| {
+            let summary = match &record_ctx {
+                Some((dir, name, scale)) => {
+                    let meta = TraceMeta {
+                        scenario: name.clone(),
+                        scale: scale.clone(),
+                        seed,
+                        run_length_ms,
+                    };
+                    let recorded = RunOptions {
+                        obs: obs.cloned(),
+                        ..RunOptions::record(&meta)
+                    };
+                    let out = run(scenario, seed, &recorded);
+                    let trace = out.trace.expect("a recorded run seals a trace");
+                    let path = dir.join(format!("trace-{name}-s{seed}.bin"));
+                    // Best-effort like checkpoints: a failing disk must
+                    // not kill the sweep.
+                    if let Err(e) = trace.write_to(&path) {
+                        eprintln!("warning: trace write to {} failed: {e}", path.display());
+                    }
+                    out.summary
+                }
+                None => {
+                    let opts = RunOptions {
+                        sink: None,
+                        obs: obs.cloned(),
+                    };
+                    run(scenario, seed, &opts).summary
+                }
+            };
+            let mut plan = shared
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            plan.record(seed, summary);
+            last_seed.store(seed, Ordering::Relaxed);
             if let Some(o) = obs {
-                o.session.sweep_chunks.inc();
+                o.sweep_seeds.inc();
             }
-            worker
-        };
-        par_map(
-            &todo,
-            threads,
-            worker_init,
-            |worker: &mut WorkerObs, &seed| {
-                let summary = match &record_ctx {
-                    Some((dir, name, scale)) => {
-                        let meta = TraceMeta {
-                            scenario: name.clone(),
-                            scale: scale.clone(),
-                            seed,
-                            run_length_ms,
-                        };
-                        let recorded = RunOptions {
-                            instruments: worker.options.instruments.clone(),
-                            ..RunOptions::record(&meta)
-                        };
-                        let out = run(scenario, seed, &recorded);
-                        let trace = out.trace.expect("a recorded run seals a trace");
-                        let path = dir.join(format!("trace-{name}-s{seed}.bin"));
-                        // Best-effort like checkpoints: a failing disk must
-                        // not kill the sweep.
-                        if let Err(e) = trace.write_to(&path) {
-                            eprintln!("warning: trace write to {} failed: {e}", path.display());
-                        }
-                        out.summary
-                    }
-                    None => run(scenario, seed, &worker.options).summary,
-                };
-                let mut plan = shared
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                plan.record(seed, summary);
-                last_seed.store(seed, Ordering::Relaxed);
-                if let Some(o) = obs {
-                    o.session.sweep_seeds.inc();
+            let done = done_here.fetch_add(1, Ordering::Relaxed) + 1;
+            if let Some(hook) = &crash {
+                // Test-only fault injection: dies here, holding the lock,
+                // leaving a torn temp file — the worst-case `kill -9`
+                // mid-checkpoint-write.
+                hook.maybe_crash(done, checkpoint, &plan.to_json());
+            }
+            if let Some(path) = checkpoint {
+                // Best-effort mid-run persistence; a failing disk must not
+                // kill the sweep, but it must not be silent either (the
+                // caller re-verifies the final file).
+                if let Err(e) = write_checkpoint(path, &plan.to_json()) {
+                    eprintln!(
+                        "warning: checkpoint write to {} failed: {e}",
+                        path.display()
+                    );
                 }
-                let done = done_here.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(hook) = &crash {
-                    // Test-only fault injection: dies here, holding the lock,
-                    // leaving a torn temp file — the worst-case `kill -9`
-                    // mid-checkpoint-write.
-                    hook.maybe_crash(done, checkpoint, &plan.to_json());
-                }
-                if let Some(path) = checkpoint {
-                    // Best-effort mid-run persistence; a failing disk must not
-                    // kill the sweep, but it must not be silent either (the
-                    // caller re-verifies the final file).
-                    if let Err(e) = write_checkpoint(path, &plan.to_json()) {
-                        eprintln!(
-                            "warning: checkpoint write to {} failed: {e}",
-                            path.display()
-                        );
-                    }
-                }
-            },
-        );
+            }
+        });
         stop_monitor.store(true, Ordering::Relaxed);
     });
 

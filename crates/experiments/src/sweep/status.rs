@@ -6,7 +6,6 @@
 //! sign of life is). Both inputs are best-effort: a missing or torn file
 //! degrades the display, never the command.
 
-use std::io::{Read as _, Seek as _, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use lockss_metrics::Table;
@@ -14,21 +13,6 @@ use lockss_obs::Heartbeat;
 
 use super::plan::SweepReport;
 use crate::obs::heartbeat_path;
-
-/// Reads the last parseable heartbeat of `path` without slurping an
-/// unbounded log: only the final 64 KiB are examined. `None` when the
-/// file is missing, empty, or holds no complete record yet.
-pub fn last_heartbeat(path: &Path) -> Option<Heartbeat> {
-    const TAIL: u64 = 64 * 1024;
-    let mut f = std::fs::File::open(path).ok()?;
-    let len = f.metadata().ok()?.len();
-    f.seek(SeekFrom::Start(len.saturating_sub(TAIL))).ok()?;
-    let mut tail = String::new();
-    f.read_to_string(&mut tail).ok()?;
-    tail.lines()
-        .rev()
-        .find_map(|l| Heartbeat::from_json_line(l).ok())
-}
 
 /// Reads every parseable heartbeat of `path`, in file order. Torn or
 /// foreign lines are skipped.
@@ -223,21 +207,22 @@ mod tests {
     }
 
     #[test]
-    fn last_heartbeat_reads_the_tail() {
+    fn torn_heartbeat_lines_are_skipped() {
         let dir = tmpdir("tail");
         let path = dir.join("heartbeat-tiny.jsonl");
         for i in 0..5 {
             beat(1000 * i, i).append_to(&path).unwrap();
         }
-        // A torn final line (mid-crash append) falls back to the last
-        // complete record.
+        // A torn final line (mid-crash append) leaves the complete records.
         std::fs::OpenOptions::new()
             .append(true)
             .open(&path)
             .unwrap()
             .write_all(b"{\"unix_ms\": 9")
             .unwrap();
-        let last = last_heartbeat(&path).unwrap();
+        let beats = read_heartbeats(&path);
+        assert_eq!(beats.len(), 5);
+        let last = beats.last().unwrap();
         assert_eq!(last.unix_ms, 4000);
         assert_eq!(last.seeds_done, 4);
         std::fs::remove_dir_all(&dir).unwrap();

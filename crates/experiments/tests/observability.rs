@@ -364,7 +364,7 @@ fn core_counters_count_the_recorded_events() {
     let registry = ScenarioRegistry::standard();
     for name in ["mobile-recovery-race", "admission-flood"] {
         let scenario = registry.get(name).expect("registered").build(Scale::Quick);
-        let session = ObsSession::new();
+        let session = std::sync::Arc::new(ObsSession::new());
         let meta = lockss_trace::TraceMeta {
             scenario: name.into(),
             scale: "quick".into(),
@@ -372,7 +372,7 @@ fn core_counters_count_the_recorded_events() {
             run_length_ms: scenario.run_length.as_millis(),
         };
         let options = RunOptions {
-            instruments: session.instruments(None),
+            obs: Some(session.clone()),
             ..RunOptions::record(&meta)
         };
         let trace = runner::run(&scenario, 1, &options).trace.expect("recorded");
@@ -485,4 +485,176 @@ fn core_counters_count_the_recorded_events() {
         };
         assert!(exercised > 0, "{name}: the attack left no events");
     }
+}
+
+/// The additive metrics of a `--metrics-out` snapshot, by name: a counter's
+/// value, or a histogram's count, sum and bucket counts. Gauges are left
+/// out: they hold the last value any run wrote, so they do not add up.
+/// Kinds are read from the Prometheus text beside the JSON.
+fn additive_metrics(json_path: &Path) -> std::collections::BTreeMap<String, Vec<u64>> {
+    let prom = read(&json_path.with_extension("prom"));
+    let kind = |name: &str| {
+        let line = format!("# TYPE {name} ");
+        prom.lines()
+            .find_map(|l| l.strip_prefix(&line))
+            .unwrap_or_else(|| panic!("no TYPE line for {name}"))
+            .to_string()
+    };
+    let v = json::parse(&read(json_path)).expect("metrics parse");
+    let f = v.as_object("snapshot").unwrap();
+    let metrics = json::get(f, "metrics")
+        .unwrap()
+        .as_object("metrics")
+        .unwrap();
+    let mut out = std::collections::BTreeMap::new();
+    for (name, value) in metrics {
+        let values = match kind(name).as_str() {
+            "counter" => vec![value.as_u64(name).unwrap()],
+            "histogram" => {
+                let h = value.as_object(name).unwrap();
+                let mut values = vec![
+                    json::get(h, "count").unwrap().as_u64("count").unwrap(),
+                    json::get(h, "sum").unwrap().as_u64("sum").unwrap(),
+                ];
+                for bucket in json::get(h, "buckets")
+                    .unwrap()
+                    .as_array("buckets")
+                    .unwrap()
+                {
+                    let pair = bucket.as_array("bucket").unwrap();
+                    values.push(pair[1].as_u64("bucket count").unwrap());
+                }
+                values
+            }
+            _ => continue,
+        };
+        out.insert(name.clone(), values);
+    }
+    assert!(out.contains_key("polls_started_total"), "{out:?}");
+    out
+}
+
+/// A multi-seed `run` of a composite attack re-runs its first seed for the
+/// per-phase table. That re-run reports to no session, so the snapshot
+/// counts each seed once: it is the sum of the single-seed snapshots.
+#[test]
+fn a_multi_seed_run_counts_each_seed_once() {
+    let dir = scratch("seed-sum");
+    let snapshot = |seeds: &[&str], out: &str| {
+        let mut args = vec!["run", "stoppage-then-flood", "--scale", "quick"];
+        args.extend(seeds);
+        args.extend(["--metrics-out", out]);
+        run_in(&dir, &args);
+        additive_metrics(&dir.join(out))
+    };
+    let both = snapshot(&["--seeds", "2"], "both.json");
+    let one = snapshot(&["--seed", "1"], "one.json");
+    let two = snapshot(&["--seed", "2"], "two.json");
+    for (name, values) in &both {
+        let sum: Vec<u64> = one[name]
+            .iter()
+            .zip(&two[name])
+            .map(|(a, b)| a + b)
+            .collect();
+        assert_eq!(
+            values, &sum,
+            "{name}: --seeds 2 against --seed 1 plus --seed 2"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The root spans of `results/profile-baseline.json` under `dir`, each
+/// checked to telescope.
+fn root_span_names(dir: &Path) -> Vec<String> {
+    let v = json::parse(&read(&dir.join("results/profile-baseline.json"))).expect("profile parses");
+    let f = v.as_object("profile").unwrap();
+    let spans = json::get(f, "spans").unwrap().as_array("spans").unwrap();
+    for s in spans {
+        assert_telescopes(s);
+    }
+    spans
+        .iter()
+        .map(|s| {
+            let name = json::get(s.as_object("span").unwrap(), "name").unwrap();
+            name.as_str("name").unwrap().to_string()
+        })
+        .collect()
+}
+
+/// A batch's and a sweep's runs each profile on their own tree and are
+/// merged at the root, the shape a single run's profile has.
+#[test]
+fn batch_and_sweep_profiles_hold_their_runs_at_the_root() {
+    for args in [
+        &[
+            "run",
+            "baseline",
+            "--scale",
+            "quick",
+            "--seeds",
+            "2",
+            "--profile",
+        ][..],
+        &[
+            "sweep",
+            "baseline",
+            "--scale",
+            "quick",
+            "--seeds",
+            "1..3",
+            "--threads",
+            "2",
+            "--fresh",
+            "--profile",
+        ],
+    ] {
+        let dir = scratch(&format!("profile-{}", args[0]));
+        run_in(&dir, args);
+        let roots = root_span_names(&dir);
+        for expected in ["world-build", "simulate"] {
+            assert!(
+                roots.iter().any(|r| r == expected),
+                "{}: no root span {expected}: {roots:?}",
+                args.join(" ")
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A sweep's counters and histograms do not depend on how many workers ran
+/// its seeds; only `sweep_worker_chunks_total` does, which counts them.
+/// Gauges are left out (see [`additive_metrics`]).
+#[test]
+fn sweep_metrics_are_the_same_at_any_thread_count() {
+    let dir = scratch("sweep-threads");
+    let snapshot = |threads: &str| {
+        let out = format!("m{threads}.json");
+        run_in(
+            &dir,
+            &[
+                "sweep",
+                "baseline",
+                "--scale",
+                "quick",
+                "--seeds",
+                "1..4",
+                "--threads",
+                threads,
+                "--fresh",
+                "--metrics-out",
+                &out,
+            ],
+        );
+        let mut metrics = additive_metrics(&dir.join(out));
+        let chunks = metrics.remove("sweep_worker_chunks_total").unwrap();
+        assert_eq!(chunks, [threads.parse::<u64>().unwrap()], "one per worker");
+        metrics
+    };
+    let one = snapshot("1");
+    let three = snapshot("3");
+    assert_eq!(one["sweep_seeds_completed_total"], [4]);
+    assert_eq!(one, three);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,8 +1,6 @@
-//! Wall-clock helpers: unix milliseconds and an RFC 3339 UTC formatter.
-//!
-//! These exist so log prefixes and heartbeats can carry human-readable
-//! timestamps without a date-time dependency. They are only ever used
-//! for out-of-band telemetry — simulated time lives in `lockss-sim`.
+//! The wall clock: unix milliseconds for heartbeats and `sweep status`.
+//! It is only ever used for out-of-band telemetry — simulated time lives
+//! in `lockss-sim`.
 
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -15,45 +13,9 @@ pub fn unix_ms_now() -> u64 {
         .unwrap_or(0)
 }
 
-/// Formats unix milliseconds as `YYYY-MM-DDTHH:MM:SS.mmmZ`.
-///
-/// Uses the standard civil-from-days calendar conversion (valid for
-/// every date this code will ever see; the algorithm itself is exact
-/// over ±millions of years).
-pub fn utc_timestamp(unix_ms: u64) -> String {
-    let secs = unix_ms / 1000;
-    let ms = unix_ms % 1000;
-    let days = (secs / 86_400) as i64;
-    let tod = secs % 86_400;
-    let (h, m, s) = (tod / 3600, (tod / 60) % 60, tod % 60);
-
-    // civil_from_days (Hinnant): days since 1970-01-01 -> (y, m, d).
-    let z = days + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let day = doy - (153 * mp + 2) / 5 + 1;
-    let month = if mp < 10 { mp + 3 } else { mp - 9 };
-    let year = if month <= 2 { y + 1 } else { y };
-
-    format!("{year:04}-{month:02}-{day:02}T{h:02}:{m:02}:{s:02}.{ms:03}Z")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn known_timestamps() {
-        assert_eq!(utc_timestamp(0), "1970-01-01T00:00:00.000Z");
-        // 2004-02-29 (leap day) 12:34:56.789
-        assert_eq!(utc_timestamp(1_078_058_096_789), "2004-02-29T12:34:56.789Z");
-        // 2026-08-07 00:00:00
-        assert_eq!(utc_timestamp(1_786_060_800_000), "2026-08-07T00:00:00.000Z");
-    }
 
     #[test]
     fn now_is_after_2020() {

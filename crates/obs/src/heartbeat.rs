@@ -118,17 +118,16 @@ impl Heartbeat {
     }
 }
 
-/// Current resident set size in KiB, read from `/proc/self/status`
-/// (`VmRSS`). Returns 0 on platforms without procfs.
-pub fn current_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmRSS:"))
-                .and_then(|l| l.split_whitespace().nth(1).and_then(|v| v.parse().ok()))
-        })
-        .unwrap_or(0)
+/// One `kB` field of `/proc/self/status`, such as `VmRSS` (resident set
+/// size) or `VmHWM` (its peak). `None` on platforms without procfs, or
+/// when the field is missing.
+pub fn proc_status_kb(key: &str) -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| {
+        l.strip_prefix(key)
+            .is_some_and(|rest| rest.starts_with(':'))
+    })?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 #[cfg(test)]
@@ -188,9 +187,11 @@ mod tests {
 
     #[test]
     fn rss_reads_on_linux() {
-        // On Linux this must be non-zero; elsewhere 0 is acceptable.
+        // On Linux both fields are there and non-zero; elsewhere `None`.
         if cfg!(target_os = "linux") {
-            assert!(current_rss_kb() > 0);
+            assert!(proc_status_kb("VmRSS").unwrap() > 0);
+            assert!(proc_status_kb("VmHWM").unwrap() >= proc_status_kb("VmRSS").unwrap() / 2);
+            assert_eq!(proc_status_kb("VmNoSuchField"), None);
         }
     }
 }

@@ -19,8 +19,8 @@ pub mod json;
 mod profile;
 mod registry;
 
-pub use clock::{unix_ms_now, utc_timestamp};
-pub use heartbeat::{current_rss_kb, Heartbeat, FORMAT as HEARTBEAT_FORMAT};
+pub use clock::unix_ms_now;
+pub use heartbeat::{proc_status_kb, Heartbeat, FORMAT as HEARTBEAT_FORMAT};
 pub use profile::{Profiler, SharedProfiler, Span, FORMAT as PROFILE_FORMAT};
 pub use registry::{
     Counter, Gauge, Histogram, MetricKind, Registry, RegistryBuilder, FORMAT as METRICS_FORMAT,

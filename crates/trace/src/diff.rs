@@ -72,11 +72,6 @@ impl TraceDiff {
     }
 }
 
-/// Compares two traces single-threaded.
-pub fn diff_traces(a: &Trace, b: &Trace) -> Result<TraceDiff, TraceError> {
-    diff_traces_threaded(a, b, 1)
-}
-
 /// Compares two traces, decoding blocks on up to `threads` threads for
 /// the stats passes. The result is identical at any thread count.
 pub fn diff_traces_threaded(a: &Trace, b: &Trace, threads: usize) -> Result<TraceDiff, TraceError> {
@@ -266,7 +261,7 @@ mod tests {
     fn identical_traces_diff_clean() {
         let a = trace_with(&[(0, 1, PollConclusion::Win)], 1);
         let b = trace_with(&[(0, 1, PollConclusion::Win)], 1);
-        let d = diff_traces(&a, &b).unwrap();
+        let d = diff_traces_threaded(&a, &b, 1).unwrap();
         assert!(d.is_identical());
         assert!(d.to_string().contains("identical record-for-record"));
     }
@@ -281,7 +276,7 @@ mod tests {
             &[(0, 1, PollConclusion::Win), (1, 95, PollConclusion::Loss)],
             2,
         );
-        let d = diff_traces(&a, &b).unwrap();
+        let d = diff_traces_threaded(&a, &b, 1).unwrap();
         assert!(!d.is_identical());
         let fork = d.first_fork.as_ref().unwrap();
         assert_eq!(fork.index, 2, "first two records match");
@@ -304,7 +299,7 @@ mod tests {
             &[(0, 1, PollConclusion::Win), (1, 40, PollConclusion::Win)],
             1,
         );
-        let d = diff_traces(&a, &b).unwrap();
+        let d = diff_traces_threaded(&a, &b, 1).unwrap();
         let fork = d.first_fork.unwrap();
         assert_eq!(fork.index, 2);
         assert!(fork.a.is_none());
@@ -326,10 +321,10 @@ mod tests {
         let a_aligned = trace_with_budget(&shared, 1, 4);
         let b_aligned = trace_with_budget(&forked, 1, 4);
         assert!(a_aligned.blocks().len() > 10);
-        let fast = diff_traces(&a_aligned, &b_aligned).unwrap();
+        let fast = diff_traces_threaded(&a_aligned, &b_aligned, 1).unwrap();
 
         let b_misaligned = trace_with_budget(&forked, 1, 7);
-        let slow = diff_traces(&a_aligned, &b_misaligned).unwrap();
+        let slow = diff_traces_threaded(&a_aligned, &b_misaligned, 1).unwrap();
 
         let fork_fast = fast.first_fork.unwrap();
         let fork_slow = slow.first_fork.unwrap();

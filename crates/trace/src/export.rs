@@ -47,8 +47,8 @@ impl Row {
 /// The rows reach the last record's bucket, so a record stamped past the
 /// header's run length — which no run emits, as a run stops before its
 /// end — is a malformed time column, not a reason to allocate rows. A
-/// run length that would take more than [`MAX_ROWS`] rows is refused
-/// before anything is decoded or allocated.
+/// run length that would take more than 65,536 rows (`MAX_ROWS`) is
+/// refused before anything is decoded or allocated.
 pub fn export_csv(trace: &Trace, threads: usize, bucket_days: u64) -> Result<String, TraceError> {
     let bucket_days = bucket_days.max(1);
     let bucket_ms = bucket_days * MS_PER_DAY;

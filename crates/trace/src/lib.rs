@@ -16,9 +16,10 @@
 //!   event-for-event equivalence against a recorded trace, aborting the run
 //!   at the first divergence and reporting it with full context (time,
 //!   engine event ordinal, event kind, payload delta);
-//! - **diff** ([`diff_traces`]): align two traces — two seeds, or baseline
-//!   vs. attacked — skipping identical block prefixes by index digest and
-//!   summarizing where the behaviors fork;
+//! - **diff** ([`diff_traces_threaded`]): align two traces — two seeds, or
+//!   baseline vs. attacked — skipping identical block prefixes by index
+//!   digest and summarizing where the behaviors fork, with the same result
+//!   at any thread count;
 //! - **stats** ([`trace_stats`]): rebuild per-poll timelines and per-phase
 //!   activity the live metric counters cannot see after the fact, decoding
 //!   blocks in parallel ([`trace_stats_threaded`]) with byte-identical
@@ -44,7 +45,7 @@ pub mod stats;
 pub mod wire;
 
 pub use columnar::{BlockEntry, ColumnScratch};
-pub use diff::{diff_traces, diff_traces_threaded, Fork, TraceDiff};
+pub use diff::{diff_traces_threaded, Fork, TraceDiff};
 pub use export::export_csv;
 pub use format::{
     Recorder, SealStats, Trace, TraceMeta, TraceReader, TraceRecord, DEFAULT_BLOCK_EVENTS,

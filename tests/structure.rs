@@ -488,6 +488,8 @@ const RULES: &[Rule] = &[
               compiling for nothing. A caller is a non-test, non-comment line \
               under crates/*/src, crates/bench/benches, src/, examples/ or \
               benchmark/src that names the function and does not define it. \
+              A `use` or `pub use` declaration, one line or a `{…}` list over \
+              several, imports a name without calling it, so it is no caller. \
               Names are matched as words, so a name shared with a called \
               function passes. UNCALLED_ALLOWED lists the exceptions, each with \
               its reason.",
@@ -497,6 +499,16 @@ const RULES: &[Rule] = &[
                 "crates/sim/src/lib.rs",
                 "pub fn nobody_calls_this() {}\n",
                 "pub fn nobody_calls_this has no program caller (crates/sim/src/lib.rs:1)",
+            ),
+            plant(
+                "crates/sim/src/lib.rs",
+                "pub use self::hidden::only_reexported;\nmod hidden {\n    pub fn only_reexported() {}\n}\n",
+                "pub fn only_reexported has no program caller (crates/sim/src/lib.rs:3)",
+            ),
+            plant(
+                "crates/sim/src/lib.rs",
+                "pub use self::hidden::{\n    only_listed,\n};\nmod hidden {\n    pub fn only_listed() {}\n}\n",
+                "pub fn only_listed has no program caller (crates/sim/src/lib.rs:5)",
             ),
             plant(
                 "src/lib.rs",
@@ -1120,8 +1132,9 @@ fn every_pub_fn_has_a_caller(t: &Tree) -> Vec<String> {
             }
         }
     }
-    // Callers: every word on a program line that is not a comment, except
-    // the name a `fn` on that line defines.
+    // Callers: every word on a program line that is neither a comment nor
+    // part of a `use` declaration, except the name a `fn` on that line
+    // defines.
     let mut called: BTreeSet<&str> = BTreeSet::new();
     let caller_dirs = ["crates", "src", "examples", "benchmark/src"];
     for (path, text) in files(t, &caller_dirs) {
@@ -1131,8 +1144,15 @@ fn every_pub_fn_has_a_caller(t: &Tree) -> Vec<String> {
         if !scoped || !path.ends_with(".rs") {
             continue;
         }
+        let mut in_use = false;
         for line in program(text).lines() {
-            if line.trim_start().starts_with("//") {
+            let trimmed = line.trim_start();
+            if trimmed.starts_with("//") {
+                continue;
+            }
+            // A declaration runs from its `use` to its `;`.
+            if in_use || is_use_declaration(trimmed) {
+                in_use = !line.contains(';');
                 continue;
             }
             let mut previous = "";
@@ -1168,6 +1188,17 @@ fn every_pub_fn_has_a_caller(t: &Tree) -> Vec<String> {
         }
     }
     out
+}
+
+/// True when `line` (trimmed) opens a `use` declaration, with or without a
+/// `pub`/`pub(…)` visibility.
+fn is_use_declaration(line: &str) -> bool {
+    let rest = match line.strip_prefix("pub") {
+        Some(r) if r.starts_with('(') => r.split_once(')').map_or(r, |(_, after)| after),
+        Some(r) => r,
+        None => line,
+    };
+    rest.trim_start().starts_with("use ")
 }
 
 // ---------------------------------------------------------------------------
