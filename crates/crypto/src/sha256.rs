@@ -231,30 +231,15 @@ fn compress(state: &mut [u32; 8], block: &[u8]) {
     state[7] = state[7].wrapping_add(h);
 }
 
-/// True if the `LOCKSS_SHA256_FORCE_PORTABLE` environment variable (any
-/// value but `0`) disables the hardware backend. Read once and cached: CI
-/// uses this to keep the portable core exercised on SHA-NI runners, where
-/// runtime dispatch would otherwise never take the portable path. Both
-/// backends are bit-identical, so forcing is purely a coverage/perf knob.
-#[cfg(target_arch = "x86_64")]
-fn force_portable() -> bool {
-    use std::sync::OnceLock;
-    static FORCE: OnceLock<bool> = OnceLock::new();
-    *FORCE
-        .get_or_init(|| std::env::var_os("LOCKSS_SHA256_FORCE_PORTABLE").is_some_and(|v| v != "0"))
-}
-
 /// Compresses every whole 64-byte block at the front of `data` (length need
 /// not be a multiple of 64; the tail is the caller's problem). Dispatches to
-/// the SHA-NI backend when the CPU has it (unless the portable core is
-/// forced via `LOCKSS_SHA256_FORCE_PORTABLE`).
+/// the SHA-NI backend when the CPU has it.
 #[inline]
 fn compress_many(state: &mut [u32; 8], data: &[u8]) {
     #[cfg(target_arch = "x86_64")]
     {
         // The feature probe is a cached atomic load after the first call.
         if data.len() >= 64
-            && !force_portable()
             && is_x86_feature_detected!("sha")
             && is_x86_feature_detected!("sse4.1")
             && is_x86_feature_detected!("ssse3")
@@ -549,6 +534,58 @@ mod tests {
     #[test]
     fn distinct_inputs_distinct_digests() {
         assert_ne!(sha256(b"block-0"), sha256(b"block-1"));
+    }
+
+    /// `data`'s digest through the portable core alone, padded by hand.
+    fn portable_digest(data: &[u8]) -> Digest {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in padded.chunks_exact(64) {
+            compress(&mut state, block);
+        }
+        let mut out = [0u8; 32];
+        for (i, w) in state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
+        }
+        out
+    }
+
+    /// The portable core is the path every other architecture runs and the
+    /// reference the SHA-NI backend is held to, so it meets the NIST
+    /// vectors by itself, whatever backend this CPU dispatches to.
+    #[test]
+    fn portable_core_meets_the_nist_vectors() {
+        for (data, want) in [
+            (
+                b"".to_vec(),
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc".to_vec(),
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq".to_vec(),
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+                  hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
+                    .to_vec(),
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+            (
+                vec![b'a'; 1_000_000],
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ] {
+            assert_eq!(hex(&portable_digest(&data)), want, "{} bytes", data.len());
+        }
     }
 }
 

@@ -5,7 +5,8 @@
 //! checks three oracles:
 //!
 //! 1. **round-trip** — the spec survives `encode → decode` structurally
-//!    and `encode → decode → encode` byte-for-byte, and validates;
+//!    and `encode → decode → encode` byte-for-byte; decoding also
+//!    range-checks it, so a spec that decodes is one that runs;
 //! 2. **accounting** — the run's metric surface is internally consistent:
 //!    poll counts match the recorded trace's poll outcomes, alarms never
 //!    exceed failed polls, the trace never heals more replicas than it
@@ -479,12 +480,6 @@ pub fn check_campaign(spec: &ScenarioSpec, run_seed: u64) -> Result<CampaignStat
             "encode -> decode -> encode is not byte-identical".into(),
         ));
     }
-    spec.validate().map_err(|e| {
-        violation(
-            "round-trip",
-            format!("generated spec fails validation: {e}"),
-        )
-    })?;
 
     // Oracles 2 and 3: the untraced run's accounting agrees with itself
     // and with the recorded run's trace; recording must not perturb the
@@ -673,17 +668,16 @@ pub fn run_fuzz(gen_seeds: &[u64], mut progress: impl FnMut(&str)) -> FuzzOutcom
 mod tests {
     use super::*;
 
-    /// Satellite (d): random-spec encode -> decode -> encode property
-    /// sweep — every generated spec validates and round-trips
-    /// byte-exactly.
+    /// Random-spec encode -> decode -> encode property sweep — every
+    /// generated spec decodes (so passes its range checks) and
+    /// round-trips byte-exactly.
     #[test]
     fn generated_specs_are_valid_and_round_trip() {
         let mut rng = SimRng::seed_from_u64(11);
         for i in 0..40 {
             let spec = gen_spec(&mut rng, i);
-            spec.validate()
+            let round = ScenarioSpec::from_json(&spec.to_json())
                 .unwrap_or_else(|e| panic!("seed {i}: generated spec invalid: {e}"));
-            let round = ScenarioSpec::from_json(&spec.to_json()).expect("decode");
             assert_eq!(round, spec, "seed {i}");
             assert_eq!(round.to_json(), spec.to_json(), "seed {i}: byte identity");
         }
@@ -695,7 +689,7 @@ mod tests {
         let base = gen_spec(&mut rng, 0);
         for i in 1..20 {
             let m = mutate_spec(&base, &mut rng, i);
-            m.validate()
+            ScenarioSpec::from_json(&m.to_json())
                 .unwrap_or_else(|e| panic!("mutation {i} invalid: {e}"));
         }
     }

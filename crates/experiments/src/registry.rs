@@ -88,8 +88,9 @@ impl ScenarioRegistry {
     ///
     /// # Panics
     ///
-    /// Panics if a checked-in scenario file fails to parse — a build-time
-    /// defect, caught by every test that touches the registry.
+    /// Panics if a checked-in scenario file fails to decode, range checks
+    /// included — a build-time defect, caught by every test that touches
+    /// the registry.
     pub fn standard() -> ScenarioRegistry {
         ScenarioRegistry::load(&STANDARD_SCENARIOS)
     }
@@ -98,7 +99,7 @@ impl ScenarioRegistry {
     ///
     /// # Panics
     ///
-    /// Panics if a file fails to parse, names a scenario other than its
+    /// Panics if a file fails to decode, names a scenario other than its
     /// file name, or repeats a name — names are CLI addresses and must be
     /// unique.
     fn load(corpus: &[(&str, &str)]) -> ScenarioRegistry {
@@ -154,21 +155,11 @@ mod tests {
         }
     }
 
+    /// Decoding checks each world at every scale.
     #[test]
     fn every_scenario_validates_at_every_scale() {
-        let r = ScenarioRegistry::standard();
-        for e in r.entries() {
-            e.validate()
-                .unwrap_or_else(|err| panic!("{}: {err}", e.name));
-        }
-        for scale in [Scale::Quick, Scale::Default, Scale::Paper] {
-            for e in r.entries() {
-                let s = e.build(scale);
-                s.cfg
-                    .validate()
-                    .unwrap_or_else(|err| panic!("{} at {:?}: {err}", e.name, scale));
-                assert!(!s.run_length.is_zero());
-            }
+        for (name, text) in STANDARD_SCENARIOS {
+            ScenarioSpec::from_json(text).unwrap_or_else(|err| panic!("{name}: {err}"));
         }
     }
 
@@ -193,6 +184,21 @@ mod tests {
         let s = r.build("pipe-stoppage", Scale::Quick).expect("registered");
         assert!(!s.attack.is_none());
         assert!(r.build("no-such-scenario", Scale::Quick).is_none());
+    }
+
+    /// A checked-in file out of range stops the load, naming the file and
+    /// the field.
+    #[test]
+    #[should_panic(expected = "checked-in scenario 'stoppage-then-flood' is invalid: \
+                               field 'attack.members[0].attack.coverage': must be in [0,1]")]
+    fn an_out_of_range_file_panics_naming_the_file_and_the_field() {
+        let (name, text) = STANDARD_SCENARIOS
+            .into_iter()
+            .find(|(name, _)| *name == "stoppage-then-flood")
+            .unwrap();
+        let bad = text.replacen("\"coverage\": 1,", "\"coverage\": 1.5,", 1);
+        assert_ne!(bad, text, "{name} sets a coverage");
+        ScenarioRegistry::load(&[(name, &bad)]);
     }
 
     #[test]

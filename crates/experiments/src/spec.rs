@@ -10,9 +10,11 @@
 //! - **exact float round-trip** — floats are written in shortest-repr
 //!   form and parsed back to the same bits, so
 //!   `to_json(from_json(to_json(s))) == to_json(s)` byte-for-byte;
-//! - **schema errors with context** — syntax errors carry `line:column`
+//! - **one check, with context** — syntax errors carry `line:column`
 //!   (via [`json::line_col`]), field errors carry the dotted field path
-//!   (`attack.members[1].coverage`), and unknown fields are rejected;
+//!   (`attack.members[1].attack.coverage`), unknown fields are rejected,
+//!   and each value is range-checked where it is read, so a spec that
+//!   decodes builds a valid world at every scale;
 //! - **builder equivalence** — [`ScenarioSpec::build`] layers the world
 //!   knobs over [`Scenario::attacked`] exactly as the pre-refactor
 //!   builder closures did, so a spec-loaded scenario is structurally
@@ -271,9 +273,11 @@ impl ScenarioSpec {
         w.end().finish() + "\n"
     }
 
-    /// Parses one scenario file. Unknown fields, wrong types, missing
-    /// fields, and unknown attack kinds are all rejected with the
-    /// offending field path; syntax errors carry their `line:column`.
+    /// Parses and checks one scenario file, so a spec it returns builds a
+    /// valid world at every scale. Unknown fields, wrong types, missing
+    /// fields, unknown attack kinds and out-of-range values are all
+    /// rejected with the offending field path; syntax errors carry their
+    /// `line:column`.
     pub fn from_json(text: &str) -> Result<ScenarioSpec, SpecError> {
         let doc = json::parse(text).map_err(|e| SpecError {
             path: String::new(),
@@ -300,13 +304,35 @@ impl ScenarioSpec {
                 format!("unsupported format '{format}' (this build reads '{FORMAT}')"),
             ));
         }
-        Ok(ScenarioSpec {
-            name: str_field(root, "name", "name")?.to_string(),
+        let name = str_field(root, "name", "name")?;
+        if name.is_empty()
+            || !name
+                .chars()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
+        {
+            return Err(field_err("name", format!("'{name}' is not kebab-case")));
+        }
+        let spec = ScenarioSpec {
+            name: name.to_string(),
             description: str_field(root, "description", "description")?.to_string(),
             paper_ref: str_field(root, "paper_ref", "paper_ref")?.to_string(),
             world: decode_world(require(root, "world", "world")?)?,
             attack: decode_attack(require(root, "attack", "attack")?, "attack", 0)?,
-        })
+        };
+        for scale in [Scale::Quick, Scale::Default, Scale::Paper] {
+            let s = spec.build(scale);
+            let at = scale.label();
+            s.cfg
+                .validate()
+                .map_err(|e| field_err("world", format!("invalid at {at} scale: {e}")))?;
+            if s.run_length.is_zero() {
+                return Err(field_err(
+                    "world.run_days",
+                    format!("run length is zero at {at} scale"),
+                ));
+            }
+        }
+        Ok(spec)
     }
 
     /// Builds the runnable scenario at `scale`, layering the world knobs
@@ -343,95 +369,6 @@ impl ScenarioSpec {
             }
         }
         s
-    }
-
-    /// Semantic checks beyond the schema: kebab-case name, finite knobs,
-    /// and a world that validates at every scale.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.name.is_empty()
-            || !self
-                .name
-                .chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
-        {
-            return Err(format!("name '{}' is not kebab-case", self.name));
-        }
-        if !self.world.mtbf_years.is_finite() || self.world.mtbf_years <= 0.0 {
-            return Err("mtbf_years must be positive and finite".into());
-        }
-        if self.world.poll_months == Some(0) {
-            return Err("poll_months must be positive".into());
-        }
-        validate_attack(&self.attack)?;
-        for scale in [Scale::Quick, Scale::Default, Scale::Paper] {
-            let s = self.build(scale);
-            s.cfg
-                .validate()
-                .map_err(|e| format!("world invalid at {} scale: {e}", scale.label()))?;
-            if s.run_length.is_zero() {
-                return Err(format!("run length is zero at {} scale", scale.label()));
-            }
-        }
-        Ok(())
-    }
-}
-
-fn validate_attack(attack: &AttackSpec) -> Result<(), String> {
-    let unit = |x: f64, what: &str| {
-        if x.is_finite() && (0.0..=1.0).contains(&x) {
-            Ok(())
-        } else {
-            Err(format!("{what} must be in [0,1]"))
-        }
-    };
-    match attack {
-        AttackSpec::None | AttackSpec::BruteForce { .. } => Ok(()),
-        AttackSpec::PipeStoppage { coverage, days }
-        | AttackSpec::AdmissionFlood { coverage, days } => {
-            unit(*coverage, "coverage")?;
-            if *days == 0 {
-                return Err("attack cycle days must be positive".into());
-            }
-            Ok(())
-        }
-        AttackSpec::VoteFlood {
-            votes_per_wave,
-            wave_hours,
-        } => {
-            if *votes_per_wave == 0 || *wave_hours == 0 {
-                return Err("vote-flood wave shape must be positive".into());
-            }
-            Ok(())
-        }
-        AttackSpec::ChurnStorm { coverage, duty } => {
-            unit(*coverage, "coverage")?;
-            unit(*duty, "duty")
-        }
-        AttackSpec::SybilRamp { step, step_days } => {
-            unit(*step, "step")?;
-            if *step_days == 0 {
-                return Err("sybil-ramp step_days must be positive".into());
-            }
-            Ok(())
-        }
-        AttackSpec::MobileTakeover {
-            budget,
-            period_days,
-        } => {
-            if *budget == 0 {
-                return Err("mobile-takeover budget must be positive".into());
-            }
-            if *period_days == Some(0) {
-                return Err("mobile-takeover period_days must be positive".into());
-            }
-            Ok(())
-        }
-        AttackSpec::Compose(members) => {
-            for m in members {
-                validate_attack(&m.attack)?;
-            }
-            Ok(())
-        }
     }
 }
 
@@ -502,10 +439,33 @@ fn f64_field(fields: &[(String, Value)], key: &str, path: &str) -> Result<f64, S
     Ok(x)
 }
 
+/// A `f64_field` that is a fraction, in [0,1].
+fn unit_field(fields: &[(String, Value)], key: &str, path: &str) -> Result<f64, SpecError> {
+    let x = f64_field(fields, key, path)?;
+    if !(0.0..=1.0).contains(&x) {
+        return Err(field_err(path, "must be in [0,1]"));
+    }
+    Ok(x)
+}
+
 fn u64_field(fields: &[(String, Value)], key: &str, path: &str) -> Result<u64, SpecError> {
     require(fields, key, path)?
         .as_u64(key)
         .map_err(|m| field_err(path, m))
+}
+
+/// A `u64_field` refused at zero.
+fn positive_field(fields: &[(String, Value)], key: &str, path: &str) -> Result<u64, SpecError> {
+    match u64_field(fields, key, path)? {
+        0 => Err(field_err(path, "must be positive")),
+        n => Ok(n),
+    }
+}
+
+/// A positive count that fits in `u32`.
+fn count_field(fields: &[(String, Value)], key: &str, path: &str) -> Result<u32, SpecError> {
+    u32::try_from(positive_field(fields, key, path)?)
+        .map_err(|_| field_err(path, "does not fit in u32"))
 }
 
 /// `n` as a count of `unit`s, refused when its milliseconds do not fit in
@@ -535,14 +495,14 @@ fn run_days(n: u64, path: &str) -> Result<u64, SpecError> {
     Ok(n)
 }
 
-/// A `u64_field` counted in `unit`s, bounded by [`span`].
+/// A `positive_field` counted in `unit`s, bounded by [`span`].
 fn span_field(
     fields: &[(String, Value)],
     key: &str,
     path: &str,
     unit: Duration,
 ) -> Result<u64, SpecError> {
-    span(u64_field(fields, key, path)?, unit, path)
+    span(positive_field(fields, key, path)?, unit, path)
 }
 
 fn decode_world(v: &Value) -> Result<WorldSpec, SpecError> {
@@ -581,6 +541,9 @@ fn decode_world(v: &Value) -> Result<WorldSpec, SpecError> {
         n => AusSpec::Fixed(n.as_u64("aus").map_err(|m| field_err("world.aus", m))? as usize),
     };
     let mtbf_years = f64_field(fields, "mtbf_years", "world.mtbf_years")?;
+    if mtbf_years <= 0.0 {
+        return Err(field_err("world.mtbf_years", "must be positive"));
+    }
     let link_mix = match json::get_opt(fields, "link_mix") {
         None => {
             require(fields, "link_mix", "world")?; // absent vs explicit null
@@ -610,11 +573,11 @@ fn decode_world(v: &Value) -> Result<WorldSpec, SpecError> {
             require(fields, "poll_months", "world")?;
             None
         }
-        Some(v) => Some(span(
-            v.as_u64("poll_months")
-                .map_err(|m| field_err("world.poll_months", m))?,
-            Duration::MONTH,
+        Some(_) => Some(span_field(
+            fields,
+            "poll_months",
             "world.poll_months",
+            Duration::MONTH,
         )?),
     };
     let run = match require(fields, "run_days", "world")? {
@@ -668,14 +631,14 @@ fn decode_attack(v: &Value, path: &str, start_days: u64) -> Result<AttackSpec, S
         "pipe-stoppage" => {
             only(&["kind", "coverage", "days"])?;
             Ok(AttackSpec::PipeStoppage {
-                coverage: f64_field(fields, "coverage", &sub("coverage"))?,
+                coverage: unit_field(fields, "coverage", &sub("coverage"))?,
                 days: span_field(fields, "days", &sub("days"), Duration::DAY)?,
             })
         }
         "admission-flood" => {
             only(&["kind", "coverage", "days"])?;
             Ok(AttackSpec::AdmissionFlood {
-                coverage: f64_field(fields, "coverage", &sub("coverage"))?,
+                coverage: unit_field(fields, "coverage", &sub("coverage"))?,
                 days: span_field(fields, "days", &sub("days"), Duration::DAY)?,
             })
         }
@@ -696,33 +659,28 @@ fn decode_attack(v: &Value, path: &str, start_days: u64) -> Result<AttackSpec, S
         }
         "vote-flood" => {
             only(&["kind", "votes_per_wave", "wave_hours"])?;
-            let votes = u64_field(fields, "votes_per_wave", &sub("votes_per_wave"))?;
-            let votes = u32::try_from(votes)
-                .map_err(|_| field_err(&sub("votes_per_wave"), "does not fit in u32"))?;
             Ok(AttackSpec::VoteFlood {
-                votes_per_wave: votes,
+                votes_per_wave: count_field(fields, "votes_per_wave", &sub("votes_per_wave"))?,
                 wave_hours: span_field(fields, "wave_hours", &sub("wave_hours"), Duration::HOUR)?,
             })
         }
         "churn-storm" => {
             only(&["kind", "coverage", "duty"])?;
             Ok(AttackSpec::ChurnStorm {
-                coverage: f64_field(fields, "coverage", &sub("coverage"))?,
-                duty: f64_field(fields, "duty", &sub("duty"))?,
+                coverage: unit_field(fields, "coverage", &sub("coverage"))?,
+                duty: unit_field(fields, "duty", &sub("duty"))?,
             })
         }
         "sybil-ramp" => {
             only(&["kind", "step", "step_days"])?;
             Ok(AttackSpec::SybilRamp {
-                step: f64_field(fields, "step", &sub("step"))?,
+                step: unit_field(fields, "step", &sub("step"))?,
                 step_days: span_field(fields, "step_days", &sub("step_days"), Duration::DAY)?,
             })
         }
         "mobile-takeover" => {
             only(&["kind", "budget", "cadence", "period_days"])?;
-            let budget = u64_field(fields, "budget", &sub("budget"))?;
-            let budget = u32::try_from(budget)
-                .map_err(|_| field_err(&sub("budget"), "does not fit in u32"))?;
+            let budget = count_field(fields, "budget", &sub("budget"))?;
             let cadence = str_field(fields, "cadence", &sub("cadence"))?;
             let period_days = match cadence {
                 "synced" => {
@@ -1106,7 +1064,8 @@ mod tests {
         assert!(err.message.contains("unknown attack kind"), "{err}");
     }
 
-    fn mobile(attack_json: &str) -> Result<ScenarioSpec, SpecError> {
+    /// A default-world file whose attack is `attack_json`.
+    fn mobile_doc(attack_json: &str) -> String {
         let spec = ScenarioSpec {
             name: "mobile-x".into(),
             description: "d".into(),
@@ -1114,8 +1073,11 @@ mod tests {
             world: WorldSpec::default(),
             attack: AttackSpec::None,
         };
-        let doc = spec.to_json().replace("{\"kind\": \"none\"}", attack_json);
-        ScenarioSpec::from_json(&doc)
+        spec.to_json().replace("{\"kind\": \"none\"}", attack_json)
+    }
+
+    fn mobile(attack_json: &str) -> Result<ScenarioSpec, SpecError> {
+        ScenarioSpec::from_json(&mobile_doc(attack_json))
     }
 
     #[test]
@@ -1150,20 +1112,52 @@ mod tests {
         assert!(err.message.contains("unknown migration cadence"), "{err}");
     }
 
+    /// Counts and spans are refused at zero, each at its own path; a
+    /// compose member may still start on day 0.
     #[test]
-    fn mobile_takeover_zero_budget_fails_validate() {
-        let spec =
-            mobile("{\"kind\": \"mobile-takeover\", \"budget\": 0, \"cadence\": \"synced\"}")
-                .expect("schema-valid");
-        let err = spec.validate().unwrap_err();
-        assert!(err.contains("budget must be positive"), "{err}");
-        let spec = mobile(
-            "{\"kind\": \"mobile-takeover\", \"budget\": 3, \"cadence\": \"fixed\", \
-             \"period_days\": 0}",
+    fn zero_counts_and_spans_name_the_field() {
+        for (attack, path) in [
+            (
+                "{\"kind\": \"mobile-takeover\", \"budget\": 0, \"cadence\": \"synced\"}",
+                "attack.budget",
+            ),
+            (
+                "{\"kind\": \"mobile-takeover\", \"budget\": 3, \"cadence\": \"fixed\", \
+                 \"period_days\": 0}",
+                "attack.period_days",
+            ),
+            (
+                "{\"kind\": \"vote-flood\", \"votes_per_wave\": 0, \"wave_hours\": 6}",
+                "attack.votes_per_wave",
+            ),
+            (
+                "{\"kind\": \"vote-flood\", \"votes_per_wave\": 3, \"wave_hours\": 0}",
+                "attack.wave_hours",
+            ),
+            (
+                "{\"kind\": \"sybil-ramp\", \"step\": 0.1, \"step_days\": 0}",
+                "attack.step_days",
+            ),
+            (
+                "{\"kind\": \"compose\", \"members\": [{\"start_days\": 0, \"attack\": \
+                 {\"kind\": \"pipe-stoppage\", \"coverage\": 1, \"days\": 0}}]}",
+                "attack.members[0].attack.days",
+            ),
+        ] {
+            let err = mobile(attack).unwrap_err();
+            assert_eq!(err.path, path, "{err}");
+            assert_eq!(err.message, "must be positive", "{err}");
+        }
+        mobile(
+            "{\"kind\": \"compose\", \"members\": [{\"start_days\": 0, \"attack\": \
+             {\"kind\": \"admission-flood\", \"coverage\": 0, \"days\": 1}}]}",
         )
-        .expect("schema-valid");
-        let err = spec.validate().unwrap_err();
-        assert!(err.contains("period_days must be positive"), "{err}");
+        .expect("day 0 and zero coverage are in range");
+        let doc = mobile_doc("{\"kind\": \"none\"}")
+            .replace("\"poll_months\": null", "\"poll_months\": 0");
+        let err = ScenarioSpec::from_json(&doc).unwrap_err();
+        assert_eq!(err.path, "world.poll_months", "{err}");
+        assert_eq!(err.message, "must be positive", "{err}");
     }
 
     #[test]
@@ -1173,23 +1167,57 @@ mod tests {
         assert_eq!(err.path, "format");
     }
 
+    /// Decoding is the one check: a value out of its range, a name that is
+    /// no CLI address and a world that cannot run are each refused at
+    /// their path, with the reason.
     #[test]
-    fn validate_catches_semantic_nonsense() {
-        let mut spec = sample();
-        spec.validate().expect("sample is sound");
-        spec.world.mtbf_years = -1.0;
-        assert!(spec.validate().is_err());
-        spec.world.mtbf_years = 5.0;
-        spec.name = "Not Kebab".into();
-        assert!(spec.validate().is_err());
-        spec.name = "ok".into();
-        spec.attack = AttackSpec::ChurnStorm {
-            coverage: 1.5,
-            duty: 0.5,
-        };
-        assert!(spec.validate().is_err());
-        spec.attack = AttackSpec::None;
-        spec.world.peers = PeersSpec::Fixed(3); // below inner circle + 1
-        assert!(spec.validate().is_err());
+    fn out_of_range_values_name_the_field() {
+        let doc = sample().to_json();
+        ScenarioSpec::from_json(&doc).expect("sample is sound");
+        for (doc, path, reason) in [
+            (
+                doc.replace("\"mtbf_years\": 5", "\"mtbf_years\": -1"),
+                "world.mtbf_years",
+                "must be positive",
+            ),
+            (
+                doc.replace("\"stoppage-then-flood\"", "\"Not Kebab\""),
+                "name",
+                "is not kebab-case",
+            ),
+            (
+                doc.replace("\"coverage\": 0.30000000000000004", "\"coverage\": 1.5"),
+                "attack.members[1].attack.coverage",
+                "must be in [0,1]",
+            ),
+            (
+                doc.replace("\"peers\": \"scale\"", "\"peers\": 3"),
+                "world",
+                "population must exceed the inner circle",
+            ),
+            (
+                doc.replace("\"run_days\": \"scale\"", "\"run_days\": 0"),
+                "world.run_days",
+                "run length is zero",
+            ),
+        ] {
+            let err = ScenarioSpec::from_json(&doc).unwrap_err();
+            assert_eq!(err.path, path, "{err}");
+            assert!(err.message.contains(reason), "{err}");
+        }
+        for (attack, path) in [
+            (
+                "{\"kind\": \"churn-storm\", \"coverage\": 0.5, \"duty\": 1.01}",
+                "attack.duty",
+            ),
+            (
+                "{\"kind\": \"sybil-ramp\", \"step\": -0.1, \"step_days\": 30}",
+                "attack.step",
+            ),
+        ] {
+            let err = mobile(attack).unwrap_err();
+            assert_eq!(err.path, path, "{err}");
+            assert_eq!(err.message, "must be in [0,1]", "{err}");
+        }
     }
 }

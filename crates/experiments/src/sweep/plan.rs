@@ -458,7 +458,7 @@ pub fn run_sweep_plan(
                         0.0
                     },
                     vm_rss_kb: proc_status_kb("VmRSS").unwrap_or(0),
-                    arena_live: o.engine.arena_live.get(),
+                    arena_live: o.engine.events_queued.get(),
                     arena_total: o.engine.arena_total.get(),
                 };
                 drop(plan);

@@ -658,3 +658,32 @@ fn validate_reports_a_pathologically_nested_file_instead_of_overflowing() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `validate` names the field of an out-of-range value, however deep in a
+/// composite it sits.
+#[test]
+fn validate_names_the_field_of_an_out_of_range_member() {
+    let dir = temp_dir("member-coverage");
+    let campaign = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/campaign.json"
+    ))
+    .unwrap();
+    let bad = campaign.replacen("\"coverage\": 0.5,", "\"coverage\": 1.5,", 1);
+    assert_ne!(
+        bad, campaign,
+        "examples/campaign.json's first member sets a coverage"
+    );
+    std::fs::write(dir.join("bad.json"), bad).unwrap();
+    let out = lockss_sim(&["validate", "bad.json"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(
+        stdout.contains("bad.json: field 'attack.members[0].attack.coverage': must be in [0,1]"),
+        "{stdout}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -246,32 +246,21 @@ impl Summary {
     pub fn mean_of(runs: &[Summary]) -> Summary {
         assert!(!runs.is_empty(), "mean of zero runs");
         let n = runs.len() as f64;
-        let gap_runs: Vec<f64> = runs
-            .iter()
-            .filter_map(|r| r.mean_time_between_successes)
-            .map(|d| d.as_millis() as f64)
-            .collect();
-        let mean_gap = if gap_runs.is_empty() {
-            None
-        } else {
-            Some(Duration::from_millis(
-                (gap_runs.iter().sum::<f64>() / gap_runs.len() as f64).round() as u64,
-            ))
-        };
-        // Mean-of-quantiles across seeds: not a quantile of the pooled
-        // distribution, but the standard per-seed condensation used for
-        // every other field here.
-        let mean_quantile = |get: fn(&Summary) -> Option<Duration>| {
-            let qs: Vec<f64> = runs
+        // The mean over the seeds that have the duration. For the gap
+        // quantiles this is a mean of quantiles, not a quantile of the
+        // pooled distribution: the standard per-seed condensation used
+        // for every other field here.
+        let mean_duration = |get: fn(&Summary) -> Option<Duration>| {
+            let ms: Vec<f64> = runs
                 .iter()
                 .filter_map(get)
                 .map(|d| d.as_millis() as f64)
                 .collect();
-            if qs.is_empty() {
+            if ms.is_empty() {
                 None
             } else {
                 Some(Duration::from_millis(
-                    (qs.iter().sum::<f64>() / qs.len() as f64).round() as u64,
+                    (ms.iter().sum::<f64>() / ms.len() as f64).round() as u64,
                 ))
             }
         };
@@ -281,9 +270,9 @@ impl Summary {
                 .map(|r| r.access_failure_probability)
                 .sum::<f64>()
                 / n,
-            mean_time_between_successes: mean_gap,
-            gap_p50: mean_quantile(|r| r.gap_p50),
-            gap_p90: mean_quantile(|r| r.gap_p90),
+            mean_time_between_successes: mean_duration(|r| r.mean_time_between_successes),
+            gap_p50: mean_duration(|r| r.gap_p50),
+            gap_p90: mean_duration(|r| r.gap_p90),
             successful_polls: (runs.iter().map(|r| r.successful_polls).sum::<u64>() as f64 / n)
                 .round() as u64,
             failed_polls: (runs.iter().map(|r| r.failed_polls).sum::<u64>() as f64 / n).round()

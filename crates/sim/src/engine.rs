@@ -82,8 +82,6 @@ pub struct EngineObs {
     pub events_executed: Counter,
     /// Events still queued when the last run loop exited.
     pub events_queued: Gauge,
-    /// Events pending when the last run loop exited.
-    pub arena_live: Gauge,
     /// High-water mark of pending events across all observed engines.
     pub arena_total: Gauge,
 }
@@ -99,10 +97,6 @@ impl EngineObs {
             events_queued: b.gauge(
                 "engine_events_queued",
                 "Events queued when the last run loop exited",
-            ),
-            arena_live: b.gauge(
-                "engine_arena_live",
-                "Events pending when the last run loop exited",
             ),
             arena_total: b.gauge("engine_arena_total", "High-water mark of pending events"),
         }
@@ -488,7 +482,6 @@ impl<W> Engine<W> {
         if let Some(o) = &self.obs {
             o.events_executed.add(ran);
             o.events_queued.set(self.queue.len as u64);
-            o.arena_live.set(self.queue.len as u64);
             o.arena_total.raise(self.queue.high as u64);
         }
     }
@@ -938,7 +931,6 @@ mod tests {
         eng.run_until(&mut w, SimTime(100));
         assert_eq!(handles.events_executed.get(), 5);
         assert_eq!(handles.events_queued.get(), 0);
-        assert_eq!(handles.arena_live.get(), 0);
     }
 
     /// Closures larger than the inline payload run correctly through the

@@ -244,6 +244,43 @@ fn the_doc_lists_every_declared_label_in_table_order() {
     assert_eq!(listed, Label::ALL.map(Label::label));
 }
 
+/// The doc's attack table lists the kinds the decoder reads, in the order
+/// its unknown-kind error lists them, and each row's example decodes as
+/// that kind.
+#[test]
+fn the_doc_lists_every_attack_kind_with_an_example_that_decodes() {
+    let doc = fs::read_to_string("docs/FORMATS.md").expect("docs/FORMATS.md exists");
+    let rows: Vec<Vec<&str>> = doc
+        .lines()
+        .skip_while(|l| !l.starts_with("| Kind |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| {
+            let cells = l.trim_matches('|').split('|');
+            cells.map(|c| c.trim().trim_matches('`')).collect()
+        })
+        .collect();
+    let baseline = json_examples(&doc, "lockss-scenario-v1").remove(0);
+    let with_attack = |attack: &str| baseline.replace("{\"kind\": \"none\"}", attack);
+    let err = ScenarioSpec::from_json(&with_attack("{\"kind\": \"?\"}")).unwrap_err();
+    let decoded = err
+        .message
+        .split_once('(')
+        .and_then(|(_, list)| list.strip_suffix(')'))
+        .expect("the unknown-kind error lists the kinds");
+    let kinds: Vec<&str> = decoded.split(", ").collect();
+    assert_eq!(rows.iter().map(|r| r[0]).collect::<Vec<_>>(), kinds);
+    for row in &rows {
+        let (kind, example) = (row[0], row[row.len() - 1]);
+        let spec = ScenarioSpec::from_json(&with_attack(example))
+            .unwrap_or_else(|e| panic!("{kind}'s example does not decode: {e}"));
+        assert!(
+            spec.to_json().contains(&format!("\"kind\": \"{kind}\"")),
+            "{kind}'s example decodes as another kind"
+        );
+    }
+}
+
 /// The bytes of every `offset  hex…  ascii` dump in `doc`, one `Vec` per
 /// fenced block. The hex field is a fixed 47 columns after the 4-digit
 /// offset and two spaces.

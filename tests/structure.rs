@@ -453,6 +453,31 @@ const RULES: &[Rule] = &[
         )],
     },
     Rule {
+        name: "No configuration from the environment",
+        why: "A run is fixed by its command line, its scenario file and its \
+              seed. A value read from the environment is a setting no --help \
+              lists and no byte-identity check varies; the SHA-256 backend \
+              override was one, and went once a unit test ran the portable core \
+              on the NIST vectors directly. The one reader left is the sweep \
+              crash hook (LOCKSS_SWEEP_CRASH_AFTER, sweep/shard.rs), a fault \
+              injection for the resume test that no finished sweep's bytes \
+              depend on. Tests and the benchmark harness may read the \
+              environment; crates/*/src, src/ and examples/ may not.",
+        check: no_configuration_from_the_environment,
+        plants: &[
+            plant(
+                "crates/crypto/src/sha256.rs",
+                "fn force_portable() -> bool { std::env::var_os(\"FORCE\").is_some() }\n",
+                "\ncrates/crypto/src/sha256.rs:1: fn force_portable()",
+            ),
+            plant(
+                "crates/experiments/src/runner.rs",
+                "fn seed() -> Option<String> { std::env::var(\"LOCKSS_SEED\").ok() }\n",
+                "\ncrates/experiments/src/runner.rs:1: fn seed()",
+            ),
+        ],
+    },
+    Rule {
         name: "One release profile",
         why: "The workspace and the benchmark (its own workspace under \
               benchmark/) build with the one [profile.release] in \
@@ -1080,6 +1105,25 @@ fn no_program_code_spawns_a_process(t: &Tree) -> Vec<String> {
         hits,
         "a process spawned under crates/*/src, src/ or examples/ outside #[cfg(test)] \
          — run shards from a `sweep --jobfile` under any executor instead",
+    )
+}
+
+fn no_configuration_from_the_environment(t: &Tree) -> Vec<String> {
+    let program_files = crate_src_files(t).chain(files(t, &["src", "examples"]));
+    let hits = program_files
+        .filter(|(path, _)| {
+            path.ends_with(".rs") && *path != "crates/experiments/src/sweep/shard.rs"
+        })
+        .flat_map(|(path, text)| {
+            grep(Some((path, program(text))), |l| {
+                contains_any(l, &["env::var", "var_os"])
+            })
+        })
+        .collect();
+    flag(
+        hits,
+        "the environment read under crates/*/src, src/ or examples/ outside #[cfg(test)] \
+         — only the sweep crash hook may; take a flag or a spec field instead",
     )
 }
 
