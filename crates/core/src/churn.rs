@@ -34,12 +34,11 @@ impl World {
 
         // Same draw sequence as sampling from a materialized identity list,
         // without building the O(population) list per join.
-        let friends: Vec<Identity> = self
+        let friends = self
             .rng
-            .sample_indices(self.peers.len(), self.cfg.protocol.friends)
-            .into_iter()
-            .map(|idx| self.peers.identity(idx))
-            .collect();
+            .sample_map(self.peers.len(), self.cfg.protocol.friends, |idx| {
+                self.peers.identity(idx)
+            });
 
         // Friendship is operator-mediated and mutual: the joining library's
         // operator exchanges contacts with its friends' operators, which is

@@ -215,6 +215,16 @@ impl Default for WorldConfig {
 }
 
 impl WorldConfig {
+    /// The most loyal peers a world may hold: flood burst tags
+    /// (`lockss-adversary`'s `burst_tag`) name a victim in 24 bits, so a
+    /// larger population would alias victims.
+    pub const MAX_PEERS: usize = 1 << 24;
+
+    /// The most (peer, AU) cells a world may hold. At the ~9 KB of peak
+    /// RSS a cell costs, 2^24 cells need ~150 GB before the first event:
+    /// a larger world is a mistake, refused before it is allocated.
+    pub const MAX_CELLS: usize = 1 << 24;
+
     /// Total replicas in the system.
     pub fn total_replicas(&self) -> u64 {
         (self.n_peers * self.n_aus) as u64
@@ -228,6 +238,12 @@ impl WorldConfig {
         }
         if self.n_aus == 0 {
             return Err("need at least one AU".into());
+        }
+        if self.n_peers > Self::MAX_PEERS {
+            return Err(format!("population above {} peers", Self::MAX_PEERS));
+        }
+        if self.n_peers.saturating_mul(self.n_aus) > Self::MAX_CELLS {
+            return Err(format!("more than {} (peer, AU) cells", Self::MAX_CELLS));
         }
         if self.mtbf_years <= 0.0 {
             return Err("mtbf must be positive".into());
@@ -298,6 +314,21 @@ mod tests {
         let mut w = WorldConfig::default();
         w.cost = w.cost.with_au_bytes(123);
         assert!(w.validate().is_err());
+
+        for (n_peers, n_aus) in [(WorldConfig::MAX_PEERS + 1, 1), (1 << 12, (1 << 12) + 1)] {
+            let w = WorldConfig {
+                n_peers,
+                n_aus,
+                ..WorldConfig::default()
+            };
+            assert!(w.validate().is_err(), "{n_peers} peers × {n_aus} AUs");
+        }
+        let w = WorldConfig {
+            n_peers: WorldConfig::MAX_PEERS,
+            n_aus: 1,
+            ..WorldConfig::default()
+        };
+        assert_eq!(w.validate(), Ok(()), "the bounds are inclusive");
     }
 
     #[test]

@@ -80,8 +80,11 @@ pub struct PollState {
     pub phase: PollPhase,
     pub invitees: Vec<Invitee>,
     pub votes: Vec<RecordedVote>,
-    /// Outer-circle candidates accumulated from nominations (§4.2).
-    pub nominated_pool: Vec<Identity>,
+    /// Outer-circle candidates accumulated from nominations (§4.2). The
+    /// outer-circle launch, the pool's only reader, takes it
+    /// ([`PollState::take_pool`]); it is `None` from then to the poll's
+    /// end, and later nominations are dropped.
+    pub nominated_pool: Option<Vec<Identity>>,
     /// Repairs requested and not yet received.
     pub pending_repairs: u32,
 }
@@ -97,7 +100,7 @@ impl PollState {
             phase: PollPhase::Soliciting,
             invitees: Vec::new(),
             votes: Vec::new(),
-            nominated_pool: Vec::new(),
+            nominated_pool: Some(Vec::new()),
             pending_repairs: 0,
         }
     }
@@ -110,7 +113,7 @@ impl PollState {
         self.invitees.capacity() * size_of::<Invitee>()
             + self.votes.capacity() * size_of::<RecordedVote>()
             + damage * size_of::<u64>()
-            + self.nominated_pool.capacity() * size_of::<Identity>()
+            + self.nominated_pool.as_ref().map_or(0, Vec::capacity) * size_of::<Identity>()
     }
 
     /// Index of an invitee by identity.
@@ -135,13 +138,23 @@ impl PollState {
 
     /// Adds `id` to the nominated pool unless it is already there, so the
     /// pool lists each candidate once, in first-seen order — the order
-    /// `launch_outer` samples from. Returns whether it was added.
+    /// `launch_outer` samples from. Returns whether it was added: never
+    /// once the pool was taken.
     pub fn nominate(&mut self, id: Identity) -> bool {
-        let fresh = !self.nominated_pool.contains(&id);
+        let Some(pool) = &mut self.nominated_pool else {
+            return false;
+        };
+        let fresh = !pool.contains(&id);
         if fresh {
-            self.nominated_pool.push(id);
+            pool.push(id);
         }
         fresh
+    }
+
+    /// Takes the nominated pool for the outer-circle launch; nominations
+    /// after this are dropped. Empty if it was already taken.
+    pub fn take_pool(&mut self) -> Vec<Identity> {
+        self.nominated_pool.take().unwrap_or_default()
     }
 
     /// Records a vote for an invitee, marking it `Voted`.
@@ -614,24 +627,19 @@ impl World {
     /// Launches the outer circle (§4.2): solicit votes from discovered
     /// peers to observe their behaviour.
     fn launch_outer(&mut self, eng: &mut Eng, p: usize, au: AuId, id: PollId) {
-        let Some(poll) = self.peers.live_poll(p, au, id) else {
+        let Some(poll) = self.peers.live_poll_mut(p, au, id) else {
             return;
         };
+        let mut candidates = poll.take_pool();
         let now = eng.now();
         let window = poll.solicit_deadline.since(now).mul_f64(0.7);
         let me = self.peers.identity(p);
-        let reflist = &self.peers.au(p, au.index()).reflist;
-        let mut candidates: Vec<Identity> = poll
-            .nominated_pool
-            .iter()
-            .copied()
-            .filter(|&c| c != me && !reflist.contains(c) && !poll.has_invitee(c))
-            .collect();
-        candidates.dedup();
         let outer_n = self.cfg.protocol.outer_circle;
         let (au_state, rng) = self.peers.au_and_rng_mut(p, au.index());
-        let picked = rng.sample(&candidates, outer_n);
         let poll = au_state.poll.as_mut().expect("the launching poll is live");
+        let reflist = &au_state.reflist;
+        candidates.retain(|&c| c != me && !reflist.contains(c) && !poll.has_invitee(c));
+        let picked = rng.sample(&candidates, outer_n);
         for v in picked {
             if poll.has_invitee(v) {
                 continue;

@@ -20,16 +20,12 @@ pub struct RefList {
 }
 
 impl RefList {
-    /// Builds a list with the given static friends and initial entries.
-    pub fn new(friends: Vec<Identity>, initial: Vec<Identity>) -> RefList {
-        let mut rl = RefList {
-            entries: Vec::new(),
-            friends,
-        };
-        for id in initial {
-            rl.insert(id, usize::MAX);
-        }
-        rl
+    /// Builds a list with the given static friends whose entries are
+    /// `entries` as given, order and allocation; they must be distinct, as
+    /// a sample is.
+    pub fn new(friends: Vec<Identity>, entries: Vec<Identity>) -> RefList {
+        debug_assert!((1..entries.len()).all(|i| !entries[..i].contains(&entries[i])));
+        RefList { entries, friends }
     }
 
     /// Current reference-list members.
@@ -142,6 +138,14 @@ mod tests {
         assert_eq!(rl.len(), 3);
         assert!(!rl.contains(Identity(1)), "oldest evicted at cap");
         assert!(rl.contains(Identity(4)));
+    }
+
+    #[test]
+    fn new_keeps_the_initial_entries_as_given() {
+        let initial = ids(&[7, 3, 9, 1]);
+        let rl = RefList::new(ids(&[5]), initial.clone());
+        assert_eq!(rl.members(), &initial[..], "input order kept");
+        assert_eq!(rl.heap_bytes(), 5 * std::mem::size_of::<Identity>());
     }
 
     #[test]

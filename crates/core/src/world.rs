@@ -136,18 +136,10 @@ impl World {
             // materialized (it cost O(population²) at build).
             let ident =
                 |idx: usize| Identity::loyal(if idx < i { idx as u32 } else { idx as u32 + 1 });
-            let friends: Vec<Identity> = rng
-                .sample_indices(n - 1, cfg.protocol.friends)
-                .into_iter()
-                .map(ident)
-                .collect();
+            let friends = rng.sample_map(n - 1, cfg.protocol.friends, ident);
             let mut per_au = Vec::with_capacity(cfg.n_aus);
             for _ in 0..cfg.n_aus {
-                let initial: Vec<Identity> = rng
-                    .sample_indices(n - 1, cfg.protocol.reflist_initial)
-                    .into_iter()
-                    .map(ident)
-                    .collect();
+                let initial = rng.sample_map(n - 1, cfg.protocol.reflist_initial, ident);
                 let mut au = AuState::new(RefList::new(friends.clone(), initial));
                 au.known
                     .assume_population(n as u32, me, Grade::Even, SimTime::ZERO);

@@ -306,7 +306,8 @@ fn admission_matches_the_tree_map_reference() {
 struct RefPoll {
     /// (identity, inner, voted), in invitation order.
     invitees: Vec<(Identity, bool, bool)>,
-    pool: Vec<Identity>,
+    /// `None` once the outer circle launched.
+    pool: Option<Vec<Identity>>,
     /// (voter, inner), in arrival order.
     votes: Vec<(Identity, bool)>,
 }
@@ -326,19 +327,29 @@ impl RefPoll {
 
 /// Two voters nominating overlapping candidates, invitations (some of them
 /// of pooled candidates, as `launch_outer` makes them), votes that are
-/// solicited, unsolicited and repeated: the poll's answers must be those
-/// of the plain lists, and the pool must keep first-seen order.
+/// solicited, unsolicited and repeated, and the outer-circle launch taking
+/// the pool part-way: the poll's answers must be those of the plain lists,
+/// the pool must keep first-seen order, and nominations after the launch
+/// must be dropped.
 #[test]
 fn poll_membership_matches_plain_lists() {
     let universe: Vec<Identity> = (0..24).map(Identity::loyal).collect();
-    let (mut duplicates, mut refused) = (0u64, 0u64);
+    let (mut duplicates, mut refused, mut dropped) = (0u64, 0u64, 0u64);
     for seed in 0..seeds() {
         let mut gen = SimRng::seed_from_u64(0x9011_5eed ^ (seed << 20));
         let mut poll = PollState::new(PollId(seed), AuId(0), SimTime::ZERO, SimTime(1_000));
-        let mut model = RefPoll::default();
+        let mut model = RefPoll {
+            pool: Some(Vec::new()),
+            ..RefPoll::default()
+        };
+        let launch = 40 + gen.below(60);
         for step in 0..120 {
             let id = universe[gen.below(universe.len())];
             let at = format!("seed {seed} step {step} on {id}");
+            if step == launch {
+                let pool = model.pool.take().expect("one launch");
+                assert_eq!(poll.take_pool(), pool, "{at}: launch takes the pool");
+            }
             match gen.below(4) {
                 0 if !model.invitees.iter().any(|i| i.0 == id) => {
                     let inner = gen.chance(0.6);
@@ -346,11 +357,20 @@ fn poll_membership_matches_plain_lists() {
                     model.invitees.push((id, inner, false));
                 }
                 0 | 1 => {
-                    let fresh = !model.pool.contains(&id);
-                    if fresh {
-                        model.pool.push(id);
-                    }
-                    duplicates += u64::from(!fresh);
+                    let fresh = match &mut model.pool {
+                        Some(pool) => {
+                            let fresh = !pool.contains(&id);
+                            if fresh {
+                                pool.push(id);
+                            }
+                            duplicates += u64::from(!fresh);
+                            fresh
+                        }
+                        None => {
+                            dropped += 1;
+                            false
+                        }
+                    };
                     assert_eq!(poll.nominate(id), fresh, "{at}: nominate");
                 }
                 _ => {
@@ -374,4 +394,8 @@ fn poll_membership_matches_plain_lists() {
         "only {duplicates} repeat nominations"
     );
     assert!(refused >= seeds(), "only {refused} votes refused");
+    assert!(
+        dropped >= seeds(),
+        "only {dropped} nominations after launch"
+    );
 }

@@ -27,6 +27,7 @@
 //! this grammar.
 
 use lockss_adversary::Defection;
+use lockss_core::WorldConfig;
 use lockss_sim::json::{
     self,
     Layout::{Inline, Lines},
@@ -322,6 +323,25 @@ impl ScenarioSpec {
         for scale in [Scale::Quick, Scale::Default, Scale::Paper] {
             let s = spec.build(scale);
             let at = scale.label();
+            let (peers, aus) = (s.cfg.n_peers, s.cfg.n_aus);
+            if peers > WorldConfig::MAX_PEERS {
+                return Err(field_err(
+                    "world.peers",
+                    format!(
+                        "{peers} is above {}, the most a world holds",
+                        WorldConfig::MAX_PEERS
+                    ),
+                ));
+            }
+            if peers.saturating_mul(aus) > WorldConfig::MAX_CELLS {
+                return Err(field_err(
+                    "world.aus",
+                    format!(
+                        "{peers} peers × {aus} AUs at {at} scale is above the budget of {} cells",
+                        WorldConfig::MAX_CELLS
+                    ),
+                ));
+            }
             s.cfg
                 .validate()
                 .map_err(|e| field_err("world", format!("invalid at {at} scale: {e}")))?;

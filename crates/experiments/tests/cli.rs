@@ -687,3 +687,48 @@ fn validate_names_the_field_of_an_out_of_range_member() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A world past the peer bound or the cell budget is refused by the
+/// decoder, naming its field: `validate` says which, and `run --file`
+/// exits 2 before it allocates the world.
+#[test]
+fn an_oversized_world_is_refused_naming_its_field() {
+    let dir = temp_dir("oversized-world");
+    let campaign = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/campaign.json"
+    ))
+    .unwrap();
+    let cases = [
+        ("\"peers\": 60,", "\"peers\": 1000000000000,", "world.peers"),
+        ("\"aus\": 2,", "\"aus\": 100000000000,", "world.aus"),
+    ];
+    for (from, to, field) in cases {
+        let bad = campaign.replacen(from, to, 1);
+        assert_ne!(bad, campaign, "examples/campaign.json sets {from}");
+        std::fs::write(dir.join("bad.json"), bad).unwrap();
+        let out = lockss_sim(&["validate", "bad.json"])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+        assert!(
+            stdout.contains(&format!("bad.json: field '{field}': ")),
+            "{stdout}"
+        );
+        let out = lockss_sim(&[
+            "run", "--file", "bad.json", "--scale", "quick", "--seed", "1",
+        ])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&format!("'{field}'")),
+            "{}",
+            stderr(&out)
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

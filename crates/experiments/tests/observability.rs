@@ -647,9 +647,19 @@ fn sweep_metrics_are_the_same_at_any_thread_count() {
                 &out,
             ],
         );
-        let mut metrics = additive_metrics(&dir.join(out));
+        let mut metrics = additive_metrics(&dir.join(&out));
         let chunks = metrics.remove("sweep_worker_chunks_total").unwrap();
         assert_eq!(chunks, [threads.parse::<u64>().unwrap()], "one per worker");
+        // Gauges are left out of `additive_metrics`; these two are maxima
+        // over the seeds, so they must not depend on finish order either.
+        let snapshot = json::parse(&read(&dir.join(&out))).expect("metrics parse");
+        let snapshot = snapshot.as_object("snapshot").unwrap();
+        let gauges = json::get(snapshot, "metrics").unwrap();
+        let gauges = gauges.as_object("metrics").unwrap();
+        for name in ["engine_events_queued", "engine_arena_total"] {
+            let value = json::get(gauges, name).unwrap().as_u64(name).unwrap();
+            metrics.insert(name.to_string(), vec![value]);
+        }
         metrics
     };
     let one = snapshot("1");

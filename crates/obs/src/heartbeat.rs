@@ -47,7 +47,9 @@ pub struct Heartbeat {
     pub polls_per_sec: f64,
     /// Current resident set size (VmRSS) in KiB, 0 when unavailable.
     pub vm_rss_kb: u64,
-    /// Events pending in the engine after the last seed.
+    /// The most events any finished seed left pending at its horizon
+    /// (`engine_events_queued`), so the same seeds read the same value at
+    /// any thread count.
     pub arena_live: u64,
     /// The most events pending at once, after the last seed.
     pub arena_total: u64,

@@ -80,7 +80,9 @@ pub struct EngineObs {
     /// Events executed, accumulated across run loops (and, when the
     /// registry is shared, across every engine in a sweep).
     pub events_executed: Counter,
-    /// Events still queued when the last run loop exited.
+    /// The most events any run loop left queued at its exit. A maximum,
+    /// not the last loop's count, so a sweep publishes the same value
+    /// whatever order its seeds finish in.
     pub events_queued: Gauge,
     /// High-water mark of pending events across all observed engines.
     pub arena_total: Gauge,
@@ -96,7 +98,7 @@ impl EngineObs {
             ),
             events_queued: b.gauge(
                 "engine_events_queued",
-                "Events queued when the last run loop exited",
+                "The most events any run loop left queued at its exit",
             ),
             arena_total: b.gauge("engine_arena_total", "High-water mark of pending events"),
         }
@@ -481,7 +483,7 @@ impl<W> Engine<W> {
     fn publish_obs(&self, ran: u64) {
         if let Some(o) = &self.obs {
             o.events_executed.add(ran);
-            o.events_queued.set(self.queue.len as u64);
+            o.events_queued.raise(self.queue.len as u64);
             o.arena_total.raise(self.queue.high as u64);
         }
     }
@@ -930,7 +932,7 @@ mod tests {
         assert_eq!(handles.arena_total.get(), 5);
         eng.run_until(&mut w, SimTime(100));
         assert_eq!(handles.events_executed.get(), 5);
-        assert_eq!(handles.events_queued.get(), 0);
+        assert_eq!(handles.events_queued.get(), 2, "the larger of 2 and 0");
     }
 
     /// Closures larger than the inline payload run correctly through the

@@ -84,9 +84,8 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` keyed with the deterministic Fx hasher.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// An [`FxHashMap`] pre-sized for `n` entries: bulk builders (the sparse
-/// sampler's displacement map) pay one table allocation instead of a
-/// growth cascade.
+/// An [`FxHashMap`] pre-sized for `n` entries: a bulk builder pays one
+/// table allocation instead of a growth cascade.
 pub fn with_capacity<K, V>(n: usize) -> FxHashMap<K, V> {
     HashMap::with_capacity_and_hasher(n, FxBuildHasher::default())
 }

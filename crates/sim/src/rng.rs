@@ -27,10 +27,14 @@ pub struct SimRng {
     state: u64,
 }
 
-/// Above this domain size, [`SimRng::sample_indices`] switches from the
-/// dense O(n) index vector to the sparse O(k) displacement map. Purely a
+/// Above this domain size, [`SimRng::sample_map`] switches from the dense
+/// O(n) index vector to the sparse O(k) displacement list. Purely a
 /// performance knob: both paths consume identical draws.
 const SPARSE_SAMPLE_THRESHOLD: usize = 2048;
+
+/// Bits in the sparse sampler's filter on moved positions (a multiple of
+/// 64): 128 bytes of stack, 4% full at a 40-entry sample.
+const FILTER_BITS: usize = 1024;
 
 /// The splitmix64 state increment (2^64 / φ, forced odd).
 const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -164,50 +168,50 @@ impl SimRng {
     /// Samples `k` distinct elements (cloned) uniformly without replacement;
     /// returns fewer if the slice is shorter than `k`. Order is random.
     pub fn sample<T: Clone>(&mut self, items: &[T], k: usize) -> Vec<T> {
-        self.sample_indices(items.len(), k)
-            .into_iter()
-            .map(|i| items[i].clone())
-            .collect()
+        self.sample_map(items.len(), k, |i| items[i].clone())
     }
 
     /// Samples `k` distinct indices uniformly from `0..n` without
     /// replacement (fewer if `n < k`), in random order.
-    ///
-    /// Draw-compatible with [`SimRng::sample`] over a slice of length `n`:
-    /// both consume exactly the same `below` sequence, so they are
-    /// interchangeable without perturbing a seeded run. Small domains use a
-    /// partial Fisher–Yates over a dense index vector; large domains
-    /// (population-scale reference-list seeding in 10k+ peer worlds) switch
-    /// to a sparse displacement map so the cost is O(k), not O(n).
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
+        self.sample_map(n, k, |i| i)
+    }
+
+    /// `f` of each of `k` distinct indices drawn uniformly from `0..n`
+    /// without replacement (fewer if `n < k`), in random order, in a vector
+    /// of exactly that capacity. Every sampler is this one, so all consume
+    /// the same `below` sequence. Large domains (reference lists in 10k+
+    /// peer worlds) only materialize moved positions: O(k), not O(n).
+    pub fn sample_map<T>(&mut self, n: usize, k: usize, mut f: impl FnMut(usize) -> T) -> Vec<T> {
         let k = k.min(n);
-        if k == 0 {
-            return Vec::new();
-        }
+        let mut picks = Vec::with_capacity(k);
         if n <= SPARSE_SAMPLE_THRESHOLD {
             // Partial Fisher–Yates over an index vector: after k swap steps
-            // the prefix is a uniform k-permutation of 0..n, so the picks
-            // are distinct, uniform, and in random order.
+            // the prefix is a uniform k-permutation of 0..n.
             let mut idx: Vec<usize> = (0..n).collect();
             for i in 0..k {
                 let j = i + self.below(n - i);
                 idx.swap(i, j);
+                picks.push(f(idx[i]));
             }
-            idx.truncate(k);
-            return idx;
+            return picks;
         }
-        // Sparse Fisher–Yates: only displaced positions are materialized.
-        // `displaced[j]` holds the value currently sitting at position `j`
-        // of the virtual 0..n vector; untouched positions hold their own
-        // index. Identical draw sequence to the dense path.
-        let mut displaced: crate::FxHashMap<usize, usize> = crate::fxmap::with_capacity(2 * k);
-        let mut picks = Vec::with_capacity(k);
+        // Sparse Fisher–Yates: `moved` lists (position, value) for each
+        // write to the virtual 0..n vector, latest last; other positions
+        // hold their own index. `filter` marks `position % FILTER_BITS` of
+        // each write, so most lookups (all but a few when n ≫ k) skip the
+        // scan. Identical draw sequence to the dense path.
+        let mut moved: Vec<(usize, usize)> = Vec::with_capacity(k);
+        let mut filter = [0u64; FILTER_BITS / 64];
         for i in 0..k {
             let j = i + self.below(n - i);
-            let at_j = displaced.get(&j).copied().unwrap_or(j);
-            let at_i = displaced.get(&i).copied().unwrap_or(i);
-            picks.push(at_j);
-            displaced.insert(j, at_i);
+            let at = |pos: usize| match filter[pos % FILTER_BITS / 64] >> (pos % 64) & 1 {
+                0 => pos,
+                _ => moved.iter().rev().find(|m| m.0 == pos).map_or(pos, |m| m.1),
+            };
+            picks.push(f(at(j)));
+            moved.push((j, at(i)));
+            filter[j % FILTER_BITS / 64] |= 1 << (j % 64);
         }
         picks
     }
@@ -287,14 +291,18 @@ mod tests {
         // The sparse path must consume the same draws and return the same
         // picks as the dense path; compare both against `sample` over an
         // identity slice on domains straddling SPARSE_SAMPLE_THRESHOLD.
-        for n in [0usize, 1, 5, 100, 2048, 2049, 5000, 60_000] {
-            for k in [0usize, 1, 7, 40, 100] {
-                let items: Vec<usize> = (0..n).collect();
+        // k = 2048 at n = 2049 is the sparse path's most collision-heavy
+        // case: nearly every position it reads was moved.
+        for n in [0usize, 1, 5, 100, 2048, 2049, 5000, 60_000, 1_000_000] {
+            let items: Vec<usize> = (0..n).collect();
+            for k in [0usize, 1, 7, 40, 100, 2000, 2048] {
                 let mut a = SimRng::seed_from_u64(1000 + n as u64 + k as u64);
                 let mut b = SimRng::seed_from_u64(1000 + n as u64 + k as u64);
                 let via_slice = a.sample(&items, k);
                 let via_indices = b.sample_indices(n, k);
                 assert_eq!(via_slice, via_indices, "n={n} k={k}");
+                assert_eq!(via_slice.capacity(), via_slice.len(), "n={n} k={k}");
+                assert_eq!(via_indices.capacity(), via_indices.len(), "n={n} k={k}");
                 // Both RNGs must land in the same state.
                 assert_eq!(a.u64(), b.u64(), "n={n} k={k} draw streams diverged");
             }
@@ -401,16 +409,27 @@ mod tests {
             zones: [(0, 0); 32],
         };
         let (mut by_index, mut by_slice) = (SimRng::seed_from_u64(77), SimRng::seed_from_u64(77));
-        for n in 1..=2049usize {
+        // Every domain up to the first sparse one, then the sparse path at
+        // k = n - 1, with k up to 2,000 and with n up to 10^6.
+        let dense = (1..=2049usize).flat_map(|n| [0, 1, n / 2, n, n + 1].map(|k| (n, k)));
+        let sparse = [
+            (2049, 2048),
+            (2050, 2000),
+            (5000, 2000),
+            (60_000, 1999),
+            (1_000_000, 40),
+            (1_000_000, 2000),
+        ];
+        for (n, k) in dense.chain(sparse) {
             let items: Vec<usize> = (0..n).collect();
-            for k in [0, 1, n / 2, n, n + 1] {
-                let want = old.sample_indices(n, k);
-                assert_eq!(by_index.sample_indices(n, k), want, "n={n} k={k}");
-                assert_eq!(by_slice.sample(&items, k), want, "n={n} k={k}");
-                let next = old.below(n);
-                assert_eq!(by_index.below(n), next, "n={n} k={k}");
-                assert_eq!(by_slice.below(n), next, "n={n} k={k}");
+            let want = old.sample_indices(n, k);
+            for got in [by_index.sample_indices(n, k), by_slice.sample(&items, k)] {
+                assert_eq!(got, want, "n={n} k={k}");
+                assert_eq!(got.capacity(), got.len(), "n={n} k={k}: spare capacity");
             }
+            let next = old.below(n);
+            assert_eq!(by_index.below(n), next, "n={n} k={k}");
+            assert_eq!(by_slice.below(n), next, "n={n} k={k}");
         }
         let last = old.next_u64();
         assert_eq!((by_index.u64(), by_slice.u64()), (last, last));
