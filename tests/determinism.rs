@@ -454,6 +454,66 @@ fn assert_golden_digests(digests: impl Fn(&str, &Scenario, u64) -> (String, Stri
     );
 }
 
+/// `(ablation switch, trace content hash, SHA-256 of summary_to_json)` for
+/// the shrunken `admission-flood` world at seed 7 with that one switch of
+/// its protocol config on. A garbage burst runs the admission filter on
+/// every invitation, and these are the switches the filter reads: without
+/// refractory periods a burst sends its whole wave, without introductions
+/// the introduction lookup is skipped, and without reputation every known
+/// identity passes as even. Recorded before bursts stopped probing the
+/// introductions and known-peers tables for their never-seen identities;
+/// a refactor must leave them alone.
+const ABLATED_FLOOD_DIGESTS: &[(&str, &str, &str)] = &[
+    (
+        "no_refractory",
+        "9a2f41d69ba6bcf23a4bede3e754bd31cf6eba90b6c95c6e3dda4fc53e9399b5",
+        "fe1412baaf1f5440e67fd6311c5f55f755a8abee7eac13a6ddf3aad24be2be8d",
+    ),
+    (
+        "no_introductions",
+        "d633fa4582f9a684b7f9c40c5c637e17cd4feb75e37aab7ad4b8c7d803c10264",
+        "2616352f4c615d67e384c0a1c8141e3b3f64b71e4f61c046303b34e7a1ac24bf",
+    ),
+    (
+        "no_reputation",
+        "f8b94d97d3f99c3f14a21c7783dae093528849324b3740e169ab65b420e082e5",
+        "773c612292a99aa636b954c6bc44105ef6b548548671a7b0afaff85a522c2c9c",
+    ),
+];
+
+#[test]
+fn ablated_floods_match_their_pinned_literals() {
+    let (name, flood) = shrunken_registry_jobs()
+        .into_iter()
+        .find(|(n, _)| n == "admission-flood")
+        .expect("registered");
+    let mut actual = String::new();
+    let mut got = Vec::new();
+    for &(switch, _, _) in ABLATED_FLOOD_DIGESTS {
+        let mut s = flood.clone();
+        let ablation = &mut s.cfg.protocol.ablation;
+        match switch {
+            "no_refractory" => ablation.no_refractory = true,
+            "no_introductions" => ablation.no_introductions = true,
+            _ => ablation.no_reputation = true,
+        }
+        let (trace, summary) = record_digests(&name, &s, 7);
+        actual.push_str(&format!(
+            "    (\n        {switch:?},\n        {trace:?},\n        {summary:?},\n    ),\n"
+        ));
+        got.push((switch, trace, summary));
+    }
+    let want: Vec<(&str, String, String)> = ABLATED_FLOOD_DIGESTS
+        .iter()
+        .map(|&(switch, t, s)| (switch, t.to_string(), s.to_string()))
+        .collect();
+    assert!(
+        got == want,
+        "ablated flood digests moved; if (and only if) the change is a deliberate \
+         protocol change, replace ABLATED_FLOOD_DIGESTS with:\n{actual}"
+    );
+}
+
 /// SHA-256 of the `figure churn` table at quick scale and of the recovery
 /// study at CI's shape (`sweep recovery --budgets 2,30 --seeds 1..2
 /// --attack-days 90`). Both reports pause their world part-way (the churn
