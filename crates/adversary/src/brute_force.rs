@@ -21,12 +21,10 @@
 //! adversary; dropped invitations are sunk cost — that is the economics
 //! the admission filter is calibrated to (§6.3).
 
-use std::collections::BTreeMap;
-
 use lockss_core::adversary::schedule_adversary_timer;
 use lockss_core::{Adversary, Identity, Label, Message, PollId, World};
 use lockss_net::NodeId;
-use lockss_sim::{Duration, Engine, SimTime};
+use lockss_sim::{Duration, Engine, FxHashMap, SimTime};
 use lockss_storage::AuId;
 
 use crate::flood::{burst_tag, burst_target, open_bursts, wait_out_refractory};
@@ -83,8 +81,9 @@ pub struct BruteForce {
     pub defection: Defection,
     /// Minion network nodes (assigned round-robin per victim/AU).
     minions: Vec<NodeId>,
-    /// In-flight bogus polls.
-    pending: BTreeMap<PollId, BogusPoll>,
+    /// In-flight bogus polls. Only looked up, inserted into and removed
+    /// from, never iterated, so its order cannot reach a run.
+    pending: FxHashMap<PollId, BogusPoll>,
 }
 
 impl BruteForce {
@@ -93,7 +92,7 @@ impl BruteForce {
         BruteForce {
             defection,
             minions: Vec::new(),
-            pending: BTreeMap::new(),
+            pending: FxHashMap::default(),
         }
     }
 
@@ -160,7 +159,8 @@ impl BruteForce {
     }
 
     /// Removes and returns the in-flight bogus poll `poll` if it is at
-    /// `stage`.
+    /// `stage`. A miss leaves the table as it was: no entry is made for
+    /// it, so the table grows nothing.
     fn take(&mut self, poll: PollId, stage: BogusStage) -> Option<BogusPoll> {
         match self.pending.get(&poll) {
             Some(entry) if entry.stage == stage => self.pending.remove(&poll),

@@ -8,6 +8,7 @@
 //! introductory effort (the brute force's own poll exchange).
 
 use lockss_core::adversary::schedule_adversary_timer;
+use lockss_core::reputation::Standing;
 use lockss_core::{Identity, Label, World};
 use lockss_effort::Purpose;
 use lockss_sim::{Duration, Engine};
@@ -97,9 +98,22 @@ pub(crate) fn garbage_burst(
         let verdict = {
             let (au_state, rng) = world.peers.au_and_rng_mut(victim, au as usize);
             let protocol = &world.cfg.protocol;
-            au_state
-                .admission
-                .filter(id, &au_state.known, now, protocol, rng)
+            // The victim has never seen a burst identity, so `filter`'s two
+            // lookups would both miss:
+            // - the identities come from per-strategy counters in disjoint
+            //   ranges: the admission flood from MINION_BASE + 2^36, the
+            //   sybil ramp from + 2^40, the vote flood from + 2^30, the
+            //   brute force's in-debt ones from MINION_BASE + victim·aus + au;
+            // - the poller's nomination harvest skips minions, so none is
+            //   ever introduced;
+            // - bursts bypass the message layer, so none ever gets a
+            //   known-peers entry.
+            debug_assert!(
+                !au_state.admission.is_introduced(id)
+                    && au_state.known.standing(id, now, protocol.grade_decay) == Standing::Unknown,
+                "burst identity {id} is known to ({victim}, {au})"
+            );
+            au_state.admission.filter_unseen(id, now, protocol, rng)
         };
         if verdict.is_admitted() {
             world.charge_loyal(victim, Purpose::Consider, consider);

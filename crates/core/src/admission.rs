@@ -201,46 +201,69 @@ impl AdmissionControl {
             self.stamp_admission(poller, now, cfg.refractory);
             return AdmissionVerdict::AdmittedIntroduced;
         }
-
-        let standing = if cfg.ablation.no_reputation {
+        let standing = match known.standing(poller, now, cfg.grade_decay) {
             // Ablated reputation: any known identity passes as `even`.
-            match known.standing(poller, now, cfg.grade_decay) {
-                Standing::Unknown => Standing::Unknown,
-                Standing::Known(_) => Standing::Known(Grade::Even),
-            }
-        } else {
-            known.standing(poller, now, cfg.grade_decay)
+            Standing::Known(_) if cfg.ablation.no_reputation => Standing::Known(Grade::Even),
+            other => other,
         };
-        let privileged = matches!(
-            standing,
-            Standing::Known(Grade::Even) | Standing::Known(Grade::Credit)
-        );
+        self.decide(poller, standing, now, cfg, rng)
+    }
 
-        if privileged {
-            // 5. Per-peer rate limit: one admission per refractory period.
-            match self.stamp_slot(poller) {
-                Ok(at) => {
-                    let last = &mut self.last_admission[at].1;
-                    if now.since(*last) < cfg.refractory {
-                        return AdmissionVerdict::RateLimited;
+    /// [`Self::filter`] for a `poller` this cell has never seen: one with
+    /// no outstanding introduction here and no known-peers entry. Both of
+    /// `filter`'s lookups would miss, so this skips them and decides as
+    /// for an unknown identity; the verdict, the RNG draws and the state
+    /// left behind are `filter`'s. The caller guarantees the identity is
+    /// unseen.
+    pub fn filter_unseen(
+        &mut self,
+        poller: Identity,
+        now: SimTime,
+        cfg: &ProtocolConfig,
+        rng: &mut SimRng,
+    ) -> AdmissionVerdict {
+        self.decide(poller, Standing::Unknown, now, cfg, rng)
+    }
+
+    /// True if `id` holds an outstanding introduction here.
+    pub fn is_introduced(&self, id: Identity) -> bool {
+        self.introduction_slot(id).is_ok()
+    }
+
+    /// Steps 2–5 of the module docs for a `poller` with `standing` that
+    /// was not introduced.
+    fn decide(
+        &mut self,
+        poller: Identity,
+        standing: Standing,
+        now: SimTime,
+        cfg: &ProtocolConfig,
+        rng: &mut SimRng,
+    ) -> AdmissionVerdict {
+        let drop_p = match standing {
+            Standing::Known(Grade::Even | Grade::Credit) => {
+                // 5. Per-peer rate limit: one admission per refractory period.
+                match self.stamp_slot(poller) {
+                    Ok(at) => {
+                        let last = &mut self.last_admission[at].1;
+                        if now.since(*last) < cfg.refractory {
+                            return AdmissionVerdict::RateLimited;
+                        }
+                        *last = now;
                     }
-                    *last = now;
+                    Err(at) => self.insert_stamp(at, poller, now, cfg.refractory),
                 }
-                Err(at) => self.insert_stamp(at, poller, now, cfg.refractory),
+                return AdmissionVerdict::Admitted;
             }
-            return AdmissionVerdict::Admitted;
-        }
-
+            Standing::Unknown => cfg.drop_unknown,
+            Standing::Known(Grade::Debt) => cfg.drop_debt,
+        };
         // Unknown or in-debt path.
         // 2. Refractory auto-reject.
         if !cfg.ablation.no_refractory && self.in_refractory(now) {
             return AdmissionVerdict::Refractory;
         }
         // 3. Random drops.
-        let drop_p = match standing {
-            Standing::Unknown => cfg.drop_unknown,
-            Standing::Known(_) => cfg.drop_debt,
-        };
         if rng.chance(drop_p) {
             return AdmissionVerdict::RandomDrop;
         }

@@ -64,13 +64,24 @@ const RULES: &[Rule] = &[
               path (introductions, last-admission stamps, voter sessions). The \
               only tree-map admission code left is the reference side of \
               crates/core/tests/admission_oracle.rs; a fallback kept beside a \
-              table would be a second implementation the oracle does not drive.",
+              table would be a second implementation the oracle does not drive. \
+              The attack drivers' tables (the brute force's in-flight bogus \
+              polls) are only looked up, inserted into and removed from, so an \
+              ordered map there buys nothing a run can observe.",
         check: one_table_per_job,
-        plants: &[plant(
-            "crates/core/src/peer.rs",
-            "use std::collections::BTreeMap;\n",
-            "crates/core/src/peer.rs names BTreeMap outside #[cfg(test)] — its tables are flat",
-        )],
+        plants: &[
+            plant(
+                "crates/core/src/peer.rs",
+                "use std::collections::BTreeMap;\n",
+                "crates/core/src/peer.rs names BTreeMap outside #[cfg(test)] — its tables are flat",
+            ),
+            plant(
+                "crates/adversary/src/brute_force.rs",
+                "use std::collections::BTreeMap;\n",
+                "crates/adversary/src/brute_force.rs names BTreeMap outside #[cfg(test)] — its \
+                 tables are lookup-only",
+            ),
+        ],
     },
     Rule {
         name: "One binary, one run path",
@@ -575,6 +586,12 @@ fn one_table_per_job(t: &Tree) -> Vec<String> {
         out.extend(flag(
             grep(program_of(t, path), |l| l.contains("BTreeMap")),
             &format!("{path} names BTreeMap outside #[cfg(test)] — its tables are flat"),
+        ));
+    }
+    for (path, text) in files(t, &["crates/adversary/src"]) {
+        out.extend(flag(
+            grep(Some((path, program(text))), |l| l.contains("BTreeMap")),
+            &format!("{path} names BTreeMap outside #[cfg(test)] — its tables are lookup-only"),
         ));
     }
     out
