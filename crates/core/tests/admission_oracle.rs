@@ -28,6 +28,14 @@
 //!   forgets some;
 //! - every ablation switch the filter reads.
 //!
+//! A second program holds [`AdmissionControl::filter_unseen`] to
+//! `filter`: two flat tables take the same calls, except that an
+//! invitation from a burst identity (a minion no introduction or
+//! known-peers entry names) goes through the unseen entry on one side and
+//! through `filter` on the other. After every step the verdict, the next
+//! RNG draw, the refractory deadline and the stamp count must be equal,
+//! under every ablation switch the config generator draws.
+//!
 //! The same file holds the parity check of [`PollState`]'s invitee and
 //! nominated-pool membership against plain lists.
 //!
@@ -298,6 +306,146 @@ fn admission_matches_the_tree_map_reference() {
         reached.steps_with_stamps_forgotten >= seeds(),
         "only {} steps ran with expired stamps forgotten",
         reached.steps_with_stamps_forgotten
+    );
+}
+
+/// Burst identities start here, clear of the minions `pick_identity`
+/// introduces and grades.
+const BURST_BASE: u64 = Identity::MINION_BASE + (1 << 36);
+
+/// What the unseen-entry program reached, summed over seeds.
+#[derive(Default)]
+struct UnseenReached {
+    /// Burst verdicts, indexed by verdict code.
+    verdicts: [u64; 5],
+    /// Burst steps that retried an identity admitted before.
+    retried_admitted: u64,
+    /// Burst steps under no_refractory, no_introductions, no_reputation.
+    ablated: [u64; 3],
+}
+
+fn drive_unseen(seed: u64, reached: &mut UnseenReached) {
+    let mut gen = SimRng::seed_from_u64(0x0e5e_e115 ^ (seed << 20));
+    let cfg = random_config(&mut gen);
+    let mut known = KnownPeers::new();
+    known.assume_population(FOUNDERS, Identity::loyal(0), Grade::Even, SimTime::ZERO);
+    let introducers = [Identity::loyal(2), Identity::loyal(5), Identity::loyal(7)];
+
+    let (mut unseen, mut full) = (AdmissionControl::new(), AdmissionControl::new());
+    let (mut unseen_rng, mut full_rng) = (SimRng::seed_from_u64(seed), SimRng::seed_from_u64(seed));
+    let mut now = SimTime::ZERO;
+    let mut next_burst = BURST_BASE;
+    let mut admitted: Vec<Identity> = Vec::new();
+
+    for step in 0..STEPS {
+        now += match gen.below(4) {
+            0 => Duration::ZERO,
+            1 => Duration(cfg.refractory.0 - 1 + gen.below(3) as u64),
+            2 => Duration::MINUTE * (1 + gen.below(600) as u64),
+            _ => Duration(1 + gen.below(60_000) as u64),
+        };
+        let at = format!("seed {seed} step {step} at {now:?}");
+        match gen.below(10) {
+            0..=5 => {
+                // A burst identity: fresh, or one admitted earlier (bursts
+                // never introduce or grade it, so it stays unseen).
+                let poller = match admitted.len() {
+                    n if n > 0 && gen.chance(0.3) => {
+                        reached.retried_admitted += 1;
+                        admitted[gen.below(n)]
+                    }
+                    _ => {
+                        next_burst += 1;
+                        Identity(next_burst)
+                    }
+                };
+                let got = unseen.filter_unseen(poller, now, &cfg, &mut unseen_rng);
+                let want = full.filter(poller, &known, now, &cfg, &mut full_rng);
+                assert_eq!(got, want, "{at}: verdict on burst identity {poller}");
+                reached.verdicts[got.code() as usize] += 1;
+                let ablation = &cfg.ablation;
+                let switches = [
+                    ablation.no_refractory,
+                    ablation.no_introductions,
+                    ablation.no_reputation,
+                ];
+                for (n, on) in reached.ablated.iter_mut().zip(switches) {
+                    *n += u64::from(on);
+                }
+                if got.is_admitted() {
+                    admitted.push(poller);
+                }
+            }
+            6 | 7 => {
+                // An ordinary invitation, through `filter` on both sides.
+                let poller = pick_identity(&mut gen);
+                let got = unseen.filter(poller, &known, now, &cfg, &mut unseen_rng);
+                let want = full.filter(poller, &known, now, &cfg, &mut full_rng);
+                assert_eq!(got, want, "{at}: verdict on {poller}");
+            }
+            8 => {
+                let (introducee, by) = (pick_identity(&mut gen), introducers[gen.below(3)]);
+                unseen.introduce(introducee, by, now, &cfg);
+                full.introduce(introducee, by, now, &cfg);
+            }
+            _ => {
+                let id = pick_identity(&mut gen);
+                match gen.below(3) {
+                    0 => known.raise(id, now, cfg.grade_decay),
+                    1 => known.lower(id, now, cfg.grade_decay),
+                    _ => known.penalize(id, now),
+                }
+            }
+        }
+        assert_eq!(
+            unseen_rng.clone().u64(),
+            full_rng.clone().u64(),
+            "{at}: the two sides drew differently"
+        );
+        assert_eq!(
+            unseen.refractory_until(),
+            full.refractory_until(),
+            "{at}: refractory deadline"
+        );
+        assert_eq!(
+            unseen.last_admission_entries(),
+            full.last_admission_entries(),
+            "{at}: last-admission stamps"
+        );
+        assert_eq!(
+            unseen.outstanding_introductions(),
+            full.outstanding_introductions(),
+            "{at}: outstanding introductions"
+        );
+    }
+}
+
+#[test]
+fn the_unseen_entry_matches_filter() {
+    let mut reached = UnseenReached::default();
+    for seed in 0..seeds() {
+        drive_unseen(seed, &mut reached);
+    }
+    // Burst identities are never introduced, so never admitted-introduced;
+    // they are unknown, so never rate-limited.
+    let [admitted, introduced, dropped, refractory, rate_limited] = reached.verdicts;
+    assert_eq!((introduced, rate_limited), (0, 0));
+    assert!(
+        [admitted, dropped, refractory]
+            .iter()
+            .all(|&n| n >= seeds()),
+        "burst verdicts reached (admitted, dropped, refractory): {:?}",
+        [admitted, dropped, refractory]
+    );
+    assert!(
+        reached.retried_admitted >= seeds(),
+        "only {} bursts retried an admitted identity",
+        reached.retried_admitted
+    );
+    assert!(
+        reached.ablated.iter().all(|&n| n >= seeds()),
+        "burst steps under no_refractory, no_introductions, no_reputation: {:?}",
+        reached.ablated
     );
 }
 
