@@ -84,12 +84,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` keyed with the deterministic Fx hasher.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// An [`FxHashMap`] pre-sized for `n` entries: a bulk builder pays one
-/// table allocation instead of a growth cascade.
-pub fn with_capacity<K, V>(n: usize) -> FxHashMap<K, V> {
-    HashMap::with_capacity_and_hasher(n, FxBuildHasher::default())
-}
-
 /// Control bytes past the last bucket: one SIMD group, mirrored so a probe
 /// never wraps.
 const GROUP_WIDTH: usize = 16;

@@ -386,7 +386,8 @@ mod tests {
                 self.scratch = idx;
                 return picks;
             }
-            let mut displaced: crate::FxHashMap<usize, usize> = crate::fxmap::with_capacity(2 * k);
+            let mut displaced: crate::FxHashMap<usize, usize> =
+                crate::FxHashMap::with_capacity_and_hasher(2 * k, Default::default());
             let mut picks = Vec::with_capacity(k);
             for i in 0..k {
                 let j = i + self.below(n - i);
