@@ -440,7 +440,6 @@ pub fn run_sweep_plan(
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
                 let shard = plan.shard.as_ref().map(|t| (t.index, t.count));
                 let polls = o.core.polls_started.get();
-                let elapsed = started.elapsed().as_secs_f64();
                 let hb = Heartbeat {
                     unix_ms: unix_ms_now(),
                     scenario: plan.scenario.clone(),
@@ -452,11 +451,7 @@ pub fn run_sweep_plan(
                     last_seed: last_seed.load(Ordering::Relaxed),
                     polls,
                     events: o.engine.events_executed.get(),
-                    polls_per_sec: if elapsed > 0.0 {
-                        (polls - polls_at_start) as f64 / elapsed
-                    } else {
-                        0.0
-                    },
+                    polls_per_sec: polls_per_sec(polls - polls_at_start, started.elapsed()),
                     vm_rss_kb: proc_status_kb("VmRSS").unwrap_or(0),
                     arena_live: o.engine.events_queued.get(),
                     arena_total: o.engine.arena_total.get(),
@@ -558,10 +553,31 @@ pub fn run_sweep_plan(
     report
 }
 
+/// A heartbeat's poll rate: `polls` started over `elapsed`, or 0 until a
+/// whole [`HEARTBEAT_INTERVAL`] has elapsed. The monitor writes its first
+/// record as it starts, and a rate over its first millisecond is noise.
+fn polls_per_sec(polls: u64, elapsed: std::time::Duration) -> f64 {
+    if elapsed < HEARTBEAT_INTERVAL {
+        0.0
+    } else {
+        polls as f64 / elapsed.as_secs_f64()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scale::Scale;
+
+    #[test]
+    fn the_poll_rate_waits_for_a_whole_interval() {
+        let ms = std::time::Duration::from_millis;
+        assert_eq!(polls_per_sec(45, ms(1)), 0.0);
+        assert_eq!(polls_per_sec(45, HEARTBEAT_INTERVAL - ms(1)), 0.0);
+        assert_eq!(polls_per_sec(0, HEARTBEAT_INTERVAL), 0.0);
+        assert_eq!(polls_per_sec(45, HEARTBEAT_INTERVAL), 22.5);
+        assert_eq!(polls_per_sec(100, ms(8_000)), 12.5);
+    }
 
     fn tiny() -> Scenario {
         let mut s = Scenario::baseline(Scale::Quick, 2);
