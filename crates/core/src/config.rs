@@ -283,6 +283,39 @@ mod tests {
         assert_eq!(p.refractory, Duration::DAY);
         assert!((p.drop_unknown - 0.9).abs() < 1e-12);
         assert!((p.drop_debt - 0.8).abs() < 1e-12);
+
+        // The calibration no run varies, value by value.
+        assert_eq!(p.inner_circle, 20);
+        assert_eq!(p.interval_jitter, 0.1);
+        assert_eq!(p.solicit_frac, 0.7);
+        assert_eq!(p.reflist_initial, 40);
+        assert_eq!(p.reflist_cap, 60);
+        assert_eq!(p.friends, 10);
+        assert_eq!(p.friend_bias, 2);
+        assert_eq!(p.nominations, 8);
+        assert_eq!(p.introduction_frac, 0.5);
+        assert_eq!(p.outer_circle, 10);
+        assert_eq!(p.frivolous_repair_prob, 0.1);
+        assert_eq!(p.max_repairs_served, 4);
+        assert_eq!(p.invite_timeout, Duration::HOUR);
+        assert_eq!(p.max_invite_attempts, 3);
+        assert_eq!(p.proof_timeout, Duration::HOUR * 2);
+        assert_eq!(p.receipt_slack, Duration::DAY);
+        assert!(!p.adaptive_acceptance);
+        assert_eq!(p.adaptive_window, Duration::DAY);
+
+        let w = WorldConfig::default();
+        assert_eq!(w.au_spec.size_bytes, 500_000_000);
+        assert_eq!(w.au_spec.block_bytes, 1_000_000);
+        let c = &w.cost;
+        assert_eq!(c.hash_bytes_per_sec, 30.0e6);
+        assert_eq!(c.verify_ratio, 0.5);
+        assert_eq!(c.effort_margin, 0.05);
+        assert_eq!(c.intro_fraction, 0.2);
+        assert_eq!(c.session_setup, Duration::from_millis(50));
+        assert_eq!(c.message_parse, Duration::from_millis(1));
+        assert_eq!(c.au_bytes, 500_000_000);
+        assert_eq!(c.block_bytes, 1_000_000);
     }
 
     #[test]

@@ -299,6 +299,46 @@ mod tests {
         assert_eq!(m.blocks_per_au(), 2);
     }
 
+    /// Every derived cost, in milliseconds, at the AU sizes worlds use:
+    /// 50 MB (the unit and integration test worlds), 100 MB (the
+    /// examples and the protocol bench) and 500 MB (the paper's AU, which
+    /// every registry scenario runs).
+    #[test]
+    fn cost_table_is_pinned_at_the_au_sizes_in_use() {
+        for (au, ms) in [
+            (
+                50_000_000u64,
+                [1667, 33, 769, 385, 3077, 1539, 73, 37, 51, 48, 66, 66],
+            ),
+            (
+                100_000_000,
+                [3333, 33, 1506, 753, 6023, 3012, 73, 37, 51, 94, 66, 66],
+            ),
+            (
+                500_000_000,
+                [16667, 33, 7401, 3701, 29603, 14802, 73, 37, 51, 463, 66, 66],
+            ),
+        ] {
+            let t = CostModel::default().with_au_bytes(au).table();
+            let got = [
+                t.au_hash,
+                t.block_hash,
+                t.intro_gen,
+                t.intro_verify,
+                t.remaining_gen,
+                t.remaining_verify,
+                t.vote_proof_gen,
+                t.vote_proof_verify,
+                t.consider,
+                t.bogus_intro_detect,
+                t.repair_serve,
+                t.repair_apply,
+            ]
+            .map(Duration::as_millis);
+            assert_eq!(got, ms, "au={au}");
+        }
+    }
+
     #[test]
     fn vote_bytes_scales_with_blocks() {
         let m = CostModel::default();
