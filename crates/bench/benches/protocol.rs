@@ -7,7 +7,6 @@ use lockss_adversary::MobileTakeover;
 use lockss_bench::Harness;
 use lockss_core::{World, WorldConfig};
 use lockss_crypto::sha256::sha256;
-use lockss_effort::CostModel;
 use lockss_sim::{Duration, Engine, SimTime};
 use lockss_storage::AuSpec;
 
@@ -21,20 +20,16 @@ fn bench_crypto(h: &mut Harness) {
 }
 
 fn sim_config(n_peers: usize, n_aus: usize) -> WorldConfig {
-    let au_spec = AuSpec {
-        size_bytes: 100_000_000,
-        block_bytes: 1_000_000,
-    };
-    let mut cfg = WorldConfig {
+    WorldConfig {
         n_peers,
         n_aus,
-        au_spec,
+        au_spec: AuSpec {
+            size_bytes: 100_000_000,
+        },
         mtbf_years: 5.0,
         seed: 1,
         ..WorldConfig::default()
-    };
-    cfg.cost = CostModel::default().with_au_bytes(au_spec.size_bytes);
-    cfg
+    }
 }
 
 fn bench_world(h: &mut Harness) {

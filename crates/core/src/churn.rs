@@ -13,6 +13,7 @@
 use lockss_sim::Duration;
 use lockss_storage::AuId;
 
+use crate::config::ProtocolConfig;
 use crate::peer::AuState;
 use crate::reflist::RefList;
 use crate::types::Identity;
@@ -36,7 +37,7 @@ impl World {
         // without building the O(population) list per join.
         let friends = self
             .rng
-            .sample_map(self.peers.len(), self.cfg.protocol.friends, |idx| {
+            .sample_map(self.peers.len(), ProtocolConfig::FRIENDS, |idx| {
                 self.peers.identity(idx)
             });
 
@@ -102,25 +103,21 @@ impl World {
 mod tests {
     use super::*;
     use crate::config::WorldConfig;
-    use lockss_effort::CostModel;
     use lockss_net::NodeId;
     use lockss_sim::{Engine, SimTime};
     use lockss_storage::AuSpec;
 
     fn config(seed: u64) -> WorldConfig {
-        let au_spec = AuSpec {
-            size_bytes: 50_000_000,
-            block_bytes: 1_000_000,
-        };
         let mut cfg = WorldConfig {
             n_peers: 30,
             n_aus: 2,
-            au_spec,
+            au_spec: AuSpec {
+                size_bytes: 50_000_000,
+            },
             mtbf_years: 5.0,
             seed,
             ..WorldConfig::default()
         };
-        cfg.cost = CostModel::default().with_au_bytes(au_spec.size_bytes);
         cfg.protocol.poll_interval = Duration::from_days(30);
         cfg.protocol.grade_decay = Duration::from_days(60);
         cfg

@@ -1,28 +1,23 @@
 //! Protocol and world configuration.
+//!
+//! A [`WorldConfig`] holds only what a run varies: the population, the
+//! collection, the AU size, the damage rate, the §9 admission knobs, the
+//! defense ablations, the seed and the link mix. The calibration no run
+//! varies is [`ProtocolConfig`]'s associated constants (§4, §6.3) and
+//! `lockss_effort::CostModel::default()` (§5.1, §6.3).
 
-use lockss_effort::CostModel;
 use lockss_sim::Duration;
 use lockss_storage::AuSpec;
 
-/// Tunable parameters of the audit/repair protocol and its defenses.
+/// The audit/repair protocol's settable parameters, and its fixed
+/// calibration as associated constants.
 ///
 /// Defaults are the paper's §6.3 values where given, and documented
 /// heuristics otherwise.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProtocolConfig {
-    /// Minimum inner-circle votes for a poll to count (§4.1; paper: 10).
-    pub quorum: usize,
-    /// Inner-circle invitees sampled per poll (paper: twice the quorum).
-    pub inner_circle: usize,
-    /// Landslide margin: at most this many disagreeing votes still count
-    /// as landslide agreement (§6.3; paper: 3).
-    pub max_disagree: usize,
     /// Mean inter-poll interval per AU (§4; paper: 3 months).
     pub poll_interval: Duration,
-    /// Multiplicative jitter on the interval (±fraction).
-    pub interval_jitter: f64,
-    /// Fraction of the interval used as the vote-solicitation window.
-    pub solicit_frac: f64,
     /// Refractory period: after admitting one unknown/in-debt invitation,
     /// auto-reject further unknown/in-debt invitations for this long
     /// (§6.3; paper: 1 day). Also the per-known-peer admission rate limit.
@@ -37,51 +32,12 @@ pub struct ProtocolConfig {
     /// describes decay without a constant; heuristic: two inter-poll
     /// intervals).
     pub grade_decay: Duration,
-    /// Reference-list size at world start (steady-state proxy).
-    pub reflist_initial: usize,
-    /// Reference-list size cap.
-    pub reflist_cap: usize,
-    /// Static friends per peer (operator-maintained, §4.1).
-    pub friends: usize,
-    /// Friends inserted into the reference list at each poll conclusion.
-    pub friend_bias: usize,
-    /// Reference-list entries a voter nominates in each Vote (§4.2).
-    pub nominations: usize,
-    /// Probability that a nominated identity is treated as an introduction
-    /// rather than an outer-circle candidate (§5.1: random partition).
-    pub introduction_frac: f64,
     /// Maximum outstanding introductions remembered per AU (§5.1: capped).
     pub max_introductions: usize,
-    /// Outer-circle voters solicited per poll (§4.2).
-    pub outer_circle: usize,
-    /// Probability of requesting one frivolous repair per poll (§4.3).
-    pub frivolous_repair_prob: f64,
-    /// Repairs a committed voter must serve per poll before penalizing
-    /// (§4.3: "a small number").
-    pub max_repairs_served: u32,
-    /// How long a poller waits for a PollAck before treating the invitee
-    /// as unresponsive and retrying later.
-    pub invite_timeout: Duration,
-    /// Maximum solicitation attempts per invitee per poll.
-    pub max_invite_attempts: u32,
-    /// How long a voter holds a reservation waiting for the PollProof.
-    pub proof_timeout: Duration,
-    /// Slack after poll conclusion before a missing receipt penalizes the
-    /// poller.
-    pub receipt_slack: Duration,
     /// Ablation switches: disable individual defenses to measure their
     /// contribution (`lockss-sim figure ablations`). All default to
     /// fully-enabled.
     pub ablation: Ablation,
-    /// §9 adaptive behaviour: "loyal peers could modulate the probability
-    /// of acceptance of a poll request according to their recent busyness.
-    /// The effect would be to raise the marginal effort required to
-    /// increase the loyal peer's busyness as the attack effort increases."
-    /// Off by default (the paper leaves it as future work).
-    pub adaptive_acceptance: bool,
-    /// Busyness horizon for adaptive acceptance: refuse with probability
-    /// equal to the committed CPU fraction over this window ahead.
-    pub adaptive_window: Duration,
 }
 
 /// Defense ablation switches (all `false` = the full protocol).
@@ -105,54 +61,68 @@ pub struct Ablation {
 impl Default for ProtocolConfig {
     fn default() -> Self {
         ProtocolConfig {
-            quorum: 10,
-            inner_circle: 20,
-            max_disagree: 3,
             poll_interval: Duration::MONTH * 3,
-            interval_jitter: 0.1,
-            solicit_frac: 0.7,
             refractory: Duration::DAY,
             drop_unknown: 0.90,
             drop_debt: 0.80,
             grade_decay: Duration::MONTH * 6,
-            reflist_initial: 40,
-            reflist_cap: 60,
-            friends: 10,
-            friend_bias: 2,
-            nominations: 8,
-            introduction_frac: 0.5,
             max_introductions: 8,
-            outer_circle: 10,
-            frivolous_repair_prob: 0.1,
-            max_repairs_served: 4,
-            invite_timeout: Duration::HOUR,
-            max_invite_attempts: 3,
-            proof_timeout: Duration::HOUR * 2,
-            receipt_slack: Duration::DAY,
             ablation: Ablation::default(),
-            adaptive_acceptance: false,
-            adaptive_window: Duration::DAY,
         }
     }
 }
 
 impl ProtocolConfig {
+    /// Minimum inner-circle votes for a poll to count (§4.1; paper: 10).
+    pub const QUORUM: usize = 10;
+    /// Inner-circle invitees sampled per poll (paper: twice the quorum).
+    pub const INNER_CIRCLE: usize = 20;
+    /// Landslide margin: at most this many disagreeing votes still count
+    /// as landslide agreement (§6.3; paper: 3).
+    pub const MAX_DISAGREE: usize = 3;
+    /// Multiplicative jitter on the interval (±fraction).
+    pub const INTERVAL_JITTER: f64 = 0.1;
+    /// Fraction of the interval used as the vote-solicitation window.
+    pub const SOLICIT_FRAC: f64 = 0.7;
+    /// Reference-list size at world start (steady-state proxy).
+    pub const REFLIST_INITIAL: usize = 40;
+    /// Reference-list size cap.
+    pub const REFLIST_CAP: usize = 60;
+    /// Static friends per peer (operator-maintained, §4.1).
+    pub const FRIENDS: usize = 10;
+    /// Friends inserted into the reference list at each poll conclusion.
+    pub const FRIEND_BIAS: usize = 2;
+    /// Reference-list entries a voter nominates in each Vote (§4.2).
+    pub const NOMINATIONS: usize = 8;
+    /// Probability that a nominated identity is treated as an introduction
+    /// rather than an outer-circle candidate (§5.1: random partition).
+    pub const INTRODUCTION_FRAC: f64 = 0.5;
+    /// Outer-circle voters solicited per poll (§4.2).
+    pub const OUTER_CIRCLE: usize = 10;
+    /// Probability of requesting one frivolous repair per poll (§4.3).
+    pub const FRIVOLOUS_REPAIR_PROB: f64 = 0.1;
+    /// Repairs a committed voter must serve per poll before penalizing
+    /// (§4.3: "a small number").
+    pub const MAX_REPAIRS_SERVED: u32 = 4;
+    /// How long a poller waits for a PollAck before treating the invitee
+    /// as unresponsive and retrying later.
+    pub const INVITE_TIMEOUT: Duration = Duration::HOUR;
+    /// Maximum solicitation attempts per invitee per poll.
+    pub const MAX_INVITE_ATTEMPTS: u32 = 3;
+    /// How long a voter holds a reservation waiting for the PollProof.
+    pub const PROOF_TIMEOUT: Duration = Duration::from_hours(2);
+    /// Slack after poll conclusion before a missing receipt penalizes the
+    /// poller.
+    pub const RECEIPT_SLACK: Duration = Duration::DAY;
+
     /// The solicitation window length.
     pub fn solicit_window(&self) -> Duration {
-        self.poll_interval.mul_f64(self.solicit_frac)
+        self.poll_interval.mul_f64(Self::SOLICIT_FRAC)
     }
 
-    /// Basic consistency checks; call after hand-editing a config.
+    /// Basic consistency checks on the settable values; call after
+    /// hand-editing a config. The constants are checked at compile time.
     pub fn validate(&self) -> Result<(), String> {
-        if self.quorum == 0 {
-            return Err("quorum must be positive".into());
-        }
-        if self.inner_circle < self.quorum {
-            return Err("inner circle must be at least the quorum".into());
-        }
-        if self.max_disagree >= self.quorum {
-            return Err("landslide margin must be below the quorum".into());
-        }
         if !(0.0..=1.0).contains(&self.drop_unknown) || !(0.0..=1.0).contains(&self.drop_debt) {
             return Err("drop probabilities must be in [0,1]".into());
         }
@@ -163,15 +133,26 @@ impl ProtocolConfig {
                     .into(),
             );
         }
-        if !(0.0..1.0).contains(&self.solicit_frac) || self.solicit_frac == 0.0 {
-            return Err("solicitation fraction must be in (0,1)".into());
-        }
         if self.poll_interval.is_zero() || self.refractory.is_zero() {
             return Err("intervals must be positive".into());
         }
         Ok(())
     }
 }
+
+const _: () = assert!(ProtocolConfig::QUORUM > 0, "quorum must be positive");
+const _: () = assert!(
+    ProtocolConfig::INNER_CIRCLE >= ProtocolConfig::QUORUM,
+    "inner circle must be at least the quorum"
+);
+const _: () = assert!(
+    ProtocolConfig::MAX_DISAGREE < ProtocolConfig::QUORUM,
+    "landslide margin must be below the quorum"
+);
+const _: () = assert!(
+    ProtocolConfig::SOLICIT_FRAC > 0.0 && ProtocolConfig::SOLICIT_FRAC < 1.0,
+    "solicitation fraction must be in (0,1)"
+);
 
 /// Full description of a simulated world.
 #[derive(Clone, Debug, PartialEq)]
@@ -180,15 +161,14 @@ pub struct WorldConfig {
     pub n_peers: usize,
     /// AUs preserved by every peer (paper: 50 per layer, up to 600).
     pub n_aus: usize,
-    /// Archival unit geometry.
+    /// Archival unit geometry: its size, the one input of the derived
+    /// effort costs.
     pub au_spec: AuSpec,
     /// Mean time between storage damage events per disk, in years
     /// (paper: 1–5).
     pub mtbf_years: f64,
     /// Protocol parameters.
     pub protocol: ProtocolConfig,
-    /// Effort cost model.
-    pub cost: CostModel,
     /// RNG seed for the whole run.
     pub seed: u64,
     /// Optional weighted bandwidth-class mix over
@@ -200,14 +180,12 @@ pub struct WorldConfig {
 
 impl Default for WorldConfig {
     fn default() -> Self {
-        let au_spec = AuSpec::default();
         WorldConfig {
             n_peers: 100,
             n_aus: 50,
-            au_spec,
+            au_spec: AuSpec::default(),
             mtbf_years: 5.0,
             protocol: ProtocolConfig::default(),
-            cost: CostModel::default().with_au_bytes(au_spec.size_bytes),
             seed: 1,
             link_mix: None,
         }
@@ -233,7 +211,7 @@ impl WorldConfig {
     /// Consistency checks across the whole configuration.
     pub fn validate(&self) -> Result<(), String> {
         self.protocol.validate()?;
-        if self.n_peers < self.protocol.inner_circle + 1 {
+        if self.n_peers < ProtocolConfig::INNER_CIRCLE + 1 {
             return Err("population must exceed the inner circle".into());
         }
         if self.n_aus == 0 {
@@ -245,14 +223,11 @@ impl WorldConfig {
         if self.n_peers.saturating_mul(self.n_aus) > Self::MAX_CELLS {
             return Err(format!("more than {} (peer, AU) cells", Self::MAX_CELLS));
         }
+        if self.au_spec.size_bytes == 0 {
+            return Err("AU size must be positive".into());
+        }
         if self.mtbf_years <= 0.0 {
             return Err("mtbf must be positive".into());
-        }
-        if self.cost.au_bytes != self.au_spec.size_bytes {
-            return Err("cost model AU size must match the AU spec".into());
-        }
-        if self.cost.block_bytes != self.au_spec.block_bytes {
-            return Err("cost model block size must match the AU spec".into());
         }
         if let Some(mix) = self.link_mix {
             if mix.iter().any(|w| !w.is_finite() || *w < 0.0) || mix.iter().sum::<f64>() <= 0.0 {
@@ -275,63 +250,48 @@ mod tests {
 
     #[test]
     fn paper_parameters_are_the_defaults() {
+        type P = ProtocolConfig;
         let p = ProtocolConfig::default();
-        assert_eq!(p.quorum, 10);
-        assert_eq!(p.inner_circle, 2 * p.quorum);
-        assert_eq!(p.max_disagree, 3);
+        assert_eq!(P::QUORUM, 10);
+        assert_eq!(P::INNER_CIRCLE, 2 * P::QUORUM);
+        assert_eq!(P::MAX_DISAGREE, 3);
         assert_eq!(p.poll_interval, Duration::MONTH * 3);
         assert_eq!(p.refractory, Duration::DAY);
         assert!((p.drop_unknown - 0.9).abs() < 1e-12);
         assert!((p.drop_debt - 0.8).abs() < 1e-12);
 
         // The calibration no run varies, value by value.
-        assert_eq!(p.inner_circle, 20);
-        assert_eq!(p.interval_jitter, 0.1);
-        assert_eq!(p.solicit_frac, 0.7);
-        assert_eq!(p.reflist_initial, 40);
-        assert_eq!(p.reflist_cap, 60);
-        assert_eq!(p.friends, 10);
-        assert_eq!(p.friend_bias, 2);
-        assert_eq!(p.nominations, 8);
-        assert_eq!(p.introduction_frac, 0.5);
-        assert_eq!(p.outer_circle, 10);
-        assert_eq!(p.frivolous_repair_prob, 0.1);
-        assert_eq!(p.max_repairs_served, 4);
-        assert_eq!(p.invite_timeout, Duration::HOUR);
-        assert_eq!(p.max_invite_attempts, 3);
-        assert_eq!(p.proof_timeout, Duration::HOUR * 2);
-        assert_eq!(p.receipt_slack, Duration::DAY);
-        assert!(!p.adaptive_acceptance);
-        assert_eq!(p.adaptive_window, Duration::DAY);
+        assert_eq!(P::INNER_CIRCLE, 20);
+        assert_eq!(P::INTERVAL_JITTER, 0.1);
+        assert_eq!(P::SOLICIT_FRAC, 0.7);
+        assert_eq!(P::REFLIST_INITIAL, 40);
+        assert_eq!(P::REFLIST_CAP, 60);
+        assert_eq!(P::FRIENDS, 10);
+        assert_eq!(P::FRIEND_BIAS, 2);
+        assert_eq!(P::NOMINATIONS, 8);
+        assert_eq!(P::INTRODUCTION_FRAC, 0.5);
+        assert_eq!(P::OUTER_CIRCLE, 10);
+        assert_eq!(P::FRIVOLOUS_REPAIR_PROB, 0.1);
+        assert_eq!(P::MAX_REPAIRS_SERVED, 4);
+        assert_eq!(P::INVITE_TIMEOUT, Duration::HOUR);
+        assert_eq!(P::MAX_INVITE_ATTEMPTS, 3);
+        assert_eq!(P::PROOF_TIMEOUT, Duration::HOUR * 2);
+        assert_eq!(P::RECEIPT_SLACK, Duration::DAY);
 
         let w = WorldConfig::default();
         assert_eq!(w.au_spec.size_bytes, 500_000_000);
-        assert_eq!(w.au_spec.block_bytes, 1_000_000);
-        let c = &w.cost;
+        assert_eq!(AuSpec::BLOCK_BYTES, 1_000_000);
+        let c = lockss_effort::CostModel::default();
         assert_eq!(c.hash_bytes_per_sec, 30.0e6);
         assert_eq!(c.verify_ratio, 0.5);
         assert_eq!(c.effort_margin, 0.05);
         assert_eq!(c.intro_fraction, 0.2);
         assert_eq!(c.session_setup, Duration::from_millis(50));
         assert_eq!(c.message_parse, Duration::from_millis(1));
-        assert_eq!(c.au_bytes, 500_000_000);
-        assert_eq!(c.block_bytes, 1_000_000);
     }
 
     #[test]
     fn invalid_configs_rejected() {
-        let p = ProtocolConfig {
-            inner_circle: 5,
-            ..ProtocolConfig::default()
-        };
-        assert!(p.validate().is_err());
-
-        let p = ProtocolConfig {
-            max_disagree: 10,
-            ..ProtocolConfig::default()
-        };
-        assert!(p.validate().is_err());
-
         let p = ProtocolConfig {
             drop_unknown: 0.5, // below drop_debt: invites whitewashing
             ..ProtocolConfig::default()
@@ -344,9 +304,11 @@ mod tests {
         };
         assert!(w.validate().is_err());
 
-        let mut w = WorldConfig::default();
-        w.cost = w.cost.with_au_bytes(123);
-        assert!(w.validate().is_err());
+        let w = WorldConfig {
+            au_spec: AuSpec { size_bytes: 0 },
+            ..WorldConfig::default()
+        };
+        assert_eq!(w.validate(), Err("AU size must be positive".into()));
 
         for (n_peers, n_aus) in [(WorldConfig::MAX_PEERS + 1, 1), (1 << 12, (1 << 12) + 1)] {
             let w = WorldConfig {

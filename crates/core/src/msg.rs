@@ -6,9 +6,8 @@
 //! runs modelled them) and a vote carries the voter's damage-set snapshot,
 //! from which block-hash agreement is computed set-wise.
 
-use lockss_effort::CostModel;
 use lockss_sim::SimTime;
-use lockss_storage::AuId;
+use lockss_storage::{AuId, AuSpec};
 
 use crate::trace::MsgKind;
 use crate::types::{Identity, PollId};
@@ -92,8 +91,9 @@ impl Message {
         }
     }
 
-    /// Wire size in bytes under the cost model (drives transfer delays).
-    pub fn wire_bytes(&self, cost: &CostModel) -> u64 {
+    /// Wire size in bytes for the world's AU geometry (drives transfer
+    /// delays).
+    pub fn wire_bytes(&self, au: &AuSpec) -> u64 {
         match self {
             // Invitation with an MBF introductory proof (~4 KB of witness).
             Message::Poll { .. } => 4_096,
@@ -101,10 +101,12 @@ impl Message {
             // Remaining effort proof is the bulk of the poller's witness.
             Message::PollProof { .. } => 8_192,
             // One 20-byte running hash per block, plus nominations.
-            Message::Vote { nominations, .. } => cost.vote_bytes() + 64 * nominations.len() as u64,
+            Message::Vote { nominations, .. } => {
+                au.blocks() * 20 + 256 + 64 * nominations.len() as u64
+            }
             Message::RepairRequest { .. } => 256,
             // A full block of content.
-            Message::Repair { .. } => cost.block_bytes + 256,
+            Message::Repair { .. } => AuSpec::BLOCK_BYTES + 256,
             Message::EvaluationReceipt { .. } => 256,
         }
     }
@@ -148,7 +150,7 @@ mod tests {
 
     #[test]
     fn vote_size_scales_with_blocks_and_nominations() {
-        let cost = CostModel::default();
+        let au = AuSpec::default();
         let small = Message::Vote {
             au: AuId(0),
             poll: PollId(0),
@@ -165,20 +167,19 @@ mod tests {
             nominations: vec![Identity::loyal(1); 8],
             proof_valid: true,
         };
-        assert_eq!(small.wire_bytes(&cost), cost.vote_bytes());
-        assert_eq!(big.wire_bytes(&cost), cost.vote_bytes() + 512);
+        assert_eq!(small.wire_bytes(&au), au.blocks() * 20 + 256);
+        assert_eq!(big.wire_bytes(&au), small.wire_bytes(&au) + 512);
         // 500 blocks at 20 bytes each dominates.
-        assert!(small.wire_bytes(&cost) > 10_000);
+        assert_eq!(small.wire_bytes(&au), 10_256);
     }
 
     #[test]
     fn repair_carries_a_block() {
-        let cost = CostModel::default();
         let m = Message::Repair {
             au: AuId(0),
             poll: PollId(0),
             block: 3,
         };
-        assert!(m.wire_bytes(&cost) > cost.block_bytes);
+        assert!(m.wire_bytes(&AuSpec::default()) > AuSpec::BLOCK_BYTES);
     }
 }

@@ -18,6 +18,7 @@ use lockss_net::NodeId;
 use lockss_sim::{Duration, SimTime};
 use lockss_storage::AuId;
 
+use crate::config::ProtocolConfig;
 use crate::msg::Message;
 use crate::trace::{PollConclusion, TraceEvent};
 use crate::types::{Identity, PollId};
@@ -241,7 +242,6 @@ impl World {
         // the whole ProtocolConfig per poll.
         let solicit_window = self.cfg.protocol.solicit_window();
         let poll_interval = self.cfg.protocol.poll_interval;
-        let inner_circle = self.cfg.protocol.inner_circle;
         let synchronous = self.cfg.protocol.ablation.synchronous_solicitation;
         let now = eng.now();
         self.metrics.polls.register(p as u32, au.0, now);
@@ -258,10 +258,10 @@ impl World {
         // friends if the list has shrunk below the circle size.
         let me = self.peers.identity(p);
         let (au_state, rng) = self.peers.au_and_rng_mut(p, au.index());
-        let mut circle = au_state.reflist.sample(inner_circle, rng);
-        if circle.len() < inner_circle {
+        let mut circle = au_state.reflist.sample(ProtocolConfig::INNER_CIRCLE, rng);
+        if circle.len() < ProtocolConfig::INNER_CIRCLE {
             for &f in au_state.reflist.friends() {
-                if circle.len() >= inner_circle {
+                if circle.len() >= ProtocolConfig::INNER_CIRCLE {
                     break;
                 }
                 if !circle.contains(&f) && f != me {
@@ -366,8 +366,7 @@ impl World {
                     vote_deadline,
                 },
             );
-            let timeout = w.cfg.protocol.invite_timeout;
-            e.schedule_in(timeout, move |w: &mut World, e| {
+            e.schedule_in(ProtocolConfig::INVITE_TIMEOUT, move |w: &mut World, e| {
                 w.invite_timeout(e, peer as usize, au, id, idx as usize, attempt);
             });
         });
@@ -472,7 +471,6 @@ impl World {
         id: PollId,
         idx: usize,
     ) {
-        let cfg_max = self.cfg.protocol.max_invite_attempts;
         let now = eng.now();
         let poll = self
             .peers
@@ -483,7 +481,9 @@ impl World {
             InviteeStatus::Scheduled { attempt } => attempt + 1,
             _ => return,
         };
-        if attempts >= cfg_max || now + Duration::HOUR * 2 >= poll.solicit_deadline {
+        if attempts >= ProtocolConfig::MAX_INVITE_ATTEMPTS
+            || now + Duration::HOUR * 2 >= poll.solicit_deadline
+        {
             poll.invitees[idx].status = InviteeStatus::Dead;
             return;
         }
@@ -559,7 +559,7 @@ impl World {
             if nominee == me || nominee == voter || nominee.is_minion() {
                 continue;
             }
-            if rng.chance(cfg.introduction_frac) {
+            if rng.chance(ProtocolConfig::INTRODUCTION_FRAC) {
                 au_state.admission.introduce(nominee, voter, now, cfg);
             } else {
                 poll.nominate(nominee);
@@ -634,12 +634,11 @@ impl World {
         let now = eng.now();
         let window = poll.solicit_deadline.since(now).mul_f64(0.7);
         let me = self.peers.identity(p);
-        let outer_n = self.cfg.protocol.outer_circle;
         let (au_state, rng) = self.peers.au_and_rng_mut(p, au.index());
         let poll = au_state.poll.as_mut().expect("the launching poll is live");
         let reflist = &au_state.reflist;
         candidates.retain(|&c| c != me && !reflist.contains(c) && !poll.has_invitee(c));
-        let picked = rng.sample(&candidates, outer_n);
+        let picked = rng.sample(&candidates, ProtocolConfig::OUTER_CIRCLE);
         for v in picked {
             if poll.has_invitee(v) {
                 continue;
@@ -691,8 +690,7 @@ impl World {
         let Some(poll) = self.peers.live_poll(p, au, id) else {
             return;
         };
-        let quorum_met = poll.inner_votes() >= self.cfg.protocol.quorum;
-        let frivolous_p = self.cfg.protocol.frivolous_repair_prob;
+        let quorum_met = poll.inner_votes() >= ProtocolConfig::QUORUM;
         let blocks = self.cfg.au_spec.blocks();
 
         let (au_state, rng) = self.peers.au_and_rng_mut(p, au.index());
@@ -708,7 +706,7 @@ impl World {
                 }
             }
             // Frivolous repair (§4.3): keep voters honest about serving.
-            if rng.chance(frivolous_p) && !poll.votes.is_empty() {
+            if rng.chance(ProtocolConfig::FRIVOLOUS_REPAIR_PROB) && !poll.votes.is_empty() {
                 let block = rng.below(blocks as usize) as u64;
                 let pick = rng.below(poll.votes.len());
                 let v = poll.votes[pick].voter;
@@ -758,10 +756,7 @@ impl World {
     /// caller has just found the poll live.
     pub(crate) fn finalize_poll(&mut self, eng: &mut Eng, p: usize, au: AuId, id: PollId) {
         let _span = Taps::span(&self.taps, "poll-finalize");
-        // Scalar copies instead of a whole-config clone; the one helper
-        // that takes `&ProtocolConfig` gets it through a split borrow below.
-        let quorum = self.cfg.protocol.quorum;
-        let max_disagree = self.cfg.protocol.max_disagree;
+        // Scalar copies instead of a whole-config clone.
         let grade_decay = self.cfg.protocol.grade_decay;
         let poll_interval = self.cfg.protocol.poll_interval;
         let now = eng.now();
@@ -772,11 +767,11 @@ impl World {
         let my_damage = au_state.replica.snapshot();
         let inner_votes = poll.inner_votes();
         let disagreeing = poll.inner_disagreements(&my_damage);
-        let conclusion = if inner_votes < quorum {
+        let conclusion = if inner_votes < ProtocolConfig::QUORUM {
             PollConclusion::Inquorate
-        } else if disagreeing <= max_disagree {
+        } else if disagreeing <= ProtocolConfig::MAX_DISAGREE {
             PollConclusion::Win
-        } else if disagreeing >= inner_votes.saturating_sub(max_disagree) {
+        } else if disagreeing >= inner_votes.saturating_sub(ProtocolConfig::MAX_DISAGREE) {
             PollConclusion::Loss
         } else {
             PollConclusion::Inconclusive
@@ -818,11 +813,10 @@ impl World {
         if conclusion == PollConclusion::Win {
             let agreeing_outer = poll.agreeing_outer(&my_damage);
             let decisive = poll.decisive_voters();
-            let World { cfg, peers, .. } = self;
-            let (au_state, rng) = peers.au_and_rng_mut(p, au.index());
+            let (au_state, rng) = self.peers.au_and_rng_mut(p, au.index());
             au_state
                 .reflist
-                .conclude_poll(&decisive, &agreeing_outer, &cfg.protocol, rng);
+                .conclude_poll(&decisive, &agreeing_outer, rng);
         }
 
         // Metrics.
@@ -837,8 +831,11 @@ impl World {
         }
 
         // Next poll: autonomous fixed rate with jitter (§5.1).
-        let jitter = self.cfg.protocol.interval_jitter;
-        let next_start = poll.started + self.peers.rng_mut(p).jitter(poll_interval, jitter);
+        let next_start = poll.started
+            + self
+                .peers
+                .rng_mut(p)
+                .jitter(poll_interval, ProtocolConfig::INTERVAL_JITTER);
         let at = next_start.max(now + Duration::SECOND);
         eng.schedule_at(at, move |w: &mut World, e| {
             w.start_poll(e, p, au);

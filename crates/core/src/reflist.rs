@@ -102,18 +102,17 @@ impl RefList {
         &mut self,
         decisive_voters: &[Identity],
         agreeing_outer: &[Identity],
-        cfg: &ProtocolConfig,
         rng: &mut SimRng,
     ) {
         for &v in decisive_voters {
             self.remove(v);
         }
         for &v in agreeing_outer {
-            self.insert(v, cfg.reflist_cap);
+            self.insert(v, ProtocolConfig::REFLIST_CAP);
         }
-        let bias: Vec<Identity> = rng.sample(&self.friends, cfg.friend_bias);
+        let bias: Vec<Identity> = rng.sample(&self.friends, ProtocolConfig::FRIEND_BIAS);
         for f in bias {
-            self.insert(f, cfg.reflist_cap);
+            self.insert(f, ProtocolConfig::REFLIST_CAP);
         }
     }
 }
@@ -165,16 +164,15 @@ mod tests {
 
     #[test]
     fn conclude_poll_removes_decisive_and_adds_outer_and_friends() {
-        let cfg = ProtocolConfig::default();
         let friends = ids(&[100, 101, 102]);
         let mut rl = RefList::new(friends, ids(&[1, 2, 3, 4, 5]));
         let mut rng = SimRng::seed_from_u64(2);
-        rl.conclude_poll(&ids(&[1, 2]), &ids(&[50, 51]), &cfg, &mut rng);
+        rl.conclude_poll(&ids(&[1, 2]), &ids(&[50, 51]), &mut rng);
         assert!(!rl.contains(Identity(1)));
         assert!(!rl.contains(Identity(2)));
         assert!(rl.contains(Identity(50)));
         assert!(rl.contains(Identity(51)));
-        // friend_bias = 2 friends inserted.
+        // FRIEND_BIAS = 2 friends inserted.
         let friend_count = [100u64, 101, 102]
             .iter()
             .filter(|&&f| rl.contains(Identity(f)))
@@ -184,14 +182,13 @@ mod tests {
 
     #[test]
     fn churn_preserves_cap() {
-        let cfg = ProtocolConfig::default();
         let mut rl = RefList::new(ids(&[900, 901]), ids(&(0..40).collect::<Vec<u64>>()));
         let mut rng = SimRng::seed_from_u64(3);
         for round in 0..50u64 {
             let decisive: Vec<Identity> = rl.sample(10, &mut rng);
             let newcomers = ids(&[1000 + round * 3, 1001 + round * 3, 1002 + round * 3]);
-            rl.conclude_poll(&decisive, &newcomers, &cfg, &mut rng);
-            assert!(rl.len() <= cfg.reflist_cap);
+            rl.conclude_poll(&decisive, &newcomers, &mut rng);
+            assert!(rl.len() <= ProtocolConfig::REFLIST_CAP);
         }
     }
 

@@ -144,22 +144,6 @@ impl TaskSchedule {
     pub fn horizon(&self) -> Option<SimTime> {
         self.busy.last().map(|b| b.end)
     }
-
-    /// Committed busy time inside `[now, now + window]` (the §9 adaptive
-    /// acceptance signal).
-    pub fn busy_within(&self, now: SimTime, window: Duration) -> Duration {
-        let end = now + window;
-        let mut busy = Duration::ZERO;
-        for b in &self.busy {
-            if b.end <= now || b.start >= end {
-                continue;
-            }
-            let s = b.start.max(now);
-            let e = b.end.min(end);
-            busy += e.since(s);
-        }
-        busy
-    }
 }
 
 #[cfg(test)]
@@ -360,36 +344,5 @@ mod proptests {
                 last_start = r.start;
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod busy_within_tests {
-    use super::*;
-
-    fn t(secs: u64) -> SimTime {
-        SimTime::ZERO + Duration::from_secs(secs)
-    }
-    fn d(secs: u64) -> Duration {
-        Duration::from_secs(secs)
-    }
-
-    #[test]
-    fn busy_within_clips_to_window() {
-        let mut s = TaskSchedule::new();
-        let _ = s.try_reserve(t(0), t(10), t(100), d(20)).unwrap(); // [10,30)
-        let _ = s.try_reserve(t(0), t(50), t(100), d(10)).unwrap(); // [50,60)
-                                                                    // Window [0,40): only [10,30) counts.
-        assert_eq!(s.busy_within(t(0), d(40)), d(20));
-        // Window [20,55): clips both intervals: [20,30) + [50,55).
-        assert_eq!(s.busy_within(t(20), d(35)), d(15));
-        // Window beyond everything.
-        assert_eq!(s.busy_within(t(70), d(30)), Duration::ZERO);
-    }
-
-    #[test]
-    fn empty_schedule_is_idle() {
-        let s = TaskSchedule::new();
-        assert_eq!(s.busy_within(t(0), d(1000)), Duration::ZERO);
     }
 }

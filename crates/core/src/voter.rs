@@ -16,6 +16,7 @@ use lockss_net::NodeId;
 use lockss_sim::{Duration, SimTime};
 use lockss_storage::AuId;
 
+use crate::config::ProtocolConfig;
 use crate::msg::Message;
 use crate::schedule::Reservation;
 use crate::trace::TraceEvent;
@@ -116,30 +117,6 @@ impl World {
             return; // silent for the sender; free for us
         }
 
-        // §9 adaptive acceptance (off by default): the busier we already
-        // are, the likelier we refuse — raising the attacker's marginal
-        // cost of increasing our busyness. The admission (and any intro
-        // effort the poller spent) is already consumed.
-        if self.cfg.protocol.adaptive_acceptance {
-            let window = self.cfg.protocol.adaptive_window;
-            let busy = self.peers.schedule(p).busy_within(now, window);
-            let fraction = (busy / window).min(0.95);
-            if self.peers.rng_mut(p).chance(fraction) {
-                let from_node = self.peers.node(p);
-                self.send_message(
-                    eng,
-                    from_node,
-                    from,
-                    Message::PollAck {
-                        au,
-                        poll: id,
-                        accept: false,
-                    },
-                );
-                return;
-            }
-        }
-
         // Consideration: session + introductory-effort verification.
         self.charge_loyal(p, Purpose::Consider, self.costs.consider);
         if !intro_valid {
@@ -193,8 +170,7 @@ impl World {
         );
         // If the poller deserts (INTRO strategy), release the reservation
         // and penalize (§5.1 reservation attack defense).
-        let timeout = self.cfg.protocol.proof_timeout;
-        eng.schedule_in(timeout, move |w: &mut World, e| {
+        eng.schedule_in(ProtocolConfig::PROOF_TIMEOUT, move |w: &mut World, e| {
             w.voter_proof_timeout(e, p, id);
         });
     }
@@ -265,7 +241,6 @@ impl World {
         let from = self.peers.node(p);
         let me = self.peers.identity(p);
         let compromised = self.peers.is_compromised(p);
-        let nominations_k = self.cfg.protocol.nominations;
         let (au_state, rng) = self.peers.au_and_rng_mut(p, au.index());
         // A compromised peer votes from the lying shadow snapshot — hiding
         // its corruption and volunteering as a repair candidate for blocks
@@ -274,7 +249,7 @@ impl World {
             Some(shadow) if compromised => shadow.snapshot(),
             _ => au_state.replica.snapshot(),
         };
-        let nominations = au_state.reflist.nominate(nominations_k, rng);
+        let nominations = au_state.reflist.nominate(ProtocolConfig::NOMINATIONS, rng);
         self.send_message(
             eng,
             from,
@@ -289,7 +264,7 @@ impl World {
             },
         );
         // Expect the receipt within the poll's remaining lifetime.
-        let slack = self.cfg.protocol.receipt_slack + self.cfg.protocol.poll_interval.mul_f64(0.35);
+        let slack = ProtocolConfig::RECEIPT_SLACK + self.cfg.protocol.poll_interval.mul_f64(0.35);
         let deadline = vote_deadline + slack;
         eng.schedule_at(deadline, move |w: &mut World, e| {
             w.voter_receipt_deadline(e, p, id);
@@ -337,12 +312,11 @@ impl World {
         poll: PollId,
         block: u64,
     ) {
-        let cfg_max = self.cfg.protocol.max_repairs_served;
         let now = eng.now();
         let Some(s) = self.peers.voter_session_mut(p, poll) else {
             return;
         };
-        if !s.may_serve_repair(cfg_max) {
+        if !s.may_serve_repair(ProtocolConfig::MAX_REPAIRS_SERVED) {
             return;
         }
         s.repairs_served += 1;

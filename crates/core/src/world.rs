@@ -17,7 +17,7 @@
 //! founding-population rule, so a 10k–100k-peer world builds in
 //! milliseconds and fits in a handful of flat allocations.
 
-use lockss_effort::{CostTable, Purpose};
+use lockss_effort::{CostModel, CostTable, Purpose};
 use lockss_metrics::RunMetrics;
 use lockss_net::{Network, NodeId};
 use lockss_sim::{Duration, Engine, SimRng, SimTime};
@@ -26,7 +26,7 @@ use lockss_storage::{AuId, DamageProcess};
 use lockss_obs::{SharedProfiler, Span};
 
 use crate::adversary::Adversary;
-use crate::config::WorldConfig;
+use crate::config::{ProtocolConfig, WorldConfig};
 use crate::msg::Message;
 use crate::obs::CoreObs;
 use crate::peer::{column_bytes, AuState, PeerTable, TableOccupancy};
@@ -41,14 +41,14 @@ pub type Eng = Engine<World>;
 /// The complete simulation state.
 pub struct World {
     /// The run's configuration. Treat as immutable once the world is
-    /// built: the derived-cost table below is snapshotted from `cfg.cost`
-    /// at construction, so mutating `cfg.cost` afterwards would silently
-    /// desynchronize effort charges from wire sizes. Configure before
-    /// `World::new`, as every existing caller does.
+    /// built: the derived-cost table below is computed from
+    /// `cfg.au_spec` at construction, so resizing the AU afterwards would
+    /// silently desynchronize effort charges from wire sizes. Configure
+    /// before `World::new`, as every existing caller does.
     pub cfg: WorldConfig,
-    /// Derived costs snapshotted from `cfg.cost` at construction (the
-    /// accessors re-derive float identities per call; the protocol reads
-    /// them on every invite/ack/vote).
+    /// The paper's cost calibration evaluated at `cfg.au_spec`'s size at
+    /// construction (the accessors re-derive float identities per call;
+    /// the protocol reads them on every invite/ack/vote).
     pub(crate) costs: CostTable,
     pub net: Network,
     /// All loyal peers, struct-of-arrays, indexed by peer index.
@@ -136,10 +136,10 @@ impl World {
             // materialized (it cost O(population²) at build).
             let ident =
                 |idx: usize| Identity::loyal(if idx < i { idx as u32 } else { idx as u32 + 1 });
-            let friends = rng.sample_map(n - 1, cfg.protocol.friends, ident);
+            let friends = rng.sample_map(n - 1, ProtocolConfig::FRIENDS, ident);
             let mut per_au = Vec::with_capacity(cfg.n_aus);
             for _ in 0..cfg.n_aus {
-                let initial = rng.sample_map(n - 1, cfg.protocol.reflist_initial, ident);
+                let initial = rng.sample_map(n - 1, ProtocolConfig::REFLIST_INITIAL, ident);
                 let mut au = AuState::new(RefList::new(friends.clone(), initial));
                 au.known
                     .assume_population(n as u32, me, Grade::Even, SimTime::ZERO);
@@ -154,7 +154,7 @@ impl World {
             set_node_peer(&mut node_peer, *node, i);
         }
         World {
-            costs: cfg.cost.table(),
+            costs: CostModel::default().table(cfg.au_spec.size_bytes),
             cfg,
             net,
             peers,
@@ -313,7 +313,7 @@ impl World {
         self.metrics.adversary_effort_secs += cost.as_secs_f64();
     }
 
-    /// The derived costs, snapshotted from `cfg.cost` at construction.
+    /// The derived costs, computed for `cfg.au_spec` at construction.
     pub fn costs(&self) -> &CostTable {
         &self.costs
     }
@@ -463,7 +463,7 @@ impl World {
     /// (pipe stoppage). Delivery re-checks reachability so stoppage kills
     /// in-flight messages too.
     pub fn send_message(&mut self, eng: &mut Eng, from: NodeId, to: NodeId, msg: Message) -> bool {
-        let bytes = msg.wire_bytes(&self.cfg.cost);
+        let bytes = msg.wire_bytes(&self.cfg.au_spec);
         let delay = self.net.send(from, to, bytes);
         self.trace(eng, || TraceEvent::MessageSend {
             from: from.0,
@@ -551,24 +551,20 @@ fn set_node_peer(column: &mut Vec<u32>, node: NodeId, index: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lockss_effort::CostModel;
     use lockss_storage::AuSpec;
 
     /// A small, fast world for end-to-end protocol tests.
     pub(crate) fn small_config(seed: u64) -> WorldConfig {
-        let au_spec = AuSpec {
-            size_bytes: 50_000_000, // 50 MB AUs hash in ~1.7 s
-            block_bytes: 1_000_000,
-        };
         let mut cfg = WorldConfig {
             n_peers: 30,
             n_aus: 2,
-            au_spec,
+            au_spec: AuSpec {
+                size_bytes: 50_000_000, // 50 MB AUs hash in ~1.7 s
+            },
             mtbf_years: 1.0,
             seed,
             ..WorldConfig::default()
         };
-        cfg.cost = CostModel::default().with_au_bytes(au_spec.size_bytes);
         cfg.protocol.poll_interval = Duration::from_days(30);
         cfg.protocol.grade_decay = Duration::from_days(60);
         cfg.validate().expect("valid");
@@ -767,7 +763,7 @@ mod tests {
         assert_eq!(occ.known_entries, 0, "reputation must start lazy");
         assert_eq!(
             occ.reflist_entries,
-            10_000 * ProtocolConfig::default().reflist_initial
+            10_000 * ProtocolConfig::REFLIST_INITIAL
         );
         // The steady-state proxy still holds: a founding peer sees any
         // other founder as known-at-even.
@@ -782,6 +778,4 @@ mod tests {
             "founding population must read known-at-even"
         );
     }
-
-    use crate::config::ProtocolConfig;
 }

@@ -16,8 +16,12 @@
 //!   (memory-bound functions verify by replaying accepted walks).
 
 use lockss_sim::Duration;
+use lockss_storage::AuSpec;
 
 /// Calibrated CPU-time costs for every protocol operation.
+///
+/// The costs that scale with the archival unit take its size in bytes;
+/// a world passes its `AuSpec::size_bytes`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CostModel {
     /// Content hash throughput (bytes/second); 30 MB/s models a 2004
@@ -35,11 +39,6 @@ pub struct CostModel {
     pub session_setup: Duration,
     /// CPU cost of parsing/considering one protocol message.
     pub message_parse: Duration,
-    /// Archival unit size in bytes (0.5 GB in the paper).
-    pub au_bytes: u64,
-    /// Block size in bytes (1 MB here; the paper reports per-block votes
-    /// without fixing a size).
-    pub block_bytes: u64,
 }
 
 impl Default for CostModel {
@@ -51,38 +50,25 @@ impl Default for CostModel {
             intro_fraction: 0.2,
             session_setup: Duration::from_millis(50),
             message_parse: Duration::from_millis(1),
-            au_bytes: 500_000_000,
-            block_bytes: 1_000_000,
         }
     }
 }
 
 impl CostModel {
-    /// A model scaled to a different AU size.
-    pub fn with_au_bytes(mut self, au_bytes: u64) -> CostModel {
-        self.au_bytes = au_bytes;
-        self
-    }
-
-    /// Number of blocks per AU.
-    pub fn blocks_per_au(&self) -> u64 {
-        self.au_bytes.div_ceil(self.block_bytes)
-    }
-
     /// Time to hash `bytes` of content.
     pub fn hash_cost(&self, bytes: u64) -> Duration {
         Duration::from_secs_f64(bytes as f64 / self.hash_bytes_per_sec)
     }
 
-    /// Time to hash one full AU replica (the bulk of vote generation and of
-    /// vote evaluation).
-    pub fn au_hash(&self) -> Duration {
-        self.hash_cost(self.au_bytes)
+    /// Time to hash one full AU replica of `au_bytes` (the bulk of vote
+    /// generation and of vote evaluation).
+    pub fn au_hash(&self, au_bytes: u64) -> Duration {
+        self.hash_cost(au_bytes)
     }
 
     /// Time to hash a single block (the unit of repair re-evaluation).
     pub fn block_hash(&self) -> Duration {
-        self.hash_cost(self.block_bytes)
+        self.hash_cost(AuSpec::BLOCK_BYTES)
     }
 
     /// The small provable effort embedded in a `Vote`, covering the cost of
@@ -104,40 +90,44 @@ impl CostModel {
     /// The voter's total cost to *serve* one vote, excluding admission
     /// consideration: verifying the poller's two proofs, hashing the AU, and
     /// generating the vote's own embedded proof.
-    pub fn vote_service_cost(&self) -> Duration {
-        self.intro_verify() + self.remaining_verify() + self.au_hash() + self.vote_proof_gen()
+    pub fn vote_service_cost(&self, au_bytes: u64) -> Duration {
+        self.intro_verify(au_bytes)
+            + self.remaining_verify(au_bytes)
+            + self.au_hash(au_bytes)
+            + self.vote_proof_gen()
     }
 
     /// The poller's total per-voter provable effort `T` (intro + remaining).
     ///
     /// Solves the §5.1 balance: `T ≥ (1+margin) · (verify(T) + hash(AU) +
     /// vote_proof_gen)`, i.e. `T = (1+m)(hash + proof) / (1 - (1+m)·ρ)`.
-    pub fn total_provable_effort(&self) -> Duration {
+    pub fn total_provable_effort(&self, au_bytes: u64) -> Duration {
         let m = 1.0 + self.effort_margin;
         let denom = (1.0 - m * self.verify_ratio).max(0.05);
-        (self.au_hash() + self.vote_proof_gen()).mul_f64(m / denom)
+        (self.au_hash(au_bytes) + self.vote_proof_gen()).mul_f64(m / denom)
     }
 
     /// Generation cost of the introductory effort in `Poll` (§6.3: 20% of
     /// the total).
-    pub fn intro_gen(&self) -> Duration {
-        self.total_provable_effort().mul_f64(self.intro_fraction)
+    pub fn intro_gen(&self, au_bytes: u64) -> Duration {
+        self.total_provable_effort(au_bytes)
+            .mul_f64(self.intro_fraction)
     }
 
     /// Verification cost of the introductory effort.
-    pub fn intro_verify(&self) -> Duration {
-        self.intro_gen().mul_f64(self.verify_ratio)
+    pub fn intro_verify(&self, au_bytes: u64) -> Duration {
+        self.intro_gen(au_bytes).mul_f64(self.verify_ratio)
     }
 
     /// Generation cost of the remaining effort in `PollProof`.
-    pub fn remaining_gen(&self) -> Duration {
-        self.total_provable_effort()
-            .saturating_sub(self.intro_gen())
+    pub fn remaining_gen(&self, au_bytes: u64) -> Duration {
+        self.total_provable_effort(au_bytes)
+            .saturating_sub(self.intro_gen(au_bytes))
     }
 
     /// Verification cost of the remaining effort.
-    pub fn remaining_verify(&self) -> Duration {
-        self.remaining_gen().mul_f64(self.verify_ratio)
+    pub fn remaining_verify(&self, au_bytes: u64) -> Duration {
+        self.remaining_gen(au_bytes).mul_f64(self.verify_ratio)
     }
 
     /// Cost to serve one repair block: read + hash + frame it.
@@ -160,43 +150,40 @@ impl CostModel {
     /// aborts on the first failed walk, so detection is a small fraction of
     /// full verification (§6.3: "even if all poll invitations are bogus,
     /// the total cost of detecting them as bogus is negligible").
-    pub fn bogus_intro_detect(&self) -> Duration {
-        self.intro_verify().mul_f64(1.0 / 8.0)
+    pub fn bogus_intro_detect(&self, au_bytes: u64) -> Duration {
+        self.intro_verify(au_bytes).mul_f64(1.0 / 8.0)
     }
 
-    /// Wire size of a vote in bytes: one 20-byte running hash per block plus
-    /// framing.
-    pub fn vote_bytes(&self) -> u64 {
-        self.blocks_per_au() * 20 + 256
-    }
-
-    /// Sanity check: the §5.1 effort-balance inequality holds.
-    pub fn balance_holds(&self) -> bool {
-        let poller = self.intro_gen() + self.remaining_gen();
-        let voter = self.vote_service_cost();
+    /// Sanity check: the §5.1 effort-balance inequality holds for an AU of
+    /// `au_bytes`.
+    pub fn balance_holds(&self, au_bytes: u64) -> bool {
+        let poller = self.intro_gen(au_bytes) + self.remaining_gen(au_bytes);
+        let voter = self.vote_service_cost(au_bytes);
         poller >= voter
     }
 
-    /// Evaluates every derived cost once into a flat [`CostTable`].
+    /// Evaluates every derived cost for an AU of `au_bytes` once into a
+    /// flat [`CostTable`].
     ///
     /// The accessors above each re-derive a chain of float identities
     /// (`remaining_gen` alone evaluates `total_provable_effort` twice), and
     /// the protocol consults them on every invite, ack, and vote. The world
-    /// snapshots this table at construction — the model is immutable for
-    /// the lifetime of a run — so hot paths read a precomputed `Duration`
-    /// instead. Values are the accessors' own outputs, bit for bit.
-    pub fn table(&self) -> CostTable {
+    /// builds this table at construction from the calibration and its AU
+    /// size, both fixed for the lifetime of a run, so hot paths read a
+    /// precomputed `Duration` instead. Values are the accessors' own
+    /// outputs, bit for bit.
+    pub fn table(&self, au_bytes: u64) -> CostTable {
         CostTable {
-            au_hash: self.au_hash(),
+            au_hash: self.au_hash(au_bytes),
             block_hash: self.block_hash(),
-            intro_gen: self.intro_gen(),
-            intro_verify: self.intro_verify(),
-            remaining_gen: self.remaining_gen(),
-            remaining_verify: self.remaining_verify(),
+            intro_gen: self.intro_gen(au_bytes),
+            intro_verify: self.intro_verify(au_bytes),
+            remaining_gen: self.remaining_gen(au_bytes),
+            remaining_verify: self.remaining_verify(au_bytes),
             vote_proof_gen: self.vote_proof_gen(),
             vote_proof_verify: self.vote_proof_verify(),
             consider: self.consider_cost(),
-            bogus_intro_detect: self.bogus_intro_detect(),
+            bogus_intro_detect: self.bogus_intro_detect(au_bytes),
             repair_serve: self.repair_serve_cost(),
             repair_apply: self.repair_apply_cost(),
         }
@@ -237,32 +224,35 @@ pub struct CostTable {
 mod tests {
     use super::*;
 
+    /// The paper's AU: 0.5 GB.
+    const AU: u64 = 500_000_000;
+
     #[test]
     fn default_balance_holds() {
         let m = CostModel::default();
-        assert!(m.balance_holds());
+        assert!(m.balance_holds(AU));
     }
 
     #[test]
     fn au_hash_matches_rate() {
         let m = CostModel::default();
         // 5e8 bytes at 3e7 B/s = 16.67 s.
-        let d = m.au_hash();
+        let d = m.au_hash(AU);
         assert!((d.as_secs_f64() - 16.6667).abs() < 0.01, "{d}");
     }
 
     #[test]
     fn intro_is_twenty_percent_of_total() {
         let m = CostModel::default();
-        let frac = m.intro_gen().as_secs_f64() / m.total_provable_effort().as_secs_f64();
+        let frac = m.intro_gen(AU).as_secs_f64() / m.total_provable_effort(AU).as_secs_f64();
         assert!((frac - 0.2).abs() < 0.01, "{frac}");
     }
 
     #[test]
     fn intro_plus_remaining_is_total() {
         let m = CostModel::default();
-        let sum = m.intro_gen() + m.remaining_gen();
-        let total = m.total_provable_effort();
+        let sum = m.intro_gen(AU) + m.remaining_gen(AU);
+        let total = m.total_provable_effort(AU);
         let diff = sum.as_secs_f64() - total.as_secs_f64();
         assert!(diff.abs() < 0.01, "{diff}");
     }
@@ -270,16 +260,15 @@ mod tests {
     #[test]
     fn verification_is_cheaper_than_generation() {
         let m = CostModel::default();
-        assert!(m.intro_verify() < m.intro_gen());
-        assert!(m.remaining_verify() < m.remaining_gen());
+        assert!(m.intro_verify(AU) < m.intro_gen(AU));
+        assert!(m.remaining_verify(AU) < m.remaining_gen(AU));
         assert!(m.vote_proof_verify() < m.vote_proof_gen());
     }
 
     #[test]
     fn balance_holds_across_au_sizes() {
         for au in [1_000_000u64, 50_000_000, 500_000_000, 2_000_000_000] {
-            let m = CostModel::default().with_au_bytes(au);
-            assert!(m.balance_holds(), "au={au}");
+            assert!(CostModel::default().balance_holds(au), "au={au}");
         }
     }
 
@@ -288,15 +277,9 @@ mod tests {
         // §6.3: by the time an in-debt attacker gets admitted (mean 5
         // tries), he has spent more than the victim's consideration cost.
         let m = CostModel::default();
-        let attacker = m.intro_gen().as_secs_f64() * 5.0;
-        let victim = (m.consider_cost() + m.intro_verify()).as_secs_f64();
+        let attacker = m.intro_gen(AU).as_secs_f64() * 5.0;
+        let victim = (m.consider_cost() + m.intro_verify(AU)).as_secs_f64();
         assert!(attacker > victim);
-    }
-
-    #[test]
-    fn blocks_per_au_rounds_up() {
-        let m = CostModel::default().with_au_bytes(1_500_001);
-        assert_eq!(m.blocks_per_au(), 2);
     }
 
     /// Every derived cost, in milliseconds, at the AU sizes worlds use:
@@ -319,7 +302,7 @@ mod tests {
                 [16667, 33, 7401, 3701, 29603, 14802, 73, 37, 51, 463, 66, 66],
             ),
         ] {
-            let t = CostModel::default().with_au_bytes(au).table();
+            let t = CostModel::default().table(au);
             let got = [
                 t.au_hash,
                 t.block_hash,
@@ -338,12 +321,6 @@ mod tests {
             assert_eq!(got, ms, "au={au}");
         }
     }
-
-    #[test]
-    fn vote_bytes_scales_with_blocks() {
-        let m = CostModel::default();
-        assert_eq!(m.vote_bytes(), m.blocks_per_au() * 20 + 256);
-    }
 }
 
 // Seeded randomized property sweeps (no proptest under the offline
@@ -352,6 +329,9 @@ mod tests {
 mod proptests {
     use super::*;
     use lockss_sim::SimRng;
+
+    /// The paper's AU: 0.5 GB.
+    const AU: u64 = 500_000_000;
 
     /// Uniform draw from `[lo, hi)`.
     fn uniform(rng: &mut SimRng, lo: f64, hi: f64) -> f64 {
@@ -374,10 +354,9 @@ mod proptests {
                 effort_margin: margin,
                 intro_fraction,
                 ..CostModel::default()
-            }
-            .with_au_bytes(au_mb * 1_000_000);
+            };
             assert!(
-                m.balance_holds(),
+                m.balance_holds(au_mb * 1_000_000),
                 "balance must hold: au={au_mb}MB rho={verify_ratio} m={margin}"
             );
         }
@@ -396,10 +375,10 @@ mod proptests {
                 intro_fraction,
                 ..CostModel::default()
             };
-            assert!(!m.intro_gen().is_zero());
-            assert!(!m.remaining_gen().is_zero());
-            let total = m.total_provable_effort().as_secs_f64();
-            let sum = (m.intro_gen() + m.remaining_gen()).as_secs_f64();
+            assert!(!m.intro_gen(AU).is_zero());
+            assert!(!m.remaining_gen(AU).is_zero());
+            let total = m.total_provable_effort(AU).as_secs_f64();
+            let sum = (m.intro_gen(AU) + m.remaining_gen(AU)).as_secs_f64();
             assert!((total - sum).abs() < 0.01, "{total} vs {sum}");
         }
     }
@@ -414,8 +393,8 @@ mod proptests {
                 verify_ratio,
                 ..CostModel::default()
             };
-            assert!(m.intro_verify() <= m.intro_gen());
-            assert!(m.remaining_verify() <= m.remaining_gen());
+            assert!(m.intro_verify(AU) <= m.intro_gen(AU));
+            assert!(m.remaining_verify(AU) <= m.remaining_gen(AU));
             assert!(m.vote_proof_verify() <= m.vote_proof_gen());
         }
     }

@@ -23,7 +23,6 @@
 
 use lockss_adversary::MobileTakeover;
 use lockss_core::WorldConfig;
-use lockss_effort::CostModel;
 use lockss_metrics::streaming::Reservoir;
 use lockss_sim::{Duration, SimTime};
 use lockss_storage::AuSpec;
@@ -115,18 +114,15 @@ pub struct RecoveryReport {
 }
 
 fn run_point(study: &RecoveryStudy, budget: u32, seed: u64) -> PointOutcome {
-    let au_spec = AuSpec {
-        size_bytes: study.au_blocks * 1_000_000,
-        block_bytes: 1_000_000,
-    };
     let mut cfg = WorldConfig {
         n_peers: study.n_peers,
         n_aus: study.n_aus,
-        au_spec,
+        au_spec: AuSpec {
+            size_bytes: study.au_blocks * AuSpec::BLOCK_BYTES,
+        },
         seed,
         ..WorldConfig::default()
     };
-    cfg.cost = CostModel::default().with_au_bytes(au_spec.size_bytes);
     // Monthly polls: the repair machinery gets a dozen audit rounds per
     // simulated year, so heal times resolve inside a CI-sized window.
     cfg.protocol.poll_interval = Duration::MONTH;

@@ -5,9 +5,7 @@ use lockss_adversary::{
 };
 use lockss_core::reputation::KnownPeers;
 use lockss_core::{Adversary, WorldConfig};
-use lockss_effort::CostModel;
 use lockss_sim::Duration;
-use lockss_storage::AuSpec;
 
 use crate::scale::Scale;
 
@@ -244,13 +242,9 @@ pub struct Scenario {
 impl Scenario {
     /// The §6.3 world at a given scale and collection size, no attack.
     pub fn baseline(scale: Scale, n_aus: usize) -> Scenario {
-        let au_spec = AuSpec::default();
         let cfg = WorldConfig {
             n_peers: scale.n_peers(),
             n_aus,
-            au_spec,
-            mtbf_years: 5.0,
-            cost: CostModel::default().with_au_bytes(au_spec.size_bytes),
             seed: 0, // overwritten per run
             ..WorldConfig::default()
         };

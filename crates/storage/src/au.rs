@@ -24,24 +24,25 @@ impl std::fmt::Display for AuId {
 pub struct AuSpec {
     /// Total size in bytes (0.5 GB in the paper's experiments).
     pub size_bytes: u64,
-    /// Block size in bytes; votes carry one running hash per block and
-    /// repairs transfer single blocks.
-    pub block_bytes: u64,
 }
 
 impl Default for AuSpec {
     fn default() -> Self {
         AuSpec {
             size_bytes: 500_000_000,
-            block_bytes: 1_000_000,
         }
     }
 }
 
 impl AuSpec {
+    /// Block size in bytes (1 MB here; the paper reports per-block votes
+    /// without fixing a size). Votes carry one running hash per block and
+    /// repairs transfer single blocks.
+    pub const BLOCK_BYTES: u64 = 1_000_000;
+
     /// Number of blocks in the AU.
     pub fn blocks(&self) -> u64 {
-        self.size_bytes.div_ceil(self.block_bytes)
+        self.size_bytes.div_ceil(Self::BLOCK_BYTES)
     }
 }
 
@@ -114,7 +115,6 @@ mod tests {
     fn au_spec_blocks_round_up() {
         let spec = AuSpec {
             size_bytes: 2_500_000,
-            block_bytes: 1_000_000,
         };
         assert_eq!(spec.blocks(), 3);
         assert_eq!(AuSpec::default().blocks(), 500);

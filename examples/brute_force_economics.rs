@@ -33,20 +33,21 @@ fn main() {
     println!("Brute-force attrition economics (paper §7.4 / Table 1)");
     println!("50 peers x 6 AUs, one simulated year, continuous attack.\n");
 
-    let cost = CostModel::default().with_au_bytes(100_000_000);
+    let cost = CostModel::default();
+    let au = 100_000_000;
     println!("effort-balance calibration (per voter, CPU-seconds):");
     println!(
         "  poller provable effort: intro {:.1}s + remaining {:.1}s",
-        cost.intro_gen().as_secs_f64(),
-        cost.remaining_gen().as_secs_f64()
+        cost.intro_gen(au).as_secs_f64(),
+        cost.remaining_gen(au).as_secs_f64()
     );
     println!(
         "  voter service cost:     {:.1}s (verify proofs + hash AU + vote proof)",
-        cost.vote_service_cost().as_secs_f64()
+        cost.vote_service_cost(au).as_secs_f64()
     );
     println!(
         "  => requester always has more invested than supplier: {}\n",
-        cost.balance_holds()
+        cost.balance_holds(au)
     );
 
     let baseline = run("baseline", 3);

@@ -5,7 +5,6 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use lockss::effort::CostModel;
 use lockss::experiments::runner::{Run, RunOptions};
 use lockss::experiments::{Scale, ScenarioRegistry};
 use lockss::sim::{Duration, SimTime};
@@ -17,20 +16,17 @@ fn main() {
     // with storage damaged at one block per 2 disk-years — deliberately
     // harsher than the paper's defaults so a short run shows the repair
     // machinery working.
-    let au_spec = AuSpec {
-        size_bytes: 100_000_000,
-        block_bytes: 1_000_000,
-    };
     let mut cfg = ScenarioRegistry::standard()
         .build("baseline", Scale::Default)
         .expect("'baseline' is registered")
         .cfg;
     cfg.n_peers = 40;
     cfg.n_aus = 5;
-    cfg.au_spec = au_spec;
+    cfg.au_spec = AuSpec {
+        size_bytes: 100_000_000,
+    };
     cfg.mtbf_years = 2.0;
     cfg.seed = 2026;
-    cfg.cost = CostModel::default().with_au_bytes(au_spec.size_bytes);
     cfg.protocol.poll_interval = Duration::MONTH;
 
     println!("LOCKSS attrition-defense reproduction — quickstart");
@@ -38,7 +34,7 @@ fn main() {
         "{} peers x {} AUs ({} MB each), poll interval {}, damage 1 block / {} disk-years",
         cfg.n_peers,
         cfg.n_aus,
-        au_spec.size_bytes / 1_000_000,
+        cfg.au_spec.size_bytes / 1_000_000,
         cfg.protocol.poll_interval,
         cfg.mtbf_years,
     );

@@ -4,25 +4,21 @@
 use lockss::adversary::{AdmissionFlood, BruteForce, Defection};
 use lockss::core::config::Ablation;
 use lockss::core::{World, WorldConfig};
-use lockss::effort::CostModel;
 use lockss::metrics::Summary;
 use lockss::sim::{Duration, Engine, SimTime};
 use lockss::storage::AuSpec;
 
 fn config(seed: u64, ablation: Ablation) -> WorldConfig {
-    let au_spec = AuSpec {
-        size_bytes: 50_000_000,
-        block_bytes: 1_000_000,
-    };
     let mut cfg = WorldConfig {
         n_peers: 40,
         n_aus: 3,
-        au_spec,
+        au_spec: AuSpec {
+            size_bytes: 50_000_000,
+        },
         mtbf_years: 5.0,
         seed,
         ..WorldConfig::default()
     };
-    cfg.cost = CostModel::default().with_au_bytes(au_spec.size_bytes);
     cfg.protocol.poll_interval = Duration::from_days(30);
     cfg.protocol.grade_decay = Duration::from_days(60);
     cfg.protocol.ablation = ablation;

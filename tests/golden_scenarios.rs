@@ -22,177 +22,177 @@ const PINNED: [(&str, [&str; 3]); 21] = [
     (
         "baseline",
         [
-            "1376289737a7822bb09eac8f59666ee38b9a42bd3d5220892ec9209e1586774f",
-            "7fc045c724a07a4f72b6b475804a4088dc039457d0ca6ccc9e5721ff9a8c9b5a",
-            "d8d6f0ba35bd10b80f19f0f032869a7f2284f0045230df2fab0c12804346a820",
+            "39c194482c4c206da6935289faf21ca654717af4f6ea967af2d0ee44467e95a9",
+            "26a60b69f07b21567181b2750f0eacf2d7c140fb9a55ce8d8242ea9070b7e51d",
+            "ef3e0462e4a4b2d5ab8b8295cb033552898768d1065f14766fa2051036a4dbcc",
         ],
     ),
     (
         "baseline-large",
         [
-            "a13dc34ba212bb1359aa5914b70bc512c9efe75c2f63c262403a3bb61f05d0d7",
-            "d8d6f0ba35bd10b80f19f0f032869a7f2284f0045230df2fab0c12804346a820",
-            "db96f1423c58e9eeb96d8b86fe0ba9ceee120f757e1e5ed0b615d868ff9dd26b",
+            "dcde2b4ec3a898e49269be4e09b97eac5bf2b6b6feffc36e4c63520c84b6a036",
+            "ef3e0462e4a4b2d5ab8b8295cb033552898768d1065f14766fa2051036a4dbcc",
+            "1f436a9b81ded18a478a2c88f9a43f0e6a00761f799c375276d5c38c5c8bd980",
         ],
     ),
     (
         "pipe-stoppage",
         [
-            "75ad98e154fcc7c164dc1a6a505e83fb477e530cc7acdc07ecc61c50c049d8d8",
-            "0ede5dcc6592dfbf83f6ec893d7aa24230968c5b355b84fb725ca7e22cf2a3b0",
-            "61ff29f888205f5c8bb5d83550d65e49ef753d7fb9386855d87ce558df4545a7",
+            "0fc05baab069c9a330878f5a9887f08dcbe059e2bcb048fbd5bde11e3f9484d0",
+            "5a2287f0fdace62f7ffd8cd08c63f0b825974ca816310cdf6b0d92a48a4a294c",
+            "6b5607905cd9b21fdd5e561e9f6a33b681a1c914db74900b928c8b08c6c57d0f",
         ],
     ),
     (
         "pipe-stoppage-partial",
         [
-            "2b8d6029c947e4a5ea988313d5dec191583c9a7d18bcacc4478c5e8ca46f619f",
-            "b6c3be4ae86290e7636d70f3fccbc532d2e0cf1c28a38eaa07b7f1f4c0bcbae1",
-            "4611f8341a6f097f6a25f3515061b4e4191142bbec9761787849270c9099aa0c",
+            "72afc2483caee04094f8ffaee669305815e70e107d3fa9d6e95681b596e3de09",
+            "985cd1f1a6384578db62cffe2038b0f67a2b6f80fbe5b3348ae330b3766b3e32",
+            "4da7cbec5c3cbe4c9a376b866fff448539321438da0a7f0f437f1971c13d8956",
         ],
     ),
     (
         "admission-flood",
         [
-            "f81ce6b99f5b73a6835e5753931923f3488fe052b9f6f1e1f027fe17b3f6d0ac",
-            "9d36b9eebbc598e98f1a70944cea897db942359aca4bb7c66f97803d1c1599c8",
-            "d86da4c99174419f54af285c2f107d032fed2bb5cf53e69325ec1992f5513a00",
+            "46fb39fc60508b05d2e52543da824009b1c60c8db307b3090baf61290a87bf92",
+            "75723484fc6cefd0050084ef22f9886f1234e1b73a45e43b17408db91f2d246d",
+            "fd454cfb05a9e66dd191d5ad8c8a444832aaaa30a4ff11bd9b71bfcd05a7cdc1",
         ],
     ),
     (
         "admission-flood-partial",
         [
-            "fdc75dba1e213324c6bf7d766732b1c368902d95f715da01823ac7ba2a66e7a8",
-            "4de3f02f92a49faf3197001673d420c43631598839b67296c577adc1aedda150",
-            "278fb330fec1260fc1c77e9d7f4260cfa74e633bbd5633b33b868cd240913cdc",
+            "cb60b27d9585c56c4cd9cbf86e75a9a25b2ac8dafe8eeafffcc8c6b66e3d9c27",
+            "5319ca2fa9ddb5d69cd9bb8188fdfd74beff38c028c48a823e763ac598bc14f9",
+            "bedc90a2473e7af06386005001ce03fce34737c6b9d18a98603d29bcb79e3409",
         ],
     ),
     (
         "brute-force-intro",
         [
-            "824784c9d6232587a1cfaedc8a6bfbbf5993eb4b0cdb61dafcadb7e96574ca9b",
-            "38eacbcef9f2e1de1040edf9c69fa3b6cebad070007ce7724276ee8d511086c5",
-            "65cf373503a279b3db77401a85066809ef4e5e788ec3d64133cf4630a83b91a6",
+            "d08da460d3c47f2b2450539a469588f6059c672c5989d3f1ecb31e599a2d3c40",
+            "321983be12b8582b6caad503afd4371698a1e41f9326022d0ab2bdd22d8ddd90",
+            "3eac8df82071759da7b735ecb9a6bedaa70cc93be3ee656e3548963f85506878",
         ],
     ),
     (
         "brute-force-remaining",
         [
-            "ea7509c8cd0a36960b7d4d89fdc9d54181d7b24568fff6ce6b31358884d0e7d8",
-            "d71e224d1253714b58c559c365f24ab4dd462d72bd6823aa1c5b1657a3fc794a",
-            "42e8f873147f5f548aab99ee06c9e8cea58072eefe4015eadc5afe1385bf7203",
+            "c6338f901df7da5eaaf337bd88c64cef2a1596a11886b54e477cfb83e42d5295",
+            "a2264d061dad2e211fc1bd1f74767256837fc6bf04e1bfc1782b9da607b35a95",
+            "84917304f02367efd11c65e336815147cd1186c36584d14f40dea8d51f09bd05",
         ],
     ),
     (
         "brute-force-none",
         [
-            "90a1121d96fd3e1b21378ff37c29fba240a4e820ade4b267ea806be39bd0b872",
-            "f10cbdd280b750081e7d58f48ae76be8f53682a88863e05a503edf426f5a9c05",
-            "cc27c6540c5b62b363907a27d22b2207191d4e838dc2891b30b7efecb1819543",
+            "e3aeca20f0b3e00869291324e56b53c8333676995efe206798c9048b5ee6288f",
+            "44ec6779f5ea26cf067378a27138d98060467407d5cc270aa7137f9ac76a2bd2",
+            "b8d910cf7e55a07855dcafdcb7e0b329b0b54fb071288d1ac6653be45f5c2f73",
         ],
     ),
     (
         "vote-flood",
         [
-            "21b495a5c7e33330682c7d7307ddb0299cba09a80282163d49cbc7a8148fe41a",
-            "64f32c292c69ca2154390f6d5b01d41f6d6b3307693142979a9a0d0b1af79115",
-            "378eed2e0939b8af013fc0244e7c23491c59a6110b35f6ca901557b5e83ba73a",
+            "075701bbd82998ac528eb5b6af1575d570f5e45ddb59489021f758caf69b2b76",
+            "5b7741f24e9acac11fc689e3ce7f31907dbc8a1320108322cbe1c7eab96498f9",
+            "8e5fa1d16040a84384e651dc18532d6ea61563b82e84caa9f9c64b008ab80ffc",
         ],
     ),
     (
         "churn-storm",
         [
-            "17256397ec22a13796c49e2117d981ba7a2a86a40e4928ca3b225d629337ddb3",
-            "f2f179a12eeeace8a20ae9e3627e2d048ef2d7f03b6e5a2220929b62d9cd3baa",
-            "192e6b99ef81ad8ad220fa10d020a271d094b16f17aa68f520a45da291c552f3",
+            "a363c794029d5ad691459be3ea506df62e686dde4cf5e654d979892181c8966a",
+            "7d768b7decb96cbb71dfa24890e70319e7725235ae9092e312b6bdbe0da18852",
+            "a3a4ba4ab2988a2f277312f2c0f5340818372e39217fbf382319855109909a3b",
         ],
     ),
     (
         "sybil-ramp",
         [
-            "1442ac93e378fdb30bf32d7c39d9262b4831530777f4b1b40caaaa6c29933eb0",
-            "36f6450cb589e7680d6e9e186cb3653ff394aefa9094d6daed804d14f4d12f4d",
-            "11ff31a3ffe7b8098ae2ba0ff8e4aaf3cc41a9b5591efdb06b8425415eb0666e",
+            "03d590abdf5a4fdfead9ca9e1765b7ebfb44ee9d042e13d8e4b4bd75d5ed13d0",
+            "6404d86d42634a0b3d8cd75a8804ef48e39e229954bad1bbec2414d8dd447d4f",
+            "9fbb8decd6e74fb572f0b679e6ce476aa86b82b42e2cd526aad330702ee017cc",
         ],
     ),
     (
         "mobile-takeover-light",
         [
-            "63a15be6090031449180bf1b228620e60ec1d91840b070a280ede34d2772679b",
-            "65ca2b1fe4a94dad8246b3c180bea922b963d569f156cf9ad28f0b564f4bad97",
-            "4f653e6207744258bceacec10d8b363f8e895163e4a1564be0db2cee3ec5abf7",
+            "dd25cf347a305f74bd204557ce409ab15f4c620684c05b3d3963e3c36e337b24",
+            "8b6e05bf4e87afb01c1b77046bc91c9153747918564b490208622f4a35b06cf8",
+            "f84771a77de7f529d8c0224f15e7fb2d249b0e123f0b243ee35cad83d7c3d335",
         ],
     ),
     (
         "mobile-takeover-heavy",
         [
-            "75afccb15504e20c6c3736767c0429bb505acb8460386933da4d7f70cea1a47f",
-            "71596c8f3427197e6700fc0004faa4c72bf0074af569241adc48a7856a896162",
-            "03c94be45b9465f59c29f2b8b09554d2f65c5f24fa73f89c48fb0f5c110301cf",
+            "d42305c81e4e333afce75dcea1b7a5c80d96aaf2fce383dbef6a899360c5c70e",
+            "c5832f5e5ae55a3eb566f4ce07e44632e4f08f3b9e2aced6a4f04d8d6558de8b",
+            "3c59b86e5f5f177035d736e31da6d327e82d654e1962f0359557937b3d6e5e45",
         ],
     ),
     (
         "stoppage-then-flood",
         [
-            "3ac2403f0262dc168b3541d780f5063c396f43aef42530cd164d174f57fa7f51",
-            "7339b393e63b73eded6426d4fb9ecc8c40d87a7d8c75483efd895c95875a184c",
-            "a8d0c53b0035ff8f927930ce5f3b14e4b48396caa7fa1e40853544695c669d19",
+            "296274cac207baedaf570bec3a7be7b121d7a9950f0099ffae2ede61632636f1",
+            "dd29673667661cbda899887e5cbc47be8aea3550135b2d65c27d25d25865a2c5",
+            "182ac924baefa3174c30d0d31a1253469b93cd4ebdd3c482aca44e0cd64c2325",
         ],
     ),
     (
         "storm-over-ramp",
         [
-            "117a3bcfef30f6cb9ab01264893bbb6565996c8b47e665d972aef18298710418",
-            "a96a43815cc7619edd8c102c88c076e3494399d1ce98f58b986dba6a502cec45",
-            "f7e0aa2a9906370487a094a6cd22a4655a76dbceca50329a1d72d3392af2900f",
+            "6b0d293d47c926faf5803bdf4b89cd049421275f763c85b46c547b807f887393",
+            "a7dba446199f66e3645d1266b14ae8b904317ee5649460ecdbcf07b8c283454e",
+            "b9a875312c01b4bcef5da817f8b78e6e683125e366c5c09b974bf0b97481c50b",
         ],
     ),
     (
         "stoppage-escalation",
         [
-            "ab4b690c6a36dfa0f1a9374f86388ec1a62d05eeaf751c594beb42eb343b1dff",
-            "fee668da9d586dc2801c0ac9ff33ef7c7c6390aa84394564c7209388a8bf69a4",
-            "0e57709ceaacc387e54a0d561747507383450dae9b5bcc266db6c35191487891",
+            "79b0023959da0d8f634900b21838f19a2403eb6462e3681b49720cd67b8aa45e",
+            "0a1073ccf58e498dccb270a0dc9f0f24307ddc4659fb68a039def629c1d41cb3",
+            "9571fc07067299b3cb64a121273fbb65c6e49050bf108b0acb0749df1d291f11",
         ],
     ),
     (
         "mobile-recovery-race",
         [
-            "76eee6b17342fb35db803b5b9dadbaf35670390d65e75b838b9eea099b2fe4aa",
-            "f8c45049bd4fc35197dd86838216d3abba1e3c47b21c33f8a99b7be8cf99d028",
-            "bccc0442c19f568db751f47adc185498a31c0ed853520b9abbb97e745f35ec99",
+            "5fa9f10bc0d65994078130f09766245bdcc83cc68cc4cb16831aabd17f9be750",
+            "ad22457aa3e345385a780bbe23a930fca328082a51d54c4f42a0cc03171e4313",
+            "458020774cfccc9206a52f028b47a5641fee830981a4525d0ceb095d5307a904",
         ],
     ),
     (
         "scale-10k-baseline",
         [
-            "da988e9ec2b0e47da90da4924fba1001cb3596b9dd9233cb961d0779721c1708",
-            "9511e163cfa83fdae16590aa36bf07259fd8000af7f582973b92edc3cdf53059",
-            "9511e163cfa83fdae16590aa36bf07259fd8000af7f582973b92edc3cdf53059",
+            "f91a2f8af0479d80725aad64611fc59d61549c9bde9976a2faed8eeec861adde",
+            "7b12155246551df4752d75f486edf8d1c4b5ced0562a2d7d04fd049794be4be8",
+            "7b12155246551df4752d75f486edf8d1c4b5ced0562a2d7d04fd049794be4be8",
         ],
     ),
     (
         "scale-10k-churn-storm",
         [
-            "22fe8132d288eaf6ff89d83b595a4ee56e1eb706d898a206de6c3036b7e70a67",
-            "5b7736ae1f029ee8811539745e2c18858cc8e50c124265c85939e4c50eac9a87",
-            "5b7736ae1f029ee8811539745e2c18858cc8e50c124265c85939e4c50eac9a87",
+            "31c2019b275baeafcc5c17cac48e1cf7d88756d00eb204da7d79ea1c056a5bef",
+            "62ef178d945b27f2b6f091be4eed908ad8990fd0763f9a4d1cb694145f9be069",
+            "62ef178d945b27f2b6f091be4eed908ad8990fd0763f9a4d1cb694145f9be069",
         ],
     ),
     (
         "scale-50k-attrition",
         [
-            "1b70f737f3ca869311942d83c984938bbe17be49b326657c8815131cc5c1d91d",
-            "780f4ddf4af2efc2f373b8c9b6508ebd02b25cd7a99f2c1f1a36ee24aae20bf9",
-            "780f4ddf4af2efc2f373b8c9b6508ebd02b25cd7a99f2c1f1a36ee24aae20bf9",
+            "d7fe4035d762612ad75bc5d38bb82664c432ab37d0d969544b849bd352d11273",
+            "0f8dbe093652e983dcd3b6e70b0cbb8a107ba4b5f30e0e9ff4a2ba224a229533",
+            "0f8dbe093652e983dcd3b6e70b0cbb8a107ba4b5f30e0e9ff4a2ba224a229533",
         ],
     ),
 ];
 
 /// Every registry scenario builds to exactly the pinned world at every
 /// scale. A change to a scenario file, to `ScenarioSpec::build`, or to a
-/// default it leaves alone (`Scenario::baseline`, `WorldConfig`,
-/// `CostModel`) moves a digest; a deliberate one re-pins it here.
+/// default it leaves alone (`Scenario::baseline`, `WorldConfig`)
+/// moves a digest; a deliberate one re-pins it here.
 #[test]
 fn every_registry_scenario_matches_its_pinned_digest() {
     let registry = ScenarioRegistry::standard();
