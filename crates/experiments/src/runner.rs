@@ -157,8 +157,10 @@ impl Run {
         }
     }
 
-    /// Runs every event stamped before `until`; the clock finishes at
-    /// `until`.
+    /// Runs every event stamped before `until`, in engine loops of at most
+    /// 30 simulated days: the engine publishes its metrics as each returns,
+    /// so a sweep heartbeat sees a seed advance. The clock finishes at
+    /// `until` unless an event requests a stop, as a replay divergence does.
     ///
     /// # Panics
     ///
@@ -166,7 +168,13 @@ impl Run {
     pub fn advance_to(&mut self, until: SimTime) {
         self.end = horizon(until.since(SimTime::ZERO)).unwrap_or_else(|e| panic!("{e}"));
         let _span = Span::enter(&self.profiler, "simulate");
-        self.eng.run_until(&mut self.world, until);
+        while self.eng.now() < until {
+            let step = (self.eng.now() + Duration::from_days(30)).min(until);
+            self.eng.run_until(&mut self.world, step);
+            if self.eng.stop_requested() {
+                break;
+            }
+        }
     }
 
     /// The world as the last step left it.
@@ -389,6 +397,32 @@ mod tests {
     fn run_refuses_a_horizon_past_the_last_stamp() {
         let s = tiny().with_run_length(Duration::from_days(MAX_RUN_DAYS + 1));
         run_once(&s, 1);
+    }
+
+    /// A step publishes the engine's metrics every 30 simulated days, not
+    /// only when it returns: an event on day 45 reads the events the first
+    /// 30 days executed from the session's counter.
+    #[test]
+    fn a_step_publishes_the_engine_metrics_as_it_goes() {
+        let session = Arc::new(ObsSession::new());
+        let opts = RunOptions {
+            sink: None,
+            obs: Some(Arc::clone(&session)),
+        };
+        let mut run = Run::start(tiny().cfg, None, &opts);
+        let seen = std::rc::Rc::new(std::cell::Cell::new(0));
+        let (cell, events) = (
+            std::rc::Rc::clone(&seen),
+            session.engine.events_executed.clone(),
+        );
+        run.eng
+            .schedule_at(SimTime::ZERO + Duration::from_days(45), move |_, _| {
+                cell.set(events.get())
+            });
+        run.advance_to(SimTime::ZERO + Duration::from_days(60));
+        assert!(seen.get() > 0, "nothing published by day 45");
+        assert!(seen.get() < run.eng.executed());
+        assert_eq!(session.engine.events_executed.get(), run.eng.executed());
     }
 
     #[test]

@@ -41,17 +41,19 @@ pub struct Heartbeat {
     /// Polls opened so far — advances *during* a seed, not just between
     /// seeds, which is what lets a reader tell slow from stalled.
     pub polls: u64,
-    /// Engine events executed across finished run loops.
+    /// Engine events executed across finished run loops; a run's loops
+    /// cover at most 30 simulated days each, so this advances during a
+    /// seed.
     pub events: u64,
     /// Poll throughput since the shard started, polls per wall second.
     pub polls_per_sec: f64,
     /// Current resident set size (VmRSS) in KiB, 0 when unavailable.
     pub vm_rss_kb: u64,
-    /// The most events any finished seed left pending at its horizon
-    /// (`engine_events_queued`), so the same seeds read the same value at
-    /// any thread count.
+    /// The most events any run loop left pending at its exit, a 30-day
+    /// slice boundary or a horizon (`engine_events_queued`), so the same
+    /// seeds read the same value at any thread count.
     pub arena_live: u64,
-    /// The most events pending at once, after the last seed.
+    /// The most events pending at once, as of the last run loop's exit.
     pub arena_total: u64,
 }
 
