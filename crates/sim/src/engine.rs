@@ -935,6 +935,35 @@ mod tests {
         assert_eq!(handles.events_queued.get(), 2, "the larger of 2 and 0");
     }
 
+    /// Engines sharing one set of handles (a sweep's seeds) publish the
+    /// same snapshot whichever finishes first: the gauges are maxima, so
+    /// the last engine to publish does not overwrite the others.
+    #[test]
+    fn shared_handles_do_not_depend_on_finish_order() {
+        // (events scheduled, run until): the first engine leaves 3 of 5
+        // queued, the second 1 of 8.
+        let shapes = [(5u64, 2u64), (8, 7)];
+        let snapshot = |order: [usize; 2]| {
+            let mut b = RegistryBuilder::new();
+            let obs = EngineObs::register(&mut b);
+            let registry = b.build();
+            for i in order {
+                let (events, until) = shapes[i];
+                let mut eng: Engine<u64> = Engine::new();
+                eng.set_obs(obs.clone());
+                for t in 0..events {
+                    eng.schedule_at(SimTime(t), |w: &mut u64, _| *w += 1);
+                }
+                eng.run_until(&mut 0, SimTime(until));
+            }
+            registry.to_json()
+        };
+        let forward = snapshot([0, 1]);
+        assert_eq!(forward, snapshot([1, 0]));
+        assert!(forward.contains("\"engine_events_queued\": 3"), "{forward}");
+        assert!(forward.contains("\"engine_arena_total\": 8"), "{forward}");
+    }
+
     /// Closures larger than the inline payload run correctly through the
     /// boxed fallback.
     #[test]
