@@ -489,6 +489,33 @@ const RULES: &[Rule] = &[
         ],
     },
     Rule {
+        name: "A config field is one something sets",
+        why: "A world config holds only what a run varies. A `pub` field of \
+              ProtocolConfig, WorldConfig or AuSpec that nothing outside its \
+              defining file assigns (`x.field = …`, through any path) or names \
+              in a struct literal is a value no run varies: it is a constant \
+              dressed as a setting, read through the config on every use and \
+              carried through every Debug digest. Twenty-nine such fields were \
+              turned into constants (the protocol calibration) or left the \
+              config (the cost model), and the §9 adaptive acceptance no run \
+              enabled was deleted. Tests count as setters: the admission oracle \
+              draws the knobs it varies.",
+        check: a_config_field_is_one_something_sets,
+        plants: &[
+            plant(
+                "crates/core/src/config.rs",
+                "pub struct ProtocolConfig {\n    pub never_set: u32,\n}\n",
+                "ProtocolConfig.never_set is set nowhere outside crates/core/src/config.rs",
+            ),
+            plant(
+                "crates/storage/src/au.rs",
+                "pub struct AuSpec {\n    pub size_bytes: u64,\n    pub block_bytes: u64,\n}\n\
+                 fn resize(a: &mut AuSpec) {\n    a.block_bytes = 1;\n}\n",
+                "AuSpec.block_bytes is set nowhere outside crates/storage/src/au.rs",
+            ),
+        ],
+    },
+    Rule {
         name: "One release profile",
         why: "The workspace and the benchmark (its own workspace under \
               benchmark/) build with the one [profile.release] in \
@@ -1144,6 +1171,125 @@ fn no_configuration_from_the_environment(t: &Tree) -> Vec<String> {
     )
 }
 
+/// The config structs the row holds, with the file that defines each.
+const CONFIG_STRUCTS: [(&str, &str); 3] = [
+    ("crates/core/src/config.rs", "ProtocolConfig"),
+    ("crates/core/src/config.rs", "WorldConfig"),
+    ("crates/storage/src/au.rs", "AuSpec"),
+];
+
+fn a_config_field_is_one_something_sets(t: &Tree) -> Vec<String> {
+    let mut found = Vec::new();
+    for (home, name) in CONFIG_STRUCTS {
+        let fields = pub_fields(text_of(t, home), name);
+        if fields.is_empty() {
+            found.push(format!(
+                "{home} defines no `pub struct {name}` with pub fields"
+            ));
+            continue;
+        }
+        let elsewhere: Vec<&str> = t
+            .iter()
+            .filter(|(path, _)| path.ends_with(".rs") && path.as_str() != home)
+            .map(|(_, text)| text.as_str())
+            .collect();
+        for field in fields {
+            let set = elsewhere.iter().any(|text| {
+                literal_fields(text, name).contains(&field)
+                    || text
+                        .lines()
+                        .filter(|l| !l.trim_start().starts_with("//"))
+                        .any(|l| assigns(l, field))
+            });
+            if !set {
+                found.push(format!(
+                    "{name}.{field} is set nowhere outside {home} — make it a constant"
+                ));
+            }
+        }
+    }
+    found
+}
+
+/// The `pub` field names of the first `pub struct <name> {` in `text`.
+fn pub_fields<'a>(text: &'a str, name: &str) -> Vec<&'a str> {
+    let head = format!("pub struct {name} {{\n");
+    let Some(at) = text.find(&head) else {
+        return Vec::new();
+    };
+    text[at + head.len()..]
+        .lines()
+        .take_while(|l| !l.starts_with('}'))
+        .filter_map(|l| l.trim_start().strip_prefix("pub "))
+        .filter_map(|l| l.split_once(':'))
+        .map(|(field, _)| field.trim())
+        .collect()
+}
+
+/// True if `line` assigns through `.field`: `.field`, then any `.path`,
+/// an optional `)` closing a tuple, and `=` that is not `==`.
+fn assigns(line: &str, field: &str) -> bool {
+    let dotted = format!(".{field}");
+    line.match_indices(&dotted).any(|(at, _)| {
+        let mut rest = &line[at + dotted.len()..];
+        if rest.starts_with(is_word) {
+            return false;
+        }
+        while let Some(path) = rest.strip_prefix('.') {
+            rest = path.trim_start_matches(is_word);
+        }
+        let rest = rest.strip_prefix(')').unwrap_or(rest).trim_start();
+        rest.starts_with('=') && !rest.starts_with("==") && !rest.starts_with("=>")
+    })
+}
+
+/// The field names of every `<name> { … }` struct literal in `text`:
+/// the leading identifier of each top-level, comma-separated member,
+/// `field: value` or the shorthand `field`. A definition (`struct`,
+/// `impl … for`) or a function returning `<name>` opens no literal.
+fn literal_fields<'a>(text: &'a str, name: &str) -> Vec<&'a str> {
+    let opener = format!("{name} {{");
+    let mut fields = Vec::new();
+    for (at, _) in text.match_indices(&opener) {
+        let before = text[..at].trim_end_matches(|c: char| c == ':' || is_word(c));
+        if text[..at].ends_with(is_word)
+            || ["struct", "for", "impl", "->"]
+                .iter()
+                .any(|w| before.trim_end().ends_with(w))
+        {
+            continue;
+        }
+        let body = &text[at + opener.len()..];
+        let (mut depth, mut start) = (0usize, 0);
+        for (i, c) in body.char_indices() {
+            match c {
+                '{' | '(' | '[' => depth += 1,
+                '}' | ')' | ']' if depth > 0 => depth -= 1,
+                ',' | '}' if depth == 0 => {
+                    let member = body[start..i]
+                        .lines()
+                        .map(str::trim)
+                        .filter(|l| !l.is_empty() && !l.starts_with("//"))
+                        .collect::<Vec<_>>()
+                        .join(" ");
+                    let ident = member.trim_start_matches(is_word);
+                    let field = &member[..member.len() - ident.len()];
+                    if !field.is_empty() && (ident.is_empty() || ident.starts_with(':')) {
+                        let offset = body[start..i].find(field).unwrap_or(0);
+                        fields.push(&body[start + offset..start + offset + field.len()]);
+                    }
+                    if c == '}' {
+                        break;
+                    }
+                    start = i + 1;
+                }
+                _ => {}
+            }
+        }
+    }
+    fields
+}
+
 fn one_release_profile(t: &Tree) -> Vec<String> {
     // `[profile.x]`, `[profile]` and the dotted `profile.x.key = v`.
     let declares = |l: &str| {
@@ -1567,6 +1713,48 @@ fn the_matchers_agree_with_their_patterns() {
          lower => \"no\",\nTop => \"no\",\n        Name2 => \"name\",\n    }\n}\n    X => \"after\",\n",
     );
     assert_eq!(labels, ["pipe/stop", "name"]);
+    // `\.field(\.[a-z_]+)*\)? *=[^=>]`
+    assert!(assigns("cfg.protocol.poll_interval = x;", "protocol"));
+    assert!(assigns("    cfg.seed = seed;", "seed"));
+    assert!(assigns(
+        "(c.drop_unknown, c.drop_debt) = (0.5, 0.25);",
+        "drop_debt"
+    ));
+    assert!(!assigns(
+        "(c.drop_unknown, c.drop_debt) = (0.5, 0.25);",
+        "drop_unknown"
+    ));
+    assert!(!assigns("if a.seed == 1 {", "seed"));
+    assert!(!assigns("x.seeds = 1;", "seed"));
+    assert!(!assigns("Some(x) if x.seed => 1,", "seed"));
+    // `Name { field: …, field, ..base }`, not `struct Name {`, `for Name {`
+    // or `-> Name {`.
+    let text = "WorldConfig {\n    n_peers,\n    au_spec: AuSpec { size_bytes: 1 },\n    \
+                seed: 0, // per run\n    ..WorldConfig::default()\n}";
+    assert_eq!(
+        literal_fields(text, "WorldConfig"),
+        ["n_peers", "au_spec", "seed"]
+    );
+    assert_eq!(literal_fields(text, "AuSpec"), ["size_bytes"]);
+    assert_eq!(
+        literal_fields("lockss_core::AuSpec { size_bytes }", "AuSpec"),
+        ["size_bytes"]
+    );
+    for text in [
+        "pub struct AuSpec { size_bytes: u64 }",
+        "impl Default for AuSpec { fn default() -> Self { x } }",
+        "fn spec() -> AuSpec { size_bytes }",
+        "BigAuSpec { size_bytes: 1 }",
+    ] {
+        assert!(literal_fields(text, "AuSpec").is_empty(), "{text}");
+    }
+    assert_eq!(
+        pub_fields(
+            "pub struct AuSpec {\n    /// doc: x\n    pub size_bytes: u64,\n}\n",
+            "AuSpec"
+        ),
+        ["size_bytes"]
+    );
     let real = declared_labels(text_of(&read_tree(), "crates/core/src/trace.rs")).len();
     assert_eq!(real, lockss::core::Label::ALL.len());
 }
