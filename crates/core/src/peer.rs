@@ -275,11 +275,6 @@ impl PeerTable {
         (&mut self.au[i], &mut self.rng[p])
     }
 
-    /// The peer's CPU commitment calendar.
-    pub fn schedule(&self, p: usize) -> &TaskSchedule {
-        &self.schedule[p]
-    }
-
     /// Mutable CPU calendar.
     pub fn schedule_mut(&mut self, p: usize) -> &mut TaskSchedule {
         &mut self.schedule[p]
