@@ -495,11 +495,9 @@ const RULES: &[Rule] = &[
               defining file assigns (`x.field = …`, through any path) or names \
               in a struct literal is a value no run varies: it is a constant \
               dressed as a setting, read through the config on every use and \
-              carried through every Debug digest. Twenty-nine such fields were \
-              turned into constants (the protocol calibration) or left the \
-              config (the cost model), and the §9 adaptive acceptance no run \
-              enabled was deleted. Tests count as setters: the admission oracle \
-              draws the knobs it varies.",
+              carried through every Debug digest. Make it a constant where it \
+              is read. Tests count as setters: the admission oracle draws the \
+              knobs it varies.",
         check: a_config_field_is_one_something_sets,
         plants: &[
             plant(
